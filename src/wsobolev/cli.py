@@ -13,8 +13,8 @@ Subcommands mirror the package's module boundaries:
 
 Exit codes: 0 success, 2 when a verification that should mathematically hold
 comes out false (and only then), 1 for operational failures.  Outputs are
-byte-deterministic for a fixed config and seed: floats are rounded to 12
-significant digits and JSON keys are sorted.
+byte-deterministic for a fixed config: floats are rounded to 12 significant
+digits and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
 from .grid import Grid, GridFunction, discrete_gradient, load_grid_function_binary, \
     save_grid_function_csv
-from .inequalities import build_constant_chain, batch_report_csv, verify_poincare, \
-    verify_potential, verify_xq
+from .inequalities import ConstantChain, build_constant_chain, batch_report_csv, \
+    verify_poincare, verify_potential, verify_xq
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
     solve_evolution, solve_evolution_lebesgue, solve_stationary
 from .sobolev import smooth_approximation
@@ -40,15 +40,6 @@ from .weights import check_admissibility, check_reciprocal_integrability, \
     estimate_doubling, estimate_muckenhoupt, weight_on_grid
 
 __all__ = ["SUBCOMMANDS", "OUTPUT_DIR_ENV", "emit_report", "run", "main"]
-
-SUBCOMMANDS = (
-    "weight-report",
-    "constants",
-    "verify-inequalities",
-    "approximate",
-    "solve-evolution",
-    "solve-stationary",
-)
 
 OUTPUT_DIR_ENV = "WSOBOLEV_OUT"
 
@@ -119,13 +110,12 @@ def _state_from_string(
                 f"(n={f.grid.nodes_per_axis}, R={f.grid.half_width:g})"
             )
         return f
-    mesh = grid.mesh()
-    vals = evaluate_expression(text, mesh[0], mesh[1] if grid.dim == 2 else None)
+    vals = evaluate_expression(text, *grid.mesh())
     return GridFunction(grid, vals, compact_support_radius=support_radius)
 
 
-def _chain_constants(config: RunConfig) -> dict[str, float]:
-    chain = build_constant_chain(
+def _constant_chain(config: RunConfig) -> ConstantChain:
+    return build_constant_chain(
         config.weight,
         config.p,
         L=config.constants.L,
@@ -136,13 +126,6 @@ def _chain_constants(config: RunConfig) -> dict[str, float]:
         eps1=config.constants.eps1,
         n_samples=config.fit_samples,
     )
-    return {
-        "C": chain.C,
-        "D": chain.D,
-        "C_prime": chain.C_prime,
-        "D_prime": chain.D_prime,
-        "c": chain.c,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +133,7 @@ def _chain_constants(config: RunConfig) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_weight_report(config: RunConfig) -> tuple[int, dict]:
+def _cmd_weight_report(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     spec = config.weight
     admissibility = check_admissibility(
         spec,
@@ -169,27 +152,17 @@ def _cmd_weight_report(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, results
 
 
-def _cmd_constants(config: RunConfig) -> tuple[int, dict]:
-    chain = build_constant_chain(
-        config.weight,
-        config.p,
-        L=config.constants.L,
-        C4=config.constants.C4,
-        fit_half_width=config.fit_half_width,
-        eps=config.constants.eps,
-        eps0=config.constants.eps0,
-        eps1=config.constants.eps1,
-        n_samples=config.fit_samples,
-    )
-    return EXIT_OK, {"constant_chain": chain}
+def _cmd_constants(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+    return EXIT_OK, {"constant_chain": _constant_chain(config)}
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
+def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     spec = config.weight
     grid = config.grid
     if spec.dim != 1:
         raise ValueError("the verification corpus is one-dimensional; use dim = 1")
-    constants = _chain_constants(config)
+    chain = _constant_chain(config)
+    constants = {key: getattr(chain, key) for key in ("C", "D", "C_prime", "D_prime", "c")}
     source = "formula"
     if config.verify_override:
         constants.update(config.verify_override)
@@ -239,7 +212,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
-def _cmd_approximate(config: RunConfig) -> tuple[int, dict]:
+def _cmd_approximate(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     cfg = config.approximate
     f = _state_from_string(cfg.u0, config.grid, support_radius=cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule, tol=cfg.tol)
@@ -293,25 +266,25 @@ def _cmd_stationary(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return EXIT_OK, {"stationary": result}
 
 
+_COMMANDS = {
+    "weight-report": _cmd_weight_report,
+    "constants": _cmd_constants,
+    "verify-inequalities": _cmd_verify,
+    "approximate": _cmd_approximate,
+    "solve-evolution": _cmd_evolution,
+    "solve-stationary": _cmd_stationary,
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run(subcommand: str, config: RunConfig, out_dir: str | Path, format: str = "json") -> int:
     """Dispatch one subcommand; writes artifacts and returns the exit code."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if subcommand == "weight-report":
-            code, results = _cmd_weight_report(config)
-        elif subcommand == "constants":
-            code, results = _cmd_constants(config)
-        elif subcommand == "verify-inequalities":
-            code, results = _cmd_verify(config)
-        elif subcommand == "approximate":
-            code, results = _cmd_approximate(config)
-        elif subcommand == "solve-evolution":
-            code, results = _cmd_evolution(config, out)
-        elif subcommand == "solve-stationary":
-            code, results = _cmd_stationary(config, out)
-        else:
+        if subcommand not in _COMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
+        code, results = _COMMANDS[subcommand](config, out)
         emit_report(results, out, format=format)
         return code
     except IntegrabilityGateError as err:
@@ -340,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"${OUTPUT_DIR_ENV} or ./wsobolev-out)")
         p.add_argument("--grid-n", type=int, default=None,
                        help="override grid.nodes_per_axis (odd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="tabular report format (JSON summaries always written)")
     return parser
@@ -360,8 +332,6 @@ def main(argv=None) -> int:
             print(f"error: --grid-n: {err}", file=sys.stderr)
             return EXIT_OPERATIONAL
         config = replace(config, grid=grid)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "wsobolev-out"
     return run(args.subcommand, config, out_dir, format=args.format)
 

@@ -92,7 +92,7 @@ def _parse_weight(obj: dict) -> WeightSpec:
         try:
             return PotentialExpr.from_json(items, dim)
         except ValueError as err:
-            raise ConfigError(f"weight.{key}: {err}") from None
+            raise ConfigError(f"weight.{key}{err}") from None
     return WeightSpec(beta=beta, q=q, dim=dim, W=potential("W"), V=potential("V"))
 
 
@@ -179,7 +179,6 @@ class RunConfig:
     weight: WeightSpec
     grid: Grid
     p: float
-    seed: int
     fit_lattice: FitLattice
     fit_half_width: float
     fit_samples: int
@@ -192,7 +191,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {
-    "weight", "grid", "p", "seed", "fit", "constants", "balls",
+    "weight", "grid", "p", "fit", "constants", "balls",
     "approximate", "evolution", "stationary", "verify",
 }
 
@@ -205,7 +204,6 @@ def parse_config(doc: dict) -> RunConfig:
     weight = _parse_weight(_expect_mapping(doc["weight"], "weight"))
     grid = _parse_grid(_expect_mapping(doc.get("grid", {}), "grid"), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
-    seed = _integer(doc, "seed", "config", default=42, minimum=0)
 
     fit = _expect_mapping(doc.get("fit", {}), "fit")
     _check_keys(fit, "fit", {"half_width", "n_samples", "delta_step", "delta_max",
@@ -293,7 +291,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("verify: override block is present but empty")
 
     return RunConfig(
-        weight=weight, grid=grid, p=p, seed=seed,
+        weight=weight, grid=grid, p=p,
         fit_lattice=lattice, fit_half_width=fit_half_width, fit_samples=fit_samples,
         constants=constants, balls=balls, approximate=approximate,
         evolution=evolution, stationary=stationary, verify_override=verify_override,
@@ -301,9 +299,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config: not UTF-8 text (byte {err.start})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: not valid JSON ({err.msg} at line {err.lineno})") from None
     return parse_config(doc)

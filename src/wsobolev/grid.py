@@ -6,14 +6,26 @@ values; fields are extended by zero outside the box wherever an operation
 (convolution, shifted sampling) has to look past the boundary.  The node
 count per axis is kept odd so that the origin is always a node and
 composite Simpson weights apply without special cases.
+
+No code path depends on d.  The tensor helpers carry every dimension
+through one path: tensor_weights (a 1d quadrature rule applied along each
+axis), lattice_points (odd tensor sample lattices), ball_slices and
+block_integral (box-ball quadrature, shared by the weight diagnostics and
+the inequality estimators), and d-dimensional summed-area tables in
+maximal_function.  The one 1d-only step in the package is the power-law
+extrapolation across an isolated zero node in the Muckenhoupt integral
+(weights._ball_integral_power).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +39,11 @@ __all__ = [
     "quadrature",
     "quadrature_with_error",
     "segment_weights",
+    "trapezoid_weights",
+    "tensor_weights",
+    "lattice_points",
+    "ball_slices",
+    "block_integral",
     "mollify",
     "maximal_function",
     "difference_quotient",
@@ -70,10 +87,7 @@ class Grid:
         return np.linspace(-self.half_width, self.half_width, self.nodes_per_axis)
 
     def mesh(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis()
-        if self.dim == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
+        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
     def points(self) -> np.ndarray:
         """All nodes as an array of shape grid.shape + (dim,)."""
@@ -165,17 +179,12 @@ def sample_field(
 ) -> GridFunction:
     """Evaluate a field at the grid nodes.
 
-    Accepts a callable taking the coordinate arrays (one per axis), an object
-    exposing eval-on-points semantics via a `weight_on_grid`-compatible
-    `exponent` method (weight specs are handled in the weights module), or a
-    plain array of node values.
+    Accepts a callable taking the coordinate arrays (one per axis) or a plain
+    array of node values.
     """
     if callable(f):
         vals = np.asarray(f(*grid.mesh()), dtype=float)
         vals = np.broadcast_to(vals, grid.shape).copy()
-    elif hasattr(f, "exponent"):
-        floor = np.log(np.finfo(float).tiny)
-        vals = np.exp(np.maximum(np.asarray(f.exponent(grid.points()), dtype=float), floor))
     else:
         vals = np.asarray(f, dtype=float)
     return GridFunction(grid, vals, compact_support_radius)
@@ -190,11 +199,10 @@ def discrete_gradient(f: GridFunction) -> list[GridFunction]:
     """Axis derivatives: central differences inside, 2nd-order one-sided at
     the boundary (the np.gradient edge_order=2 stencil)."""
     h = f.grid.spacing
-    if f.grid.dim == 1:
-        comps = [np.gradient(f.values, h, edge_order=2)]
-    else:
-        comps = list(np.gradient(f.values, h, edge_order=2))
-    return [GridFunction(f.grid, c) for c in comps]
+    return [
+        GridFunction(f.grid, np.gradient(f.values, h, edge_order=2, axis=a))
+        for a in range(f.grid.dim)
+    ]
 
 
 def gradient_magnitude(grads: Sequence[GridFunction]) -> np.ndarray:
@@ -233,11 +241,19 @@ def segment_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
+def tensor_weights(w1: np.ndarray, dim: int) -> np.ndarray:
+    """The 1d weights applied along each of dim axes: w1 (x) w1 (x) ..."""
+    return reduce(np.multiply.outer, [w1] * dim)
+
+
 def _box_weights(grid: Grid) -> np.ndarray:
-    w1 = simpson_weights(grid.nodes_per_axis, grid.spacing)
-    if grid.dim == 1:
-        return w1
-    return np.outer(w1, w1)
+    return tensor_weights(simpson_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
 
 
 def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
@@ -254,11 +270,8 @@ def _coarse_quadrature(grid: Grid, vals: np.ndarray) -> float | None:
     n = grid.nodes_per_axis
     if (n - 1) % 4 != 0:
         return None
-    m = (n + 1) // 2
-    w1 = simpson_weights(m, 2.0 * grid.spacing)
-    if grid.dim == 1:
-        return float(np.sum(w1 * vals[::2]))
-    return float(np.sum(np.outer(w1, w1) * vals[::2, ::2]))
+    w = tensor_weights(simpson_weights((n + 1) // 2, 2.0 * grid.spacing), grid.dim)
+    return float(np.sum(w * vals[(slice(None, None, 2),) * grid.dim]))
 
 
 def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -> tuple[float, float]:
@@ -274,12 +287,52 @@ def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -
     fine = float(np.sum(_box_weights(f.grid) * vals))
     coarse = _coarse_quadrature(f.grid, vals)
     if coarse is None:
-        h = f.grid.spacing
-        tw1 = np.full(f.grid.nodes_per_axis, h)
-        tw1[0] = tw1[-1] = h / 2.0
-        tw = tw1 if f.grid.dim == 1 else np.outer(tw1, tw1)
+        g = f.grid
+        tw = tensor_weights(trapezoid_weights(g.nodes_per_axis, g.spacing), g.dim)
         coarse = float(np.sum(tw * vals))
     return fine, abs(fine - coarse)
+
+
+def lattice_points(dim: int, half_width: float, n_target: int) -> np.ndarray:
+    """Nodes of the tensor lattice on [-half_width, half_width]^dim with about
+    n_target points, as an array of shape (m^dim, dim).  The per-axis count m
+    is odd, so the origin is always a node."""
+    m = math.ceil(n_target ** (1.0 / dim))
+    m += 1 - m % 2
+    return Grid(dim, half_width, m).points().reshape(-1, dim)
+
+
+# ---------------------------------------------------------------------------
+# box-ball quadrature
+# ---------------------------------------------------------------------------
+
+
+def ball_slices(grid: Grid, center: Sequence[float], radius: float) -> tuple[slice, ...] | None:
+    """Per-axis node slices of the axis-aligned box ball center +- radius,
+    snapped to the node lattice, or None if it escapes the grid box (or
+    spans fewer than two cells along an axis)."""
+    if len(center) != grid.dim:
+        raise ValueError("ball center dimension mismatch")
+    if radius <= 0:
+        raise ValueError("ball radius must be positive")
+    h = grid.spacing
+    out = []
+    for c in center:
+        lo = int(round((c - radius + grid.half_width) / h))
+        hi = int(round((c + radius + grid.half_width) / h))
+        if lo < 0 or hi > grid.nodes_per_axis - 1 or hi - lo < 2:
+            return None
+        out.append(slice(lo, hi + 1))
+    return tuple(out)
+
+
+def block_integral(block: np.ndarray, h: float) -> float:
+    """Integral of a block of node values (spacing h along every axis) with
+    the segment rule contracted one axis at a time, the last axis by a
+    plain weighted sum."""
+    for n in block.shape[:-1]:
+        block = segment_weights(n, h) @ block
+    return float(np.sum(segment_weights(block.shape[0], h) * block))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +362,7 @@ class Mollifier:
     eps: float
     spacing: float
     dim: int
-    taps: np.ndarray  # shape (2K+1,) in 1d, (2K+1, 2K+1) in 2d
+    taps: np.ndarray  # shape (2K+1,) * dim
 
     @staticmethod
     def build(grid: Grid, eps: float) -> "Mollifier":
@@ -317,12 +370,8 @@ class Mollifier:
         if eps < h:
             raise ValueError(f"eps {eps} below grid spacing {h}: kernel not resolvable")
         K = int(np.floor(eps / h + 1e-12))
-        offsets = np.arange(-K, K + 1) * h
-        if grid.dim == 1:
-            raw = bump_profile(offsets / eps)
-        else:
-            ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-            raw = bump_profile(np.sqrt(ox * ox + oy * oy) / eps)
+        offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * grid.dim, indexing="ij")
+        raw = bump_profile(np.sqrt(sum(o * o for o in offsets)) / eps)
         total = raw.sum()
         if total <= 0.0:
             raise ValueError("empty mollifier kernel")
@@ -333,23 +382,6 @@ class Mollifier:
         """Discrete kernel mass in the convolution's own sum; 1 by construction."""
         return float(self.taps.sum())
 
-    def kernel_on_grid(self, grid: Grid) -> GridFunction:
-        """The kernel placed at the origin as a grid function (density norm:
-        node value = tap / h^dim)."""
-        if grid.spacing != self.spacing or grid.dim != self.dim:
-            raise ValueError("grid does not match the kernel's spacing")
-        K = (self.taps.shape[0] - 1) // 2
-        c = (grid.nodes_per_axis - 1) // 2
-        if K > c:
-            raise ValueError("kernel wider than the grid")
-        vals = np.zeros(grid.shape)
-        sl = slice(c - K, c + K + 1)
-        if grid.dim == 1:
-            vals[sl] = self.taps / self.spacing
-        else:
-            vals[sl, sl] = self.taps / self.spacing**2
-        return GridFunction(grid, vals, compact_support_radius=self.eps * np.sqrt(grid.dim))
-
 
 def mollify(f: GridFunction, eps: float) -> GridFunction:
     """Discrete convolution with the standard bump kernel at scale eps.
@@ -357,21 +389,14 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
     The input is extended by zero outside the box; the support radius grows
     by at most eps and the sup norm does not increase.
     """
-    kernel = Mollifier.build(f.grid, eps)
-    taps = kernel.taps
-    K = (taps.shape[0] - 1) // 2
-    if f.grid.dim == 1:
-        out = np.convolve(f.values, taps, mode="same") if K > 0 else f.values.copy()
-    else:
-        n = f.grid.nodes_per_axis
-        padded = np.pad(f.values, K)
-        out = np.zeros_like(f.values)
-        for i in range(2 * K + 1):
-            for j in range(2 * K + 1):
-                t = taps[i, j]
-                if t == 0.0:
-                    continue
-                out += t * padded[i : i + n, j : j + n]
+    taps = Mollifier.build(f.grid, eps).taps
+    n = f.grid.nodes_per_axis
+    padded = np.pad(f.values, (taps.shape[0] - 1) // 2)
+    out = np.zeros_like(f.values)
+    for offset in np.ndindex(taps.shape):
+        t = taps[offset]
+        if t != 0.0:
+            out += t * padded[tuple(slice(i, i + n) for i in offset)]
     csr = f.compact_support_radius
     if csr is not None:
         csr = min(csr + eps, f.grid.half_width * np.sqrt(f.grid.dim))
@@ -390,33 +415,32 @@ def maximal_function(f: GridFunction) -> GridFunction:
     (in 2d the windows are axis-aligned boxes), so constants are reproduced
     exactly and sublinearity holds node-wise.
     """
-    a = np.abs(f.values)
+    d = f.grid.dim
     n = f.grid.nodes_per_axis
     kmax = (n - 1) // 2  # radius lattice stops at the box half-width
     idx = np.arange(n)
-    if f.grid.dim == 1:
-        P = np.concatenate([[0.0], np.cumsum(a)])
-        best = np.zeros(n)
-        for k in range(1, kmax + 1):
-            lo = np.maximum(idx - k, 0)
-            hi = np.minimum(idx + k, n - 1)
-            avg = (P[hi + 1] - P[lo]) / (hi - lo + 1)
-            np.maximum(best, avg, out=best)
-        return GridFunction(f.grid, best)
-    S = np.zeros((n + 1, n + 1))
-    S[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-    best = np.zeros((n, n))
+    # summed-area table with a zero border: S[i+1, j+1] = sum of |f|[:i+1, :j+1]
+    csum = np.abs(f.values)
+    for a in range(d):
+        csum = np.cumsum(csum, axis=a)
+    S = np.zeros((n + 1,) * d)
+    S[(slice(1, None),) * d] = csum
+    corners = _cell_corners(d)
+    best = np.zeros(f.grid.shape)
     for k in range(1, kmax + 1):
         lo = np.maximum(idx - k, 0)
         hi = np.minimum(idx + k, n - 1)
-        cnt = hi - lo + 1
-        box = (
-            S[np.ix_(hi + 1, hi + 1)]
-            - S[np.ix_(lo, hi + 1)]
-            - S[np.ix_(hi + 1, lo)]
-            + S[np.ix_(lo, lo)]
-        )
-        avg = box / np.outer(cnt, cnt)
+        # S at every box corner, gathered one axis at a time; the list ends
+        # up in _cell_corners order with 0 = upper end, 1 = lower end
+        ends = (hi + 1, lo)
+        parts = [S]
+        for a in reversed(range(d)):
+            parts = [part.take(end, axis=a) for part in parts for end in ends]
+        # inclusion-exclusion: a corner with an odd number of lower ends subtracts
+        box = parts[0]
+        for part, corner in zip(parts[1:], corners[1:]):
+            box = box - part if sum(corner) % 2 else box + part
+        avg = box / tensor_weights(hi - lo + 1, d)
         np.maximum(best, avg, out=best)
     return GridFunction(f.grid, best)
 
@@ -426,34 +450,29 @@ def maximal_function(f: GridFunction) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+def _cell_corners(dim: int) -> list[tuple[int, ...]]:
+    """The 0/1 corners of a cell, first axis varying fastest: (0, 0), (1, 0),
+    (0, 1), (1, 1) in 2d.  Sums over corners run in this order, which fixes
+    their rounding."""
+    return [c[::-1] for c in itertools.product((0, 1), repeat=dim)]
+
+
 def _sample_shifted(f: GridFunction, delta: np.ndarray) -> np.ndarray:
-    """Linear interpolation of f at (node - delta), zero outside the box."""
+    """Multilinear interpolation of f at (node - delta), zero outside the box."""
     g = f.grid
-    ax = g.axis()
-    if g.dim == 1:
-        xq = ax - delta[0]
-        return np.interp(xq, ax, f.values, left=0.0, right=0.0)
     h, R, n = g.spacing, g.half_width, g.nodes_per_axis
-    X, Y = g.mesh()
-    out_vals = np.zeros(g.shape)
-    gx = (X - delta[0] + R) / h
-    gy = (Y - delta[1] + R) / h
-    inside = (gx >= 0) & (gx <= n - 1) & (gy >= 0) & (gy <= n - 1)
-    gx = np.clip(gx, 0, n - 1)
-    gy = np.clip(gy, 0, n - 1)
-    i0 = np.clip(np.floor(gx).astype(int), 0, n - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, n - 2)
-    fx = gx - i0
-    fy = gy - j0
-    v = f.values
-    interp = (
-        v[i0, j0] * (1 - fx) * (1 - fy)
-        + v[i0 + 1, j0] * fx * (1 - fy)
-        + v[i0, j0 + 1] * (1 - fx) * fy
-        + v[i0 + 1, j0 + 1] * fx * fy
-    )
-    out_vals[inside] = interp[inside]
-    return out_vals
+    coords = [(m - dm + R) / h for m, dm in zip(g.mesh(), delta)]  # fractional indices
+    inside = np.logical_and.reduce([(c >= 0) & (c <= n - 1) for c in coords])
+    coords = [np.clip(c, 0, n - 1) for c in coords]
+    base = [np.clip(np.floor(c).astype(int), 0, n - 2) for c in coords]
+    frac = [c - b for c, b in zip(coords, base)]
+    terms = []
+    for corner in _cell_corners(g.dim):
+        term = f.values[tuple(b + up for b, up in zip(base, corner))]
+        for up, fr in zip(corner, frac):
+            term = term * (fr if up else 1 - fr)
+        terms.append(term)
+    return np.where(inside, reduce(np.add, terms), 0.0)
 
 
 def difference_quotient(f: GridFunction, z, eps: float) -> GridFunction:
@@ -490,18 +509,13 @@ def truncate(f: GridFunction, level: float) -> GridFunction:
 
 
 def save_grid_function_csv(f: GridFunction, path: str | Path) -> None:
+    """One row per node in C order: the node's coordinates, then its value."""
     g = f.grid
+    coords = [f"{x:.12g}," for x in g.axis()]
     with open(path, "w", newline="") as fh:
-        if g.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(g.axis(), f.values):
-                fh.write(f"{x:.12g},{v:.12g}\n")
-        else:
-            fh.write("x,y,value\n")
-            ax = g.axis()
-            for i, x in enumerate(ax):
-                for j, y in enumerate(ax):
-                    fh.write(f"{x:.12g},{y:.12g},{f.values[i, j]:.12g}\n")
+        fh.write(",".join("xy"[: g.dim]) + ",value\n")
+        for idx in np.ndindex(g.shape):
+            fh.write("".join(coords[i] for i in idx) + f"{f.values[idx]:.12g}\n")
 
 
 def save_grid_function_binary(f: GridFunction, path: str | Path) -> None:

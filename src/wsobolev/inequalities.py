@@ -20,17 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, discrete_gradient, gradient_magnitude, quadrature_with_error
-from .weights import (
-    Ball,
-    WeightSpec,
-    _ball_slices,
-    _segment_integral_1d,
-    eval_weight,
-    fit_growth_constants,
-    weight_on_grid,
+from .grid import (
+    GridFunction,
+    ball_slices,
+    block_integral,
+    discrete_gradient,
+    gradient_magnitude,
+    lattice_points,
+    quadrature_with_error,
 )
-from .grid import segment_weights
+from .weights import Ball, WeightSpec, eval_weight, fit_growth_constants, weight_on_grid
 
 __all__ = [
     "ConstantChain",
@@ -117,15 +116,7 @@ def constants_potential(
 def _ball_lattice(dim: int, radius: float, n_target: int = 10_000) -> np.ndarray:
     """Sample lattice of the closed Euclidean ball B(0, radius), always
     containing the origin and the axis extremes."""
-    if dim == 1:
-        m = n_target + 1 if n_target % 2 == 0 else n_target
-        return np.linspace(-radius, radius, m)[:, None]
-    m = int(math.ceil(math.sqrt(n_target)))
-    if m % 2 == 0:
-        m += 1
-    ax = np.linspace(-radius, radius, m)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    pts = lattice_points(dim, radius, n_target)
     keep = np.sqrt(np.sum(pts * pts, axis=-1)) <= radius + 1e-12
     return pts[keep]
 
@@ -403,17 +394,6 @@ def empirical_poincare_ratio(
 # ---------------------------------------------------------------------------
 
 
-def _ball_quadrature(field_vals: np.ndarray, grid, slices) -> float:
-    h = grid.spacing
-    if grid.dim == 1:
-        (lo, hi) = slices[0]
-        return _segment_integral_1d(field_vals[lo : hi + 1], h)
-    (lx, hx), (ly, hy) = slices
-    wx = segment_weights(hx - lx + 1, h)
-    wy = segment_weights(hy - ly + 1, h)
-    return float(wx @ field_vals[lx : hx + 1, ly : hy + 1] @ wy)
-
-
 def _require_supported_in_ball(f: GridFunction, ball: Ball, index: int) -> None:
     grid = f.grid
     pts = grid.points()
@@ -455,10 +435,12 @@ def estimate_sobolev_constant(
     if kappa <= 1.0:
         raise ValueError("kappa must exceed 1")
     grid = weight.grid
-    slices = _ball_slices(grid, ball)
-    if slices is None:
+    h = grid.spacing
+    box = ball_slices(grid, ball.center, ball.radius)
+    if box is None:
         raise ValueError("ball escapes the grid box")
-    wmass = _ball_quadrature(weight.values, grid, slices)
+    w = weight.values[box]
+    wmass = block_integral(w, h)
     if wmass <= 0.0:
         raise ValueError("weight carries no mass on the ball")
     diam = 2.0 * ball.radius
@@ -468,8 +450,8 @@ def estimate_sobolev_constant(
         f._check_same_grid(weight)
         _require_supported_in_ball(f, ball, i)
         mag = gradient_magnitude(discrete_gradient(f))
-        num = _ball_quadrature(np.abs(f.values) ** (kappa * p) * weight.values, grid, slices)
-        den = _ball_quadrature(mag**p * weight.values, grid, slices)
+        num = block_integral(np.abs(f.values[box]) ** (kappa * p) * w, h)
+        den = block_integral(mag[box] ** p * w, h)
         if den <= 0.0:
             continue
         ratio = (num / wmass) ** (1.0 / (kappa * p)) / (diam * (den / wmass) ** (1.0 / p))
@@ -488,21 +470,24 @@ def estimate_local_poincare(
     of int_B |f - f_B|^p w over (diam B)^p int_B |grad f|^p w, with f_B the
     weighted ball mean.  A convenience for choosing the C4 input."""
     grid = weight.grid
+    h = grid.spacing
     out = []
     overall: float | None = None
     for ball in balls:
-        slices = _ball_slices(grid, ball)
-        if slices is None:
+        box = ball_slices(grid, ball.center, ball.radius)
+        if box is None:
             out.append({"center": list(ball.center), "radius": ball.radius, "value": None})
             continue
-        wmass = _ball_quadrature(weight.values, grid, slices)
+        w = weight.values[box]
+        wmass = block_integral(w, h)
         best: float | None = None
         for f in corpus:
             f._check_same_grid(weight)
-            fmean = _ball_quadrature(f.values * weight.values, grid, slices) / wmass
-            num = _ball_quadrature(np.abs(f.values - fmean) ** p * weight.values, grid, slices)
+            fb = f.values[box]
+            fmean = block_integral(fb * w, h) / wmass
+            num = block_integral(np.abs(fb - fmean) ** p * w, h)
             mag = gradient_magnitude(discrete_gradient(f))
-            den = _ball_quadrature(mag**p * weight.values, grid, slices)
+            den = block_integral(mag[box] ** p * w, h)
             if den <= 0.0:
                 continue
             val = num / ((2.0 * ball.radius) ** p * den)

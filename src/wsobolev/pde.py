@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, tensor_weights, trapezoid_weights
 from .weights import WeightSpec, eval_weight
 
 __all__ = [
@@ -46,12 +46,7 @@ __all__ = [
 
 
 def _mass_weights(grid: Grid) -> np.ndarray:
-    w1 = np.full(grid.nodes_per_axis, grid.spacing)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    if grid.dim == 1:
-        return w1
-    return np.outer(w1, w1)
+    return tensor_weights(trapezoid_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
 
 
 def _axis_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -409,30 +404,22 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     if p <= 2.0:
         raise ValueError("the gate applies to p > 2 only")
     s = -1.0 / (p - 2.0)
-    tw = _mass_weights(grid)
+    tw1 = trapezoid_weights(grid.nodes_per_axis, grid.spacing)
     logw = spec.exponent(grid.points())
     vals = np.exp(np.minimum(s * logw, 700.0))  # cap just below overflow
-    n = grid.nodes_per_axis
-    c = (n - 1) // 2
+    c = (grid.nodes_per_axis - 1) // 2
     masses = []
     radii = []
     for kq in (1, 2, 3, 4):
         k = (c * kq) // 4
         sl = slice(c - k, c + k + 1)
-        block = vals[sl] * tw[sl] if grid.dim == 1 else vals[sl, sl] * tw[sl, sl]
-        # interior trapezoid weights of the sub-box: halve the new boundary
-        if grid.dim == 1:
-            sub = block.copy()
-            sub[0] *= 0.5 if kq < 4 else 1.0
-            sub[-1] *= 0.5 if kq < 4 else 1.0
-        else:
-            sub = block.copy()
-            if kq < 4:
-                sub[0, :] *= 0.5
-                sub[-1, :] *= 0.5
-                sub[:, 0] *= 0.5
-                sub[:, -1] *= 0.5
-        masses.append(float(np.sum(sub)))
+        # trapezoid weights of the sub-box: halve them on its new boundary
+        # (scaling by 0.5 is exact, so the order of products does not matter)
+        sub_w1 = tw1[sl].copy()
+        if kq < 4:
+            sub_w1[0] *= 0.5
+            sub_w1[-1] *= 0.5
+        masses.append(float(np.sum(vals[(sl,) * grid.dim] * tensor_weights(sub_w1, grid.dim))))
         radii.append(k * grid.spacing)
     increments = [b - a for a, b in zip(masses, masses[1:])]
     passes = all(b < a for a, b in zip(increments, increments[1:]))

@@ -270,9 +270,8 @@ class HedbergReport:
 
 
 def _flat_index(grid, idx) -> int:
-    if grid.dim == 1:
-        return int(idx)
-    return int(np.ravel_multi_index(tuple(int(v) for v in idx), grid.shape))
+    """Flat node number of a node index (an int is accepted in 1d)."""
+    return int(np.ravel_multi_index(tuple(int(v) for v in np.atleast_1d(idx)), grid.shape))
 
 
 def hedberg_constant(

@@ -16,13 +16,14 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, segment_weights
+from .grid import Grid, GridFunction, ball_slices, block_integral, lattice_points
 
 __all__ = [
     "ConstantTerm",
@@ -181,25 +182,50 @@ class PotentialExpr:
 
     @staticmethod
     def from_json(items: Sequence[dict], dim: int) -> "PotentialExpr":
-        terms: list[Term] = []
-        for i, item in enumerate(items):
-            kind = item.get("kind")
-            if kind == "constant":
-                terms.append(ConstantTerm(float(item["c"])))
-            elif kind == "power_abs":
-                terms.append(PowerAbsTerm(float(item["c"]), float(item["s"])))
-            elif kind == "quadratic_form":
-                terms.append(QuadraticTerm(float(item["c"])))
-            elif kind == "cosine":
-                k = tuple(float(v) for v in item["k"])
-                if len(k) != dim:
-                    raise ValueError(
-                        f"term {i}: cosine wave vector has {len(k)} components, expected {dim}"
-                    )
-                terms.append(CosineTerm(float(item["c"]), k))
-            else:
-                raise ValueError(f"term {i}: unknown kind {kind!r}")
-        return PotentialExpr(tuple(terms))
+        """Terms from their JSON objects.  A malformed term raises ValueError
+        whose message starts with the term's path relative to the list,
+        e.g. "[0].s: required field is missing"."""
+        return PotentialExpr(tuple(_term_from_json(item, dim, f"[{i}]")
+                                   for i, item in enumerate(items)))
+
+
+# JSON kind -> term class and the JSON fields of its constructor arguments
+_TERM_KINDS = {
+    "constant": (ConstantTerm, ("c",)),
+    "power_abs": (PowerAbsTerm, ("c", "s")),
+    "quadratic_form": (QuadraticTerm, ("c",)),
+    "cosine": (CosineTerm, ("c", "k")),
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _term_from_json(item, dim: int, path: str) -> Term:
+    if not isinstance(item, dict):
+        raise ValueError(f"{path}: expected an object, got {type(item).__name__}")
+    kind = item.get("kind")
+    if kind not in _TERM_KINDS:
+        raise ValueError(f"{path}.kind: unknown kind {kind!r}")
+    cls, keys = _TERM_KINDS[kind]
+    args = []
+    for key in keys:
+        if key not in item:
+            raise ValueError(f"{path}.{key}: required field is missing")
+        val = item[key]
+        if key == "k":
+            if not (isinstance(val, list) and len(val) == dim and all(map(_is_number, val))):
+                raise ValueError(f"{path}.k: expected a list of {dim} numbers, got {val!r}")
+            args.append(tuple(float(v) for v in val))
+        elif _is_number(val):
+            args.append(float(val))
+        else:
+            raise ValueError(f"{path}.{key}: expected a number, got {val!r}")
+    try:
+        return cls(*args)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +354,6 @@ class FitLattice:
     c2_cap: float = 1e6
 
 
-def _sample_lattice(dim: int, half_width: float, n_samples: int) -> np.ndarray:
-    if dim == 1:
-        ax = np.linspace(-half_width, half_width, n_samples)
-        return ax[:, None]
-    m = int(math.ceil(math.sqrt(n_samples)))
-    if m % 2 == 0:
-        m += 1  # keep the origin in the lattice
-    ax = np.linspace(-half_width, half_width, m)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
-
 @dataclass(frozen=True)
 class DilationFit:
     """Constants (c1, c2) with F(2x) <= c1*F(x) + c2 on the sample box."""
@@ -366,7 +380,7 @@ def fit_dilation_bound(
     whose offset stays below the configured cap wins; the fit fails when no
     lattice point does.
     """
-    pts = _sample_lattice(dim, half_width, n_samples)
+    pts = lattice_points(dim, half_width, n_samples)
     fx = expr.value(pts)
     f2x = expr.value(2.0 * pts)
     c1s = np.arange(1.0, lattice.c1_max + 0.5 * lattice.c1_step, lattice.c1_step)
@@ -434,7 +448,7 @@ def fit_growth_constants(
     clipped at zero.  Among lattice points attaining the minimal gamma the
     smallest delta wins.
     """
-    pts = _sample_lattice(dim, half_width, n_samples)
+    pts = lattice_points(dim, half_width, n_samples)
     gnorm = expr.grad_norm(pts)
     rq = _radii(pts) ** (q - 1.0)
     deltas = np.arange(0.0, lattice.delta_max + 0.5 * lattice.delta_step, lattice.delta_step)
@@ -460,7 +474,7 @@ def check_admissibility(
         raise ValueError("admissibility requires beta > 0")
     delta, gamma = fit_growth_constants(spec.W, spec.q, spec.dim, half_width, n_samples, lattice)
     budget = self_drift_coef(spec)
-    pts = _sample_lattice(spec.dim, half_width, n_samples)
+    pts = lattice_points(spec.dim, half_width, n_samples)
     vvals = spec.V.value(pts)
     osc_v = float(vvals.max() - vvals.min())
     dil_w = fit_dilation_bound(-spec.W, spec.dim, half_width, n_samples, lattice)
@@ -502,39 +516,6 @@ class Ball:
     def of(center, radius: float) -> "Ball":
         c = np.atleast_1d(np.asarray(center, dtype=float))
         return Ball(tuple(float(v) for v in c), float(radius))
-
-
-def _ball_slices(grid: Grid, ball: Ball) -> list[tuple[int, int]] | None:
-    """Per-axis node index ranges of the ball, or None if it escapes the box."""
-    if len(ball.center) != grid.dim:
-        raise ValueError("ball center dimension mismatch")
-    if ball.radius <= 0:
-        raise ValueError("ball radius must be positive")
-    h = grid.spacing
-    out = []
-    for c in ball.center:
-        lo = (c - ball.radius + grid.half_width) / h
-        hi = (c + ball.radius + grid.half_width) / h
-        ilo, ihi = int(round(lo)), int(round(hi))
-        if ilo < 0 or ihi > grid.nodes_per_axis - 1 or ihi - ilo < 2:
-            return None
-        out.append((ilo, ihi))
-    return out
-
-
-def _segment_integral_1d(vals: np.ndarray, h: float) -> float:
-    return float(np.sum(segment_weights(len(vals), h) * vals))
-
-
-def _ball_integral(field: GridFunction, slices: list[tuple[int, int]]) -> float:
-    h = field.grid.spacing
-    if field.grid.dim == 1:
-        (lo, hi) = slices[0]
-        return _segment_integral_1d(field.values[lo : hi + 1], h)
-    (lx, hx), (ly, hy) = slices
-    wx = segment_weights(hx - lx + 1, h)
-    wy = segment_weights(hy - ly + 1, h)
-    return float(wx @ field.values[lx : hx + 1, ly : hy + 1] @ wy)
 
 
 @dataclass(frozen=True)
@@ -582,19 +563,20 @@ def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingRep
     """
     entries: list[BallEntry] = []
     best: float | None = None
+    h = field.grid.spacing
     for ball in balls:
-        inner = _ball_slices(field.grid, ball)
-        outer = _ball_slices(field.grid, Ball(ball.center, 2.0 * ball.radius))
+        inner = ball_slices(field.grid, ball.center, ball.radius)
+        outer = ball_slices(field.grid, ball.center, 2.0 * ball.radius)
         if inner is None or outer is None:
             entries.append(
                 BallEntry(ball.center, ball.radius, None, "doubled ball escapes the grid box")
             )
             continue
-        denom = _ball_integral(field, inner)
+        denom = block_integral(field.values[inner], h)
         if denom <= 0.0:
             entries.append(BallEntry(ball.center, ball.radius, None, "ball carries no mass"))
             continue
-        ratio = _ball_integral(field, outer) / denom
+        ratio = block_integral(field.values[outer], h) / denom
         entries.append(BallEntry(ball.center, ball.radius, ratio))
         best = ratio if best is None else max(best, ratio)
     return DoublingReport(tuple(entries), best)
@@ -628,46 +610,41 @@ def _power_fit_integral(
     return out[0], out[1]
 
 
-def _ball_integral_power(field: GridFunction, slices, s: float, zero_tol: float) -> float:
+def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float,
+                         zero_tol: float) -> float:
     """Integral of w^s over a ball; w may vanish at isolated interior nodes,
     which are handled by power-law extrapolation (1d only)."""
-    g = field.grid
-    h = g.spacing
-    if g.dim == 1:
-        (lo, hi) = slices[0]
-        w = field.values
-        seg = w[lo : hi + 1]
-        if np.any(seg < 0.0):
-            bad = lo + int(np.argmax(seg < 0.0))
-            raise ValueError(f"negative weight at node {bad} (x={g.axis()[bad]:g})")
-        zeros = np.flatnonzero(seg <= zero_tol)
-        with np.errstate(divide="ignore"):
-            integrand = np.where(seg > zero_tol, seg, 1.0) ** s
-        if zeros.size == 0:
-            return _segment_integral_1d(integrand, h)
-        if zeros.size > 1:
-            bad = lo + int(zeros[1])
-            raise ValueError(f"weight vanishes at several nodes, e.g. node {bad}")
-        idx0 = lo + int(zeros[0])
-        halo = 4
-        left, right = _power_fit_integral(w, idx0, lo, hi, h, s, halo)
-        total = left + right
-        if idx0 - halo > lo:
-            total += _segment_integral_1d(w[lo : idx0 - halo + 1] ** s, h)
-        if idx0 + halo < hi:
-            total += _segment_integral_1d(w[idx0 + halo : hi + 1] ** s, h)
-        return total
-    (lx, hx), (ly, hy) = slices
-    block = field.values[lx : hx + 1, ly : hy + 1]
-    if np.any(block < 0.0):
-        i, j = np.argwhere(block < 0.0)[0]
-        raise ValueError(f"negative weight at node ({lx + i}, {ly + j})")
-    if np.any(block <= zero_tol):
-        i, j = np.argwhere(block <= zero_tol)[0]
-        raise ValueError(f"weight vanishes at node ({lx + i}, {ly + j}) inside a ball")
-    wx = segment_weights(hx - lx + 1, h)
-    wy = segment_weights(hy - ly + 1, h)
-    return float(wx @ block**s @ wy)
+    h = field.grid.spacing
+    block = field.values[box]
+
+    def node(offset) -> tuple[int, ...]:
+        return tuple(sl.start + int(i) for sl, i in zip(box, offset))
+
+    negative = np.argwhere(block < 0.0)
+    if len(negative):
+        bad = node(negative[0])
+        x = tuple(float(field.grid.axis()[i]) for i in bad)
+        raise ValueError(f"negative weight at node {bad} (x={x})")
+    zeros = np.argwhere(block <= zero_tol)
+    if len(zeros) == 0:
+        return block_integral(block**s, h)
+    # The extrapolation fits a power law along the line through the zero node,
+    # which only 1d supports; in 2d a zero node inside a ball is an error.
+    if field.grid.dim != 1:
+        raise ValueError(f"weight vanishes at node {node(zeros[0])} inside a ball")
+    if len(zeros) > 1:
+        raise ValueError(f"weight vanishes at several nodes, e.g. node {node(zeros[1])[0]}")
+    lo, hi = box[0].start, box[0].stop - 1
+    w = field.values
+    idx0 = node(zeros[0])[0]
+    halo = 4
+    left, right = _power_fit_integral(w, idx0, lo, hi, h, s, halo)
+    total = left + right
+    if idx0 - halo > lo:
+        total += block_integral(w[lo : idx0 - halo + 1] ** s, h)
+    if idx0 + halo < hi:
+        total += block_integral(w[idx0 + halo : hi + 1] ** s, h)
+    return total
 
 
 @dataclass(frozen=True)
@@ -704,19 +681,17 @@ def estimate_muckenhoupt(
     s = -1.0 / (p - 1.0)
     entries: list[BallEntry] = []
     best: float | None = None
+    h = field.grid.spacing
     for ball in balls:
-        slices = _ball_slices(field.grid, ball)
-        if slices is None:
+        box = ball_slices(field.grid, ball.center, ball.radius)
+        if box is None:
             entries.append(BallEntry(ball.center, ball.radius, None, "ball escapes the grid box"))
             continue
         # Average over the node-snapped segment actually integrated, not the
         # nominal (2r)^dim box, so constant weights score exactly 1 for any ball.
-        h = field.grid.spacing
-        vol = 1.0
-        for lo, hi in slices:
-            vol *= (hi - lo) * h
-        avg_w = _ball_integral_power(field, slices, 1.0, zero_tol) / vol
-        avg_rec = _ball_integral_power(field, slices, s, zero_tol) / vol
+        vol = math.prod((sl.stop - 1 - sl.start) * h for sl in box)
+        avg_w = _ball_integral_power(field, box, 1.0, zero_tol) / vol
+        avg_rec = _ball_integral_power(field, box, s, zero_tol) / vol
         value = avg_w * avg_rec ** (p - 1.0)
         entries.append(BallEntry(ball.center, ball.radius, value))
         best = value if best is None else max(best, value)
@@ -779,52 +754,26 @@ def check_reciprocal_integrability(
     if np.any(w < 0.0):
         raise ValueError("weight field must be nonnegative")
     h = g.spacing
-    bounds = _unit_cell_bounds(g)
     axis = g.axis()
+    half = (slice(None, None, 2),) * g.dim
 
-    def cell_result(vals: np.ndarray) -> tuple[bool, float, float]:
-        if np.any(vals <= 0.0):
-            return False, math.inf, math.inf
-        if p == 1.0:
-            rec = 1.0 / vals
-            fine = float(rec.max())
-            coarse = float(rec[::2].max())
-        else:
-            rec = vals ** (-1.0 / (p - 1.0))
-            fine = float(np.trapezoid(rec, dx=h)) if rec.ndim == 1 else 0.0
-            coarse = float(np.trapezoid(rec[::2], dx=2 * h)) if rec.ndim == 1 else 0.0
-        return True, fine, coarse
+    def trapezoid(vals: np.ndarray, dx: float) -> float:
+        for _ in range(g.dim):
+            vals = np.trapezoid(vals, dx=dx, axis=-1)
+        return float(vals)
 
     worst = None
-    if g.dim == 1:
-        cells = [((lo, hi),) for lo, hi in bounds]
-    else:
-        cells = [((lx, hx), (ly, hy)) for lx, hx in bounds for ly, hy in bounds]
-
-    for cell in cells:
-        if g.dim == 1:
-            (lo, hi) = cell[0]
-            vals = w[lo : hi + 1]
-            pos, fine, coarse = cell_result(vals)
-            origin = (float(axis[lo]),)
-        else:
-            (lx, hx), (ly, hy) = cell
-            block = w[lx : hx + 1, ly : hy + 1]
-            if np.any(block <= 0.0):
-                pos, fine, coarse = False, math.inf, math.inf
-            elif p == 1.0:
-                rec = 1.0 / block
-                pos, fine, coarse = True, float(rec.max()), float(rec[::2, ::2].max())
-            else:
-                rec = block ** (-1.0 / (p - 1.0))
-                fine = float(np.trapezoid(np.trapezoid(rec, dx=h, axis=1), dx=h))
-                coarse = float(
-                    np.trapezoid(np.trapezoid(rec[::2, ::2], dx=2 * h, axis=1), dx=2 * h)
-                )
-                pos = True
-            origin = (float(axis[lx]), float(axis[ly]))
-        if not pos:
+    for cell in itertools.product(_unit_cell_bounds(g), repeat=g.dim):
+        block = w[tuple(slice(lo, hi + 1) for lo, hi in cell)]
+        origin = tuple(float(axis[lo]) for lo, _ in cell)
+        if np.any(block <= 0.0):
             return RegReport(False, p, origin, None, None, None)
+        if p == 1.0:
+            rec = 1.0 / block
+            fine, coarse = float(rec.max()), float(rec[half].max())
+        else:
+            rec = block ** (-1.0 / (p - 1.0))
+            fine, coarse = trapezoid(rec, h), trapezoid(rec[half], 2 * h)
         ratio = fine / coarse if coarse > 0 else math.inf
         if worst is None or ratio > worst[1]:
             worst = (origin, ratio, fine, coarse)

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wsobolev
 from wsobolev.cli import (
     EXIT_OK,
     EXIT_OPERATIONAL,
@@ -77,6 +79,48 @@ class TestHelpers:
         save_grid_function_binary(f, path)
         with pytest.raises(ValueError, match="different grid"):
             _state_from_string(f"file:{path}", build_grid(1, 2.0, 41))
+
+
+class TestTwoDimensional:
+    CONFIG = {
+        "weight": {"beta": 1.0, "q": 2.0, "dim": 2,
+                   "V": [{"kind": "cosine", "c": 0.1, "k": [1.0, 2.0]}]},
+        "grid": {"half_width": 3.0, "nodes_per_axis": 41},
+        "p": 2.0,
+        "balls": [{"center": [0.0, 0.0], "radius": 1.0},
+                  {"center": [0.6, -0.3], "radius": 0.6}],
+        "approximate": {"u0": "max(1 - x*x - 0.5*y*y, 0)", "support_radius": 1.5,
+                        "schedule": [0.6, 0.3, 0.15]},
+    }
+
+    def run_main(self, tmp_path, *args):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        code = main([*args, "--config", str(cfg), "--out", str(out)])
+        return code, out
+
+    def test_weight_report_csv(self, tmp_path):
+        code, out = self.run_main(tmp_path, "weight-report", "--format", "csv")
+        assert code == EXIT_OK
+        assert {"doubling.csv", "muckenhoupt.csv"} <= {p.name for p in out.iterdir()}
+        doubling = json.loads((out / "doubling.json").read_text())
+        assert [e["center"] for e in doubling["entries"]] == [[0.0, 0.0], [0.6, -0.3]]
+        assert doubling["constant"] >= 1.0
+        assert json.loads((out / "muckenhoupt.json").read_text())["constant"] >= 1.0
+        assert json.loads((out / "reciprocal_integrability.json").read_text())["ok"] is True
+        rows = (out / "doubling.csv").read_text().splitlines()
+        assert rows[0] == "ball_center,ball_radius,value"
+        assert rows[1].startswith("0;0,1,")
+
+    def test_approximate(self, tmp_path):
+        code, out = self.run_main(tmp_path, "approximate")
+        rep = json.loads((out / "approximation.json").read_text())
+        assert code == (EXIT_OK if rep["passed"] else EXIT_VERIFICATION)
+        assert rep["passed"] == (rep["final_relative_error"] <= rep["tol"])
+        errors = [step["sobolev_error"] for step in rep["steps"]]
+        assert errors == sorted(errors, reverse=True)
+        assert (out / "approximation_steps.csv").exists()
 
 
 class TestSubcommands:
@@ -306,12 +350,15 @@ class TestMain:
     def test_console_script_smoke(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"
+        # the child imports the same package this process imported, installed or not
+        src = str(Path(wsobolev.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "wsobolev", "constants",
              "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**os.environ},
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "constant_chain.json").exists()

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wsobolev._expr import ExpressionError, evaluate_expression
+from wsobolev.cli import main
 from wsobolev.config import ConfigError, load_config, parse_config
 
 BASE = {"weight": {"beta": 1.0, "q": 2.0, "dim": 1}}
@@ -81,7 +82,6 @@ class TestConfigDefaults:
         assert cfg.grid.half_width == 6.0
         assert cfg.grid.nodes_per_axis == 301
         assert cfg.p == 2.0
-        assert cfg.seed == 42
         assert cfg.fit_half_width == 6.0
         assert cfg.constants.eps == 1.0
         assert cfg.constants.eps0 is None
@@ -108,7 +108,6 @@ class TestConfigDefaults:
             },
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
-            "seed": 7,
             "fit": {"half_width": 3.0, "n_samples": 501},
             "constants": {"eps": 0.5, "eps0": 0.25, "eps1": 2.0, "L": 8.0, "C4": 2.0},
             "balls": [{"center": 0.0, "radius": 1.5}],
@@ -126,7 +125,6 @@ class TestConfigDefaults:
         assert not cfg.weight.W.is_zero()
         assert cfg.grid.nodes_per_axis == 201
         assert cfg.p == 3.0
-        assert cfg.seed == 7
         assert cfg.fit_half_width == 3.0
         assert cfg.fit_samples == 501
         assert cfg.constants.eps0 == 0.25
@@ -217,8 +215,33 @@ class TestConfigErrors:
     def test_type_errors_have_paths(self):
         with pytest.raises(ConfigError, match="grid.half_width"):
             parse_config({**BASE, "grid": {"half_width": "wide"}})
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config({**BASE, "seed": -1})
+        with pytest.raises(ConfigError, match="config.p"):
+            parse_config({**BASE, "p": "two"})
+
+
+MALFORMED_TERMS = [
+    ("W", [{"kind": "power_abs", "c": 0.3}], "weight.W[0].s"),
+    ("W", [3], "weight.W[0]"),
+    ("V", [{"kind": "cosine", "c": 1.0}], "weight.V[0].k"),
+    ("V", [{"kind": "cosine", "c": 1.0, "k": 2}], "weight.V[0].k"),
+    ("V", [{"kind": "cosine", "c": 1.0, "k": [1.0, 2.0]}], "weight.V[0].k"),
+    ("W", [{"kind": "constant", "c": 1.0}, {"kind": "constant", "c": "big"}], "weight.W[1].c"),
+    ("W", [{"kind": "quadratic_form", "c": True}], "weight.W[0].c"),
+    ("W", [{"kind": "power_abs", "c": 1.0, "s": 0.5}], "weight.W[0]"),
+    ("W", [{"c": 1.0}], "weight.W[0].kind"),
+]
+
+
+@pytest.mark.parametrize("key, terms, path", MALFORMED_TERMS)
+def test_malformed_term_names_its_path(key, terms, path, tmp_path, capsys):
+    doc = {"weight": {"beta": 1.0, "q": 2.0, "dim": 1, key: terms}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value).startswith(f"{path}:")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["constants", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
 
 
 class TestLoadConfig:
@@ -233,6 +256,15 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"weight": {"beta": 1.0, "q": 2.0, "dim": 1}, "x": "\u00e9"}'
+                         .encode("latin-1"))
+        with pytest.raises(ConfigError, match="config: not UTF-8"):
+            load_config(path)
+        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "error: config: not UTF-8" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

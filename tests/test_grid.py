@@ -344,13 +344,6 @@ class TestSampleField:
         f2 = sample_field(g, g.axis() + 1)
         assert_allclose(f1.values, f2.values)
 
-    def test_weight_spec_branch(self):
-        from wsobolev.weights import WeightSpec
-
-        g = gauss_grid()
-        f = sample_field(g, WeightSpec(1.0, 2.0, 1))
-        assert_allclose(f.values, np.exp(-g.axis() ** 2))
-
     def test_2d_callable(self):
         g = Grid(2, 1.0, 11)
         f = sample_field(g, lambda x, y: x + 2 * y)
