@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from ._expr import ExpressionError, evaluate_expression
@@ -49,6 +49,16 @@ EXIT_VERIFICATION = 2
 
 
 def _round_floats(obj):
+    """JSON form of a report payload with floats rounded to 12 significant
+    digits.
+
+    A payload with to_json() renders through it; any other dataclass renders
+    its fields.  Tuples become lists.
+    """
+    if hasattr(obj, "to_json"):
+        return _round_floats(obj.to_json())
+    if is_dataclass(obj):
+        return {f.name: _round_floats(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -58,16 +68,16 @@ def _round_floats(obj):
     return obj
 
 
-def _canonical_json(doc: dict) -> str:
-    return json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
+def _canonical_json(payload) -> str:
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> list[Path]:
     """Write one file per report.
 
-    Dict-like payloads (anything with to_json, or a plain dict) become
-    <name>.json; string payloads are pre-rendered CSV and become <name>.csv.
-    With format="csv", payloads that also carry to_csv get a CSV sidecar.
+    Dict-like payloads (dataclass reports or plain dicts) become <name>.json;
+    string payloads are pre-rendered CSV and become <name>.csv.  With
+    format="csv", payloads that also carry to_csv get a CSV sidecar.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
@@ -81,9 +91,8 @@ def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> lis
             path.write_text(payload)
             written.append(path)
             continue
-        doc = payload.to_json() if hasattr(payload, "to_json") else payload
         path = out / f"{name}.json"
-        path.write_text(_canonical_json(doc))
+        path.write_text(_canonical_json(payload))
         written.append(path)
         if format == "csv" and hasattr(payload, "to_csv"):
             cpath = out / f"{name}.csv"
@@ -125,6 +134,7 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
         eps0=config.constants.eps0,
         eps1=config.constants.eps1,
         n_samples=config.fit_samples,
+        lattice=config.fit_lattice,
     )
 
 
@@ -167,6 +177,9 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     if config.verify_override:
         constants.update(config.verify_override)
         source = "config override"
+    if constants["c"] is None:
+        raise ValueError(f"the certified Poincaré constant leaves float range (log_c = "
+                         f"{chain.log_c:.6g}); set verify.c to verify with a given constant")
 
     members = [m for m in corpus_members() if m.support_radius < grid.half_width]
     if not members:
@@ -192,15 +205,9 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "corpus_size": len(members),
         "all_hold": all_hold,
         "inequalities": {
-            "radial_moment": [
-                {"corpus_id": n, **r.to_json()} for n, r in rows_xq
-            ],
-            "potential_moment": [
-                {"corpus_id": n, **r.to_json()} for n, r in rows_pot
-            ],
-            "poincare": [
-                {"corpus_id": n, **r.to_json()} for n, r in rows_poi
-            ],
+            key: [{"corpus_id": n, **_round_floats(r)} for n, r in rows]
+            for key, rows in (("radial_moment", rows_xq), ("potential_moment", rows_pot),
+                              ("poincare", rows_poi))
         },
     }
     results = {

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .grid import Grid
 from .pde import SolverSettings
-from .weights import Ball, FitLattice, PotentialExpr, WeightSpec
+from .weights import Ball, FitLattice, PotentialExpr, WeightSpec, is_finite_number
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -38,8 +38,8 @@ def _number(obj: dict, key: str, path: str, default=None, minimum=None, strict=F
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    if not is_finite_number(val):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     val = float(val)
     if minimum is not None and (val <= minimum if strict else val < minimum):
         op = ">" if strict else ">="
@@ -124,16 +124,18 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
         if "center" not in entry:
             raise ConfigError(f"{path}.center: required field is missing")
         center = entry["center"]
-        if isinstance(center, (int, float)) and not isinstance(center, bool):
+        if is_finite_number(center):
             if dim != 1:
                 raise ConfigError(f"{path}.center: expected {dim} coordinates")
             center = (float(center),)
         elif isinstance(center, list) and len(center) == dim and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in center
+            map(is_finite_number, center)
         ):
             center = tuple(float(c) for c in center)
         else:
-            raise ConfigError(f"{path}.center: expected {dim} coordinates, got {center!r}")
+            raise ConfigError(
+                f"{path}.center: expected {dim} finite coordinates, got {center!r}"
+            )
         radius = _number(entry, "radius", path, minimum=0.0, strict=True)
         out.append(Ball(center=center, radius=radius))
     return tuple(out)
@@ -242,9 +244,8 @@ def parse_config(doc: dict) -> RunConfig:
     _check_keys(approx, "approximate", {"u0", "support_radius", "schedule", "tol"})
     schedule = approx.get("schedule", [0.2, 0.1, 0.05])
     if (not isinstance(schedule, list) or not schedule
-            or not all(isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0
-                       for s in schedule)):
-        raise ConfigError("approximate.schedule: expected a list of positive numbers")
+            or not all(is_finite_number(s) and s > 0 for s in schedule)):
+        raise ConfigError("approximate.schedule: expected a list of positive finite numbers")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("approximate.schedule: must be strictly decreasing")
     approximate = ApproximateConfig(

@@ -29,7 +29,7 @@ from .grid import (
     lattice_points,
     quadrature_with_error,
 )
-from .weights import Ball, WeightSpec, eval_weight, fit_growth_constants, weight_on_grid
+from .weights import Ball, FitLattice, WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
     "ConstantChain",
@@ -101,7 +101,10 @@ def constants_potential(
     if eps0 <= 0.0 or eps1 <= 0.0:
         raise ValueError("eps0 and eps1 must be positive")
     lead = 1.0 / (1.0 - C * delta)
-    amp = math.exp(2.0 * osc_V)
+    try:
+        amp = math.exp(2.0 * osc_V)
+    except OverflowError:
+        raise ValueError(f"exp(2 osc_V) leaves float range (osc_V = {osc_V:g})") from None
     c_prime = lead * eps0 * p * C * amp
     gamma_term = C * gamma if scale_gamma_by_C else gamma
     d_prime = lead * amp * (
@@ -113,22 +116,15 @@ def constants_potential(
     return c_prime, d_prime
 
 
-def _ball_lattice(dim: int, radius: float, n_target: int = 10_000) -> np.ndarray:
-    """Sample lattice of the closed Euclidean ball B(0, radius), always
-    containing the origin and the axis extremes."""
-    pts = lattice_points(dim, radius, n_target)
-    keep = np.sqrt(np.sum(pts * pts, axis=-1)) <= radius + 1e-12
-    return pts[keep]
-
-
 def oscillation_over_ball(spec: WeightSpec, radius: float, n_samples: int = 10_000) -> float:
-    """Oscillation of log(weight) over the ball B(0, radius).
+    """Oscillation of log(weight) over the closed Euclidean ball B(0, radius).
 
     The radial part's extremes sit at the origin and on the axis boundary,
     both of which the sample lattice contains, so for pure radial weights the
     value is exact; W and V contributions are resolved by the dense lattice.
     """
-    pts = _ball_lattice(spec.dim, radius, n_samples)
+    pts = lattice_points(spec.dim, radius, n_samples)
+    pts = pts[np.sqrt(np.sum(pts * pts, axis=-1)) <= radius + 1e-12]
     vals = spec.exponent(pts)
     return float(vals.max() - vals.min())
 
@@ -140,11 +136,12 @@ def poincare_bound(
     d_prime: float,
     L: float,
     C4: float,
-) -> tuple[float, float]:
-    """Certified Poincaré constant c (and the oscillation a_L behind it).
+) -> tuple[float | None, float, float]:
+    """Certified Poincaré constant: (c, a_L, log c).
 
     a_L is the oscillation of log(weight) over B(0, L^(p-1)); the constant is
     c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L), valid for L > D'.
+    log c is computed in log space; c is None when it leaves float range.
     """
     if L <= d_prime:
         raise ValueError(f"L = {L:g} must exceed D' = {d_prime:g}")
@@ -152,12 +149,19 @@ def poincare_bound(
         raise ValueError("C4 must be positive")
     q = spec.q
     a_L = oscillation_over_ball(spec, L ** (p - 1.0))
-    c = (
-        2.0**q
-        * (math.exp(2.0 * a_L) * C4 * L ** (p * (p - 1.0)) + c_prime / L)
-        / (1.0 - d_prime / L)
-    )
-    return c, a_L
+    log_lead = 2.0 * a_L + math.log(C4) + p * (p - 1.0) * math.log(L)
+    log_c = (q * math.log(2.0) + float(np.logaddexp(log_lead, math.log(c_prime / L)))
+             - math.log1p(-d_prime / L))
+    # c keeps its direct formula, not exp(log_c), so finite reports keep every digit
+    try:
+        c = (
+            2.0**q
+            * (math.exp(2.0 * a_L) * C4 * L ** (p * (p - 1.0)) + c_prime / L)
+            / (1.0 - d_prime / L)
+        )
+    except OverflowError:
+        c = math.inf
+    return (c if math.isfinite(c) else None), a_L, log_c
 
 
 @dataclass(frozen=True)
@@ -182,10 +186,11 @@ class ConstantChain:
     a_L: float
     L: float
     C4: float
-    c: float
+    c: float | None  # None when c leaves float range; log_c carries it then
+    log_c: float
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "inputs": {
                 "p": self.p,
                 "q": self.q,
@@ -208,6 +213,9 @@ class ConstantChain:
             "a_L": self.a_L,
             "c": self.c,
         }
+        if self.c is None:
+            doc["log_c"] = self.log_c
+        return doc
 
 
 def build_constant_chain(
@@ -220,23 +228,23 @@ def build_constant_chain(
     eps0: float | None = None,
     eps1: float = 1.0,
     n_samples: int = 2001,
+    lattice: FitLattice = FitLattice(),
 ) -> ConstantChain:
-    """Fit the growth constants of the weight on a sample box and evaluate
-    the whole constant chain down to the certified Poincaré constant."""
+    """Evaluate the whole constant chain down to the certified Poincaré
+    constant, from the growth numbers (delta, gamma, osc_V) that
+    check_admissibility fits on the sample box."""
     if eps0 is None:
         eps0 = 1.0 / p
-    delta, gamma = fit_growth_constants(spec.W, spec.q, spec.dim, fit_half_width, n_samples)
-    pts_v = _ball_lattice(spec.dim, fit_half_width, n_samples)
-    v_vals = spec.V.value(pts_v)
-    osc_v = float(v_vals.max() - v_vals.min())
     C, D = constants_xq(spec.beta, spec.q, spec.dim, eps)
+    fits = check_admissibility(spec, fit_half_width, n_samples, lattice)
+    delta, gamma, osc_v = fits.delta, fits.gamma, fits.osc_V
     c_prime, d_prime = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1
     )
     _, d_prime_scaled = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1, scale_gamma_by_C=True
     )
-    c, a_L = poincare_bound(spec, p, c_prime, d_prime, L, C4)
+    c, a_L, log_c = poincare_bound(spec, p, c_prime, d_prime, L, C4)
     return ConstantChain(
         p=p,
         q=spec.q,
@@ -257,6 +265,7 @@ def build_constant_chain(
         L=L,
         C4=C4,
         c=c,
+        log_c=log_c,
     )
 
 
@@ -278,15 +287,6 @@ class InequalityReport:
         margin = rhs - lhs
         return InequalityReport(lhs, rhs, margin, quad_error, margin >= -quad_error)
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "holds": self.holds,
-        }
-
 
 def batch_report_csv(rows: Sequence[tuple[str, InequalityReport]]) -> str:
     lines = ["corpus_id,lhs,rhs,margin,holds"]
@@ -297,10 +297,6 @@ def batch_report_csv(rows: Sequence[tuple[str, InequalityReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _radial_moment_field(grid, q: float) -> np.ndarray:
-    return grid.node_radii() ** (q - 1.0)
-
-
 def verify_xq(
     f: GridFunction,
     grads: Sequence[GridFunction],
@@ -309,18 +305,9 @@ def verify_xq(
     C: float,
     D: float,
 ) -> InequalityReport:
-    """Check the radial moment bound against mu = exp(-beta*|x|^q) dx."""
-    grid = f.grid
-    mu = GridFunction(grid, eval_weight(WeightSpec(beta_coeff, q, grid.dim), grid.points()))
-    absf = np.abs(f.values)
-    mag = gradient_magnitude(grads)
-    lhs, e_lhs = quadrature_with_error(
-        GridFunction(grid, absf * _radial_moment_field(grid, q)), mu
-    )
-    t1, e1 = quadrature_with_error(GridFunction(grid, mag), mu)
-    t2, e2 = quadrature_with_error(GridFunction(grid, absf), mu)
-    rhs = C * t1 + D * t2
-    return InequalityReport.of(lhs, rhs, e_lhs + C * e1 + D * e2)
+    """Check the radial moment bound against mu = exp(-beta*|x|^q) dx: the
+    potential-moment bound with p = 1 and no potentials."""
+    return verify_potential(f, grads, WeightSpec(beta_coeff, q, f.grid.dim), 1.0, C, D)
 
 
 def verify_potential(
@@ -337,7 +324,7 @@ def verify_potential(
     absfp = np.abs(f.values) ** p
     magp = gradient_magnitude(grads) ** p
     lhs, e_lhs = quadrature_with_error(
-        GridFunction(grid, absfp * _radial_moment_field(grid, spec.q)), nu
+        GridFunction(grid, absfp * grid.node_radii() ** (spec.q - 1.0)), nu
     )
     t1, e1 = quadrature_with_error(GridFunction(grid, magp), nu)
     t2, e2 = quadrature_with_error(GridFunction(grid, absfp), nu)
@@ -377,16 +364,10 @@ def empirical_poincare_ratio(
 ) -> float:
     """Ratio int|f - mean|^p dnu / int|grad f|^p dnu — the constant this f
     actually requires (best-possible c is the sup over f)."""
-    grid = f.grid
-    nu = weight_on_grid(spec, grid)
-    mass, _ = quadrature_with_error(GridFunction(grid, np.ones(grid.shape)), nu)
-    mean, _ = quadrature_with_error(f, nu)
-    mean /= mass
-    lhs, _ = quadrature_with_error(GridFunction(grid, np.abs(f.values - mean) ** p), nu)
-    denom, _ = quadrature_with_error(GridFunction(grid, gradient_magnitude(grads) ** p), nu)
-    if denom <= 0.0:
+    rep = verify_poincare(f, grads, spec, p, c=1.0)
+    if rep.rhs <= 0.0:
         raise ValueError("f has zero gradient norm")
-    return lhs / denom
+    return rep.lhs / rep.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +391,6 @@ class SobolevEstimate:
     ball: Ball
     ratios: tuple[float, ...]
     constant: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "p": self.p,
-            "ball": {"center": list(self.ball.center), "radius": self.ball.radius},
-            "ratios": list(self.ratios),
-            "constant": self.constant,
-        }
 
 
 def estimate_sobolev_constant(

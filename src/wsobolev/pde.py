@@ -385,15 +385,6 @@ class TailReport:
     increments: tuple[float, ...]
     passes: bool
 
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "radii": list(self.radii),
-            "masses": list(self.masses),
-            "increments": list(self.increments),
-            "passes": self.passes,
-        }
-
 
 def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> TailReport:
     """Gate for the Lebesgue-dualized flow: w^(-1/(p-2)) must be integrable.

@@ -154,14 +154,6 @@ class ApproximationStep:
     grad_lp_error: float
     sobolev_error: float
 
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "lp_error": self.lp_error,
-            "grad_lp_error": self.grad_lp_error,
-            "sobolev_error": self.sobolev_error,
-        }
-
 
 @dataclass(frozen=True)
 class ApproximationReport:
@@ -177,17 +169,6 @@ class ApproximationReport:
     # weight root's gradient locally bounded, which holds for every catalog
     # weight (root and drift are continuous).
     grad_root_locally_bounded: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "steps": [s.to_json() for s in self.steps],
-            "base_norm": self.base_norm,
-            "final_relative_error": self.final_relative_error,
-            "tol": self.tol,
-            "passed": self.passed,
-            "grad_root_locally_bounded": self.grad_root_locally_bounded,
-        }
 
     def to_csv(self) -> str:
         lines = ["eps,lp_error,grad_lp_error,sobolev_error"]
@@ -259,14 +240,6 @@ class HedbergReport:
     pairs_used: int
     pairs_skipped: int
     seed: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "pairs_used": self.pairs_used,
-            "pairs_skipped": self.pairs_skipped,
-            "seed": self.seed,
-        }
 
 
 def _flat_index(grid, idx) -> int:

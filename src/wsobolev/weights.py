@@ -198,15 +198,21 @@ _TERM_KINDS = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def is_finite_number(v) -> bool:
+    """True for a JSON number (not a boolean) that is finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _term_from_json(item, dim: int, path: str) -> Term:
     if not isinstance(item, dict):
         raise ValueError(f"{path}: expected an object, got {type(item).__name__}")
     kind = item.get("kind")
-    if kind not in _TERM_KINDS:
+    if not isinstance(kind, str) or kind not in _TERM_KINDS:
         raise ValueError(f"{path}.kind: unknown kind {kind!r}")
     cls, keys = _TERM_KINDS[kind]
     args = []
@@ -215,13 +221,13 @@ def _term_from_json(item, dim: int, path: str) -> Term:
             raise ValueError(f"{path}.{key}: required field is missing")
         val = item[key]
         if key == "k":
-            if not (isinstance(val, list) and len(val) == dim and all(map(_is_number, val))):
-                raise ValueError(f"{path}.k: expected a list of {dim} numbers, got {val!r}")
+            if not (isinstance(val, list) and len(val) == dim and all(map(is_finite_number, val))):
+                raise ValueError(f"{path}.k: expected a list of {dim} finite numbers, got {val!r}")
             args.append(tuple(float(v) for v in val))
-        elif _is_number(val):
+        elif is_finite_number(val):
             args.append(float(val))
         else:
-            raise ValueError(f"{path}.{key}: expected a number, got {val!r}")
+            raise ValueError(f"{path}.{key}: expected a finite number, got {val!r}")
     try:
         return cls(*args)
     except ValueError as err:
@@ -362,9 +368,6 @@ class DilationFit:
     c1: float
     c2: float
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "c1": self.c1, "c2": self.c2}
-
 
 def fit_dilation_bound(
     expr: PotentialExpr,
@@ -413,25 +416,6 @@ class AdmissibilityReport:
     admissible: bool
     sample_half_width: float
     n_samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "q": self.q,
-            "dim": self.dim,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "grad_bound_ok": self.grad_bound_ok,
-            "drift_budget": self.drift_budget,
-            "osc_V": self.osc_V,
-            "dilation_W": self.dilation_W.to_json(),
-            "dilation_V": self.dilation_V.to_json(),
-            "reg_ok": self.reg_ok,
-            "diff_ok": self.diff_ok,
-            "admissible": self.admissible,
-            "sample_half_width": self.sample_half_width,
-            "n_samples": self.n_samples,
-        }
 
 
 def fit_growth_constants(
@@ -525,14 +509,6 @@ class BallEntry:
     value: float | None
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "center": list(self.center),
-            "radius": self.radius,
-            "value": self.value,
-            "note": self.note,
-        }
-
 
 def _entries_csv(entries: Sequence[BallEntry]) -> str:
     lines = ["ball_center,ball_radius,value"]
@@ -547,9 +523,6 @@ def _entries_csv(entries: Sequence[BallEntry]) -> str:
 class DoublingReport:
     entries: tuple[BallEntry, ...]
     constant: float | None  # max ratio over balls whose double fits the box
-
-    def to_json(self) -> dict:
-        return {"entries": [e.to_json() for e in self.entries], "constant": self.constant}
 
     def to_csv(self) -> str:
         return _entries_csv(self.entries)
@@ -653,13 +626,6 @@ class MuckenhouptReport:
     entries: tuple[BallEntry, ...]
     constant: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "entries": [e.to_json() for e in self.entries],
-            "constant": self.constant,
-        }
-
     def to_csv(self) -> str:
         return _entries_csv(self.entries)
 
@@ -709,16 +675,6 @@ class RegReport:
     fine: float | None
     coarse: float | None
     ratio: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "p": self.p,
-            "worst_cell": list(self.worst_cell) if self.worst_cell else None,
-            "fine": self.fine,
-            "coarse": self.coarse,
-            "ratio": self.ratio,
-        }
 
 
 def _unit_cell_bounds(grid: Grid) -> list[tuple[int, int]]:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,9 @@ from wsobolev.cli import (
 )
 from wsobolev.config import parse_config
 from wsobolev.grid import Grid, build_grid, sample_field, save_grid_function_binary
+
+
+GAUSS_1D = {"beta": 1.0, "q": 2.0, "dim": 1}
 
 
 def small_config(**overrides):
@@ -362,3 +367,97 @@ class TestMain:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "constant_chain.json").exists()
+
+
+def run_main(tmp_path, subcommand, doc, name="run"):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / name
+    return main([subcommand, "--config", str(cfg), "--out", str(out)]), out
+
+
+class TestReportsAgree:
+    """weight-report and constants read delta, gamma and osc_V off one fit."""
+
+    CASES = {
+        "power-w-1d-coarse-lattice": {
+            "weight": {"beta": 1.0, "q": 2.0, "dim": 1,
+                       "W": [{"kind": "power_abs", "c": 0.3, "s": 2.0}]},
+            "grid": {"nodes_per_axis": 151},
+            "fit": {"delta_step": 0.25, "n_samples": 201},
+            "constants": {"L": 8.0},
+        },
+        "cosine-v-2d": {
+            "weight": {"beta": 1.0, "q": 2.0, "dim": 2,
+                       "V": [{"kind": "cosine", "c": 0.3, "k": [0.3, 0.3]}]},
+            "grid": {"half_width": 4.0, "nodes_per_axis": 41},
+            "fit": {"half_width": 4.0},
+            "constants": {"L": 16.0},
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_fits(self, case, tmp_path):
+        doc = self.CASES[case]
+        code, out = run_main(tmp_path, "weight-report", doc, "report")
+        assert code == EXIT_OK
+        adm = json.loads((out / "admissibility.json").read_text())
+        code, out = run_main(tmp_path, "constants", doc, "chain")
+        assert code == EXIT_OK
+        chain = json.loads((out / "constant_chain.json").read_text())["inputs"]
+        for key in ("delta", "gamma", "osc_V"):
+            assert chain[key] == adm[key], key
+
+
+class TestCertifiedOverflow:
+    HUGE_C = {"weight": {"beta": 1e3, "q": 2.0, "dim": 1}, "grid": {"nodes_per_axis": 151}}
+
+    def test_constants_report_log_c(self, tmp_path):
+        code, out = run_main(tmp_path, "constants", self.HUGE_C)
+        assert code == EXIT_OK
+        doc = json.loads((out / "constant_chain.json").read_text())
+        assert doc["c"] is None
+        assert doc["a_L"] == 16000.0  # 1e3 * 4^2
+        # c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L); C'/L is negligible
+        expected = 2 * math.log(2.0) + 32000.0 + math.log(16.0) - math.log1p(-doc["D_prime"] / 4)
+        assert doc["log_c"] == pytest.approx(expected, rel=1e-9)
+
+    def test_log_c_only_when_c_overflows(self, tmp_path):
+        code, out = run_main(tmp_path, "constants", {**self.HUGE_C, "weight": GAUSS_1D})
+        assert code == EXIT_OK
+        doc = json.loads((out / "constant_chain.json").read_text())
+        assert "log_c" not in doc and doc["c"] > 0.0
+
+    def test_verify_names_log_c(self, tmp_path, capsys):
+        code, out = run_main(tmp_path, "verify-inequalities", self.HUGE_C)
+        assert code == EXIT_OPERATIONAL
+        assert "log_c" in capsys.readouterr().err
+        assert not (out / "verify_summary.json").exists()
+
+    def test_verify_with_override_c(self, tmp_path):
+        code, out = run_main(tmp_path, "verify-inequalities",
+                             {**self.HUGE_C, "verify": {"c": 1.0}})
+        assert code == EXIT_OK
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["constants"]["c"] == 1.0
+        assert summary["constants_source"] == "config override"
+
+    @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
+    def test_osc_v_overflow(self, subcommand, tmp_path, capsys):
+        doc = {"weight": {**GAUSS_1D, "V": [{"kind": "cosine", "c": 400.0, "k": [1.0]}]},
+               "grid": {"nodes_per_axis": 151}}
+        code, _ = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL
+        assert "osc_V" in capsys.readouterr().err
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    return json.loads(block)
+
+
+@pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
+def test_readme_config_runs(subcommand, tmp_path):
+    code, _ = run_main(tmp_path, subcommand, _readme_config())
+    assert code == EXIT_OK

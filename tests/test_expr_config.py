@@ -1,7 +1,12 @@
+import copy
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wsobolev._expr import ExpressionError, evaluate_expression
@@ -242,6 +247,149 @@ def test_malformed_term_names_its_path(key, terms, path, tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["constants", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
+# A config with one of every kind of number; each NON_FINITE entry replaces
+# the number at its location with NaN, +-Infinity or an integer beyond float
+# range, and names the JSON path the error must start with.
+FULL = {
+    "weight": {"beta": 1.0, "q": 2.0, "dim": 1,
+               "W": [{"kind": "power_abs", "c": 0.3, "s": 2.0}],
+               "V": [{"kind": "cosine", "c": 0.2, "k": [1.0]}]},
+    "grid": {"half_width": 6.0},
+    "p": 2.0,
+    "fit": {"half_width": 6.0, "delta_step": 0.01, "c2_cap": 1e6},
+    "constants": {"eps0": 0.5, "L": 8.0},
+    "balls": [{"center": [0.0], "radius": 1.0}],
+    "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
+    "evolution": {"T": 0.5, "solver": {"tol": 1e-8}},
+    "verify": {"c": 1.0},
+}
+NON_FINITE = [
+    (("weight", "beta"), "weight.beta"),
+    (("weight", "q"), "weight.q"),
+    (("weight", "W", 0, "c"), "weight.W[0].c"),
+    (("weight", "W", 0, "s"), "weight.W[0].s"),
+    (("weight", "V", 0, "k", 0), "weight.V[0].k"),
+    (("grid", "half_width"), "grid.half_width"),
+    (("p",), "config.p"),
+    (("fit", "half_width"), "fit.half_width"),
+    (("fit", "delta_step"), "fit.delta_step"),
+    (("fit", "c2_cap"), "fit.c2_cap"),
+    (("constants", "eps0"), "constants.eps0"),
+    (("constants", "L"), "constants.L"),
+    (("balls", 0, "center", 0), "balls[0].center"),
+    (("balls", 0, "radius"), "balls[0].radius"),
+    (("approximate", "support_radius"), "approximate.support_radius"),
+    (("approximate", "schedule", 0), "approximate.schedule"),
+    (("evolution", "T"), "evolution.T"),
+    (("evolution", "solver", "tol"), "evolution.solver.tol"),
+    (("verify", "c"), "verify.c"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("location, path", NON_FINITE)
+def test_non_finite_number_names_its_path(location, path, value):
+    assert parse_config(FULL).p == 2.0
+    doc = copy.deepcopy(FULL)
+    target = doc
+    for key in location[:-1]:
+        target = target[key]
+    target[location[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value).startswith(f"{path}:")
+
+
+def test_nan_in_config_file_is_operational(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"weight": {"beta": 1.0, "q": NaN, "dim": 1}}')
+    out = tmp_path / "out"
+    assert main(["weight-report", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: weight.q:")
+    assert not out.exists()
+
+
+def _numbers(obj):
+    """Every number held anywhere in a parsed config."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _numbers(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _numbers(v)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=12,
+)
+
+
+def _mostly(values, other=_JSON):
+    """One of the given values, or one draw from other in len(values) + 1
+    cases; a field that is usually valid lets the parse get past the earlier
+    sections."""
+    return st.sampled_from([*values, None]).flatmap(
+        lambda v: other if v is None else st.just(v))
+
+
+_NUMBER = _mostly([0.5, 1.0, 2.0, 3.0, 101])
+
+
+def _section(*keys):
+    """An object with some of a section's fields."""
+    return st.fixed_dictionaries({}, optional={k: _NUMBER for k in keys})
+
+
+_TERM = st.fixed_dictionaries(
+    {"kind": _mostly(["constant", "power_abs", "quadratic_form", "cosine"])},
+    optional={"c": _NUMBER, "s": _NUMBER, "k": _mostly([[1.0], [1.0, 2.0]])},
+)
+_TERMS = st.lists(_TERM, max_size=2)
+_SHAPED = st.fixed_dictionaries(
+    {"weight": st.fixed_dictionaries(
+        {"beta": _mostly([1.0, 2.0]), "q": _mostly([1.5, 2.0, 3.0]), "dim": _mostly([1, 2])},
+        optional={"W": _mostly([[]], _TERMS), "V": _mostly([[]], _TERMS)})},
+    optional={
+        "grid": _section("half_width", "nodes_per_axis"),
+        "p": _NUMBER,
+        "fit": _section("half_width", "n_samples", "delta_step", "delta_max", "c1_step",
+                        "c1_max", "c2_cap"),
+        "constants": _section("eps", "eps0", "eps1", "L", "C4"),
+        "balls": st.lists(st.fixed_dictionaries(
+            {"center": _mostly([0.0, [0.0], [0.0, 0.0]], st.lists(_NUMBER, max_size=2)),
+             "radius": _NUMBER}), max_size=2),
+        "approximate": st.fixed_dictionaries(
+            {}, optional={"support_radius": _NUMBER, "tol": _NUMBER,
+                          "schedule": st.lists(_NUMBER, max_size=3)}),
+        "evolution": _section("T", "tau"),
+        "stationary": _section("compatibility_tol"),
+        "verify": _section("C", "D", "C_prime", "D_prime", "c"),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_SHAPED | _JSON)
+def test_parse_config_fuzz(doc):
+    """Any JSON document parses to a config of finite numbers or fails as a
+    ConfigError; no other exception escapes."""
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert all(isinstance(v, int) or math.isfinite(v) for v in _numbers(cfg))
 
 
 class TestLoadConfig:

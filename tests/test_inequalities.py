@@ -103,11 +103,20 @@ class TestOscillation:
 
 class TestPoincareBound:
     def test_gaussian_frozen_value(self):
-        c, a_L = poincare_bound(GAUSS, 2.0, 0.5, 3.0, L=4.0, C4=1.0)
+        c, a_L, log_c = poincare_bound(GAUSS, 2.0, 0.5, 3.0, L=4.0, C4=1.0)
         assert a_L == pytest.approx(16.0)
         expected = 4.0 * (math.exp(32.0) * 16.0 + 0.125) / 0.25
         assert c == pytest.approx(expected, rel=1e-12)
         assert c == pytest.approx(2.0214517806766256e16, rel=1e-10)
+        assert log_c == pytest.approx(math.log(expected), rel=1e-12)
+
+    def test_overflow_goes_to_log_space(self):
+        # a_L = 1e3 * 4^2: e^(2 a_L) is far beyond float range
+        c, a_L, log_c = poincare_bound(WeightSpec(1e3, 2.0, 1), 2.0, 0.5, 3.0, L=4.0, C4=1.0)
+        assert c is None
+        assert a_L == pytest.approx(16000.0)
+        expected = 2 * math.log(2.0) + 32000.0 + math.log(16.0) - math.log(0.25)
+        assert log_c == pytest.approx(expected, rel=1e-12)
 
     def test_L_must_exceed_d_prime(self):
         with pytest.raises(ValueError, match="must exceed"):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf, erfi
 
+from wsobolev.cli import _round_floats
 from wsobolev.grid import Grid, GridFunction, build_grid, sample_field
 from wsobolev.weights import (
     AdmissibilityReport,
@@ -207,7 +208,7 @@ class TestGrowthFits:
         assert np.all(lhs <= rhs + 1e-9)
 
     def test_dilation_fit_json(self):
-        d = DilationFit(True, 1.0, 0.5).to_json()
+        d = _round_floats(DilationFit(True, 1.0, 0.5))
         assert d == {"ok": True, "c1": 1.0, "c2": 0.5}
 
 
@@ -239,7 +240,7 @@ class TestAdmissibility:
             check_admissibility(WeightSpec(-1.0, 2.0, 1), 6.0)
 
     def test_json_keys(self):
-        d = check_admissibility(GAUSS, 4.0, n_samples=201).to_json()
+        d = _round_floats(check_admissibility(GAUSS, 4.0, n_samples=201))
         for key in ("admissible", "delta", "gamma", "dilation_W", "dilation_V"):
             assert key in d
 
