@@ -13,6 +13,7 @@ Validation errors always name the offending field by its JSON path
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def _parse_weight(obj: dict) -> WeightSpec:
     if beta == 0.0:
         raise ConfigError("weight.beta: must be nonzero")
     q = _number(obj, "q", "weight", minimum=1.0, strict=True)
+    if not math.isfinite(beta * q):
+        raise ConfigError(f"weight.beta: beta * q must be finite, got {beta:g} * {q:g}")
     dim = _integer(obj, "dim", "weight")
     if dim not in (1, 2):
         raise ConfigError(f"weight.dim: must be 1 or 2, got {dim}")
@@ -105,11 +108,11 @@ def _parse_grid(obj: dict, dim: int) -> Grid:
     return Grid(dim=dim, half_width=half_width, nodes_per_axis=n)
 
 
-def _parse_solver(obj: dict, path: str, default_max_iters: int = 10_000) -> SolverSettings:
+def _parse_solver(obj: dict, path: str) -> SolverSettings:
     _check_keys(obj, path, {"tol", "max_iters"})
     return SolverSettings(
         tolerance=_number(obj, "tol", path, default=1e-8, minimum=0.0, strict=True),
-        max_iterations=_integer(obj, "max_iters", path, default=default_max_iters, minimum=1),
+        max_iterations=_integer(obj, "max_iters", path, default=10_000, minimum=1),
     )
 
 
@@ -171,9 +174,7 @@ class EvolutionConfig:
 class StationaryConfig:
     source: str = "2*x"
     compatibility_tol: float = 1e-6
-    solver: SolverSettings = field(
-        default_factory=lambda: SolverSettings(max_iterations=100_000)
-    )
+    solver: SolverSettings = field(default_factory=SolverSettings)
 
 
 @dataclass(frozen=True)
@@ -270,14 +271,12 @@ def parse_config(doc: dict) -> RunConfig:
 
     stat = _expect_mapping(doc.get("stationary", {}), "stationary")
     _check_keys(stat, "stationary", {"source", "compatibility_tol", "solver"})
-    # the stationary problem lacks the 1/(2 tau) regularization, so plain
-    # descent needs a far larger iteration budget than one prox step
     stationary = StationaryConfig(
         source=_string(stat, "source", "stationary", default="2*x"),
         compatibility_tol=_number(stat, "compatibility_tol", "stationary",
                                   default=1e-6, minimum=0.0, strict=True),
         solver=_parse_solver(_expect_mapping(stat.get("solver", {}), "stationary.solver"),
-                             "stationary.solver", default_max_iters=100_000),
+                             "stationary.solver"),
     )
 
     verify_override = None

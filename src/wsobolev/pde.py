@@ -1,25 +1,23 @@
 """Weighted p-Laplacian energy, operator, and implicit-Euler gradient flow.
 
 The flow discretizes du/dt = div(w |grad u|^(p-2) grad u)/w (or its plain-
-Lebesgue dualization, without the 1/w) by proximal steps: each step
-minimizes (1/(2 tau)) ||v - u||^2 + (1/p) int |grad v|^p w dx with a
-backtracking gradient descent.  The step is unconditionally stable, makes
-the energy non-increasing by construction, and conserves the mean because
-constants annihilate the operator exactly.
+Lebesgue dualization, without the 1/w) by proximal steps, each minimizing
+(1/(2 tau)) ||v - u||^2 + E(v): unconditionally stable, energy-lowering and
+mean-preserving, since constants annihilate the operator exactly.
 
-All node sums here use trapezoid mass weights rather than Simpson: the
-operator is the quadrature-form adjoint of the discrete gradient divided by
-the node mass, and Simpson's alternating node weights would leave an O(1)
-odd/even oscillation in that quotient.  Trapezoid weights keep the operator
-pointwise second-order consistent (and on rapidly decaying smooth weights
-the accuracy loss is negligible).
+E is staggered.  Differences (u[i+1] - u[i])/h live on the cell edges; a cell
+adds (1/p) h^d w(centre) (|grad u|^2)^(p/2), where |grad u|^2 sums over the
+axes the mean squared difference on the cell's 2^(d-1) edges along that axis.
+For p = 2 that is the 3-point stencil in 1d and the 5-point one in 2d, and
+its kernel is the constants alone.  Node sums (the metric, the source
+pairing) use trapezoid mass times w at the nodes.  Every minimization is one
+damped Newton loop with matrix-free Jacobi-preconditioned CG solves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -47,24 +45,6 @@ __all__ = [
 
 def _mass_weights(grid: Grid) -> np.ndarray:
     return tensor_weights(trapezoid_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
-
-
-def _axis_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return np.gradient(vals, h, edge_order=2, axis=axis)
-
-
-def _axis_gradient_transpose(g: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Exact adjoint of the np.gradient stencil (edge_order=2) along one axis."""
-    gm = np.moveaxis(g, axis, 0)
-    out = np.empty_like(gm)
-    out[1:-1] = gm[:-2] - gm[2:]
-    out[0] = -3.0 * gm[0] - gm[1]
-    out[-1] = 3.0 * gm[-1] + gm[-2]
-    out[1] += 3.0 * gm[0]
-    out[2] -= gm[0]
-    out[-2] -= 3.0 * gm[-1]
-    out[-3] += gm[-1]
-    return np.moveaxis(out, 0, axis) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -111,7 +91,7 @@ class EvolutionProblem:
 
 
 class ProxConvergenceError(RuntimeError):
-    """Inner descent ran out of iterations; carries the last iterate."""
+    """The inner Newton-CG solve failed; carries the last iterate."""
 
     def __init__(self, message: str, iterate: GridFunction, residual: float):
         super().__init__(message)
@@ -144,52 +124,93 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# energy and operator
+# staggered energy and operator
 # ---------------------------------------------------------------------------
 
 
-def _gradient_arrays(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    return [_axis_gradient(vals, grid.spacing, a) for a in range(grid.dim)]
+def _cell_weights(spec: WeightSpec, grid: Grid) -> np.ndarray:
+    """h^d times the weight at the cell centres."""
+    x = grid.axis()
+    mid = 0.5 * (x[:-1] + x[1:])
+    pts = np.stack(np.meshgrid(*[mid] * grid.dim, indexing="ij"), axis=-1)
+    return grid.spacing**grid.dim * eval_weight(spec, pts)
 
 
-def _energy_value(vals: np.ndarray, grid: Grid, mass_w: np.ndarray, p: float) -> float:
-    grads = _gradient_arrays(vals, grid)
-    mag2 = sum(g * g for g in grads)
-    return float(np.sum(mass_w * mag2 ** (p / 2.0))) / p
+def _pad(x: np.ndarray, axis: int) -> np.ndarray:
+    """x with a zero slab added at both ends of `axis`."""
+    slab = np.zeros(x.shape[:axis] + (1,) + x.shape[axis + 1:])
+    return np.concatenate([slab, x, slab], axis=axis)
+
+
+def _ends(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """x without its last, and x without its first slice along `axis`."""
+    pre = (slice(None),) * axis
+    return x[pre + (slice(None, -1),)], x[pre + (slice(1, None),)]
+
+
+def _pair_mean(x: np.ndarray, axis: int) -> np.ndarray:
+    lo, hi = _ends(x, axis)
+    return 0.5 * (lo + hi)
+
+
+def _edge_differences(vals: np.ndarray, h: float) -> list[np.ndarray]:
+    """(u[i+1] - u[i])/h along each axis, on that axis's edges."""
+    return [np.subtract(*_ends(vals, a)[::-1]) / h for a in range(vals.ndim)]
+
+
+def _edge_differences_transpose(edges: list[np.ndarray], h: float) -> np.ndarray:
+    """Exact adjoint of _edge_differences: minus the difference of the
+    zero-padded edge values."""
+    return sum(np.subtract(*_ends(_pad(e, a), a)) for a, e in enumerate(edges)) / h
+
+
+def _to_cells(edge: np.ndarray, axis: int) -> np.ndarray:
+    """Mean over a cell's edges along `axis`: pairs along every other axis."""
+    for b in range(edge.ndim):
+        if b != axis:
+            edge = _pair_mean(edge, b)
+    return edge
+
+
+def _to_edges(cell: np.ndarray, axis: int) -> np.ndarray:
+    """Exact adjoint of _to_cells."""
+    for b in range(cell.ndim):
+        if b != axis:
+            cell = _pair_mean(_pad(cell, b), b)
+    return cell
+
+
+def _cell_square(diffs: list[np.ndarray]) -> np.ndarray:
+    """|grad u|^2 on each cell."""
+    return sum(_to_cells(d * d, a) for a, d in enumerate(diffs))
+
+
+def _energy_value(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float) -> float:
+    s = _cell_square(_edge_differences(vals, h))
+    return float(np.sum(cell_w * s ** (p / 2.0))) / p
+
+
+def _energy_gradient(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float) -> np.ndarray:
+    """Euclidean gradient of the discrete energy: sum_a D_a^T(k_a D_a u) with
+    edge coefficients k_a = A_a^T(cell_w |grad u|^(p-2))."""
+    diffs = _edge_differences(vals, h)
+    coef = cell_w * _cell_square(diffs) ** ((p - 2.0) / 2.0)
+    return _edge_differences_transpose(
+        [_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
 
 
 def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
-    """(1/p) int |grad u|^p w dx by trapezoid node sums."""
+    """(1/p) int |grad u|^p w dx by the staggered cell sum."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    grid = u.grid
-    w = eval_weight(spec, grid.points())
-    return _energy_value(u.values, grid, _mass_weights(grid) * w, p)
+    return _energy_value(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)
 
 
 def energy_with_source(u: GridFunction, f: GridFunction, spec: WeightSpec, p: float) -> float:
     """Energy minus the weighted source pairing int f u w dx."""
     u._check_same_grid(f)
-    grid = u.grid
-    w = eval_weight(spec, grid.points())
-    pairing = float(np.sum(_mass_weights(grid) * w * f.values * u.values))
-    return energy(u, spec, p) - pairing
-
-
-def _operator_arrays(vals: np.ndarray, grid: Grid, mass_w: np.ndarray, p: float) -> np.ndarray:
-    """Euclidean gradient of the discrete energy: sum_a D_a^T(mass_w *
-    |grad|^(p-2) * D_a u).  Dividing by the node mass gives the operator."""
-    h = grid.spacing
-    grads = _gradient_arrays(vals, grid)
-    if p == 2.0:
-        coef = mass_w
-    else:
-        mag2 = sum(g * g for g in grads)
-        coef = mass_w * mag2 ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(vals)
-    for a in range(grid.dim):
-        out += _axis_gradient_transpose(coef * grads[a], h, a)
-    return out
+    metric = _mass_weights(u.grid) * eval_weight(spec, u.grid.points())
+    return energy(u, spec, p) - float(np.sum(metric * f.values * u.values))
 
 
 def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
@@ -198,160 +219,158 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
     grid = u.grid
-    w = eval_weight(spec, grid.points())
-    mass_w = _mass_weights(grid) * w
-    return GridFunction(grid, _operator_arrays(u.values, grid, mass_w, p) / mass_w)
+    grad = _energy_gradient(u.values, grid.spacing, _cell_weights(spec, grid), p)
+    return GridFunction(grid, grad / (_mass_weights(grid) * eval_weight(spec, grid.points())))
 
 
 # ---------------------------------------------------------------------------
-# proximal stepping
+# the Newton-CG solver core
 # ---------------------------------------------------------------------------
 
 
-def _descend(
-    vals0: np.ndarray,
-    grid: Grid,
-    metric: np.ndarray,
-    energy_mass: np.ndarray,
-    p: float,
-    settings: SolverSettings,
-    tau: float | None,
-    anchor: np.ndarray | None,
-    source: np.ndarray | None = None,
-    project_mean_zero: bool = False,
-) -> tuple[np.ndarray, int, float]:
-    """Backtracking gradient descent on the proximal (or source) objective.
+def _hessian(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, shift):
+    """Matrix-free Hessian of the energy at vals plus diag(shift), |grad u|^2
+    raised by 1e-6 of its weighted mean (by 1 if u is constant) to stay definite
+    where the gradient vanishes; and, as the Jacobi preconditioner, the diagonal
+    of the majorant that bounds its rank-one term by Cauchy-Schwarz (exact in 1d)."""
+    diffs = _edge_differences(vals, h)
+    s = _cell_square(diffs)
+    eps = 1e-6 * float(np.sum(cell_w * s) / np.sum(cell_w)) or 1.0
+    q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
+    r = (p - 2.0) * cell_w * (s + eps) ** ((p - 4.0) / 2.0)
+    k = [_to_edges(q, a) for a in range(vals.ndim)]
 
-    Objective: (1/(2 tau)) ||v - anchor||_metric^2 + (1/p) sum energy_mass
-    |grad v|^p - <source, v>_metric, any of the pieces optional.  Descent
-    runs in the metric inner product (the Euclidean gradient divided by the
-    metric), which also preconditions away the weight's dynamic range.
+    def apply(v: np.ndarray) -> np.ndarray:
+        dv = _edge_differences(v, h)
+        t = r * sum(_to_cells(d * e, a) for a, (d, e) in enumerate(zip(diffs, dv)))
+        edges = [k[a] * dv[a] + diffs[a] * _to_edges(t, a) for a in range(vals.ndim)]
+        return _edge_differences_transpose(edges, h) + shift * v
 
-    Two finite-precision guards on top of the textbook Armijo loop: the
-    sufficient-decrease comparison carries a round-off allowance (near the
-    minimizer the true per-step decrease drops below one ulp of the
-    objective, so the exact comparison would reject genuine descent steps
-    forever), and the step size stops growing once the gradient norm is
-    within 1e3 of the tolerance (growing into an expansive step there could
-    not be detected through the noise).  The stopping test itself uses the
-    gradient norm, whose arithmetic stays meaningful well below the
-    objective's noise floor.
+    bound = [_to_edges(q + r * s, a) for a in range(vals.ndim)]
+    diag = sum(2.0 * _pair_mean(_pad(b, a), a) for a, b in enumerate(bound)) / h**2
+    return apply, diag + shift
+
+
+def _pcg(apply, rhs: np.ndarray, diag: np.ndarray, metric: np.ndarray,
+         target: float, budget: int) -> tuple[np.ndarray, int, float]:
+    """Jacobi-preconditioned CG from zero until the residual's metric norm
+    sqrt(sum r^2/metric) is at most target or the budget is spent; returns
+    the solution, the iterations and that norm."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    d = z = r / diag
+    rz, it = np.vdot(r, z), 0
+    while (rnorm := math.sqrt(np.vdot(r, r / metric))) > target and it < budget:
+        ad = apply(d)
+        dad = np.vdot(d, ad)
+        if not dad > 0.0:
+            break
+        x += rz / dad * d
+        r -= rz / dad * ad
+        z, rz_old, it = r / diag, rz, it + 1
+        rz = np.vdot(r, z)
+        d = z + rz / rz_old * d
+    return x, it, rnorm
+
+
+def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
+              p: float, settings: SolverSettings, tau: float = math.inf,
+              source: np.ndarray | float = 0.0, start: np.ndarray | None = None):
+    """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
+    and pairing in the metric) from start (default: the anchor); returns the
+    minimizer and the CG iterations.  Without the proximal term (tau = inf)
+    constants are free, so the iterate is kept metric-mean-zero.
+
+    The first Newton system is solved to a tenth of the tolerance (a quadratic
+    takes one step), later ones as far as the last model missed the new
+    gradient (Eisenstat-Walker); an inexact step that does not lower the
+    gradient norm is redone exactly.  Steps backtrack on the true objective
+    with a round-off allowance, since near the minimizer the decrease drops
+    below one ulp.  The solve has stalled, and raises at once, if no step is
+    found or an exact one lowers neither the objective nor the gradient norm.
     """
+    h, shift, pull = grid.spacing, metric / tau, metric * source
+    project = math.isinf(tau)
     metric_total = float(np.sum(metric))
-    noise_scale = 4.0 * np.finfo(float).eps
 
-    def project(arr: np.ndarray) -> np.ndarray:
-        if not project_mean_zero:
-            return arr
-        return arr - np.sum(metric * arr) / metric_total
+    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Objective, Euclidean gradient and the gradient's metric norm."""
+        d = v - anchor
+        obj = _energy_value(v, h, cell_w, p) + 0.5 * np.vdot(shift * d, d) - np.vdot(pull, v)
+        g = _energy_gradient(v, h, cell_w, p) + shift * d - pull
+        if project:
+            g -= metric * (np.sum(g) / metric_total)
+        return obj, g, math.sqrt(np.vdot(g, g / metric))
 
-    def objective(v: np.ndarray) -> float:
-        val = _energy_value(v, grid, energy_mass, p)
-        if tau is not None:
-            d = v - anchor
-            val += 0.5 / tau * float(np.sum(metric * d * d))
-        if source is not None:
-            val -= float(np.sum(metric * source * v))
-        return val
+    def failure(what: str) -> ProxConvergenceError:
+        return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
+                                    GridFunction(grid, v), gnorm)
 
-    def metric_gradient(v: np.ndarray) -> np.ndarray:
-        g = _operator_arrays(v, grid, energy_mass, p) / metric
-        if tau is not None:
-            g = g + (v - anchor) / tau
-        if source is not None:
-            g = g - source
-        return project(g)
-
-    v = project(vals0.copy())
-    obj = objective(v)
-    alpha = tau if tau is not None else 1.0
-    for it in range(settings.max_iterations):
-        g = metric_gradient(v)
-        gnorm2 = float(np.sum(metric * g * g))
-        gnorm = math.sqrt(max(gnorm2, 0.0))
-        if gnorm <= settings.tolerance:
-            return v, it, gnorm
-        if gnorm > 1e3 * settings.tolerance:
-            alpha *= 1.5
+    v = anchor if start is None else start
+    v = v - np.vdot(metric, v) / metric_total if project else v
+    obj, g, gnorm = evaluate(v)
+    spent, forcing = 0, 0.0
+    while gnorm > settings.tolerance:
+        if spent == settings.max_iterations:
+            raise failure(f"Newton-CG did not reach tolerance {settings.tolerance:g} "
+                          f"in {spent} iterations")
+        apply, diag = _hessian(v, h, cell_w, p, shift)
+        step, its, model_gnorm = _pcg(apply, -g, diag, metric,
+                                      max(0.1 * settings.tolerance, forcing * gnorm),
+                                      settings.max_iterations - spent)
+        spent += its
+        if project:
+            step -= np.vdot(metric, step) / metric_total
+        alpha, slope = 1.0, np.vdot(g, step)
         for _ in range(60):
-            trial = project(v - alpha * g)
-            trial_obj = objective(trial)
-            allowance = noise_scale * (abs(obj) + abs(trial_obj))
-            if trial_obj <= obj - settings.sufficient_decrease * alpha * gnorm2 + allowance:
+            trial = v + alpha * step
+            trial_obj, trial_g, trial_gnorm = evaluate(trial)
+            allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
+            if trial_obj <= obj + settings.sufficient_decrease * alpha * slope + allowance:
                 break
             alpha *= settings.shrink
         else:
-            raise ProxConvergenceError(
-                f"line search stalled at iteration {it} (gradient norm {gnorm:.3e})",
-                GridFunction(grid, v),
-                gnorm,
-            )
-        v, obj = trial, trial_obj
-    g = metric_gradient(v)
-    gnorm = math.sqrt(max(float(np.sum(metric * g * g)), 0.0))
-    if gnorm <= settings.tolerance:
-        return v, settings.max_iterations, gnorm
-    raise ProxConvergenceError(
-        f"descent did not reach tolerance {settings.tolerance:g} in "
-        f"{settings.max_iterations} iterations (gradient norm {gnorm:.3e})",
-        GridFunction(grid, v),
-        gnorm,
-    )
+            raise failure(f"line search stalled at iteration {spent}")
+        if trial_gnorm >= gnorm and forcing > 0.0:
+            forcing = 0.0
+            continue
+        if trial_gnorm >= gnorm and trial_obj >= obj:
+            raise failure(f"line search stalled at iteration {spent}")
+        model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
+        forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
+        v, obj, g, gnorm = trial, trial_obj, trial_g, trial_gnorm
+    return v, spent
 
 
 def _problem_masses(problem: EvolutionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The flow's node metric and the energy's cell weights."""
     grid = problem.u0.grid
-    tw = _mass_weights(grid)
-    w = eval_weight(problem.spec, grid.points())
-    energy_mass = tw * w
-    metric = energy_mass if problem.dualization == "weighted" else tw
-    return metric, energy_mass
-
-
-def _prox_arrays(vals: np.ndarray, problem: EvolutionProblem) -> tuple[np.ndarray, int]:
-    metric, energy_mass = _problem_masses(problem)
-    out, iters, _ = _descend(
-        vals,
-        problem.u0.grid,
-        metric,
-        energy_mass,
-        problem.p,
-        problem.settings,
-        tau=problem.step,
-        anchor=vals,
-    )
-    return out, iters
+    w = eval_weight(problem.spec, grid.points()) if problem.dualization == "weighted" else 1.0
+    return _mass_weights(grid) * w, _cell_weights(problem.spec, grid)
 
 
 def prox_step(u_prev: GridFunction, problem: EvolutionProblem) -> GridFunction:
     """One implicit-Euler step: the minimizer of the proximal objective."""
     u_prev._check_same_grid(problem.u0)
-    out, _ = _prox_arrays(u_prev.values, problem)
+    out, _ = _minimize(u_prev.values, u_prev.grid, *_problem_masses(problem), problem.p,
+                       problem.settings, problem.step)
     return GridFunction(u_prev.grid, out)
 
 
 def _solve(problem: EvolutionProblem) -> Trajectory:
-    grid = problem.u0.grid
-    metric, energy_mass = _problem_masses(problem)
-    metric_total = float(np.sum(metric))
+    grid, p = problem.u0.grid, problem.p
+    metric, cell_w = _problem_masses(problem)
     n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
-
-    def record(vals: np.ndarray) -> tuple[float, float]:
-        e = _energy_value(vals, grid, energy_mass, problem.p)
-        mean = float(np.sum(metric * vals)) / metric_total
-        return e, mean
-
-    vals = problem.u0.values.copy()
-    e, m = record(vals)
-    traj = Trajectory([0.0], [problem.u0.copy()], [e], [m], [])
-    for k in range(1, n_steps + 1):
-        vals, iters = _prox_arrays(vals, problem)
-        e, m = record(vals)
-        traj.times.append(k * problem.step)
-        traj.states.append(GridFunction(grid, vals.copy()))
-        traj.energies.append(e)
-        traj.means.append(m)
-        traj.step_iterations.append(iters)
+    vals = prev = problem.u0.values
+    traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
+    for k in range(n_steps + 1):
+        if k:  # Newton starts from the linear extrapolation of the last two states
+            (vals, iters), prev = _minimize(vals, grid, metric, cell_w, p, problem.settings,
+                                            problem.step, start=2 * vals - prev), vals
+            traj.times.append(k * problem.step)
+            traj.states.append(GridFunction(grid, vals.copy()))
+            traj.step_iterations.append(iters)
+        traj.energies.append(_energy_value(vals, grid.spacing, cell_w, p))
+        traj.means.append(float(np.sum(metric * vals)) / float(np.sum(metric)))
     return traj
 
 
@@ -447,20 +466,13 @@ class StationaryResult:
     objective: float
 
     def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "objective": self.objective,
-        }
+        return {"residual": self.residual, "iterations": self.iterations,
+                "objective": self.objective}
 
 
-def solve_stationary(
-    f: GridFunction,
-    spec: WeightSpec,
-    p: float,
-    settings: SolverSettings | None = None,
-    compatibility_tol: float = 1e-6,
-) -> StationaryResult:
+def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
+                     settings: SolverSettings | None = None,
+                     compatibility_tol: float = 1e-6) -> StationaryResult:
     """Minimize the source-perturbed energy over mean-zero grid functions.
 
     The natural (no-flux) boundary leaves constants in the operator's
@@ -475,9 +487,7 @@ def solve_stationary(
     grid = f.grid
     if spec.dim != grid.dim:
         raise ValueError("weight and source dimensions differ")
-    tw = _mass_weights(grid)
-    w = eval_weight(spec, grid.points())
-    metric = tw * w
+    metric = _mass_weights(grid) * eval_weight(spec, grid.points())
     metric_total = float(np.sum(metric))
     f_mean = float(np.sum(metric * f.values)) / metric_total
     scale = max(float(np.max(np.abs(f.values))), 1.0)
@@ -487,19 +497,10 @@ def solve_stationary(
             f"{compatibility_tol:g} * max|f|"
         )
     source = f.values - f_mean
-    out, iters, _ = _descend(
-        np.zeros(grid.shape),
-        grid,
-        metric,
-        metric,
-        p,
-        settings,
-        tau=None,
-        anchor=None,
-        source=source,
-        project_mean_zero=True,
-    )
-    op = _operator_arrays(out, grid, metric, p) / metric
+    cell_w = _cell_weights(spec, grid)
+    out, iters = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, settings,
+                           source=source)
+    op = _energy_gradient(out, grid.spacing, cell_w, p) / metric
     res = math.sqrt(float(np.sum(metric * (op - source) ** 2)))
-    obj = _energy_value(out, grid, metric, p) - float(np.sum(metric * source * out))
+    obj = _energy_value(out, grid.spacing, cell_w, p) - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

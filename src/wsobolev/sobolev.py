@@ -14,7 +14,6 @@ two maximal-function inequalities that power the approximation argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

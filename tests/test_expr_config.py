@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from wsobolev._expr import ExpressionError, evaluate_expression
 from wsobolev.cli import main
 from wsobolev.config import ConfigError, load_config, parse_config
+from wsobolev.pde import SolverSettings
 
 BASE = {"weight": {"beta": 1.0, "q": 2.0, "dim": 1}}
 
@@ -97,8 +98,8 @@ class TestConfigDefaults:
         assert cfg.evolution.T == 0.5
         assert cfg.evolution.dualization == "weighted"
         assert cfg.stationary.source == "2*x"
-        # plain descent without the prox regularizer gets a bigger budget
-        assert cfg.stationary.solver.max_iterations == 100_000
+        # both Newton-CG solvers share one default budget
+        assert cfg.stationary.solver == cfg.evolution.solver == SolverSettings()
         assert cfg.evolution.solver.max_iterations == 10_000
         assert cfg.verify_override is None
 
@@ -309,6 +310,19 @@ def test_nan_in_config_file_is_operational(tmp_path, capsys):
     assert main(["weight-report", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: weight.q:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["constants", "weight-report"])
+@pytest.mark.parametrize("beta", [1e308, -1e308])
+def test_overflowing_beta_q_is_a_config_error(tmp_path, capsys, subcommand, beta):
+    # beta * q = 2e308 used to end `constants` in a ZeroDivisionError
+    # (C = 1/(beta q) = 0) and `weight-report` in an overflow warning
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"weight": {"beta": beta, "q": 2.0, "dim": 1}}))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight.beta: beta * q must be finite")
+    assert err.count("\n") == 1
 
 
 def _numbers(obj):

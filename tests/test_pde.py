@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wsobolev import pde
 from wsobolev.cli import _round_floats
 from wsobolev.grid import Grid, GridFunction, build_grid, sample_field
 from wsobolev.pde import (
@@ -13,9 +17,13 @@ from wsobolev.pde import (
     SolverSettings,
     StationaryResult,
     Trajectory,
-    _axis_gradient,
-    _axis_gradient_transpose,
+    _edge_differences,
+    _edge_differences_transpose,
+    _energy_gradient,
+    _hessian,
     _mass_weights,
+    _to_cells,
+    _to_edges,
     apply_operator,
     check_lebesgue_compatibility,
     energy,
@@ -88,19 +96,21 @@ class TestDiscretizationPieces:
 
     @pytest.mark.parametrize("shape,axis", [((64,), 0), ((17, 23), 0), ((17, 23), 1)])
     def test_gradient_transpose_is_exact_adjoint(self, shape, axis):
-        # <D u, v> == <u, D^T v> to rounding, for the edge_order=2 stencil
+        # <D u, e> == <u, D^T e> to rounding, for the edge differences along one axis
         rng = np.random.default_rng(42)
         u = rng.standard_normal(shape)
-        v = rng.standard_normal(shape)
         h = 0.07
-        lhs = np.sum(_axis_gradient(u, h, axis) * v)
-        rhs = np.sum(u * _axis_gradient_transpose(v, h, axis))
+        edges = [np.zeros(d.shape) for d in _edge_differences(u, h)]
+        edges[axis] = rng.standard_normal(edges[axis].shape)
+        lhs = np.sum(_edge_differences(u, h)[axis] * edges[axis])
+        rhs = np.sum(u * _edge_differences_transpose(edges, h))
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-12)
 
     def test_gradient_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal((31,))
-        assert_allclose(_axis_gradient(u, 0.1, 0), np.gradient(u, 0.1, edge_order=2))
+        # the staggered gradient is numpy's first difference over h, on the edges
+        u = np.random.default_rng(3).standard_normal((17, 23))
+        for axis, d in enumerate(_edge_differences(u, 0.1)):
+            assert_allclose(d, np.diff(u, axis=axis) / 0.1)
 
 
 class TestEnergy:
@@ -157,6 +167,19 @@ class TestOperator:
             errs.append(np.max(np.abs(out.values[inner] - 2.0 * x[inner])))
         assert errs[1] <= 1.5e-2
         assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+    def test_checkerboard_rayleigh_quotient(self):
+        # the odd/even mode differs by +-2/h on every edge, so it is far from
+        # the kernel (u = x has quotient 2)
+        g = build_grid(1, 6.0, 301)
+        tw = _mass_weights(g) * np.exp(-g.axis() ** 2)
+        quotients = []
+        for vals in ((-1.0) ** np.arange(301), g.axis()):
+            u = GridFunction(g, vals)
+            au = apply_operator(u, GAUSS, 2.0).values
+            quotients.append(np.sum(tw * au * vals) / np.sum(tw * vals**2))
+        assert quotients[0] >= 1e3
+        assert quotients[1] == pytest.approx(2.0, rel=1e-3)
 
     def test_weighted_mean_is_zero(self):
         # the divergence structure makes <A(u), 1> vanish identically
@@ -299,8 +322,8 @@ class TestLebesgueGate:
         assert set(d) == {"exponent", "radii", "masses", "increments", "passes"}
 
     def test_lebesgue_solve_runs_on_passing_weight(self):
-        # kept at desk scale: the plain descent inner solver stalls once the
-        # growing weight spans many orders of magnitude over the box
+        # kept at desk scale: once the growing weight spans many orders of
+        # magnitude over the box, the inner solver stalls (next test)
         spec = WeightSpec(-0.5, 2.0, 1)
         g = build_grid(1, 2.0, 101)
         u = sample_field(g, lambda x: np.maximum(1 - x * x, 0.0))
@@ -309,6 +332,19 @@ class TestLebesgueGate:
         e = traj.energies
         assert len(e) == 3
         assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
+
+    def test_stall_raises_at_once(self):
+        # w = e^(x^2) reaches e^36 on the box: the first step's line search
+        # stalls long before the CG budget is spent
+        g = build_grid(1, 6.0, 301)
+        u = sample_field(g, lambda x: x)
+        prob = EvolutionProblem(3.0, WeightSpec(-1.0, 2.0, 1), u, 0.5, 1e-3,
+                                dualization="lebesgue")
+        with pytest.raises(ProxConvergenceError, match=r"stalled at iteration (\d+)") as exc:
+            solve_evolution_lebesgue(prob)
+        spent = int(re.search(r"iteration (\d+)", str(exc.value)).group(1))
+        assert spent < SolverSettings().max_iterations
+        assert exc.value.iterate.grid == g
 
     def test_lebesgue_constant_is_steady(self):
         spec = WeightSpec(-0.5, 2.0, 1)
@@ -351,8 +387,7 @@ class TestStationary:
         for n in (301, 601):
             g = build_grid(1, 6.0, n)
             f = sample_field(g, lambda x: 2.0 * x)
-            res = solve_stationary(f, GAUSS, 2.0,
-                                   SolverSettings(max_iterations=100_000))
+            res = solve_stationary(f, GAUSS, 2.0)
             x = g.axis()
             inner = np.abs(x) <= 2.0
             errs[n] = np.max(np.abs(res.state.values - x)[inner])
@@ -362,7 +397,7 @@ class TestStationary:
     def test_residual_small(self):
         g = build_grid(1, 6.0, 301)
         f = sample_field(g, lambda x: 2.0 * x)
-        res = solve_stationary(f, GAUSS, 2.0, SolverSettings(max_iterations=100_000))
+        res = solve_stationary(f, GAUSS, 2.0)
         assert res.residual <= 1e-6
         assert res.iterations > 0
 
@@ -375,7 +410,7 @@ class TestStationary:
     def test_mean_zero_solution(self):
         g = build_grid(1, 6.0, 301)
         f = sample_field(g, lambda x: x**3 - 1.5 * x)
-        res = solve_stationary(f, GAUSS, 2.0, SolverSettings(max_iterations=100_000))
+        res = solve_stationary(f, GAUSS, 2.0)
         tw = _mass_weights(g) * np.exp(-g.axis() ** 2)
         mean = float(np.sum(tw * res.state.values)) / float(np.sum(tw))
         assert abs(mean) <= 1e-10
@@ -387,17 +422,130 @@ class TestStationary:
             solve_stationary(f, GAUSS, 1.5)
 
     def test_runs_out_of_iterations(self):
+        # p = 2 converges in one Newton step, so a p = 3 Newton solve is the
+        # one that can run out of CG iterations
         g = build_grid(1, 6.0, 301)
         f = sample_field(g, lambda x: 2.0 * x)
-        with pytest.raises(ProxConvergenceError) as exc:
-            solve_stationary(f, GAUSS, 2.0, SolverSettings(max_iterations=5))
+        with pytest.raises(ProxConvergenceError, match="in 5 iterations") as exc:
+            solve_stationary(f, GAUSS, 3.0, SolverSettings(max_iterations=5))
         assert exc.value.iterate.grid == g
+        assert exc.value.residual > 1e-8
+
+    def test_p2_is_one_newton_step(self, monkeypatch):
+        solves = []
+        pcg = pde._pcg
+
+        def counted(*args):
+            out = pcg(*args)
+            solves.append(out[1])
+            return out
+
+        monkeypatch.setattr(pde, "_pcg", counted)
+        g = build_grid(1, 6.0, 301)
+        f = sample_field(g, lambda x: 2.0 * x)
+        res = solve_stationary(f, GAUSS, 2.0)
+        assert len(solves) == 1
+        assert res.iterations == solves[0] < 100
+        assert res.residual <= 1e-8
+
+    def test_p3_solution(self):
+        # w |u'| u' = e^(-x^2) for f = 2x, so u = x solves the p = 3 problem too
+        g = build_grid(1, 6.0, 301)
+        f = sample_field(g, lambda x: 2.0 * x)
+        res = solve_stationary(f, GAUSS, 3.0)
+        x = g.axis()
+        inner = np.abs(x) <= 2.0
+        assert res.residual <= 1e-8
+        assert np.max(np.abs(res.state.values - x)[inner]) <= 2e-3
 
     def test_2d_small(self):
         g = build_grid(2, 3.0, 41)
         spec = WeightSpec(1.0, 2.0, 2)
         f = sample_field(g, lambda x, y: 2.0 * (x + y))
-        res = solve_stationary(f, spec, 2.0, SolverSettings(max_iterations=100_000))
+        res = solve_stationary(f, spec, 2.0)
         X, Y = g.mesh()
         inner = np.maximum(np.abs(X), np.abs(Y)) <= 1.5
         assert np.max(np.abs(res.state.values - (X + Y))[inner]) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# properties of the staggered energy, over dimension, grid and p
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def weighted_grid(draw):
+    """A Gaussian-type weight exp(-beta |x|^2) and a grid, in 1d or 2d."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([9, 11, 15, 21, 31, 41] if dim == 1 else [9, 11, 15, 21]))
+    grid = Grid(dim, draw(st.floats(1.0, 3.0)), n)
+    return WeightSpec(draw(st.floats(0.5, 1.5)), 2.0, dim), grid
+
+
+def node_metric(spec, grid):
+    return _mass_weights(grid) * np.exp(spec.exponent(grid.points()))
+
+
+class TestStaggeredProperties:
+    @PROPERTY
+    @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]), c=st.floats(-5.0, 5.0))
+    def test_constants_map_to_exactly_zero(self, wg, p, c):
+        spec, grid = wg
+        out = apply_operator(GridFunction(grid, np.full(grid.shape, c)), spec, p)
+        assert np.all(out.values == 0.0)
+
+    @PROPERTY
+    @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]))
+    def test_checkerboard_is_stiff(self, wg, p):
+        # the odd/even mode is the one a central-difference energy cannot see
+        spec, grid = wg
+        idx = np.indices(grid.shape).sum(axis=0)
+        u = GridFunction(grid, (-1.0) ** idx)
+        m = node_metric(spec, grid)
+        rq = np.sum(m * apply_operator(u, spec, p).values * u.values) / np.sum(m * u.values**2)
+        assert rq >= 1.0 / grid.spacing**2
+
+    @PROPERTY
+    @given(wg=weighted_grid(), seed=st.integers(0, 2**32 - 1))
+    def test_edge_pairs_are_exact_adjoints(self, wg, seed):
+        _, grid = wg
+        rng = np.random.default_rng(seed)
+        h = grid.spacing
+        u = rng.standard_normal(grid.shape)
+        diffs = _edge_differences(u, h)
+        edges = [rng.standard_normal(d.shape) for d in diffs]
+        lhs = sum(np.sum(d * e) for d, e in zip(diffs, edges))
+        rhs = np.sum(u * _edge_differences_transpose(edges, h))
+        scale = sum(np.sum(np.abs(d * e)) for d, e in zip(diffs, edges))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * scale)
+        cells = rng.standard_normal((grid.nodes_per_axis - 1,) * grid.dim)
+        for a, e in enumerate(edges):
+            lhs = np.sum(_to_cells(e, a) * cells)
+            assert lhs == pytest.approx(np.sum(e * _to_edges(cells, a)), rel=1e-12, abs=1e-12)
+
+    @PROPERTY
+    @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-3, 1e-1))
+    def test_prox_step_keeps_mean_and_lowers_energy(self, wg, p, seed, tau):
+        spec, grid = wg
+        u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
+        out = prox_step(u, EvolutionProblem(p, spec, u, tau, tau))
+        m = node_metric(spec, grid)
+        drift = abs(np.sum(m * (out.values - u.values))) / np.sum(m)
+        assert drift <= 1e-9
+        assert energy(out, spec, p) <= energy(u, spec, p) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 6)])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_hessian_matches_gradient_differences(self, shape, p):
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        cell_w = rng.uniform(0.5, 2.0, tuple(n - 1 for n in shape))
+        apply, diag = _hessian(u, 0.3, cell_w, p, 0.0)
+        e = 1e-6
+        fd = (_energy_gradient(u + e * v, 0.3, cell_w, p)
+              - _energy_gradient(u - e * v, 0.3, cell_w, p)) / (2 * e)
+        assert_allclose(apply(v), fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+        assert np.all(diag > 0.0)
