@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, astuple, fields, is_dataclass, replace
 from pathlib import Path
 
 from ._expr import ExpressionError, evaluate_expression
@@ -31,13 +32,13 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
 from .grid import Grid, GridFunction, discrete_gradient, load_grid_function_binary, \
     save_grid_function_csv
-from .inequalities import ConstantChain, build_constant_chain, batch_report_csv, \
-    verify_poincare, verify_potential, verify_xq
+from .inequalities import ConstantChain, build_constant_chain, verify_poincare, \
+    verify_potential, verify_xq
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
     solve_evolution, solve_evolution_lebesgue, solve_stationary
 from .sobolev import smooth_approximation
-from .weights import check_admissibility, check_reciprocal_integrability, \
-    estimate_doubling, estimate_muckenhoupt, weight_on_grid
+from .weights import DoublingReport, MuckenhouptReport, check_admissibility, \
+    check_reciprocal_integrability, estimate_doubling, estimate_muckenhoupt, weight_on_grid
 
 __all__ = ["SUBCOMMANDS", "OUTPUT_DIR_ENV", "emit_report", "run", "main"]
 
@@ -48,28 +49,61 @@ EXIT_OPERATIONAL = 1
 EXIT_VERIFICATION = 2
 
 
-def _round_floats(obj):
+def _round_floats(obj, path: str = "report"):
     """JSON form of a report payload with floats rounded to 12 significant
     digits.
 
     A payload with to_json() renders through it; any other dataclass renders
-    its fields.  Tuples become lists.
+    its fields.  Tuples become lists.  NaN and infinities have no JSON form
+    and raise ValueError naming their path in the payload.
     """
     if hasattr(obj, "to_json"):
-        return _round_floats(obj.to_json())
+        return _round_floats(obj.to_json(), path)
     if is_dataclass(obj):
-        return {f.name: _round_floats(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: _round_floats(getattr(obj, f.name), f"{path}.{f.name}")
+                for f in fields(obj)}
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{path}: {obj} is not a finite number, so the report "
+                             "cannot be written")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _round_floats(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_round_floats(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+def _canonical_json(payload, name: str = "report") -> str:
+    return json.dumps(_round_floats(payload, name), sort_keys=True, indent=2) + "\n"
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    if v is None:
+        return ""
+    if isinstance(v, tuple):
+        return ";".join(map(_csv_cell, v))
+    return str(v)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: floats to 12 significant digits, bools in lowercase, None as
+    an empty cell, tuples joined with ';'."""
+    return "".join(f"{line}\n" for line in
+                   [header, *(",".join(map(_csv_cell, row)) for row in rows)])
+
+
+def _ball_csv(report: DoublingReport | MuckenhouptReport) -> str:
+    return _csv("ball_center,ball_radius,value",
+                ((e.center, e.radius, e.value) for e in report.entries))
+
+
+# report type -> its CSV sidecar under --format csv
+_SIDECARS = {DoublingReport: _ball_csv, MuckenhouptReport: _ball_csv}
 
 
 def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> list[Path]:
@@ -77,28 +111,25 @@ def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> lis
 
     Dict-like payloads (dataclass reports or plain dicts) become <name>.json;
     string payloads are pre-rendered CSV and become <name>.csv.  With
-    format="csv", payloads that also carry to_csv get a CSV sidecar.
+    format="csv", payloads whose type has an entry in _SIDECARS also get a
+    CSV sidecar.  Every file is rendered before any is written.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    files: dict[str, str] = {}
     for name in sorted(results):
         payload = results[name]
         if isinstance(payload, str):
-            path = out / f"{name}.csv"
-            path.write_text(payload)
-            written.append(path)
+            files[f"{name}.csv"] = payload
             continue
-        path = out / f"{name}.json"
-        path.write_text(_canonical_json(payload))
-        written.append(path)
-        if format == "csv" and hasattr(payload, "to_csv"):
-            cpath = out / f"{name}.csv"
-            cpath.write_text(payload.to_csv())
-            written.append(cpath)
-    return written
+        files[f"{name}.json"] = _canonical_json(payload, name)
+        if format == "csv" and type(payload) in _SIDECARS:
+            files[f"{name}.csv"] = _SIDECARS[type(payload)](payload)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for fname, text in files.items():
+        (out / fname).write_text(text)
+    return [out / fname for fname in files]
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +236,16 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "corpus_size": len(members),
         "all_hold": all_hold,
         "inequalities": {
-            key: [{"corpus_id": n, **_round_floats(r)} for n, r in rows]
+            key: [{"corpus_id": n, **asdict(r)} for n, r in rows]
             for key, rows in (("radial_moment", rows_xq), ("potential_moment", rows_pot),
                               ("poincare", rows_poi))
         },
     }
-    results = {
-        "verify_summary": summary,
-        "verify_xq": batch_report_csv(rows_xq),
-        "verify_potential": batch_report_csv(rows_pot),
-        "verify_poincare": batch_report_csv(rows_poi),
-    }
+    results = {"verify_summary": summary}
+    for key, rows in (("verify_xq", rows_xq), ("verify_potential", rows_pot),
+                      ("verify_poincare", rows_poi)):
+        results[key] = _csv("corpus_id,lhs,rhs,margin,holds",
+                            ((n, r.lhs, r.rhs, r.margin, r.holds) for n, r in rows))
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
@@ -223,7 +253,8 @@ def _cmd_approximate(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     cfg = config.approximate
     f = _state_from_string(cfg.u0, config.grid, support_radius=cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule, tol=cfg.tol)
-    results = {"approximation": report, "approximation_steps": report.to_csv()}
+    steps = _csv("eps,lp_error,grad_lp_error,sobolev_error", map(astuple, report.steps))
+    results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
 
 
@@ -256,7 +287,9 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "final_mean": traj.means[-1],
         "total_inner_iterations": int(sum(traj.step_iterations)),
     }
-    return EXIT_OK, {"trajectory": traj.to_csv(), "evolution": summary}
+    trajectory = _csv("t,energy,mean,inner_iters", zip(
+        traj.times, traj.energies, traj.means, [0] + traj.step_iterations))
+    return EXIT_OK, {"trajectory": trajectory, "evolution": summary}
 
 
 def _cmd_stationary(config: RunConfig, out_dir: Path) -> tuple[int, dict]:

@@ -13,13 +13,12 @@ Validation errors always name the offending field by its JSON path
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import Grid
 from .pde import SolverSettings
-from .weights import Ball, FitLattice, PotentialExpr, WeightSpec, is_finite_number
+from .weights import Ball, FitLattice, WeightSpec, is_finite_number, json_number
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -34,73 +33,50 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 def _number(obj: dict, key: str, path: str, default=None, minimum=None, strict=False):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required field is missing")
+    if key not in obj and default is not None:
         return default
-    val = obj[key]
-    if not is_finite_number(val):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-    val = float(val)
+    try:
+        val = json_number(obj, key, f"{path}.{key}")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if minimum is not None and (val <= minimum if strict else val < minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"{path}.{key}: must be {op} {minimum:g}, got {val:g}")
     return val
 
-def _integer(obj: dict, key: str, path: str, default=None, minimum=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    val = obj[key]
+def _integer(obj: dict, key: str, path: str, default: int, minimum: int) -> int:
+    val = obj.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
+    if val < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
     return val
 
-def _string(obj: dict, key: str, path: str, default=None, choices=None) -> str:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    val = obj[key]
+def _string(obj: dict, key: str, path: str, default: str, choices=None) -> str:
+    val = obj.get(key, default)
     if not isinstance(val, str):
         raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
     if choices is not None and val not in choices:
         raise ConfigError(f"{path}.{key}: must be one of {sorted(choices)}, got {val!r}")
     return val
 
-def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
-    for key in obj:
+def _section(obj, path: str, allowed: set[str]) -> dict:
+    """obj as an object whose fields are all in allowed."""
+    for key in _expect_mapping(obj, path):
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown field")
+    return obj
 
 
 def _parse_weight(obj: dict) -> WeightSpec:
-    _check_keys(obj, "weight", {"beta", "q", "dim", "W", "V"})
-    beta = _number(obj, "beta", "weight")
-    if beta == 0.0:
-        raise ConfigError("weight.beta: must be nonzero")
-    q = _number(obj, "q", "weight", minimum=1.0, strict=True)
-    if not math.isfinite(beta * q):
-        raise ConfigError(f"weight.beta: beta * q must be finite, got {beta:g} * {q:g}")
-    dim = _integer(obj, "dim", "weight")
-    if dim not in (1, 2):
-        raise ConfigError(f"weight.dim: must be 1 or 2, got {dim}")
-    def potential(key: str) -> PotentialExpr:
-        items = obj.get(key, [])
-        if not isinstance(items, list):
-            raise ConfigError(f"weight.{key}: expected a list of terms")
-        try:
-            return PotentialExpr.from_json(items, dim)
-        except ValueError as err:
-            raise ConfigError(f"weight.{key}{err}") from None
-    return WeightSpec(beta=beta, q=q, dim=dim, W=potential("W"), V=potential("V"))
+    try:
+        return WeightSpec.from_json(obj)
+    except ValueError as err:
+        raise ConfigError(f"weight.{err}") from None
 
 
-def _parse_grid(obj: dict, dim: int) -> Grid:
-    _check_keys(obj, "grid", {"half_width", "nodes_per_axis"})
+def _parse_grid(obj, dim: int) -> Grid:
+    obj = _section(obj, "grid", {"half_width", "nodes_per_axis"})
     half_width = _number(obj, "half_width", "grid", default=6.0, minimum=0.0, strict=True)
     n = _integer(obj, "nodes_per_axis", "grid", default=301, minimum=3)
     if n % 2 == 0:
@@ -108,11 +84,13 @@ def _parse_grid(obj: dict, dim: int) -> Grid:
     return Grid(dim=dim, half_width=half_width, nodes_per_axis=n)
 
 
-def _parse_solver(obj: dict, path: str) -> SolverSettings:
-    _check_keys(obj, path, {"tol", "max_iters"})
+def _parse_solver(obj, path: str) -> SolverSettings:
+    obj = _section(obj, path, {"tol", "max_iters"})
     return SolverSettings(
-        tolerance=_number(obj, "tol", path, default=1e-8, minimum=0.0, strict=True),
-        max_iterations=_integer(obj, "max_iters", path, default=10_000, minimum=1),
+        tolerance=_number(obj, "tol", path, default=SolverSettings.tolerance,
+                          minimum=0.0, strict=True),
+        max_iterations=_integer(obj, "max_iters", path, default=SolverSettings.max_iterations,
+                                minimum=1),
     )
 
 
@@ -122,8 +100,7 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
     out = []
     for i, entry in enumerate(items):
         path = f"balls[{i}]"
-        entry = _expect_mapping(entry, path)
-        _check_keys(entry, path, {"center", "radius"})
+        entry = _section(entry, path, {"center", "radius"})
         if "center" not in entry:
             raise ConfigError(f"{path}.center: required field is missing")
         center = entry["center"]
@@ -146,35 +123,35 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
 
 @dataclass(frozen=True)
 class ConstantsConfig:
-    eps: float = 1.0
-    eps0: float | None = None  # None -> 1/p at use time
-    eps1: float = 1.0
-    L: float = 4.0
-    C4: float = 1.0
+    eps: float
+    eps0: float | None  # None -> 1/p at use time
+    eps1: float
+    L: float
+    C4: float
 
 
 @dataclass(frozen=True)
 class ApproximateConfig:
-    u0: str = "max(1 - abs(x), 0)"
-    support_radius: float = 1.0
-    schedule: tuple[float, ...] = (0.2, 0.1, 0.05)
-    tol: float = 1e-2
+    u0: str
+    support_radius: float
+    schedule: tuple[float, ...]
+    tol: float
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    u0: str = "x"
-    T: float = 0.5
-    tau: float = 1e-3
-    dualization: str = "weighted"
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    u0: str
+    T: float
+    tau: float
+    dualization: str
+    solver: SolverSettings
 
 
 @dataclass(frozen=True)
 class StationaryConfig:
-    source: str = "2*x"
-    compatibility_tol: float = 1e-6
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    source: str
+    compatibility_tol: float
+    solver: SolverSettings
 
 
 @dataclass(frozen=True)
@@ -200,30 +177,31 @@ _TOP_KEYS = {
 
 
 def parse_config(doc: dict) -> RunConfig:
-    doc = _expect_mapping(doc, "config")
-    _check_keys(doc, "config", _TOP_KEYS)
+    doc = _section(doc, "config", _TOP_KEYS)
     if "weight" not in doc:
         raise ConfigError("weight: required section is missing")
     weight = _parse_weight(_expect_mapping(doc["weight"], "weight"))
-    grid = _parse_grid(_expect_mapping(doc.get("grid", {}), "grid"), weight.dim)
+    grid = _parse_grid(doc.get("grid", {}), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
 
-    fit = _expect_mapping(doc.get("fit", {}), "fit")
-    _check_keys(fit, "fit", {"half_width", "n_samples", "delta_step", "delta_max",
-                             "c1_step", "c1_max", "c2_cap"})
+    fit = _section(doc.get("fit", {}), "fit", {"half_width", "n_samples", "delta_step",
+                                                "delta_max", "c1_step", "c1_max", "c2_cap"})
+
+    def positive(key: str) -> float:
+        return _number(fit, key, "fit", default=getattr(FitLattice, key), minimum=0.0,
+                       strict=True)
     lattice = FitLattice(
-        delta_step=_number(fit, "delta_step", "fit", default=0.01, minimum=0.0, strict=True),
-        delta_max=_number(fit, "delta_max", "fit", default=10.0, minimum=0.0, strict=True),
-        c1_step=_number(fit, "c1_step", "fit", default=0.05, minimum=0.0, strict=True),
-        c1_max=_number(fit, "c1_max", "fit", default=8.0, minimum=1.0),
-        c2_cap=_number(fit, "c2_cap", "fit", default=1e6, minimum=0.0, strict=True),
+        delta_step=positive("delta_step"),
+        delta_max=positive("delta_max"),
+        c1_step=positive("c1_step"),
+        c1_max=_number(fit, "c1_max", "fit", default=FitLattice.c1_max, minimum=1.0),
+        c2_cap=positive("c2_cap"),
     )
     fit_half_width = _number(fit, "half_width", "fit", default=grid.half_width,
                              minimum=0.0, strict=True)
     fit_samples = _integer(fit, "n_samples", "fit", default=2001, minimum=3)
 
-    cons = _expect_mapping(doc.get("constants", {}), "constants")
-    _check_keys(cons, "constants", {"eps", "eps0", "eps1", "L", "C4"})
+    cons = _section(doc.get("constants", {}), "constants", {"eps", "eps0", "eps1", "L", "C4"})
     eps0 = None
     if cons.get("eps0") is not None:
         eps0 = _number(cons, "eps0", "constants", minimum=0.0, strict=True)
@@ -241,8 +219,8 @@ def parse_config(doc: dict) -> RunConfig:
         origin = (0.0,) * weight.dim
         balls = (Ball(origin, 1.0), Ball(origin, 2.0))
 
-    approx = _expect_mapping(doc.get("approximate", {}), "approximate")
-    _check_keys(approx, "approximate", {"u0", "support_radius", "schedule", "tol"})
+    approx = _section(doc.get("approximate", {}), "approximate",
+                      {"u0", "support_radius", "schedule", "tol"})
     schedule = approx.get("schedule", [0.2, 0.1, 0.05])
     if (not isinstance(schedule, list) or not schedule
             or not all(is_finite_number(s) and s > 0 for s in schedule)):
@@ -250,39 +228,36 @@ def parse_config(doc: dict) -> RunConfig:
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("approximate.schedule: must be strictly decreasing")
     approximate = ApproximateConfig(
-        u0=_string(approx, "u0", "approximate", default=ApproximateConfig.u0),
+        u0=_string(approx, "u0", "approximate", default="max(1 - abs(x), 0)"),
         support_radius=_number(approx, "support_radius", "approximate",
                                default=1.0, minimum=0.0, strict=True),
         schedule=tuple(float(s) for s in schedule),
         tol=_number(approx, "tol", "approximate", default=1e-2, minimum=0.0, strict=True),
     )
 
-    evo = _expect_mapping(doc.get("evolution", {}), "evolution")
-    _check_keys(evo, "evolution", {"u0", "T", "tau", "dualization", "solver"})
+    evo = _section(doc.get("evolution", {}), "evolution",
+                   {"u0", "T", "tau", "dualization", "solver"})
     evolution = EvolutionConfig(
         u0=_string(evo, "u0", "evolution", default="x"),
         T=_number(evo, "T", "evolution", default=0.5, minimum=0.0, strict=True),
         tau=_number(evo, "tau", "evolution", default=1e-3, minimum=0.0, strict=True),
         dualization=_string(evo, "dualization", "evolution", default="weighted",
                             choices={"weighted", "lebesgue"}),
-        solver=_parse_solver(_expect_mapping(evo.get("solver", {}), "evolution.solver"),
-                             "evolution.solver"),
+        solver=_parse_solver(evo.get("solver", {}), "evolution.solver"),
     )
 
-    stat = _expect_mapping(doc.get("stationary", {}), "stationary")
-    _check_keys(stat, "stationary", {"source", "compatibility_tol", "solver"})
+    stat = _section(doc.get("stationary", {}), "stationary",
+                    {"source", "compatibility_tol", "solver"})
     stationary = StationaryConfig(
         source=_string(stat, "source", "stationary", default="2*x"),
         compatibility_tol=_number(stat, "compatibility_tol", "stationary",
                                   default=1e-6, minimum=0.0, strict=True),
-        solver=_parse_solver(_expect_mapping(stat.get("solver", {}), "stationary.solver"),
-                             "stationary.solver"),
+        solver=_parse_solver(stat.get("solver", {}), "stationary.solver"),
     )
 
     verify_override = None
     if "verify" in doc:
-        ver = _expect_mapping(doc["verify"], "verify")
-        _check_keys(ver, "verify", {"C", "D", "C_prime", "D_prime", "c"})
+        ver = _section(doc["verify"], "verify", {"C", "D", "C_prime", "D_prime", "c"})
         verify_override = {}
         for key in ("C", "D", "C_prime", "D_prime", "c"):
             if key in ver:

@@ -252,17 +252,20 @@ def tensor_weights(w1: np.ndarray, dim: int) -> np.ndarray:
     return reduce(np.multiply.outer, [w1] * dim)
 
 
-def _box_weights(grid: Grid) -> np.ndarray:
-    return tensor_weights(simpson_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
-
-
-def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
-    """Composite Simpson integral of f (optionally times a weight field)."""
+def _weighted_simpson(f: GridFunction, weight: GridFunction | None) -> tuple[np.ndarray, float]:
+    """The node values of f times the weight, and their Simpson integral."""
     vals = f.values
     if weight is not None:
         f._check_same_grid(weight)
         vals = vals * weight.values
-    return float(np.sum(_box_weights(f.grid) * vals))
+    g = f.grid
+    rule = tensor_weights(simpson_weights(g.nodes_per_axis, g.spacing), g.dim)
+    return vals, float(np.sum(rule * vals))
+
+
+def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
+    """Composite Simpson integral of f (optionally times a weight field)."""
+    return _weighted_simpson(f, weight)[1]
 
 
 def _coarse_quadrature(grid: Grid, vals: np.ndarray) -> float | None:
@@ -280,11 +283,7 @@ def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -
     The estimate is |Simpson(h) - Simpson(2h)| when the coarse subgrid
     exists, otherwise |Simpson - trapezoid| on the full grid.
     """
-    vals = f.values
-    if weight is not None:
-        f._check_same_grid(weight)
-        vals = vals * weight.values
-    fine = float(np.sum(_box_weights(f.grid) * vals))
+    vals, fine = _weighted_simpson(f, weight)
     coarse = _coarse_quadrature(f.grid, vals)
     if coarse is None:
         g = f.grid

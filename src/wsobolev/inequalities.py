@@ -15,7 +15,7 @@ reported next to it wherever both make sense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "empirical_poincare_ratio",
     "estimate_sobolev_constant",
     "estimate_local_poincare",
-    "batch_report_csv",
 ]
 
 
@@ -141,7 +140,8 @@ def poincare_bound(
 
     a_L is the oscillation of log(weight) over B(0, L^(p-1)); the constant is
     c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L), valid for L > D'.
-    log c is computed in log space; c is None when it leaves float range.
+    log c is computed in log space; c is None when it leaves float range,
+    and a ValueError is raised when log c leaves it too.
     """
     if L <= d_prime:
         raise ValueError(f"L = {L:g} must exceed D' = {d_prime:g}")
@@ -152,6 +152,8 @@ def poincare_bound(
     log_lead = 2.0 * a_L + math.log(C4) + p * (p - 1.0) * math.log(L)
     log_c = (q * math.log(2.0) + float(np.logaddexp(log_lead, math.log(c_prime / L)))
              - math.log1p(-d_prime / L))
+    if not math.isfinite(log_c):
+        raise ValueError(f"log c leaves float range (a_L = {a_L:g})")
     # c keeps its direct formula, not exp(log_c), so finite reports keep every digit
     try:
         c = (
@@ -190,32 +192,18 @@ class ConstantChain:
     log_c: float
 
     def to_json(self) -> dict:
-        doc = {
-            "inputs": {
-                "p": self.p,
-                "q": self.q,
-                "beta": self.beta_coeff,
-                "d": self.d,
-                "delta": self.delta,
-                "gamma": self.gamma,
-                "osc_V": self.osc_V,
-                "eps": self.eps,
-                "eps0": self.eps0,
-                "eps1": self.eps1,
-                "L": self.L,
-                "C4": self.C4,
-            },
-            "C": self.C,
-            "D": self.D,
-            "C_prime": self.C_prime,
-            "D_prime": self.D_prime,
-            "D_prime_gamma_scaled": self.D_prime_gamma_scaled,
-            "a_L": self.a_L,
-            "c": self.c,
-        }
-        if self.c is None:
-            doc["log_c"] = self.log_c
-        return doc
+        """The outputs, with the inputs nested under "inputs" (beta_coeff as
+        "beta"); log_c only when c is None."""
+        doc = asdict(self)
+        inputs = {key: doc.pop(key) for key in _CHAIN_INPUTS}
+        inputs["beta"] = inputs.pop("beta_coeff")
+        if self.c is not None:
+            del doc["log_c"]
+        return {"inputs": inputs, **doc}
+
+
+_CHAIN_INPUTS = ("p", "q", "beta_coeff", "d", "delta", "gamma", "osc_V", "eps", "eps0", "eps1",
+                 "L", "C4")
 
 
 def build_constant_chain(
@@ -286,15 +274,6 @@ class InequalityReport:
     def of(lhs: float, rhs: float, quad_error: float) -> "InequalityReport":
         margin = rhs - lhs
         return InequalityReport(lhs, rhs, margin, quad_error, margin >= -quad_error)
-
-
-def batch_report_csv(rows: Sequence[tuple[str, InequalityReport]]) -> str:
-    lines = ["corpus_id,lhs,rhs,margin,holds"]
-    for name, rep in rows:
-        lines.append(
-            f"{name},{rep.lhs:.12g},{rep.rhs:.12g},{rep.margin:.12g},{str(rep.holds).lower()}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def verify_xq(
@@ -417,7 +396,6 @@ def estimate_sobolev_constant(
         raise ValueError("weight carries no mass on the ball")
     diam = 2.0 * ball.radius
     ratios = []
-    best: float | None = None
     for i, f in enumerate(corpus):
         f._check_same_grid(weight)
         _require_supported_in_ball(f, ball, i)
@@ -428,8 +406,7 @@ def estimate_sobolev_constant(
             continue
         ratio = (num / wmass) ** (1.0 / (kappa * p)) / (diam * (den / wmass) ** (1.0 / p))
         ratios.append(ratio)
-        best = ratio if best is None else max(best, ratio)
-    return SobolevEstimate(kappa, p, ball, tuple(ratios), best)
+    return SobolevEstimate(kappa, p, ball, tuple(ratios), max(ratios, default=None))
 
 
 def estimate_local_poincare(

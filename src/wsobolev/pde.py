@@ -43,26 +43,30 @@ __all__ = [
 ]
 
 
+# backtracking line search: step shrink factor and Armijo sufficient-decrease constant
+_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+
+
 def _mass_weights(grid: Grid) -> np.ndarray:
     return tensor_weights(trapezoid_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
+
+
+def _node_metric(spec: WeightSpec, grid: Grid) -> np.ndarray:
+    """Trapezoid mass times the weight at the nodes."""
+    return _mass_weights(grid) * eval_weight(spec, grid.points())
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     tolerance: float = 1e-8
     max_iterations: int = 10_000
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient_decrease must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -114,13 +118,6 @@ class Trajectory:
     energies: list[float]
     means: list[float]
     step_iterations: list[int]
-
-    def to_csv(self) -> str:
-        lines = ["t,energy,mean,inner_iters"]
-        iters = [0] + self.step_iterations
-        for t, e, m, it in zip(self.times, self.energies, self.means, iters):
-            lines.append(f"{t:.12g},{e:.12g},{m:.12g},{it}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
 def energy_with_source(u: GridFunction, f: GridFunction, spec: WeightSpec, p: float) -> float:
     """Energy minus the weighted source pairing int f u w dx."""
     u._check_same_grid(f)
-    metric = _mass_weights(u.grid) * eval_weight(spec, u.grid.points())
+    metric = _node_metric(spec, u.grid)
     return energy(u, spec, p) - float(np.sum(metric * f.values * u.values))
 
 
@@ -220,7 +217,7 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
         raise ValueError(f"p must be >= 2, got {p}")
     grid = u.grid
     grad = _energy_gradient(u.values, grid.spacing, _cell_weights(spec, grid), p)
-    return GridFunction(grid, grad / (_mass_weights(grid) * eval_weight(spec, grid.points())))
+    return GridFunction(grid, grad / _node_metric(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +322,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             trial = v + alpha * step
             trial_obj, trial_g, trial_gnorm = evaluate(trial)
             allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
-            if trial_obj <= obj + settings.sufficient_decrease * alpha * slope + allowance:
+            if trial_obj <= obj + _SUFFICIENT_DECREASE * alpha * slope + allowance:
                 break
-            alpha *= settings.shrink
+            alpha *= _SHRINK
         else:
             raise failure(f"line search stalled at iteration {spent}")
         if trial_gnorm >= gnorm and forcing > 0.0:
@@ -344,8 +341,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
 def _problem_masses(problem: EvolutionProblem) -> tuple[np.ndarray, np.ndarray]:
     """The flow's node metric and the energy's cell weights."""
     grid = problem.u0.grid
-    w = eval_weight(problem.spec, grid.points()) if problem.dualization == "weighted" else 1.0
-    return _mass_weights(grid) * w, _cell_weights(problem.spec, grid)
+    weighted = problem.dualization == "weighted"
+    metric = _node_metric(problem.spec, grid) if weighted else _mass_weights(grid)
+    return metric, _cell_weights(problem.spec, grid)
 
 
 def prox_step(u_prev: GridFunction, problem: EvolutionProblem) -> GridFunction:
@@ -414,7 +412,6 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     if p <= 2.0:
         raise ValueError("the gate applies to p > 2 only")
     s = -1.0 / (p - 2.0)
-    tw1 = trapezoid_weights(grid.nodes_per_axis, grid.spacing)
     logw = spec.exponent(grid.points())
     vals = np.exp(np.minimum(s * logw, 700.0))  # cap just below overflow
     c = (grid.nodes_per_axis - 1) // 2
@@ -422,14 +419,8 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     radii = []
     for kq in (1, 2, 3, 4):
         k = (c * kq) // 4
-        sl = slice(c - k, c + k + 1)
-        # trapezoid weights of the sub-box: halve them on its new boundary
-        # (scaling by 0.5 is exact, so the order of products does not matter)
-        sub_w1 = tw1[sl].copy()
-        if kq < 4:
-            sub_w1[0] *= 0.5
-            sub_w1[-1] *= 0.5
-        masses.append(float(np.sum(vals[(sl,) * grid.dim] * tensor_weights(sub_w1, grid.dim))))
+        sub_w = tensor_weights(trapezoid_weights(2 * k + 1, grid.spacing), grid.dim)
+        masses.append(float(np.sum(vals[(slice(c - k, c + k + 1),) * grid.dim] * sub_w)))
         radii.append(k * grid.spacing)
     increments = [b - a for a, b in zip(masses, masses[1:])]
     passes = all(b < a for a, b in zip(increments, increments[1:]))
@@ -471,7 +462,7 @@ class StationaryResult:
 
 
 def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
-                     settings: SolverSettings | None = None,
+                     settings: SolverSettings = SolverSettings(),
                      compatibility_tol: float = 1e-6) -> StationaryResult:
     """Minimize the source-perturbed energy over mean-zero grid functions.
 
@@ -482,12 +473,10 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
     """
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
-    if settings is None:
-        settings = SolverSettings()
     grid = f.grid
     if spec.dim != grid.dim:
         raise ValueError("weight and source dimensions differ")
-    metric = _mass_weights(grid) * eval_weight(spec, grid.points())
+    metric = _node_metric(spec, grid)
     metric_total = float(np.sum(metric))
     f_mean = float(np.sum(metric * f.values)) / metric_total
     scale = max(float(np.max(np.abs(f.values))), 1.0)

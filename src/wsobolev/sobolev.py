@@ -56,12 +56,7 @@ def gradient_lebesgue_norm(
     grads: Sequence[GridFunction], weight: GridFunction | None, p: float
 ) -> float:
     """L^p norm of the gradient magnitude against the weight."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grid = grads[0].grid
-    mag = gradient_magnitude(grads)
-    val = quadrature(GridFunction(grid, mag**p), weight)
-    return max(val, 0.0) ** (1.0 / p)
+    return lebesgue_norm(GridFunction(grads[0].grid, gradient_magnitude(grads)), weight, p)
 
 
 def sobolev_norm(
@@ -72,17 +67,9 @@ def sobolev_norm(
 ) -> float:
     """First-order weighted Sobolev norm (grad term and plain term combined
     with exponent p)."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
     a = lebesgue_norm(f, weight, p)
     b = gradient_lebesgue_norm(grads, weight, p)
     return (a**p + b**p) ** (1.0 / p)
-
-
-def _require_compact(eta: GridFunction, name: str) -> None:
-    r = eta.compact_support_radius
-    if r is None or r >= eta.grid.half_width:
-        raise ValueError(f"{name} must be compactly supported inside the box")
 
 
 def ibp_residual(
@@ -91,27 +78,14 @@ def ibp_residual(
     eta: GridFunction,
     spec: WeightSpec,
     axis: int,
-    p: float = 2.0,
 ) -> float:
     """Integration-by-parts residual against the full weight.
 
     Quadrature of (d_i f)*eta*w + f*(d_i eta)*w + f*eta*drift_i*w; zero in
-    the continuum whenever grads is the true gradient of f.  The identity is
-    the same for every p (the weight enters at full power); p is kept for
-    reporting symmetry with the root-level residual.
+    the continuum whenever grads is the true gradient of f.  It is the
+    product-rule residual at p = 1, where the weight's root is the weight.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    _require_compact(eta, "eta")
-    w = weight_on_grid(spec, f.grid)
-    drift = drift_on_grid(spec, f.grid)[axis]
-    grad_eta = discrete_gradient(eta)[axis]
-    integrand = (
-        grads[axis].values * eta.values
-        + f.values * grad_eta.values
-        + f.values * eta.values * drift.values
-    )
-    return quadrature(GridFunction(f.grid, integrand), w)
+    return product_rule_residual(f, grads, eta, spec, axis, 1.0)
 
 
 def product_rule_residual(
@@ -129,7 +103,9 @@ def product_rule_residual(
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    _require_compact(zeta, "zeta")
+    r = zeta.compact_support_radius
+    if r is None or r >= zeta.grid.half_width:
+        raise ValueError("the test function must be compactly supported inside the box")
     root = root_on_grid(spec, f.grid, p)
     drift = drift_on_grid(spec, f.grid)[axis]
     grad_zeta = discrete_gradient(zeta)[axis]
@@ -168,14 +144,6 @@ class ApproximationReport:
     # weight root's gradient locally bounded, which holds for every catalog
     # weight (root and drift are continuous).
     grad_root_locally_bounded: bool
-
-    def to_csv(self) -> str:
-        lines = ["eps,lp_error,grad_lp_error,sobolev_error"]
-        for s in self.steps:
-            lines.append(
-                f"{s.eps:.12g},{s.lp_error:.12g},{s.grad_lp_error:.12g},{s.sobolev_error:.12g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def smooth_approximation(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -75,9 +75,6 @@ class ConstantTerm:
     def grad(self, pts: np.ndarray) -> np.ndarray:
         return np.zeros(pts.shape)
 
-    def to_json(self) -> dict:
-        return {"kind": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class PowerAbsTerm:
@@ -99,9 +96,6 @@ class PowerAbsTerm:
             scale = np.where(r > 0.0, self.c * self.s * r ** (self.s - 2.0), 0.0)
         return scale[..., None] * pts
 
-    def to_json(self) -> dict:
-        return {"kind": "power_abs", "c": self.c, "s": self.s}
-
 
 @dataclass(frozen=True)
 class QuadraticTerm:
@@ -112,9 +106,6 @@ class QuadraticTerm:
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         return 2.0 * self.c * pts
-
-    def to_json(self) -> dict:
-        return {"kind": "quadratic_form", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -132,9 +123,6 @@ class CosineTerm:
         kv = np.asarray(self.k, dtype=float)
         phase = np.tensordot(pts, kv, axes=([-1], [0]))
         return (-self.c * np.sin(phase))[..., None] * kv
-
-    def to_json(self) -> dict:
-        return {"kind": "cosine", "c": self.c, "k": list(self.k)}
 
 
 Term = ConstantTerm | PowerAbsTerm | QuadraticTerm | CosineTerm
@@ -165,20 +153,10 @@ class PotentialExpr:
         return len(self.terms) == 0
 
     def __neg__(self) -> "PotentialExpr":
-        flipped = []
-        for t in self.terms:
-            if isinstance(t, CosineTerm):
-                flipped.append(CosineTerm(-t.c, t.k))
-            elif isinstance(t, PowerAbsTerm):
-                flipped.append(PowerAbsTerm(-t.c, t.s))
-            elif isinstance(t, QuadraticTerm):
-                flipped.append(QuadraticTerm(-t.c))
-            else:
-                flipped.append(ConstantTerm(-t.c))
-        return PotentialExpr(tuple(flipped))
+        return PotentialExpr(tuple(replace(t, c=-t.c) for t in self.terms))
 
     def to_json(self) -> list[dict]:
-        return [t.to_json() for t in self.terms]
+        return [_term_to_json(t) for t in self.terms]
 
     @staticmethod
     def from_json(items: Sequence[dict], dim: int) -> "PotentialExpr":
@@ -198,6 +176,15 @@ _TERM_KINDS = {
 }
 
 
+def _term_to_json(term: Term) -> dict:
+    kind = next(k for k, (cls, _) in _TERM_KINDS.items() if cls is type(term))
+    doc = {"kind": kind}
+    for key in _TERM_KINDS[kind][1]:
+        val = getattr(term, key)
+        doc[key] = list(val) if key == "k" else val
+    return doc
+
+
 def is_finite_number(v) -> bool:
     """True for a JSON number (not a boolean) that is finite as a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -206,6 +193,16 @@ def is_finite_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an integer beyond float range
         return False
+
+
+def json_number(obj: dict, key: str, path: str) -> float:
+    """The finite number obj[key]; errors name the field by path."""
+    if key not in obj:
+        raise ValueError(f"{path}: required field is missing")
+    val = obj[key]
+    if not is_finite_number(val):
+        raise ValueError(f"{path}: expected a finite number, got {val!r}")
+    return float(val)
 
 
 def _term_from_json(item, dim: int, path: str) -> Term:
@@ -217,17 +214,13 @@ def _term_from_json(item, dim: int, path: str) -> Term:
     cls, keys = _TERM_KINDS[kind]
     args = []
     for key in keys:
-        if key not in item:
-            raise ValueError(f"{path}.{key}: required field is missing")
-        val = item[key]
-        if key == "k":
-            if not (isinstance(val, list) and len(val) == dim and all(map(is_finite_number, val))):
-                raise ValueError(f"{path}.k: expected a list of {dim} finite numbers, got {val!r}")
+        val = item.get(key)
+        if key != "k" or key not in item:
+            args.append(json_number(item, key, f"{path}.{key}"))
+        elif isinstance(val, list) and len(val) == dim and all(map(is_finite_number, val)):
             args.append(tuple(float(v) for v in val))
-        elif is_finite_number(val):
-            args.append(float(val))
         else:
-            raise ValueError(f"{path}.{key}: expected a finite number, got {val!r}")
+            raise ValueError(f"{path}.k: expected a list of {dim} finite numbers, got {val!r}")
     try:
         return cls(*args)
     except ValueError as err:
@@ -256,9 +249,12 @@ class WeightSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
     def exponent(self, pts: np.ndarray) -> np.ndarray:
-        """log w(x) = -beta*|x|^q - W(x) - V(x)."""
+        """log w(x) = -beta*|x|^q - W(x) - V(x).  A term beyond float range
+        gives an infinite exponent, which eval_weight clamps like any other
+        underflow."""
         r = _radii(pts)
-        return -self.beta * r**self.q - self.W.value(pts) - self.V.value(pts)
+        with np.errstate(over="ignore"):
+            return -self.beta * r**self.q - self.W.value(pts) - self.V.value(pts)
 
     def to_json(self) -> dict:
         return {
@@ -271,40 +267,55 @@ class WeightSpec:
 
     @staticmethod
     def from_json(d: dict) -> "WeightSpec":
-        dim = int(d.get("dim", 1))
-        return WeightSpec(
-            beta=float(d["beta"]),
-            q=float(d["q"]),
-            dim=dim,
-            W=PotentialExpr.from_json(d.get("W", []), dim),
-            V=PotentialExpr.from_json(d.get("V", []), dim),
-        )
+        """The spec of a JSON weight object.  A malformed object raises
+        ValueError whose message starts with the field's path relative to
+        the object, e.g. "beta: must be nonzero" or "W[0].s: ..."."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object, got {type(d).__name__}")
+        for key in d:
+            if key not in ("beta", "q", "dim", "W", "V"):
+                raise ValueError(f"{key}: unknown field")
+        beta = json_number(d, "beta", "beta")
+        if beta == 0.0:
+            raise ValueError("beta: must be nonzero")
+        q = json_number(d, "q", "q")
+        if q <= 1.0:
+            raise ValueError(f"q: must be > 1, got {q:g}")
+        if not math.isfinite(beta * q):
+            raise ValueError(f"beta: beta * q must be finite, got {beta:g} * {q:g}")
+        if "dim" not in d:
+            raise ValueError("dim: required field is missing")
+        dim = d["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim: expected an integer, got {dim!r}")
+        if dim not in (1, 2):
+            raise ValueError(f"dim: must be 1 or 2, got {dim}")
+
+        def potential(key: str) -> PotentialExpr:
+            items = d.get(key, [])
+            if not isinstance(items, list):
+                raise ValueError(f"{key}: expected a list of terms")
+            try:
+                return PotentialExpr.from_json(items, dim)
+            except ValueError as err:
+                raise ValueError(f"{key}{err}") from None
+
+        return WeightSpec(beta=beta, q=q, dim=dim, W=potential("W"), V=potential("V"))
 
 
-def _clamped_exp(exponent: np.ndarray, return_underflow: bool):
-    under = exponent < _LOG_TINY
-    vals = np.exp(np.maximum(exponent, _LOG_TINY))
-    if return_underflow:
-        return vals, under
-    return vals
-
-
-def eval_weight(spec: WeightSpec, pts: np.ndarray, return_underflow: bool = False):
-    """Weight values at points of shape (..., dim).
-
-    Exponents below the representable range clamp to the smallest positive
-    float; pass return_underflow=True to also get the mask of clamped nodes.
-    """
+def eval_weight(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
+    """Weight values at points of shape (..., dim).  Exponents below the
+    representable range clamp to the smallest positive float."""
     pts = np.asarray(pts, dtype=float)
-    return _clamped_exp(spec.exponent(pts), return_underflow)
+    return np.exp(np.maximum(spec.exponent(pts), _LOG_TINY))
 
 
-def eval_weight_root(spec: WeightSpec, pts: np.ndarray, p: float, return_underflow: bool = False):
+def eval_weight_root(spec: WeightSpec, pts: np.ndarray, p: float) -> np.ndarray:
     """p-th root of the weight, computed as exp(log(w)/p) for accuracy."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     pts = np.asarray(pts, dtype=float)
-    return _clamped_exp(spec.exponent(pts) / p, return_underflow)
+    return np.exp(np.maximum(spec.exponent(pts) / p, _LOG_TINY))
 
 
 def eval_log_drift(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
@@ -510,22 +521,14 @@ class BallEntry:
     note: str = ""
 
 
-def _entries_csv(entries: Sequence[BallEntry]) -> str:
-    lines = ["ball_center,ball_radius,value"]
-    for e in entries:
-        center = ";".join(f"{c:.12g}" for c in e.center)
-        value = "" if e.value is None else f"{e.value:.12g}"
-        lines.append(f"{center},{e.radius:.12g},{value}")
-    return "\n".join(lines) + "\n"
+def _largest_value(entries: Sequence[BallEntry]) -> float | None:
+    return max((e.value for e in entries if e.value is not None), default=None)
 
 
 @dataclass(frozen=True)
 class DoublingReport:
     entries: tuple[BallEntry, ...]
     constant: float | None  # max ratio over balls whose double fits the box
-
-    def to_csv(self) -> str:
-        return _entries_csv(self.entries)
 
 
 def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingReport:
@@ -535,7 +538,6 @@ def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingRep
     instead of a number; the returned constant is the max over valid balls.
     """
     entries: list[BallEntry] = []
-    best: float | None = None
     h = field.grid.spacing
     for ball in balls:
         inner = ball_slices(field.grid, ball.center, ball.radius)
@@ -551,11 +553,13 @@ def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingRep
             continue
         ratio = block_integral(field.values[outer], h) / denom
         entries.append(BallEntry(ball.center, ball.radius, ratio))
-        best = ratio if best is None else max(best, ratio)
-    return DoublingReport(tuple(entries), best)
+    return DoublingReport(tuple(entries), _largest_value(entries))
 
 
 # --- Muckenhoupt -----------------------------------------------------------
+
+# weight values at or below this count as zero nodes in the Muckenhoupt integral
+_ZERO_WEIGHT = 1e-300
 
 
 def _power_fit_integral(
@@ -583,8 +587,7 @@ def _power_fit_integral(
     return out[0], out[1]
 
 
-def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float,
-                         zero_tol: float) -> float:
+def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float) -> float:
     """Integral of w^s over a ball; w may vanish at isolated interior nodes,
     which are handled by power-law extrapolation (1d only)."""
     h = field.grid.spacing
@@ -598,7 +601,7 @@ def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float,
         bad = node(negative[0])
         x = tuple(float(field.grid.axis()[i]) for i in bad)
         raise ValueError(f"negative weight at node {bad} (x={x})")
-    zeros = np.argwhere(block <= zero_tol)
+    zeros = np.argwhere(block <= _ZERO_WEIGHT)
     if len(zeros) == 0:
         return block_integral(block**s, h)
     # The extrapolation fits a power law along the line through the zero node,
@@ -626,16 +629,9 @@ class MuckenhouptReport:
     entries: tuple[BallEntry, ...]
     constant: float | None
 
-    def to_csv(self) -> str:
-        return _entries_csv(self.entries)
 
-
-def estimate_muckenhoupt(
-    field: GridFunction,
-    p: float,
-    balls: Sequence[Ball],
-    zero_tol: float = 1e-300,
-) -> MuckenhouptReport:
+def estimate_muckenhoupt(field: GridFunction, p: float,
+                         balls: Sequence[Ball]) -> MuckenhouptReport:
     """Per-ball Muckenhoupt products (avg_B w) * (avg_B w^(-1/(p-1)))^(p-1).
 
     Jensen's inequality forces every product to be >= 1.  Negative weight
@@ -646,7 +642,6 @@ def estimate_muckenhoupt(
         raise ValueError(f"p must exceed 1, got {p}")
     s = -1.0 / (p - 1.0)
     entries: list[BallEntry] = []
-    best: float | None = None
     h = field.grid.spacing
     for ball in balls:
         box = ball_slices(field.grid, ball.center, ball.radius)
@@ -656,15 +651,17 @@ def estimate_muckenhoupt(
         # Average over the node-snapped segment actually integrated, not the
         # nominal (2r)^dim box, so constant weights score exactly 1 for any ball.
         vol = math.prod((sl.stop - 1 - sl.start) * h for sl in box)
-        avg_w = _ball_integral_power(field, box, 1.0, zero_tol) / vol
-        avg_rec = _ball_integral_power(field, box, s, zero_tol) / vol
+        avg_w = _ball_integral_power(field, box, 1.0) / vol
+        avg_rec = _ball_integral_power(field, box, s) / vol
         value = avg_w * avg_rec ** (p - 1.0)
         entries.append(BallEntry(ball.center, ball.radius, value))
-        best = value if best is None else max(best, value)
-    return MuckenhouptReport(p, tuple(entries), best)
+    return MuckenhouptReport(p, tuple(entries), _largest_value(entries))
 
 
 # --- local integrability of the reciprocal root ----------------------------
+
+# fine/coarse quadrature ratio of a unit cell beyond which it counts as divergent
+_DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -693,14 +690,12 @@ def _unit_cell_bounds(grid: Grid) -> list[tuple[int, int]]:
     return bounds
 
 
-def check_reciprocal_integrability(
-    field: GridFunction, p: float, divergence_factor: float = 10.0
-) -> RegReport:
+def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
     """Check local integrability of w^(-1/(p-1)) cell by cell (boundedness of
     1/w for p = 1).
 
     Each unit-scale subcell's quadrature at full resolution is compared with
-    the half-resolution value; growth beyond the divergence factor, or a
+    the half-resolution value; growth beyond _DIVERGENCE_FACTOR, or a
     nonpositive node, marks the cell as divergent.
     """
     if p < 1.0:
@@ -713,6 +708,8 @@ def check_reciprocal_integrability(
     axis = g.axis()
     half = (slice(None, None, 2),) * g.dim
 
+    # np.trapezoid axis by axis, not a weighted sum: mirror-image cells tie in
+    # exact arithmetic, and another summation order picks another worst cell
     def trapezoid(vals: np.ndarray, dx: float) -> float:
         for _ in range(g.dim):
             vals = np.trapezoid(vals, dx=dx, axis=-1)
@@ -733,7 +730,7 @@ def check_reciprocal_integrability(
         ratio = fine / coarse if coarse > 0 else math.inf
         if worst is None or ratio > worst[1]:
             worst = (origin, ratio, fine, coarse)
-        if ratio > divergence_factor:
+        if ratio > _DIVERGENCE_FACTOR:
             return RegReport(False, p, origin, fine, coarse, ratio)
     origin, ratio, fine, coarse = worst
     return RegReport(True, p, origin, fine, coarse, ratio)

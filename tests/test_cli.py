@@ -25,6 +25,7 @@ from wsobolev.cli import (
 )
 from wsobolev.config import parse_config
 from wsobolev.grid import Grid, build_grid, sample_field, save_grid_function_binary
+from wsobolev.weights import BallEntry, DoublingReport
 
 
 GAUSS_1D = {"beta": 1.0, "q": 2.0, "dim": 1}
@@ -220,6 +221,12 @@ class TestSubcommands:
         assert steps[0] == "eps,lp_error,grad_lp_error,sobolev_error"
         assert len(steps) == 4
 
+    def test_approximate_csv_writes_each_table_once(self, tmp_path):
+        cfg = small_config(grid={"nodes_per_axis": 301})
+        run("approximate", cfg, tmp_path, format="csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "approximation.json", "approximation_steps.csv"]
+
     def test_approximate_kink_fails_tolerance(self, tmp_path):
         # the default tent-shaped u0 keeps a gradient-norm plateau near 1e-2;
         # the report is still written, the exit code says "checked and false"
@@ -411,6 +418,35 @@ class TestReportsAgree:
 
 class TestCertifiedOverflow:
     HUGE_C = {"weight": {"beta": 1e3, "q": 2.0, "dim": 1}, "grid": {"nodes_per_axis": 151}}
+    # beta |x|^2 leaves float range beyond |x| = 4.24, and a_L = beta 4^2 = 1.6e308
+    HUGE_BETA = {"weight": {"beta": 1e307, "q": 2.0, "dim": 1},
+                 "grid": {"nodes_per_axis": 151}}
+
+    @pytest.mark.parametrize("subcommand, code, stderr", [
+        ("weight-report", EXIT_OPERATIONAL, "error: weight vanishes at several nodes"),
+        ("solve-stationary", EXIT_OK, ""),
+    ])
+    def test_overflowing_exponent_is_an_underflow(self, subcommand, code, stderr, tmp_path,
+                                                  capsys):
+        # the weight clamps to the smallest float there, with no overflow warning
+        assert run_main(tmp_path, subcommand, self.HUGE_BETA)[0] == code
+        err = capsys.readouterr().err
+        assert err.startswith(stderr) and err.count("\n") == (1 if stderr else 0)
+
+    @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
+    def test_log_c_overflow(self, subcommand, tmp_path, capsys):
+        code, out = run_main(tmp_path, subcommand, self.HUGE_BETA)
+        assert code == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == "error: log c leaves float range (a_L = 1.6e+308)\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_report_rejects_non_finite(self, value, tmp_path):
+        results = {"admissibility": {"delta": 1.0},
+                   "doubling": DoublingReport((BallEntry((0.0,), 1.0, value),), 2.0)}
+        with pytest.raises(ValueError, match=r"^doubling\.entries\[0\]\.value: "):
+            emit_report(results, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_constants_report_log_c(self, tmp_path):
         code, out = run_main(tmp_path, "constants", self.HUGE_C)

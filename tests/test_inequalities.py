@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from wsobolev.cli import run
+from wsobolev.config import parse_config
 from wsobolev.corpus import corpus_members
 from wsobolev.grid import GridFunction, build_grid, discrete_gradient, sample_field
 from wsobolev.inequalities import (
     InequalityReport,
-    batch_report_csv,
     build_constant_chain,
     constants_potential,
     constants_xq,
@@ -210,15 +212,13 @@ class TestVerification:
         rep3 = InequalityReport.of(1.0, 0.9, 1e-6)
         assert not rep3.holds
 
-    def test_batch_csv_layout(self, setup):
-        _, fields = setup
-        rows = []
-        for name, f in fields[:3]:
-            rows.append((name, verify_xq(f, discrete_gradient(f), 1.0, 2.0, 0.5, 2.5)))
-        csv = batch_report_csv(rows)
-        lines = csv.splitlines()
+    def test_batch_csv_layout(self, tmp_path):
+        cfg = parse_config({"weight": {"beta": 1.0, "q": 2.0, "dim": 1}})
+        run("verify-inequalities", cfg, tmp_path)
+        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+        lines = (tmp_path / "verify_xq.csv").read_text().splitlines()
         assert lines[0] == "corpus_id,lhs,rhs,margin,holds"
-        assert len(lines) == 4
+        assert len(lines) == summary["corpus_size"] + 1
         assert lines[1].startswith("bump_cm2_w0.4,")
         assert lines[1].endswith(",true")
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wsobolev import pde
-from wsobolev.cli import _round_floats
+from wsobolev.cli import _round_floats, run
+from wsobolev.config import parse_config
 from wsobolev.grid import Grid, GridFunction, build_grid, sample_field
 from wsobolev.pde import (
     EvolutionProblem,
@@ -54,10 +55,6 @@ class TestSolverSettings:
             SolverSettings(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverSettings(shrink=1.0)
-        with pytest.raises(ValueError):
-            SolverSettings(sufficient_decrease=2.0)
 
 
 class TestEvolutionProblem:
@@ -266,11 +263,12 @@ class TestEvolution:
             dists.append(d)
             assert all(b <= a * (1 + 1e-9) for a, b in zip(d, d[1:]))
 
-    def test_trajectory_csv(self):
-        g, u = linear_state(151)
-        prob = EvolutionProblem(2.0, GAUSS, u, 0.02, 0.01)
-        traj = solve_evolution(prob)
-        lines = traj.to_csv().splitlines()
+    def test_trajectory_csv(self, tmp_path):
+        cfg = parse_config({"weight": {"beta": 1.0, "q": 2.0, "dim": 1},
+                            "grid": {"nodes_per_axis": 151},
+                            "evolution": {"T": 0.02, "tau": 0.01}})
+        assert run("solve-evolution", cfg, tmp_path) == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,energy,mean,inner_iters"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wsobolev.cli import run
+from wsobolev.config import parse_config
 from wsobolev.corpus import corpus_members
 from wsobolev.grid import GridFunction, build_grid, discrete_gradient, sample_field
 from wsobolev.sobolev import (
@@ -163,11 +165,11 @@ class TestSmoothApproximation:
         with pytest.raises(ValueError, match="compact"):
             smooth_approximation(f, GAUSS, 2.0, [0.1])
 
-    def test_csv_output(self):
-        g, _ = grid_and_weight()
-        f = corpus_members()[8].on_grid(g)
-        rep = smooth_approximation(f, GAUSS, 2.0, [0.2, 0.1])
-        lines = rep.to_csv().splitlines()
+    def test_csv_output(self, tmp_path):
+        cfg = parse_config({"weight": {"beta": 1.0, "q": 2.0, "dim": 1},
+                            "approximate": {"schedule": [0.2, 0.1]}})
+        run("approximate", cfg, tmp_path)
+        lines = (tmp_path / "approximation_steps.csv").read_text().splitlines()
         assert lines[0] == "eps,lp_error,grad_lp_error,sobolev_error"
         assert len(lines) == 3
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erf, erfi
 
-from wsobolev.cli import _round_floats
-from wsobolev.grid import Grid, GridFunction, build_grid, sample_field
+from test_expr_config import _JSON, _SHAPED
+from wsobolev.cli import _SIDECARS, _round_floats
+from wsobolev.config import ConfigError, parse_config
+from wsobolev.grid import Grid, GridFunction, build_grid, lattice_points, sample_field
 from wsobolev.weights import (
     AdmissibilityReport,
     Ball,
@@ -119,15 +123,37 @@ class TestWeightSpec:
         # clamps to the smallest positive normal instead of flushing to zero,
         # so log w and the drift stay finite
         spec = WeightSpec(1.0, 4.0, 1)
-        w, under = eval_weight(spec, pts1(40.0), return_underflow=True)
+        w = eval_weight(spec, pts1(40.0))
         # exp(log(tiny)) round trip lands within a few ulp of tiny itself
         assert w[0] == pytest.approx(np.finfo(float).tiny, rel=1e-12)
         assert np.isfinite(np.log(w[0]))
-        assert under
 
     def test_no_underflow_flag(self):
-        w, under = eval_weight(GAUSS, pts1(1.0), return_underflow=True)
-        assert not under and w[0] > 0.0
+        w = eval_weight(GAUSS, pts1(1.0))
+        assert w[0] > 0.0
+
+    def test_overflowing_exponent_clamps(self):
+        # beta |x|^2 and the W term both leave float range at |x| = 5
+        spec = WeightSpec(1e307, 2.0, 1, W=PotentialExpr((PowerAbsTerm(1e307, 2.0),)))
+        w = eval_weight(spec, pts1(0.0, 5.0))
+        assert w[0] == 1.0
+        assert w[1] == pytest.approx(np.finfo(float).tiny, rel=1e-12)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"beta": math.nan, "q": 2.0, "dim": 1}, "beta: expected a finite number, got nan"),
+        ({"beta": "2", "q": 2.0, "dim": 1}, "beta: expected a finite number, got '2'"),
+        ({"beta": 1.0, "q": 2.0, "dim": 1.9}, "dim: expected an integer, got 1.9"),
+        ({"beta": 1.0, "q": 2.0}, "dim: required field is missing"),
+        ({"beta": 1.0, "q": 2.0, "dim": 1, "gamma": 1.0}, "gamma: unknown field"),
+        ({"beta": 0, "q": 2.0, "dim": 1}, "beta: must be nonzero"),
+    ])
+    def test_from_json_rejects_as_parse_config(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            WeightSpec.from_json(doc)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            parse_config({"weight": doc})
+        assert str(err.value) == f"weight.{message}"
 
     def test_json_round_trip(self):
         spec = WeightSpec(
@@ -284,7 +310,7 @@ class TestDoubling:
         g = build_grid(1, 6.0, 301)
         one = GridFunction(g, np.ones(g.shape))
         rep = estimate_doubling(one, [Ball.of(0.0, 1.0)])
-        lines = rep.to_csv().splitlines()
+        lines = _SIDECARS[type(rep)](rep).splitlines()
         assert lines[0] == "ball_center,ball_radius,value"
         assert lines[1].startswith("0,1,")
 
@@ -376,3 +402,53 @@ class TestReciprocalIntegrability:
         g = build_grid(2, 3.0, 61)
         w = weight_on_grid(WeightSpec(1.0, 2.0, 2), g)
         assert check_reciprocal_integrability(w, 2.0).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_SHAPED.map(lambda d: d["weight"]) | _JSON)
+def test_from_json_fuzz(doc):
+    """from_json raises only ValueError, and agrees with parse_config."""
+    try:
+        spec = WeightSpec.from_json(doc)
+    except ValueError:
+        spec = None
+    try:
+        parsed = parse_config({"weight": doc}).weight
+    except ConfigError:
+        parsed = None
+    assert spec == parsed
+
+
+def _potentials(dim: int):
+    c = st.floats(-2.0, 2.0)
+    term = st.one_of(
+        st.builds(ConstantTerm, c),
+        st.builds(PowerAbsTerm, c, st.floats(1.0, 3.0)),
+        st.builds(QuadraticTerm, c),
+        st.builds(CosineTerm, c, st.tuples(*[st.floats(-2.0, 2.0)] * dim)),
+    )
+    return st.lists(term, max_size=3).map(lambda terms: PotentialExpr(tuple(terms)))
+
+
+@st.composite
+def _catalog(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    return (dim, draw(_potentials(dim)), draw(_potentials(dim)), draw(st.floats(1.5, 3.0)),
+            draw(st.floats(1.0, 6.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_catalog())
+def test_fits_hold_on_samples(case):
+    """The fitted growth and dilation constants bound every lattice sample."""
+    dim, W, V, q, half_width = case
+    n = 401
+    pts = lattice_points(dim, half_width, n)
+    delta, gamma = fit_growth_constants(W, q, dim, half_width, n)
+    bound = delta * np.sqrt(np.sum(pts * pts, axis=-1)) ** (q - 1.0) + gamma
+    assert np.all(W.grad_norm(pts) <= bound + 1e-12 * (1.0 + bound))
+    for F in (-W, -V):
+        fit = fit_dilation_bound(F, dim, half_width, n)
+        if fit.ok:
+            lhs, rhs = F.value(2.0 * pts), fit.c1 * F.value(pts) + fit.c2
+            assert np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs)))

@@ -1,0 +1,174 @@
+"""Byte-compare the CLI reports that two source trees write.
+
+    python tools/report_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a `wsobolev` package, such as
+the `src/` of two checkouts. The configs are every CLI case of the benchmark's
+run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
+repeated configs dropped) plus the README config in 1d and in 2d. Each runs
+through `wsobolev.cli.main` with `--format json` and with `--format csv`, once
+per tree, in the same relative paths, so messages that name a path match.
+
+Every report file, exit code and stderr text that differs between the trees
+is printed; the exit status is 1 if any does, else 0. Only `bench/` and
+`README.md` of this checkout are read; nothing is written outside a
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as in the benchmark, so sums round the same way on every run
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import copy
+import io
+import json
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("diagnostics", "flow-1d", "flow-2d")
+SEEDS = range(5)
+FORMATS = ("json", "csv")
+SUBCOMMANDS = ("weight-report", "constants", "verify-inequalities", "approximate",
+               "solve-evolution", "solve-stationary")
+
+
+def _readme_configs() -> dict[str, dict]:
+    """The README config, and a 2d variant of it small enough to run quickly."""
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    one = json.loads(block)
+    two = copy.deepcopy(one)
+    two["weight"]["dim"] = 2
+    two["weight"]["V"][0]["k"] = [2.0, 1.0]
+    two["grid"] = {"half_width": 4.0, "nodes_per_axis": 41}
+    two["fit"]["half_width"] = 4.0
+    two["balls"] = [{"center": [0.0, 0.0], "radius": 1.0},
+                    {"center": [0.5, -0.5], "radius": 1.5}]
+    two["approximate"]["u0"] = "max(1 - x*x - y*y, 0)"
+    two["evolution"]["T"] = 0.02
+    return {"readme-1d": one, "readme-2d": two}
+
+
+def runs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (subcommand, config), one entry per distinct pair."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import cases
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    out: dict[str, tuple[str, dict]] = {}
+    seen = set()
+
+    def add(name: str, subcommand: str, config: dict) -> None:
+        key = (subcommand, json.dumps(config, sort_keys=True))
+        if key not in seen:
+            seen.add(key)
+            out[name] = (subcommand, config)
+
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for case in cases.build(workload, seed):
+                if case.subcommand is not None:
+                    add(f"{case.name}-s{seed}", case.subcommand, case.config)
+    for tag, config in _readme_configs().items():
+        for subcommand in SUBCOMMANDS:
+            add(f"{tag}-{subcommand}", subcommand, config)
+    return out
+
+
+def _import_main(src: Path):
+    """`wsobolev.cli.main` imported from src, dropping any copy loaded before."""
+    for name in [m for m in sys.modules if m == "wsobolev" or m.startswith("wsobolev.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        from wsobolev.cli import main
+    finally:
+        sys.path.remove(str(src))
+    return main
+
+
+def run_tree(src: Path, work: Path, todo: dict[str, tuple[str, dict]]) -> None:
+    """Run every config against the package in src. Each run's reports land
+    in work/<run>-<format>/ next to `_exit` and `_stderr` files."""
+    main = _import_main(src)
+    (work / "configs").mkdir(parents=True)
+    here = os.getcwd()
+    os.chdir(work)
+    try:
+        for name, (subcommand, config) in todo.items():
+            cfg = Path("configs") / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            for fmt in FORMATS:
+                out = Path(f"{name}-{fmt}")
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                    warnings.simplefilter("always")
+                    try:
+                        code = main([subcommand, "--config", str(cfg), "--out", str(out),
+                                     "--format", fmt])
+                    except Exception as err:  # an escaping exception is a result too
+                        code = f"raised {type(err).__name__}: {err}"
+                out.mkdir(exist_ok=True)
+                (out / "_exit").write_text(f"{code}\n")
+                (out / "_stderr").write_text(stderr.getvalue())
+    finally:
+        os.chdir(here)
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}: {x[:120]!r} -> {y[:120]!r}"
+    return f"{len(la)} -> {len(lb)} lines"
+
+
+def compare(old: Path, new: Path) -> tuple[int, list[str]]:
+    """(files compared, one line per difference) over the two run trees."""
+    names = {p.relative_to(tree) for tree in (old, new) for p in tree.rglob("*")
+             if p.is_file() and p.relative_to(tree).parts[0] != "configs"}
+    problems = []
+    for rel in sorted(names):
+        a, b = old / rel, new / rel
+        if not a.exists() or not b.exists():
+            problems.append(f"{rel}: only in {'new' if b.exists() else 'old'}")
+        elif a.read_bytes() != b.read_bytes():
+            problems.append(f"{rel}: {_first_difference(a.read_bytes(), b.read_bytes())}")
+    return len(names), problems
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/report_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in args)
+    for src in (old_src, new_src):
+        if not (src / "wsobolev" / "__init__.py").is_file():
+            print(f"error: no wsobolev package under {src}", file=sys.stderr)
+            return 2
+    todo = runs()
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp, "old"), Path(tmp, "new")
+        run_tree(old_src, old, todo)
+        run_tree(new_src, new, todo)
+        n_files, problems = compare(old, new)
+    for line in problems:
+        print(line)
+    print(f"{len(todo)} configs x {len(FORMATS)} formats, {n_files} files: "
+          f"{len(problems)} differ")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
