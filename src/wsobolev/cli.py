@@ -176,13 +176,13 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
 
 def _cmd_weight_report(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     spec = config.weight
+    w = weight_on_grid(spec, config.grid)  # before the fits: an undefined weight is the error
     admissibility = check_admissibility(
         spec,
         half_width=config.fit_half_width,
         n_samples=config.fit_samples,
         lattice=config.fit_lattice,
     )
-    w = weight_on_grid(spec, config.grid)
     results: dict = {
         "admissibility": admissibility,
         "doubling": estimate_doubling(w, config.balls),

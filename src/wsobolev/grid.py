@@ -510,11 +510,10 @@ def truncate(f: GridFunction, level: float) -> GridFunction:
 def save_grid_function_csv(f: GridFunction, path: str | Path) -> None:
     """One row per node in C order: the node's coordinates, then its value."""
     g = f.grid
-    coords = [f"{x:.12g}," for x in g.axis()]
+    coords = map("".join, itertools.product([f"{x:.12g}," for x in g.axis()], repeat=g.dim))
+    rows = "".join(f"{c}{v:.12g}\n" for c, v in zip(coords, f.values.ravel().tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join("xy"[: g.dim]) + ",value\n")
-        for idx in np.ndindex(g.shape):
-            fh.write("".join(coords[i] for i in idx) + f"{f.values[idx]:.12g}\n")
+        fh.write(",".join("xy"[: g.dim]) + ",value\n" + rows)
 
 
 def save_grid_function_binary(f: GridFunction, path: str | Path) -> None:

@@ -11,7 +11,8 @@ axes the mean squared difference on the cell's 2^(d-1) edges along that axis.
 For p = 2 that is the 3-point stencil in 1d and the 5-point one in 2d, and
 its kernel is the constants alone.  Node sums (the metric, the source
 pairing) use trapezoid mass times w at the nodes.  Every minimization is one
-damped Newton loop with matrix-free Jacobi-preconditioned CG solves.
+damped Newton loop with matrix-free Jacobi-preconditioned CG solves; each
+iterate's edge differences are formed once, for its energy, gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -182,25 +183,25 @@ def _cell_square(diffs: list[np.ndarray]) -> np.ndarray:
     return sum(_to_cells(d * d, a) for a, d in enumerate(diffs))
 
 
-def _energy_value(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float) -> float:
-    s = _cell_square(_edge_differences(vals, h))
-    return float(np.sum(cell_w * s ** (p / 2.0))) / p
-
-
-def _energy_gradient(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float) -> np.ndarray:
-    """Euclidean gradient of the discrete energy: sum_a D_a^T(k_a D_a u) with
-    edge coefficients k_a = A_a^T(cell_w |grad u|^(p-2))."""
+def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float):
+    """The discrete energy, its Euclidean gradient sum_a D_a^T(k_a D_a u) with
+    edge coefficients k_a = A_a^T(cell_w |grad u|^(p-2)), and the edge
+    differences and cell values |grad u|^2 that both are formed from."""
     diffs = _edge_differences(vals, h)
-    coef = cell_w * _cell_square(diffs) ** ((p - 2.0) / 2.0)
-    return _edge_differences_transpose(
-        [_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
+    s = _cell_square(diffs)
+    value = float(np.sum(cell_w * s ** (p / 2.0))) / p
+    coef = cell_w * s ** ((p - 2.0) / 2.0)
+    grad = _edge_differences_transpose([_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
+    return value, grad, (diffs, s)
 
 
 def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
     """(1/p) int |grad u|^p w dx by the staggered cell sum."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _energy_value(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)
+    # below p = 2 the gradient formed alongside is singular where grad u vanishes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _energy_terms(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)[0]
 
 
 def energy_with_source(u: GridFunction, f: GridFunction, spec: WeightSpec, p: float) -> float:
@@ -216,7 +217,7 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
     grid = u.grid
-    grad = _energy_gradient(u.values, grid.spacing, _cell_weights(spec, grid), p)
+    grad = _energy_terms(u.values, grid.spacing, _cell_weights(spec, grid), p)[1]
     return GridFunction(grid, grad / _node_metric(spec, grid))
 
 
@@ -225,25 +226,30 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _hessian(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, shift):
-    """Matrix-free Hessian of the energy at vals plus diag(shift), |grad u|^2
-    raised by 1e-6 of its weighted mean (by 1 if u is constant) to stay definite
-    where the gradient vanishes; and, as the Jacobi preconditioner, the diagonal
-    of the majorant that bounds its rank-one term by Cauchy-Schwarz (exact in 1d)."""
-    diffs = _edge_differences(vals, h)
-    s = _cell_square(diffs)
+def _hessian(diffs: list, s: np.ndarray, h: float, cell_w: np.ndarray, p: float, shift):
+    """Matrix-free Hessian plus diag(shift) of the energy at the iterate with
+    edge differences diffs and |grad u|^2 = s, raised by 1e-6 of its weighted
+    mean (by 1 if u is constant) to stay definite where the gradient vanishes;
+    and, as the Jacobi preconditioner, the diagonal of the majorant that bounds
+    its rank-one term by Cauchy-Schwarz (exact in 1d).  That term carries a
+    factor p - 2, so at p = 2 it is left out."""
     eps = 1e-6 * float(np.sum(cell_w * s) / np.sum(cell_w)) or 1.0
     q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
-    r = (p - 2.0) * cell_w * (s + eps) ** ((p - 4.0) / 2.0)
-    k = [_to_edges(q, a) for a in range(vals.ndim)]
+    k = [_to_edges(q, a) for a in range(len(diffs))]
+    bound = k
+    if p > 2.0:
+        r = (p - 2.0) * cell_w * (s + eps) ** ((p - 4.0) / 2.0)
+        bound = [_to_edges(q + r * s, a) for a in range(len(diffs))]
 
     def apply(v: np.ndarray) -> np.ndarray:
         dv = _edge_differences(v, h)
-        t = r * sum(_to_cells(d * e, a) for a, (d, e) in enumerate(zip(diffs, dv)))
-        edges = [k[a] * dv[a] + diffs[a] * _to_edges(t, a) for a in range(vals.ndim)]
+        if p > 2.0:
+            t = r * sum(_to_cells(d * e, a) for a, (d, e) in enumerate(zip(diffs, dv)))
+            edges = [k[a] * dv[a] + diffs[a] * _to_edges(t, a) for a in range(len(dv))]
+        else:
+            edges = [ka * d for ka, d in zip(k, dv)]
         return _edge_differences_transpose(edges, h) + shift * v
 
-    bound = [_to_edges(q + r * s, a) for a in range(vals.ndim)]
     diag = sum(2.0 * _pair_mean(_pad(b, a), a) for a, b in enumerate(bound)) / h**2
     return apply, diag + shift
 
@@ -274,8 +280,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None):
     """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
     and pairing in the metric) from start (default: the anchor); returns the
-    minimizer and the CG iterations.  Without the proximal term (tau = inf)
-    constants are free, so the iterate is kept metric-mean-zero.
+    minimizer, the CG iterations, and its energy and Euclidean energy gradient.
+    Without the proximal term (tau = inf) constants are free, so the iterate is
+    kept metric-mean-zero.
 
     The first Newton system is solved to a tenth of the tolerance (a quadratic
     takes one step), later ones as far as the last model missed the new
@@ -289,14 +296,16 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     project = math.isinf(tau)
     metric_total = float(np.sum(metric))
 
-    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Objective, Euclidean gradient and the gradient's metric norm."""
+    def evaluate(v: np.ndarray):
+        """Objective, Euclidean gradient, the gradient's metric norm, and the
+        energy terms of v (see _energy_terms)."""
+        terms = _energy_terms(v, h, cell_w, p)
         d = v - anchor
-        obj = _energy_value(v, h, cell_w, p) + 0.5 * np.vdot(shift * d, d) - np.vdot(pull, v)
-        g = _energy_gradient(v, h, cell_w, p) + shift * d - pull
+        obj = terms[0] + 0.5 * np.vdot(shift * d, d) - np.vdot(pull, v)
+        g = terms[1] + shift * d - pull
         if project:
             g -= metric * (np.sum(g) / metric_total)
-        return obj, g, math.sqrt(np.vdot(g, g / metric))
+        return obj, g, math.sqrt(np.vdot(g, g / metric)), terms
 
     def failure(what: str) -> ProxConvergenceError:
         return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
@@ -304,13 +313,13 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
 
     v = anchor if start is None else start
     v = v - np.vdot(metric, v) / metric_total if project else v
-    obj, g, gnorm = evaluate(v)
+    obj, g, gnorm, terms = evaluate(v)
     spent, forcing = 0, 0.0
     while gnorm > settings.tolerance:
         if spent == settings.max_iterations:
             raise failure(f"Newton-CG did not reach tolerance {settings.tolerance:g} "
                           f"in {spent} iterations")
-        apply, diag = _hessian(v, h, cell_w, p, shift)
+        apply, diag = _hessian(*terms[2], h, cell_w, p, shift)
         step, its, model_gnorm = _pcg(apply, -g, diag, metric,
                                       max(0.1 * settings.tolerance, forcing * gnorm),
                                       settings.max_iterations - spent)
@@ -320,7 +329,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         alpha, slope = 1.0, np.vdot(g, step)
         for _ in range(60):
             trial = v + alpha * step
-            trial_obj, trial_g, trial_gnorm = evaluate(trial)
+            trial_obj, trial_g, trial_gnorm, trial_terms = evaluate(trial)
             allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
             if trial_obj <= obj + _SUFFICIENT_DECREASE * alpha * slope + allowance:
                 break
@@ -334,8 +343,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             raise failure(f"line search stalled at iteration {spent}")
         model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
         forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
-        v, obj, g, gnorm = trial, trial_obj, trial_g, trial_gnorm
-    return v, spent
+        v, obj, g, gnorm, terms = trial, trial_obj, trial_g, trial_gnorm, trial_terms
+    return v, spent, terms[0], terms[1]
 
 
 def _problem_masses(problem: EvolutionProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +358,8 @@ def _problem_masses(problem: EvolutionProblem) -> tuple[np.ndarray, np.ndarray]:
 def prox_step(u_prev: GridFunction, problem: EvolutionProblem) -> GridFunction:
     """One implicit-Euler step: the minimizer of the proximal objective."""
     u_prev._check_same_grid(problem.u0)
-    out, _ = _minimize(u_prev.values, u_prev.grid, *_problem_masses(problem), problem.p,
-                       problem.settings, problem.step)
+    out = _minimize(u_prev.values, u_prev.grid, *_problem_masses(problem), problem.p,
+                    problem.settings, problem.step)[0]
     return GridFunction(u_prev.grid, out)
 
 
@@ -359,15 +368,17 @@ def _solve(problem: EvolutionProblem) -> Trajectory:
     metric, cell_w = _problem_masses(problem)
     n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
     vals = prev = problem.u0.values
+    value = _energy_terms(vals, grid.spacing, cell_w, p)[0]
     traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     for k in range(n_steps + 1):
         if k:  # Newton starts from the linear extrapolation of the last two states
-            (vals, iters), prev = _minimize(vals, grid, metric, cell_w, p, problem.settings,
-                                            problem.step, start=2 * vals - prev), vals
+            (vals, iters, value, _), prev = _minimize(
+                vals, grid, metric, cell_w, p, problem.settings, problem.step,
+                start=2 * vals - prev), vals
             traj.times.append(k * problem.step)
             traj.states.append(GridFunction(grid, vals.copy()))
             traj.step_iterations.append(iters)
-        traj.energies.append(_energy_value(vals, grid.spacing, cell_w, p))
+        traj.energies.append(value)
         traj.means.append(float(np.sum(metric * vals)) / float(np.sum(metric)))
     return traj
 
@@ -487,9 +498,8 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
         )
     source = f.values - f_mean
     cell_w = _cell_weights(spec, grid)
-    out, iters = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, settings,
-                           source=source)
-    op = _energy_gradient(out, grid.spacing, cell_w, p) / metric
-    res = math.sqrt(float(np.sum(metric * (op - source) ** 2)))
-    obj = _energy_value(out, grid.spacing, cell_w, p) - float(np.sum(metric * source * out))
+    out, iters, value, grad = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p,
+                                        settings, source=source)
+    res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))
+    obj = value - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

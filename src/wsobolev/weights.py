@@ -251,10 +251,15 @@ class WeightSpec:
     def exponent(self, pts: np.ndarray) -> np.ndarray:
         """log w(x) = -beta*|x|^q - W(x) - V(x).  A term beyond float range
         gives an infinite exponent, which eval_weight clamps like any other
-        underflow."""
+        underflow; terms beyond it with opposite signs (inf - inf) raise
+        ValueError at the first such point."""
         r = _radii(pts)
-        with np.errstate(over="ignore"):
-            return -self.beta * r**self.q - self.W.value(pts) - self.V.value(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = -self.beta * r**self.q - self.W.value(pts) - self.V.value(pts)
+        if np.isnan(out).any():
+            x = tuple(float(c) for c in pts[np.isnan(out)][0])
+            raise ValueError(f"log w is undefined (inf - inf) at x = {x}")
+        return out
 
     def to_json(self) -> dict:
         return {

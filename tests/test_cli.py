@@ -433,6 +433,15 @@ class TestCertifiedOverflow:
         err = capsys.readouterr().err
         assert err.startswith(stderr) and err.count("\n") == (1 if stderr else 0)
 
+    def test_opposite_overflows_name_the_node(self, tmp_path, capsys):
+        # beta |x|^2 and W = -1e307 |x|^2 both overflow beyond |x| = 4.24: inf - inf
+        doc = {**self.HUGE_BETA, "weight": {**self.HUGE_BETA["weight"], "W": [
+            {"kind": "power_abs", "c": -1e307, "s": 2.0}]}}
+        code, out = run_main(tmp_path, "weight-report", doc)
+        assert code == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == "error: log w is undefined (inf - inf) at x = (-6.0,)\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):
         code, out = run_main(tmp_path, subcommand, self.HUGE_BETA)

@@ -387,3 +387,16 @@ class TestSerialization:
         path2 = tmp_path / "f2.csv"
         save_grid_function_csv(f2, path2)
         assert path2.read_text().splitlines()[0] == "x,y,value"
+
+    def test_csv_bytes(self, tmp_path):
+        # C order, coordinates and values in %.12g, "\n" line ends
+        f = sample_field(Grid(1, 2.0, 5), lambda x: x / 3.0)
+        save_grid_function_csv(f, tmp_path / "f1.csv")
+        assert (tmp_path / "f1.csv").read_bytes() == (
+            b"x,value\n-2,-0.666666666667\n-1,-0.333333333333\n0,0\n"
+            b"1,0.333333333333\n2,0.666666666667\n")
+        vals = [[0.0, 0.5, -1.0], [2.25, 1e-13, 3.0], [1.0 / 3.0, -0.125, 1e20]]
+        save_grid_function_csv(GridFunction(Grid(2, 1.0, 3), np.array(vals)), tmp_path / "f2.csv")
+        assert (tmp_path / "f2.csv").read_bytes() == (
+            b"x,y,value\n-1,-1,0\n-1,0,0.5\n-1,1,-1\n0,-1,2.25\n0,0,1e-13\n0,1,3\n"
+            b"1,-1,0.333333333333\n1,0,-0.125\n1,1,1e+20\n")

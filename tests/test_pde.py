@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from wsobolev.pde import (
     Trajectory,
     _edge_differences,
     _edge_differences_transpose,
-    _energy_gradient,
+    _energy_terms,
     _hessian,
     _mass_weights,
     _to_cells,
@@ -34,7 +35,7 @@ from wsobolev.pde import (
     solve_evolution_lebesgue,
     solve_stationary,
 )
-from wsobolev.weights import WeightSpec
+from wsobolev.weights import CosineTerm, PotentialExpr, WeightSpec
 
 GAUSS = WeightSpec(1.0, 2.0, 1)
 
@@ -446,6 +447,34 @@ class TestStationary:
         assert res.iterations == solves[0] < 100
         assert res.residual <= 1e-8
 
+    def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
+        # the start and the accepted trial are the only iterates a p = 2 step
+        # evaluates; the Hessian reuses the start's differences
+        calls, applies, hessians = [], [], []
+        differences, hessian = pde._edge_differences, pde._hessian
+
+        def counted_differences(*args):
+            calls.append(args)
+            return differences(*args)
+
+        def counted_hessian(*args):
+            apply, diag = hessian(*args)
+            hessians.append(args)
+
+            def counted_apply(v):
+                applies.append(v)
+                return apply(v)
+
+            return counted_apply, diag
+
+        monkeypatch.setattr(pde, "_edge_differences", counted_differences)
+        monkeypatch.setattr(pde, "_hessian", counted_hessian)
+        g = build_grid(1, 6.0, 301)
+        u = sample_field(g, np.sin)
+        prox_step(u, EvolutionProblem(2.0, GAUSS, u, 0.1, 0.1))
+        assert len(hessians) == 1 and len(applies) > 0
+        assert len(calls) - len(applies) == 2
+
     def test_p3_solution(self):
         # w |u'| u' = e^(-x^2) for f = 2x, so u = x solves the p = 3 problem too
         g = build_grid(1, 6.0, 301)
@@ -535,15 +564,29 @@ class TestStaggeredProperties:
         assert drift <= 1e-9
         assert energy(out, spec, p) <= energy(u, spec, p) * (1.0 + 1e-12)
 
+    @PROPERTY
+    @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]), cosine=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trajectory_energies_are_state_energies(self, wg, p, cosine, seed):
+        # the flow records the energy its Newton solve returned; it must be
+        # the energy of the state, to the last bit
+        spec, grid = wg
+        if cosine:
+            spec = replace(spec, V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+        u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
+        traj = solve_evolution(EvolutionProblem(p, spec, u, 0.02, 0.01))
+        assert len(traj.energies) == len(traj.states) == 3
+        assert traj.energies == [energy(s, spec, p) for s in traj.states]
+
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_hessian_matches_gradient_differences(self, shape, p):
         rng = np.random.default_rng(5)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = rng.uniform(0.5, 2.0, tuple(n - 1 for n in shape))
-        apply, diag = _hessian(u, 0.3, cell_w, p, 0.0)
+        apply, diag = _hessian(*_energy_terms(u, 0.3, cell_w, p)[2], 0.3, cell_w, p, 0.0)
         e = 1e-6
-        fd = (_energy_gradient(u + e * v, 0.3, cell_w, p)
-              - _energy_gradient(u - e * v, 0.3, cell_w, p)) / (2 * e)
+        fd = (_energy_terms(u + e * v, 0.3, cell_w, p)[1]
+              - _energy_terms(u - e * v, 0.3, cell_w, p)[1]) / (2 * e)
         assert_allclose(apply(v), fd, rtol=0, atol=1e-5 * np.abs(fd).max())
         assert np.all(diag > 0.0)

@@ -139,6 +139,12 @@ class TestWeightSpec:
         assert w[0] == 1.0
         assert w[1] == pytest.approx(np.finfo(float).tiny, rel=1e-12)
 
+    def test_opposite_overflows_are_undefined(self):
+        # beta |x|^2 = +inf and W = -inf at |x| = 5 leave inf - inf, not NaN
+        spec = WeightSpec(1e307, 2.0, 1, W=PotentialExpr((PowerAbsTerm(-1e307, 2.0),)))
+        with pytest.raises(ValueError, match=r"undefined \(inf - inf\) at x = \(5\.0,\)"):
+            eval_weight(spec, pts1(0.0, 5.0))
+
     @pytest.mark.parametrize("doc, message", [
         ({"beta": math.nan, "q": 2.0, "dim": 1}, "beta: expected a finite number, got nan"),
         ({"beta": "2", "q": 2.0, "dim": 1}, "beta: expected a finite number, got '2'"),
