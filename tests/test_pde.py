@@ -215,6 +215,34 @@ class TestProxStep:
         fitted = np.sum(out.values[inner] * x[inner]) / np.sum(x[inner] ** 2)
         assert fitted == pytest.approx(1.0 / (1.0 + 2.0 * tau), rel=1e-4)
 
+    def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
+        # the start and the accepted trial are the only iterates a p = 2 step
+        # evaluates; the Hessian reuses the start's differences
+        calls, applies, hessians = [], [], []
+        differences, hessian = pde._edge_differences, pde._hessian
+
+        def counted_differences(*args):
+            calls.append(args)
+            return differences(*args)
+
+        def counted_hessian(*args):
+            apply, diag = hessian(*args)
+            hessians.append(args)
+
+            def counted_apply(v):
+                applies.append(v)
+                return apply(v)
+
+            return counted_apply, diag
+
+        monkeypatch.setattr(pde, "_edge_differences", counted_differences)
+        monkeypatch.setattr(pde, "_hessian", counted_hessian)
+        g = build_grid(1, 6.0, 301)
+        u = sample_field(g, np.sin)
+        prox_step(u, EvolutionProblem(2.0, GAUSS, u, 0.1, 0.1))
+        assert len(hessians) == 1 and len(applies) > 0
+        assert len(calls) - len(applies) == 2
+
 
 class TestEvolution:
     def test_ou_decay_short(self):
@@ -446,34 +474,6 @@ class TestStationary:
         assert len(solves) == 1
         assert res.iterations == solves[0] < 100
         assert res.residual <= 1e-8
-
-    def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
-        # the start and the accepted trial are the only iterates a p = 2 step
-        # evaluates; the Hessian reuses the start's differences
-        calls, applies, hessians = [], [], []
-        differences, hessian = pde._edge_differences, pde._hessian
-
-        def counted_differences(*args):
-            calls.append(args)
-            return differences(*args)
-
-        def counted_hessian(*args):
-            apply, diag = hessian(*args)
-            hessians.append(args)
-
-            def counted_apply(v):
-                applies.append(v)
-                return apply(v)
-
-            return counted_apply, diag
-
-        monkeypatch.setattr(pde, "_edge_differences", counted_differences)
-        monkeypatch.setattr(pde, "_hessian", counted_hessian)
-        g = build_grid(1, 6.0, 301)
-        u = sample_field(g, np.sin)
-        prox_step(u, EvolutionProblem(2.0, GAUSS, u, 0.1, 0.1))
-        assert len(hessians) == 1 and len(applies) > 0
-        assert len(calls) - len(applies) == 2
 
     def test_p3_solution(self):
         # w |u'| u' = e^(-x^2) for f = 2x, so u = x solves the p = 3 problem too
