@@ -11,12 +11,17 @@ axes the mean squared difference on the cell's 2^(d-1) edges along that axis.
 For p = 2 that is the 3-point stencil in 1d and the 5-point one in 2d, and
 its kernel is the constants alone.  Node sums (the metric, the source
 pairing) use trapezoid mass times w at the nodes.  Every minimization is one
-damped Newton loop with matrix-free Jacobi-preconditioned CG solves; each
-iterate's edge differences are formed once, for its energy, gradient and Hessian.
+damped Newton loop; each iterate's edge differences are formed once, for its
+energy, gradient and Hessian.  Each Newton system's Hessian is assembled as a
+neighbour stencil (one node array per offset in {-1, 0, 1}^d), so a CG apply
+is one product per neighbour, and CG is preconditioned by the stencil's exact
+diagonal.  At p = 2 the stencil depends on the weight alone and is assembled
+once per solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -134,12 +139,6 @@ def _cell_weights(spec: WeightSpec, grid: Grid) -> np.ndarray:
     return grid.spacing**grid.dim * eval_weight(spec, pts)
 
 
-def _pad(x: np.ndarray, axis: int) -> np.ndarray:
-    """x with a zero slab added at both ends of `axis`."""
-    slab = np.zeros(x.shape[:axis] + (1,) + x.shape[axis + 1:])
-    return np.concatenate([slab, x, slab], axis=axis)
-
-
 def _ends(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """x without its last, and x without its first slice along `axis`."""
     pre = (slice(None),) * axis
@@ -156,10 +155,20 @@ def _edge_differences(vals: np.ndarray, h: float) -> list[np.ndarray]:
     return [np.subtract(*_ends(vals, a)[::-1]) / h for a in range(vals.ndim)]
 
 
+def _spread(x: np.ndarray, axis: int, op=np.add) -> np.ndarray:
+    """y[i] = op(x[i - 1], x[i]) along `axis`, x being zero beyond its ends:
+    one slot longer than x, without a padded copy."""
+    y = np.zeros(x.shape[:axis] + (x.shape[axis] + 1,) + x.shape[axis + 1:])
+    lo, hi = _ends(y, axis)
+    op(lo, x, out=lo)
+    hi += x
+    return y
+
+
 def _edge_differences_transpose(edges: list[np.ndarray], h: float) -> np.ndarray:
-    """Exact adjoint of _edge_differences: minus the difference of the
-    zero-padded edge values."""
-    return sum(np.subtract(*_ends(_pad(e, a), a)) for a, e in enumerate(edges)) / h
+    """Exact adjoint of _edge_differences: minus the difference of the edge
+    values, zero beyond the ends."""
+    return sum(_spread(e, a, np.subtract) for a, e in enumerate(edges)) / h
 
 
 def _to_cells(edge: np.ndarray, axis: int) -> np.ndarray:
@@ -174,7 +183,7 @@ def _to_edges(cell: np.ndarray, axis: int) -> np.ndarray:
     """Exact adjoint of _to_cells."""
     for b in range(cell.ndim):
         if b != axis:
-            cell = _pair_mean(_pad(cell, b), b)
+            cell = 0.5 * _spread(cell, b)
     return cell
 
 
@@ -226,44 +235,93 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _hessian(diffs: list, s: np.ndarray, h: float, cell_w: np.ndarray, p: float, shift):
-    """Matrix-free Hessian plus diag(shift) of the energy at the iterate with
-    edge differences diffs and |grad u|^2 = s, raised by 1e-6 of its weighted
-    mean (by 1 if u is constant) to stay definite where the gradient vanishes;
-    and, as the Jacobi preconditioner, the diagonal of the majorant that bounds
-    its rank-one term by Cauchy-Schwarz (exact in 1d).  That term carries a
-    factor p - 2, so at p = 2 it is left out."""
-    eps = 1e-6 * float(np.sum(cell_w * s) / np.sum(cell_w)) or 1.0
-    q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
-    k = [_to_edges(q, a) for a in range(len(diffs))]
-    bound = k
+_SHIFTS = {-1: (slice(1, None), slice(None, -1)), 0: (slice(None), slice(None)),
+           1: (slice(None, -1), slice(1, None))}
+
+
+def _shifted(offset: tuple[int, ...]) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices (dst, src) of a node array: the nodes i whose neighbour i + offset
+    is a node, and those neighbours."""
+    dst, src = zip(*(_SHIFTS[o] for o in offset))
+    return dst, src
+
+
+def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
+             s: np.ndarray | None = None) -> dict[tuple[int, ...], np.ndarray]:
+    """The energy's Hessian at the iterate with edge differences diffs and
+    |grad u|^2 = s, raised by 1e-6 of its weighted mean (by 1 if u is constant)
+    to stay definite where the gradient vanishes, assembled as a neighbour
+    stencil: offset o in {-1, 0, 1}^d -> node array c_o, (Hv)[i] = sum_o
+    c_o[i] v[i + o].  It is sum_a D_a^T diag(k_a) D_a with edge coefficients
+    k_a = A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for p > 2, per cell r g g^T
+    with r = (p-2) cell_w (s + eps)^((p-4)/2) and g . v = sum_a of the cell's
+    mean of diffs_a D_a v.  At p = 2 that term vanishes and the rest is
+    cell_w's alone, so diffs and s are not needed."""
+    dim = cell_w.ndim
+    q, r = cell_w, None
     if p > 2.0:
-        r = (p - 2.0) * cell_w * (s + eps) ** ((p - 4.0) / 2.0)
-        bound = [_to_edges(q + r * s, a) for a in range(len(diffs))]
+        eps = 1e-6 * float(np.sum(cell_w * s) / np.sum(cell_w)) or 1.0
+        q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
+        r = (p - 2.0) * q / (s + eps)
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
+               if r is not None or sum(map(abs, o)) <= 1]
+    stencil = {o: np.zeros(tuple(m + 1 for m in cell_w.shape)) for o in offsets}
+    centre = stencil[(0,) * dim]
+    for a in range(dim):
+        k = _to_edges(q, a) / h**2
+        for sign in (1, -1):
+            offset = tuple(sign * (b == a) for b in range(dim))
+            dst = _shifted(offset)[0]
+            centre[dst] += k
+            stencil[offset][dst] -= k
+    if r is not None:
+        corners = list(itertools.product((0, 1), repeat=dim))
+        r = r / (h * 2 ** (dim - 1)) ** 2
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        dv = _edge_differences(v, h)
-        if p > 2.0:
-            t = r * sum(_to_cells(d * e, a) for a, (d, e) in enumerate(zip(diffs, dv)))
-            edges = [k[a] * dv[a] + diffs[a] * _to_edges(t, a) for a in range(len(dv))]
-        else:
-            edges = [ka * d for ka, d in zip(k, dv)]
-        return _edge_differences_transpose(edges, h) + shift * v
+        def at(corner):  # the cells' corner nodes, or edges, at `corner`
+            return tuple(slice(c, c + m) for c, m in zip(corner, cell_w.shape))
 
-    diag = sum(2.0 * _pair_mean(_pad(b, a), a) for a, b in enumerate(bound)) / h**2
-    return apply, diag + shift
+        # g's entry at corner c of each cell, times h 2^(d-1): the differences
+        # on the cell's edges through c, signed by whether c is the edge's far end
+        gamma = {c: sum(d[at(c[:a] + (0,) + c[a + 1:])] * (2 * c[a] - 1)
+                        for a, d in enumerate(diffs)) for c in corners}
+        for i, c in enumerate(corners):
+            rg = r * gamma[c]
+            for e in corners[i:]:  # r g_c g_e at node c, offset e - c, and back
+                t = rg * gamma[e]
+                stencil[tuple(y - x for x, y in zip(c, e))][at(c)] += t
+                if e != c:
+                    stencil[tuple(x - y for x, y in zip(c, e))][at(e)] += t
+    return stencil
 
 
-def _pcg(apply, rhs: np.ndarray, diag: np.ndarray, metric: np.ndarray,
+def _neighbours(stencil: dict) -> list[tuple[tuple, tuple, np.ndarray]]:
+    """(dst, src, c_o[dst]) per nonzero offset o of the stencil."""
+    return [(dst, src, c[dst]) for o, c in stencil.items() if any(o)
+            for dst, src in [_shifted(o)]]
+
+
+def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray) -> np.ndarray:
+    """The stencil times v: one product per neighbour."""
+    out = centre * v
+    for dst, src, c in neighbours:
+        out[dst] += c * v[src]
+    return out
+
+
+def _pcg(stencil: dict, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
          target: float, budget: int) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG from zero until the residual's metric norm
+    """CG on the stencil plus diag(shift), preconditioned by that sum's exact
+    diagonal (Jacobi), from zero until the residual's metric norm
     sqrt(sum r^2/metric) is at most target or the budget is spent; returns
     the solution, the iterations and that norm."""
+    diag = stencil[(0,) * rhs.ndim] + shift
+    neighbours = _neighbours(stencil)
     x, r = np.zeros_like(rhs), rhs.copy()
     d = z = r / diag
     rz, it = np.vdot(r, z), 0
     while (rnorm := math.sqrt(np.vdot(r, r / metric))) > target and it < budget:
-        ad = apply(d)
+        ad = _apply(diag, neighbours, d)
         dad = np.vdot(d, ad)
         if not dad > 0.0:
             break
@@ -277,12 +335,15 @@ def _pcg(apply, rhs: np.ndarray, diag: np.ndarray, metric: np.ndarray,
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
               p: float, settings: SolverSettings, tau: float = math.inf,
-              source: np.ndarray | float = 0.0, start: np.ndarray | None = None):
+              source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
+              stencil: dict | None = None):
     """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
     and pairing in the metric) from start (default: the anchor); returns the
     minimizer, the CG iterations, and its energy and Euclidean energy gradient.
     Without the proximal term (tau = inf) constants are free, so the iterate is
-    kept metric-mean-zero.
+    kept metric-mean-zero.  At p = 2 the Hessian stencil is the same at every
+    iterate and for every tau; it is assembled once, here unless the caller
+    passes it, and each Newton system adds only the proximal shift.
 
     The first Newton system is solved to a tenth of the tolerance (a quadratic
     takes one step), later ones as far as the last model missed the new
@@ -295,6 +356,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     h, shift, pull = grid.spacing, metric / tau, metric * source
     project = math.isinf(tau)
     metric_total = float(np.sum(metric))
+    if p == 2.0 and stencil is None:
+        stencil = _hessian(h, cell_w, p)
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
@@ -319,8 +382,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         if spent == settings.max_iterations:
             raise failure(f"Newton-CG did not reach tolerance {settings.tolerance:g} "
                           f"in {spent} iterations")
-        apply, diag = _hessian(*terms[2], h, cell_w, p, shift)
-        step, its, model_gnorm = _pcg(apply, -g, diag, metric,
+        hessian = stencil or _hessian(h, cell_w, p, *terms[2])
+        step, its, model_gnorm = _pcg(hessian, shift, -g, metric,
                                       max(0.1 * settings.tolerance, forcing * gnorm),
                                       settings.max_iterations - spent)
         spent += its
@@ -369,12 +432,13 @@ def _solve(problem: EvolutionProblem) -> Trajectory:
     n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
     vals = prev = problem.u0.values
     value = _energy_terms(vals, grid.spacing, cell_w, p)[0]
+    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
     traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     for k in range(n_steps + 1):
         if k:  # Newton starts from the linear extrapolation of the last two states
             (vals, iters, value, _), prev = _minimize(
                 vals, grid, metric, cell_w, p, problem.settings, problem.step,
-                start=2 * vals - prev), vals
+                start=2 * vals - prev, stencil=stencil), vals
             traj.times.append(k * problem.step)
             traj.states.append(GridFunction(grid, vals.copy()))
             traj.step_iterations.append(iters)

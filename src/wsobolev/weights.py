@@ -19,11 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_slices, block_integral, lattice_points
+from .grid import Grid, GridFunction, ball_slices, block_integral, lattice_points, \
+    trapezoid_weights
 
 __all__ = [
     "ConstantTerm",
@@ -400,16 +402,19 @@ def fit_dilation_bound(
     lattice point does.
     """
     pts = lattice_points(dim, half_width, n_samples)
-    fx = expr.value(pts)
-    f2x = expr.value(2.0 * pts)
     c1s = np.arange(1.0, lattice.c1_max + 0.5 * lattice.c1_step, lattice.c1_step)
     fallback = None
-    for c1 in c1s:
-        c2 = float(np.max(f2x - c1 * fx))
-        if c2 <= lattice.c2_cap:
-            return DilationFit(ok=True, c1=float(c1), c2=c2)
-        if fallback is None or c2 < fallback[1]:
-            fallback = (float(c1), c2)
+    # F beyond float range is infinite, as in WeightSpec.exponent; where F(2x)
+    # and c1*F(x) are the same infinity the bound holds, so fmax skips the NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = expr.value(pts)
+        f2x = expr.value(2.0 * pts)
+        for c1 in c1s:
+            c2 = float(np.fmax.reduce(f2x - c1 * fx, axis=None))
+            if c2 <= lattice.c2_cap:
+                return DilationFit(ok=True, c1=float(c1), c2=c2)
+            if fallback is None or c2 < fallback[1]:
+                fallback = (float(c1), c2)
     return DilationFit(ok=False, c1=fallback[0], c2=fallback[1])
 
 
@@ -449,7 +454,8 @@ def fit_growth_constants(
     smallest delta wins.
     """
     pts = lattice_points(dim, half_width, n_samples)
-    gnorm = expr.grad_norm(pts)
+    with np.errstate(over="ignore"):  # a gradient beyond float range is infinite
+        gnorm = expr.grad_norm(pts)
     rq = _radii(pts) ** (q - 1.0)
     deltas = np.arange(0.0, lattice.delta_max + 0.5 * lattice.delta_step, lattice.delta_step)
     gammas = np.maximum(gnorm[None, :] - deltas[:, None] * rq[None, :], 0.0).max(axis=1)
@@ -713,13 +719,12 @@ def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
     axis = g.axis()
     half = (slice(None, None, 2),) * g.dim
 
-    # np.trapezoid axis by axis, not a weighted sum: mirror-image cells tie in
-    # exact arithmetic, and another summation order picks another worst cell
     def trapezoid(vals: np.ndarray, dx: float) -> float:
-        for _ in range(g.dim):
-            vals = np.trapezoid(vals, dx=dx, axis=-1)
-        return float(vals)
+        rule = reduce(np.multiply.outer, [trapezoid_weights(n, dx) for n in vals.shape])
+        return float(np.sum(rule * vals))
 
+    # mirror-image cells tie in exact arithmetic but not in the last bits, so
+    # the worst cell has the largest ratio to 12 digits, then the smallest index
     worst = None
     for cell in itertools.product(_unit_cell_bounds(g), repeat=g.dim):
         block = w[tuple(slice(lo, hi + 1) for lo, hi in cell)]
@@ -733,9 +738,10 @@ def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
             rec = block ** (-1.0 / (p - 1.0))
             fine, coarse = trapezoid(rec, h), trapezoid(rec[half], 2 * h)
         ratio = fine / coarse if coarse > 0 else math.inf
-        if worst is None or ratio > worst[1]:
-            worst = (origin, ratio, fine, coarse)
+        key = float(f"{ratio:.12g}")
+        if worst is None or key > worst[0]:
+            worst = (key, origin, ratio, fine, coarse)
         if ratio > _DIVERGENCE_FACTOR:
             return RegReport(False, p, origin, fine, coarse, ratio)
-    origin, ratio, fine, coarse = worst
+    _, origin, ratio, fine, coarse = worst
     return RegReport(True, p, origin, fine, coarse, ratio)

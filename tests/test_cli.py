@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,24 @@ class TestCertifiedOverflow:
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == "error: log w is undefined (inf - inf) at x = (-6.0,)\n"
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand, c, message", [
+        ("weight-report", 1e307, "weight vanishes at several nodes, e.g. node 126"),
+        ("weight-report", -1e307, "log w is undefined (inf - inf) at x = (-6.0,)"),
+        ("constants", 1e307, "L = 4 must exceed D' = inf"),
+        ("constants", -1e307, "L = 4 must exceed D' = inf"),
+    ])
+    def test_potential_beyond_float_range_is_one_error_line(self, subcommand, c, message,
+                                                            tmp_path, capsys):
+        # the admissibility fits take W beyond float range as infinite, as the
+        # exponent does, so no numpy warning precedes the error line
+        doc = {"weight": {"beta": 1e307, "q": 2.0, "dim": 1,
+                          "W": [{"kind": "power_abs", "c": c, "s": 2.0}]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_main(tmp_path, subcommand, doc)[0]
+        assert code == EXIT_OPERATIONAL and caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):

@@ -19,11 +19,13 @@ from wsobolev.pde import (
     SolverSettings,
     StationaryResult,
     Trajectory,
+    _apply,
     _edge_differences,
     _edge_differences_transpose,
     _energy_terms,
     _hessian,
     _mass_weights,
+    _neighbours,
     _to_cells,
     _to_edges,
     apply_operator,
@@ -217,8 +219,9 @@ class TestProxStep:
 
     def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
         # the start and the accepted trial are the only iterates a p = 2 step
-        # evaluates; the Hessian reuses the start's differences
-        calls, applies, hessians = [], [], []
+        # evaluates; its Hessian stencil needs no differences, and a flow
+        # assembles it once for all of its steps
+        calls, hessians = [], []
         differences, hessian = pde._edge_differences, pde._hessian
 
         def counted_differences(*args):
@@ -226,22 +229,20 @@ class TestProxStep:
             return differences(*args)
 
         def counted_hessian(*args):
-            apply, diag = hessian(*args)
             hessians.append(args)
-
-            def counted_apply(v):
-                applies.append(v)
-                return apply(v)
-
-            return counted_apply, diag
+            return hessian(*args)
 
         monkeypatch.setattr(pde, "_edge_differences", counted_differences)
         monkeypatch.setattr(pde, "_hessian", counted_hessian)
         g = build_grid(1, 6.0, 301)
         u = sample_field(g, np.sin)
         prox_step(u, EvolutionProblem(2.0, GAUSS, u, 0.1, 0.1))
-        assert len(hessians) == 1 and len(applies) > 0
-        assert len(calls) - len(applies) == 2
+        assert len(calls) == 2 and len(hessians) == 1
+        calls.clear()
+        hessians.clear()
+        traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
+        assert len(traj.states) == 4 and len(hessians) == 1
+        assert len(calls) == 1 + 2 * 3
 
 
 class TestEvolution:
@@ -584,9 +585,45 @@ class TestStaggeredProperties:
         rng = np.random.default_rng(5)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = rng.uniform(0.5, 2.0, tuple(n - 1 for n in shape))
-        apply, diag = _hessian(*_energy_terms(u, 0.3, cell_w, p)[2], 0.3, cell_w, p, 0.0)
+        stencil = _hessian(0.3, cell_w, p, *_energy_terms(u, 0.3, cell_w, p)[2])
+        diag, neighbours = stencil[(0,) * len(shape)], _neighbours(stencil)
+        assert len(stencil) == (3 ** len(shape) if p > 2.0 else 2 * len(shape) + 1)
         e = 1e-6
         fd = (_energy_terms(u + e * v, 0.3, cell_w, p)[1]
               - _energy_terms(u - e * v, 0.3, cell_w, p)[1]) / (2 * e)
-        assert_allclose(apply(v), fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+        assert_allclose(_apply(diag, neighbours, v), fd, rtol=0, atol=1e-5 * np.abs(fd).max())
         assert np.all(diag > 0.0)
+        # the Jacobi preconditioner is the true diagonal (H e_i)_i
+        exact = np.zeros(shape)
+        for i in np.ndindex(shape):
+            unit = np.zeros(shape)
+            unit[i] = e
+            exact[i] = (_energy_terms(u + unit, 0.3, cell_w, p)[1][i]
+                        - _energy_terms(u - unit, 0.3, cell_w, p)[1][i]) / (2 * e)
+        assert_allclose(diag, exact, rtol=1e-4)
+
+    @PROPERTY
+    @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([3, 5, 9, 15, 21]),
+           p=st.floats(2.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_stencil_is_symmetric_semidefinite_and_kills_constants(self, dim, n, p, seed):
+        rng = np.random.default_rng(seed)
+        h = 1.0 / (n - 1)
+        u = rng.standard_normal((n,) * dim)
+        cell_w = rng.uniform(0.1, 2.0, (n - 1,) * dim)
+        stencil = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
+        centre = stencil[(0,) * dim]
+        scale = np.abs(centre).max()
+        for o, c in stencil.items():
+            # the coefficient at i for o is the one at i + o for -o
+            dst, src = pde._shifted(o)
+            assert_allclose(c[dst], stencil[tuple(-x for x in o)][src], rtol=0,
+                            atol=1e-14 * scale)
+            # and none reaches past the grid
+            outside = c.copy()
+            outside[dst] = 0.0
+            assert not np.any(outside)
+        neighbours = _neighbours(stencil)
+        ones = np.ones((n,) * dim)
+        assert np.abs(_apply(centre, neighbours, ones)).max() <= 1e-13 * scale
+        v = rng.standard_normal((n,) * dim)
+        assert np.vdot(v, _apply(centre, neighbours, v)) >= -1e-13 * scale * np.vdot(v, v)

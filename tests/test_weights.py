@@ -409,6 +409,18 @@ class TestReciprocalIntegrability:
         w = weight_on_grid(WeightSpec(1.0, 2.0, 2), g)
         assert check_reciprocal_integrability(w, 2.0).ok
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_mirror_image_cells_tie_to_the_smallest_index(self, dim, p):
+        # unit cells [-2,-1], [-1,0], [0,1], [1,2] per axis; the worst ratio is
+        # on the cells at the origin, whose mirror images tie but for rounding
+        g = build_grid(dim, 2.0, 41)
+        s = np.exp(-g.axis() ** 2)
+        s = 0.5 * (s + s[::-1])
+        vals = s if dim == 1 else np.multiply.outer(s, s)
+        rep = check_reciprocal_integrability(GridFunction(g, vals), p)
+        assert rep.ok and rep.worst_cell == (-1.0,) * dim
+
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_SHAPED.map(lambda d: d["weight"]) | _JSON)

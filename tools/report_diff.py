@@ -10,9 +10,10 @@ through `wsobolev.cli.main` with `--format json` and with `--format csv`, once
 per tree, in the same relative paths, so messages that name a path match.
 
 Every report file, exit code and stderr text that differs between the trees
-is printed; the exit status is 1 if any does, else 0. Only `bench/` and
-`README.md` of this checkout are read; nothing is written outside a
-temporary directory.
+is printed with its first differing line and the largest change among its
+numbers, absolute and relative to the file's largest number; the exit
+status is 1 if any differs, else 0. Only `bench/` and `README.md` of this
+checkout are read; nothing is written outside a temporary directory.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -133,6 +135,26 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(la)} -> {len(lb)} lines"
 
 
+# a JSON or CSV number, or a non-finite float as Python prints it
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def _numeric_change(a: bytes, b: bytes) -> str:
+    """The largest absolute change between the numbers of two texts, paired in
+    order, and that change relative to the largest magnitude in either text,
+    so round-off reads as round-off even where a value crosses zero."""
+    xs, ys = ([float(t) for t in _NUMBER.findall(s)] for s in (a, b))
+    if len(xs) != len(ys):
+        return f"{len(xs)} -> {len(ys)} numbers"
+    pairs = [(x, y) for x, y in zip(xs, ys) if x != y and not (math.isnan(x) and math.isnan(y))]
+    if not pairs:
+        return "no number changed"
+    worst = max(abs(x - y) for x, y in pairs)
+    scale = max((abs(x) for x in xs + ys if math.isfinite(x)), default=0.0)
+    relative = worst / scale if scale and math.isfinite(worst) else math.inf
+    return f"{len(pairs)} numbers changed, largest by {worst:.3g} ({relative:.3g} of the largest |number|)"
+
+
 def compare(old: Path, new: Path) -> tuple[int, list[str]]:
     """(files compared, one line per difference) over the two run trees."""
     names = {p.relative_to(tree) for tree in (old, new) for p in tree.rglob("*")
@@ -142,8 +164,8 @@ def compare(old: Path, new: Path) -> tuple[int, list[str]]:
         a, b = old / rel, new / rel
         if not a.exists() or not b.exists():
             problems.append(f"{rel}: only in {'new' if b.exists() else 'old'}")
-        elif a.read_bytes() != b.read_bytes():
-            problems.append(f"{rel}: {_first_difference(a.read_bytes(), b.read_bytes())}")
+        elif (x := a.read_bytes()) != (y := b.read_bytes()):
+            problems.append(f"{rel}: {_first_difference(x, y)}; {_numeric_change(x, y)}")
     return len(names), problems
 
 
