@@ -18,9 +18,7 @@ The package covers, on uniform 1d/2d boxes:
 from .grid import (
     Grid,
     GridFunction,
-    Mollifier,
     build_grid,
-    difference_quotient,
     discrete_gradient,
     load_grid_function_binary,
     maximal_function,
@@ -30,7 +28,6 @@ from .grid import (
     sample_field,
     save_grid_function_binary,
     save_grid_function_csv,
-    truncate,
 )
 from .weights import (
     AdmissibilityReport,
@@ -53,7 +50,7 @@ from .weights import (
     root_on_grid,
     weight_on_grid,
 )
-from .corpus import CORPUS_VERSION, CorpusMember, corpus_function, corpus_members
+from .corpus import CORPUS_VERSION, CorpusMember, corpus_members
 from .sobolev import (
     ApproximationReport,
     HedbergReport,
@@ -72,8 +69,6 @@ from .inequalities import (
     constants_potential,
     constants_xq,
     empirical_poincare_ratio,
-    estimate_local_poincare,
-    estimate_sobolev_constant,
     oscillation_over_ball,
     poincare_bound,
     verify_poincare,
@@ -90,10 +85,7 @@ from .pde import (
     apply_operator,
     check_lebesgue_compatibility,
     energy,
-    energy_with_source,
-    prox_step,
     solve_evolution,
-    solve_evolution_lebesgue,
     solve_stationary,
 )
 from .config import RunConfig, load_config, parse_config

@@ -35,7 +35,7 @@ from .grid import Grid, GridFunction, discrete_gradient, load_grid_function_bina
 from .inequalities import ConstantChain, build_constant_chain, verify_poincare, \
     verify_potential, verify_xq
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
-    solve_evolution, solve_evolution_lebesgue, solve_stationary
+    solve_evolution, solve_stationary
 from .sobolev import smooth_approximation
 from .weights import DoublingReport, MuckenhouptReport, check_admissibility, \
     check_reciprocal_integrability, estimate_doubling, estimate_muckenhoupt, weight_on_grid
@@ -270,10 +270,7 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         dualization=cfg.dualization,
         settings=cfg.solver,
     )
-    if cfg.dualization == "weighted":
-        traj = solve_evolution(problem)
-    else:
-        traj = solve_evolution_lebesgue(problem)
+    traj = solve_evolution(problem)
     save_grid_function_csv(traj.states[-1], out_dir / "final_state.csv")
     summary = {
         "p": config.p,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, sample_field
 
-__all__ = ["CORPUS_VERSION", "CorpusMember", "corpus_members", "corpus_function"]
+__all__ = ["CORPUS_VERSION", "CorpusMember", "corpus_members"]
 
 CORPUS_VERSION = 1
 
@@ -87,10 +87,3 @@ def corpus_members() -> list[CorpusMember]:
     members.append(_modulated(base, "square", lambda x: x * x))
     members.append(_modulated(base, "cos3", lambda x: np.cos(3.0 * x)))
     return members
-
-
-def corpus_function(index: int) -> CorpusMember:
-    members = corpus_members()
-    if not 0 <= index < len(members):
-        raise ValueError(f"corpus index {index} out of range 0..{len(members) - 1}")
-    return members[index]

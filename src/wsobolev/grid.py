@@ -2,19 +2,17 @@
 
 Everything downstream works on uniform tensor grids over a symmetric box
 [-R, R]^d with d in {1, 2}.  Functions are represented by their node
-values; fields are extended by zero outside the box wherever an operation
-(convolution, shifted sampling) has to look past the boundary.  The node
-count per axis is kept odd so that the origin is always a node and
-composite Simpson weights apply without special cases.
+values; convolution extends them by zero outside the box.  The node count
+per axis is kept odd so that the origin is always a node and composite
+Simpson weights apply without special cases.
 
 No code path depends on d.  The tensor helpers carry every dimension
 through one path: tensor_weights (a 1d quadrature rule applied along each
 axis), lattice_points (odd tensor sample lattices), ball_slices and
-block_integral (box-ball quadrature, shared by the weight diagnostics and
-the inequality estimators), and d-dimensional summed-area tables in
-maximal_function.  The one 1d-only step in the package is the power-law
-extrapolation across an isolated zero node in the Muckenhoupt integral
-(weights._ball_integral_power).
+block_integral (box-ball quadrature for the weight diagnostics), and
+d-dimensional summed-area tables in maximal_function.  The one 1d-only step
+in the package is the power-law extrapolation across an isolated zero node
+in the Muckenhoupt integral (weights._ball_integral_power).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridFunction",
-    "Mollifier",
     "build_grid",
     "sample_field",
     "discrete_gradient",
@@ -46,8 +43,6 @@ __all__ = [
     "block_integral",
     "mollify",
     "maximal_function",
-    "difference_quotient",
-    "truncate",
     "bump_profile",
     "save_grid_function_csv",
     "save_grid_function_binary",
@@ -349,37 +344,18 @@ def bump_profile(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Discrete smoothing kernel built from the standard radial bump.
-
-    Taps live on grid offsets inside the closed ball of radius eps and are
-    normalized so that the discrete convolution sum has unit mass; convolving
-    a constant therefore reproduces it exactly, and sup norms contract.
-    """
-
-    eps: float
-    spacing: float
-    dim: int
-    taps: np.ndarray  # shape (2K+1,) * dim
-
-    @staticmethod
-    def build(grid: Grid, eps: float) -> "Mollifier":
-        h = grid.spacing
-        if eps < h:
-            raise ValueError(f"eps {eps} below grid spacing {h}: kernel not resolvable")
-        K = int(np.floor(eps / h + 1e-12))
-        offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * grid.dim, indexing="ij")
-        raw = bump_profile(np.sqrt(sum(o * o for o in offsets)) / eps)
-        total = raw.sum()
-        if total <= 0.0:
-            raise ValueError("empty mollifier kernel")
-        return Mollifier(eps=eps, spacing=h, dim=grid.dim, taps=raw / total)
-
-    @property
-    def mass(self) -> float:
-        """Discrete kernel mass in the convolution's own sum; 1 by construction."""
-        return float(self.taps.sum())
+def _mollifier_taps(grid: Grid, eps: float) -> np.ndarray:
+    """The standard radial bump's taps on the grid offsets inside the closed
+    ball of radius eps, shape (2K+1,) * dim, normalized so that the discrete
+    convolution sum has unit mass: convolving a constant reproduces it
+    exactly, and sup norms contract."""
+    h = grid.spacing
+    if eps < h:
+        raise ValueError(f"eps {eps} below grid spacing {h}: kernel not resolvable")
+    K = int(np.floor(eps / h + 1e-12))
+    offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * grid.dim, indexing="ij")
+    raw = bump_profile(np.sqrt(sum(o * o for o in offsets)) / eps)
+    return raw / raw.sum()
 
 
 def mollify(f: GridFunction, eps: float) -> GridFunction:
@@ -388,7 +364,7 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
     The input is extended by zero outside the box; the support radius grows
     by at most eps and the sup norm does not increase.
     """
-    taps = Mollifier.build(f.grid, eps).taps
+    taps = _mollifier_taps(f.grid, eps)
     n = f.grid.nodes_per_axis
     padded = np.pad(f.values, (taps.shape[0] - 1) // 2)
     out = np.zeros_like(f.values)
@@ -405,6 +381,13 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 # maximal function
 # ---------------------------------------------------------------------------
+
+
+def _cell_corners(dim: int) -> list[tuple[int, ...]]:
+    """The 0/1 corners of a cell, first axis varying fastest: (0, 0), (1, 0),
+    (0, 1), (1, 1) in 2d.  Sums over corners run in this order, which fixes
+    their rounding."""
+    return [c[::-1] for c in itertools.product((0, 1), repeat=dim)]
 
 
 def maximal_function(f: GridFunction) -> GridFunction:
@@ -442,64 +425,6 @@ def maximal_function(f: GridFunction) -> GridFunction:
         avg = box / tensor_weights(hi - lo + 1, d)
         np.maximum(best, avg, out=best)
     return GridFunction(f.grid, best)
-
-
-# ---------------------------------------------------------------------------
-# shifted sampling and difference quotients
-# ---------------------------------------------------------------------------
-
-
-def _cell_corners(dim: int) -> list[tuple[int, ...]]:
-    """The 0/1 corners of a cell, first axis varying fastest: (0, 0), (1, 0),
-    (0, 1), (1, 1) in 2d.  Sums over corners run in this order, which fixes
-    their rounding."""
-    return [c[::-1] for c in itertools.product((0, 1), repeat=dim)]
-
-
-def _sample_shifted(f: GridFunction, delta: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of f at (node - delta), zero outside the box."""
-    g = f.grid
-    h, R, n = g.spacing, g.half_width, g.nodes_per_axis
-    coords = [(m - dm + R) / h for m, dm in zip(g.mesh(), delta)]  # fractional indices
-    inside = np.logical_and.reduce([(c >= 0) & (c <= n - 1) for c in coords])
-    coords = [np.clip(c, 0, n - 1) for c in coords]
-    base = [np.clip(np.floor(c).astype(int), 0, n - 2) for c in coords]
-    frac = [c - b for c, b in zip(coords, base)]
-    terms = []
-    for corner in _cell_corners(g.dim):
-        term = f.values[tuple(b + up for b, up in zip(base, corner))]
-        for up, fr in zip(corner, frac):
-            term = term * (fr if up else 1 - fr)
-        terms.append(term)
-    return np.where(inside, reduce(np.add, terms), 0.0)
-
-
-def difference_quotient(f: GridFunction, z, eps: float) -> GridFunction:
-    """(f(x - eps*z) - f(x)) / eps with linear off-node interpolation.
-
-    z must lie in the closed unit ball; f is treated as zero outside the box.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (f.grid.dim,):
-        raise ValueError(f"direction must have {f.grid.dim} components")
-    if np.linalg.norm(z) > 1.0 + 1e-12:
-        raise ValueError("direction must lie in the closed unit ball")
-    shifted = _sample_shifted(f, eps * z)
-    csr = f.compact_support_radius
-    if csr is not None:
-        csr = min(csr + eps, f.grid.half_width * np.sqrt(f.grid.dim))
-    return GridFunction(f.grid, (shifted - f.values) / eps, csr)
-
-
-def truncate(f: GridFunction, level: float) -> GridFunction:
-    """Clamp node values to [-level, level]."""
-    if level <= 0:
-        raise ValueError("truncation level must be positive")
-    return GridFunction(
-        f.grid, np.clip(f.values, -level, level), f.compact_support_radius
-    )
 
 
 # ---------------------------------------------------------------------------

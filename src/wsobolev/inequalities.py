@@ -20,16 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    ball_slices,
-    block_integral,
-    discrete_gradient,
-    gradient_magnitude,
-    lattice_points,
-    quadrature_with_error,
-)
-from .weights import Ball, FitLattice, WeightSpec, check_admissibility, weight_on_grid
+from .grid import GridFunction, gradient_magnitude, lattice_points, quadrature_with_error
+from .weights import FitLattice, WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
     "ConstantChain",
@@ -43,8 +35,6 @@ __all__ = [
     "verify_potential",
     "verify_poincare",
     "empirical_poincare_ratio",
-    "estimate_sobolev_constant",
-    "estimate_local_poincare",
 ]
 
 
@@ -347,101 +337,3 @@ def empirical_poincare_ratio(
     if rep.rhs <= 0.0:
         raise ValueError("f has zero gradient norm")
     return rep.lhs / rep.rhs
-
-
-# ---------------------------------------------------------------------------
-# empirical ball estimators
-# ---------------------------------------------------------------------------
-
-
-def _require_supported_in_ball(f: GridFunction, ball: Ball, index: int) -> None:
-    grid = f.grid
-    pts = grid.points()
-    center = np.asarray(ball.center)
-    outside = np.max(np.abs(pts - center), axis=-1) > ball.radius + 1e-12
-    if np.any(f.values[outside] != 0.0):
-        raise ValueError(f"corpus function {index} does not vanish outside the ball")
-
-
-@dataclass(frozen=True)
-class SobolevEstimate:
-    kappa: float
-    p: float
-    ball: Ball
-    ratios: tuple[float, ...]
-    constant: float | None
-
-
-def estimate_sobolev_constant(
-    corpus: Sequence[GridFunction],
-    weight: GridFunction,
-    p: float,
-    kappa: float,
-    ball: Ball,
-) -> SobolevEstimate:
-    """Empirical minimal constant in the ball Sobolev inequality: max over
-    the corpus of the (kappa*p)-average of |f| over the (p)-average of the
-    gradient, both weighted and normalized by the ball's weight mass, with
-    the ball diameter scaling the gradient side."""
-    if kappa <= 1.0:
-        raise ValueError("kappa must exceed 1")
-    grid = weight.grid
-    h = grid.spacing
-    box = ball_slices(grid, ball.center, ball.radius)
-    if box is None:
-        raise ValueError("ball escapes the grid box")
-    w = weight.values[box]
-    wmass = block_integral(w, h)
-    if wmass <= 0.0:
-        raise ValueError("weight carries no mass on the ball")
-    diam = 2.0 * ball.radius
-    ratios = []
-    for i, f in enumerate(corpus):
-        f._check_same_grid(weight)
-        _require_supported_in_ball(f, ball, i)
-        mag = gradient_magnitude(discrete_gradient(f))
-        num = block_integral(np.abs(f.values[box]) ** (kappa * p) * w, h)
-        den = block_integral(mag[box] ** p * w, h)
-        if den <= 0.0:
-            continue
-        ratio = (num / wmass) ** (1.0 / (kappa * p)) / (diam * (den / wmass) ** (1.0 / p))
-        ratios.append(ratio)
-    return SobolevEstimate(kappa, p, ball, tuple(ratios), max(ratios, default=None))
-
-
-def estimate_local_poincare(
-    corpus: Sequence[GridFunction],
-    weight: GridFunction,
-    p: float,
-    balls: Sequence[Ball],
-) -> dict:
-    """Empirical local Poincaré constant: per ball, the max over the corpus
-    of int_B |f - f_B|^p w over (diam B)^p int_B |grad f|^p w, with f_B the
-    weighted ball mean.  A convenience for choosing the C4 input."""
-    grid = weight.grid
-    h = grid.spacing
-    out = []
-    overall: float | None = None
-    for ball in balls:
-        box = ball_slices(grid, ball.center, ball.radius)
-        if box is None:
-            out.append({"center": list(ball.center), "radius": ball.radius, "value": None})
-            continue
-        w = weight.values[box]
-        wmass = block_integral(w, h)
-        best: float | None = None
-        for f in corpus:
-            f._check_same_grid(weight)
-            fb = f.values[box]
-            fmean = block_integral(fb * w, h) / wmass
-            num = block_integral(np.abs(fb - fmean) ** p * w, h)
-            mag = gradient_magnitude(discrete_gradient(f))
-            den = block_integral(mag[box] ** p * w, h)
-            if den <= 0.0:
-                continue
-            val = num / ((2.0 * ball.radius) ** p * den)
-            best = val if best is None else max(best, val)
-        out.append({"center": list(ball.center), "radius": ball.radius, "value": best})
-        if best is not None:
-            overall = best if overall is None else max(overall, best)
-    return {"p": p, "balls": out, "constant": overall}

@@ -38,12 +38,9 @@ __all__ = [
     "IntegrabilityGateError",
     "TailReport",
     "energy",
-    "energy_with_source",
     "apply_operator",
-    "prox_step",
     "solve_evolution",
     "check_lebesgue_compatibility",
-    "solve_evolution_lebesgue",
     "StationaryResult",
     "solve_stationary",
 ]
@@ -211,13 +208,6 @@ def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
     # below p = 2 the gradient formed alongside is singular where grad u vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
         return _energy_terms(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)[0]
-
-
-def energy_with_source(u: GridFunction, f: GridFunction, spec: WeightSpec, p: float) -> float:
-    """Energy minus the weighted source pairing int f u w dx."""
-    u._check_same_grid(f)
-    metric = _node_metric(spec, u.grid)
-    return energy(u, spec, p) - float(np.sum(metric * f.values * u.values))
 
 
 def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
@@ -410,53 +400,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     return v, spent, terms[0], terms[1]
 
 
-def _problem_masses(problem: EvolutionProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The flow's node metric and the energy's cell weights."""
-    grid = problem.u0.grid
-    weighted = problem.dualization == "weighted"
-    metric = _node_metric(problem.spec, grid) if weighted else _mass_weights(grid)
-    return metric, _cell_weights(problem.spec, grid)
-
-
-def prox_step(u_prev: GridFunction, problem: EvolutionProblem) -> GridFunction:
-    """One implicit-Euler step: the minimizer of the proximal objective."""
-    u_prev._check_same_grid(problem.u0)
-    out = _minimize(u_prev.values, u_prev.grid, *_problem_masses(problem), problem.p,
-                    problem.settings, problem.step)[0]
-    return GridFunction(u_prev.grid, out)
-
-
-def _solve(problem: EvolutionProblem) -> Trajectory:
-    grid, p = problem.u0.grid, problem.p
-    metric, cell_w = _problem_masses(problem)
-    n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
-    vals = prev = problem.u0.values
-    value = _energy_terms(vals, grid.spacing, cell_w, p)[0]
-    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
-    traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
-    for k in range(n_steps + 1):
-        if k:  # Newton starts from the linear extrapolation of the last two states
-            (vals, iters, value, _), prev = _minimize(
-                vals, grid, metric, cell_w, p, problem.settings, problem.step,
-                start=2 * vals - prev, stencil=stencil), vals
-            traj.times.append(k * problem.step)
-            traj.states.append(GridFunction(grid, vals.copy()))
-            traj.step_iterations.append(iters)
-        traj.energies.append(value)
-        traj.means.append(float(np.sum(metric * vals)) / float(np.sum(metric)))
-    return traj
-
-
-def solve_evolution(problem: EvolutionProblem) -> Trajectory:
-    """Implicit-Euler trajectory of the weighted-dualized flow."""
-    if problem.dualization != "weighted":
-        raise ValueError("solve_evolution handles the weighted dualization; "
-                         "use solve_evolution_lebesgue for the other one")
-    return _solve(problem)
-
-
 # ---------------------------------------------------------------------------
-# Lebesgue dualization and its integrability gate
+# the Lebesgue dualization's integrability gate, and the flow
 # ---------------------------------------------------------------------------
 
 
@@ -502,21 +447,40 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     return TailReport(s, tuple(radii), tuple(masses), tuple(increments), passes)
 
 
-def solve_evolution_lebesgue(problem: EvolutionProblem) -> Trajectory:
-    """Implicit-Euler trajectory of the flow dualized in the plain L^2 inner
-    product; requires p > 2 and an integrable reciprocal power of the weight.
-    """
-    if problem.dualization != "lebesgue":
-        raise ValueError("problem.dualization must be 'lebesgue'")
-    report = check_lebesgue_compatibility(problem.spec, problem.u0.grid, problem.p)
-    if not report.passes:
-        pretty = ", ".join(f"{v:.3g}" for v in report.increments)
-        raise IntegrabilityGateError(
-            f"w^({report.exponent:g}) is not integrable: nested-box increments "
-            f"grow ({pretty})",
-            report,
-        )
-    return _solve(problem)
+def solve_evolution(problem: EvolutionProblem) -> Trajectory:
+    """Implicit-Euler trajectory of the flow in either dualization.  The
+    Lebesgue one (plain L^2 inner product, p > 2) first runs the integrability
+    gate and raises IntegrabilityGateError when w^(-1/(p-2)) fails it."""
+    grid, p = problem.u0.grid, problem.p
+    if problem.dualization == "lebesgue":
+        report = check_lebesgue_compatibility(problem.spec, grid, p)
+        if not report.passes:
+            pretty = ", ".join(f"{v:.3g}" for v in report.increments)
+            raise IntegrabilityGateError(
+                f"w^({report.exponent:g}) is not integrable: nested-box increments "
+                f"grow ({pretty})",
+                report,
+            )
+        metric = _mass_weights(grid)
+    else:
+        metric = _node_metric(problem.spec, grid)
+    cell_w = _cell_weights(problem.spec, grid)
+    n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
+    vals = prev = problem.u0.values
+    value = _energy_terms(vals, grid.spacing, cell_w, p)[0]
+    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
+    traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
+    for k in range(n_steps + 1):
+        if k:  # Newton starts from the linear extrapolation of the last two states
+            (vals, iters, value, _), prev = _minimize(
+                vals, grid, metric, cell_w, p, problem.settings, problem.step,
+                start=2 * vals - prev, stencil=stencil), vals
+            traj.times.append(k * problem.step)
+            traj.states.append(GridFunction(grid, vals.copy()))
+            traj.step_iterations.append(iters)
+        traj.energies.append(value)
+        traj.means.append(float(np.sum(metric * vals)) / float(np.sum(metric)))
+    return traj
 
 
 # ---------------------------------------------------------------------------

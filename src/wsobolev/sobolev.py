@@ -206,44 +206,24 @@ class HedbergReport:
     constant: float
     pairs_used: int
     pairs_skipped: int
-    seed: int | None
+    seed: int
 
 
-def _flat_index(grid, idx) -> int:
-    """Flat node number of a node index (an int is accepted in 1d)."""
-    return int(np.ravel_multi_index(tuple(int(v) for v in np.atleast_1d(idx)), grid.shape))
-
-
-def hedberg_constant(
-    u: GridFunction,
-    grads: Sequence[GridFunction] | None = None,
-    pairs: Sequence[tuple] | None = None,
-    n_pairs: int = 200,
-    seed: int = 42,
-) -> HedbergReport:
+def hedberg_constant(u: GridFunction, n_pairs: int = 200, seed: int = 42) -> HedbergReport:
     """Max over node pairs of |u(x)-u(y)| / (|x-y| (M|grad u|(x)+M|grad u|(y))).
 
-    Pairs with a zero denominator (or coincident nodes) are skipped.  When no
-    explicit pairs are given, n_pairs node pairs are drawn with the recorded
-    seed.
+    n_pairs node pairs are drawn with the recorded seed; pairs with a zero
+    denominator (or coincident nodes) are skipped.
     """
     grid = u.grid
-    if grads is None:
-        grads = discrete_gradient(u)
-    m = maximal_function(GridFunction(grid, gradient_magnitude(grads))).values.ravel()
+    mag = gradient_magnitude(discrete_gradient(u))
+    m = maximal_function(GridFunction(grid, mag)).values.ravel()
     pts = grid.points().reshape(-1, grid.dim)
     vals = u.values.ravel()
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        raw = rng.integers(0, pts.shape[0], size=(n_pairs, 2))
-        flat_pairs = [(int(a), int(b)) for a, b in raw]
-        used_seed: int | None = seed
-    else:
-        flat_pairs = [(_flat_index(grid, a), _flat_index(grid, b)) for a, b in pairs]
-        used_seed = None
+    rng = np.random.default_rng(seed)
     best = 0.0
     used = skipped = 0
-    for ia, ib in flat_pairs:
+    for ia, ib in rng.integers(0, pts.shape[0], size=(n_pairs, 2)):
         dist = float(np.linalg.norm(pts[ia] - pts[ib]))
         denom = dist * (m[ia] + m[ib])
         if denom <= 0.0:
@@ -251,7 +231,7 @@ def hedberg_constant(
             continue
         used += 1
         best = max(best, abs(vals[ia] - vals[ib]) / denom)
-    return HedbergReport(best, used, skipped, used_seed)
+    return HedbergReport(best, used, skipped, seed)
 
 
 def maximal_bound_check(u: GridFunction, p: float) -> float:

@@ -39,7 +39,6 @@ from wsobolev.pde import (
     apply_operator,
     check_lebesgue_compatibility,
     solve_evolution,
-    solve_evolution_lebesgue,
 )
 from wsobolev.sobolev import (
     hedberg_constant,
@@ -377,7 +376,7 @@ def test_criterion_10_integrability_gate():
     u0 = sample_field(g, lambda x: x)
     diagnostic = ""
     try:
-        solve_evolution_lebesgue(
+        solve_evolution(
             EvolutionProblem(3.0, GAUSS, u0, 0.01, 0.01, dualization="lebesgue")
         )
     except IntegrabilityGateError as err:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wsobolev.corpus import CORPUS_VERSION, corpus_function, corpus_members
+from wsobolev.corpus import CORPUS_VERSION, corpus_members
 from wsobolev.grid import Grid, build_grid
 
 
@@ -77,15 +77,6 @@ def test_modulated_members_factor():
         next(m for m in members if m.name.endswith("_cos3")).on_grid(g).values,
         np.cos(3 * x) * b,
     )
-
-
-def test_corpus_function_range():
-    assert corpus_function(0).name == corpus_members()[0].name
-    assert corpus_function(17).name == corpus_members()[17].name
-    with pytest.raises(ValueError):
-        corpus_function(18)
-    with pytest.raises(ValueError):
-        corpus_function(-1)
 
 
 def test_one_dimensional_only():

@@ -8,9 +8,8 @@ from scipy.special import erf
 from wsobolev.grid import (
     Grid,
     GridFunction,
-    Mollifier,
+    _mollifier_taps,
     build_grid,
-    difference_quotient,
     discrete_gradient,
     load_grid_function_binary,
     maximal_function,
@@ -22,7 +21,6 @@ from wsobolev.grid import (
     save_grid_function_csv,
     segment_weights,
     simpson_weights,
-    truncate,
 )
 
 
@@ -181,13 +179,12 @@ class TestMollifier:
     def test_eps_below_spacing_rejected(self):
         g = gauss_grid()
         with pytest.raises(ValueError):
-            Mollifier.build(g, 0.01)
+            _mollifier_taps(g, 0.01)
 
     def test_discrete_mass_is_one(self):
         g = gauss_grid(601)
         for eps in (0.2, 0.1, 0.05):
-            m = Mollifier.build(g, eps)
-            assert abs(m.mass - 1.0) <= 1e-8
+            assert abs(_mollifier_taps(g, eps).sum() - 1.0) <= 1e-8
 
     def test_constant_preserved_away_from_boundary(self):
         g = gauss_grid()
@@ -274,67 +271,6 @@ class TestMaximalFunction:
         g = Grid(2, 2.0, 41)
         f = GridFunction(g, np.ones(g.shape))
         assert_allclose(maximal_function(f).values, 1.0)
-
-
-class TestDifferenceQuotient:
-    def test_linear_exact(self):
-        g = gauss_grid()
-        f = sample_field(g, lambda x: x)
-        dq = difference_quotient(f, np.array([1.0]), 0.2)
-        (df,) = discrete_gradient(f)
-        inner = g.axis() >= -g.half_width + 0.25
-        assert_allclose((dq.values + df.values)[inner], 0.0, atol=1e-12)
-
-    def test_constant_zero(self):
-        # zero everywhere the backward sample point stays inside the box; the
-        # leftmost node reads the zero extension (shift 0.03 escapes at -6)
-        g = gauss_grid()
-        f = GridFunction(g, np.full(g.shape, 4.0))
-        dq = difference_quotient(f, np.array([0.3]), 0.1)
-        assert_allclose(dq.values[1:], 0.0, atol=1e-13)
-        assert dq.values[0] == pytest.approx(-40.0)
-
-    def test_quadratic_linear_in_eps(self):
-        g = gauss_grid(601)
-        f = sample_field(g, lambda x: x * x)
-        (df,) = discrete_gradient(f)
-        inner = np.abs(g.axis()) <= 5.0
-        errs = []
-        for eps in (0.4, 0.2, 0.1):
-            dq = difference_quotient(f, np.array([1.0]), eps)
-            errs.append(np.max(np.abs((dq.values + df.values)[inner])))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[0] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-    def test_unit_ball_direction_required(self):
-        g = gauss_grid()
-        f = sample_field(g, lambda x: x)
-        with pytest.raises(ValueError):
-            difference_quotient(f, np.array([1.5]), 0.1)
-
-
-class TestTruncate:
-    def test_clamps(self):
-        g = gauss_grid()
-        f = sample_field(g, lambda x: x)
-        t = truncate(f, 1.0)
-        assert t.values.min() == -1.0 and t.values.max() == 1.0
-
-    def test_identity_region(self):
-        g = gauss_grid()
-        f = sample_field(g, lambda x: np.sin(x))
-        t = truncate(f, 2.0)
-        assert np.array_equal(t.values, f.values)
-
-    def test_gradient_bound_inside_clamp(self):
-        g = gauss_grid(601)
-        f = sample_field(g, lambda x: 2 * np.sin(x))
-        t = truncate(f, 1.0)
-        (df,) = discrete_gradient(f)
-        (dt,) = discrete_gradient(t)
-        # compare away from the clamp boundary, where the stencil is one-sided
-        interior = np.abs(np.abs(f.values) - 1.0) > 3 * g.spacing
-        assert np.all(np.abs(dt.values)[interior] <= np.abs(df.values)[interior] + 1e-10)
 
 
 class TestSampleField:

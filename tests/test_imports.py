@@ -1,12 +1,19 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every export has a
+caller.
 
 No linter runs on this repository, so this is the check that keeps unused
 imports out: a name bound by a module-level `import` or `from ... import` must
 be referenced somewhere in its module, or be re-exported through `__all__`.
 The package `__init__` is left out: re-exporting is what its imports are for.
+
+A function or class in a module's `__all__` must be referenced somewhere
+outside its own definition: in the package, or in the benchmark, the tools,
+the README or the acceptance tests.  Unit tests do not count, so library code
+that only its own tests reach is flagged.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +22,10 @@ import wsobolev
 
 MODULES = sorted(m for m in Path(wsobolev.__file__).parent.glob("*.py")
                  if m.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+# python files outside the package whose references count as callers
+CALLER_SCRIPTS = [*sorted((REPO / "bench").glob("*.py")), *sorted((REPO / "tools").glob("*.py")),
+                  REPO / "tests" / "test_acceptance.py"]
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -46,6 +57,40 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def references(source: str, strings: bool = False) -> set[str]:
+    """Names read and attributes taken in the module, each top-level def or
+    class not counting its own name; with strings, also every string constant
+    (a name passed to getattr)."""
+    refs = set()
+    for stmt in ast.parse(source).body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(stmt.name)
+        refs |= found
+    return refs
+
+
+def uncalled_exports(package: dict[str, str], scripts: list[str], text: str) -> list[str]:
+    """`module.name` for each function or class in a package module's
+    `__all__` that no package module, script or the text refers to."""
+    called = set().union(*(references(src) for src in package.values()),
+                         *(references(src, strings=True) for src in scripts))
+    out = []
+    for module, src in sorted(package.items()):
+        tree = ast.parse(src)
+        defined = {s.name for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))}
+        out += [f"{module}.{name}" for name in sorted(_exported(tree) & defined)
+                if name not in called and not re.search(rf"\b{name}\b", text)]
+    return out
+
+
 def test_modules_found():
     assert {"pde.py", "sobolev.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -58,3 +103,24 @@ def test_no_unused_module_imports(module):
 def test_detects_an_unused_import():
     source = "import math\nimport numpy as np\nfrom typing import Sequence\nnp.zeros(1)\n"
     assert unused_imports(source) == ["math (line 1)", "Sequence (line 3)"]
+
+
+def test_every_export_has_a_caller():
+    package = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
+    scripts = [p.read_text(encoding="utf-8") for p in CALLER_SCRIPTS]
+    assert uncalled_exports(package, scripts, (REPO / "README.md").read_text("utf-8")) == []
+
+
+def test_detects_an_uncalled_export():
+    package = {
+        "a": '__all__ = ["VERSION", "used", "recursive", "own_tests_only", "named"]\n'
+             "VERSION = 1\n"
+             "def used(): pass\n"
+             "def recursive(n): return recursive(n - 1)\n"
+             "def own_tests_only(): pass\n"
+             "def named(): pass\n",
+        "b": "from .a import used\nused()\n",
+    }
+    scripts = ['LIB = ("own",)\n']
+    assert uncalled_exports(package, scripts, "call `named`") == [
+        "a.own_tests_only", "a.recursive"]

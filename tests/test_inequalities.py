@@ -14,8 +14,6 @@ from wsobolev.inequalities import (
     constants_potential,
     constants_xq,
     empirical_poincare_ratio,
-    estimate_local_poincare,
-    estimate_sobolev_constant,
     oscillation_over_ball,
     poincare_bound,
     verify_poincare,
@@ -23,11 +21,9 @@ from wsobolev.inequalities import (
     verify_xq,
 )
 from wsobolev.weights import (
-    Ball,
     PotentialExpr,
     QuadraticTerm,
     WeightSpec,
-    weight_on_grid,
 )
 
 GAUSS = WeightSpec(1.0, 2.0, 1)
@@ -244,52 +240,3 @@ class TestEmpiricalPoincare:
         f = GridFunction(g, np.ones(g.shape))
         with pytest.raises(ValueError):
             empirical_poincare_ratio(f, discrete_gradient(f), GAUSS, 2.0)
-
-
-class TestBallEstimators:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def setup():
-        g = build_grid(1, 6.0, 301)
-        w = weight_on_grid(GAUSS, g)
-        members = [m for m in corpus_members() if m.center == 0.0]
-        fields = [m.on_grid(g) for m in members]
-        return g, w, fields
-
-    def test_sobolev_estimate(self, setup):
-        _, w, fields = setup
-        est = estimate_sobolev_constant(fields, w, 2.0, kappa=1.5, ball=Ball.of(0.0, 3.5))
-        assert est.constant is not None and est.constant > 0.0
-        assert len(est.ratios) == len(fields)
-        assert est.constant == pytest.approx(max(est.ratios))
-
-    def test_kappa_validation(self, setup):
-        _, w, fields = setup
-        with pytest.raises(ValueError):
-            estimate_sobolev_constant(fields, w, 2.0, kappa=1.0, ball=Ball.of(0.0, 3.5))
-
-    def test_member_outside_ball_rejected(self, setup):
-        g, w, _ = setup
-        stray = corpus_members()[0].on_grid(g)  # supported near -2
-        with pytest.raises(ValueError, match="vanish"):
-            estimate_sobolev_constant([stray], w, 2.0, 1.5, Ball.of(0.0, 1.0))
-
-    def test_escaping_ball_rejected(self, setup):
-        _, w, fields = setup
-        with pytest.raises(ValueError, match="escapes"):
-            estimate_sobolev_constant(fields, w, 2.0, 1.5, Ball.of(5.0, 2.0))
-
-    def test_local_poincare(self, setup):
-        _, w, fields = setup
-        out = estimate_local_poincare(fields, w, 2.0, [Ball.of(0.0, 2.0), Ball.of(0.0, 4.0)])
-        assert out["p"] == 2.0
-        assert out["constant"] > 0.0
-        assert len(out["balls"]) == 2
-        for entry in out["balls"]:
-            assert entry["value"] > 0.0
-
-    def test_local_poincare_escaping_ball(self, setup):
-        _, w, fields = setup
-        out = estimate_local_poincare(fields, w, 2.0, [Ball.of(5.5, 1.0)])
-        assert out["balls"][0]["value"] is None
-        assert out["constant"] is None

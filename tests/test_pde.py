@@ -31,10 +31,7 @@ from wsobolev.pde import (
     apply_operator,
     check_lebesgue_compatibility,
     energy,
-    energy_with_source,
-    prox_step,
     solve_evolution,
-    solve_evolution_lebesgue,
     solve_stationary,
 )
 from wsobolev.weights import CosineTerm, PotentialExpr, WeightSpec
@@ -45,6 +42,11 @@ GAUSS = WeightSpec(1.0, 2.0, 1)
 def linear_state(n=301, R=6.0):
     g = build_grid(1, R, n)
     return g, sample_field(g, lambda x: x)
+
+
+def one_step(u, p, spec, tau):
+    """The state after one implicit-Euler step of the weighted flow."""
+    return solve_evolution(EvolutionProblem(p, spec, u, tau, tau)).states[-1]
 
 
 class TestSolverSettings:
@@ -128,13 +130,6 @@ class TestEnergy:
         c = GridFunction(g, np.full(g.shape, 2.0))
         assert energy(c, GAUSS, 3.0) == 0.0
 
-    def test_with_source(self):
-        g, u = linear_state(601)
-        f = sample_field(g, lambda x: 2.0 * x)
-        # sqrt(pi)/2 - 2 * int x^2 w = -sqrt(pi)/2
-        val = energy_with_source(u, f, GAUSS, 2.0)
-        assert val == pytest.approx(-np.sqrt(np.pi) / 2, abs=1e-6)
-
     def test_2d_plane(self):
         g = build_grid(2, 4.0, 81)
         u = sample_field(g, lambda x, y: x + y)
@@ -202,25 +197,23 @@ class TestProxStep:
     def test_constant_fixed_point(self):
         g = build_grid(1, 6.0, 151)
         c = GridFunction(g, np.full(g.shape, 1.5))
-        prob = EvolutionProblem(2.0, GAUSS, c, 0.1, 0.01)
-        out = prox_step(c, prob)
+        out = one_step(c, 2.0, GAUSS, 0.01)
         assert_allclose(out.values, 1.5, atol=1e-7)
 
     def test_ornstein_uhlenbeck_factor(self):
         # p = 2, u0 = x: one implicit step contracts by 1/(1 + 2 tau)
         g, u = linear_state(301)
         tau = 1e-3
-        prob = EvolutionProblem(2.0, GAUSS, u, 0.1, tau)
-        out = prox_step(u, prob)
+        out = one_step(u, 2.0, GAUSS, tau)
         x = g.axis()
         inner = np.abs(x) <= 4.0
         fitted = np.sum(out.values[inner] * x[inner]) / np.sum(x[inner] ** 2)
         assert fitted == pytest.approx(1.0 / (1.0 + 2.0 * tau), rel=1e-4)
 
     def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
-        # the start and the accepted trial are the only iterates a p = 2 step
-        # evaluates; its Hessian stencil needs no differences, and a flow
-        # assembles it once for all of its steps
+        # besides the initial energy, the start and the accepted trial are the
+        # only iterates a p = 2 step evaluates; its Hessian stencil needs no
+        # differences, and a flow assembles it once for all of its steps
         calls, hessians = [], []
         differences, hessian = pde._edge_differences, pde._hessian
 
@@ -236,10 +229,6 @@ class TestProxStep:
         monkeypatch.setattr(pde, "_hessian", counted_hessian)
         g = build_grid(1, 6.0, 301)
         u = sample_field(g, np.sin)
-        prox_step(u, EvolutionProblem(2.0, GAUSS, u, 0.1, 0.1))
-        assert len(calls) == 2 and len(hessians) == 1
-        calls.clear()
-        hessians.clear()
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
         assert len(traj.states) == 4 and len(hessians) == 1
         assert len(calls) == 1 + 2 * 3
@@ -304,14 +293,6 @@ class TestEvolution:
         assert lines[1].split(",")[0] == "0"
         assert lines[1].split(",")[3] == "0"  # no inner iterations at t = 0
 
-    def test_wrong_dualization_dispatch(self):
-        g = build_grid(1, 6.0, 151)
-        u = sample_field(g, lambda x: x)
-        prob = EvolutionProblem(3.0, WeightSpec(-1.0, 2.0, 1), u, 0.02, 0.01,
-                                dualization="lebesgue")
-        with pytest.raises(ValueError):
-            solve_evolution(prob)
-
     def test_convergence_error_carries_iterate(self):
         g, u = linear_state(301)
         settings = SolverSettings(tolerance=1e-14, max_iterations=3)
@@ -356,7 +337,7 @@ class TestLebesgueGate:
         g = build_grid(1, 2.0, 101)
         u = sample_field(g, lambda x: np.maximum(1 - x * x, 0.0))
         prob = EvolutionProblem(3.0, spec, u, 0.01, 0.005, dualization="lebesgue")
-        traj = solve_evolution_lebesgue(prob)
+        traj = solve_evolution(prob)
         e = traj.energies
         assert len(e) == 3
         assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
@@ -369,7 +350,7 @@ class TestLebesgueGate:
         prob = EvolutionProblem(3.0, WeightSpec(-1.0, 2.0, 1), u, 0.5, 1e-3,
                                 dualization="lebesgue")
         with pytest.raises(ProxConvergenceError, match=r"stalled at iteration (\d+)") as exc:
-            solve_evolution_lebesgue(prob)
+            solve_evolution(prob)
         spent = int(re.search(r"iteration (\d+)", str(exc.value)).group(1))
         assert spent < SolverSettings().max_iterations
         assert exc.value.iterate.grid == g
@@ -379,7 +360,7 @@ class TestLebesgueGate:
         g = build_grid(1, 2.0, 101)
         u = GridFunction(g, np.full(g.shape, 2.5))
         prob = EvolutionProblem(3.0, spec, u, 0.01, 0.005, dualization="lebesgue")
-        traj = solve_evolution_lebesgue(prob)
+        traj = solve_evolution(prob)
         for state in traj.states:
             assert_allclose(state.values, 2.5, atol=1e-9)
 
@@ -388,17 +369,9 @@ class TestLebesgueGate:
         u = sample_field(g, lambda x: x)
         prob = EvolutionProblem(3.0, GAUSS, u, 0.02, 0.01, dualization="lebesgue")
         with pytest.raises(IntegrabilityGateError) as exc:
-            solve_evolution_lebesgue(prob)
+            solve_evolution(prob)
         assert not exc.value.report.passes
         assert "increment" in str(exc.value)
-
-    def test_lebesgue_dispatch_guard(self):
-        g = build_grid(1, 4.0, 151)
-        u = sample_field(g, lambda x: x)
-        prob = EvolutionProblem(3.0, GAUSS, u, 0.02, 0.01)  # weighted
-        with pytest.raises(ValueError):
-            solve_evolution_lebesgue(prob)
-
 
 class TestStationary:
     def test_zero_source_zero_solution(self):
@@ -421,6 +394,12 @@ class TestStationary:
             errs[n] = np.max(np.abs(res.state.values - x)[inner])
         assert errs[301] <= 5e-3
         assert errs[301] / errs[601] == pytest.approx(4.0, rel=0.3)
+
+    def test_objective(self):
+        # u = x solves f = 2x; sqrt(pi)/2 - 2 int x^2 w = -sqrt(pi)/2
+        g = build_grid(1, 6.0, 301)
+        res = solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, 2.0)
+        assert res.objective == pytest.approx(-np.sqrt(np.pi) / 2, abs=1e-6)
 
     def test_residual_small(self):
         g = build_grid(1, 6.0, 301)
@@ -559,7 +538,7 @@ class TestStaggeredProperties:
     def test_prox_step_keeps_mean_and_lowers_energy(self, wg, p, seed, tau):
         spec, grid = wg
         u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
-        out = prox_step(u, EvolutionProblem(p, spec, u, tau, tau))
+        out = one_step(u, p, spec, tau)
         m = node_metric(spec, grid)
         drift = abs(np.sum(m * (out.values - u.values))) / np.sum(m)
         assert drift <= 1e-9

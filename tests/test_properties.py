@@ -1,0 +1,77 @@
+"""Properties the maths guarantees for the discrete estimators, over random
+catalog weights exp(-beta |x|^q - c cos(<k, x>)) in 1d and 2d.
+
+beta is capped so that beta (R sqrt(d))^q <= 150: the weight stays far above
+underflow on the whole box, so no node is zero and every reciprocal power is
+finite.  Two properties one might expect are not here, because they are false
+for these estimators: a doubling ratio can fall below 1 when the weight is
+under-resolved, and Mf >= |f| fails at a node of a sharp peak, because the
+radius lattice starts at h and never averages over the node alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsobolev.grid import Grid, GridFunction, _mollifier_taps, maximal_function, mollify
+from wsobolev.weights import (
+    Ball,
+    CosineTerm,
+    PotentialExpr,
+    WeightSpec,
+    estimate_muckenhoupt,
+    weight_on_grid,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def catalog_weights(draw):
+    """A catalog weight with a cosine V and its field on a grid, in 1d or 2d."""
+    dim = draw(st.sampled_from([1, 2]))
+    R = draw(st.floats(1.0, 6.0))
+    n = draw(st.sampled_from([21, 41, 61, 101] if dim == 1 else [11, 21, 31, 41]))
+    q = draw(st.floats(1.2, 3.0))
+    beta = draw(st.floats(0.01, 1.0)) * min(3.0, 150.0 / (R * math.sqrt(dim)) ** q)
+    cosine = CosineTerm(draw(st.floats(-2.0, 2.0)),
+                        tuple(draw(st.floats(-5.0, 5.0)) for _ in range(dim)))
+    spec = WeightSpec(beta, q, dim, V=PotentialExpr((cosine,)))
+    return weight_on_grid(spec, Grid(dim, R, n))
+
+
+@PROPERTY
+@given(w=catalog_weights(), p=st.floats(1.5, 4.0), data=st.data())
+def test_muckenhoupt_products_are_at_least_one(w, p, data):
+    # Jensen: avg(w) avg(w^(-1/(p-1)))^(p-1) >= 1 on every ball
+    grid = w.grid
+    m = grid.nodes_per_axis
+    balls = []
+    for _ in range(3):
+        center = [grid.axis()[data.draw(st.integers(0, m - 1))] for _ in range(grid.dim)]
+        balls.append(Ball.of(center, grid.spacing * data.draw(st.integers(1, (m - 1) // 2))))
+    values = [e.value for e in estimate_muckenhoupt(w, p, balls).entries if e.value is not None]
+    assert all(v >= 1.0 - 1e-12 for v in values)
+
+
+@PROPERTY
+@given(w=catalog_weights(), seed=st.integers(0, 2**32 - 1))
+def test_maximal_function_is_sublinear(w, seed):
+    g = GridFunction(w.grid, np.random.default_rng(seed).standard_normal(w.grid.shape))
+    bound = maximal_function(w).values + maximal_function(g).values
+    total = maximal_function(GridFunction(w.grid, w.values + g.values)).values
+    assert np.max(total - bound) <= 1e-12 * np.max(bound)
+
+
+@PROPERTY
+@given(w=catalog_weights(), radius=st.floats(1.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_mollifier_has_unit_mass_and_contracts(w, radius, seed):
+    eps = radius * w.grid.spacing
+    assert _mollifier_taps(w.grid, eps).sum() == pytest.approx(1.0, abs=1e-12)
+    g = GridFunction(w.grid, np.random.default_rng(seed).standard_normal(w.grid.shape))
+    for f in (w, g):
+        sup = np.max(np.abs(f.values))
+        assert np.max(np.abs(mollify(f, eps).values)) <= sup * (1.0 + 1e-12)

@@ -192,14 +192,6 @@ class TestHedberg:
             rep = hedberg_constant(u, n_pairs=100)
             assert rep.constant <= 1.0 + 1e-9
 
-    def test_explicit_pairs(self):
-        g, _ = grid_and_weight()
-        u = sample_field(g, lambda x: x)
-        rep = hedberg_constant(u, pairs=[(0, 300), (50, 200)])
-        assert rep.pairs_used == 2
-        assert rep.seed is None
-        assert rep.constant == pytest.approx(0.5, abs=1e-12)
-
     def test_constant_function_all_skipped(self):
         g, _ = grid_and_weight()
         u = GridFunction(g, np.ones(g.shape))
