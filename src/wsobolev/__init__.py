@@ -50,7 +50,7 @@ from .weights import (
     root_on_grid,
     weight_on_grid,
 )
-from .corpus import CORPUS_VERSION, CorpusMember, corpus_members
+from .corpus import CorpusMember, corpus_members
 from .sobolev import (
     ApproximationReport,
     HedbergReport,

@@ -160,12 +160,10 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
         config.p,
         L=config.constants.L,
         C4=config.constants.C4,
-        fit_half_width=config.fit_half_width,
+        fit_half_width=config.grid.half_width,
         eps=config.constants.eps,
         eps0=config.constants.eps0,
         eps1=config.constants.eps1,
-        n_samples=config.fit_samples,
-        lattice=config.fit_lattice,
     )
 
 
@@ -177,14 +175,8 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
 def _cmd_weight_report(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     spec = config.weight
     w = weight_on_grid(spec, config.grid)  # before the fits: an undefined weight is the error
-    admissibility = check_admissibility(
-        spec,
-        half_width=config.fit_half_width,
-        n_samples=config.fit_samples,
-        lattice=config.fit_lattice,
-    )
     results: dict = {
-        "admissibility": admissibility,
+        "admissibility": check_admissibility(spec, config.grid.half_width),
         "doubling": estimate_doubling(w, config.balls),
         "reciprocal_integrability": check_reciprocal_integrability(w, config.p),
     }

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .grid import Grid
 from .pde import SolverSettings
-from .weights import Ball, FitLattice, WeightSpec, is_finite_number, json_number
+from .weights import Ball, WeightSpec, is_finite_number, json_number
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -159,9 +159,6 @@ class RunConfig:
     weight: WeightSpec
     grid: Grid
     p: float
-    fit_lattice: FitLattice
-    fit_half_width: float
-    fit_samples: int
     constants: ConstantsConfig
     balls: tuple[Ball, ...]
     approximate: ApproximateConfig
@@ -171,7 +168,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {
-    "weight", "grid", "p", "fit", "constants", "balls",
+    "weight", "grid", "p", "constants", "balls",
     "approximate", "evolution", "stationary", "verify",
 }
 
@@ -183,23 +180,6 @@ def parse_config(doc: dict) -> RunConfig:
     weight = _parse_weight(_expect_mapping(doc["weight"], "weight"))
     grid = _parse_grid(doc.get("grid", {}), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
-
-    fit = _section(doc.get("fit", {}), "fit", {"half_width", "n_samples", "delta_step",
-                                                "delta_max", "c1_step", "c1_max", "c2_cap"})
-
-    def positive(key: str) -> float:
-        return _number(fit, key, "fit", default=getattr(FitLattice, key), minimum=0.0,
-                       strict=True)
-    lattice = FitLattice(
-        delta_step=positive("delta_step"),
-        delta_max=positive("delta_max"),
-        c1_step=positive("c1_step"),
-        c1_max=_number(fit, "c1_max", "fit", default=FitLattice.c1_max, minimum=1.0),
-        c2_cap=positive("c2_cap"),
-    )
-    fit_half_width = _number(fit, "half_width", "fit", default=grid.half_width,
-                             minimum=0.0, strict=True)
-    fit_samples = _integer(fit, "n_samples", "fit", default=2001, minimum=3)
 
     cons = _section(doc.get("constants", {}), "constants", {"eps", "eps0", "eps1", "L", "C4"})
     eps0 = None
@@ -266,9 +246,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("verify: override block is present but empty")
 
     return RunConfig(
-        weight=weight, grid=grid, p=p,
-        fit_lattice=lattice, fit_half_width=fit_half_width, fit_samples=fit_samples,
-        constants=constants, balls=balls, approximate=approximate,
+        weight=weight, grid=grid, p=p, constants=constants, balls=balls, approximate=approximate,
         evolution=evolution, stationary=stationary, verify_override=verify_override,
     )
 

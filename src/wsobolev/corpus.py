@@ -16,9 +16,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, sample_field
 
-__all__ = ["CORPUS_VERSION", "CorpusMember", "corpus_members"]
-
-CORPUS_VERSION = 1
+__all__ = ["CorpusMember", "corpus_members"]
 
 _CENTERS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _WIDTHS = (0.4, 0.7, 1.0)

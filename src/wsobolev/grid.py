@@ -92,10 +92,6 @@ class Grid:
         pts = self.points()
         return np.sqrt(np.sum(pts * pts, axis=-1))
 
-    def refine(self) -> "Grid":
-        """Grid with halved spacing; existing nodes are preserved."""
-        return Grid(self.dim, self.half_width, 2 * self.nodes_per_axis - 1)
-
     def index_of(self, coord: float) -> int:
         """Index of the node closest to a coordinate along one axis."""
         idx = int(round((coord + self.half_width) / self.spacing))
@@ -136,9 +132,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy(), self.compact_support_radius)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def _combined_radius(self, other: "GridFunction") -> float | None:
         a, b = self.compact_support_radius, other.compact_support_radius

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridFunction, gradient_magnitude, lattice_points, quadrature_with_error
-from .weights import FitLattice, WeightSpec, check_admissibility, weight_on_grid
+from .weights import WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
     "ConstantChain",
@@ -105,14 +105,17 @@ def constants_potential(
     return c_prime, d_prime
 
 
-def oscillation_over_ball(spec: WeightSpec, radius: float, n_samples: int = 10_000) -> float:
+_OSC_SAMPLES = 10_000
+
+
+def oscillation_over_ball(spec: WeightSpec, radius: float) -> float:
     """Oscillation of log(weight) over the closed Euclidean ball B(0, radius).
 
     The radial part's extremes sit at the origin and on the axis boundary,
     both of which the sample lattice contains, so for pure radial weights the
     value is exact; W and V contributions are resolved by the dense lattice.
     """
-    pts = lattice_points(spec.dim, radius, n_samples)
+    pts = lattice_points(spec.dim, radius, _OSC_SAMPLES)
     pts = pts[np.sqrt(np.sum(pts * pts, axis=-1)) <= radius + 1e-12]
     vals = spec.exponent(pts)
     return float(vals.max() - vals.min())
@@ -205,8 +208,6 @@ def build_constant_chain(
     eps: float = 1.0,
     eps0: float | None = None,
     eps1: float = 1.0,
-    n_samples: int = 2001,
-    lattice: FitLattice = FitLattice(),
 ) -> ConstantChain:
     """Evaluate the whole constant chain down to the certified Poincaré
     constant, from the growth numbers (delta, gamma, osc_V) that
@@ -214,7 +215,7 @@ def build_constant_chain(
     if eps0 is None:
         eps0 = 1.0 / p
     C, D = constants_xq(spec.beta, spec.q, spec.dim, eps)
-    fits = check_admissibility(spec, fit_half_width, n_samples, lattice)
+    fits = check_admissibility(spec, fit_half_width)
     delta, gamma, osc_v = fits.delta, fits.gamma, fits.osc_V
     c_prime, d_prime = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1

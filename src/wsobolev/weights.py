@@ -41,7 +41,6 @@ __all__ = [
     "root_on_grid",
     "drift_on_grid",
     "DilationFit",
-    "FitLattice",
     "fit_dilation_bound",
     "AdmissibilityReport",
     "check_admissibility",
@@ -151,14 +150,8 @@ class PotentialExpr:
     def grad_norm(self, pts: np.ndarray) -> np.ndarray:
         return _radii(self.grad(pts))
 
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
-
     def __neg__(self) -> "PotentialExpr":
         return PotentialExpr(tuple(replace(t, c=-t.c) for t in self.terms))
-
-    def to_json(self) -> list[dict]:
-        return [_term_to_json(t) for t in self.terms]
 
     @staticmethod
     def from_json(items: Sequence[dict], dim: int) -> "PotentialExpr":
@@ -176,15 +169,6 @@ _TERM_KINDS = {
     "quadratic_form": (QuadraticTerm, ("c",)),
     "cosine": (CosineTerm, ("c", "k")),
 }
-
-
-def _term_to_json(term: Term) -> dict:
-    kind = next(k for k, (cls, _) in _TERM_KINDS.items() if cls is type(term))
-    doc = {"kind": kind}
-    for key in _TERM_KINDS[kind][1]:
-        val = getattr(term, key)
-        doc[key] = list(val) if key == "k" else val
-    return doc
 
 
 def is_finite_number(v) -> bool:
@@ -262,15 +246,6 @@ class WeightSpec:
             x = tuple(float(c) for c in pts[np.isnan(out)][0])
             raise ValueError(f"log w is undefined (inf - inf) at x = {x}")
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "q": self.q,
-            "dim": self.dim,
-            "W": self.W.to_json(),
-            "V": self.V.to_json(),
-        }
 
     @staticmethod
     def from_json(d: dict) -> "WeightSpec":
@@ -367,15 +342,13 @@ def drift_on_grid(spec: WeightSpec, grid: Grid) -> list[GridFunction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitLattice:
-    """Search lattices for the growth and dilation fits."""
-
-    delta_step: float = 0.01
-    delta_max: float = 10.0
-    c1_step: float = 0.05
-    c1_max: float = 8.0
-    c2_cap: float = 1e6
+# sample count and search lattices of the admissibility fits
+_FIT_SAMPLES = 2001
+_DELTA_STEP = 0.01
+_DELTA_MAX = 10.0
+_C1_STEP = 0.05
+_C1_MAX = 8.0
+_C2_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -387,22 +360,15 @@ class DilationFit:
     c2: float
 
 
-def fit_dilation_bound(
-    expr: PotentialExpr,
-    dim: int,
-    half_width: float,
-    n_samples: int = 2001,
-    lattice: FitLattice = FitLattice(),
-) -> DilationFit:
-    """Fit the doubled-argument growth bound F(2x) <= c1*F(x) + c2.
+def fit_dilation_bound(expr: PotentialExpr, pts: np.ndarray) -> DilationFit:
+    """Fit the doubled-argument growth bound F(2x) <= c1*F(x) + c2 on pts.
 
     c1 runs over the lattice {1, 1+step, ...}; for each c1 the matching
     offset is the max sample residual of F(2x) - c1*F(x).  The smallest c1
-    whose offset stays below the configured cap wins; the fit fails when no
-    lattice point does.
+    whose offset stays below the cap wins; the fit fails when no lattice
+    point does.
     """
-    pts = lattice_points(dim, half_width, n_samples)
-    c1s = np.arange(1.0, lattice.c1_max + 0.5 * lattice.c1_step, lattice.c1_step)
+    c1s = np.arange(1.0, _C1_MAX + 0.5 * _C1_STEP, _C1_STEP)
     fallback = None
     # F beyond float range is infinite, as in WeightSpec.exponent; where F(2x)
     # and c1*F(x) are the same infinity the bound holds, so fmax skips the NaN
@@ -411,7 +377,7 @@ def fit_dilation_bound(
         f2x = expr.value(2.0 * pts)
         for c1 in c1s:
             c2 = float(np.fmax.reduce(f2x - c1 * fx, axis=None))
-            if c2 <= lattice.c2_cap:
+            if c2 <= _C2_CAP:
                 return DilationFit(ok=True, c1=float(c1), c2=c2)
             if fallback is None or c2 < fallback[1]:
                 fallback = (float(c1), c2)
@@ -439,37 +405,24 @@ class AdmissibilityReport:
     n_samples: int
 
 
-def fit_growth_constants(
-    expr: PotentialExpr,
-    q: float,
-    dim: int,
-    half_width: float,
-    n_samples: int = 2001,
-    lattice: FitLattice = FitLattice(),
-) -> tuple[float, float]:
-    """Fit (delta, gamma) with |grad F(x)| <= delta*|x|^(q-1) + gamma.
+def fit_growth_constants(expr: PotentialExpr, q: float, pts: np.ndarray) -> tuple[float, float]:
+    """Fit (delta, gamma) with |grad F(x)| <= delta*|x|^(q-1) + gamma on pts.
 
     delta runs over {0, step, 2*step, ...}; gamma is the max sample residual
     clipped at zero.  Among lattice points attaining the minimal gamma the
     smallest delta wins.
     """
-    pts = lattice_points(dim, half_width, n_samples)
     with np.errstate(over="ignore"):  # a gradient beyond float range is infinite
         gnorm = expr.grad_norm(pts)
     rq = _radii(pts) ** (q - 1.0)
-    deltas = np.arange(0.0, lattice.delta_max + 0.5 * lattice.delta_step, lattice.delta_step)
+    deltas = np.arange(0.0, _DELTA_MAX + 0.5 * _DELTA_STEP, _DELTA_STEP)
     gammas = np.maximum(gnorm[None, :] - deltas[:, None] * rq[None, :], 0.0).max(axis=1)
     gmin = gammas.min()
     pick = int(np.argmax(gammas <= gmin + 1e-12 * (1.0 + gmin)))
     return float(deltas[pick]), float(gammas[pick])
 
 
-def check_admissibility(
-    spec: WeightSpec,
-    half_width: float,
-    n_samples: int = 2001,
-    lattice: FitLattice = FitLattice(),
-) -> AdmissibilityReport:
+def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityReport:
     """Fit every admissibility hypothesis of a catalog weight on a sample box.
 
     Requires beta > 0.  The smooth strictly positive catalog makes the
@@ -478,13 +431,13 @@ def check_admissibility(
     """
     if spec.beta <= 0.0:
         raise ValueError("admissibility requires beta > 0")
-    delta, gamma = fit_growth_constants(spec.W, spec.q, spec.dim, half_width, n_samples, lattice)
+    pts = lattice_points(spec.dim, half_width, _FIT_SAMPLES)
+    delta, gamma = fit_growth_constants(spec.W, spec.q, pts)
     budget = self_drift_coef(spec)
-    pts = lattice_points(spec.dim, half_width, n_samples)
     vvals = spec.V.value(pts)
     osc_v = float(vvals.max() - vvals.min())
-    dil_w = fit_dilation_bound(-spec.W, spec.dim, half_width, n_samples, lattice)
-    dil_v = fit_dilation_bound(-spec.V, spec.dim, half_width, n_samples, lattice)
+    dil_w = fit_dilation_bound(-spec.W, pts)
+    dil_v = fit_dilation_bound(-spec.V, pts)
     grad_ok = delta < budget
     admissible = bool(grad_ok and math.isfinite(osc_v) and dil_w.ok and dil_v.ok)
     return AdmissibilityReport(
@@ -502,7 +455,7 @@ def check_admissibility(
         diff_ok=True,
         admissible=admissible,
         sample_half_width=half_width,
-        n_samples=n_samples,
+        n_samples=_FIT_SAMPLES,
     )
 
 

@@ -25,7 +25,7 @@ from wsobolev.cli import (
     run,
 )
 from wsobolev.config import parse_config
-from wsobolev.grid import Grid, build_grid, sample_field, save_grid_function_binary
+from wsobolev.grid import build_grid, sample_field, save_grid_function_binary
 from wsobolev.weights import BallEntry, DoublingReport
 
 
@@ -392,14 +392,12 @@ class TestReportsAgree:
             "weight": {"beta": 1.0, "q": 2.0, "dim": 1,
                        "W": [{"kind": "power_abs", "c": 0.3, "s": 2.0}]},
             "grid": {"nodes_per_axis": 151},
-            "fit": {"delta_step": 0.25, "n_samples": 201},
             "constants": {"L": 8.0},
         },
         "cosine-v-2d": {
             "weight": {"beta": 1.0, "q": 2.0, "dim": 2,
                        "V": [{"kind": "cosine", "c": 0.3, "k": [0.3, 0.3]}]},
             "grid": {"half_width": 4.0, "nodes_per_axis": 41},
-            "fit": {"half_width": 4.0},
             "constants": {"L": 16.0},
         },
     }

@@ -88,7 +88,6 @@ class TestConfigDefaults:
         assert cfg.grid.half_width == 6.0
         assert cfg.grid.nodes_per_axis == 301
         assert cfg.p == 2.0
-        assert cfg.fit_half_width == 6.0
         assert cfg.constants.eps == 1.0
         assert cfg.constants.eps0 is None
         assert cfg.constants.L == 4.0
@@ -114,7 +113,6 @@ class TestConfigDefaults:
             },
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
-            "fit": {"half_width": 3.0, "n_samples": 501},
             "constants": {"eps": 0.5, "eps0": 0.25, "eps1": 2.0, "L": 8.0, "C4": 2.0},
             "balls": [{"center": 0.0, "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
@@ -128,11 +126,9 @@ class TestConfigDefaults:
         }
         cfg = parse_config(doc)
         assert cfg.weight.q == 3.0
-        assert not cfg.weight.W.is_zero()
+        assert len(cfg.weight.W.terms) == 1
         assert cfg.grid.nodes_per_axis == 201
         assert cfg.p == 3.0
-        assert cfg.fit_half_width == 3.0
-        assert cfg.fit_samples == 501
         assert cfg.constants.eps0 == 0.25
         assert cfg.balls[0].radius == 1.5
         assert cfg.approximate.schedule == (0.1, 0.05)
@@ -156,6 +152,12 @@ class TestConfigErrors:
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config({**BASE, "wieght": {}})
+
+    def test_fit_section_is_unknown(self):
+        # the admissibility fits sample a fixed lattice; nothing configures it
+        with pytest.raises(ConfigError) as err:
+            parse_config({**BASE, "fit": {}})
+        assert str(err.value).startswith("config.fit: unknown field")
 
     def test_beta_zero(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -259,8 +261,7 @@ FULL = {
                "V": [{"kind": "cosine", "c": 0.2, "k": [1.0]}]},
     "grid": {"half_width": 6.0},
     "p": 2.0,
-    "fit": {"half_width": 6.0, "delta_step": 0.01, "c2_cap": 1e6},
-    "constants": {"eps0": 0.5, "L": 8.0},
+    "constants": {"eps": 1.0, "eps1": 1.0, "C4": 1.0, "eps0": 0.5, "L": 8.0},
     "balls": [{"center": [0.0], "radius": 1.0}],
     "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
     "evolution": {"T": 0.5, "solver": {"tol": 1e-8}},
@@ -274,9 +275,9 @@ NON_FINITE = [
     (("weight", "V", 0, "k", 0), "weight.V[0].k"),
     (("grid", "half_width"), "grid.half_width"),
     (("p",), "config.p"),
-    (("fit", "half_width"), "fit.half_width"),
-    (("fit", "delta_step"), "fit.delta_step"),
-    (("fit", "c2_cap"), "fit.c2_cap"),
+    (("constants", "eps"), "constants.eps"),
+    (("constants", "eps1"), "constants.eps1"),
+    (("constants", "C4"), "constants.C4"),
     (("constants", "eps0"), "constants.eps0"),
     (("constants", "L"), "constants.L"),
     (("balls", 0, "center", 0), "balls[0].center"),
@@ -378,8 +379,6 @@ _SHAPED = st.fixed_dictionaries(
     optional={
         "grid": _section("half_width", "nodes_per_axis"),
         "p": _NUMBER,
-        "fit": _section("half_width", "n_samples", "delta_step", "delta_max", "c1_step",
-                        "c1_max", "c2_cap"),
         "constants": _section("eps", "eps0", "eps1", "L", "C4"),
         "balls": st.lists(st.fixed_dictionaries(
             {"center": _mostly([0.0, [0.0], [0.0, 0.0]], st.lists(_NUMBER, max_size=2)),

@@ -3,13 +3,14 @@ caller.
 
 No linter runs on this repository, so this is the check that keeps unused
 imports out: a name bound by a module-level `import` or `from ... import` must
-be referenced somewhere in its module, or be re-exported through `__all__`.
-The package `__init__` is left out: re-exporting is what its imports are for.
+be referenced somewhere in its module or test file, or be re-exported through
+`__all__`.  The package `__init__` is left out: re-exporting is what its
+imports are for.
 
-A function or class in a module's `__all__` must be referenced somewhere
-outside its own definition: in the package, or in the benchmark, the tools,
-the README or the acceptance tests.  Unit tests do not count, so library code
-that only its own tests reach is flagged.
+A function, class or module-level constant in a module's `__all__` must be
+referenced somewhere outside its own definition: in the package, or in the
+benchmark, the tools, the README or the acceptance tests.  Unit tests do not
+count, so library code that only its own tests reach is flagged.
 """
 
 import ast
@@ -23,6 +24,7 @@ import wsobolev
 MODULES = sorted(m for m in Path(wsobolev.__file__).parent.glob("*.py")
                  if m.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
+TEST_FILES = sorted((REPO / "tests").glob("*.py"))
 # python files outside the package whose references count as callers
 CALLER_SCRIPTS = [*sorted((REPO / "bench").glob("*.py")), *sorted((REPO / "tools").glob("*.py")),
                   REPO / "tests" / "test_acceptance.py"]
@@ -77,16 +79,27 @@ def references(source: str, strings: bool = False) -> set[str]:
     return refs
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names that module-level defs, classes and assignments bind."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 def uncalled_exports(package: dict[str, str], scripts: list[str], text: str) -> list[str]:
-    """`module.name` for each function or class in a package module's
-    `__all__` that no package module, script or the text refers to."""
+    """`module.name` for each function, class or constant in a package
+    module's `__all__` that no package module, script or the text refers to."""
     called = set().union(*(references(src) for src in package.values()),
                          *(references(src, strings=True) for src in scripts))
     out = []
     for module, src in sorted(package.items()):
         tree = ast.parse(src)
-        defined = {s.name for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))}
-        out += [f"{module}.{name}" for name in sorted(_exported(tree) & defined)
+        out += [f"{module}.{name}" for name in sorted(_exported(tree) & _top_level_names(tree))
                 if name not in called and not re.search(rf"\b{name}\b", text)]
     return out
 
@@ -95,7 +108,8 @@ def test_modules_found():
     assert {"pde.py", "sobolev.py", "cli.py"} <= {m.name for m in MODULES}
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+@pytest.mark.parametrize("module", MODULES + TEST_FILES,
+                         ids=[m.name for m in MODULES] + [f"tests/{m.name}" for m in TEST_FILES])
 def test_no_unused_module_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
@@ -113,14 +127,15 @@ def test_every_export_has_a_caller():
 
 def test_detects_an_uncalled_export():
     package = {
-        "a": '__all__ = ["VERSION", "used", "recursive", "own_tests_only", "named"]\n'
+        "a": '__all__ = ["VERSION", "LIMIT", "used", "recursive", "own_tests_only", "named"]\n'
              "VERSION = 1\n"
+             "LIMIT: int = 2\n"
              "def used(): pass\n"
              "def recursive(n): return recursive(n - 1)\n"
              "def own_tests_only(): pass\n"
              "def named(): pass\n",
-        "b": "from .a import used\nused()\n",
+        "b": "from .a import LIMIT, used\nused(LIMIT)\n",
     }
     scripts = ['LIB = ("own",)\n']
     assert uncalled_exports(package, scripts, "call `named`") == [
-        "a.own_tests_only", "a.recursive"]
+        "a.VERSION", "a.own_tests_only", "a.recursive"]

@@ -18,7 +18,6 @@ from wsobolev.pde import (
     ProxConvergenceError,
     SolverSettings,
     StationaryResult,
-    Trajectory,
     _apply,
     _edge_differences,
     _edge_differences_transpose,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from wsobolev.cli import run
 from wsobolev.config import parse_config

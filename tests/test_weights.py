@@ -10,7 +10,7 @@ from scipy.special import erf, erfi
 from test_expr_config import _JSON, _SHAPED
 from wsobolev.cli import _SIDECARS, _round_floats
 from wsobolev.config import ConfigError, parse_config
-from wsobolev.grid import Grid, GridFunction, build_grid, lattice_points, sample_field
+from wsobolev.grid import GridFunction, build_grid, lattice_points
 from wsobolev.weights import (
     AdmissibilityReport,
     Ball,
@@ -37,6 +37,8 @@ from wsobolev.weights import (
 )
 
 GAUSS = WeightSpec(1.0, 2.0, 1)
+# the sample lattice check_admissibility fits on over [-6, 6]
+FIT_PTS = lattice_points(1, 6.0, 2001)
 
 
 def pts1(*xs):
@@ -81,10 +83,10 @@ class TestTerms:
         expr = PotentialExpr(
             (PowerAbsTerm(1.0, 2.5), CosineTerm(0.5, (2.0,)), ConstantTerm(1.0))
         )
-        back = PotentialExpr.from_json(expr.to_json(), dim=1)
-        p = pts1(-1.3, 0.2, 2.7)
-        assert_allclose(back.value(p), expr.value(p))
-        assert_allclose(back.grad(p), expr.grad(p))
+        doc = [{"kind": "power_abs", "c": 1.0, "s": 2.5},
+               {"kind": "cosine", "c": 0.5, "k": [2.0]},
+               {"kind": "constant", "c": 1.0}]
+        assert PotentialExpr.from_json(doc, dim=1) == expr
 
     def test_from_json_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -169,9 +171,10 @@ class TestWeightSpec:
             W=PotentialExpr((PowerAbsTerm(0.5, 2.0),)),
             V=PotentialExpr((CosineTerm(1.0, (1.0,)),)),
         )
-        back = WeightSpec.from_json(spec.to_json())
-        p = pts1(0.3, -1.7)
-        assert_allclose(eval_weight(back, p), eval_weight(spec, p))
+        doc = {"beta": 2.0, "q": 3.0, "dim": 1,
+               "W": [{"kind": "power_abs", "c": 0.5, "s": 2.0}],
+               "V": [{"kind": "cosine", "c": 1.0, "k": [1.0]}]}
+        assert WeightSpec.from_json(doc) == spec
 
     def test_drift_closed_form(self):
         # for w = exp(-x^2), grad(w)/w = -2x
@@ -204,7 +207,7 @@ class TestGrowthFits:
     def test_quadratic_potential(self):
         # |grad(x^2/2)| = |x| = 1*|x|^(q-1) for q=2: delta=1, gamma=0
         expr = PotentialExpr((QuadraticTerm(0.5),))
-        delta, gamma = fit_growth_constants(expr, 2.0, 1, 6.0)
+        delta, gamma = fit_growth_constants(expr, 2.0, FIT_PTS)
         assert delta == pytest.approx(1.0)
         assert gamma == pytest.approx(0.0, abs=1e-12)
 
@@ -212,12 +215,12 @@ class TestGrowthFits:
         # |2 sin(2x)| <= 4|x| everywhere, so the offset can be driven to zero
         # by slope 4; the fit minimizes the offset first, then the slope
         expr = PotentialExpr((CosineTerm(1.0, (2.0,)),))
-        delta, gamma = fit_growth_constants(expr, 2.0, 1, 6.0)
+        delta, gamma = fit_growth_constants(expr, 2.0, FIT_PTS)
         assert delta == pytest.approx(4.0, abs=0.02)
         assert gamma == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_potential(self):
-        delta, gamma = fit_growth_constants(PotentialExpr(()), 2.0, 1, 6.0)
+        delta, gamma = fit_growth_constants(PotentialExpr(()), 2.0, FIT_PTS)
         assert delta == 0.0 and gamma == 0.0
 
     def test_dilation_quadratic(self):
@@ -225,14 +228,14 @@ class TestGrowthFits:
         # but smaller c1 succeeds with offset 0 since F <= 0.  The scan picks
         # the smallest c1 with offset under the cap, which is c1 = 1.
         expr = -PotentialExpr((QuadraticTerm(0.5),))
-        fit = fit_dilation_bound(expr, 1, 6.0)
+        fit = fit_dilation_bound(expr, FIT_PTS)
         assert fit.ok
         assert fit.c1 == pytest.approx(1.0)
         assert fit.c2 <= 0.0 + 1e-12
 
     def test_dilation_bound_holds_on_samples(self):
         expr = -PotentialExpr((PowerAbsTerm(1.0, 2.5), CosineTerm(1.0, (1.0,))))
-        fit = fit_dilation_bound(expr, 1, 6.0)
+        fit = fit_dilation_bound(expr, FIT_PTS)
         assert fit.ok
         xs = np.linspace(-6.0, 6.0, 2001)[:, None]
         lhs = expr.value(2 * xs)
@@ -272,7 +275,7 @@ class TestAdmissibility:
             check_admissibility(WeightSpec(-1.0, 2.0, 1), 6.0)
 
     def test_json_keys(self):
-        d = _round_floats(check_admissibility(GAUSS, 4.0, n_samples=201))
+        d = _round_floats(check_admissibility(GAUSS, 4.0))
         for key in ("admissible", "delta", "gamma", "dilation_W", "dilation_V"):
             assert key in d
 
@@ -460,13 +463,12 @@ def _catalog(draw):
 def test_fits_hold_on_samples(case):
     """The fitted growth and dilation constants bound every lattice sample."""
     dim, W, V, q, half_width = case
-    n = 401
-    pts = lattice_points(dim, half_width, n)
-    delta, gamma = fit_growth_constants(W, q, dim, half_width, n)
+    pts = lattice_points(dim, half_width, 401)
+    delta, gamma = fit_growth_constants(W, q, pts)
     bound = delta * np.sqrt(np.sum(pts * pts, axis=-1)) ** (q - 1.0) + gamma
     assert np.all(W.grad_norm(pts) <= bound + 1e-12 * (1.0 + bound))
     for F in (-W, -V):
-        fit = fit_dilation_bound(F, dim, half_width, n)
+        fit = fit_dilation_bound(F, pts)
         if fit.ok:
             lhs, rhs = F.value(2.0 * pts), fit.c1 * F.value(pts) + fit.c2
             assert np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs)))

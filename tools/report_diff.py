@@ -52,7 +52,6 @@ def _readme_configs() -> dict[str, dict]:
     two["weight"]["dim"] = 2
     two["weight"]["V"][0]["k"] = [2.0, 1.0]
     two["grid"] = {"half_width": 4.0, "nodes_per_axis": 41}
-    two["fit"]["half_width"] = 4.0
     two["balls"] = [{"center": [0.0, 0.0], "radius": 1.0},
                     {"center": [0.5, -0.5], "radius": 1.5}]
     two["approximate"]["u0"] = "max(1 - x*x - y*y, 0)"
