@@ -6,10 +6,13 @@ from wsobolev.corpus import corpus_members
 from wsobolev.grid import Grid, build_grid
 
 
+def test_version_and_size():
+    assert len(corpus_members()) == 18
+
+
 def test_deterministic_order():
     names = [m.name for m in corpus_members()]
     assert names == [m.name for m in corpus_members()]
-    assert len(names) == 18
     assert names[0] == "bump_cm2_w0.4"
     assert names[-3:] == [
         "bump_cp0_w1.0_linear",
