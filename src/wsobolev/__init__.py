@@ -79,7 +79,6 @@ from .pde import (
     EvolutionProblem,
     IntegrabilityGateError,
     ProxConvergenceError,
-    SolverSettings,
     StationaryResult,
     Trajectory,
     apply_operator,

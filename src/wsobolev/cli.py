@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, fields, is_dataclass
 from pathlib import Path
 
 from ._expr import ExpressionError, evaluate_expression
@@ -141,7 +141,8 @@ def _state_from_string(
     text: str, grid: Grid, support_radius: float | None = None
 ) -> GridFunction:
     """u0/source strings are either "file:<path>" (grid binary dump) or an
-    arithmetic expression of x (and y in 2d)."""
+    arithmetic expression of x (and y in 2d); either form takes support_radius
+    as its declared support."""
     if text.startswith("file:"):
         f = load_grid_function_binary(text[5:])
         if f.grid != grid:
@@ -149,8 +150,9 @@ def _state_from_string(
                 f"state file {text[5:]!r} was saved on a different grid "
                 f"(n={f.grid.nodes_per_axis}, R={f.grid.half_width:g})"
             )
-        return f
-    vals = evaluate_expression(text, *grid.mesh())
+        vals = f.values
+    else:
+        vals = evaluate_expression(text, *grid.mesh())
     return GridFunction(grid, vals, compact_support_radius=support_radius)
 
 
@@ -244,7 +246,7 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
 def _cmd_approximate(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     cfg = config.approximate
     f = _state_from_string(cfg.u0, config.grid, support_radius=cfg.support_radius)
-    report = smooth_approximation(f, config.weight, config.p, cfg.schedule, tol=cfg.tol)
+    report = smooth_approximation(f, config.weight, config.p, cfg.schedule)
     steps = _csv("eps,lp_error,grad_lp_error,sobolev_error", map(astuple, report.steps))
     results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
@@ -260,7 +262,6 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         horizon=cfg.T,
         step=cfg.tau,
         dualization=cfg.dualization,
-        settings=cfg.solver,
     )
     traj = solve_evolution(problem)
     save_grid_function_csv(traj.states[-1], out_dir / "final_state.csv")
@@ -282,15 +283,8 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 
 def _cmd_stationary(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    cfg = config.stationary
-    f = _state_from_string(cfg.source, config.grid)
-    result = solve_stationary(
-        f,
-        config.weight,
-        config.p,
-        settings=cfg.solver,
-        compatibility_tol=cfg.compatibility_tol,
-    )
+    f = _state_from_string(config.stationary.source, config.grid)
+    result = solve_stationary(f, config.weight, config.p)
     save_grid_function_csv(result.state, out_dir / "solution.csv")
     return EXIT_OK, {"stationary": result}
 
@@ -340,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (default: "
                        f"${OUTPUT_DIR_ENV} or ./wsobolev-out)")
-        p.add_argument("--grid-n", type=int, default=None,
-                       help="override grid.nodes_per_axis (odd)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="tabular report format (JSON summaries always written)")
     return parser
@@ -354,13 +346,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    if args.grid_n is not None:
-        try:
-            grid = Grid(config.grid.dim, config.grid.half_width, args.grid_n)
-        except ValueError as err:
-            print(f"error: --grid-n: {err}", file=sys.stderr)
-            return EXIT_OPERATIONAL
-        config = replace(config, grid=grid)
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "wsobolev-out"
     return run(args.subcommand, config, out_dir, format=args.format)
 

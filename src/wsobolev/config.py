@@ -7,7 +7,7 @@ shape parameters, so the minimal useful config is
     {"weight": {"beta": 1.0, "q": 2.0, "dim": 1}}
 
 Validation errors always name the offending field by its JSON path
-("weight.q", "evolution.solver.max_iters", "weight.W[0].kind").
+("weight.q", "approximate.schedule", "weight.W[0].kind").
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import Grid
-from .pde import SolverSettings
 from .weights import Ball, WeightSpec, is_finite_number, json_number
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
@@ -84,16 +83,6 @@ def _parse_grid(obj, dim: int) -> Grid:
     return Grid(dim=dim, half_width=half_width, nodes_per_axis=n)
 
 
-def _parse_solver(obj, path: str) -> SolverSettings:
-    obj = _section(obj, path, {"tol", "max_iters"})
-    return SolverSettings(
-        tolerance=_number(obj, "tol", path, default=SolverSettings.tolerance,
-                          minimum=0.0, strict=True),
-        max_iterations=_integer(obj, "max_iters", path, default=SolverSettings.max_iterations,
-                                minimum=1),
-    )
-
-
 def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
     if not isinstance(items, list) or not items:
         raise ConfigError("balls: expected a non-empty list")
@@ -135,7 +124,6 @@ class ApproximateConfig:
     u0: str
     support_radius: float
     schedule: tuple[float, ...]
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -144,14 +132,11 @@ class EvolutionConfig:
     T: float
     tau: float
     dualization: str
-    solver: SolverSettings
 
 
 @dataclass(frozen=True)
 class StationaryConfig:
     source: str
-    compatibility_tol: float
-    solver: SolverSettings
 
 
 @dataclass(frozen=True)
@@ -200,7 +185,7 @@ def parse_config(doc: dict) -> RunConfig:
         balls = (Ball(origin, 1.0), Ball(origin, 2.0))
 
     approx = _section(doc.get("approximate", {}), "approximate",
-                      {"u0", "support_radius", "schedule", "tol"})
+                      {"u0", "support_radius", "schedule"})
     schedule = approx.get("schedule", [0.2, 0.1, 0.05])
     if (not isinstance(schedule, list) or not schedule
             or not all(is_finite_number(s) and s > 0 for s in schedule)):
@@ -212,28 +197,20 @@ def parse_config(doc: dict) -> RunConfig:
         support_radius=_number(approx, "support_radius", "approximate",
                                default=1.0, minimum=0.0, strict=True),
         schedule=tuple(float(s) for s in schedule),
-        tol=_number(approx, "tol", "approximate", default=1e-2, minimum=0.0, strict=True),
     )
 
     evo = _section(doc.get("evolution", {}), "evolution",
-                   {"u0", "T", "tau", "dualization", "solver"})
+                   {"u0", "T", "tau", "dualization"})
     evolution = EvolutionConfig(
         u0=_string(evo, "u0", "evolution", default="x"),
         T=_number(evo, "T", "evolution", default=0.5, minimum=0.0, strict=True),
         tau=_number(evo, "tau", "evolution", default=1e-3, minimum=0.0, strict=True),
         dualization=_string(evo, "dualization", "evolution", default="weighted",
                             choices={"weighted", "lebesgue"}),
-        solver=_parse_solver(evo.get("solver", {}), "evolution.solver"),
     )
 
-    stat = _section(doc.get("stationary", {}), "stationary",
-                    {"source", "compatibility_tol", "solver"})
-    stationary = StationaryConfig(
-        source=_string(stat, "source", "stationary", default="2*x"),
-        compatibility_tol=_number(stat, "compatibility_tol", "stationary",
-                                  default=1e-6, minimum=0.0, strict=True),
-        solver=_parse_solver(stat.get("solver", {}), "stationary.solver"),
-    )
+    stat = _section(doc.get("stationary", {}), "stationary", {"source"})
+    stationary = StationaryConfig(source=_string(stat, "source", "stationary", default="2*x"))
 
     verify_override = None
     if "verify" in doc:

@@ -133,31 +133,15 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy(), self.compact_support_radius)
 
-    def _combined_radius(self, other: "GridFunction") -> float | None:
-        a, b = self.compact_support_radius, other.compact_support_radius
-        if a is None or b is None:
-            return None
-        return max(a, b)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values, self._combined_radius(other))
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values, self._combined_radius(other))
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(scalar), self.compact_support_radius)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values, self.compact_support_radius)
+        a, b = self.compact_support_radius, other.compact_support_radius
+        radius = None if a is None or b is None else max(a, b)
+        return GridFunction(self.grid, self.values - other.values, radius)
 
 
 def sample_field(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .grid import Grid, GridFunction, tensor_weights, trapezoid_weights
 from .weights import WeightSpec, eval_weight
 
 __all__ = [
-    "SolverSettings",
     "EvolutionProblem",
     "Trajectory",
     "ProxConvergenceError",
@@ -46,9 +45,15 @@ __all__ = [
 ]
 
 
+# Newton-CG stops when the gradient's metric norm is at most _TOLERANCE, and
+# fails once _MAX_ITERATIONS CG iterations are spent
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 10_000
 # backtracking line search: step shrink factor and Armijo sufficient-decrease constant
 _SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
+# a stationary source's weighted mean may be at most this times max|f|
+_COMPATIBILITY_TOL = 1e-6
 
 
 def _mass_weights(grid: Grid) -> np.ndarray:
@@ -61,18 +66,6 @@ def _node_metric(spec: WeightSpec, grid: Grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    tolerance: float = 1e-8
-    max_iterations: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
 class EvolutionProblem:
     p: float
     spec: WeightSpec
@@ -80,7 +73,6 @@ class EvolutionProblem:
     horizon: float
     step: float
     dualization: str = "weighted"
-    settings: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
         if self.p < 2.0:
@@ -324,7 +316,7 @@ def _pcg(stencil: dict, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
 
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
-              p: float, settings: SolverSettings, tau: float = math.inf,
+              p: float, tau: float = math.inf,
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
               stencil: dict | None = None):
     """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
@@ -368,14 +360,14 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     v = v - np.vdot(metric, v) / metric_total if project else v
     obj, g, gnorm, terms = evaluate(v)
     spent, forcing = 0, 0.0
-    while gnorm > settings.tolerance:
-        if spent == settings.max_iterations:
-            raise failure(f"Newton-CG did not reach tolerance {settings.tolerance:g} "
+    while gnorm > _TOLERANCE:
+        if spent == _MAX_ITERATIONS:
+            raise failure(f"Newton-CG did not reach tolerance {_TOLERANCE:g} "
                           f"in {spent} iterations")
         hessian = stencil or _hessian(h, cell_w, p, *terms[2])
         step, its, model_gnorm = _pcg(hessian, shift, -g, metric,
-                                      max(0.1 * settings.tolerance, forcing * gnorm),
-                                      settings.max_iterations - spent)
+                                      max(0.1 * _TOLERANCE, forcing * gnorm),
+                                      _MAX_ITERATIONS - spent)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
@@ -473,7 +465,7 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     for k in range(n_steps + 1):
         if k:  # Newton starts from the linear extrapolation of the last two states
             (vals, iters, value, _), prev = _minimize(
-                vals, grid, metric, cell_w, p, problem.settings, problem.step,
+                vals, grid, metric, cell_w, p, problem.step,
                 start=2 * vals - prev, stencil=stencil), vals
             traj.times.append(k * problem.step)
             traj.states.append(GridFunction(grid, vals.copy()))
@@ -500,9 +492,7 @@ class StationaryResult:
                 "objective": self.objective}
 
 
-def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
-                     settings: SolverSettings = SolverSettings(),
-                     compatibility_tol: float = 1e-6) -> StationaryResult:
+def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryResult:
     """Minimize the source-perturbed energy over mean-zero grid functions.
 
     The natural (no-flux) boundary leaves constants in the operator's
@@ -519,15 +509,15 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float,
     metric_total = float(np.sum(metric))
     f_mean = float(np.sum(metric * f.values)) / metric_total
     scale = max(float(np.max(np.abs(f.values))), 1.0)
-    if abs(f_mean) > compatibility_tol * scale:
+    if abs(f_mean) > _COMPATIBILITY_TOL * scale:
         raise ValueError(
             f"incompatible source: weighted mean {f_mean:.3e} exceeds "
-            f"{compatibility_tol:g} * max|f|"
+            f"{_COMPATIBILITY_TOL:g} * max|f|"
         )
     source = f.values - f_mean
     cell_w = _cell_weights(spec, grid)
     out, iters, value, grad = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p,
-                                        settings, source=source)
+                                        source=source)
     res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))
     obj = value - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

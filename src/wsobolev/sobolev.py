@@ -122,6 +122,10 @@ def product_rule_residual(
 # ---------------------------------------------------------------------------
 
 
+# the relative weighted Sobolev error the finest scale must reach
+_TOL = 1e-2
+
+
 @dataclass(frozen=True)
 class ApproximationStep:
     eps: float
@@ -151,10 +155,10 @@ def smooth_approximation(
     spec: WeightSpec,
     p: float,
     eps_schedule: Sequence[float],
-    tol: float = 1e-2,
 ) -> ApproximationReport:
     """Mollify f at each scale of a decreasing schedule and measure the
-    weighted Sobolev error; passes when the final relative error meets tol.
+    weighted Sobolev error; passes when the final relative error is at most
+    _TOL.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -187,8 +191,8 @@ def smooth_approximation(
         steps=tuple(steps),
         base_norm=base,
         final_relative_error=rel,
-        tol=tol,
-        passed=rel <= tol,
+        tol=_TOL,
+        passed=rel <= _TOL,
         grad_root_locally_bounded=True,
     )
 

@@ -41,6 +41,7 @@ __all__ = [
     "root_on_grid",
     "drift_on_grid",
     "DilationFit",
+    "fit_growth_constants",
     "fit_dilation_bound",
     "AdmissibilityReport",
     "check_admissibility",

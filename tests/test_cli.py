@@ -324,19 +324,22 @@ class TestMain:
         assert code == EXIT_OK
         assert (out / "constant_chain.json").exists()
 
-    def test_grid_n_override(self, tmp_path):
-        cfg = self.write_config(tmp_path)
-        out = tmp_path / "out"
-        code = main(["weight-report", "--config", str(cfg),
-                     "--out", str(out), "--grid-n", "101"])
-        assert code == EXIT_OK
-
-    def test_grid_n_rejects_even(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        code = main(["weight-report", "--config", str(cfg),
-                     "--out", str(tmp_path / "o"), "--grid-n", "100"])
-        assert code == EXIT_OPERATIONAL
-        assert "--grid-n" in capsys.readouterr().err
+    def test_file_u0_takes_the_support_radius(self, tmp_path):
+        # a dump saved without a radius gets approximate.support_radius, as
+        # the expression form does, so both forms write the same report
+        g = build_grid(1, 2.0, 101)
+        tent = sample_field(g, lambda x: np.maximum(1 - np.abs(x), 0.0))
+        save_grid_function_binary(tent, tmp_path / "tent.bin")
+        reports = []
+        for i, u0 in enumerate(["max(1 - abs(x), 0)", f"file:{tmp_path / 'tent.bin'}"]):
+            cfg = self.write_config(tmp_path, {"weight": {"beta": 1.0, "q": 2.0, "dim": 1},
+                                               "grid": {"half_width": 2.0,
+                                                        "nodes_per_axis": 101},
+                                               "approximate": {"u0": u0}})
+            out = tmp_path / f"out{i}"
+            assert main(["approximate", "--config", str(cfg), "--out", str(out)]) == 2
+            reports.append((out / "approximation.json").read_text())
+        assert reports[0] == reports[1]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["constants", "--config", str(tmp_path / "absent.json"),

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from wsobolev._expr import ExpressionError, evaluate_expression
 from wsobolev.cli import main
 from wsobolev.config import ConfigError, load_config, parse_config
-from wsobolev.pde import SolverSettings
 
 BASE = {"weight": {"beta": 1.0, "q": 2.0, "dim": 1}}
 
@@ -97,9 +96,6 @@ class TestConfigDefaults:
         assert cfg.evolution.T == 0.5
         assert cfg.evolution.dualization == "weighted"
         assert cfg.stationary.source == "2*x"
-        # both Newton-CG solvers share one default budget
-        assert cfg.stationary.solver == cfg.evolution.solver == SolverSettings()
-        assert cfg.evolution.solver.max_iterations == 10_000
         assert cfg.verify_override is None
 
     def test_full_round_trip(self):
@@ -116,12 +112,10 @@ class TestConfigDefaults:
             "constants": {"eps": 0.5, "eps0": 0.25, "eps1": 2.0, "L": 8.0, "C4": 2.0},
             "balls": [{"center": 0.0, "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
-                            "schedule": [0.1, 0.05], "tol": 0.05},
+                            "schedule": [0.1, 0.05]},
             "evolution": {"u0": "sin(x)", "T": 0.2, "tau": 0.01,
-                          "dualization": "lebesgue",
-                          "solver": {"tol": 1e-6, "max_iters": 500}},
-            "stationary": {"source": "x", "compatibility_tol": 1e-4,
-                           "solver": {"max_iters": 2000}},
+                          "dualization": "lebesgue"},
+            "stationary": {"source": "x"},
             "verify": {"C": 1.0, "D": 2.0},
         }
         cfg = parse_config(doc)
@@ -133,9 +127,7 @@ class TestConfigDefaults:
         assert cfg.balls[0].radius == 1.5
         assert cfg.approximate.schedule == (0.1, 0.05)
         assert cfg.evolution.dualization == "lebesgue"
-        assert cfg.evolution.solver.tolerance == 1e-6
-        assert cfg.evolution.solver.max_iterations == 500
-        assert cfg.stationary.solver.max_iterations == 2000
+        assert cfg.stationary.source == "x"
         assert cfg.verify_override == {"C": 1.0, "D": 2.0}
 
     def test_2d_weight(self):
@@ -158,6 +150,15 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, "fit": {}})
         assert str(err.value).startswith("config.fit: unknown field")
+
+    @pytest.mark.parametrize("section, key", [
+        ("evolution", "solver"), ("stationary", "solver"),
+        ("stationary", "compatibility_tol"), ("approximate", "tol")])
+    def test_fixed_solver_values_are_unknown(self, section, key):
+        # solver tolerances, budgets and the approximation target are constants
+        with pytest.raises(ConfigError) as err:
+            parse_config({**BASE, section: {key: {} if key == "solver" else 1e-6}})
+        assert str(err.value).startswith(f"{section}.{key}: unknown field")
 
     def test_beta_zero(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -264,7 +265,7 @@ FULL = {
     "constants": {"eps": 1.0, "eps1": 1.0, "C4": 1.0, "eps0": 0.5, "L": 8.0},
     "balls": [{"center": [0.0], "radius": 1.0}],
     "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
-    "evolution": {"T": 0.5, "solver": {"tol": 1e-8}},
+    "evolution": {"T": 0.5, "tau": 1e-3},
     "verify": {"c": 1.0},
 }
 NON_FINITE = [
@@ -285,7 +286,7 @@ NON_FINITE = [
     (("approximate", "support_radius"), "approximate.support_radius"),
     (("approximate", "schedule", 0), "approximate.schedule"),
     (("evolution", "T"), "evolution.T"),
-    (("evolution", "solver", "tol"), "evolution.solver.tol"),
+    (("evolution", "tau"), "evolution.tau"),
     (("verify", "c"), "verify.c"),
 ]
 
@@ -384,10 +385,9 @@ _SHAPED = st.fixed_dictionaries(
             {"center": _mostly([0.0, [0.0], [0.0, 0.0]], st.lists(_NUMBER, max_size=2)),
              "radius": _NUMBER}), max_size=2),
         "approximate": st.fixed_dictionaries(
-            {}, optional={"support_radius": _NUMBER, "tol": _NUMBER,
+            {}, optional={"support_radius": _NUMBER,
                           "schedule": st.lists(_NUMBER, max_size=3)}),
         "evolution": _section("T", "tau"),
-        "stationary": _section("compatibility_tol"),
         "verify": _section("C", "D", "C_prime", "D_prime", "c"),
     },
 )

@@ -10,7 +10,9 @@ imports are for.
 A function, class or module-level constant in a module's `__all__` must be
 referenced somewhere outside its own definition: in the package, or in the
 benchmark, the tools, the README or the acceptance tests.  Unit tests do not
-count, so library code that only its own tests reach is flagged.
+count, so library code that only its own tests reach is flagged.  A name the
+package `__init__` re-exports must be in its module's `__all__`, so that this
+check covers it.
 """
 
 import ast
@@ -104,6 +106,17 @@ def uncalled_exports(package: dict[str, str], scripts: list[str], text: str) -> 
     return out
 
 
+def unlisted_reexports(init: str, package: dict[str, str]) -> list[str]:
+    """`module.name` for each name `__init__` imports from a package module
+    that is not in that module's `__all__`."""
+    out = []
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = _exported(ast.parse(package[node.module]))
+            out += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    return out
+
+
 def test_modules_found():
     assert {"pde.py", "sobolev.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -123,6 +136,19 @@ def test_every_export_has_a_caller():
     package = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
     scripts = [p.read_text(encoding="utf-8") for p in CALLER_SCRIPTS]
     assert uncalled_exports(package, scripts, (REPO / "README.md").read_text("utf-8")) == []
+
+
+def test_reexports_are_listed():
+    package = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
+    init = (Path(wsobolev.__file__).parent / "__init__.py").read_text(encoding="utf-8")
+    assert unlisted_reexports(init, package) == []
+
+
+def test_detects_an_unlisted_reexport():
+    package = {"a": '__all__ = ["listed"]\ndef listed(): pass\ndef hidden(): pass\n',
+               "b": "__all__ = []\nLIMIT = 1\n"}
+    init = "import math\nfrom .a import hidden, listed\nfrom .b import LIMIT\n"
+    assert unlisted_reexports(init, package) == ["a.hidden", "b.LIMIT"]
 
 
 def test_detects_an_uncalled_export():

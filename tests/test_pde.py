@@ -16,7 +16,6 @@ from wsobolev.pde import (
     EvolutionProblem,
     IntegrabilityGateError,
     ProxConvergenceError,
-    SolverSettings,
     StationaryResult,
     _apply,
     _edge_differences,
@@ -46,19 +45,6 @@ def linear_state(n=301, R=6.0):
 def one_step(u, p, spec, tau):
     """The state after one implicit-Euler step of the weighted flow."""
     return solve_evolution(EvolutionProblem(p, spec, u, tau, tau)).states[-1]
-
-
-class TestSolverSettings:
-    def test_defaults(self):
-        s = SolverSettings()
-        assert s.tolerance == 1e-8
-        assert s.max_iterations == 10_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(max_iterations=0)
 
 
 class TestEvolutionProblem:
@@ -292,10 +278,11 @@ class TestEvolution:
         assert lines[1].split(",")[0] == "0"
         assert lines[1].split(",")[3] == "0"  # no inner iterations at t = 0
 
-    def test_convergence_error_carries_iterate(self):
+    def test_convergence_error_carries_iterate(self, monkeypatch):
         g, u = linear_state(301)
-        settings = SolverSettings(tolerance=1e-14, max_iterations=3)
-        prob = EvolutionProblem(2.0, GAUSS, u, 0.1, 0.05, settings=settings)
+        monkeypatch.setattr(pde, "_TOLERANCE", 1e-14)
+        monkeypatch.setattr(pde, "_MAX_ITERATIONS", 3)
+        prob = EvolutionProblem(2.0, GAUSS, u, 0.1, 0.05)
         with pytest.raises(ProxConvergenceError) as exc:
             solve_evolution(prob)
         assert exc.value.iterate.grid == g
@@ -351,7 +338,7 @@ class TestLebesgueGate:
         with pytest.raises(ProxConvergenceError, match=r"stalled at iteration (\d+)") as exc:
             solve_evolution(prob)
         spent = int(re.search(r"iteration (\d+)", str(exc.value)).group(1))
-        assert spent < SolverSettings().max_iterations
+        assert spent < pde._MAX_ITERATIONS
         assert exc.value.iterate.grid == g
 
     def test_lebesgue_constant_is_steady(self):
@@ -427,13 +414,15 @@ class TestStationary:
         with pytest.raises(ValueError):
             solve_stationary(f, GAUSS, 1.5)
 
-    def test_runs_out_of_iterations(self):
+    def test_runs_out_of_iterations(self, monkeypatch):
         # p = 2 converges in one Newton step, so a p = 3 Newton solve is the
         # one that can run out of CG iterations
         g = build_grid(1, 6.0, 301)
         f = sample_field(g, lambda x: 2.0 * x)
-        with pytest.raises(ProxConvergenceError, match="in 5 iterations") as exc:
-            solve_stationary(f, GAUSS, 3.0, SolverSettings(max_iterations=5))
+        monkeypatch.setattr(pde, "_MAX_ITERATIONS", 5)
+        with pytest.raises(ProxConvergenceError,
+                           match="did not reach tolerance 1e-08 in 5 iterations") as exc:
+            solve_stationary(f, GAUSS, 3.0)
         assert exc.value.iterate.grid == g
         assert exc.value.residual > 1e-8
 
