@@ -16,6 +16,7 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -409,18 +410,29 @@ class AdmissibilityReport:
 def fit_growth_constants(expr: PotentialExpr, q: float, pts: np.ndarray) -> tuple[float, float]:
     """Fit (delta, gamma) with |grad F(x)| <= delta*|x|^(q-1) + gamma on pts.
 
-    delta runs over {0, step, 2*step, ...}; gamma is the max sample residual
-    clipped at zero.  Among lattice points attaining the minimal gamma the
-    smallest delta wins.
+    delta runs over {0, step, 2*step, ...}; gamma(delta) is the max sample
+    residual clipped at zero.  gamma is non-increasing in delta, also in
+    floating point (delta*r, the subtraction and both maxima round
+    monotonically), so the minimal gamma is gamma(delta_max) and the
+    smallest delta attaining it is found by bisection over the lattice.  A
+    gradient beyond float range is infinite; an undefined (NaN) one raises
+    ValueError at the first such point.
     """
-    with np.errstate(over="ignore"):  # a gradient beyond float range is infinite
+    with np.errstate(over="ignore", invalid="ignore"):
         gnorm = expr.grad_norm(pts)
+    if np.isnan(gnorm).any():
+        x = tuple(float(c) for c in pts[np.isnan(gnorm)][0])
+        raise ValueError(f"grad W is undefined (NaN) at x = {x}")
     rq = _radii(pts) ** (q - 1.0)
     deltas = np.arange(0.0, _DELTA_MAX + 0.5 * _DELTA_STEP, _DELTA_STEP)
-    gammas = np.maximum(gnorm[None, :] - deltas[:, None] * rq[None, :], 0.0).max(axis=1)
-    gmin = gammas.min()
-    pick = int(np.argmax(gammas <= gmin + 1e-12 * (1.0 + gmin)))
-    return float(deltas[pick]), float(gammas[pick])
+
+    def gamma(i: int) -> float:
+        return float(np.maximum(gnorm - deltas[i] * rq, 0.0).max())
+
+    gmin = gamma(len(deltas) - 1)
+    limit = gmin + 1e-12 * (1.0 + gmin)
+    pick = bisect.bisect_left(range(len(deltas)), True, key=lambda i: gamma(i) <= limit)
+    return float(deltas[pick]), gamma(pick)
 
 
 def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityReport:
@@ -439,7 +451,7 @@ def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityRep
     osc_v = float(vvals.max() - vvals.min())
     dil_w = fit_dilation_bound(-spec.W, pts)
     dil_v = fit_dilation_bound(-spec.V, pts)
-    grad_ok = delta < budget
+    grad_ok = delta < budget and math.isfinite(gamma)
     admissible = bool(grad_ok and math.isfinite(osc_v) and dil_w.ok and dil_v.ok)
     return AdmissibilityReport(
         beta=spec.beta,

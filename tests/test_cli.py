@@ -462,6 +462,17 @@ class TestCertifiedOverflow:
         assert code == EXIT_OPERATIONAL and caught == []
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_undefined_gradient_is_one_error_line(self, tmp_path, capsys):
+        # k x overflows to inf on most of the box, where sin(inf) is NaN
+        doc = {"weight": {**GAUSS_1D, "W": [{"kind": "cosine", "c": 10.0, "k": [1e308]},
+                                            {"kind": "cosine", "c": -10.0, "k": [1.1e308]}]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, "constants", doc)
+        assert code == EXIT_OPERATIONAL and caught == []
+        assert capsys.readouterr().err == "error: grad W is undefined (NaN) at x = (-6.0,)\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):
         code, out = run_main(tmp_path, subcommand, self.HUGE_BETA)

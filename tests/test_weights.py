@@ -223,6 +223,12 @@ class TestGrowthFits:
         delta, gamma = fit_growth_constants(PotentialExpr(()), 2.0, FIT_PTS)
         assert delta == 0.0 and gamma == 0.0
 
+    def test_undefined_gradient_names_the_point(self):
+        # k x overflows to inf beyond |x| = 1.8 (and 1.6), where sin(inf) is NaN
+        expr = PotentialExpr((CosineTerm(10.0, (1e308,)), CosineTerm(-10.0, (1.1e308,))))
+        with pytest.raises(ValueError, match=r"^grad W is undefined \(NaN\) at x = \(-6\.0,\)$"):
+            fit_growth_constants(expr, 2.0, FIT_PTS)
+
     def test_dilation_quadratic(self):
         # F = -x^2/2 concave: F(2x) = 4F(x) <= c1 F(x) only once c1 >= 4 ...
         # but smaller c1 succeeds with offset 0 since F <= 0.  The scan picks
@@ -269,6 +275,13 @@ class TestAdmissibility:
         rep = check_admissibility(spec, 6.0)
         assert not rep.grad_bound_ok
         assert not rep.admissible
+
+    def test_infinite_gamma_fails_the_growth_bound(self):
+        # the exponent clamps to -inf, but |grad W| = 3.5e308 |x|^2.5 overflows
+        spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((PowerAbsTerm(1e308, 3.5),)))
+        rep = check_admissibility(spec, 6.0)
+        assert rep.gamma == math.inf
+        assert rep.grad_bound_ok is False and rep.admissible is False
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -472,3 +485,18 @@ def test_fits_hold_on_samples(case):
         if fit.ok:
             lhs, rhs = F.value(2.0 * pts), fit.c1 * F.value(pts) + fit.c2
             assert np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_catalog())
+def test_growth_fit_bisection_matches_full_table(case):
+    """The bisection picks exactly the (delta, gamma) of the full delta table."""
+    dim, W, _, q, half_width = case
+    pts = lattice_points(dim, half_width, 401)
+    gnorm = W.grad_norm(pts)
+    rq = np.sqrt(np.sum(pts * pts, axis=-1)) ** (q - 1.0)
+    deltas = np.arange(0.0, 10.0 + 0.5 * 0.01, 0.01)
+    gammas = np.maximum(gnorm[None, :] - deltas[:, None] * rq[None, :], 0.0).max(axis=1)
+    gmin = gammas.min()
+    pick = int(np.argmax(gammas <= gmin + 1e-12 * (1.0 + gmin)))
+    assert fit_growth_constants(W, q, pts) == (float(deltas[pick]), float(gammas[pick]))
