@@ -20,13 +20,11 @@ from .grid import (
     GridFunction,
     build_grid,
     discrete_gradient,
-    load_grid_function_binary,
     maximal_function,
     mollify,
     quadrature,
     quadrature_with_error,
     sample_field,
-    save_grid_function_binary,
     save_grid_function_csv,
 )
 from .weights import (

@@ -11,10 +11,10 @@ Subcommands mirror the package's module boundaries:
   solve-evolution      implicit-Euler gradient-flow trajectory
   solve-stationary     mean-zero stationary state for a compatible source
 
-Exit codes: 0 success, 2 when a verification that should mathematically hold
-comes out false (and only then), 1 for operational failures.  Outputs are
-byte-deterministic for a fixed config: floats are rounded to 12 significant
-digits and JSON keys are sorted.
+Exit codes: 0 success (and --help), 2 when a verification that should
+mathematically hold comes out false (and only then), 1 for operational
+failures and usage errors.  Outputs are byte-deterministic for a fixed
+config: floats are rounded to 12 significant digits and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from pathlib import Path
 from ._expr import ExpressionError, evaluate_expression
 from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
-from .grid import Grid, GridFunction, discrete_gradient, load_grid_function_binary, \
-    save_grid_function_csv
+from .grid import Grid, GridFunction, discrete_gradient, save_grid_function_csv
 from .inequalities import ConstantChain, build_constant_chain, verify_poincare, \
     verify_potential, verify_xq
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
     solve_evolution, solve_stationary
 from .sobolev import smooth_approximation
-from .weights import DoublingReport, MuckenhouptReport, check_admissibility, \
-    check_reciprocal_integrability, estimate_doubling, estimate_muckenhoupt, weight_on_grid
+from .weights import check_admissibility, check_reciprocal_integrability, estimate_doubling, \
+    estimate_muckenhoupt, weight_on_grid
 
 __all__ = ["SUBCOMMANDS", "OUTPUT_DIR_ENV", "emit_report", "run", "main"]
 
@@ -83,48 +82,29 @@ def _csv_cell(v) -> str:
         return str(v).lower()
     if isinstance(v, float):
         return f"{v:.12g}"
-    if v is None:
-        return ""
-    if isinstance(v, tuple):
-        return ";".join(map(_csv_cell, v))
     return str(v)
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: floats to 12 significant digits, bools in lowercase, None as
-    an empty cell, tuples joined with ';'."""
+    """CSV text: floats to 12 significant digits, bools in lowercase."""
     return "".join(f"{line}\n" for line in
                    [header, *(",".join(map(_csv_cell, row)) for row in rows)])
 
 
-def _ball_csv(report: DoublingReport | MuckenhouptReport) -> str:
-    return _csv("ball_center,ball_radius,value",
-                ((e.center, e.radius, e.value) for e in report.entries))
-
-
-# report type -> its CSV sidecar under --format csv
-_SIDECARS = {DoublingReport: _ball_csv, MuckenhouptReport: _ball_csv}
-
-
-def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> list[Path]:
+def emit_report(results: dict, out_dir: str | Path) -> list[Path]:
     """Write one file per report.
 
     Dict-like payloads (dataclass reports or plain dicts) become <name>.json;
-    string payloads are pre-rendered CSV and become <name>.csv.  With
-    format="csv", payloads whose type has an entry in _SIDECARS also get a
-    CSV sidecar.  Every file is rendered before any is written.
+    string payloads are pre-rendered CSV and become <name>.csv.  Every file
+    is rendered before any is written.
     """
-    if format not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     files: dict[str, str] = {}
     for name in sorted(results):
         payload = results[name]
         if isinstance(payload, str):
             files[f"{name}.csv"] = payload
-            continue
-        files[f"{name}.json"] = _canonical_json(payload, name)
-        if format == "csv" and type(payload) in _SIDECARS:
-            files[f"{name}.csv"] = _SIDECARS[type(payload)](payload)
+        else:
+            files[f"{name}.json"] = _canonical_json(payload, name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fname, text in files.items():
@@ -140,19 +120,9 @@ def emit_report(results: dict, out_dir: str | Path, format: str = "json") -> lis
 def _state_from_string(
     text: str, grid: Grid, support_radius: float | None = None
 ) -> GridFunction:
-    """u0/source strings are either "file:<path>" (grid binary dump) or an
-    arithmetic expression of x (and y in 2d); either form takes support_radius
-    as its declared support."""
-    if text.startswith("file:"):
-        f = load_grid_function_binary(text[5:])
-        if f.grid != grid:
-            raise ValueError(
-                f"state file {text[5:]!r} was saved on a different grid "
-                f"(n={f.grid.nodes_per_axis}, R={f.grid.half_width:g})"
-            )
-        vals = f.values
-    else:
-        vals = evaluate_expression(text, *grid.mesh())
+    """A u0/source string is an arithmetic expression of x (and y in 2d); the
+    state takes support_radius as its declared support."""
+    vals = evaluate_expression(text, *grid.mesh())
     return GridFunction(grid, vals, compact_support_radius=support_radius)
 
 
@@ -300,7 +270,7 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
-def run(subcommand: str, config: RunConfig, out_dir: str | Path, format: str = "json") -> int:
+def run(subcommand: str, config: RunConfig, out_dir: str | Path) -> int:
     """Dispatch one subcommand; writes artifacts and returns the exit code."""
     out = Path(out_dir)
     try:
@@ -308,10 +278,10 @@ def run(subcommand: str, config: RunConfig, out_dir: str | Path, format: str = "
         if subcommand not in _COMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
         code, results = _COMMANDS[subcommand](config, out)
-        emit_report(results, out, format=format)
+        emit_report(results, out)
         return code
     except IntegrabilityGateError as err:
-        emit_report({"integrability_gate": err.report}, out, format=format)
+        emit_report({"integrability_gate": err.report}, out)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
     except ProxConvergenceError as err:
@@ -334,20 +304,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (default: "
                        f"${OUTPUT_DIR_ENV} or ./wsobolev-out)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="tabular report format (JSON summaries always written)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse has printed the usage error or --help
+        return EXIT_OPERATIONAL if err.code else EXIT_OK
     try:
         config = load_config(args.config)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "wsobolev-out"
-    return run(args.subcommand, config, out_dir, format=args.format)
+    return run(args.subcommand, config, out_dir)
 
 
 if __name__ == "__main__":

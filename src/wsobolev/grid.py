@@ -18,7 +18,6 @@ in the Muckenhoupt integral (weights._ball_integral_power).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -45,8 +44,6 @@ __all__ = [
     "maximal_function",
     "bump_profile",
     "save_grid_function_csv",
-    "save_grid_function_binary",
-    "load_grid_function_binary",
 ]
 
 
@@ -416,27 +413,3 @@ def save_grid_function_csv(f: GridFunction, path: str | Path) -> None:
     rows = "".join(f"{c}{v:.12g}\n" for c, v in zip(coords, f.values.ravel().tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(",".join("xy"[: g.dim]) + ",value\n" + rows)
-
-
-def save_grid_function_binary(f: GridFunction, path: str | Path) -> None:
-    """Row-major float64 dump prefixed with a one-line JSON header."""
-    header = {
-        "dim": f.grid.dim,
-        "n": f.grid.nodes_per_axis,
-        "R": f.grid.half_width,
-    }
-    if f.compact_support_radius is not None:
-        header["support_radius"] = f.compact_support_radius
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def load_grid_function_binary(path: str | Path) -> GridFunction:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        grid = Grid(int(header["dim"]), float(header["R"]), int(header["n"]))
-        raw = fh.read()
-    vals = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-    return GridFunction(grid, vals, header.get("support_radius"))

@@ -68,15 +68,15 @@ def constants_potential(
     d: int,
     eps0: float | None = None,
     eps1: float = 1.0,
-    scale_gamma_by_C: bool = False,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Minimal (C', D') for the potential-perturbed moment bound against
     nu = exp(-beta*|x|^q - W - V) dx, given the fitted growth numbers
-    |grad W| <= delta*|x|^(q-1) + gamma and osc_V = sup V - inf V.
+    |grad W| <= delta*|x|^(q-1) + gamma and osc_V = sup V - inf V, followed
+    by D' with the additive gamma replaced by C*gamma — the constant the
+    perturbation argument actually propagates; both conventions are
+    circulating, so the chain reports the two values.
 
-    Requires delta < beta*q.  scale_gamma_by_C replaces the additive gamma
-    by C*gamma — the constant the perturbation argument actually propagates;
-    both conventions are circulating, so the chain reports the two values.
+    Requires delta < beta*q.
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
@@ -95,14 +95,12 @@ def constants_potential(
     except OverflowError:
         raise ValueError(f"exp(2 osc_V) leaves float range (osc_V = {osc_V:g})") from None
     c_prime = lead * eps0 * p * C * amp
-    gamma_term = C * gamma if scale_gamma_by_C else gamma
-    d_prime = lead * amp * (
+    base = (
         (1.0 + eps1) ** (q - 1.0)
         + (1.0 / eps1 + d - 1.0) * C
         + (eps0 * p) ** (-q / p) * C * p / q
-        + gamma_term
     )
-    return c_prime, d_prime
+    return c_prime, lead * amp * (base + gamma), lead * amp * (base + C * gamma)
 
 
 _OSC_SAMPLES = 10_000
@@ -217,11 +215,8 @@ def build_constant_chain(
     C, D = constants_xq(spec.beta, spec.q, spec.dim, eps)
     fits = check_admissibility(spec, fit_half_width)
     delta, gamma, osc_v = fits.delta, fits.gamma, fits.osc_V
-    c_prime, d_prime = constants_potential(
+    c_prime, d_prime, d_prime_scaled = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1
-    )
-    _, d_prime_scaled = constants_potential(
-        p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1, scale_gamma_by_C=True
     )
     c, a_L, log_c = poincare_bound(spec, p, c_prime, d_prime, L, C4)
     return ConstantChain(

@@ -81,7 +81,9 @@ class ConstantTerm:
 
 @dataclass(frozen=True)
 class PowerAbsTerm:
-    """c * |x|^s with s >= 1; the gradient is taken to vanish at the origin."""
+    """c * |x|^s with s >= 1; the gradient is taken to vanish at the origin.
+    A gradient beyond float range is infinite where its coordinate is not
+    zero, and zero where it is."""
 
     c: float
     s: float
@@ -95,9 +97,9 @@ class PowerAbsTerm:
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         r = _radii(pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             scale = np.where(r > 0.0, self.c * self.s * r ** (self.s - 2.0), 0.0)
-        return scale[..., None] * pts
+            return np.where(pts != 0.0, scale[..., None] * pts, 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,9 @@ class QuadraticTerm:
         return self.c * np.sum(pts * pts, axis=-1)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        return 2.0 * self.c * pts
+        # c * pts first: a zero coordinate then gives 0, not inf * 0 = NaN,
+        # and doubling is exact, so finite values round as 2c * x would
+        return 2.0 * (self.c * pts)
 
 
 @dataclass(frozen=True)
@@ -306,13 +310,14 @@ def eval_log_drift(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
     """Closed-form grad(w)/w = -beta*q*|x|^(q-1)*x/|x| - grad W - grad V.
 
     The radial factor is taken to vanish at the origin (the sign convention
-    sign(0) = 0); for q > 1 this is also the continuous extension.
+    sign(0) = 0); for q > 1 this is also the continuous extension.  A radial
+    factor beyond float range is infinite, and its zero coordinates stay zero.
     """
     pts = np.asarray(pts, dtype=float)
     r = _radii(pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = np.where(r > 0.0, -self_drift_coef(spec) * r ** (spec.q - 2.0), 0.0)
-    radial = scale[..., None] * pts
+        radial = np.where(pts != 0.0, scale[..., None] * pts, 0.0)
     return radial - spec.W.grad(pts) - spec.V.grad(pts)
 
 

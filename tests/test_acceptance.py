@@ -176,7 +176,7 @@ def test_criterion_03_radial_moment_inequality():
 
 
 def test_criterion_04_potential_moment_inequality():
-    c_prime, d_prime = constants_potential(
+    c_prime, d_prime, _ = constants_potential(
         2.0, 2.0, 1.0, delta=0.0, gamma=0.0, osc_V=0.0, d=1, eps0=0.5, eps1=1.0
     )
     assert c_prime == pytest.approx(0.5)

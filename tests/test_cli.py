@@ -25,7 +25,7 @@ from wsobolev.cli import (
     run,
 )
 from wsobolev.config import parse_config
-from wsobolev.grid import build_grid, sample_field, save_grid_function_binary
+from wsobolev.grid import build_grid
 from wsobolev.weights import BallEntry, DoublingReport
 
 
@@ -62,30 +62,11 @@ class TestHelpers:
         assert json.loads((tmp_path / "plain.json").read_text()) == {"x": 1.0}
         assert (tmp_path / "rows.csv").read_text() == "a,b\n1,2\n"
 
-    def test_emit_report_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report({}, tmp_path, format="yaml")
-
     def test_state_from_expression(self):
         g = build_grid(1, 2.0, 21)
         f = _state_from_string("x*x", g)
         np.testing.assert_allclose(f.values, g.axis() ** 2)
 
-    def test_state_from_file(self, tmp_path):
-        g = build_grid(1, 2.0, 21)
-        f = sample_field(g, lambda x: np.sin(x))
-        path = tmp_path / "state.bin"
-        save_grid_function_binary(f, path)
-        f2 = _state_from_string(f"file:{path}", g)
-        np.testing.assert_allclose(f2.values, f.values)
-
-    def test_state_file_grid_mismatch(self, tmp_path):
-        g = build_grid(1, 2.0, 21)
-        f = sample_field(g, lambda x: x)
-        path = tmp_path / "state.bin"
-        save_grid_function_binary(f, path)
-        with pytest.raises(ValueError, match="different grid"):
-            _state_from_string(f"file:{path}", build_grid(1, 2.0, 41))
 
 
 class TestTwoDimensional:
@@ -107,18 +88,17 @@ class TestTwoDimensional:
         code = main([*args, "--config", str(cfg), "--out", str(out)])
         return code, out
 
-    def test_weight_report_csv(self, tmp_path):
-        code, out = self.run_main(tmp_path, "weight-report", "--format", "csv")
+    def test_weight_report(self, tmp_path):
+        code, out = self.run_main(tmp_path, "weight-report")
         assert code == EXIT_OK
-        assert {"doubling.csv", "muckenhoupt.csv"} <= {p.name for p in out.iterdir()}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "admissibility.json", "doubling.json", "muckenhoupt.json",
+            "reciprocal_integrability.json"]
         doubling = json.loads((out / "doubling.json").read_text())
         assert [e["center"] for e in doubling["entries"]] == [[0.0, 0.0], [0.6, -0.3]]
         assert doubling["constant"] >= 1.0
         assert json.loads((out / "muckenhoupt.json").read_text())["constant"] >= 1.0
         assert json.loads((out / "reciprocal_integrability.json").read_text())["ok"] is True
-        rows = (out / "doubling.csv").read_text().splitlines()
-        assert rows[0] == "ball_center,ball_radius,value"
-        assert rows[1].startswith("0;0,1,")
 
     def test_approximate(self, tmp_path):
         code, out = self.run_main(tmp_path, "approximate")
@@ -155,14 +135,6 @@ class TestSubcommands:
         assert adm["admissible"] is True
         muck = json.loads((tmp_path / "muckenhoupt.json").read_text())
         assert muck["constant"] >= 1.0
-
-    def test_weight_report_csv_sidecars(self, tmp_path):
-        code = run("weight-report", small_config(), tmp_path, format="csv")
-        assert code == EXIT_OK
-        names = {p.name for p in tmp_path.iterdir()}
-        assert {"doubling.csv", "muckenhoupt.csv"} <= names
-        lines = (tmp_path / "doubling.csv").read_text().splitlines()
-        assert lines[0] == "ball_center,ball_radius,value"
 
     def test_weight_report_p1_skips_muckenhoupt(self, tmp_path):
         code = run("weight-report", small_config(p=1.0), tmp_path)
@@ -224,7 +196,7 @@ class TestSubcommands:
 
     def test_approximate_csv_writes_each_table_once(self, tmp_path):
         cfg = small_config(grid={"nodes_per_axis": 301})
-        run("approximate", cfg, tmp_path, format="csv")
+        run("approximate", cfg, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "approximation.json", "approximation_steps.csv"]
 
@@ -324,22 +296,28 @@ class TestMain:
         assert code == EXIT_OK
         assert (out / "constant_chain.json").exists()
 
-    def test_file_u0_takes_the_support_radius(self, tmp_path):
-        # a dump saved without a radius gets approximate.support_radius, as
-        # the expression form does, so both forms write the same report
-        g = build_grid(1, 2.0, 101)
-        tent = sample_field(g, lambda x: np.maximum(1 - np.abs(x), 0.0))
-        save_grid_function_binary(tent, tmp_path / "tent.bin")
-        reports = []
-        for i, u0 in enumerate(["max(1 - abs(x), 0)", f"file:{tmp_path / 'tent.bin'}"]):
-            cfg = self.write_config(tmp_path, {"weight": {"beta": 1.0, "q": 2.0, "dim": 1},
-                                               "grid": {"half_width": 2.0,
-                                                        "nodes_per_axis": 101},
-                                               "approximate": {"u0": u0}})
-            out = tmp_path / f"out{i}"
-            assert main(["approximate", "--config", str(cfg), "--out", str(out)]) == 2
-            reports.append((out / "approximation.json").read_text())
-        assert reports[0] == reports[1]
+    def test_file_source_is_a_bad_expression(self, tmp_path, capsys):
+        # a state is always an expression; a path is one that does not parse
+        cfg = self.write_config(tmp_path, {"weight": {"beta": 1.0, "q": 2.0, "dim": 1},
+                                           "stationary": {"source": "file:x.bin"}})
+        code = main(["solve-stationary", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OPERATIONAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse 'file:x.bin'") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, named", [
+        (["constants", "--config", "c.json", "--bogus"], "--bogus"),
+        (["weight-report", "--config", "c.json", "--format", "csv"], "--format"),
+        ([], "subcommand"),
+    ])
+    def test_usage_error_is_operational(self, args, named, capsys):
+        assert main(args) == EXIT_OPERATIONAL
+        assert named in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "solve-stationary" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["constants", "--config", str(tmp_path / "absent.json"),

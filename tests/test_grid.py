@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,13 +9,11 @@ from wsobolev.grid import (
     _mollifier_taps,
     build_grid,
     discrete_gradient,
-    load_grid_function_binary,
     maximal_function,
     mollify,
     quadrature,
     quadrature_with_error,
     sample_field,
-    save_grid_function_binary,
     save_grid_function_csv,
     segment_weights,
     simpson_weights,
@@ -287,27 +283,6 @@ class TestSampleField:
 
 
 class TestSerialization:
-    def test_binary_round_trip(self, tmp_path):
-        from wsobolev.corpus import corpus_members
-
-        g = gauss_grid()
-        f = corpus_members()[4].on_grid(g)
-        path = tmp_path / "f.bin"
-        save_grid_function_binary(f, path)
-        f2 = load_grid_function_binary(path)
-        assert np.array_equal(f.values, f2.values)
-        assert f2.grid == f.grid
-        assert f2.compact_support_radius == pytest.approx(f.compact_support_radius)
-
-    def test_binary_header_is_json(self, tmp_path):
-        g = Grid(2, 1.5, 11)
-        f = GridFunction(g, np.zeros((11, 11)))
-        path = tmp_path / "f.bin"
-        save_grid_function_binary(f, path)
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
-        assert header["dim"] == 2 and header["n"] == 11 and header["R"] == 1.5
-
     def test_csv_columns(self, tmp_path):
         g = Grid(1, 1.0, 11)
         f = sample_field(g, lambda x: x)

@@ -52,7 +52,7 @@ class TestConstantFormulas:
     def test_potential_trivial_perturbation(self):
         # no W, no V: C' = eps0*p*C with the default eps0 = 1/p, D' as in the
         # unperturbed bound plus the Young-term
-        c_prime, d_prime = constants_potential(
+        c_prime, d_prime, _ = constants_potential(
             2.0, 2.0, 1.0, delta=0.0, gamma=0.0, osc_V=0.0, d=1
         )
         assert c_prime == pytest.approx(0.5)
@@ -60,7 +60,7 @@ class TestConstantFormulas:
 
     def test_potential_quadratic_w(self):
         # W = x^2/2: delta = 1 < beta*q = 2, lead factor 2
-        c_prime, d_prime = constants_potential(
+        c_prime, d_prime, _ = constants_potential(
             2.0, 2.0, 1.0, delta=1.0, gamma=0.0, osc_V=0.0, d=1
         )
         assert c_prime == pytest.approx(1.0)
@@ -68,8 +68,7 @@ class TestConstantFormulas:
 
     def test_gamma_conventions_differ(self):
         kwargs = dict(p=2.0, q=2.0, beta_coeff=1.0, delta=0.0, gamma=2.0, osc_V=0.0, d=1)
-        _, additive = constants_potential(**kwargs)
-        _, scaled = constants_potential(**kwargs, scale_gamma_by_C=True)
+        _, additive, scaled = constants_potential(**kwargs)
         assert additive == pytest.approx(5.0)
         assert scaled == pytest.approx(4.0)  # gamma enters as C*gamma = 1.0
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import erf, erfi
 
 from test_expr_config import _JSON, _SHAPED
-from wsobolev.cli import _SIDECARS, _round_floats
+from wsobolev.cli import _round_floats
 from wsobolev.config import ConfigError, parse_config
 from wsobolev.grid import GridFunction, build_grid, lattice_points
 from wsobolev.weights import (
@@ -191,6 +191,10 @@ class TestWeightSpec:
         expected = -2.0 * x - x + math.sin(x)
         assert eval_log_drift(spec, pts1(x))[0, 0] == pytest.approx(expected)
 
+    def test_overflowing_drift_keeps_zero_components(self):
+        drift = eval_log_drift(WeightSpec(1e307, 3.0, 2), np.array([[6.0, 0.0]]))
+        assert drift.tolist() == [[-math.inf, 0.0]]
+
     def test_self_drift_coef(self):
         assert self_drift_coef(WeightSpec(2.0, 3.0, 1)) == pytest.approx(6.0)
 
@@ -283,6 +287,17 @@ class TestAdmissibility:
         assert rep.gamma == math.inf
         assert rep.grad_bound_ok is False and rep.admissible is False
 
+    @pytest.mark.parametrize("dim, term", [(2, PowerAbsTerm(1e308, 3.5)),
+                                           (1, QuadraticTerm(1e308)),
+                                           (2, QuadraticTerm(1e308))])
+    def test_infinite_gradient_on_the_axes_is_not_undefined(self, dim, term):
+        # the gradient's scale overflows to inf, and a zero coordinate keeps a
+        # zero component instead of inf * 0 = NaN
+        spec = WeightSpec(1.0, 2.0, dim, W=PotentialExpr((term,)))
+        rep = check_admissibility(spec, 6.0)
+        assert rep.gamma == math.inf
+        assert rep.grad_bound_ok is False and rep.admissible is False
+
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             check_admissibility(WeightSpec(-1.0, 2.0, 1), 6.0)
@@ -327,14 +342,6 @@ class TestDoubling:
         assert rep.constant is None
         assert rep.entries[0].value is None
         assert "escapes" in rep.entries[0].note
-
-    def test_csv(self):
-        g = build_grid(1, 6.0, 301)
-        one = GridFunction(g, np.ones(g.shape))
-        rep = estimate_doubling(one, [Ball.of(0.0, 1.0)])
-        lines = _SIDECARS[type(rep)](rep).splitlines()
-        assert lines[0] == "ball_center,ball_radius,value"
-        assert lines[1].startswith("0,1,")
 
 
 class TestMuckenhoupt:

@@ -6,8 +6,8 @@ OLD_SRC and NEW_SRC are directories that hold a `wsobolev` package, such as
 the `src/` of two checkouts. The configs are every CLI case of the benchmark's
 run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
 repeated configs dropped) plus the README config in 1d and in 2d. Each runs
-through `wsobolev.cli.main` with `--format json` and with `--format csv`, once
-per tree, in the same relative paths, so messages that name a path match.
+once per tree through `wsobolev.cli.main`, in the same relative paths, so
+messages that name a path match.
 
 Every report file, exit code and stderr text that differs between the trees
 is printed with its first differing line and the largest change among its
@@ -38,7 +38,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("diagnostics", "flow-1d", "flow-2d")
 SEEDS = range(5)
-FORMATS = ("json", "csv")
 SUBCOMMANDS = ("weight-report", "constants", "verify-inequalities", "approximate",
                "solve-evolution", "solve-stationary")
 
@@ -100,7 +99,7 @@ def _import_main(src: Path):
 
 def run_tree(src: Path, work: Path, todo: dict[str, tuple[str, dict]]) -> None:
     """Run every config against the package in src. Each run's reports land
-    in work/<run>-<format>/ next to `_exit` and `_stderr` files."""
+    in work/<run>/ next to `_exit` and `_stderr` files."""
     main = _import_main(src)
     (work / "configs").mkdir(parents=True)
     here = os.getcwd()
@@ -109,19 +108,17 @@ def run_tree(src: Path, work: Path, todo: dict[str, tuple[str, dict]]) -> None:
         for name, (subcommand, config) in todo.items():
             cfg = Path("configs") / f"{name}.json"
             cfg.write_text(json.dumps(config))
-            for fmt in FORMATS:
-                out = Path(f"{name}-{fmt}")
-                stderr = io.StringIO()
-                with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-                    warnings.simplefilter("always")
-                    try:
-                        code = main([subcommand, "--config", str(cfg), "--out", str(out),
-                                     "--format", fmt])
-                    except Exception as err:  # an escaping exception is a result too
-                        code = f"raised {type(err).__name__}: {err}"
-                out.mkdir(exist_ok=True)
-                (out / "_exit").write_text(f"{code}\n")
-                (out / "_stderr").write_text(stderr.getvalue())
+            out = Path(name)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("always")
+                try:
+                    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+                except Exception as err:  # an escaping exception is a result too
+                    code = f"raised {type(err).__name__}: {err}"
+            out.mkdir(exist_ok=True)
+            (out / "_exit").write_text(f"{code}\n")
+            (out / "_stderr").write_text(stderr.getvalue())
     finally:
         os.chdir(here)
 
@@ -186,8 +183,7 @@ def main(argv=None) -> int:
         n_files, problems = compare(old, new)
     for line in problems:
         print(line)
-    print(f"{len(todo)} configs x {len(FORMATS)} formats, {n_files} files: "
-          f"{len(problems)} differ")
+    print(f"{len(todo)} configs, {n_files} files: {len(problems)} differ")
     return 1 if problems else 0
 
 
