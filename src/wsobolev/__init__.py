@@ -25,7 +25,6 @@ from .grid import (
     quadrature,
     quadrature_with_error,
     sample_field,
-    save_grid_function_csv,
 )
 from .weights import (
     AdmissibilityReport,

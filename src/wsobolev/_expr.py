@@ -50,7 +50,7 @@ class ExpressionError(ValueError):
 def _eval(node: ast.AST, names: dict) -> object:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
-            return node.value
+            return np.float64(node.value)  # numpy float: overflow is inf, not exact ints
         raise ExpressionError(f"literal {node.value!r} is not a number")
     if isinstance(node, ast.Name):
         if node.id in names:
@@ -68,8 +68,12 @@ def _eval(node: ast.AST, names: dict) -> object:
             raise ExpressionError("only the documented function names may be called")
         if node.keywords:
             raise ExpressionError("keyword arguments are not supported")
-        args = [_eval(a, names) for a in node.args]
-        return _FUNCTIONS[node.func.id](*args)
+        name = node.func.id
+        arity = 2 if name in ("max", "min") else 1
+        if len(node.args) != arity:
+            raise ExpressionError(f"{name}() takes {arity} argument{'s' * (arity > 1)}, "
+                                  f"got {len(node.args)}")
+        return _FUNCTIONS[name](*(_eval(a, names) for a in node.args))
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
 
 

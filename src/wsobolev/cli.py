@@ -20,6 +20,7 @@ config: floats are rounded to 12 significant digits and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,10 +28,12 @@ import sys
 from dataclasses import asdict, astuple, fields, is_dataclass
 from pathlib import Path
 
-from ._expr import ExpressionError, evaluate_expression
+import numpy as np
+
+from ._expr import evaluate_expression
 from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
-from .grid import Grid, GridFunction, discrete_gradient, save_grid_function_csv
+from .grid import Grid, GridFunction, discrete_gradient
 from .inequalities import ConstantChain, build_constant_chain, verify_poincare, \
     verify_potential, verify_xq
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
@@ -91,6 +94,28 @@ def _csv(header: str, rows) -> str:
                    [header, *(",".join(map(_csv_cell, row)) for row in rows)])
 
 
+def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
+    """The first non-finite node value and its coordinates, or None."""
+    bad = np.argwhere(~np.isfinite(values))
+    if not len(bad):
+        return None
+    node = tuple(bad[0])
+    return f"{values[node]} at x = {tuple(float(grid.axis()[i]) for i in node)}"
+
+
+def _state_csv(f: GridFunction, name: str) -> str:
+    """CSV text of a state, one row per node in C order: the node's
+    coordinates, then its value.  A non-finite value raises ValueError
+    naming the node."""
+    bad = _first_non_finite(f.grid, f.values)
+    if bad is not None:
+        raise ValueError(f"{name}: {bad} is not a finite number, so the report cannot be written")
+    g = f.grid
+    coords = map("".join, itertools.product([f"{x:.12g}," for x in g.axis()], repeat=g.dim))
+    rows = "".join(f"{c}{v:.12g}\n" for c, v in zip(coords, f.values.ravel().tolist()))
+    return ",".join("xy"[: g.dim]) + ",value\n" + rows
+
+
 def emit_report(results: dict, out_dir: str | Path) -> list[Path]:
     """Write one file per report.
 
@@ -118,11 +143,16 @@ def emit_report(results: dict, out_dir: str | Path) -> list[Path]:
 
 
 def _state_from_string(
-    text: str, grid: Grid, support_radius: float | None = None
+    text: str, grid: Grid, path: str, support_radius: float | None = None
 ) -> GridFunction:
     """A u0/source string is an arithmetic expression of x (and y in 2d); the
-    state takes support_radius as its declared support."""
-    vals = evaluate_expression(text, *grid.mesh())
+    state takes support_radius as its declared support.  A non-finite value
+    raises ValueError naming the config path and the first such node."""
+    with np.errstate(all="ignore"):
+        vals = evaluate_expression(text, *grid.mesh())
+    bad = _first_non_finite(grid, vals)
+    if bad is not None:
+        raise ValueError(f"{path}: {text!r} is {bad}, not a finite number")
     return GridFunction(grid, vals, compact_support_radius=support_radius)
 
 
@@ -144,7 +174,7 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_weight_report(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_weight_report(config: RunConfig) -> tuple[int, dict]:
     spec = config.weight
     w = weight_on_grid(spec, config.grid)  # before the fits: an undefined weight is the error
     results: dict = {
@@ -157,11 +187,11 @@ def _cmd_weight_report(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return EXIT_OK, results
 
 
-def _cmd_constants(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_constants(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, {"constant_chain": _constant_chain(config)}
 
 
-def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     spec = config.weight
     grid = config.grid
     if spec.dim != 1:
@@ -213,18 +243,18 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
-def _cmd_approximate(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_approximate(config: RunConfig) -> tuple[int, dict]:
     cfg = config.approximate
-    f = _state_from_string(cfg.u0, config.grid, support_radius=cfg.support_radius)
+    f = _state_from_string(cfg.u0, config.grid, "approximate.u0", cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule)
     steps = _csv("eps,lp_error,grad_lp_error,sobolev_error", map(astuple, report.steps))
     results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
 
 
-def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_evolution(config: RunConfig) -> tuple[int, dict]:
     cfg = config.evolution
-    u0 = _state_from_string(cfg.u0, config.grid)
+    u0 = _state_from_string(cfg.u0, config.grid, "evolution.u0")
     problem = EvolutionProblem(
         p=config.p,
         spec=config.weight,
@@ -234,7 +264,6 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
         dualization=cfg.dualization,
     )
     traj = solve_evolution(problem)
-    save_grid_function_csv(traj.states[-1], out_dir / "final_state.csv")
     summary = {
         "p": config.p,
         "dualization": cfg.dualization,
@@ -249,14 +278,14 @@ def _cmd_evolution(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
     }
     trajectory = _csv("t,energy,mean,inner_iters", zip(
         traj.times, traj.energies, traj.means, [0] + traj.step_iterations))
-    return EXIT_OK, {"trajectory": trajectory, "evolution": summary}
+    final_state = _state_csv(traj.states[-1], "final_state")
+    return EXIT_OK, {"trajectory": trajectory, "evolution": summary, "final_state": final_state}
 
 
-def _cmd_stationary(config: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    f = _state_from_string(config.stationary.source, config.grid)
+def _cmd_stationary(config: RunConfig) -> tuple[int, dict]:
+    f = _state_from_string(config.stationary.source, config.grid, "stationary.source")
     result = solve_stationary(f, config.weight, config.p)
-    save_grid_function_csv(result.state, out_dir / "solution.csv")
-    return EXIT_OK, {"stationary": result}
+    return EXIT_OK, {"stationary": result, "solution": _state_csv(result.state, "solution")}
 
 
 _COMMANDS = {
@@ -277,7 +306,7 @@ def run(subcommand: str, config: RunConfig, out_dir: str | Path) -> int:
         out.mkdir(parents=True, exist_ok=True)
         if subcommand not in _COMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
-        code, results = _COMMANDS[subcommand](config, out)
+        code, results = _COMMANDS[subcommand](config)
         emit_report(results, out)
         return code
     except IntegrabilityGateError as err:
@@ -287,7 +316,7 @@ def run(subcommand: str, config: RunConfig, out_dir: str | Path) -> int:
     except ProxConvergenceError as err:
         print(f"error: inner solver did not converge: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    except (ValueError, ExpressionError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

@@ -6,22 +6,22 @@ values; convolution extends them by zero outside the box.  The node count
 per axis is kept odd so that the origin is always a node and composite
 Simpson weights apply without special cases.
 
-No code path depends on d.  The tensor helpers carry every dimension
-through one path: tensor_weights (a 1d quadrature rule applied along each
-axis), lattice_points (odd tensor sample lattices), ball_slices and
-block_integral (box-ball quadrature for the weight diagnostics), and
-d-dimensional summed-area tables in maximal_function.  The one 1d-only step
-in the package is the power-law extrapolation across an isolated zero node
-in the Muckenhoupt integral (weights._ball_integral_power).
+No code path depends on d.  Every integral in the package is a 1d rule
+(segment_weights, Simpson; or trapezoid_weights) applied along each axis:
+tensor_rule gives its weights for a block of any shape and integrate its
+integral, and this module is the only one that builds them.  The other
+tensor helpers are lattice_points (odd tensor sample lattices), ball_slices
+(the node box of a ball) and the summed-area table of maximal_function,
+whose box sums are differences along one axis at a time.  The one 1d-only
+step in the package is the power-law extrapolation across an isolated zero
+node in the Muckenhoupt integral (weights._ball_integral_power).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,14 +36,13 @@ __all__ = [
     "quadrature_with_error",
     "segment_weights",
     "trapezoid_weights",
-    "tensor_weights",
+    "tensor_rule",
+    "integrate",
     "lattice_points",
     "ball_slices",
-    "block_integral",
     "mollify",
     "maximal_function",
     "bump_profile",
-    "save_grid_function_csv",
 ]
 
 
@@ -184,29 +183,19 @@ def gradient_magnitude(grads: Sequence[GridFunction]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd node count >= 3, got {n}")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def segment_weights(n: int, h: float) -> np.ndarray:
-    """Quadrature weights for n consecutive nodes: Simpson when the cell
-    count is even, otherwise Simpson on all but the last cell plus a
-    trapezoid correction there."""
+    """Composite Simpson weights for n >= 2 consecutive nodes, plus the
+    trapezoid rule on the last cell when the cell count is odd."""
     if n < 2:
         raise ValueError("segment needs at least two nodes")
-    if n == 2:
-        return np.array([h / 2.0, h / 2.0])
-    if (n - 1) % 2 == 0:
-        return simpson_weights(n, h)
+    m = n - 1 + n % 2  # the nodes Simpson covers: all, or all but the last
     w = np.zeros(n)
-    w[:-1] = simpson_weights(n - 1, h)
-    w[-2] += h / 2.0
-    w[-1] += h / 2.0
+    w[0 : m - 1 : 2] += 1.0
+    w[1:m:2] += 4.0
+    w[2:m:2] += 1.0
+    w *= h / 3.0
+    if m < n:
+        w[-2:] += h / 2.0
     return w
 
 
@@ -216,48 +205,44 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def tensor_weights(w1: np.ndarray, dim: int) -> np.ndarray:
-    """The 1d weights applied along each of dim axes: w1 (x) w1 (x) ..."""
-    return reduce(np.multiply.outer, [w1] * dim)
+def tensor_rule(shape: Sequence[int], h: float, rule) -> np.ndarray:
+    """The weights of a 1d rule (segment_weights or trapezoid_weights)
+    applied along each axis of a block of the given shape, spacing h."""
+    return reduce(np.multiply.outer, [rule(n, h) for n in shape])
 
 
-def _weighted_simpson(f: GridFunction, weight: GridFunction | None) -> tuple[np.ndarray, float]:
-    """The node values of f times the weight, and their Simpson integral."""
-    vals = f.values
-    if weight is not None:
-        f._check_same_grid(weight)
-        vals = vals * weight.values
-    g = f.grid
-    rule = tensor_weights(simpson_weights(g.nodes_per_axis, g.spacing), g.dim)
-    return vals, float(np.sum(rule * vals))
+def integrate(values: np.ndarray, h: float, rule) -> float:
+    """Integral of a block of node values, spacing h, by a 1d rule applied
+    along each axis."""
+    return float(np.sum(tensor_rule(values.shape, h, rule) * values))
+
+
+def _integrand(f: GridFunction, weight: GridFunction | None) -> np.ndarray:
+    if weight is None:
+        return f.values
+    f._check_same_grid(weight)
+    return f.values * weight.values
 
 
 def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
     """Composite Simpson integral of f (optionally times a weight field)."""
-    return _weighted_simpson(f, weight)[1]
-
-
-def _coarse_quadrature(grid: Grid, vals: np.ndarray) -> float | None:
-    """Simpson on every other node, when that subgrid is itself Simpson-able."""
-    n = grid.nodes_per_axis
-    if (n - 1) % 4 != 0:
-        return None
-    w = tensor_weights(simpson_weights((n + 1) // 2, 2.0 * grid.spacing), grid.dim)
-    return float(np.sum(w * vals[(slice(None, None, 2),) * grid.dim]))
+    return integrate(_integrand(f, weight), f.grid.spacing, segment_weights)
 
 
 def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -> tuple[float, float]:
     """Simpson integral plus an a-posteriori error estimate.
 
-    The estimate is |Simpson(h) - Simpson(2h)| when the coarse subgrid
-    exists, otherwise |Simpson - trapezoid| on the full grid.
+    The estimate is |Simpson(h) - Simpson(2h)| when every other node forms
+    a Simpson grid ((n - 1) % 4 == 0), otherwise |Simpson - trapezoid| on
+    the full grid.
     """
-    vals, fine = _weighted_simpson(f, weight)
-    coarse = _coarse_quadrature(f.grid, vals)
-    if coarse is None:
-        g = f.grid
-        tw = tensor_weights(trapezoid_weights(g.nodes_per_axis, g.spacing), g.dim)
-        coarse = float(np.sum(tw * vals))
+    vals, g = _integrand(f, weight), f.grid
+    fine = integrate(vals, g.spacing, segment_weights)
+    if (g.nodes_per_axis - 1) % 4 == 0:
+        every_other = vals[(slice(None, None, 2),) * g.dim]
+        coarse = integrate(every_other, 2.0 * g.spacing, segment_weights)
+    else:
+        coarse = integrate(vals, g.spacing, trapezoid_weights)
     return fine, abs(fine - coarse)
 
 
@@ -292,15 +277,6 @@ def ball_slices(grid: Grid, center: Sequence[float], radius: float) -> tuple[sli
             return None
         out.append(slice(lo, hi + 1))
     return tuple(out)
-
-
-def block_integral(block: np.ndarray, h: float) -> float:
-    """Integral of a block of node values (spacing h along every axis) with
-    the segment rule contracted one axis at a time, the last axis by a
-    plain weighted sum."""
-    for n in block.shape[:-1]:
-        block = segment_weights(n, h) @ block
-    return float(np.sum(segment_weights(block.shape[0], h) * block))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +333,6 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cell_corners(dim: int) -> list[tuple[int, ...]]:
-    """The 0/1 corners of a cell, first axis varying fastest: (0, 0), (1, 0),
-    (0, 1), (1, 1) in 2d.  Sums over corners run in this order, which fixes
-    their rounding."""
-    return [c[::-1] for c in itertools.product((0, 1), repeat=dim)]
-
-
 def maximal_function(f: GridFunction) -> GridFunction:
     """Centered maximal function over the radius lattice {h, 2h, ..., R}.
 
@@ -376,40 +345,19 @@ def maximal_function(f: GridFunction) -> GridFunction:
     kmax = (n - 1) // 2  # radius lattice stops at the box half-width
     idx = np.arange(n)
     # summed-area table with a zero border: S[i+1, j+1] = sum of |f|[:i+1, :j+1]
-    csum = np.abs(f.values)
+    S = np.abs(f.values)
     for a in range(d):
-        csum = np.cumsum(csum, axis=a)
-    S = np.zeros((n + 1,) * d)
-    S[(slice(1, None),) * d] = csum
-    corners = _cell_corners(d)
+        S = np.cumsum(S, axis=a)
+    S = np.pad(S, (1, 0))
     best = np.zeros(f.grid.shape)
     for k in range(1, kmax + 1):
         lo = np.maximum(idx - k, 0)
         hi = np.minimum(idx + k, n - 1)
-        # S at every box corner, gathered one axis at a time; the list ends
-        # up in _cell_corners order with 0 = upper end, 1 = lower end
-        ends = (hi + 1, lo)
-        parts = [S]
-        for a in reversed(range(d)):
-            parts = [part.take(end, axis=a) for part in parts for end in ends]
-        # inclusion-exclusion: a corner with an odd number of lower ends subtracts
-        box = parts[0]
-        for part, corner in zip(parts[1:], corners[1:]):
-            box = box - part if sum(corner) % 2 else box + part
-        avg = box / tensor_weights(hi - lo + 1, d)
+        # box sums: along each axis in turn, the table at the box's upper
+        # end minus the table just below its lower end
+        box = S
+        for a in range(d):
+            box = box.take(hi + 1, axis=a) - box.take(lo, axis=a)
+        avg = box / reduce(np.multiply.outer, [hi - lo + 1] * d)
         np.maximum(best, avg, out=best)
     return GridFunction(f.grid, best)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def save_grid_function_csv(f: GridFunction, path: str | Path) -> None:
-    """One row per node in C order: the node's coordinates, then its value."""
-    g = f.grid
-    coords = map("".join, itertools.product([f"{x:.12g}," for x in g.axis()], repeat=g.dim))
-    rows = "".join(f"{c}{v:.12g}\n" for c, v in zip(coords, f.values.ravel().tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join("xy"[: g.dim]) + ",value\n" + rows)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, tensor_weights, trapezoid_weights
+from .grid import Grid, GridFunction, integrate, tensor_rule, trapezoid_weights
 from .weights import WeightSpec, eval_weight
 
 __all__ = [
@@ -57,7 +57,7 @@ _COMPATIBILITY_TOL = 1e-6
 
 
 def _mass_weights(grid: Grid) -> np.ndarray:
-    return tensor_weights(trapezoid_weights(grid.nodes_per_axis, grid.spacing), grid.dim)
+    return tensor_rule(grid.shape, grid.spacing, trapezoid_weights)
 
 
 def _node_metric(spec: WeightSpec, grid: Grid) -> np.ndarray:
@@ -431,8 +431,8 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     radii = []
     for kq in (1, 2, 3, 4):
         k = (c * kq) // 4
-        sub_w = tensor_weights(trapezoid_weights(2 * k + 1, grid.spacing), grid.dim)
-        masses.append(float(np.sum(vals[(slice(c - k, c + k + 1),) * grid.dim] * sub_w)))
+        box = vals[(slice(c - k, c + k + 1),) * grid.dim]
+        masses.append(integrate(box, grid.spacing, trapezoid_weights))
         radii.append(k * grid.spacing)
     increments = [b - a for a, b in zip(masses, masses[1:])]
     passes = all(b < a for a, b in zip(increments, increments[1:]))

@@ -20,12 +20,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_slices, block_integral, lattice_points, \
+from .grid import Grid, GridFunction, ball_slices, integrate, lattice_points, segment_weights, \
     trapezoid_weights
 
 __all__ = [
@@ -245,9 +244,9 @@ class WeightSpec:
         gives an infinite exponent, which eval_weight clamps like any other
         underflow; terms beyond it with opposite signs (inf - inf) raise
         ValueError at the first such point."""
-        r = _radii(pts)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = -self.beta * r**self.q - self.W.value(pts) - self.V.value(pts)
+            radial = PowerAbsTerm(-self.beta, self.q).value(pts)
+            out = radial - self.W.value(pts) - self.V.value(pts)
         if np.isnan(out).any():
             x = tuple(float(c) for c in pts[np.isnan(out)][0])
             raise ValueError(f"log w is undefined (inf - inf) at x = {x}")
@@ -314,15 +313,7 @@ def eval_log_drift(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
     factor beyond float range is infinite, and its zero coordinates stay zero.
     """
     pts = np.asarray(pts, dtype=float)
-    r = _radii(pts)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = np.where(r > 0.0, -self_drift_coef(spec) * r ** (spec.q - 2.0), 0.0)
-        radial = np.where(pts != 0.0, scale[..., None] * pts, 0.0)
-    return radial - spec.W.grad(pts) - spec.V.grad(pts)
-
-
-def self_drift_coef(spec: WeightSpec) -> float:
-    return spec.beta * spec.q
+    return PowerAbsTerm(-spec.beta, spec.q).grad(pts) - spec.W.grad(pts) - spec.V.grad(pts)
 
 
 def weight_on_grid(spec: WeightSpec, grid: Grid) -> GridFunction:
@@ -451,7 +442,7 @@ def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityRep
         raise ValueError("admissibility requires beta > 0")
     pts = lattice_points(spec.dim, half_width, _FIT_SAMPLES)
     delta, gamma = fit_growth_constants(spec.W, spec.q, pts)
-    budget = self_drift_coef(spec)
+    budget = spec.beta * spec.q
     vvals = spec.V.value(pts)
     osc_v = float(vvals.max() - vvals.min())
     dil_w = fit_dilation_bound(-spec.W, pts)
@@ -529,11 +520,11 @@ def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingRep
                 BallEntry(ball.center, ball.radius, None, "doubled ball escapes the grid box")
             )
             continue
-        denom = block_integral(field.values[inner], h)
+        denom = integrate(field.values[inner], h, segment_weights)
         if denom <= 0.0:
             entries.append(BallEntry(ball.center, ball.radius, None, "ball carries no mass"))
             continue
-        ratio = block_integral(field.values[outer], h) / denom
+        ratio = integrate(field.values[outer], h, segment_weights) / denom
         entries.append(BallEntry(ball.center, ball.radius, ratio))
     return DoublingReport(tuple(entries), _largest_value(entries))
 
@@ -585,7 +576,7 @@ def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float) 
         raise ValueError(f"negative weight at node {bad} (x={x})")
     zeros = np.argwhere(block <= _ZERO_WEIGHT)
     if len(zeros) == 0:
-        return block_integral(block**s, h)
+        return integrate(block**s, h, segment_weights)
     # The extrapolation fits a power law along the line through the zero node,
     # which only 1d supports; in 2d a zero node inside a ball is an error.
     if field.grid.dim != 1:
@@ -599,9 +590,9 @@ def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float) 
     left, right = _power_fit_integral(w, idx0, lo, hi, h, s, halo)
     total = left + right
     if idx0 - halo > lo:
-        total += block_integral(w[lo : idx0 - halo + 1] ** s, h)
+        total += integrate(w[lo : idx0 - halo + 1] ** s, h, segment_weights)
     if idx0 + halo < hi:
-        total += block_integral(w[idx0 + halo : hi + 1] ** s, h)
+        total += integrate(w[idx0 + halo : hi + 1] ** s, h, segment_weights)
     return total
 
 
@@ -690,10 +681,6 @@ def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
     axis = g.axis()
     half = (slice(None, None, 2),) * g.dim
 
-    def trapezoid(vals: np.ndarray, dx: float) -> float:
-        rule = reduce(np.multiply.outer, [trapezoid_weights(n, dx) for n in vals.shape])
-        return float(np.sum(rule * vals))
-
     # mirror-image cells tie in exact arithmetic but not in the last bits, so
     # the worst cell has the largest ratio to 12 digits, then the smallest index
     worst = None
@@ -707,7 +694,8 @@ def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
             fine, coarse = float(rec.max()), float(rec[half].max())
         else:
             rec = block ** (-1.0 / (p - 1.0))
-            fine, coarse = trapezoid(rec, h), trapezoid(rec[half], 2 * h)
+            fine = integrate(rec, h, trapezoid_weights)
+            coarse = integrate(rec[half], 2 * h, trapezoid_weights)
         ratio = fine / coarse if coarse > 0 else math.inf
         key = float(f"{ratio:.12g}")
         if worst is None or key > worst[0]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import wsobolev
+from wsobolev import cli
 from wsobolev.cli import (
     EXIT_OK,
     EXIT_OPERATIONAL,
@@ -64,7 +66,7 @@ class TestHelpers:
 
     def test_state_from_expression(self):
         g = build_grid(1, 2.0, 21)
-        f = _state_from_string("x*x", g)
+        f = _state_from_string("x*x", g, "stationary.source")
         np.testing.assert_allclose(f.values, g.axis() ** 2)
 
 
@@ -363,6 +365,63 @@ def run_main(tmp_path, subcommand, doc, name="run"):
     cfg.write_text(json.dumps(doc))
     out = tmp_path / name
     return main([subcommand, "--config", str(cfg), "--out", str(out)]), out
+
+
+class TestStateFailures:
+    """A state that cannot be evaluated or written fails with one error line
+    and leaves the output directory empty."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("sin()", "sin() takes 1 argument, got 0"),
+        ("sin(x, x)", "sin() takes 1 argument, got 2"),
+        ("9**9**9", "stationary.source: '9**9**9' is inf at x = (-6.0,), not a finite number"),
+        ("1e400*x", "stationary.source: '1e400*x' is -inf at x = (-6.0,), not a finite number"),
+        ("sqrt(-1-x*x)",
+         "stationary.source: 'sqrt(-1-x*x)' is nan at x = (-6.0,), not a finite number"),
+    ])
+    def test_bad_source_is_one_error_line(self, source, message, tmp_path, capsys):
+        doc = {"weight": GAUSS_1D, "stationary": {"source": source}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, "solve-stationary", doc)
+        assert code == EXIT_OPERATIONAL and caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand, section, key", [
+        ("solve-stationary", "stationary", "source"),
+        ("solve-evolution", "evolution", "u0"),
+        ("approximate", "approximate", "u0"),
+    ])
+    def test_non_finite_state_names_its_path(self, subcommand, section, key, tmp_path, capsys):
+        doc = {"weight": GAUSS_1D, "grid": {"half_width": 2.0, "nodes_per_axis": 41},
+               section: {key: "1 / (x - 1)"}}
+        code, out = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key}: '1 / (x - 1)' is inf at x = (1.0,), not a finite number\n")
+        assert not any(out.iterdir())
+
+    def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):
+        solve = cli.solve_stationary
+        monkeypatch.setattr(cli, "solve_stationary", lambda *args: dataclasses.replace(
+            solve(*args), residual=math.nan))
+        assert run("solve-stationary", small_config(), tmp_path) == EXIT_OPERATIONAL
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_state_is_not_written(self, tmp_path, monkeypatch, capsys):
+        solve = cli.solve_stationary
+
+        def nan_at_origin(*args):
+            result = solve(*args)
+            result.state.values[75] = math.nan
+            return result
+
+        monkeypatch.setattr(cli, "solve_stationary", nan_at_origin)
+        assert run("solve-stationary", small_config(), tmp_path) == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == ("error: solution: nan at x = (0.0,) is not a finite "
+                                           "number, so the report cannot be written\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestReportsAgree:

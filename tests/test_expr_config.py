@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,30 @@ class TestExpressionEvaluator:
     def test_string_literal_rejected(self):
         with pytest.raises(ExpressionError):
             evaluate_expression("'abc'", np.zeros(3))
+
+    @pytest.mark.parametrize("text, message", [
+        ("sin()", "sin() takes 1 argument, got 0"),
+        ("max(x)", "max() takes 2 arguments, got 1"),
+        ("exp(x, x, x)", "exp() takes 1 argument, got 3"),
+        ("sin(x, x) + x", "sin() takes 1 argument, got 2"),
+        ("abs(x, y) + y", "abs() takes 1 argument, got 2"),
+    ])
+    def test_wrong_argument_count(self, text, message):
+        # a second argument would be numpy's out= and overwrite a coordinate
+        x, y = np.linspace(-1.0, 1.0, 5), np.linspace(2.0, 3.0, 5)
+        before = x.copy(), y.copy()
+        with pytest.raises(ExpressionError, match=re.escape(message)):
+            evaluate_expression(text, x, y)
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+    def test_literals_are_floats(self):
+        # integer literals would make 2**1100 an exact int beyond float range
+        # and 9**9**9 a computation that does not finish
+        x = np.zeros(3)
+        with np.errstate(over="ignore", divide="ignore"):
+            for text in ("2**1100", "9**9**9", "1/0"):
+                assert evaluate_expression(text, x).tolist() == [math.inf] * 3
+        assert evaluate_expression("7 % 2 + 1/4", x).tolist() == [1.25] * 3
 
 
 class TestConfigDefaults:

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
+from wsobolev.cli import _state_csv
+
 from wsobolev.grid import (
     Grid,
     GridFunction,
@@ -14,9 +16,7 @@ from wsobolev.grid import (
     quadrature,
     quadrature_with_error,
     sample_field,
-    save_grid_function_csv,
     segment_weights,
-    simpson_weights,
 )
 
 
@@ -141,7 +141,7 @@ class TestQuadrature:
         assert quadrature(GridFunction(g, np.ones((11, 11)))) == pytest.approx(4.0)
 
     def test_weights_sum_to_length(self):
-        assert simpson_weights(11, 0.1).sum() == pytest.approx(1.0)
+        assert segment_weights(11, 0.1).sum() == pytest.approx(1.0)
         assert segment_weights(10, 0.1).sum() == pytest.approx(0.9)
         assert segment_weights(2, 0.1).sum() == pytest.approx(0.1)
 
@@ -283,30 +283,24 @@ class TestSampleField:
 
 
 class TestSerialization:
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self):
         g = Grid(1, 1.0, 11)
         f = sample_field(g, lambda x: x)
-        path = tmp_path / "f.csv"
-        save_grid_function_csv(f, path)
-        lines = path.read_text().splitlines()
+        lines = _state_csv(f, "state").splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 12
 
         g2 = Grid(2, 1.0, 5)
         f2 = GridFunction(g2, np.ones((5, 5)))
-        path2 = tmp_path / "f2.csv"
-        save_grid_function_csv(f2, path2)
-        assert path2.read_text().splitlines()[0] == "x,y,value"
+        assert _state_csv(f2, "state").splitlines()[0] == "x,y,value"
 
-    def test_csv_bytes(self, tmp_path):
+    def test_csv_bytes(self):
         # C order, coordinates and values in %.12g, "\n" line ends
         f = sample_field(Grid(1, 2.0, 5), lambda x: x / 3.0)
-        save_grid_function_csv(f, tmp_path / "f1.csv")
-        assert (tmp_path / "f1.csv").read_bytes() == (
+        assert _state_csv(f, "state").encode() == (
             b"x,value\n-2,-0.666666666667\n-1,-0.333333333333\n0,0\n"
             b"1,0.333333333333\n2,0.666666666667\n")
         vals = [[0.0, 0.5, -1.0], [2.25, 1e-13, 3.0], [1.0 / 3.0, -0.125, 1e20]]
-        save_grid_function_csv(GridFunction(Grid(2, 1.0, 3), np.array(vals)), tmp_path / "f2.csv")
-        assert (tmp_path / "f2.csv").read_bytes() == (
+        assert _state_csv(GridFunction(Grid(2, 1.0, 3), np.array(vals)), "state").encode() == (
             b"x,y,value\n-1,-1,0\n-1,0,0.5\n-1,1,-1\n0,-1,2.25\n0,0,1e-13\n0,1,3\n"
             b"1,-1,0.333333333333\n1,0,-0.125\n1,1,1e+20\n")

@@ -66,6 +66,30 @@ def test_maximal_function_is_sublinear(w, seed):
     assert np.max(total - bound) <= 1e-12 * np.max(bound)
 
 
+def _brute_force_maximal(values: np.ndarray) -> np.ndarray:
+    """max over k = 1..(n-1)/2 of the mean |f| over the nodes within k of
+    each node along every axis, the window clipped to the box."""
+    n = values.shape[0]
+    out = np.zeros(values.shape)
+    for node in np.ndindex(values.shape):
+        for k in range(1, (n - 1) // 2 + 1):
+            box = tuple(slice(max(i - k, 0), min(i + k, n - 1) + 1) for i in node)
+            out[node] = max(out[node], np.mean(np.abs(values[box])))
+    return out
+
+
+@PROPERTY
+@given(dim=st.sampled_from([1, 2]), n=st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
+       seed=st.integers(0, 2**32 - 1))
+def test_maximal_function_is_the_largest_clipped_box_mean(dim, n, seed):
+    values = np.random.default_rng(seed).uniform(-10.0, 10.0, (n,) * dim)
+    got = maximal_function(GridFunction(Grid(dim, 1.0, n), values)).values
+    # a summed-area difference is exact to rounding of the table's totals, so
+    # small means next to large values carry an absolute error
+    np.testing.assert_allclose(got, _brute_force_maximal(values), rtol=1e-12,
+                               atol=1e-12 * np.abs(values).max())
+
+
 @PROPERTY
 @given(w=catalog_weights(), radius=st.floats(1.0, 6.0), seed=st.integers(0, 2**32 - 1))
 def test_mollifier_has_unit_mass_and_contracts(w, radius, seed):

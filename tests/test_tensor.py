@@ -16,9 +16,10 @@ from wsobolev.grid import (
     Grid,
     GridFunction,
     ball_slices,
-    block_integral,
+    integrate,
     maximal_function,
     quadrature_with_error,
+    segment_weights,
 )
 from wsobolev.pde import check_lebesgue_compatibility
 from wsobolev.weights import (
@@ -82,8 +83,9 @@ def test_ball_quadrature_separates(data):
     radius = g1.spacing * data.draw(st.integers(1, (n - 1) // 2))
     box = ball_slices(g2, center, radius)
     if box is not None:
-        assert block_integral(np.multiply.outer(f, g)[box], g1.spacing) == pytest.approx(
-            block_integral(f[box[0]], g1.spacing) * block_integral(g[box[1]], g1.spacing),
+        h = g1.spacing
+        assert integrate(np.multiply.outer(f, g)[box], h, segment_weights) == pytest.approx(
+            integrate(f[box[0]], h, segment_weights) * integrate(g[box[1]], h, segment_weights),
             rel=REL,
         )
     balls_1d = [Ball.of(c, radius) for c in center]
@@ -102,6 +104,18 @@ def test_ball_quadrature_separates(data):
         assert m2 is None
     else:
         assert m2 == pytest.approx(mx * my, rel=REL)
+
+
+@SETTINGS
+@given(data=st.data(), h=st.floats(0.01, 2.0))
+def test_integrate_matches_axis_contraction(data, h):
+    shape = (data.draw(st.integers(2, 15)), data.draw(st.integers(2, 15)))
+    block = data.draw(arrays(float, shape, elements=st.floats(0.01, 10.0)))
+    # the segment rule contracted one axis at a time, the last axis by a
+    # weighted sum
+    rows = segment_weights(shape[0], h) @ block
+    expected = float(np.sum(segment_weights(shape[1], h) * rows))
+    assert integrate(block, h, segment_weights) == pytest.approx(expected, rel=REL)
 
 
 @SETTINGS

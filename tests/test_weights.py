@@ -32,7 +32,6 @@ from wsobolev.weights import (
     fit_dilation_bound,
     fit_growth_constants,
     root_on_grid,
-    self_drift_coef,
     weight_on_grid,
 )
 
@@ -196,7 +195,7 @@ class TestWeightSpec:
         assert drift.tolist() == [[-math.inf, 0.0]]
 
     def test_self_drift_coef(self):
-        assert self_drift_coef(WeightSpec(2.0, 3.0, 1)) == pytest.approx(6.0)
+        assert check_admissibility(WeightSpec(2.0, 3.0, 1), 6.0).drift_budget == pytest.approx(6.0)
 
     def test_grid_helpers(self):
         g = build_grid(1, 6.0, 301)

@@ -1,4 +1,4 @@
-"""Byte-compare the CLI reports that two source trees write.
+"""Byte-compare the CLI reports and library results of two source trees.
 
     python tools/report_diff.py OLD_SRC NEW_SRC
 
@@ -7,13 +7,16 @@ the `src/` of two checkouts. The configs are every CLI case of the benchmark's
 run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
 repeated configs dropped) plus the README config in 1d and in 2d. Each runs
 once per tree through `wsobolev.cli.main`, in the same relative paths, so
-messages that name a path match.
+messages that name a path match. Every library case of the same run lists
+also runs once per tree, through the functions `bench/run.py` hands its
+library cases (`LIB_NAMES`), and its result is compared by `repr`.
 
-Every report file, exit code and stderr text that differs between the trees
-is printed with its first differing line and the largest change among its
-numbers, absolute and relative to the file's largest number; the exit
-status is 1 if any differs, else 0. Only `bench/` and `README.md` of this
-checkout are read; nothing is written outside a temporary directory.
+Every report file, exit code, stderr text and library result that differs
+between the trees is printed with its first differing line and the largest
+change among its numbers, absolute and relative to the text's largest
+number; the exit status is 1 if any differs, else 0. Only `bench/` and
+`README.md` of this checkout are read; nothing is written outside a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -58,13 +62,25 @@ def _readme_configs() -> dict[str, dict]:
     return {"readme-1d": one, "readme-2d": two}
 
 
-def runs() -> dict[str, tuple[str, dict]]:
-    """Run name -> (subcommand, config), one entry per distinct pair."""
+def _bench(module: str):
+    """A module of this checkout's `bench/`, imported read-only."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
-        import cases
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(ROOT / "bench"))
+
+
+def library_calls() -> dict:
+    """Case name -> call(lib) for every library case of the run lists."""
+    cases = _bench("cases")
+    return {f"{case.name}-s{seed}": case.call for workload in WORKLOADS for seed in SEEDS
+            for case in cases.build(workload, seed) if case.call is not None}
+
+
+def runs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (subcommand, config), one entry per distinct pair."""
+    cases = _bench("cases")
     out: dict[str, tuple[str, dict]] = {}
     seen = set()
 
@@ -85,22 +101,37 @@ def runs() -> dict[str, tuple[str, dict]]:
     return out
 
 
-def _import_main(src: Path):
-    """`wsobolev.cli.main` imported from src, dropping any copy loaded before."""
+def _import_package(src: Path):
+    """The `wsobolev` package imported from src, dropping any copy loaded before."""
     for name in [m for m in sys.modules if m == "wsobolev" or m.startswith("wsobolev.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
-        from wsobolev.cli import main
+        import wsobolev.cli
     finally:
         sys.path.remove(str(src))
-    return main
+    return wsobolev
+
+
+def run_library(src: Path, calls: dict) -> dict[str, str]:
+    """Case name -> repr of each library case's result against the package
+    in src, or the exception it raised."""
+    lib = _bench("run")._lib(_import_package(src))
+    out = {}
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                out[name] = repr(call(lib))
+            except Exception as err:  # an exception is a result too
+                out[name] = f"raised {type(err).__name__}: {err}"
+    return out
 
 
 def run_tree(src: Path, work: Path, todo: dict[str, tuple[str, dict]]) -> None:
     """Run every config against the package in src. Each run's reports land
     in work/<run>/ next to `_exit` and `_stderr` files."""
-    main = _import_main(src)
+    main = _import_package(src).cli.main
     (work / "configs").mkdir(parents=True)
     here = os.getcwd()
     os.chdir(work)
@@ -138,7 +169,8 @@ _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|na
 def _numeric_change(a: bytes, b: bytes) -> str:
     """The largest absolute change between the numbers of two texts, paired in
     order, and that change relative to the largest magnitude in either text,
-    so round-off reads as round-off even where a value crosses zero."""
+    so round-off reads as round-off even where a value crosses zero; then the
+    largest change of a number relative to its own magnitude."""
     xs, ys = ([float(t) for t in _NUMBER.findall(s)] for s in (a, b))
     if len(xs) != len(ys):
         return f"{len(xs)} -> {len(ys)} numbers"
@@ -148,7 +180,10 @@ def _numeric_change(a: bytes, b: bytes) -> str:
     worst = max(abs(x - y) for x, y in pairs)
     scale = max((abs(x) for x in xs + ys if math.isfinite(x)), default=0.0)
     relative = worst / scale if scale and math.isfinite(worst) else math.inf
-    return f"{len(pairs)} numbers changed, largest by {worst:.3g} ({relative:.3g} of the largest |number|)"
+    own = max(abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+              for x, y in pairs)
+    return (f"{len(pairs)} numbers changed, largest by {worst:.3g} ({relative:.3g} of the "
+            f"largest |number|), {own:.3g} of its own")
 
 
 def compare(old: Path, new: Path) -> tuple[int, list[str]]:
@@ -175,16 +210,21 @@ def main(argv=None) -> int:
         if not (src / "wsobolev" / "__init__.py").is_file():
             print(f"error: no wsobolev package under {src}", file=sys.stderr)
             return 2
-    todo = runs()
+    todo, calls = runs(), library_calls()
     with tempfile.TemporaryDirectory() as tmp:
         old, new = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old_src, old, todo)
         run_tree(new_src, new, todo)
         n_files, problems = compare(old, new)
-    for line in problems:
+    old_lib, new_lib = run_library(old_src, calls), run_library(new_src, calls)
+    lib_problems = [f"{name}: {_first_difference(x.encode(), y.encode())}; "
+                    f"{_numeric_change(x.encode(), y.encode())}"
+                    for name in calls if (x := old_lib[name]) != (y := new_lib[name])]
+    for line in problems + lib_problems:
         print(line)
     print(f"{len(todo)} configs, {n_files} files: {len(problems)} differ")
-    return 1 if problems else 0
+    print(f"{len(calls)} library results: {len(lib_problems)} differ")
+    return 1 if problems or lib_problems else 0
 
 
 if __name__ == "__main__":
