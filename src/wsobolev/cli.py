@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._expr import evaluate_expression
+from ._expr import ExpressionError, evaluate_expression
 from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
 from .grid import Grid, GridFunction, discrete_gradient
@@ -146,10 +146,14 @@ def _state_from_string(
     text: str, grid: Grid, path: str, support_radius: float | None = None
 ) -> GridFunction:
     """A u0/source string is an arithmetic expression of x (and y in 2d); the
-    state takes support_radius as its declared support.  A non-finite value
-    raises ValueError naming the config path and the first such node."""
-    with np.errstate(all="ignore"):
-        vals = evaluate_expression(text, *grid.mesh())
+    state takes support_radius as its declared support.  An expression that
+    does not evaluate, or a non-finite value, raises ValueError naming the
+    config path (and the first such node)."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = evaluate_expression(text, *grid.mesh())
+    except ExpressionError as err:
+        raise ExpressionError(f"{path}: {err}") from None
     bad = _first_non_finite(grid, vals)
     if bad is not None:
         raise ValueError(f"{path}: {text!r} is {bad}, not a finite number")

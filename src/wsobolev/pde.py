@@ -13,10 +13,12 @@ its kernel is the constants alone.  Node sums (the metric, the source
 pairing) use trapezoid mass times w at the nodes.  Every minimization is one
 damped Newton loop; each iterate's edge differences are formed once, for its
 energy, gradient and Hessian.  Each Newton system's Hessian is assembled as a
-neighbour stencil (one node array per offset in {-1, 0, 1}^d), so a CG apply
-is one product per neighbour, and CG is preconditioned by the stencil's exact
-diagonal.  At p = 2 the stencil depends on the weight alone and is assembled
-once per solve.
+neighbour stencil (one node array per offset in {-1, 0, 1}^d) and applied
+flat: on the raveled node arrays an offset is one shift, so a CG apply is one
+contiguous product per neighbour, and CG is preconditioned by the stencil's
+exact diagonal.  At p = 2 the stencil depends on the weight alone and is
+assembled once per solve, and the energy is its quadratic form: E(v) =
+<v, Hv>/2 and its gradient Hv come from one pass over the flat stencil.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     # below p = 2 the gradient formed alongside is singular where grad u vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _energy_terms(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)[0]
+        return _terms(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)[0]
 
 
 def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
@@ -208,7 +210,7 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
     grid = u.grid
-    grad = _energy_terms(u.values, grid.spacing, _cell_weights(spec, grid), p)[1]
+    grad = _terms(u.values, grid.spacing, _cell_weights(spec, grid), p)[1]
     return GridFunction(grid, grad / _node_metric(spec, grid))
 
 
@@ -277,28 +279,69 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
     return stencil
 
 
-def _neighbours(stencil: dict) -> list[tuple[tuple, tuple, np.ndarray]]:
-    """(dst, src, c_o[dst]) per nonzero offset o of the stencil."""
-    return [(dst, src, c[dst]) for o, c in stencil.items() if any(o)
-            for dst, src in [_shifted(o)]]
-
-
-def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray) -> np.ndarray:
-    """The stencil times v: one product per neighbour."""
-    out = centre * v
-    for dst, src, c in neighbours:
-        out[dst] += c * v[src]
+def _neighbours(stencil: dict) -> list[tuple[slice, slice, np.ndarray]]:
+    """(dst, src, c_o[dst]) per nonzero offset o of the stencil, on the raveled
+    node arrays: o is the flat shift k = sum_a o_a stride_a, so dst and src are
+    contiguous.  c_o is zero wherever i + o leaves the grid, so the rows that
+    wrap around add nothing."""
+    shape = next(iter(stencil.values())).shape
+    strides, size = [math.prod(shape[a + 1:]) for a in range(len(shape))], math.prod(shape)
+    out = []
+    for o, c in stencil.items():
+        k = sum(x * s for x, s in zip(o, strides))
+        if k:
+            dst = slice(max(-k, 0), size - max(k, 0))
+            out.append((dst, slice(max(k, 0), size - max(-k, 0)), c.reshape(-1)[dst]))
     return out
 
 
-def _pcg(stencil: dict, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
+def _flat(stencil: dict) -> tuple[np.ndarray, list]:
+    """The stencil as _apply takes it: its centre and its flat neighbours."""
+    return next(c for o, c in stencil.items() if not any(o)), _neighbours(stencil)
+
+
+def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray) -> np.ndarray:
+    """The stencil times v: centre * v plus one contiguous product per neighbour."""
+    out = centre * v
+    flat, v = (out, v) if v.ndim == 1 else (out.reshape(-1), v.reshape(-1))
+    for dst, src, c in neighbours:
+        flat[dst] += c * v[src]
+    return out
+
+
+def _quadratic_terms(vals: np.ndarray, stencil: tuple) -> tuple[float, np.ndarray, None]:
+    """The p = 2 energy <v, Hv>/2 and its gradient Hv from the Hessian stencil
+    in flat form.  H kills the constants, so it couples each pair i, i + o by
+    c_o[i] (v[i+o] - v[i]), taken once per forward shift: a constant maps to
+    exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2."""
+    grad = np.zeros(vals.shape)
+    flat, v, value = grad.reshape(-1), vals.reshape(-1), 0.0
+    for dst, src, c in stencil[1]:
+        if src.start > dst.start:
+            d = v[src] - v[dst]
+            e = c * d
+            value -= float(np.vdot(e, d))
+            flat[dst] += e
+            flat[src] -= e
+    return value / 2.0, grad, None
+
+
+def _terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, stencil=None):
+    """_energy_terms, but at p = 2 _quadratic_terms on the flat Hessian
+    stencil, assembled here unless the caller passes it."""
+    if p != 2.0:
+        return _energy_terms(vals, h, cell_w, p)
+    return _quadratic_terms(vals, stencil or _flat(_hessian(h, cell_w, p)))
+
+
+def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
          target: float, budget: int) -> tuple[np.ndarray, int, float]:
-    """CG on the stencil plus diag(shift), preconditioned by that sum's exact
-    diagonal (Jacobi), from zero until the residual's metric norm
+    """CG on the flat stencil plus diag(shift), preconditioned by that sum's
+    exact diagonal (Jacobi), from zero until the residual's metric norm
     sqrt(sum r^2/metric) is at most target or the budget is spent; returns
     the solution, the iterations and that norm."""
-    diag = stencil[(0,) * rhs.ndim] + shift
-    neighbours = _neighbours(stencil)
+    centre, neighbours = stencil
+    diag = centre + shift
     x, r = np.zeros_like(rhs), rhs.copy()
     d = z = r / diag
     rz, it = np.vdot(r, z), 0
@@ -318,14 +361,15 @@ def _pcg(stencil: dict, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
               p: float, tau: float = math.inf,
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
-              stencil: dict | None = None):
+              stencil: tuple | None = None):
     """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
     and pairing in the metric) from start (default: the anchor); returns the
     minimizer, the CG iterations, and its energy and Euclidean energy gradient.
     Without the proximal term (tau = inf) constants are free, so the iterate is
     kept metric-mean-zero.  At p = 2 the Hessian stencil is the same at every
-    iterate and for every tau; it is assembled once, here unless the caller
-    passes it, and each Newton system adds only the proximal shift.
+    iterate and for every tau, and so is the energy, its quadratic form; the
+    stencil is assembled and flattened once, here unless the caller passes it,
+    and each Newton system adds only the proximal shift.
 
     The first Newton system is solved to a tenth of the tolerance (a quadratic
     takes one step), later ones as far as the last model missed the new
@@ -339,15 +383,16 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     project = math.isinf(tau)
     metric_total = float(np.sum(metric))
     if p == 2.0 and stencil is None:
-        stencil = _hessian(h, cell_w, p)
+        stencil = _flat(_hessian(h, cell_w, p))
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
-        terms = _energy_terms(v, h, cell_w, p)
+        terms = _terms(v, h, cell_w, p, stencil)
         d = v - anchor
-        obj = terms[0] + 0.5 * np.vdot(shift * d, d) - np.vdot(pull, v)
-        g = terms[1] + shift * d - pull
+        prox = shift * d
+        obj = terms[0] + 0.5 * np.vdot(prox, d) - np.vdot(pull, v)
+        g = terms[1] + prox - pull
         if project:
             g -= metric * (np.sum(g) / metric_total)
         return obj, g, math.sqrt(np.vdot(g, g / metric)), terms
@@ -364,7 +409,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         if spent == _MAX_ITERATIONS:
             raise failure(f"Newton-CG did not reach tolerance {_TOLERANCE:g} "
                           f"in {spent} iterations")
-        hessian = stencil or _hessian(h, cell_w, p, *terms[2])
+        hessian = stencil or _flat(_hessian(h, cell_w, p, *terms[2]))
         step, its, model_gnorm = _pcg(hessian, shift, -g, metric,
                                       max(0.1 * _TOLERANCE, forcing * gnorm),
                                       _MAX_ITERATIONS - spent)
@@ -459,8 +504,8 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     cell_w = _cell_weights(problem.spec, grid)
     n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
     vals = prev = problem.u0.values
-    value = _energy_terms(vals, grid.spacing, cell_w, p)[0]
-    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
+    stencil = _flat(_hessian(grid.spacing, cell_w, p)) if p == 2.0 else None
+    value = _terms(vals, grid.spacing, cell_w, p, stencil)[0]
     traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     for k in range(n_steps + 1):
         if k:  # Newton starts from the linear extrapolation of the last two states

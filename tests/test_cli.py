@@ -305,7 +305,7 @@ class TestMain:
         code = main(["solve-stationary", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_OPERATIONAL
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot parse 'file:x.bin'") and err.count("\n") == 1
+        assert err.startswith("error: stationary.source: cannot parse 'file:x.bin'") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("args, named", [
@@ -372,8 +372,8 @@ class TestStateFailures:
     and leaves the output directory empty."""
 
     @pytest.mark.parametrize("source, message", [
-        ("sin()", "sin() takes 1 argument, got 0"),
-        ("sin(x, x)", "sin() takes 1 argument, got 2"),
+        ("sin()", "stationary.source: sin() takes 1 argument, got 0"),
+        ("sin(x, x)", "stationary.source: sin() takes 1 argument, got 2"),
         ("9**9**9", "stationary.source: '9**9**9' is inf at x = (-6.0,), not a finite number"),
         ("1e400*x", "stationary.source: '1e400*x' is -inf at x = (-6.0,), not a finite number"),
         ("sqrt(-1-x*x)",
@@ -400,6 +400,19 @@ class TestStateFailures:
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == (
             f"error: {section}.{key}: '1 / (x - 1)' is inf at x = (1.0,), not a finite number\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand, section, key", [
+        ("solve-stationary", "stationary", "source"),
+        ("solve-evolution", "evolution", "u0"),
+        ("approximate", "approximate", "u0"),
+    ])
+    def test_bad_expression_names_its_path(self, subcommand, section, key, tmp_path, capsys):
+        doc = {"weight": GAUSS_1D, "grid": {"half_width": 2.0, "nodes_per_axis": 41},
+               section: {key: "x + nope"}}
+        code, out = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == f"error: {section}.{key}: unknown name 'nope'\n"
         assert not any(out.iterdir())
 
     def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):

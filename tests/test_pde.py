@@ -21,9 +21,11 @@ from wsobolev.pde import (
     _edge_differences,
     _edge_differences_transpose,
     _energy_terms,
+    _flat,
     _hessian,
     _mass_weights,
     _neighbours,
+    _quadratic_terms,
     _to_cells,
     _to_edges,
     apply_operator,
@@ -197,26 +199,27 @@ class TestProxStep:
 
     def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
         # besides the initial energy, the start and the accepted trial are the
-        # only iterates a p = 2 step evaluates; its Hessian stencil needs no
-        # differences, and a flow assembles it once for all of its steps
-        calls, hessians = [], []
-        differences, hessian = pde._edge_differences, pde._hessian
+        # only iterates a p = 2 step evaluates, each in one pass over the flat
+        # stencil that forms its differences once, and none through the
+        # staggered ones; a flow assembles and flattens its stencil once
+        counts = {"_quadratic_terms": 0, "_hessian": 0, "_flat": 0, "_edge_differences": 0}
 
-        def counted_differences(*args):
-            calls.append(args)
-            return differences(*args)
+        def counted(name):
+            fn = getattr(pde, name)
 
-        def counted_hessian(*args):
-            hessians.append(args)
-            return hessian(*args)
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(pde, "_edge_differences", counted_differences)
-        monkeypatch.setattr(pde, "_hessian", counted_hessian)
+        for name in counts:
+            monkeypatch.setattr(pde, name, counted(name))
         g = build_grid(1, 6.0, 301)
         u = sample_field(g, np.sin)
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
-        assert len(traj.states) == 4 and len(hessians) == 1
-        assert len(calls) == 1 + 2 * 3
+        assert len(traj.states) == 4
+        assert counts == {"_quadratic_terms": 1 + 2 * 3, "_hessian": 1, "_flat": 1,
+                          "_edge_differences": 0}
 
 
 class TestEvolution:
@@ -545,6 +548,37 @@ class TestStaggeredProperties:
         traj = solve_evolution(EvolutionProblem(p, spec, u, 0.02, 0.01))
         assert len(traj.energies) == len(traj.states) == 3
         assert traj.energies == [energy(s, spec, p) for s in traj.states]
+
+    @PROPERTY
+    @given(wg=weighted_grid(), p=st.floats(2.0, 4.0), cosine=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), gap=st.sampled_from([1e-4, 1e-2, 1.0]))
+    def test_operator_is_monotone(self, wg, p, cosine, seed, gap):
+        # <Au - Av, u - v> >= 0 in the node metric: E is convex
+        spec, grid = wg
+        if cosine:
+            spec = replace(spec, V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, grid.shape)
+        v = u + gap * rng.uniform(-1.0, 1.0, grid.shape)
+        du = apply_operator(GridFunction(grid, u), spec, p).values
+        dv = apply_operator(GridFunction(grid, v), spec, p).values
+        terms = node_metric(spec, grid) * (du - dv) * (u - v)
+        assert np.sum(terms) >= -1e-12 * np.sum(np.abs(terms))
+
+    @PROPERTY
+    @given(shape=st.lists(st.integers(2, 12), min_size=1, max_size=3).map(tuple),
+           h=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_p2_stencil_energy_is_the_staggered_one(self, shape, h, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape)
+        cell_w = np.exp(rng.uniform(-8.0, 2.0, tuple(n - 1 for n in shape)))
+        stencil = _flat(_hessian(h, cell_w, 2.0))
+        value, grad, _ = _energy_terms(v, h, cell_w, 2.0)
+        hv = _apply(*stencil, v)
+        scale = np.abs(grad).max()
+        for e, g in [_quadratic_terms(v, stencil)[:2], (np.vdot(v, hv) / 2.0, hv)]:
+            assert e == pytest.approx(value, rel=1e-12)
+            assert_allclose(g, grad, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
