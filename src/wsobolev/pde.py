@@ -19,6 +19,8 @@ contiguous product per neighbour, and CG is preconditioned by the stencil's
 exact diagonal.  At p = 2 the stencil depends on the weight alone and is
 assembled once per solve, and the energy is its quadratic form: E(v) =
 <v, Hv>/2 and its gradient Hv come from one pass over the flat stencil.
+Each solve works in one scratch array, so CG allocates only its solution.
+A horizon that is no whole number of steps ends on a shorter last step.
 """
 
 from __future__ import annotations
@@ -300,68 +302,92 @@ def _flat(stencil: dict) -> tuple[np.ndarray, list]:
     return next(c for o, c in stencil.items() if not any(o)), _neighbours(stencil)
 
 
-def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray) -> np.ndarray:
-    """The stencil times v: centre * v plus one contiguous product per neighbour."""
-    out = centre * v
+def _workspace(shape: tuple[int, ...]) -> np.ndarray:
+    """One solve's scratch node arrays, in rows: _pcg takes rows 0-5 (its
+    diagonal, residual, preconditioned residual, direction, product and a
+    temporary) and the Newton loop row 6 (the CG right-hand side); an
+    evaluation and _quadratic_terms reuse rows 0 and 1 between CG calls."""
+    return np.empty((7,) + shape)
+
+
+def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
+           out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The stencil times v: centre * v plus one contiguous product per
+    neighbour, formed in tmp (flat, as long as v) and added into out."""
+    out = np.multiply(centre, v, out)
     flat, v = (out, v) if v.ndim == 1 else (out.reshape(-1), v.reshape(-1))
+    tmp = np.empty(v.shape) if tmp is None else tmp
     for dst, src, c in neighbours:
-        flat[dst] += c * v[src]
+        flat[dst] += np.multiply(c, v[src], tmp[dst])
     return out
 
 
-def _quadratic_terms(vals: np.ndarray, stencil: tuple) -> tuple[float, np.ndarray, None]:
+def _quadratic_terms(vals: np.ndarray, stencil: tuple,
+                     work: np.ndarray | None = None) -> tuple[float, np.ndarray, None]:
     """The p = 2 energy <v, Hv>/2 and its gradient Hv from the Hessian stencil
     in flat form.  H kills the constants, so it couples each pair i, i + o by
     c_o[i] (v[i+o] - v[i]), taken once per forward shift: a constant maps to
-    exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2."""
+    exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2.  The
+    differences and products are formed in the first two rows of work (two
+    fresh ones if it is not passed); only the gradient is a new array."""
     grad = np.zeros(vals.shape)
     flat, v, value = grad.reshape(-1), vals.reshape(-1), 0.0
+    rows = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)
+    dbuf, ebuf = rows[0], rows[1]
     for dst, src, c in stencil[1]:
         if src.start > dst.start:
-            d = v[src] - v[dst]
-            e = c * d
+            d = np.subtract(v[src], v[dst], dbuf[dst])
+            e = np.multiply(c, d, ebuf[dst])
             value -= float(np.vdot(e, d))
             flat[dst] += e
             flat[src] -= e
     return value / 2.0, grad, None
 
 
-def _terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, stencil=None):
+def _terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, stencil=None,
+           work=None):
     """_energy_terms, but at p = 2 _quadratic_terms on the flat Hessian
-    stencil, assembled here unless the caller passes it."""
+    stencil, assembled here unless the caller passes it, with work's rows."""
     if p != 2.0:
         return _energy_terms(vals, h, cell_w, p)
-    return _quadratic_terms(vals, stencil or _flat(_hessian(h, cell_w, p)))
+    return _quadratic_terms(vals, stencil or _flat(_hessian(h, cell_w, p)), work)
 
 
 def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
-         target: float, budget: int) -> tuple[np.ndarray, int, float]:
+         target: float, budget: int, work: np.ndarray) -> tuple[np.ndarray, int, float]:
     """CG on the flat stencil plus diag(shift), preconditioned by that sum's
     exact diagonal (Jacobi), from zero until the residual's metric norm
     sqrt(sum r^2/metric) is at most target or the budget is spent; returns
-    the solution, the iterations and that norm."""
+    the solution, the iterations and that norm.  Every vector but the solution
+    is a row of work (see _workspace), so rhs must not be one of rows 0-5."""
     centre, neighbours = stencil
-    diag = centre + shift
-    x, r = np.zeros_like(rhs), rhs.copy()
-    d = z = r / diag
-    rz, it = np.vdot(r, z), 0
-    while (rnorm := math.sqrt(np.vdot(r, r / metric))) > target and it < budget:
-        ad = _apply(diag, neighbours, d)
+    diag, r, z, d, ad, tmp = work.reshape(len(work), -1)[:6]
+    np.add(centre.reshape(-1), shift.reshape(-1), diag)
+    metric = metric.reshape(-1)
+    x = np.zeros(rhs.shape)
+    flat_x = x.reshape(-1)
+    np.copyto(r, rhs.reshape(-1))
+    np.divide(r, diag, d)
+    rz, it = np.vdot(r, d), 0
+    while (rnorm := math.sqrt(np.vdot(r, np.divide(r, metric, tmp)))) > target and it < budget:
+        _apply(diag, neighbours, d, ad, tmp)
         dad = np.vdot(d, ad)
         if not dad > 0.0:
             break
-        x += rz / dad * d
-        r -= rz / dad * ad
-        z, rz_old, it = r / diag, rz, it + 1
-        rz = np.vdot(r, z)
-        d = z + rz / rz_old * d
+        alpha = rz / dad
+        flat_x += np.multiply(d, alpha, tmp)
+        r -= np.multiply(ad, alpha, tmp)
+        rz_old, it = rz, it + 1
+        rz = np.vdot(r, np.divide(r, diag, z))
+        d *= rz / rz_old
+        d += z
     return x, it, rnorm
 
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
               p: float, tau: float = math.inf,
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
-              stencil: tuple | None = None):
+              stencil: tuple | None = None, work: np.ndarray | None = None):
     """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
     and pairing in the metric) from start (default: the anchor); returns the
     minimizer, the CG iterations, and its energy and Euclidean energy gradient.
@@ -369,7 +395,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     kept metric-mean-zero.  At p = 2 the Hessian stencil is the same at every
     iterate and for every tau, and so is the energy, its quadratic form; the
     stencil is assembled and flattened once, here unless the caller passes it,
-    and each Newton system adds only the proximal shift.
+    and each Newton system adds only the proximal shift.  So is the scratch
+    space (see _workspace) that CG and every evaluation form their temporaries
+    in; the iterates, gradients and CG solutions are the only new arrays.
 
     The first Newton system is solved to a tenth of the tolerance (a quadratic
     takes one step), later ones as far as the last model missed the new
@@ -384,18 +412,21 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     metric_total = float(np.sum(metric))
     if p == 2.0 and stencil is None:
         stencil = _flat(_hessian(h, cell_w, p))
+    if work is None:
+        work = _workspace(grid.shape)
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
-        terms = _terms(v, h, cell_w, p, stencil)
-        d = v - anchor
-        prox = shift * d
+        terms = _terms(v, h, cell_w, p, stencil, work)
+        d = np.subtract(v, anchor, work[0])
+        prox = np.multiply(shift, d, work[1])
         obj = terms[0] + 0.5 * np.vdot(prox, d) - np.vdot(pull, v)
-        g = terms[1] + prox - pull
+        g = terms[1] + prox
+        g -= pull
         if project:
-            g -= metric * (np.sum(g) / metric_total)
-        return obj, g, math.sqrt(np.vdot(g, g / metric)), terms
+            g -= np.multiply(metric, np.sum(g) / metric_total, work[0])
+        return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[0]))), terms
 
     def failure(what: str) -> ProxConvergenceError:
         return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
@@ -410,15 +441,15 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             raise failure(f"Newton-CG did not reach tolerance {_TOLERANCE:g} "
                           f"in {spent} iterations")
         hessian = stencil or _flat(_hessian(h, cell_w, p, *terms[2]))
-        step, its, model_gnorm = _pcg(hessian, shift, -g, metric,
+        step, its, model_gnorm = _pcg(hessian, shift, np.negative(g, work[6]), metric,
                                       max(0.1 * _TOLERANCE, forcing * gnorm),
-                                      _MAX_ITERATIONS - spent)
+                                      _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
         alpha, slope = 1.0, np.vdot(g, step)
         for _ in range(60):
-            trial = v + alpha * step
+            trial = v + np.multiply(step, alpha, work[0])
             trial_obj, trial_g, trial_gnorm, trial_terms = evaluate(trial)
             allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
             if trial_obj <= obj + _SUFFICIENT_DECREASE * alpha * slope + allowance:
@@ -502,17 +533,21 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     else:
         metric = _node_metric(problem.spec, grid)
     cell_w = _cell_weights(problem.spec, grid)
-    n_steps = int(math.ceil(problem.horizon / problem.step - 1e-12))
+    tau, horizon = problem.step, problem.horizon
+    n_steps = int(math.ceil(horizon / tau - 1e-12))
+    whole = horizon / tau >= n_steps - 1e-12
     vals = prev = problem.u0.values
     stencil = _flat(_hessian(grid.spacing, cell_w, p)) if p == 2.0 else None
-    value = _terms(vals, grid.spacing, cell_w, p, stencil)[0]
+    work = _workspace(grid.shape)
+    value = _terms(vals, grid.spacing, cell_w, p, stencil, work)[0]
     traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     for k in range(n_steps + 1):
         if k:  # Newton starts from the linear extrapolation of the last two states
+            last = k == n_steps and not whole
             (vals, iters, value, _), prev = _minimize(
-                vals, grid, metric, cell_w, p, problem.step,
-                start=2 * vals - prev, stencil=stencil), vals
-            traj.times.append(k * problem.step)
+                vals, grid, metric, cell_w, p, horizon - (k - 1) * tau if last else tau,
+                start=2 * vals - prev, stencil=stencil, work=work), vals
+            traj.times.append(horizon if last else k * tau)
             traj.states.append(GridFunction(grid, vals.copy()))
             traj.step_iterations.append(iters)
         traj.energies.append(value)

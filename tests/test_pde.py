@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +26,12 @@ from wsobolev.pde import (
     _hessian,
     _mass_weights,
     _neighbours,
+    _node_metric,
+    _pcg,
     _quadratic_terms,
     _to_cells,
     _to_edges,
+    _workspace,
     apply_operator,
     check_lebesgue_compatibility,
     energy,
@@ -222,6 +226,49 @@ class TestProxStep:
                           "_edge_differences": 0}
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("iterations", [3, 30])
+    def test_cg_allocates_only_its_solution(self, iterations):
+        # every CG vector but the solution is a row of the solve's workspace
+        g = build_grid(2, 6.0, 101)
+        spec = WeightSpec(1.0, 2.0, 2)
+        cell_w = pde._cell_weights(spec, g)
+        stencil = _flat(_hessian(g.spacing, cell_w, 2.0))
+        metric = _node_metric(spec, g)
+        shift = metric / 1e-2
+        rhs = np.random.default_rng(0).standard_normal(g.shape)
+        work = _workspace(g.shape)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x, it, _ = _pcg(stencil, shift, rhs, metric, 0.0, iterations, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert it == iterations
+        assert x.shape == g.shape
+        assert (peak - baseline) / rhs.nbytes <= 1.5
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_workspace_per_solve(self, monkeypatch, p):
+        made = []
+        workspace = pde._workspace
+
+        def counted(*args):
+            made.append(args)
+            return workspace(*args)
+
+        monkeypatch.setattr(pde, "_workspace", counted)
+        g = build_grid(1, 6.0, 301)
+        traj = solve_evolution(EvolutionProblem(p, GAUSS, sample_field(g, np.sin), 0.03, 0.01))
+        assert len(traj.states) == 4
+        assert len(made) == 1
+        made.clear()
+        solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, p)
+        assert len(made) == 1
+
+
 class TestEvolution:
     def test_ou_decay_short(self):
         g, u = linear_state(301)
@@ -244,6 +291,16 @@ class TestEvolution:
         assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
         drift = max(abs(m - traj.means[0]) for m in traj.means)
         assert drift <= 1e-9
+
+    def test_horizon_between_steps_is_the_last_time(self):
+        # T = 0.25 is no whole number of tau = 0.1 steps: the last step is 0.05
+        g, u = linear_state(151)
+        traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.25, 0.1))
+        assert traj.times == [0.0, 0.1, 0.2, 0.25]
+        assert len(traj.states) == len(traj.energies) == len(traj.means) == 4
+        e = traj.energies
+        assert all(b < a for a, b in zip(e, e[1:]))
+        assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
 
     def test_steady_state(self):
         g = build_grid(1, 6.0, 151)
@@ -579,6 +636,26 @@ class TestStaggeredProperties:
         for e, g in [_quadratic_terms(v, stencil)[:2], (np.vdot(v, hv) / 2.0, hv)]:
             assert e == pytest.approx(value, rel=1e-12)
             assert_allclose(g, grad, rtol=0, atol=1e-12 * scale)
+
+    @PROPERTY
+    @given(shape=st.lists(st.integers(2, 9), min_size=1, max_size=3).map(tuple),
+           p=st.floats(2.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_buffered_kernels_equal_the_allocating_ones(self, shape, p, seed):
+        # NaN in every scratch slot: a slot read before it is written shows
+        rng = np.random.default_rng(seed)
+        h = 0.3
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        cell_w = np.exp(rng.uniform(-4.0, 2.0, tuple(n - 1 for n in shape)))
+        centre, neighbours = stencil = _flat(
+            _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2]))
+        out, tmp = np.full(shape, np.nan), np.full(v.size, np.nan)
+        assert _apply(centre, neighbours, v, out, tmp) is out
+        assert np.array_equal(out, _apply(centre, neighbours, v))
+        work = np.full((7,) + shape, np.nan)
+        value, grad, _ = _quadratic_terms(v, stencil, work)
+        expected = _quadratic_terms(v, stencil)
+        assert value == expected[0]
+        assert np.array_equal(grad, expected[1])
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
