@@ -9,10 +9,12 @@ Simpson weights apply without special cases.
 No code path depends on d.  Every integral in the package is a 1d rule
 (segment_weights, Simpson; or trapezoid_weights) applied along each axis:
 tensor_rule gives its weights for a block of any shape and integrate its
-integral, and this module is the only one that builds them.  The other
+integral, quadrature_rows the integrals of a batch of grid functions, one
+row each, and this module is the only one that builds them.  The other
 tensor helpers are lattice_points (odd tensor sample lattices), ball_slices
-(the node box of a ball) and the summed-area table of maximal_function,
-whose box sums are differences along one axis at a time.  The one 1d-only
+(the node box of a ball) and the summed-area table that maximal_function
+and maximal_at share, whose box sums are differences along one axis at a
+time.  The one 1d-only
 step in the package is the power-law extrapolation across an isolated zero
 node in the Muckenhoupt integral (weights._ball_integral_power).
 """
@@ -34,6 +36,7 @@ __all__ = [
     "discrete_gradient",
     "quadrature",
     "quadrature_with_error",
+    "quadrature_rows",
     "segment_weights",
     "trapezoid_weights",
     "tensor_rule",
@@ -42,6 +45,7 @@ __all__ = [
     "ball_slices",
     "mollify",
     "maximal_function",
+    "maximal_at",
     "bump_profile",
 ]
 
@@ -85,8 +89,7 @@ class Grid:
         return np.stack(self.mesh(), axis=-1)
 
     def node_radii(self) -> np.ndarray:
-        pts = self.points()
-        return np.sqrt(np.sum(pts * pts, axis=-1))
+        return np.sqrt(sum(m * m for m in self.mesh()))
 
     def index_of(self, coord: float) -> int:
         """Index of the node closest to a coordinate along one axis."""
@@ -230,20 +233,32 @@ def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
 
 
 def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -> tuple[float, float]:
-    """Simpson integral plus an a-posteriori error estimate.
+    """Simpson integral plus an a-posteriori error estimate: quadrature_rows
+    of a batch of one."""
+    fine, err = quadrature_rows(_integrand(f, weight)[None], f.grid)
+    return float(fine[0]), float(err[0])
+
+
+def quadrature_rows(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson integrals and a-posteriori error estimates of a batch of node
+    arrays, shape (m,) + grid.shape, one per row.
 
     The estimate is |Simpson(h) - Simpson(2h)| when every other node forms
     a Simpson grid ((n - 1) % 4 == 0), otherwise |Simpson - trapezoid| on
-    the full grid.
+    the full grid.  Each row is summed as one contiguous block, so row i is
+    bit for bit the integral of values[i] alone (integrate's sum).
     """
-    vals, g = _integrand(f, weight), f.grid
-    fine = integrate(vals, g.spacing, segment_weights)
-    if (g.nodes_per_axis - 1) % 4 == 0:
-        every_other = vals[(slice(None, None, 2),) * g.dim]
-        coarse = integrate(every_other, 2.0 * g.spacing, segment_weights)
+    def integrals(rows: np.ndarray, h: float, rule) -> np.ndarray:
+        weights = tensor_rule(rows.shape[1:], h, rule)
+        return np.sum(weights * rows, axis=tuple(range(1, rows.ndim)))
+
+    fine = integrals(values, grid.spacing, segment_weights)
+    if (grid.nodes_per_axis - 1) % 4 == 0:
+        every_other = values[(slice(None),) + (slice(None, None, 2),) * grid.dim]
+        coarse = integrals(every_other, 2.0 * grid.spacing, segment_weights)
     else:
-        coarse = integrate(vals, g.spacing, trapezoid_weights)
-    return fine, abs(fine - coarse)
+        coarse = integrals(values, grid.spacing, trapezoid_weights)
+    return fine, np.abs(fine - coarse)
 
 
 def lattice_points(dim: int, half_width: float, n_target: int) -> np.ndarray:
@@ -333,6 +348,15 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+def _summed_area(f: GridFunction) -> np.ndarray:
+    """Summed-area table of |f| with a zero border:
+    S[i+1, j+1] = sum of |f|[:i+1, :j+1]."""
+    S = np.abs(f.values)
+    for a in range(f.grid.dim):
+        S = np.cumsum(S, axis=a)
+    return np.pad(S, (1, 0))
+
+
 def maximal_function(f: GridFunction) -> GridFunction:
     """Centered maximal function over the radius lattice {h, 2h, ..., R}.
 
@@ -344,11 +368,7 @@ def maximal_function(f: GridFunction) -> GridFunction:
     n = f.grid.nodes_per_axis
     kmax = (n - 1) // 2  # radius lattice stops at the box half-width
     idx = np.arange(n)
-    # summed-area table with a zero border: S[i+1, j+1] = sum of |f|[:i+1, :j+1]
-    S = np.abs(f.values)
-    for a in range(d):
-        S = np.cumsum(S, axis=a)
-    S = np.pad(S, (1, 0))
+    S = _summed_area(f)
     best = np.zeros(f.grid.shape)
     for k in range(1, kmax + 1):
         lo = np.maximum(idx - k, 0)
@@ -361,3 +381,40 @@ def maximal_function(f: GridFunction) -> GridFunction:
         avg = box / reduce(np.multiply.outer, [hi - lo + 1] * d)
         np.maximum(best, avg, out=best)
     return GridFunction(f.grid, best)
+
+
+# radii x nodes that one pass of maximal_at takes, so its temporaries stay
+# small next to the grid
+_MAXIMAL_AT_BLOCK = 8192
+
+
+def maximal_at(f: GridFunction, nodes: np.ndarray) -> np.ndarray:
+    """maximal_function(f) at the given nodes (flat C-order indices, any
+    shape), for a block of radii at a time.
+
+    The box means take the same operations in the same order as
+    maximal_function's, so the values agree bit for bit: differences of the
+    table along one axis at a time, the first axis innermost, then the
+    division by the node count; in 2d (S[H0, H1] - S[L0, H1]) -
+    (S[H0, L1] - S[L0, L1]) with H = hi + 1 and L = lo.
+    """
+    n = f.grid.nodes_per_axis
+    at = np.unravel_index(np.ravel(nodes), f.grid.shape)
+    S = _summed_area(f)
+
+    def box(lo: list, hi: list, tail: tuple = ()) -> np.ndarray:
+        a = len(lo) - len(tail) - 1
+        if a < 0:
+            return S[tail]
+        return box(lo, hi, (hi[a] + 1,) + tail) - box(lo, hi, (lo[a],) + tail)
+
+    radii = np.arange(1, (n - 1) // 2 + 1)[:, None]  # radii down, nodes across
+    step = max(1, _MAXIMAL_AT_BLOCK // max(1, at[0].size))
+    best = np.zeros(at[0].size)
+    for start in range(0, len(radii), step):
+        k = radii[start : start + step]
+        lo = [np.maximum(i - k, 0) for i in at]
+        hi = [np.minimum(i + k, n - 1) for i in at]
+        means = box(lo, hi) / reduce(np.multiply, [h - l + 1 for l, h in zip(lo, hi)])
+        np.maximum(best, np.max(means, axis=0), out=best)
+    return best.reshape(np.shape(nodes))

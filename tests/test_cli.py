@@ -321,6 +321,14 @@ class TestMain:
         assert main(["--help"]) == EXIT_OK
         assert "solve-stationary" in capsys.readouterr().out
 
+    def test_readme_shows_the_help_page(self, capsys, monkeypatch):
+        # one page for the program and every subcommand, as the README prints it
+        monkeypatch.setenv("COLUMNS", "80")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for argv in (["--help"], ["constants", "--help"]):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out in readme
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["constants", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wsobolev import cli, weights
 from wsobolev.cli import run
 from wsobolev.config import parse_config
 from wsobolev.corpus import corpus_members
@@ -16,6 +17,7 @@ from wsobolev.inequalities import (
     empirical_poincare_ratio,
     oscillation_over_ball,
     poincare_bound,
+    verify_batch,
     verify_poincare,
     verify_potential,
     verify_xq,
@@ -216,6 +218,39 @@ class TestVerification:
         assert len(lines) == summary["corpus_size"] + 1
         assert lines[1].startswith("bump_cm2_w0.4,")
         assert lines[1].endswith(",true")
+
+
+class TestBatch:
+    SPEC = WeightSpec(0.7, 2.5, 1, W=PotentialExpr((QuadraticTerm(0.1),)))
+
+    @pytest.mark.parametrize("n", [301, 203])
+    def test_rows_equal_batches_of_one(self, n):
+        # 301 takes the every-other-node error estimate, 203 the trapezoid one
+        g = build_grid(1, 6.0, n)
+        fields = [m.on_grid(g) for m in corpus_members()]
+        grads = [discrete_gradient(f) for f in fields]
+        values = np.stack([f.values for f in fields])
+        batch_grads = [np.stack([gr[0].values for gr in grads])]
+        xq, pot, poi = verify_batch(g, values, batch_grads, self.SPEC, 3.0, C=0.5, D=2.5,
+                                    C_prime=0.5, D_prime=3.0, c=1e3)
+        for i, (f, gr) in enumerate(zip(fields, grads)):
+            assert xq[i] == verify_xq(f, gr, 0.7, 2.5, 0.5, 2.5)
+            assert pot[i] == verify_potential(f, gr, self.SPEC, 3.0, 0.5, 3.0)
+            assert poi[i] == verify_poincare(f, gr, self.SPEC, 3.0, 1e3)
+
+    def test_cli_evaluates_the_weight_a_fixed_number_of_times(self, tmp_path, monkeypatch):
+        calls = []
+        real = weights.eval_weight
+        monkeypatch.setattr(weights, "eval_weight", lambda *a: calls.append(1) or real(*a))
+        cfg = parse_config({"weight": {"beta": 1.0, "q": 2.0, "dim": 1}})
+        counts = []
+        for size in (18, 2):
+            monkeypatch.setattr(cli, "corpus_members", lambda: corpus_members()[:size])
+            calls.clear()
+            assert run("verify-inequalities", cfg, tmp_path / str(size)) == 0
+            counts.append(len(calls))
+        # the weight and the radial weight, once each, whatever the corpus size
+        assert counts == [2, 2]
 
 
 class TestEmpiricalPoincare:

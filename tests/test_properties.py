@@ -16,7 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsobolev.grid import Grid, GridFunction, _mollifier_taps, maximal_function, mollify
+from wsobolev.grid import (
+    Grid,
+    GridFunction,
+    _mollifier_taps,
+    integrate,
+    maximal_at,
+    maximal_function,
+    mollify,
+    quadrature_rows,
+    quadrature_with_error,
+    segment_weights,
+    trapezoid_weights,
+)
 from wsobolev.weights import (
     Ball,
     CosineTerm,
@@ -88,6 +100,40 @@ def test_maximal_function_is_the_largest_clipped_box_mean(dim, n, seed):
     # small means next to large values carry an absolute error
     np.testing.assert_allclose(got, _brute_force_maximal(values), rtol=1e-12,
                                atol=1e-12 * np.abs(values).max())
+
+
+
+@PROPERTY
+@given(w=catalog_weights(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300))
+def test_maximal_at_equals_maximal_function_at_those_nodes(w, seed, k):
+    nodes = np.random.default_rng(seed).integers(0, w.values.size, size=(k, 2))
+    got = maximal_at(w, nodes)
+    assert got.shape == nodes.shape
+    assert np.array_equal(got, maximal_function(w).values.ravel()[nodes])
+
+
+@PROPERTY
+@given(dim=st.sampled_from([1, 2]), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_quadrature_rows_equal_each_rows_own_integral(dim, m, seed, data):
+    # n = 4k + 1 takes the every-other-node Simpson estimate, other odd n
+    # the trapezoid one; both must give each row its own bits
+    n = data.draw(st.sampled_from([5, 9, 21, 41, 101] if dim == 1 else [5, 9, 21, 41])
+                  | st.sampled_from([3, 7, 11, 23, 103] if dim == 1 else [3, 7, 11, 23]))
+    grid = Grid(dim, data.draw(st.floats(0.5, 8.0)), n)
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.uniform(-20.0, 20.0, (m,) + (1,) * dim))
+    values = rng.standard_normal((m,) + grid.shape) * scales
+    fine, err = quadrature_rows(values, grid)
+    h = grid.spacing
+    for i, row in enumerate(values):
+        single = quadrature_with_error(GridFunction(grid, row))
+        want = integrate(row, h, segment_weights)
+        if (n - 1) % 4 == 0:
+            coarse = integrate(row[(slice(None, None, 2),) * dim], 2.0 * h, segment_weights)
+        else:
+            coarse = integrate(row, h, trapezoid_weights)
+        assert (fine[i], err[i]) == single == (want, abs(want - coarse))
 
 
 @PROPERTY
