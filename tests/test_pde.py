@@ -22,6 +22,7 @@ from wsobolev.pde import (
     _edge_differences,
     _edge_differences_transpose,
     _energy_terms,
+    _extrapolate,
     _flat,
     _hessian,
     _mass_weights,
@@ -250,6 +251,19 @@ class TestWorkspace:
         assert x.shape == g.shape
         assert (peak - baseline) / rhs.nbytes <= 1.5
 
+    @pytest.mark.parametrize("shape", [(301,), (101, 101), (41, 41)])
+    def test_rows_are_aligned_views(self, shape):
+        work = _workspace(shape)
+        assert work.shape == (7,) + shape
+        flat = work.reshape(len(work), -1)
+        for k in range(len(work)):
+            assert work[k].ctypes.data % 64 == 0
+            assert work[k].flags.c_contiguous
+            # a reshape in _pcg or _quadratic_terms writes the rows themselves
+            flat[k] = k
+            assert np.all(work[k] == k)
+        assert [float(row.min()) for row in work] == list(range(len(work)))
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_one_workspace_per_solve(self, monkeypatch, p):
         made = []
@@ -301,6 +315,34 @@ class TestEvolution:
         e = traj.energies
         assert all(b < a for a, b in zip(e, e[1:]))
         assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
+
+    def test_newton_starts_from_the_last_states_extrapolated(self, monkeypatch):
+        # T = 0.25, tau = 0.1: the third step is the short one, to 0.25
+        starts = []
+        minimize = pde._minimize
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["start"].copy())
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "_minimize", recorded)
+        g = build_grid(1, 6.0, 151)
+        v0, v1, v2 = (s.values for s in solve_evolution(
+            EvolutionProblem(2.0, GAUSS, sample_field(g, np.sin), 0.25, 0.1)).states[:3])
+        assert np.array_equal(starts[0], v0)
+        assert np.array_equal(starts[1], 2 * v1 - v0)
+        # Lagrange weights of the times 0, 0.1, 0.2 at 0.25
+        assert_allclose(starts[2], 0.375 * v0 - 1.25 * v1 + 1.875 * v2, rtol=0, atol=1e-14)
+
+    def test_far_field_follows_the_exact_flow(self):
+        # u0 = x decays as e^(-2t) x.  At the far corner w = e^-72, so the
+        # weighted stopping norm never corrects an iterate there and the
+        # Newton start's error stays: a cubic start sends it to ~6e3
+        g = build_grid(2, 6.0, 101)
+        u = sample_field(g, lambda x, y: x)
+        traj = solve_evolution(EvolutionProblem(2.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 1e-3))
+        exact = math.exp(-0.4) * g.mesh()[0]
+        assert np.abs(traj.states[-1].values - exact).max() <= 0.5
 
     def test_steady_state(self):
         g = build_grid(1, 6.0, 151)
@@ -605,6 +647,33 @@ class TestStaggeredProperties:
         traj = solve_evolution(EvolutionProblem(p, spec, u, 0.02, 0.01))
         assert len(traj.energies) == len(traj.states) == 3
         assert traj.energies == [energy(s, spec, p) for s in traj.states]
+
+    @PROPERTY
+    @given(k=st.integers(2, 1000), tau=st.floats(1e-4, 1e-1),
+           short=st.one_of(st.none(), st.floats(1e-6, 1.0)),
+           scales=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_start_reproduces_quadratics(self, k, tau, short, scales, seed):
+        # states on the flow's times k tau, the next one whole or short
+        a, b, c = np.random.default_rng(seed).standard_normal((3, 5)) * np.c_[scales]
+        t = (k + 1) * tau if short is None else (k + short) * tau
+        times = [(k - 2) * tau, (k - 1) * tau, k * tau]
+        for degree in range(3):
+            def poly(s):
+                return sum(cf * s**i for i, cf in enumerate((a, b, c)[:degree + 1]))
+            history = [(ti, poly(ti)) for ti in times[2 - degree:]]
+            scale = max(np.abs(v).max() for _, v in history)
+            # times differ by tau at size k tau: k ulps of round-off
+            atol = 16 * k * np.finfo(float).eps * scale
+            assert_allclose(_extrapolate(history, t), poly(t), rtol=0, atol=atol)
+        (_, v0), (_, v1), (t2, v2) = history
+        if short is None:
+            assert_allclose(_extrapolate(history, t), 3 * v2 - 3 * v1 + v0, rtol=0, atol=atol)
+        # one state is the constant start, in a new array, and two states
+        # at the first two times the linear one, to the bit
+        start = _extrapolate([(t2, v2)], t)
+        assert np.array_equal(start, v2) and not np.shares_memory(start, v2)
+        assert np.array_equal(_extrapolate([(0.0, v0), (tau, v1)], 2 * tau), 2 * v1 - v0)
 
     @PROPERTY
     @given(wg=weighted_grid(), p=st.floats(2.0, 4.0), cosine=st.booleans(),
