@@ -12,17 +12,19 @@ For p = 2 that is the 3-point stencil in 1d and the 5-point one in 2d, and
 its kernel is the constants alone.  Node sums (the metric, the source
 pairing) use trapezoid mass times w at the nodes.  Every minimization is one
 damped Newton loop; each iterate's edge differences are formed once, for its
-energy, gradient and Hessian.  Each Newton system's Hessian is assembled as a
-neighbour stencil (one node array per offset in {-1, 0, 1}^d) and applied
-flat: on the raveled node arrays an offset is one shift, so a CG apply is one
-contiguous product per neighbour, and CG is preconditioned by the stencil's
-exact diagonal.  At p = 2 the stencil depends on the weight alone and is
-assembled once per solve, and the energy is its quadratic form: E(v) =
-<v, Hv>/2 and its gradient Hv come from one pass over the flat stencil.
-Each solve works in one scratch array, so CG allocates only its solution;
-its rows start on 64-byte boundaries.  Each step of a flow starts Newton
-from the quadratic through its last three states, extrapolated in time.  A
-horizon that is no whole number of steps ends on a shorter last step.
+energy, gradient and Hessian.  Each Newton system's Hessian is symmetric and
+is assembled as the centre and forward half of a neighbour stencil (one node
+array per offset o in {-1, 0, 1}^d with o >= 0 lexicographically; -o shares
+it) and applied flat: on the raveled node arrays a forward offset is one
+positive shift, so a CG apply is two contiguous products per neighbour, one
+into each end, and CG is preconditioned by the stencil's exact diagonal.  At
+p = 2 the stencil depends on the weight alone and is assembled once per
+solve, and the energy is its quadratic form: E(v) = <v, Hv>/2 and its
+gradient Hv come from one pass over the flat stencil.  Each solve works in
+one scratch array, so CG allocates only its solution; its rows start on
+64-byte boundaries.  Each step of a flow starts Newton from the quadratic
+through its last three states, extrapolated in time.  A horizon that is no
+whole number of steps ends on a shorter last step.
 """
 
 from __future__ import annotations
@@ -224,28 +226,20 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-_SHIFTS = {-1: (slice(1, None), slice(None, -1)), 0: (slice(None), slice(None)),
-           1: (slice(None, -1), slice(1, None))}
-
-
-def _shifted(offset: tuple[int, ...]) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slices (dst, src) of a node array: the nodes i whose neighbour i + offset
-    is a node, and those neighbours."""
-    dst, src = zip(*(_SHIFTS[o] for o in offset))
-    return dst, src
-
-
 def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
              s: np.ndarray | None = None) -> dict[tuple[int, ...], np.ndarray]:
     """The energy's Hessian at the iterate with edge differences diffs and
     |grad u|^2 = s, raised by 1e-6 of its weighted mean (by 1 if u is constant)
-    to stay definite where the gradient vanishes, assembled as a neighbour
-    stencil: offset o in {-1, 0, 1}^d -> node array c_o, (Hv)[i] = sum_o
-    c_o[i] v[i + o].  It is sum_a D_a^T diag(k_a) D_a with edge coefficients
-    k_a = A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for p > 2, per cell r g g^T
-    with r = (p-2) cell_w (s + eps)^((p-4)/2) and g . v = sum_a of the cell's
-    mean of diffs_a D_a v.  At p = 2 that term vanishes and the rest is
-    cell_w's alone, so diffs and s are not needed."""
+    to stay definite where the gradient vanishes, assembled as the centre and
+    forward half of a neighbour stencil: each offset o in {-1, 0, 1}^d with
+    o >= 0 in lexicographic order -> node array c_o, in product order, the
+    centre first.  H is symmetric, so c_o also stands for the backward offset
+    -o, whose coefficient at i + o is c_o[i]: (Hv)[i] = sum_o c_o[i] v[i + o]
+    + c_o[i - o] v[i - o], the centre once.  H is sum_a D_a^T diag(k_a) D_a
+    with edge coefficients k_a = A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for
+    p > 2, per cell r g g^T with r = (p-2) cell_w (s + eps)^((p-4)/2) and
+    g . v = sum_a of the cell's mean of diffs_a D_a v.  At p = 2 that term
+    vanishes and the rest is cell_w's alone, so diffs and s are not needed."""
     dim = cell_w.ndim
     q, r = cell_w, None
     if p > 2.0:
@@ -253,16 +247,16 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
         q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
         r = (p - 2.0) * q / (s + eps)
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
-               if r is not None or sum(map(abs, o)) <= 1]
+               if o >= (0,) * dim and (r is not None or sum(map(abs, o)) <= 1)]
     stencil = {o: np.zeros(tuple(m + 1 for m in cell_w.shape)) for o in offsets}
     centre = stencil[(0,) * dim]
     for a in range(dim):
         k = _to_edges(q, a) / h**2
-        for sign in (1, -1):
-            offset = tuple(sign * (b == a) for b in range(dim))
-            dst = _shifted(offset)[0]
-            centre[dst] += k
-            stencil[offset][dst] -= k
+        lo, hi = _ends(centre, a)
+        lo += k
+        hi += k
+        forward = _ends(stencil[tuple(int(b == a) for b in range(dim))], a)[0]
+        forward -= k
     if r is not None:
         corners = list(itertools.product((0, 1), repeat=dim))
         r = r / (h * 2 ** (dim - 1)) ** 2
@@ -276,27 +270,24 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
                         for a, d in enumerate(diffs)) for c in corners}
         for i, c in enumerate(corners):
             rg = r * gamma[c]
-            for e in corners[i:]:  # r g_c g_e at node c, offset e - c, and back
-                t = rg * gamma[e]
-                stencil[tuple(y - x for x, y in zip(c, e))][at(c)] += t
-                if e != c:
-                    stencil[tuple(x - y for x, y in zip(c, e))][at(e)] += t
+            for e in corners[i:]:  # r g_c g_e at node c, forward offset e - c
+                stencil[tuple(y - x for x, y in zip(c, e))][at(c)] += rg * gamma[e]
     return stencil
 
 
 def _neighbours(stencil: dict) -> list[tuple[slice, slice, np.ndarray]]:
-    """(dst, src, c_o[dst]) per nonzero offset o of the stencil, on the raveled
-    node arrays: o is the flat shift k = sum_a o_a stride_a, so dst and src are
-    contiguous.  c_o is zero wherever i + o leaves the grid, so the rows that
-    wrap around add nothing."""
+    """(dst, src, c_o[dst]) per forward offset o of the stencil, on the raveled
+    node arrays: o is the positive flat shift k = sum_a o_a stride_a, so dst
+    and src = dst + k are contiguous.  c_o is zero wherever i + o leaves the
+    grid, so the rows that wrap around add nothing, in either direction."""
     shape = next(iter(stencil.values())).shape
     strides, size = [math.prod(shape[a + 1:]) for a in range(len(shape))], math.prod(shape)
     out = []
     for o, c in stencil.items():
         k = sum(x * s for x, s in zip(o, strides))
         if k:
-            dst = slice(max(-k, 0), size - max(k, 0))
-            out.append((dst, slice(max(k, 0), size - max(-k, 0)), c.reshape(-1)[dst]))
+            dst = slice(0, size - k)
+            out.append((dst, slice(k, size), c.reshape(-1)[dst]))
     return out
 
 
@@ -328,11 +319,16 @@ def _workspace(shape: tuple[int, ...]) -> np.ndarray:
 
 def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
            out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """The stencil times v: centre * v plus one contiguous product per
-    neighbour, formed in tmp (flat, as long as v) and added into out."""
+    """The stencil times v: centre * v plus two contiguous products per forward
+    neighbour, one into each end of its pairs, formed in tmp (flat, as long as
+    v) and added into out.  The backward products go first, in reverse:
+    that is the full stencil's product order, so each node sums its products
+    in the order of the offsets in {-1, 0, 1}^d."""
     out = np.multiply(centre, v, out)
     flat, v = (out, v) if v.ndim == 1 else (out.reshape(-1), v.reshape(-1))
     tmp = np.empty(v.shape) if tmp is None else tmp
+    for dst, src, c in reversed(neighbours):
+        flat[src] += np.multiply(c, v[dst], tmp[src])
     for dst, src, c in neighbours:
         flat[dst] += np.multiply(c, v[src], tmp[dst])
     return out
@@ -342,21 +338,20 @@ def _quadratic_terms(vals: np.ndarray, stencil: tuple,
                      work: np.ndarray | None = None) -> tuple[float, np.ndarray, None]:
     """The p = 2 energy <v, Hv>/2 and its gradient Hv from the Hessian stencil
     in flat form.  H kills the constants, so it couples each pair i, i + o by
-    c_o[i] (v[i+o] - v[i]), taken once per forward shift: a constant maps to
-    exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2.  The
-    differences and products are formed in the first two rows of work (two
+    c_o[i] (v[i+o] - v[i]), taken once per forward neighbour: a constant maps
+    to exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2.
+    The differences and products are formed in the first two rows of work (two
     fresh ones if it is not passed); only the gradient is a new array."""
     grad = np.zeros(vals.shape)
     flat, v, value = grad.reshape(-1), vals.reshape(-1), 0.0
     rows = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)
     dbuf, ebuf = rows[0], rows[1]
     for dst, src, c in stencil[1]:
-        if src.start > dst.start:
-            d = np.subtract(v[src], v[dst], dbuf[dst])
-            e = np.multiply(c, d, ebuf[dst])
-            value -= float(np.vdot(e, d))
-            flat[dst] += e
-            flat[src] -= e
+        d = np.subtract(v[src], v[dst], dbuf[dst])
+        e = np.multiply(c, d, ebuf[dst])
+        value -= float(np.vdot(e, d))
+        flat[dst] += e
+        flat[src] -= e
     return value / 2.0, grad, None
 
 

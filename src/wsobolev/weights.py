@@ -293,8 +293,7 @@ class WeightSpec:
 def eval_weight(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
     """Weight values at points of shape (..., dim).  Exponents below the
     representable range clamp to the smallest positive float."""
-    pts = np.asarray(pts, dtype=float)
-    return np.exp(np.maximum(spec.exponent(pts), _LOG_TINY))
+    return eval_weight_root(spec, pts, 1.0)
 
 
 def eval_weight_root(spec: WeightSpec, pts: np.ndarray, p: float) -> np.ndarray:
