@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass
+from dataclasses import astuple, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +87,19 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: floats to 12 significant digits, bools in lowercase."""
-    return "".join(f"{line}\n" for line in
-                   [header, *(",".join(map(_csv_cell, row)) for row in rows)])
+def _csv(name: str, header: str, rows) -> str:
+    """CSV text: floats to 12 significant digits, bools in lowercase.  NaN
+    and infinities raise ValueError naming their row and column, as in the
+    JSON reports."""
+    columns = header.split(",")
+    lines = [header]
+    for i, row in enumerate(rows):
+        for column, v in zip(columns, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name}[{i}].{column}: {v} is not a finite number, so "
+                                 "the report cannot be written")
+        lines.append(",".join(map(_csv_cell, row)))
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
@@ -218,25 +227,16 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
              for a in range(1, values.ndim)]
     reports = verify_batch(grid, values, grads, spec, config.p, **constants)
     all_hold = all(r.holds for rows in reports for r in rows)
-    names = [m.name for m in members]
-    rows_xq, rows_pot, rows_poi = (list(zip(names, rows)) for rows in reports)
 
-    summary = {
+    results: dict = {"verify_summary": {
         "constants": constants,
         "constants_source": source,
         "corpus_size": len(members),
         "all_hold": all_hold,
-        "inequalities": {
-            key: [{"corpus_id": n, **asdict(r)} for n, r in rows]
-            for key, rows in (("radial_moment", rows_xq), ("potential_moment", rows_pot),
-                              ("poincare", rows_poi))
-        },
-    }
-    results = {"verify_summary": summary}
-    for key, rows in (("verify_xq", rows_xq), ("verify_potential", rows_pot),
-                      ("verify_poincare", rows_poi)):
-        results[key] = _csv("corpus_id,lhs,rhs,margin,holds",
-                            ((n, r.lhs, r.rhs, r.margin, r.holds) for n, r in rows))
+    }}
+    for key, rows in zip(("verify_xq", "verify_potential", "verify_poincare"), reports):
+        results[key] = _csv(key, "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds",
+                            ((m.name, *astuple(r)) for m, r in zip(members, rows)))
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
@@ -244,7 +244,8 @@ def _cmd_approximate(config: RunConfig) -> tuple[int, dict]:
     cfg = config.approximate
     f = _state_from_string(cfg.u0, config.grid, "approximate.u0", cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule)
-    steps = _csv("eps,lp_error,grad_lp_error,sobolev_error", map(astuple, report.steps))
+    steps = _csv("approximation_steps", "eps,lp_error,grad_lp_error,sobolev_error",
+                 map(astuple, report.steps))
     results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
 
@@ -273,7 +274,7 @@ def _cmd_evolution(config: RunConfig) -> tuple[int, dict]:
         "final_mean": traj.means[-1],
         "total_inner_iterations": int(sum(traj.step_iterations)),
     }
-    trajectory = _csv("t,energy,mean,inner_iters", zip(
+    trajectory = _csv("trajectory", "t,energy,mean,inner_iters", zip(
         traj.times, traj.energies, traj.means, [0] + traj.step_iterations))
     final_state = _state_csv(traj.states[-1], "final_state")
     return EXIT_OK, {"trajectory": trajectory, "evolution": summary, "final_state": final_state}

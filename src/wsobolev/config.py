@@ -93,20 +93,13 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
         if "center" not in entry:
             raise ConfigError(f"{path}.center: required field is missing")
         center = entry["center"]
-        if is_finite_number(center):
-            if dim != 1:
-                raise ConfigError(f"{path}.center: expected {dim} coordinates")
-            center = (float(center),)
-        elif isinstance(center, list) and len(center) == dim and all(
-            map(is_finite_number, center)
-        ):
-            center = tuple(float(c) for c in center)
-        else:
+        if not (isinstance(center, list) and len(center) == dim
+                and all(map(is_finite_number, center))):
             raise ConfigError(
                 f"{path}.center: expected {dim} finite coordinates, got {center!r}"
             )
         radius = _number(entry, "radius", path, minimum=0.0, strict=True)
-        out.append(Ball(center=center, radius=radius))
+        out.append(Ball(center=tuple(map(float, center)), radius=radius))
     return tuple(out)
 
 

@@ -148,16 +148,9 @@ def sample_field(
     f,
     compact_support_radius: float | None = None,
 ) -> GridFunction:
-    """Evaluate a field at the grid nodes.
-
-    Accepts a callable taking the coordinate arrays (one per axis) or a plain
-    array of node values.
-    """
-    if callable(f):
-        vals = np.asarray(f(*grid.mesh()), dtype=float)
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    else:
-        vals = np.asarray(f, dtype=float)
+    """Evaluate a field, a callable taking the coordinate arrays (one per
+    axis), at the grid nodes."""
+    vals = np.broadcast_to(np.asarray(f(*grid.mesh()), dtype=float), grid.shape).copy()
     return GridFunction(grid, vals, compact_support_radius)
 
 

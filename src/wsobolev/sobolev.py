@@ -214,16 +214,22 @@ class HedbergReport:
     seed: int
 
 
-def hedberg_constant(u: GridFunction, n_pairs: int = 200, seed: int = 42) -> HedbergReport:
+# the node pairs hedberg_constant draws, and the seed it draws them with
+_HEDBERG_PAIRS = 200
+_HEDBERG_SEED = 42
+
+
+def hedberg_constant(u: GridFunction) -> HedbergReport:
     """Max over node pairs of |u(x)-u(y)| / (|x-y| (M|grad u|(x)+M|grad u|(y))).
 
-    n_pairs node pairs are drawn with the recorded seed; pairs with a zero
-    denominator (or coincident nodes) are skipped.  M|grad u| is evaluated
+    The pairs are drawn with a fixed seed, recorded in the report; pairs
+    with a zero denominator (or coincident nodes) are skipped.  M|grad u| is evaluated
     at the drawn nodes only.
     """
     grid = u.grid
     mag = GridFunction(grid, gradient_magnitude(discrete_gradient(u)))
-    pairs = np.random.default_rng(seed).integers(0, u.values.size, size=(n_pairs, 2))
+    pairs = np.random.default_rng(_HEDBERG_SEED).integers(
+        0, u.values.size, size=(_HEDBERG_PAIRS, 2))
     m = maximal_at(mag, pairs)
     pts = grid.points().reshape(-1, grid.dim)[pairs]
     vals = u.values.ravel()[pairs]
@@ -233,7 +239,7 @@ def hedberg_constant(u: GridFunction, n_pairs: int = 200, seed: int = 42) -> Hed
     # fmax skips NaN ratios: they never raise the maximum
     best = np.fmax.reduce(ratios, initial=0.0)
     n_used = int(used.sum())
-    return HedbergReport(best, n_used, n_pairs - n_used, seed)
+    return HedbergReport(best, n_used, _HEDBERG_PAIRS - n_used, _HEDBERG_SEED)
 
 
 def maximal_bound_check(u: GridFunction, p: float) -> float:

@@ -160,8 +160,17 @@ class TestSubcommands:
         assert summary["corpus_size"] > 0
         assert summary["constants_source"] == "formula"
         rows = (tmp_path / "verify_xq.csv").read_text().splitlines()
-        assert rows[0] == "corpus_id,lhs,rhs,margin,holds"
+        assert rows[0] == "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds"
         assert all(r.endswith(",true") for r in rows[1:])
+
+    # c * int |grad f|^p overflows with a RuntimeWarning before the report refuses it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_verify_non_finite_row_exits_1(self, tmp_path, capsys):
+        code = run("verify-inequalities", small_config(verify={"c": 1e308}), tmp_path)
+        assert code == EXIT_OPERATIONAL
+        assert re.fullmatch(r"error: verify_poincare\[\d+\]\.rhs: inf is not a finite number, "
+                            r"so the report cannot be written\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

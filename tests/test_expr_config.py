@@ -135,7 +135,7 @@ class TestConfigDefaults:
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
             "constants": {"eps": 0.5, "eps0": 0.25, "eps1": 2.0, "L": 8.0, "C4": 2.0},
-            "balls": [{"center": 0.0, "radius": 1.5}],
+            "balls": [{"center": [0.0], "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
                             "schedule": [0.1, 0.05]},
             "evolution": {"u0": "sin(x)", "T": 0.2, "tau": 0.01,
@@ -217,6 +217,8 @@ class TestConfigErrors:
     def test_ball_center_dimension(self):
         with pytest.raises(ConfigError, match="coordinates"):
             parse_config({**BASE, "balls": [{"center": [1.0, 2.0], "radius": 1.0}]})
+        with pytest.raises(ConfigError, match=r"balls\[0\]\.center: .*coordinates"):
+            parse_config({**BASE, "balls": [{"center": 1.0, "radius": 1.0}]})
         doc2d = {"weight": {"beta": 1.0, "q": 2.0, "dim": 2},
                  "balls": [{"center": 1.0, "radius": 1.0}]}
         with pytest.raises(ConfigError, match="coordinates"):

@@ -214,7 +214,7 @@ class TestVerification:
         run("verify-inequalities", cfg, tmp_path)
         summary = json.loads((tmp_path / "verify_summary.json").read_text())
         lines = (tmp_path / "verify_xq.csv").read_text().splitlines()
-        assert lines[0] == "corpus_id,lhs,rhs,margin,holds"
+        assert lines[0] == "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds"
         assert len(lines) == summary["corpus_size"] + 1
         assert lines[1].startswith("bump_cm2_w0.4,")
         assert lines[1].endswith(",true")

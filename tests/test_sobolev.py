@@ -188,14 +188,15 @@ class TestHedberg:
         g, _ = grid_and_weight()
         for m in corpus_members()[:3]:
             u = m.on_grid(g)
-            rep = hedberg_constant(u, n_pairs=100)
+            rep = hedberg_constant(u)
             assert rep.constant <= 1.0 + 1e-9
 
     def test_constant_function_all_skipped(self):
         g, _ = grid_and_weight()
         u = GridFunction(g, np.ones(g.shape))
-        rep = hedberg_constant(u, n_pairs=32)
+        rep = hedberg_constant(u)
         assert rep.pairs_used == 0
+        assert rep.pairs_skipped == 200
         assert rep.constant == 0.0
 
 
