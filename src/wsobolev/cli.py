@@ -23,7 +23,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import astuple, fields, is_dataclass
 from pathlib import Path
@@ -41,9 +40,7 @@ from .sobolev import smooth_approximation
 from .weights import check_admissibility, check_reciprocal_integrability, estimate_doubling, \
     estimate_muckenhoupt, weight_on_grid
 
-__all__ = ["SUBCOMMANDS", "OUTPUT_DIR_ENV", "emit_report", "run", "main"]
-
-OUTPUT_DIR_ENV = "WSOBOLEV_OUT"
+__all__ = ["SUBCOMMANDS", "emit_report", "run", "main"]
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -155,8 +152,8 @@ def _state_from_string(
 ) -> GridFunction:
     """A u0/source string is an arithmetic expression of x (and y in 2d); the
     state takes support_radius as its declared support.  An expression that
-    does not evaluate, or a non-finite value, raises ValueError naming the
-    config path (and the first such node)."""
+    does not evaluate, a non-finite value (named with its node) or a nonzero
+    value outside that support raises ValueError naming the config path."""
     try:
         with np.errstate(all="ignore"):
             vals = evaluate_expression(text, *grid.mesh())
@@ -165,7 +162,10 @@ def _state_from_string(
     bad = _first_non_finite(grid, vals)
     if bad is not None:
         raise ValueError(f"{path}: {text!r} is {bad}, not a finite number")
-    return GridFunction(grid, vals, compact_support_radius=support_radius)
+    try:
+        return GridFunction(grid, vals, compact_support_radius=support_radius)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _constant_chain(config: RunConfig) -> ConstantChain:
@@ -175,9 +175,7 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
         L=config.constants.L,
         C4=config.constants.C4,
         fit_half_width=config.grid.half_width,
-        eps=config.constants.eps,
         eps0=config.constants.eps0,
-        eps1=config.constants.eps1,
     )
 
 
@@ -328,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand",
                         help=f"one of: {', '.join(SUBCOMMANDS)}")
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--out", default=None, help="output directory (default: "
-                        f"${OUTPUT_DIR_ENV} or ./wsobolev-out)")
+    parser.add_argument("--out", default="wsobolev-out",
+                        help="output directory (default: ./wsobolev-out)")
     return parser
 
 
@@ -343,8 +341,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "wsobolev-out"
-    return run(args.subcommand, config, out_dir)
+    return run(args.subcommand, config, args.out)
 
 
 if __name__ == "__main__":

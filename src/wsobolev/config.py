@@ -105,9 +105,7 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
 
 @dataclass(frozen=True)
 class ConstantsConfig:
-    eps: float
-    eps0: float | None  # None -> 1/p at use time
-    eps1: float
+    eps0: float
     L: float
     C4: float
 
@@ -159,14 +157,9 @@ def parse_config(doc: dict) -> RunConfig:
     grid = _parse_grid(doc.get("grid", {}), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
 
-    cons = _section(doc.get("constants", {}), "constants", {"eps", "eps0", "eps1", "L", "C4"})
-    eps0 = None
-    if cons.get("eps0") is not None:
-        eps0 = _number(cons, "eps0", "constants", minimum=0.0, strict=True)
+    cons = _section(doc.get("constants", {}), "constants", {"eps0", "L", "C4"})
     constants = ConstantsConfig(
-        eps=_number(cons, "eps", "constants", default=1.0, minimum=0.0, strict=True),
-        eps0=eps0,
-        eps1=_number(cons, "eps1", "constants", default=1.0, minimum=0.0, strict=True),
+        eps0=_number(cons, "eps0", "constants", default=1.0 / p, minimum=0.0, strict=True),
         L=_number(cons, "L", "constants", default=4.0, minimum=0.0, strict=True),
         C4=_number(cons, "C4", "constants", default=1.0, minimum=0.0, strict=True),
     )

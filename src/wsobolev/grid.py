@@ -14,9 +14,11 @@ row each, and this module is the only one that builds them.  The other
 tensor helpers are lattice_points (odd tensor sample lattices), ball_slices
 (the node box of a ball) and the summed-area table that maximal_function
 and maximal_at share, whose box sums are differences along one axis at a
-time.  The one 1d-only
-step in the package is the power-law extrapolation across an isolated zero
-node in the Muckenhoupt integral (weights._ball_integral_power).
+time.  The package's 1d-only steps lie outside this module: the power-law
+extrapolation across an isolated zero node in the Muckenhoupt integral
+(weights._ball_integral_power), and the bump corpus
+(corpus.CorpusMember.on_grid), so verify-inequalities (cli._cmd_verify)
+refuses dim != 1 too.
 """
 
 from __future__ import annotations
@@ -213,22 +215,19 @@ def integrate(values: np.ndarray, h: float, rule) -> float:
     return float(np.sum(tensor_rule(values.shape, h, rule) * values))
 
 
-def _integrand(f: GridFunction, weight: GridFunction | None) -> np.ndarray:
-    if weight is None:
-        return f.values
-    f._check_same_grid(weight)
-    return f.values * weight.values
-
-
 def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
     """Composite Simpson integral of f (optionally times a weight field)."""
-    return integrate(_integrand(f, weight), f.grid.spacing, segment_weights)
+    values = f.values
+    if weight is not None:
+        f._check_same_grid(weight)
+        values = values * weight.values
+    return integrate(values, f.grid.spacing, segment_weights)
 
 
-def quadrature_with_error(f: GridFunction, weight: GridFunction | None = None) -> tuple[float, float]:
+def quadrature_with_error(f: GridFunction) -> tuple[float, float]:
     """Simpson integral plus an a-posteriori error estimate: quadrature_rows
     of a batch of one."""
-    fine, err = quadrature_rows(_integrand(f, weight)[None], f.grid)
+    fine, err = quadrature_rows(f.values[None], f.grid)
     return float(fine[0]), float(err[0])
 
 

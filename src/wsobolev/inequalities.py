@@ -203,6 +203,7 @@ class ConstantChain:
 
 _CHAIN_INPUTS = ("p", "q", "beta_coeff", "d", "delta", "gamma", "osc_V", "eps", "eps0", "eps1",
                  "L", "C4")
+_CHAIN_EPS = 1.0
 
 
 def build_constant_chain(
@@ -211,20 +212,19 @@ def build_constant_chain(
     L: float,
     C4: float,
     fit_half_width: float,
-    eps: float = 1.0,
     eps0: float | None = None,
-    eps1: float = 1.0,
 ) -> ConstantChain:
     """Evaluate the whole constant chain down to the certified Poincaré
     constant, from the growth numbers (delta, gamma, osc_V) that
-    check_admissibility fits on the sample box."""
+    check_admissibility fits on the sample box.  The moment bounds hold for
+    every eps, eps1 > 0; the chain takes both as 1 (_CHAIN_EPS)."""
     if eps0 is None:
         eps0 = 1.0 / p
-    C, D = constants_xq(spec.beta, spec.q, spec.dim, eps)
+    C, D = constants_xq(spec.beta, spec.q, spec.dim, _CHAIN_EPS)
     fits = check_admissibility(spec, fit_half_width)
     delta, gamma, osc_v = fits.delta, fits.gamma, fits.osc_V
     c_prime, d_prime, d_prime_scaled = constants_potential(
-        p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, eps1
+        p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, _CHAIN_EPS
     )
     c, a_L, log_c = poincare_bound(spec, p, c_prime, d_prime, L, C4)
     return ConstantChain(
@@ -235,9 +235,9 @@ def build_constant_chain(
         delta=delta,
         gamma=gamma,
         osc_V=osc_v,
-        eps=eps,
+        eps=_CHAIN_EPS,
         eps0=eps0,
-        eps1=eps1,
+        eps1=_CHAIN_EPS,
         C=C,
         D=D,
         C_prime=c_prime,
@@ -312,7 +312,8 @@ def _moment_reports(
     integrands = np.concatenate([absfp * grid.node_radii() ** (q - 1.0), mag**p, absfp])
     fine, err = quadrature_rows(integrands * nu.values, grid)
     (lhs, t1, t2), (e_lhs, e1, e2) = np.split(fine, 3), np.split(err, 3)
-    return _reports(lhs, c_prime * t1 + d_prime * t2, e_lhs + c_prime * e1 + d_prime * e2)
+    with np.errstate(over="ignore"):  # an infinite rhs is refused when its report is written
+        return _reports(lhs, c_prime * t1 + d_prime * t2, e_lhs + c_prime * e1 + d_prime * e2)
 
 
 def _poincare_reports(
@@ -328,7 +329,8 @@ def _poincare_reports(
     (means, t1), (_, e1) = np.split(fine, 2), np.split(err, 2)
     means = (means / mass).reshape((-1,) + (1,) * grid.dim)
     lhs, e_lhs = quadrature_rows(np.abs(values - means) ** p * nu.values, grid)
-    return _reports(lhs, c * t1, e_lhs + c * e1 + e_mass)
+    with np.errstate(over="ignore"):  # as in _moment_reports
+        return _reports(lhs, c * t1, e_lhs + c * e1 + e_mass)
 
 
 def _reports(lhs: np.ndarray, rhs: np.ndarray, quad_error: np.ndarray) -> list[InequalityReport]:

@@ -28,7 +28,7 @@ from .grid import (
     mollify,
     quadrature,
 )
-from .weights import WeightSpec, drift_on_grid, root_on_grid, weight_on_grid
+from .weights import WeightSpec, eval_log_drift, root_on_grid, weight_on_grid
 
 __all__ = [
     "lebesgue_norm",
@@ -108,12 +108,12 @@ def product_rule_residual(
     if r is None or r >= zeta.grid.half_width:
         raise ValueError("the test function must be compactly supported inside the box")
     root = root_on_grid(spec, f.grid, p)
-    drift = drift_on_grid(spec, f.grid)[axis]
+    drift = eval_log_drift(spec, f.grid.points())[..., axis]
     grad_zeta = discrete_gradient(zeta)[axis]
     integrand = root.values * (
         grads[axis].values * zeta.values
         + f.values * grad_zeta.values
-        + f.values * zeta.values * drift.values / p
+        + f.values * zeta.values * drift / p
     )
     return quadrature(GridFunction(f.grid, integrand))
 

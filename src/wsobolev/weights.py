@@ -39,7 +39,6 @@ __all__ = [
     "eval_log_drift",
     "weight_on_grid",
     "root_on_grid",
-    "drift_on_grid",
     "DilationFit",
     "fit_growth_constants",
     "fit_dilation_bound",
@@ -327,13 +326,6 @@ def root_on_grid(spec: WeightSpec, grid: Grid, p: float) -> GridFunction:
     return GridFunction(grid, eval_weight_root(spec, grid.points(), p))
 
 
-def drift_on_grid(spec: WeightSpec, grid: Grid) -> list[GridFunction]:
-    if spec.dim != grid.dim:
-        raise ValueError("weight and grid dimensions differ")
-    drift = eval_log_drift(spec, grid.points())
-    return [GridFunction(grid, drift[..., a]) for a in range(grid.dim)]
-
-
 # ---------------------------------------------------------------------------
 # admissibility diagnostics
 # ---------------------------------------------------------------------------
@@ -481,6 +473,8 @@ class Ball:
 
     @staticmethod
     def of(center, radius: float) -> "Ball":
+        """A ball whose centre is a coordinate sequence or, in 1d, a bare
+        number; the benchmark's oracle cases use the bare-number form."""
         c = np.atleast_1d(np.asarray(center, dtype=float))
         return Ball(tuple(float(v) for v in c), float(radius))
 

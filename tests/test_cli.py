@@ -17,7 +17,6 @@ from wsobolev.cli import (
     EXIT_OK,
     EXIT_OPERATIONAL,
     EXIT_VERIFICATION,
-    OUTPUT_DIR_ENV,
     SUBCOMMANDS,
     _canonical_json,
     _round_floats,
@@ -163,8 +162,6 @@ class TestSubcommands:
         assert rows[0] == "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds"
         assert all(r.endswith(",true") for r in rows[1:])
 
-    # c * int |grad f|^p overflows with a RuntimeWarning before the report refuses it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_verify_non_finite_row_exits_1(self, tmp_path, capsys):
         code = run("verify-inequalities", small_config(verify={"c": 1e308}), tmp_path)
         assert code == EXIT_OPERATIONAL
@@ -352,13 +349,14 @@ class TestMain:
         assert "weight.q" in capsys.readouterr().err
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
+        # only --out names the output directory; WSOBOLEV_OUT no longer does
         cfg = self.write_config(tmp_path)
-        target = tmp_path / "envout"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+        monkeypatch.setenv("WSOBOLEV_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
         code = main(["constants", "--config", str(cfg)])
         assert code == EXIT_OK
-        assert (target / "constant_chain.json").exists()
+        assert (tmp_path / "wsobolev-out" / "constant_chain.json").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_console_script_smoke(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -430,6 +428,16 @@ class TestStateFailures:
         code, out = run_main(tmp_path, subcommand, doc)
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == f"error: {section}.{key}: unknown name 'nope'\n"
+        assert not any(out.iterdir())
+
+    def test_state_outside_its_support_names_its_path(self, tmp_path, capsys):
+        # the default u0 depends on x only, so in 2d it is nonzero outside radius 1
+        doc = {"weight": {"beta": 1.0, "q": 2.0, "dim": 2},
+               "grid": {"half_width": 3.0, "nodes_per_axis": 41}}
+        code, out = run_main(tmp_path, "approximate", doc)
+        assert code == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == (
+            "error: approximate.u0: values do not vanish outside radius 1.0\n")
         assert not any(out.iterdir())
 
     def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):

@@ -112,8 +112,7 @@ class TestConfigDefaults:
         assert cfg.grid.half_width == 6.0
         assert cfg.grid.nodes_per_axis == 301
         assert cfg.p == 2.0
-        assert cfg.constants.eps == 1.0
-        assert cfg.constants.eps0 is None
+        assert cfg.constants.eps0 == 0.5  # 1/p
         assert cfg.constants.L == 4.0
         assert len(cfg.balls) == 2
         assert cfg.balls[0].center == (0.0,)
@@ -134,7 +133,7 @@ class TestConfigDefaults:
             },
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
-            "constants": {"eps": 0.5, "eps0": 0.25, "eps1": 2.0, "L": 8.0, "C4": 2.0},
+            "constants": {"eps0": 0.25, "L": 8.0, "C4": 2.0},
             "balls": [{"center": [0.0], "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
                             "schedule": [0.1, 0.05]},
@@ -178,9 +177,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("section, key", [
         ("evolution", "solver"), ("stationary", "solver"),
-        ("stationary", "compatibility_tol"), ("approximate", "tol")])
+        ("stationary", "compatibility_tol"), ("approximate", "tol"),
+        ("constants", "eps"), ("constants", "eps1")])
     def test_fixed_solver_values_are_unknown(self, section, key):
-        # solver tolerances, budgets and the approximation target are constants
+        # solver tolerances, budgets, the approximation target and the moment
+        # bounds' eps and eps1 (valid at any value > 0, fixed at 1) are constants
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, section: {key: {} if key == "solver" else 1e-6}})
         assert str(err.value).startswith(f"{section}.{key}: unknown field")
@@ -253,6 +254,10 @@ class TestConfigErrors:
             parse_config({**BASE, "grid": {"half_width": "wide"}})
         with pytest.raises(ConfigError, match="config.p"):
             parse_config({**BASE, "p": "two"})
+        # an omitted eps0 is 1/p; null is not a second spelling of it
+        with pytest.raises(ConfigError, match=r"^constants.eps0: expected a finite number, "
+                                              r"got None$"):
+            parse_config({**BASE, "constants": {"eps0": None}})
 
 
 MALFORMED_TERMS = [
@@ -280,16 +285,16 @@ def test_malformed_term_names_its_path(key, terms, path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:")
 
 
-# A config with one of every kind of number; each NON_FINITE entry replaces
-# the number at its location with NaN, +-Infinity or an integer beyond float
-# range, and names the JSON path the error must start with.
+# A config with one of every kind of number; each NON_FINITE entry puts NaN,
+# +-Infinity or an integer beyond float range at its location, and names the
+# JSON path the error must start with.
 FULL = {
     "weight": {"beta": 1.0, "q": 2.0, "dim": 1,
                "W": [{"kind": "power_abs", "c": 0.3, "s": 2.0}],
                "V": [{"kind": "cosine", "c": 0.2, "k": [1.0]}]},
     "grid": {"half_width": 6.0},
     "p": 2.0,
-    "constants": {"eps": 1.0, "eps1": 1.0, "C4": 1.0, "eps0": 0.5, "L": 8.0},
+    "constants": {"C4": 1.0, "eps0": 0.5, "L": 8.0},
     "balls": [{"center": [0.0], "radius": 1.0}],
     "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
     "evolution": {"T": 0.5, "tau": 1e-3},
@@ -303,6 +308,7 @@ NON_FINITE = [
     (("weight", "V", 0, "k", 0), "weight.V[0].k"),
     (("grid", "half_width"), "grid.half_width"),
     (("p",), "config.p"),
+    # fields the config does not have: refused as unknown whatever the value
     (("constants", "eps"), "constants.eps"),
     (("constants", "eps1"), "constants.eps1"),
     (("constants", "C4"), "constants.C4"),
@@ -407,7 +413,7 @@ _SHAPED = st.fixed_dictionaries(
     optional={
         "grid": _section("half_width", "nodes_per_axis"),
         "p": _NUMBER,
-        "constants": _section("eps", "eps0", "eps1", "L", "C4"),
+        "constants": _section("eps0", "L", "C4"),
         "balls": st.lists(st.fixed_dictionaries(
             {"center": _mostly([0.0, [0.0], [0.0, 0.0]], st.lists(_NUMBER, max_size=2)),
              "radius": _NUMBER}), max_size=2),
