@@ -299,7 +299,6 @@ def run(subcommand: str, config: RunConfig, out_dir: str | Path) -> int:
     """Dispatch one subcommand; writes artifacts and returns the exit code."""
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         if subcommand not in _COMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
         code, results = _COMMANDS[subcommand](config)

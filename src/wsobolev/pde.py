@@ -10,19 +10,21 @@ adds (1/p) h^d w(centre) (|grad u|^2)^(p/2), where |grad u|^2 sums over the
 axes the mean squared difference on the cell's 2^(d-1) edges along that axis.
 For p = 2 that is the 3-point stencil in 1d and the 5-point one in 2d, and
 its kernel is the constants alone.  Node sums (the metric, the source
-pairing) use trapezoid mass times w at the nodes.  Every minimization is one
-damped Newton loop; each iterate's edge differences are formed once, for its
-energy, gradient and Hessian.  Each Newton system's Hessian is symmetric and
-is assembled as the centre and forward half of a neighbour stencil (one node
-array per offset o in {-1, 0, 1}^d with o >= 0 lexicographically; -o shares
-it) and applied flat: on the raveled node arrays a forward offset is one
-positive shift, so a CG apply is two contiguous products per neighbour, one
-into each end, and CG is preconditioned by the stencil's exact diagonal.  At
-p = 2 the stencil depends on the weight alone and is assembled once per
-solve, and the energy is its quadratic form: E(v) = <v, Hv>/2 and its
-gradient Hv come from one pass over the flat stencil.  Each solve works in
-one scratch array, so CG allocates only its solution; its rows start on
-64-byte boundaries.  Each step of a flow starts Newton from the quadratic
+pairing) use trapezoid mass times w at the nodes.  For p > 2 every
+minimization is one damped Newton loop; each iterate's edge differences are
+formed once, for its energy, gradient and Hessian.  Each Newton system's
+Hessian is symmetric and is assembled as the centre and forward half of a
+neighbour stencil (one node array per offset o in {-1, 0, 1}^d with o >= 0
+lexicographically; -o shares it) and applied flat: on the raveled node arrays
+a forward offset is one positive shift, so a CG apply is two contiguous
+products per neighbour, one into each end, and CG is preconditioned by the
+stencil's exact diagonal.  At p = 2 the problem is linear: the stencil
+depends on the weight alone and is assembled once per solve, each
+minimization is the one system (H + M/tau) v = (M/tau) u + M f, solved by a
+single CG warm-started at the step's start, and the energy is the quadratic
+form <v, Hv>/2, formed by one value-only pass over the flat stencil.  Each
+solve works in one scratch array, so CG allocates only its solution; its rows
+start on 64-byte boundaries.  Each step of a flow starts from the quadratic
 through its last three states, extrapolated in time.  A horizon that is no
 whole number of steps ends on a shorter last step.
 """
@@ -54,11 +56,13 @@ __all__ = [
 ]
 
 
-# Newton-CG stops when the gradient's metric norm is at most _TOLERANCE, and
-# fails once _MAX_ITERATIONS CG iterations are spent
+# a solve stops when the gradient's metric norm (at p = 2, CG's recursive
+# residual's) is at most _TOLERANCE, and fails once _MAX_ITERATIONS CG
+# iterations are spent
 _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 10_000
-# backtracking line search: step shrink factor and Armijo sufficient-decrease constant
+# Newton's backtracking line search (p > 2 only): step shrink factor and
+# Armijo sufficient-decrease constant
 _SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 # a stationary source's weighted mean may be at most this times max|f|
@@ -99,7 +103,7 @@ class EvolutionProblem:
 
 
 class ProxConvergenceError(RuntimeError):
-    """The inner Newton-CG solve failed; carries the last iterate."""
+    """The inner CG or Newton-CG solve failed; carries the last iterate."""
 
     def __init__(self, message: str, iterate: GridFunction, residual: float):
         super().__init__(message)
@@ -206,9 +210,12 @@ def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
     """(1/p) int |grad u|^p w dx by the staggered cell sum."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    h, cell_w = u.grid.spacing, _cell_weights(spec, u.grid)
+    if p == 2.0:  # the quadratic form, as the p = 2 solvers evaluate it
+        return _quadratic_energy(u.values, _flat(_hessian(h, cell_w, p)))
     # below p = 2 the gradient formed alongside is singular where grad u vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _terms(u.values, u.grid.spacing, _cell_weights(spec, u.grid), p)[0]
+        return _energy_terms(u.values, h, cell_w, p)[0]
 
 
 def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
@@ -217,7 +224,7 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
     grid = u.grid
-    grad = _terms(u.values, grid.spacing, _cell_weights(spec, grid), p)[1]
+    grad = _energy_terms(u.values, grid.spacing, _cell_weights(spec, grid), p)[1]
     return GridFunction(grid, grad / _node_metric(spec, grid))
 
 
@@ -299,9 +306,9 @@ def _flat(stencil: dict) -> tuple[np.ndarray, list]:
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     """One solve's scratch node arrays, in rows: _pcg takes rows 0-5 (its
     diagonal, residual, preconditioned residual, direction, product and a
-    temporary) and the Newton loop row 6 (the CG right-hand side); an
-    evaluation and _quadratic_terms reuse rows 0 and 1 between CG calls, and
-    the flow's extrapolated Newton start row 0 between solves.
+    temporary) and _minimize row 6 (the CG right-hand side); a Newton
+    evaluation and _quadratic_energy reuse rows 0 and 1 between CG calls, and
+    the flow's extrapolated start row 0 between solves.
 
     Every row starts on a 64-byte boundary: a row's length is rounded up to a
     whole number of 8 doubles and the rows are cut from one flat buffer at its
@@ -334,50 +341,42 @@ def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
     return out
 
 
-def _quadratic_terms(vals: np.ndarray, stencil: tuple,
-                     work: np.ndarray | None = None) -> tuple[float, np.ndarray, None]:
-    """The p = 2 energy <v, Hv>/2 and its gradient Hv from the Hessian stencil
-    in flat form.  H kills the constants, so it couples each pair i, i + o by
-    c_o[i] (v[i+o] - v[i]), taken once per forward neighbour: a constant maps
-    to exactly zero, and the energy is a sum of -c_o (v[i+o] - v[i])^2 / 2.
-    The differences and products are formed in the first two rows of work (two
-    fresh ones if it is not passed); only the gradient is a new array."""
-    grad = np.zeros(vals.shape)
-    flat, v, value = grad.reshape(-1), vals.reshape(-1), 0.0
+def _quadratic_energy(vals: np.ndarray, stencil: tuple, work: np.ndarray | None = None) -> float:
+    """The p = 2 energy <v, Hv>/2 from the Hessian stencil in flat form.  H
+    kills the constants, so it couples each pair i, i + o by c_o[i] (v[i+o] -
+    v[i]), taken once per forward neighbour: the energy is a sum of -c_o
+    (v[i+o] - v[i])^2 / 2.  The differences and products are formed in the
+    first two rows of work (two fresh ones if it is not passed)."""
+    v, value = vals.reshape(-1), 0.0
     rows = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)
     dbuf, ebuf = rows[0], rows[1]
     for dst, src, c in stencil[1]:
         d = np.subtract(v[src], v[dst], dbuf[dst])
-        e = np.multiply(c, d, ebuf[dst])
-        value -= float(np.vdot(e, d))
-        flat[dst] += e
-        flat[src] -= e
-    return value / 2.0, grad, None
-
-
-def _terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float, stencil=None,
-           work=None):
-    """_energy_terms, but at p = 2 _quadratic_terms on the flat Hessian
-    stencil, assembled here unless the caller passes it, with work's rows."""
-    if p != 2.0:
-        return _energy_terms(vals, h, cell_w, p)
-    return _quadratic_terms(vals, stencil or _flat(_hessian(h, cell_w, p)), work)
+        value -= float(np.vdot(np.multiply(c, d, ebuf[dst]), d))
+    return value / 2.0
 
 
 def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
-         target: float, budget: int, work: np.ndarray) -> tuple[np.ndarray, int, float]:
+         target: float, budget: int, work: np.ndarray,
+         start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """CG on the flat stencil plus diag(shift), preconditioned by that sum's
-    exact diagonal (Jacobi), from zero until the residual's metric norm
+    exact diagonal (Jacobi), from start (default zero; its residual rhs - A
+    start is formed by one apply) until the residual's metric norm
     sqrt(sum r^2/metric) is at most target or the budget is spent; returns
-    the solution, the iterations and that norm.  Every vector but the solution
-    is a row of work (see _workspace), so rhs must not be one of rows 0-5."""
+    the solution, the iterations and that norm, the norm of CG's recursive
+    residual.  A product d^T A d that is not positive ends it early.  Every
+    vector but the solution is a row of work (see _workspace), so rhs must not
+    be one of rows 0-5; start is copied, not overwritten."""
     centre, neighbours = stencil
     diag, r, z, d, ad, tmp = work.reshape(len(work), -1)[:6]
     np.add(centre.reshape(-1), shift.reshape(-1), diag)
     metric = metric.reshape(-1)
-    x = np.zeros(rhs.shape)
+    x = np.zeros(rhs.shape) if start is None else start.copy()
     flat_x = x.reshape(-1)
-    np.copyto(r, rhs.reshape(-1))
+    if start is None:
+        np.copyto(r, rhs.reshape(-1))
+    else:
+        np.subtract(rhs.reshape(-1), _apply(diag, neighbours, flat_x, r, tmp), r)
     np.divide(r, diag, d)
     rz, it = np.vdot(r, d), 0
     while (rnorm := math.sqrt(np.vdot(r, np.divide(r, metric, tmp)))) > target and it < budget:
@@ -399,19 +398,26 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
               p: float, tau: float = math.inf,
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
               stencil: tuple | None = None, work: np.ndarray | None = None):
-    """Damped Newton on (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm
-    and pairing in the metric) from start (default: the anchor); returns the
-    minimizer, the CG iterations, and its energy and Euclidean energy gradient.
-    Without the proximal term (tau = inf) constants are free, so the iterate is
-    kept metric-mean-zero.  At p = 2 the Hessian stencil is the same at every
-    iterate and for every tau, and so is the energy, its quadratic form; the
-    stencil is assembled and flattened once, here unless the caller passes it,
-    and each Newton system adds only the proximal shift.  So is the scratch
-    space (see _workspace) that CG and every evaluation form their temporaries
-    in; the iterates, gradients and CG solutions are the only new arrays.
+    """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
+    pairing in the metric) from start (default: the anchor); returns the
+    minimizer, the CG iterations and its energy.  Without the proximal term
+    (tau = inf) constants are free, so the start, the right-hand side and the
+    minimizer are kept metric-mean-zero.  The scratch space (see _workspace)
+    that CG and every evaluation form their temporaries in is made once, here
+    unless the caller passes it; the iterates, gradients and CG solutions are
+    the only new arrays.
 
-    The first Newton system is solved to a tenth of the tolerance (a quadratic
-    takes one step), later ones as far as the last model missed the new
+    At p = 2 the objective is quadratic, so the minimizer solves one linear
+    system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian
+    stencil: the same at every v and for every tau, assembled and flattened
+    once, here unless the caller passes it.  One CG, warm-started at the
+    start, solves it to a tenth of the tolerance; if CG ends early above the
+    tolerance it is restarted from its iterate, and a restart that takes no
+    iteration fails.  Only the energy of the minimizer is evaluated, by the
+    value-only pass over the stencil.
+
+    For p > 2, damped Newton: the first Newton system is solved to a tenth of
+    the tolerance, later ones as far as the last model missed the new
     gradient (Eisenstat-Walker); an inexact step that does not lower the
     gradient norm is redone exactly.  Steps backtrack on the true objective
     with a round-off allowance, since near the minimizer the decrease drops
@@ -421,15 +427,42 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     h, shift, pull = grid.spacing, metric / tau, metric * source
     project = math.isinf(tau)
     metric_total = float(np.sum(metric))
-    if p == 2.0 and stencil is None:
-        stencil = _flat(_hessian(h, cell_w, p))
     if work is None:
         work = _workspace(grid.shape)
+    v = anchor if start is None else start
+    v = v - np.vdot(metric, v) / metric_total if project else v
+    spent = 0
+
+    def failure(what: str, gnorm: float) -> ProxConvergenceError:
+        return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
+                                    GridFunction(grid, v), gnorm)
+
+    def exhausted(gnorm: float) -> ProxConvergenceError:
+        return failure(f"{'CG' if p == 2.0 else 'Newton-CG'} did not reach tolerance "
+                       f"{_TOLERANCE:g} in {spent} iterations", gnorm)
+
+    if p == 2.0:
+        stencil = stencil or _flat(_hessian(h, cell_w, p))
+        rhs = np.multiply(shift, anchor, work[6])
+        rhs += pull
+        if project:
+            rhs -= np.multiply(metric, np.sum(rhs) / metric_total, work[0])
+        while True:
+            v, its, rnorm = _pcg(stencil, shift, rhs, metric, 0.1 * _TOLERANCE,
+                                 _MAX_ITERATIONS - spent, work, v)
+            spent += its
+            if rnorm <= _TOLERANCE:
+                break
+            if spent == _MAX_ITERATIONS or not its:
+                raise exhausted(rnorm)
+        if project:
+            v -= np.vdot(metric, v) / metric_total
+        return v, spent, _quadratic_energy(v, stencil, work)
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
-        terms = _terms(v, h, cell_w, p, stencil, work)
+        terms = _energy_terms(v, h, cell_w, p)
         d = np.subtract(v, anchor, work[0])
         prox = np.multiply(shift, d, work[1])
         obj = terms[0] + 0.5 * np.vdot(prox, d) - np.vdot(pull, v)
@@ -439,19 +472,12 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             g -= np.multiply(metric, np.sum(g) / metric_total, work[0])
         return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[0]))), terms
 
-    def failure(what: str) -> ProxConvergenceError:
-        return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
-                                    GridFunction(grid, v), gnorm)
-
-    v = anchor if start is None else start
-    v = v - np.vdot(metric, v) / metric_total if project else v
     obj, g, gnorm, terms = evaluate(v)
-    spent, forcing = 0, 0.0
+    forcing = 0.0
     while gnorm > _TOLERANCE:
         if spent == _MAX_ITERATIONS:
-            raise failure(f"Newton-CG did not reach tolerance {_TOLERANCE:g} "
-                          f"in {spent} iterations")
-        hessian = stencil or _flat(_hessian(h, cell_w, p, *terms[2]))
+            raise exhausted(gnorm)
+        hessian = _flat(_hessian(h, cell_w, p, *terms[2]))
         step, its, model_gnorm = _pcg(hessian, shift, np.negative(g, work[6]), metric,
                                       max(0.1 * _TOLERANCE, forcing * gnorm),
                                       _MAX_ITERATIONS - spent, work)
@@ -467,16 +493,16 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
                 break
             alpha *= _SHRINK
         else:
-            raise failure(f"line search stalled at iteration {spent}")
+            raise failure(f"line search stalled at iteration {spent}", gnorm)
         if trial_gnorm >= gnorm and forcing > 0.0:
             forcing = 0.0
             continue
         if trial_gnorm >= gnorm and trial_obj >= obj:
-            raise failure(f"line search stalled at iteration {spent}")
+            raise failure(f"line search stalled at iteration {spent}", gnorm)
         model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
         forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
         v, obj, g, gnorm, terms = trial, trial_obj, trial_g, trial_gnorm, trial_terms
-    return v, spent, terms[0], terms[1]
+    return v, spent, terms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +573,8 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     Lebesgue one (plain L^2 inner product, p > 2) first runs the integrability
     gate and raises IntegrabilityGateError when w^(-1/(p-2)) fails it.
 
-    Each step's Newton loop starts from the quadratic extrapolation of the
-    last three states (fewer at the first steps), which cuts its CG work.  Not
+    Each step's solve starts from the quadratic extrapolation of the last
+    three states (fewer at the first steps), which cuts its CG work.  Not
     a cubic: where w is too small for the stopping norm to correct an iterate
     the start's error stays, and a cubic's grows there (the corner of the 2d
     OU flow from u0 = x reached 5.8e3 at T = 0.2, where the exact value is
@@ -571,16 +597,20 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     n_steps = int(math.ceil(horizon / tau - 1e-12))
     whole = horizon / tau >= n_steps - 1e-12
     vals = problem.u0.values
-    stencil = _flat(_hessian(grid.spacing, cell_w, p)) if p == 2.0 else None
     work = _workspace(grid.shape)
-    value = _terms(vals, grid.spacing, cell_w, p, stencil, work)[0]
+    if p == 2.0:
+        stencil = _flat(_hessian(grid.spacing, cell_w, p))
+        value = _quadratic_energy(vals, stencil, work)
+    else:
+        stencil, value = None, _energy_terms(vals, grid.spacing, cell_w, p)[0]
+    metric_total = float(np.sum(metric))
     traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     history = collections.deque([(0.0, vals)], maxlen=3)
     for k in range(n_steps + 1):
-        if k:  # Newton starts from the last three states extrapolated to t
+        if k:  # the solve starts from the last three states extrapolated to t
             last = k == n_steps and not whole
             t = horizon if last else k * tau
-            vals, iters, value, _ = _minimize(
+            vals, iters, value = _minimize(
                 vals, grid, metric, cell_w, p, horizon - (k - 1) * tau if last else tau,
                 start=_extrapolate(history, t, work[0]), stencil=stencil, work=work)
             history.append((t, vals))
@@ -588,7 +618,7 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
             traj.states.append(GridFunction(grid, vals.copy()))
             traj.step_iterations.append(iters)
         traj.energies.append(value)
-        traj.means.append(float(np.sum(metric * vals)) / float(np.sum(metric)))
+        traj.means.append(float(np.sum(metric * vals)) / metric_total)
     return traj
 
 
@@ -633,8 +663,9 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryR
         )
     source = f.values - f_mean
     cell_w = _cell_weights(spec, grid)
-    out, iters, value, grad = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p,
-                                        source=source)
+    out, iters, value = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, source=source)
+    # the true residual, not the solver's own estimate of it
+    grad = _energy_terms(out, grid.spacing, cell_w, p)[1]
     res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))
     obj = value - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

@@ -384,7 +384,7 @@ def run_main(tmp_path, subcommand, doc, name="run"):
 
 class TestStateFailures:
     """A state that cannot be evaluated or written fails with one error line
-    and leaves the output directory empty."""
+    and leaves no output directory behind."""
 
     @pytest.mark.parametrize("source, message", [
         ("sin()", "stationary.source: sin() takes 1 argument, got 0"),
@@ -401,7 +401,7 @@ class TestStateFailures:
             code, out = run_main(tmp_path, "solve-stationary", doc)
         assert code == EXIT_OPERATIONAL and caught == []
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, section, key", [
         ("solve-stationary", "stationary", "source"),
@@ -415,7 +415,7 @@ class TestStateFailures:
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == (
             f"error: {section}.{key}: '1 / (x - 1)' is inf at x = (1.0,), not a finite number\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, section, key", [
         ("solve-stationary", "stationary", "source"),
@@ -428,7 +428,7 @@ class TestStateFailures:
         code, out = run_main(tmp_path, subcommand, doc)
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == f"error: {section}.{key}: unknown name 'nope'\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_state_outside_its_support_names_its_path(self, tmp_path, capsys):
         # the default u0 depends on x only, so in 2d it is nonzero outside radius 1
@@ -438,7 +438,7 @@ class TestStateFailures:
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == (
             "error: approximate.u0: values do not vanish outside radius 1.0\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):
         solve = cli.solve_stationary
@@ -517,7 +517,7 @@ class TestCertifiedOverflow:
         code, out = run_main(tmp_path, "weight-report", doc)
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == "error: log w is undefined (inf - inf) at x = (-6.0,)\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, c, message", [
         ("weight-report", 1e307, "weight vanishes at several nodes, e.g. node 126"),
@@ -546,14 +546,14 @@ class TestCertifiedOverflow:
             code, out = run_main(tmp_path, "constants", doc)
         assert code == EXIT_OPERATIONAL and caught == []
         assert capsys.readouterr().err == "error: grad W is undefined (NaN) at x = (-6.0,)\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):
         code, out = run_main(tmp_path, subcommand, self.HUGE_BETA)
         assert code == EXIT_OPERATIONAL
         assert capsys.readouterr().err == "error: log c leaves float range (a_L = 1.6e+308)\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_report_rejects_non_finite(self, value, tmp_path):

@@ -29,7 +29,7 @@ from wsobolev.pde import (
     _neighbours,
     _node_metric,
     _pcg,
-    _quadratic_terms,
+    _quadratic_energy,
     _to_cells,
     _to_edges,
     _workspace,
@@ -184,6 +184,18 @@ class TestOperator:
         with pytest.raises(ValueError):
             apply_operator(u, GAUSS, 1.5)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_assembles_no_stencil(self, monkeypatch, p):
+        # the operator is the staggered gradient at every p
+        def refused(*args):
+            raise AssertionError("apply_operator assembled a Hessian stencil")
+
+        monkeypatch.setattr(pde, "_hessian", refused)
+        g = build_grid(2, 3.0, 21)
+        u = sample_field(g, lambda x, y: np.sin(x) * y)
+        out = apply_operator(u, WeightSpec(1.0, 2.0, 2), p)
+        assert out.values.shape == g.shape and np.all(np.isfinite(out.values))
+
 
 class TestProxStep:
     def test_constant_fixed_point(self):
@@ -203,11 +215,13 @@ class TestProxStep:
         assert fitted == pytest.approx(1.0 / (1.0 + 2.0 * tau), rel=1e-4)
 
     def test_p2_prox_step_differences_each_iterate_once(self, monkeypatch):
-        # besides the initial energy, the start and the accepted trial are the
-        # only iterates a p = 2 step evaluates, each in one pass over the flat
-        # stencil that forms its differences once, and none through the
-        # staggered ones; a flow assembles and flattens its stencil once
-        counts = {"_quadratic_terms": 0, "_hessian": 0, "_flat": 0, "_edge_differences": 0}
+        # a p = 2 step is one linear solve: it forms no gradient, and each
+        # state's differences are formed once, by the value-only pass over the
+        # flat stencil for its energy (the initial state's too), and none
+        # through the staggered ones; a flow assembles and flattens its
+        # stencil once
+        counts = {"_quadratic_energy": 0, "_energy_terms": 0, "_hessian": 0, "_flat": 0,
+                  "_edge_differences": 0}
 
         def counted(name):
             fn = getattr(pde, name)
@@ -223,8 +237,8 @@ class TestProxStep:
         u = sample_field(g, np.sin)
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
         assert len(traj.states) == 4
-        assert counts == {"_quadratic_terms": 1 + 2 * 3, "_hessian": 1, "_flat": 1,
-                          "_edge_differences": 0}
+        assert counts == {"_quadratic_energy": 4, "_energy_terms": 0, "_hessian": 1,
+                          "_flat": 1, "_edge_differences": 0}
 
 
 class TestWorkspace:
@@ -250,6 +264,17 @@ class TestWorkspace:
         assert it == iterations
         assert x.shape == g.shape
         assert (peak - baseline) / rhs.nbytes <= 1.5
+        # a warm start is copied into the solution, and its residual formed in work
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            warm = _pcg(stencil, shift, rhs, metric, 0.0, iterations, work, x)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm is not x
+        assert (peak - baseline) / rhs.nbytes <= 1.5
 
     @pytest.mark.parametrize("shape", [(301,), (101, 101), (41, 41)])
     def test_rows_are_aligned_views(self, shape):
@@ -259,7 +284,7 @@ class TestWorkspace:
         for k in range(len(work)):
             assert work[k].ctypes.data % 64 == 0
             assert work[k].flags.c_contiguous
-            # a reshape in _pcg or _quadratic_terms writes the rows themselves
+            # a reshape in _pcg or _quadratic_energy writes the rows themselves
             flat[k] = k
             assert np.all(work[k] == k)
         assert [float(row.min()) for row in work] == list(range(len(work)))
@@ -281,6 +306,30 @@ class TestWorkspace:
         made.clear()
         solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, p)
         assert len(made) == 1
+
+
+class TestPCG:
+    @pytest.mark.parametrize("shape", [(301,), (41, 41)])
+    def test_warm_start_continues_from_its_iterate(self, shape):
+        # CG restarted from its own iterate reaches the target; from the
+        # solution it takes no iteration; the start is left as it was
+        g = build_grid(len(shape), 6.0, shape[0])
+        spec = WeightSpec(1.0, 2.0, len(shape))
+        stencil = _flat(_hessian(g.spacing, pde._cell_weights(spec, g), 2.0))
+        metric = _node_metric(spec, g)
+        shift = metric / 1e-2
+        rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
+        work = _workspace(g.shape)
+        partial, it, norm = _pcg(stencil, shift, rhs, metric, 1e-9, 3, work)
+        assert it == 3 and norm > 1e-9
+        start = partial.copy()
+        x, it, norm = _pcg(stencil, shift, rhs, metric, 1e-9, 10_000, work, partial)
+        assert 0 < it < 10_000 and norm <= 1e-9
+        assert np.array_equal(partial, start) and x is not partial
+        true = rhs - _apply(stencil[0] + shift, stencil[1], x)
+        assert math.sqrt(np.vdot(true, true / metric)) <= 1e-9
+        again, it, _ = _pcg(stencil, shift, rhs, metric, 1e-6, 10_000, work, x)
+        assert it == 0 and np.array_equal(again, x)
 
 
 class TestEvolution:
@@ -337,7 +386,7 @@ class TestEvolution:
     def test_far_field_follows_the_exact_flow(self):
         # u0 = x decays as e^(-2t) x.  At the far corner w = e^-72, so the
         # weighted stopping norm never corrects an iterate there and the
-        # Newton start's error stays: a cubic start sends it to ~6e3
+        # step's start's error stays: a cubic start sends it to ~6e3
         g = build_grid(2, 6.0, 101)
         u = sample_field(g, lambda x, y: x)
         traj = solve_evolution(EvolutionProblem(2.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 1e-3))
@@ -517,8 +566,8 @@ class TestStationary:
             solve_stationary(f, GAUSS, 1.5)
 
     def test_runs_out_of_iterations(self, monkeypatch):
-        # p = 2 converges in one Newton step, so a p = 3 Newton solve is the
-        # one that can run out of CG iterations
+        # the budget is shared by every Newton system of the solve (p = 2, one
+        # CG run: TestEvolution.test_convergence_error_carries_iterate)
         g = build_grid(1, 6.0, 301)
         f = sample_field(g, lambda x: 2.0 * x)
         monkeypatch.setattr(pde, "_MAX_ITERATIONS", 5)
@@ -581,6 +630,18 @@ def weighted_grid(draw):
     return WeightSpec(draw(st.floats(0.5, 1.5)), 2.0, dim), grid
 
 
+@st.composite
+def small_weight_grid(draw):
+    """A weight exp(-beta |x|^q - c cos(k . x)) and a grid small enough for a
+    dense solve: up to 41 nodes in 1d, 9 x 9 in 2d."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = 2 * draw(st.integers(2, 20) if dim == 1 else st.integers(1, 4)) + 1
+    grid = Grid(dim, draw(st.floats(1.0, 3.0)), n)
+    V = PotentialExpr((CosineTerm(draw(st.floats(-1.0, 1.0)),
+                                  tuple(draw(st.floats(0.0, 3.0)) for _ in range(dim))),))
+    return WeightSpec(draw(st.floats(0.5, 1.5)), draw(st.floats(1.5, 2.5)), dim, V=V), grid
+
+
 def node_metric(spec, grid):
     return _mass_weights(grid) * np.exp(spec.exponent(grid.points()))
 
@@ -638,7 +699,7 @@ class TestStaggeredProperties:
     @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]), cosine=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_trajectory_energies_are_state_energies(self, wg, p, cosine, seed):
-        # the flow records the energy its Newton solve returned; it must be
+        # the flow records the energy its solve returned; it must be
         # the energy of the state, to the last bit
         spec, grid = wg
         if cosine:
@@ -692,6 +753,47 @@ class TestStaggeredProperties:
         assert np.sum(terms) >= -1e-12 * np.sum(np.abs(terms))
 
     @PROPERTY
+    @given(wg=small_weight_grid(), tau=st.one_of(st.floats(1e-3, 1e-1), st.just(math.inf)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_p2_step_is_the_dense_linear_solve(self, wg, tau, seed):
+        # a p = 2 step solves (H + M/tau) v = (M/tau) u, and the stationary
+        # problem (tau = inf) H v = M f over mean-zero v; H's columns come
+        # from the staggered gradient of the unit vectors.  The system is
+        # solved with M^(1/2) scaled out, so that its condition number stays
+        # small, the constants' direction set to 1 when tau = inf
+        spec, grid = wg
+        h, cell_w = grid.spacing, pde._cell_weights(spec, grid)
+        m = _node_metric(spec, grid).reshape(-1)
+        rng = np.random.default_rng(seed)
+        given_vals = rng.uniform(-1.0, 1.0, grid.shape)
+        size = m.size
+        dense = np.stack([_energy_terms(np.eye(size)[i].reshape(grid.shape), h, cell_w,
+                                        2.0)[1].reshape(-1) for i in range(size)], axis=1)
+        root = np.sqrt(m)
+        scaled = dense / np.outer(root, root)
+        if math.isinf(tau):
+            f = given_vals - np.sum(m * given_vals.reshape(-1)) / np.sum(m)
+            out = solve_stationary(GridFunction(grid, f), spec, 2.0).state.values
+            b = m * f.reshape(-1)
+            kernel = root / np.linalg.norm(root)
+            scaled += np.outer(kernel, kernel)
+        else:
+            out = one_step(GridFunction(grid, given_vals), 2.0, spec, tau).values
+            b = m * given_vals.reshape(-1) / tau
+            scaled += np.diag(np.full(size, 1.0 / tau))
+        exact = np.linalg.solve(scaled, b / root) / root
+        # the step's true gradient, recomputed through the staggered pass
+        g = _energy_terms(out, h, cell_w, 2.0)[1].reshape(-1) - b
+        if not math.isinf(tau):
+            g += m * out.reshape(-1) / tau
+        assert math.sqrt(np.vdot(g, g / m)) <= pde._TOLERANCE
+        # so the state is that far from the exact one in the metric norm, by
+        # the smallest eigenvalue of the scaled system
+        smallest = np.linalg.eigvalsh(scaled)[0]
+        err = math.sqrt(np.sum(m * (out.reshape(-1) - exact) ** 2))
+        assert err <= pde._TOLERANCE / smallest + 1e-12 * math.sqrt(np.sum(m * exact**2))
+
+    @PROPERTY
     @given(shape=st.lists(st.integers(2, 12), min_size=1, max_size=3).map(tuple),
            h=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_p2_stencil_energy_is_the_staggered_one(self, shape, h, seed):
@@ -701,10 +803,9 @@ class TestStaggeredProperties:
         stencil = _flat(_hessian(h, cell_w, 2.0))
         value, grad, _ = _energy_terms(v, h, cell_w, 2.0)
         hv = _apply(*stencil, v)
-        scale = np.abs(grad).max()
-        for e, g in [_quadratic_terms(v, stencil)[:2], (np.vdot(v, hv) / 2.0, hv)]:
+        for e in [_quadratic_energy(v, stencil), np.vdot(v, hv) / 2.0]:
             assert e == pytest.approx(value, rel=1e-12)
-            assert_allclose(g, grad, rtol=0, atol=1e-12 * scale)
+        assert_allclose(hv, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
     @PROPERTY
     @given(shape=st.lists(st.integers(2, 9), min_size=1, max_size=3).map(tuple),
@@ -721,10 +822,7 @@ class TestStaggeredProperties:
         assert _apply(centre, neighbours, v, out, tmp) is out
         assert np.array_equal(out, _apply(centre, neighbours, v))
         work = np.full((7,) + shape, np.nan)
-        value, grad, _ = _quadratic_terms(v, stencil, work)
-        expected = _quadratic_terms(v, stencil)
-        assert value == expected[0]
-        assert np.array_equal(grad, expected[1])
+        assert _quadratic_energy(v, stencil, work) == _quadratic_energy(v, stencil)
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
