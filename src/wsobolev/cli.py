@@ -274,7 +274,7 @@ def _cmd_evolution(config: RunConfig) -> tuple[int, dict]:
     }
     trajectory = _csv("trajectory", "t,energy,mean,inner_iters", zip(
         traj.times, traj.energies, traj.means, [0] + traj.step_iterations))
-    final_state = _state_csv(traj.states[-1], "final_state")
+    final_state = _state_csv(traj.state, "final_state")
     return EXIT_OK, {"trajectory": trajectory, "evolution": summary, "final_state": final_state}
 
 

@@ -131,9 +131,6 @@ class GridFunction:
                     f"values do not vanish outside radius {r}"
                 )
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.compact_support_radius)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise ValueError("grid mismatch")

@@ -26,7 +26,9 @@ form <v, Hv>/2, formed by one value-only pass over the flat stencil.  Each
 solve works in one scratch array, so CG allocates only its solution; its rows
 start on 64-byte boundaries.  Each step of a flow starts from the quadratic
 through its last three states, extrapolated in time.  A horizon that is no
-whole number of steps ends on a shorter last step.
+whole number of steps ends on a shorter last step.  A flow is streamed:
+evolve yields each state, read-only, as it is reached, and keeps only the
+three its next start needs; solve_evolution keeps only the last.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +46,14 @@ from .weights import WeightSpec, eval_weight
 
 __all__ = [
     "EvolutionProblem",
+    "Step",
     "Trajectory",
     "ProxConvergenceError",
     "IntegrabilityGateError",
     "TailReport",
     "energy",
     "apply_operator",
+    "evolve",
     "solve_evolution",
     "check_lebesgue_compatibility",
     "StationaryResult",
@@ -119,13 +124,28 @@ class IntegrabilityGateError(RuntimeError):
         self.report = report
 
 
+@dataclass(frozen=True)
+class Step:
+    """One time of a flow: its state (read-only), energy and weighted mean, and
+    the CG iterations of the solve that reached it (0 at t = 0)."""
+
+    t: float
+    state: GridFunction
+    energy: float
+    mean: float
+    iterations: int
+
+
 @dataclass
 class Trajectory:
+    """A flow's times, energies and means at each of them, the CG iterations
+    of each step's solve (one fewer: none at t = 0), and its last state."""
+
     times: list[float]
-    states: list[GridFunction]
     energies: list[float]
     means: list[float]
     step_iterations: list[int]
+    state: GridFunction
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +588,14 @@ def _extrapolate(history, t: float, tmp: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def solve_evolution(problem: EvolutionProblem) -> Trajectory:
-    """Implicit-Euler trajectory of the flow in either dualization.  The
-    Lebesgue one (plain L^2 inner product, p > 2) first runs the integrability
-    gate and raises IntegrabilityGateError when w^(-1/(p-2)) fails it.
+def evolve(problem: EvolutionProblem) -> Iterator[Step]:
+    """The implicit-Euler flow in either dualization, one Step per time, from
+    t = 0 to the horizon.  The Lebesgue one (plain L^2 inner product, p > 2)
+    first runs the integrability gate and raises IntegrabilityGateError, at
+    the first next(), when w^(-1/(p-2)) fails it.
+
+    Each yielded state is the solver's own array, made read-only, not a copy:
+    the next steps extrapolate from it.  The state at t = 0 is a copy of u0.
 
     Each step's solve starts from the quadratic extrapolation of the last
     three states (fewer at the first steps), which cuts its CG work.  Not
@@ -596,7 +620,7 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     tau, horizon = problem.step, problem.horizon
     n_steps = int(math.ceil(horizon / tau - 1e-12))
     whole = horizon / tau >= n_steps - 1e-12
-    vals = problem.u0.values
+    vals = problem.u0.values.copy()
     work = _workspace(grid.shape)
     if p == 2.0:
         stencil = _flat(_hessian(grid.spacing, cell_w, p))
@@ -604,8 +628,8 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     else:
         stencil, value = None, _energy_terms(vals, grid.spacing, cell_w, p)[0]
     metric_total = float(np.sum(metric))
-    traj = Trajectory([0.0], [problem.u0.copy()], [], [], [])
     history = collections.deque([(0.0, vals)], maxlen=3)
+    t, iters = 0.0, 0
     for k in range(n_steps + 1):
         if k:  # the solve starts from the last three states extrapolated to t
             last = k == n_steps and not whole
@@ -614,11 +638,24 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
                 vals, grid, metric, cell_w, p, horizon - (k - 1) * tau if last else tau,
                 start=_extrapolate(history, t, work[0]), stencil=stencil, work=work)
             history.append((t, vals))
-            traj.times.append(t)
-            traj.states.append(GridFunction(grid, vals.copy()))
-            traj.step_iterations.append(iters)
-        traj.energies.append(value)
-        traj.means.append(float(np.sum(metric * vals)) / metric_total)
+        vals.flags.writeable = False
+        yield Step(t, GridFunction(grid, vals), value,
+                   float(np.sum(metric * vals)) / metric_total, iters)
+
+
+def solve_evolution(problem: EvolutionProblem) -> Trajectory:
+    """evolve, run to the horizon and folded into a Trajectory: its times,
+    energies, means and solves' CG iterations, and its last state, the only
+    one kept, so a flow holds O(1) node arrays however many steps it takes.
+    The gate (see evolve) raises here."""
+    traj = Trajectory([], [], [], [], problem.u0)
+    for k, step in enumerate(evolve(problem)):
+        traj.times.append(step.t)
+        traj.energies.append(step.energy)
+        traj.means.append(step.mean)
+        if k:
+            traj.step_iterations.append(step.iterations)
+        traj.state = step.state
     return traj
 
 

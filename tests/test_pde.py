@@ -36,6 +36,7 @@ from wsobolev.pde import (
     apply_operator,
     check_lebesgue_compatibility,
     energy,
+    evolve,
     solve_evolution,
     solve_stationary,
 )
@@ -51,7 +52,7 @@ def linear_state(n=301, R=6.0):
 
 def one_step(u, p, spec, tau):
     """The state after one implicit-Euler step of the weighted flow."""
-    return solve_evolution(EvolutionProblem(p, spec, u, tau, tau)).states[-1]
+    return solve_evolution(EvolutionProblem(p, spec, u, tau, tau)).state
 
 
 class TestEvolutionProblem:
@@ -236,7 +237,7 @@ class TestProxStep:
         g = build_grid(1, 6.0, 301)
         u = sample_field(g, np.sin)
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
-        assert len(traj.states) == 4
+        assert len(traj.times) == 4
         assert counts == {"_quadratic_energy": 4, "_energy_terms": 0, "_hessian": 1,
                           "_flat": 1, "_edge_differences": 0}
 
@@ -301,7 +302,7 @@ class TestWorkspace:
         monkeypatch.setattr(pde, "_workspace", counted)
         g = build_grid(1, 6.0, 301)
         traj = solve_evolution(EvolutionProblem(p, GAUSS, sample_field(g, np.sin), 0.03, 0.01))
-        assert len(traj.states) == 4
+        assert len(traj.times) == 4
         assert len(made) == 1
         made.clear()
         solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, p)
@@ -343,7 +344,7 @@ class TestEvolution:
         x = g.axis()
         inner = np.abs(x) <= 4.0
         expected = math.exp(-2.0 * 0.05)
-        fitted = np.sum(traj.states[-1].values[inner] * x[inner]) / np.sum(x[inner] ** 2)
+        fitted = np.sum(traj.state.values[inner] * x[inner]) / np.sum(x[inner] ** 2)
         assert fitted == pytest.approx(expected, rel=5e-3)
 
     def test_energy_monotone_and_mean_conserved(self):
@@ -360,7 +361,7 @@ class TestEvolution:
         g, u = linear_state(151)
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.25, 0.1))
         assert traj.times == [0.0, 0.1, 0.2, 0.25]
-        assert len(traj.states) == len(traj.energies) == len(traj.means) == 4
+        assert len(traj.times) == len(traj.energies) == len(traj.means) == 4
         e = traj.energies
         assert all(b < a for a, b in zip(e, e[1:]))
         assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
@@ -376,8 +377,8 @@ class TestEvolution:
 
         monkeypatch.setattr(pde, "_minimize", recorded)
         g = build_grid(1, 6.0, 151)
-        v0, v1, v2 = (s.values for s in solve_evolution(
-            EvolutionProblem(2.0, GAUSS, sample_field(g, np.sin), 0.25, 0.1)).states[:3])
+        steps = list(evolve(EvolutionProblem(2.0, GAUSS, sample_field(g, np.sin), 0.25, 0.1)))
+        v0, v1, v2 = (s.state.values for s in steps[:3])
         assert np.array_equal(starts[0], v0)
         assert np.array_equal(starts[1], 2 * v1 - v0)
         # Lagrange weights of the times 0, 0.1, 0.2 at 0.25
@@ -391,14 +392,14 @@ class TestEvolution:
         u = sample_field(g, lambda x, y: x)
         traj = solve_evolution(EvolutionProblem(2.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 1e-3))
         exact = math.exp(-0.4) * g.mesh()[0]
-        assert np.abs(traj.states[-1].values - exact).max() <= 0.5
+        assert np.abs(traj.state.values - exact).max() <= 0.5
 
     def test_steady_state(self):
         g = build_grid(1, 6.0, 151)
         c = GridFunction(g, np.full(g.shape, -0.7))
         prob = EvolutionProblem(2.0, GAUSS, c, 0.05, 0.01)
         traj = solve_evolution(prob)
-        assert_allclose(traj.states[-1].values, -0.7, atol=1e-6)
+        assert_allclose(traj.state.values, -0.7, atol=1e-6)
         assert max(traj.energies) <= 1e-12
 
     def test_contraction_of_two_flows(self):
@@ -409,11 +410,11 @@ class TestEvolution:
         for p in (2.0, 3.0):
             pu = EvolutionProblem(p, GAUSS, u, 0.02, 5e-3)
             pv = EvolutionProblem(p, GAUSS, v, 0.02, 5e-3)
-            tu, tv = solve_evolution(pu), solve_evolution(pv)
+            tu, tv = evolve(pu), evolve(pv)
             tw = _mass_weights(g) * np.exp(-g.axis() ** 2)
             d = [
-                math.sqrt(float(np.sum(tw * (a.values - b.values) ** 2)))
-                for a, b in zip(tu.states, tv.states)
+                math.sqrt(float(np.sum(tw * (a.state.values - b.state.values) ** 2)))
+                for a, b in zip(tu, tv)
             ]
             dists.append(d)
             assert all(b <= a * (1 + 1e-9) for a, b in zip(d, d[1:]))
@@ -438,6 +439,76 @@ class TestEvolution:
             solve_evolution(prob)
         assert exc.value.iterate.grid == g
         assert exc.value.residual > 0.0
+
+
+class TestStreamedFlow:
+    # whole steps at p = 2, a short last step at p = 3, a Lebesgue flow, a 2d flow
+    CASES = [
+        (2.0, GAUSS, 1, 0.05, 0.01, "weighted"),
+        (3.0, GAUSS, 1, 0.025, 0.01, "weighted"),
+        (3.0, WeightSpec(-0.5, 2.0, 1), 1, 0.01, 0.005, "lebesgue"),
+        (2.0, WeightSpec(1.0, 2.0, 2), 2, 0.02, 0.01, "weighted"),
+    ]
+
+    @staticmethod
+    def problem(p, spec, dim, horizon, tau, dualization):
+        g = build_grid(dim, 2.0 if dualization == "lebesgue" else 6.0, 101 if dim == 1 else 41)
+        u = sample_field(g, lambda *x: np.sin(x[0]) + 0.5 * x[-1])
+        return EvolutionProblem(p, spec, u, horizon, tau, dualization)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_solve_evolution_is_the_fold_of_evolve(self, case):
+        problem = self.problem(*case)
+        traj = solve_evolution(problem)
+        steps = list(evolve(problem))
+        assert traj.times == [s.t for s in steps]
+        assert traj.energies == [s.energy for s in steps]
+        assert traj.means == [s.mean for s in steps]
+        assert steps[0].iterations == 0
+        assert traj.step_iterations == [s.iterations for s in steps[1:]]
+        assert np.array_equal(traj.state.values, steps[-1].state.values)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_states_are_read_only_and_apart_from_u0(self, case):
+        problem = self.problem(*case)
+        steps = list(evolve(problem))
+        traj = solve_evolution(problem)
+        kept = [s.state.values.copy() for s in steps]
+        for step in steps:
+            assert not step.state.values.flags.writeable
+            with pytest.raises(ValueError):
+                step.state.values[0] = 1.0
+        u0 = problem.u0.values
+        assert u0.flags.writeable
+        assert not any(np.shares_memory(s.state.values, u0) for s in steps)
+        u0 += 7.0
+        assert all(np.array_equal(s.state.values, v) for s, v in zip(steps, kept))
+        assert np.array_equal(traj.state.values, kept[-1])
+
+    # p = 2 at n = 101 and p = 3 at n = 41, tau = 1e-3: from 20 to 200 steps the
+    # peak grows by the per-step scalars alone (~20 KB at most), under one state,
+    # not by the ~180 states a flow that kept them all would add
+    @pytest.mark.parametrize(("p", "n"), [(2.0, 101), (3.0, 41)])
+    def test_memory_stays_flat(self, p, n):
+        g = build_grid(2, 6.0, n)
+        u = sample_field(g, lambda x, y: x)
+
+        def problem(steps):
+            return EvolutionProblem(p, WeightSpec(1.0, 2.0, 2), u, steps * 1e-3, 1e-3)
+
+        def peak(steps):
+            prob = problem(steps)
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                solve_evolution(prob)
+                return tracemalloc.get_traced_memory()[1] - baseline
+            finally:
+                tracemalloc.stop()
+
+        solve_evolution(problem(200))  # a first flow's one-time allocations, outside either peak
+        assert peak(200) - peak(20) < u.values.nbytes
 
 
 class TestLebesgueGate:
@@ -497,9 +568,8 @@ class TestLebesgueGate:
         g = build_grid(1, 2.0, 101)
         u = GridFunction(g, np.full(g.shape, 2.5))
         prob = EvolutionProblem(3.0, spec, u, 0.01, 0.005, dualization="lebesgue")
-        traj = solve_evolution(prob)
-        for state in traj.states:
-            assert_allclose(state.values, 2.5, atol=1e-9)
+        for step in evolve(prob):
+            assert_allclose(step.state.values, 2.5, atol=1e-9)
 
     def test_lebesgue_solve_gate_failure(self):
         g = build_grid(1, 6.0, 151)
@@ -509,6 +579,9 @@ class TestLebesgueGate:
             solve_evolution(prob)
         assert not exc.value.report.passes
         assert "increment" in str(exc.value)
+        steps = evolve(prob)  # a generator: the gate runs at its first step
+        with pytest.raises(IntegrabilityGateError):
+            next(steps)
 
 class TestStationary:
     def test_zero_source_zero_solution(self):
@@ -705,9 +778,11 @@ class TestStaggeredProperties:
         if cosine:
             spec = replace(spec, V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
         u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
-        traj = solve_evolution(EvolutionProblem(p, spec, u, 0.02, 0.01))
-        assert len(traj.energies) == len(traj.states) == 3
-        assert traj.energies == [energy(s, spec, p) for s in traj.states]
+        problem = EvolutionProblem(p, spec, u, 0.02, 0.01)
+        traj = solve_evolution(problem)
+        states = [step.state for step in evolve(problem)]
+        assert len(traj.energies) == len(states) == 3
+        assert traj.energies == [energy(s, spec, p) for s in states]
 
     @PROPERTY
     @given(k=st.integers(2, 1000), tau=st.floats(1e-4, 1e-1),
