@@ -2,7 +2,7 @@
 
 Subcommands mirror the package's module boundaries:
 
-  weight-report        admissibility fits, doubling/Muckenhoupt ball tables,
+  weight-report        certified admissibility, doubling/Muckenhoupt ball tables,
                        reciprocal-power integrability
   constants            the certified constant chain
   verify-inequalities  quadrature checks of the moment and Poincaré bounds
@@ -174,7 +174,6 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
         config.p,
         L=config.constants.L,
         C4=config.constants.C4,
-        fit_half_width=config.grid.half_width,
         eps0=config.constants.eps0,
     )
 
@@ -186,9 +185,9 @@ def _constant_chain(config: RunConfig) -> ConstantChain:
 
 def _cmd_weight_report(config: RunConfig) -> tuple[int, dict]:
     spec = config.weight
-    w = weight_on_grid(spec, config.grid)  # before the fits: an undefined weight is the error
+    w = weight_on_grid(spec, config.grid)  # first: an undefined weight is the error
     results: dict = {
-        "admissibility": check_admissibility(spec, config.grid.half_width),
+        "admissibility": check_admissibility(spec),
         "doubling": estimate_doubling(w, config.balls),
         "reciprocal_integrability": check_reciprocal_integrability(w, config.p),
     }

@@ -11,11 +11,11 @@ No code path depends on d.  Every integral in the package is a 1d rule
 tensor_rule gives its weights for a block of any shape and integrate its
 integral, quadrature_rows the integrals of a batch of grid functions, one
 row each, and this module is the only one that builds them.  The other
-tensor helpers are lattice_points (odd tensor sample lattices), ball_slices
-(the node box of a ball) and the summed-area table that maximal_function
-and maximal_at share, whose box sums are differences along one axis at a
-time.  The package's 1d-only steps lie outside this module: the power-law
-extrapolation across an isolated zero node in the Muckenhoupt integral
+tensor helpers are ball_slices (the node box of a ball) and the
+summed-area table that maximal_function and maximal_at share, whose box
+sums are differences along one axis at a time.  The package's 1d-only
+steps lie outside this module: the power-law extrapolation across an
+isolated zero node in the Muckenhoupt integral
 (weights._ball_integral_power), and the bump corpus
 (corpus.CorpusMember.on_grid), so verify-inequalities (cli._cmd_verify)
 refuses dim != 1 too.
@@ -23,7 +23,6 @@ refuses dim != 1 too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "trapezoid_weights",
     "tensor_rule",
     "integrate",
-    "lattice_points",
     "ball_slices",
     "mollify",
     "maximal_function",
@@ -248,15 +246,6 @@ def quadrature_rows(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndar
     else:
         coarse = integrals(values, grid.spacing, trapezoid_weights)
     return fine, np.abs(fine - coarse)
-
-
-def lattice_points(dim: int, half_width: float, n_target: int) -> np.ndarray:
-    """Nodes of the tensor lattice on [-half_width, half_width]^dim with about
-    n_target points, as an array of shape (m^dim, dim).  The per-axis count m
-    is odd, so the origin is always a node."""
-    m = math.ceil(n_target ** (1.0 / dim))
-    m += 1 - m % 2
-    return Grid(dim, half_width, m).points().reshape(-1, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The chain starts from the radial bound (|x|^(q-1) moment against the pure
 exponential weight), perturbs it by the W and V potentials, and ends in a
 certified Poincaré constant for the full catalog weight.  Every constant is
-an explicit formula in (beta, q, p, d) and the fitted growth numbers; the
-verify_* functions then test each inequality on grid functions, judging the
+an explicit formula in (beta, q, p, d) and the growth numbers that
+weights.check_admissibility certifies from the weight's terms; the verify_*
+functions then test each inequality on grid functions, judging the
 margin against an a-posteriori quadrature error estimate.
 
 Verification runs over a batch: verify_batch takes functions stacked along
@@ -26,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, gradient_magnitude, lattice_points, quadrature_rows, \
-    quadrature_with_error
-from .weights import WeightSpec, check_admissibility, weight_on_grid
+from .grid import Grid, GridFunction, gradient_magnitude, quadrature_rows, quadrature_with_error
+from .weights import PotentialExpr, PowerAbsTerm, WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
     "ConstantChain",
@@ -78,7 +78,7 @@ def constants_potential(
     eps1: float = 1.0,
 ) -> tuple[float, float, float]:
     """Minimal (C', D') for the potential-perturbed moment bound against
-    nu = exp(-beta*|x|^q - W - V) dx, given the fitted growth numbers
+    nu = exp(-beta*|x|^q - W - V) dx, given the growth numbers
     |grad W| <= delta*|x|^(q-1) + gamma and osc_V = sup V - inf V, followed
     by D' with the additive gamma replaced by C*gamma — the constant the
     perturbation argument actually propagates; both conventions are
@@ -111,20 +111,23 @@ def constants_potential(
     return c_prime, lead * amp * (base + gamma), lead * amp * (base + C * gamma)
 
 
-_OSC_SAMPLES = 10_000
-
-
 def oscillation_over_ball(spec: WeightSpec, radius: float) -> float:
-    """Oscillation of log(weight) over the closed Euclidean ball B(0, radius).
+    """Upper bound on the oscillation of log(weight) over the closed ball
+    B(0, radius), exact for the pure radial weight.
 
-    The radial part's extremes sit at the origin and on the axis boundary,
-    both of which the sample lattice contains, so for pure radial weights the
-    value is exact; W and V contributions are resolved by the dense lattice.
+    With the powers of beta*|x|^q, W and V merged (PotentialExpr.merged), a
+    power c*|x|^s ranges over |c|*radius^s and a cosine over 2|c|.  A bound
+    beyond float range is inf.
     """
-    pts = lattice_points(spec.dim, radius, _OSC_SAMPLES)
-    pts = pts[np.sqrt(np.sum(pts * pts, axis=-1)) <= radius + 1e-12]
-    vals = spec.exponent(pts)
-    return float(vals.max() - vals.min())
+    terms = (PowerAbsTerm(spec.beta, spec.q),) + spec.W.terms + spec.V.terms
+    radial, cosines = PotentialExpr(terms).merged()
+    total = 2.0 * sum(c for c, _ in cosines)
+    for s, c in radial.items():
+        try:
+            total += abs(c) * radius**s
+        except OverflowError:
+            return math.inf
+    return total
 
 
 def poincare_bound(
@@ -137,7 +140,7 @@ def poincare_bound(
 ) -> tuple[float | None, float, float]:
     """Certified Poincaré constant: (c, a_L, log c).
 
-    a_L is the oscillation of log(weight) over B(0, L^(p-1)); the constant is
+    a_L bounds the oscillation of log(weight) over B(0, L^(p-1)); the constant is
     c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L), valid for L > D'.
     log c is computed in log space; c is None when it leaves float range,
     and a ValueError is raised when log c leaves it too.
@@ -211,18 +214,20 @@ def build_constant_chain(
     p: float,
     L: float,
     C4: float,
-    fit_half_width: float,
     eps0: float | None = None,
 ) -> ConstantChain:
     """Evaluate the whole constant chain down to the certified Poincaré
     constant, from the growth numbers (delta, gamma, osc_V) that
-    check_admissibility fits on the sample box.  The moment bounds hold for
-    every eps, eps1 > 0; the chain takes both as 1 (_CHAIN_EPS)."""
+    check_admissibility certifies.  A weight it does not certify raises
+    ValueError naming the first hypothesis that fails.  The moment bounds
+    hold for every eps, eps1 > 0; the chain takes both as 1 (_CHAIN_EPS)."""
     if eps0 is None:
         eps0 = 1.0 / p
     C, D = constants_xq(spec.beta, spec.q, spec.dim, _CHAIN_EPS)
-    fits = check_admissibility(spec, fit_half_width)
-    delta, gamma, osc_v = fits.delta, fits.gamma, fits.osc_V
+    hyp = check_admissibility(spec)
+    if not hyp.admissible:
+        raise ValueError(f"the weight is not admissible: {hyp.failure()}")
+    delta, gamma, osc_v = hyp.delta, hyp.gamma, hyp.osc_V
     c_prime, d_prime, d_prime_scaled = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, _CHAIN_EPS
     )

@@ -3,8 +3,9 @@
 The catalog weight is w(x) = exp(-beta*|x|^q - W(x) - V(x)) with q > 1 and
 W, V built from a small term algebra (constants, powers of |x|, quadratic
 forms, cosines).  The module evaluates w, its p-th root, and the logarithmic
-drift grad(w)/w in closed form, fits the growth and dilation constants that
-certify the weight's admissibility hypotheses, and estimates doubling and
+drift grad(w)/w in closed form, certifies the weight's admissibility
+hypotheses for every x from the terms themselves (growth constants of
+grad W, convexity of W, boundedness of V), and estimates doubling and
 Muckenhoupt characteristics of arbitrary positive grid weights by ball
 quadrature.
 
@@ -16,16 +17,14 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_slices, integrate, lattice_points, segment_weights, \
-    trapezoid_weights
+from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights, trapezoid_weights
 
 __all__ = [
     "ConstantTerm",
@@ -39,9 +38,6 @@ __all__ = [
     "eval_log_drift",
     "weight_on_grid",
     "root_on_grid",
-    "DilationFit",
-    "fit_growth_constants",
-    "fit_dilation_bound",
     "AdmissibilityReport",
     "check_admissibility",
     "Ball",
@@ -151,11 +147,21 @@ class PotentialExpr:
             out = out + t.grad(pts)
         return out
 
-    def grad_norm(self, pts: np.ndarray) -> np.ndarray:
-        return _radii(self.grad(pts))
-
-    def __neg__(self) -> "PotentialExpr":
-        return PotentialExpr(tuple(replace(t, c=-t.c) for t in self.terms))
+    def merged(self) -> tuple[dict[float, float], list[tuple[float, float]]]:
+        """Like terms summed: the nonzero coefficient of each power of |x|
+        (a quadratic form is power 2), and (|c|, |k|) of each cosine with c
+        and k nonzero.  Constants and cosines with k = 0 are constant, and
+        no bound reads them."""
+        radial: dict[float, float] = {}
+        cosines = []
+        for t in self.terms:
+            if isinstance(t, QuadraticTerm):
+                t = PowerAbsTerm(t.c, 2.0)
+            if isinstance(t, PowerAbsTerm):
+                radial[t.s] = radial.get(t.s, 0.0) + t.c
+            elif isinstance(t, CosineTerm) and t.c != 0.0 and any(t.k):
+                cosines.append((abs(t.c), math.hypot(*t.k)))
+        return {s: c for s, c in radial.items() if c != 0.0}, cosines
 
     @staticmethod
     def from_json(items: Sequence[dict], dim: int) -> "PotentialExpr":
@@ -327,119 +333,94 @@ def root_on_grid(spec: WeightSpec, grid: Grid, p: float) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# admissibility diagnostics
+# admissibility hypotheses
 # ---------------------------------------------------------------------------
-
-
-# sample count and search lattices of the admissibility fits
-_FIT_SAMPLES = 2001
-_DELTA_STEP = 0.01
-_DELTA_MAX = 10.0
-_C1_STEP = 0.05
-_C1_MAX = 8.0
-_C2_CAP = 1e6
-
-
-@dataclass(frozen=True)
-class DilationFit:
-    """Constants (c1, c2) with F(2x) <= c1*F(x) + c2 on the sample box."""
-
-    ok: bool
-    c1: float
-    c2: float
-
-
-def fit_dilation_bound(expr: PotentialExpr, pts: np.ndarray) -> DilationFit:
-    """Fit the doubled-argument growth bound F(2x) <= c1*F(x) + c2 on pts.
-
-    c1 runs over the lattice {1, 1+step, ...}; for each c1 the matching
-    offset is the max sample residual of F(2x) - c1*F(x).  The smallest c1
-    whose offset stays below the cap wins; the fit fails when no lattice
-    point does.
-    """
-    c1s = np.arange(1.0, _C1_MAX + 0.5 * _C1_STEP, _C1_STEP)
-    fallback = None
-    # F beyond float range is infinite, as in WeightSpec.exponent; where F(2x)
-    # and c1*F(x) are the same infinity the bound holds, so fmax skips the NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = expr.value(pts)
-        f2x = expr.value(2.0 * pts)
-        for c1 in c1s:
-            c2 = float(np.fmax.reduce(f2x - c1 * fx, axis=None))
-            if c2 <= _C2_CAP:
-                return DilationFit(ok=True, c1=float(c1), c2=c2)
-            if fallback is None or c2 < fallback[1]:
-                fallback = (float(c1), c2)
-    return DilationFit(ok=False, c1=fallback[0], c2=fallback[1])
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Fitted constants behind the weight's admissibility hypotheses."""
+    """The weight's admissibility hypotheses, certified for every x.  delta
+    and gamma are None when |grad W| has no bound delta*|x|^(q-1) + gamma in
+    float range, osc_V is None unless V_bounded, and a false W_convex or
+    V_bounded means "not certified"."""
 
     beta: float
     q: float
     dim: int
-    delta: float
-    gamma: float
+    delta: float | None
+    gamma: float | None
     grad_bound_ok: bool
     drift_budget: float  # beta*q, the strict upper bound for delta
-    osc_V: float
-    dilation_W: DilationFit
-    dilation_V: DilationFit
-    reg_ok: bool
-    diff_ok: bool
+    W_convex: bool
+    V_bounded: bool
+    osc_V: float | None
     admissible: bool
-    sample_half_width: float
-    n_samples: int
+
+    def failure(self) -> str | None:
+        """The first hypothesis the weight is not certified to meet, or None."""
+        if self.delta is None:
+            return "W has no growth bound |grad W| <= delta*|x|^(q-1) + gamma"
+        if not self.grad_bound_ok:
+            return (f"the growth bound |grad W| <= delta*|x|^(q-1) + gamma needs delta < "
+                    f"beta*q = {self.drift_budget:g}, got delta = {self.delta:g}")
+        if not self.W_convex:
+            return "W is not certified convex and bounded below"
+        if not self.V_bounded:
+            return "V is not certified bounded"
+        return None
 
 
-def fit_growth_constants(expr: PotentialExpr, q: float, pts: np.ndarray) -> tuple[float, float]:
-    """Fit (delta, gamma) with |grad F(x)| <= delta*|x|^(q-1) + gamma on pts.
+def _growth_bound(radial: dict[float, float], cosines: list[tuple[float, float]],
+                  q: float) -> tuple[float | None, float | None]:
+    """(delta, gamma) with |grad W| <= delta*|x|^(q-1) + gamma for every x,
+    from W's merged terms.
 
-    delta runs over {0, step, 2*step, ...}; gamma(delta) is the max sample
-    residual clipped at zero.  gamma is non-increasing in delta, also in
-    floating point (delta*r, the subtraction and both maxima round
-    monotonically), so the minimal gamma is gamma(delta_max) and the
-    smallest delta attaining it is found by bisection over the lattice.  A
-    gradient beyond float range is infinite; an undefined (NaN) one raises
-    ValueError at the first such point.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gnorm = expr.grad_norm(pts)
-    if np.isnan(gnorm).any():
-        x = tuple(float(c) for c in pts[np.isnan(gnorm)][0])
-        raise ValueError(f"grad W is undefined (NaN) at x = {x}")
-    rq = _radii(pts) ** (q - 1.0)
-    deltas = np.arange(0.0, _DELTA_MAX + 0.5 * _DELTA_STEP, _DELTA_STEP)
-
-    def gamma(i: int) -> float:
-        return float(np.maximum(gnorm - deltas[i] * rq, 0.0).max())
-
-    gmin = gamma(len(deltas) - 1)
-    limit = gmin + 1e-12 * (1.0 + gmin)
-    pick = bisect.bisect_left(range(len(deltas)), True, key=lambda i: gamma(i) <= limit)
-    return float(deltas[pick]), gamma(pick)
+    A power c*|x|^s gives |c|*s*r^(s-1) <= |c|*s*(theta*r^(q-1) + 1 - theta)
+    with theta = (s-1)/(q-1), by weighted AM-GM; a cosine gives |c|*|k|.  A
+    power above q has no such bound, and a sum beyond float range none in
+    floats: both give (None, None)."""
+    if any(s > q for s in radial):
+        return None, None
+    delta = gamma = 0.0
+    for s, c in radial.items():
+        theta = (s - 1.0) / (q - 1.0)
+        delta += abs(c) * s * theta
+        gamma += abs(c) * s * (1.0 - theta)
+    gamma += sum(c * k for c, k in cosines)
+    if math.isfinite(delta) and math.isfinite(gamma):
+        return delta, gamma
+    return None, None
 
 
-def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityReport:
-    """Fit every admissibility hypothesis of a catalog weight on a sample box.
+def check_admissibility(spec: WeightSpec) -> AdmissibilityReport:
+    """Certify the admissibility hypotheses of a catalog weight from its
+    terms, like terms merged first (PotentialExpr.merged).
 
-    Requires beta > 0.  The smooth strictly positive catalog makes the
-    regularity and differentiability hypotheses structural; they are recorded
-    as booleans rather than re-derived.
+    - Growth: _growth_bound's delta must stay below beta*q.
+    - W is convex and bounded below when every power has c >= 0 and
+      2*c2 >= sum |c|*|k|^2 over its cosines, c2 being the coefficient of
+      |x|^2: the powers are convex and nonnegative, and the quadratic's
+      Hessian 2*c2 outweighs the cosines', each at most |c|*|k|^2.
+    - V is bounded when no power is left; then osc V <= 2 * sum |c| over its
+      cosines.
+
+    The dilation bounds F(2x) <= c1*F(x) + c2 for F = -W and F = -V follow
+    with c1 = 1: a convex W has W(2x) >= 2W(x) - W(0), so
+    -W(2x) <= -W(x) + W(0) - inf W, and -V(2x) <= -V(x) + osc V.  The smooth
+    strictly positive catalog makes the regularity and differentiability
+    hypotheses structural.  Requires beta > 0.
     """
     if spec.beta <= 0.0:
         raise ValueError("admissibility requires beta > 0")
-    pts = lattice_points(spec.dim, half_width, _FIT_SAMPLES)
-    delta, gamma = fit_growth_constants(spec.W, spec.q, pts)
+    radial_w, cosines_w = spec.W.merged()
+    delta, gamma = _growth_bound(radial_w, cosines_w, spec.q)
     budget = spec.beta * spec.q
-    vvals = spec.V.value(pts)
-    osc_v = float(vvals.max() - vvals.min())
-    dil_w = fit_dilation_bound(-spec.W, pts)
-    dil_v = fit_dilation_bound(-spec.V, pts)
-    grad_ok = delta < budget and math.isfinite(gamma)
-    admissible = bool(grad_ok and math.isfinite(osc_v) and dil_w.ok and dil_v.ok)
+    grad_ok = delta is not None and delta < budget
+    w_convex = (all(c >= 0.0 for c in radial_w.values())
+                and 2.0 * radial_w.get(2.0, 0.0) >= sum(c * k * k for c, k in cosines_w))
+    radial_v, cosines_v = spec.V.merged()
+    osc_v = 2.0 * sum(c for c, _ in cosines_v)
+    v_bounded = not radial_v and math.isfinite(osc_v)
     return AdmissibilityReport(
         beta=spec.beta,
         q=spec.q,
@@ -448,14 +429,10 @@ def check_admissibility(spec: WeightSpec, half_width: float) -> AdmissibilityRep
         gamma=gamma,
         grad_bound_ok=grad_ok,
         drift_budget=budget,
-        osc_V=osc_v,
-        dilation_W=dil_w,
-        dilation_V=dil_v,
-        reg_ok=True,
-        diff_ok=True,
-        admissible=admissible,
-        sample_half_width=half_width,
-        n_samples=_FIT_SAMPLES,
+        W_convex=w_convex,
+        V_bounded=v_bounded,
+        osc_V=osc_v if v_bounded else None,
+        admissible=grad_ok and w_convex and v_bounded,
     )
 
 

@@ -29,6 +29,8 @@ from wsobolev.config import parse_config
 from wsobolev.grid import build_grid
 from wsobolev.weights import BallEntry, DoublingReport
 
+from test_weights import OUTSIDE_HYPOTHESES
+
 
 GAUSS_1D = {"beta": 1.0, "q": 2.0, "dim": 1}
 
@@ -463,7 +465,8 @@ class TestStateFailures:
 
 
 class TestReportsAgree:
-    """weight-report and constants read delta, gamma and osc_V off one fit."""
+    """weight-report and constants report the same certified delta, gamma and
+    osc_V."""
 
     CASES = {
         "power-w-1d-coarse-lattice": {
@@ -491,6 +494,11 @@ class TestReportsAgree:
         chain = json.loads((out / "constant_chain.json").read_text())["inputs"]
         for key in ("delta", "gamma", "osc_V"):
             assert chain[key] == adm[key], key
+
+
+NOT_ADMISSIBLE = "the weight is not admissible: "
+GROWTH_2E307 = (f"{NOT_ADMISSIBLE}the growth bound |grad W| <= delta*|x|^(q-1) + gamma needs "
+                "delta < beta*q = 2e+307, got delta = 2e+307")
 
 
 class TestCertifiedOverflow:
@@ -522,13 +530,13 @@ class TestCertifiedOverflow:
     @pytest.mark.parametrize("subcommand, c, message", [
         ("weight-report", 1e307, "weight vanishes at several nodes, e.g. node 126"),
         ("weight-report", -1e307, "log w is undefined (inf - inf) at x = (-6.0,)"),
-        ("constants", 1e307, "L = 4 must exceed D' = inf"),
-        ("constants", -1e307, "L = 4 must exceed D' = inf"),
+        ("constants", 1e307, GROWTH_2E307),
+        ("constants", -1e307, GROWTH_2E307),
     ])
     def test_potential_beyond_float_range_is_one_error_line(self, subcommand, c, message,
                                                             tmp_path, capsys):
-        # the admissibility fits take W beyond float range as infinite, as the
-        # exponent does, so no numpy warning precedes the error line
+        # the growth bound comes from the terms, not from W on the grid, so no
+        # numpy warning precedes the error line: delta = |c| q = beta q
         doc = {"weight": {"beta": 1e307, "q": 2.0, "dim": 1,
                           "W": [{"kind": "power_abs", "c": c, "s": 2.0}]}}
         with warnings.catch_warnings(record=True) as caught:
@@ -538,14 +546,16 @@ class TestCertifiedOverflow:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_undefined_gradient_is_one_error_line(self, tmp_path, capsys):
-        # k x overflows to inf on most of the box, where sin(inf) is NaN
+        # k x overflows to inf on most of the box, where sin(inf) is NaN, and
+        # gamma = |c| |k| = 1e309 leaves float range
         doc = {"weight": {**GAUSS_1D, "W": [{"kind": "cosine", "c": 10.0, "k": [1e308]},
                                             {"kind": "cosine", "c": -10.0, "k": [1.1e308]}]}}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out = run_main(tmp_path, "constants", doc)
         assert code == EXIT_OPERATIONAL and caught == []
-        assert capsys.readouterr().err == "error: grad W is undefined (NaN) at x = (-6.0,)\n"
+        assert capsys.readouterr().err == f"error: {NOT_ADMISSIBLE}W has no growth bound " \
+                                          "|grad W| <= delta*|x|^(q-1) + gamma\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
@@ -600,6 +610,28 @@ class TestCertifiedOverflow:
         code, _ = run_main(tmp_path, subcommand, doc)
         assert code == EXIT_OPERATIONAL
         assert "osc_V" in capsys.readouterr().err
+
+
+class TestOutsideHypotheses:
+    """A weight outside the theorem's hypotheses gets no certified constant,
+    whatever the grid box: one error line, exit 1."""
+
+    @pytest.mark.parametrize("half_width", [6.0, 30.0])
+    @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
+    @pytest.mark.parametrize("case", sorted(OUTSIDE_HYPOTHESES))
+    def test_no_constant(self, case, subcommand, half_width, tmp_path, capsys):
+        weight, failure = OUTSIDE_HYPOTHESES[case]
+        doc = {"weight": weight, "grid": {"half_width": half_width, "nodes_per_axis": 151}}
+        code, out = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL and not out.exists()
+        assert capsys.readouterr().err == f"error: {NOT_ADMISSIBLE}{failure}\n"
+
+    @pytest.mark.parametrize("case", sorted(OUTSIDE_HYPOTHESES))
+    def test_weight_report_says_not_admissible(self, case, tmp_path):
+        doc = {"weight": OUTSIDE_HYPOTHESES[case][0], "grid": {"nodes_per_axis": 151}}
+        code, out = run_main(tmp_path, "weight-report", doc)
+        assert code == EXIT_OK
+        assert json.loads((out / "admissibility.json").read_text())["admissible"] is False
 
 
 def _readme_config() -> dict:

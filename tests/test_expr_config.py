@@ -170,7 +170,8 @@ class TestConfigErrors:
             parse_config({**BASE, "wieght": {}})
 
     def test_fit_section_is_unknown(self):
-        # the admissibility fits sample a fixed lattice; nothing configures it
+        # the admissibility hypotheses are certified in closed form; nothing
+        # configures them
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, "fit": {}})
         assert str(err.value).startswith("config.fit: unknown field")

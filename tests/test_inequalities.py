@@ -23,7 +23,9 @@ from wsobolev.inequalities import (
     verify_xq,
 )
 from wsobolev.weights import (
+    CosineTerm,
     PotentialExpr,
+    PowerAbsTerm,
     QuadraticTerm,
     WeightSpec,
 )
@@ -99,6 +101,22 @@ class TestOscillation:
         # max of |x|^2 over the Euclidean ball of radius 2 is 4
         assert oscillation_over_ball(spec, 2.0) == pytest.approx(4.0, rel=1e-3)
 
+    @pytest.mark.parametrize("beta, q, radius", [(1.0, 2.0, 4.0), (0.7, 2.5, 16.0),
+                                                 (1.3, 1.6, 3.0), (2.0, 3.0, 0.5)])
+    def test_gaussian_is_exact(self, beta, q, radius):
+        assert oscillation_over_ball(WeightSpec(beta, q, 1), radius) == beta * radius**q
+
+    def test_terms_add_their_ranges(self):
+        # powers merge with beta |x|^q first: (1 + 0.5 - 2) |x|^2 ranges over 0.5 R^2
+        spec = WeightSpec(1.0, 2.0, 2,
+                          W=PotentialExpr((QuadraticTerm(0.5), PowerAbsTerm(0.25, 3.0))),
+                          V=PotentialExpr((PowerAbsTerm(-2.0, 2.0), CosineTerm(0.2, (1.0, 0.0)))))
+        assert oscillation_over_ball(spec, 2.0) == pytest.approx(0.5 * 4.0 + 0.25 * 8.0 + 0.4)
+
+    def test_beyond_float_range_is_inf(self):
+        spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((PowerAbsTerm(1.0, 400.0),)))
+        assert oscillation_over_ball(spec, 1e3) == math.inf
+
 
 class TestPoincareBound:
     def test_gaussian_frozen_value(self):
@@ -128,7 +146,7 @@ class TestPoincareBound:
 
 class TestConstantChain:
     def test_gaussian_chain(self):
-        chain = build_constant_chain(GAUSS, 2.0, L=4.0, C4=1.0, fit_half_width=6.0)
+        chain = build_constant_chain(GAUSS, 2.0, L=4.0, C4=1.0)
         assert chain.C == pytest.approx(0.5)
         assert chain.D == pytest.approx(2.5)
         assert chain.C_prime == pytest.approx(0.5)
@@ -137,15 +155,26 @@ class TestConstantChain:
         assert chain.a_L == pytest.approx(16.0)
         assert chain.c == pytest.approx(2.0214517806766256e16, rel=1e-10)
 
+    @pytest.mark.parametrize("W, failure", [
+        (PowerAbsTerm(0.05, 3.0), "W has no growth bound"),
+        (QuadraticTerm(1.5), "the growth bound |grad W| <= delta*|x|^(q-1) + gamma needs delta"),
+        (QuadraticTerm(-0.5), "W is not certified convex"),
+    ])
+    def test_weight_outside_the_hypotheses_has_no_chain(self, W, failure):
+        spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((W,)))
+        with pytest.raises(ValueError) as err:
+            build_constant_chain(spec, 2.0, L=8.0, C4=1.0)
+        assert str(err.value).startswith(f"the weight is not admissible: {failure}")
+
     def test_quadratic_w_chain(self):
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((QuadraticTerm(0.5),)))
-        chain = build_constant_chain(spec, 2.0, L=7.0, C4=1.0, fit_half_width=6.0)
+        chain = build_constant_chain(spec, 2.0, L=7.0, C4=1.0)
         assert chain.delta == pytest.approx(1.0)
         assert chain.C_prime == pytest.approx(1.0)
         assert chain.D_prime == pytest.approx(6.0)
 
     def test_json_layout(self):
-        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0, 6.0)
+        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0)
         d = chain.to_json()
         assert set(d) == {
             "inputs", "C", "D", "C_prime", "D_prime",
@@ -263,7 +292,7 @@ class TestEmpiricalPoincare:
 
     def test_certified_constant_dominates(self):
         g = build_grid(1, 6.0, 301)
-        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0, 6.0)
+        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0)
         for m in corpus_members()[:5]:
             f = m.on_grid(g)
             ratio = empirical_poincare_ratio(f, discrete_gradient(f), GAUSS, 2.0)

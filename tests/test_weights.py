@@ -10,13 +10,13 @@ from scipy.special import erf, erfi
 from test_expr_config import _JSON, _SHAPED
 from wsobolev.cli import _round_floats
 from wsobolev.config import ConfigError, parse_config
-from wsobolev.grid import GridFunction, build_grid, lattice_points
+from wsobolev.grid import GridFunction, build_grid
+from wsobolev.inequalities import oscillation_over_ball
 from wsobolev.weights import (
     AdmissibilityReport,
     Ball,
     ConstantTerm,
     CosineTerm,
-    DilationFit,
     PotentialExpr,
     PowerAbsTerm,
     QuadraticTerm,
@@ -28,15 +28,26 @@ from wsobolev.weights import (
     eval_log_drift,
     eval_weight,
     eval_weight_root,
-    fit_dilation_bound,
-    fit_growth_constants,
     root_on_grid,
     weight_on_grid,
 )
 
 GAUSS = WeightSpec(1.0, 2.0, 1)
-# the sample lattice check_admissibility fits on over [-6, 6]
-FIT_PTS = lattice_points(1, 6.0, 2001)
+
+_NO_GROWTH_BOUND = "W has no growth bound |grad W| <= delta*|x|^(q-1) + gamma"
+# weights that break a hypothesis only beyond a grid box, or at every x,
+# and the hypothesis check_admissibility names for each
+OUTSIDE_HYPOTHESES = {
+    "cubic-W": ({"beta": 1.0, "q": 2.0, "dim": 1,
+                 "W": [{"kind": "power_abs", "c": 0.05, "s": 3.0}]}, _NO_GROWTH_BOUND),
+    "power-2.2-W": ({"beta": 1.0, "q": 2.0, "dim": 1,
+                     "W": [{"kind": "power_abs", "c": 0.3, "s": 2.2}]}, _NO_GROWTH_BOUND),
+    "linear-V": ({"beta": 1.0, "q": 2.0, "dim": 1,
+                  "V": [{"kind": "power_abs", "c": 1.0, "s": 1.0}]}, "V is not certified bounded"),
+    "concave-W": ({"beta": 1.0, "q": 2.0, "dim": 1,
+                   "W": [{"kind": "quadratic_form", "c": -0.5}]},
+                  "W is not certified convex and bounded below"),
+}
 
 
 def pts1(*xs):
@@ -89,11 +100,6 @@ class TestTerms:
     def test_from_json_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
             PotentialExpr.from_json([{"kind": "spline"}], dim=1)
-
-    def test_neg(self):
-        expr = PotentialExpr((QuadraticTerm(1.0),))
-        p = pts1(2.0)
-        assert (-expr).value(p)[0] == pytest.approx(-expr.value(p)[0])
 
 
 class TestWeightSpec:
@@ -194,7 +200,7 @@ class TestWeightSpec:
         assert drift.tolist() == [[-math.inf, 0.0]]
 
     def test_self_drift_coef(self):
-        assert check_admissibility(WeightSpec(2.0, 3.0, 1), 6.0).drift_budget == pytest.approx(6.0)
+        assert check_admissibility(WeightSpec(2.0, 3.0, 1)).drift_budget == pytest.approx(6.0)
 
     def test_grid_helpers(self):
         g = build_grid(1, 6.0, 301)
@@ -205,58 +211,59 @@ class TestWeightSpec:
 
 
 class TestGrowthFits:
+    """The growth constants of |grad W| <= delta*|x|^(q-1) + gamma, which
+    check_admissibility certifies from the terms of W."""
+
+    @staticmethod
+    def growth(terms, q: float = 2.0, dim: int = 1):
+        rep = check_admissibility(WeightSpec(1.0, q, dim, W=PotentialExpr(terms)))
+        return rep.delta, rep.gamma
+
     def test_quadratic_potential(self):
         # |grad(x^2/2)| = |x| = 1*|x|^(q-1) for q=2: delta=1, gamma=0
-        expr = PotentialExpr((QuadraticTerm(0.5),))
-        delta, gamma = fit_growth_constants(expr, 2.0, FIT_PTS)
-        assert delta == pytest.approx(1.0)
-        assert gamma == pytest.approx(0.0, abs=1e-12)
+        assert self.growth((QuadraticTerm(0.5),)) == (1.0, 0.0)
 
     def test_cosine_potential(self):
-        # |2 sin(2x)| <= 4|x| everywhere, so the offset can be driven to zero
-        # by slope 4; the fit minimizes the offset first, then the slope
-        expr = PotentialExpr((CosineTerm(1.0, (2.0,)),))
-        delta, gamma = fit_growth_constants(expr, 2.0, FIT_PTS)
-        assert delta == pytest.approx(4.0, abs=0.02)
-        assert gamma == pytest.approx(0.0, abs=1e-9)
+        # |2 sin(2x)| <= |c|*|k| = 2: a cosine goes into gamma alone
+        assert self.growth((CosineTerm(1.0, (2.0,)),)) == (0.0, 2.0)
 
     def test_zero_potential(self):
-        delta, gamma = fit_growth_constants(PotentialExpr(()), 2.0, FIT_PTS)
-        assert delta == 0.0 and gamma == 0.0
+        assert self.growth(()) == (0.0, 0.0)
 
-    def test_undefined_gradient_names_the_point(self):
-        # k x overflows to inf beyond |x| = 1.8 (and 1.6), where sin(inf) is NaN
-        expr = PotentialExpr((CosineTerm(10.0, (1e308,)), CosineTerm(-10.0, (1.1e308,))))
-        with pytest.raises(ValueError, match=r"^grad W is undefined \(NaN\) at x = \(-6\.0,\)$"):
-            fit_growth_constants(expr, 2.0, FIT_PTS)
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.7, 3.0])
+    @pytest.mark.parametrize("c", [0.05, 0.3, -0.4])
+    def test_power_q_is_exact(self, q, c):
+        # |grad(c|x|^q)| = |c| q |x|^(q-1): delta = |c| q, gamma = 0
+        assert self.growth((PowerAbsTerm(c, q),), q) == (abs(c) * q, 0.0)
 
-    def test_dilation_quadratic(self):
-        # F = -x^2/2 concave: F(2x) = 4F(x) <= c1 F(x) only once c1 >= 4 ...
-        # but smaller c1 succeeds with offset 0 since F <= 0.  The scan picks
-        # the smallest c1 with offset under the cap, which is c1 = 1.
-        expr = -PotentialExpr((QuadraticTerm(0.5),))
-        fit = fit_dilation_bound(expr, FIT_PTS)
-        assert fit.ok
-        assert fit.c1 == pytest.approx(1.0)
-        assert fit.c2 <= 0.0 + 1e-12
+    def test_lower_powers_split_by_am_gm(self):
+        # s = 1.5 at q = 3: theta = 1/4, so 1.5 r^0.5 <= 0.375 r^2 + 1.125
+        delta, gamma = self.growth((PowerAbsTerm(1.0, 1.5), PowerAbsTerm(2.0, 1.0)), 3.0)
+        assert delta == pytest.approx(0.375) and gamma == pytest.approx(1.125 + 2.0)
 
-    def test_dilation_bound_holds_on_samples(self):
-        expr = -PotentialExpr((PowerAbsTerm(1.0, 2.5), CosineTerm(1.0, (1.0,))))
-        fit = fit_dilation_bound(expr, FIT_PTS)
-        assert fit.ok
-        xs = np.linspace(-6.0, 6.0, 2001)[:, None]
-        lhs = expr.value(2 * xs)
-        rhs = fit.c1 * expr.value(xs) + fit.c2
-        assert np.all(lhs <= rhs + 1e-9)
+    def test_like_terms_merge(self):
+        # 0.3|x|^2 - 0.3 x.x and a cosine with k = 0 are constant
+        terms = (PowerAbsTerm(0.3, 2.0), QuadraticTerm(-0.3), CosineTerm(5.0, (0.0, 0.0)),
+                 ConstantTerm(-7.0))
+        assert self.growth(terms, 2.0, 2) == (0.0, 0.0)
+        rep = check_admissibility(WeightSpec(1.0, 2.0, 2, W=PotentialExpr(terms),
+                                             V=PotentialExpr(terms)))
+        assert rep.W_convex and rep.V_bounded and rep.osc_V == 0.0
 
-    def test_dilation_fit_json(self):
-        d = _round_floats(DilationFit(True, 1.0, 0.5))
-        assert d == {"ok": True, "c1": 1.0, "c2": 0.5}
+    @pytest.mark.parametrize("terms", [
+        (PowerAbsTerm(0.05, 3.0),),
+        (PowerAbsTerm(1e-9, 2.0001),),
+        # |c| |k| = 1e309 leaves float range
+        (CosineTerm(10.0, (1e308,)), CosineTerm(-10.0, (1.1e308,))),
+        (PowerAbsTerm(1e308, 2.0), QuadraticTerm(1e308)),
+    ])
+    def test_no_bound(self, terms):
+        assert self.growth(terms) == (None, None)
 
 
 class TestAdmissibility:
     def test_gaussian_admissible(self):
-        rep = check_admissibility(GAUSS, 6.0)
+        rep = check_admissibility(GAUSS)
         assert isinstance(rep, AdmissibilityReport)
         assert rep.admissible
         assert rep.delta == 0.0 and rep.gamma == 0.0
@@ -265,7 +272,7 @@ class TestAdmissibility:
 
     def test_quadratic_w_admissible(self):
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((QuadraticTerm(0.5),)))
-        rep = check_admissibility(spec, 6.0)
+        rep = check_admissibility(spec)
         assert rep.admissible
         assert rep.delta == pytest.approx(1.0)
         assert rep.grad_bound_ok  # 1 < beta*q = 2
@@ -273,36 +280,55 @@ class TestAdmissibility:
     def test_drift_budget_violation(self):
         # W = 3x^2/2 has |W'| = 3|x| with delta = 3 >= beta*q = 2
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((QuadraticTerm(1.5),)))
-        rep = check_admissibility(spec, 6.0)
+        rep = check_admissibility(spec)
         assert not rep.grad_bound_ok
         assert not rep.admissible
 
     def test_infinite_gamma_fails_the_growth_bound(self):
-        # the exponent clamps to -inf, but |grad W| = 3.5e308 |x|^2.5 overflows
+        # |grad W| = 3.5e308 |x|^2.5 outgrows |x|^(q-1): no gamma bounds it
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((PowerAbsTerm(1e308, 3.5),)))
-        rep = check_admissibility(spec, 6.0)
-        assert rep.gamma == math.inf
+        rep = check_admissibility(spec)
+        assert rep.gamma is None
         assert rep.grad_bound_ok is False and rep.admissible is False
 
     @pytest.mark.parametrize("dim, term", [(2, PowerAbsTerm(1e308, 3.5)),
                                            (1, QuadraticTerm(1e308)),
                                            (2, QuadraticTerm(1e308))])
     def test_infinite_gradient_on_the_axes_is_not_undefined(self, dim, term):
-        # the gradient's scale overflows to inf, and a zero coordinate keeps a
-        # zero component instead of inf * 0 = NaN
+        # the gradient's scale overflows, which fails the growth bound, not
+        # the check: no NaN is reported
         spec = WeightSpec(1.0, 2.0, dim, W=PotentialExpr((term,)))
-        rep = check_admissibility(spec, 6.0)
-        assert rep.gamma == math.inf
+        rep = check_admissibility(spec)
+        assert rep.gamma is None
         assert rep.grad_bound_ok is False and rep.admissible is False
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            check_admissibility(WeightSpec(-1.0, 2.0, 1), 6.0)
+            check_admissibility(WeightSpec(-1.0, 2.0, 1))
 
     def test_json_keys(self):
-        d = _round_floats(check_admissibility(GAUSS, 4.0))
-        for key in ("admissible", "delta", "gamma", "dilation_W", "dilation_V"):
+        d = _round_floats(check_admissibility(GAUSS))
+        for key in ("admissible", "delta", "gamma", "W_convex", "V_bounded"):
             assert key in d
+
+    @pytest.mark.parametrize("case", sorted(OUTSIDE_HYPOTHESES))
+    def test_weights_outside_the_hypotheses(self, case):
+        weight, failure = OUTSIDE_HYPOTHESES[case]
+        rep = check_admissibility(WeightSpec.from_json(weight))
+        assert rep.admissible is False and rep.failure() == failure
+
+    @pytest.mark.parametrize("c_quad, convex", [(0.25, True), (0.24, False), (0.0, False)])
+    def test_quadratic_outweighs_cosines(self, c_quad, convex):
+        # W'' >= 2 c_quad - sum |c| |k|^2 = 2 c_quad - 0.5
+        W = PotentialExpr((QuadraticTerm(c_quad), CosineTerm(0.125, (1.0, 1.0)),
+                           CosineTerm(-0.25, (0.0, 1.0)), PowerAbsTerm(0.5, 3.0)))
+        rep = check_admissibility(WeightSpec(1.0, 2.0, 2, W=W))
+        assert rep.W_convex is convex
+
+    def test_osc_V_sums_cosines(self):
+        V = PotentialExpr((CosineTerm(0.2, (2.0,)), CosineTerm(-0.1, (1.0,)), ConstantTerm(3.0)))
+        rep = check_admissibility(WeightSpec(1.0, 2.0, 1, V=V))
+        assert rep.V_bounded and rep.osc_V == pytest.approx(0.6)
 
 
 class TestDoubling:
@@ -470,37 +496,59 @@ def _potentials(dim: int):
 
 @st.composite
 def _catalog(draw):
+    """(dim, W, V, q, points) with point coordinates up to 1e3."""
     dim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.floats(-1e3, 1e3)] * dim)
     return (dim, draw(_potentials(dim)), draw(_potentials(dim)), draw(st.floats(1.5, 3.0)),
-            draw(st.floats(1.0, 6.0)))
+            np.array(draw(st.lists(coords, min_size=1, max_size=20))))
 
 
-@settings(max_examples=60, deadline=None)
+def _abs_sum(parts) -> np.ndarray:
+    """Pointwise sum of the terms' magnitudes: the scale of round-off in a sum."""
+    return sum((np.abs(v) for v in parts), np.zeros(()))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(v * v, axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
 @given(case=_catalog())
-def test_fits_hold_on_samples(case):
-    """The fitted growth and dilation constants bound every lattice sample."""
-    dim, W, V, q, half_width = case
-    pts = lattice_points(dim, half_width, 401)
-    delta, gamma = fit_growth_constants(W, q, pts)
-    bound = delta * np.sqrt(np.sum(pts * pts, axis=-1)) ** (q - 1.0) + gamma
-    assert np.all(W.grad_norm(pts) <= bound + 1e-12 * (1.0 + bound))
-    for F in (-W, -V):
-        fit = fit_dilation_bound(F, pts)
-        if fit.ok:
-            lhs, rhs = F.value(2.0 * pts), fit.c1 * F.value(pts) + fit.c2
-            assert np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs)))
+def test_growth_bound_holds_far_out(case):
+    """The certified (delta, gamma) bound |grad W| far outside any grid box."""
+    dim, W, _, q, pts = case
+    rep = check_admissibility(WeightSpec(1.0, q, dim, W=W))
+    if rep.delta is None:
+        assert any(s > q for s in W.merged()[0])
+        return
+    bound = rep.delta * _norms(pts) ** (q - 1.0) + rep.gamma
+    slack = 1e-12 * (1.0 + bound + _abs_sum(_norms(t.grad(pts)) for t in W.terms))
+    assert np.all(_norms(W.grad(pts)) <= bound + slack)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=_catalog())
-def test_growth_fit_bisection_matches_full_table(case):
-    """The bisection picks exactly the (delta, gamma) of the full delta table."""
-    dim, W, _, q, half_width = case
-    pts = lattice_points(dim, half_width, 401)
-    gnorm = W.grad_norm(pts)
-    rq = np.sqrt(np.sum(pts * pts, axis=-1)) ** (q - 1.0)
-    deltas = np.arange(0.0, 10.0 + 0.5 * 0.01, 0.01)
-    gammas = np.maximum(gnorm[None, :] - deltas[:, None] * rq[None, :], 0.0).max(axis=1)
-    gmin = gammas.min()
-    pick = int(np.argmax(gammas <= gmin + 1e-12 * (1.0 + gmin)))
-    assert fit_growth_constants(W, q, pts) == (float(deltas[pick]), float(gammas[pick]))
+def test_osc_V_bounds_samples(case):
+    """The certified osc_V bounds the spread of V's samples far out."""
+    dim, _, V, q, pts = case
+    rep = check_admissibility(WeightSpec(1.0, q, dim, V=V))
+    if not rep.V_bounded:
+        assert V.merged()[0]
+        return
+    vals = V.value(pts)
+    slack = 1e-12 * (1.0 + _abs_sum(t.value(pts) for t in V.terms).max())
+    assert vals.max() - vals.min() <= rep.osc_V + slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_catalog(), beta=st.floats(0.1, 3.0), radius=st.floats(0.1, 1e3))
+def test_log_oscillation_bounds_samples(case, beta, radius):
+    """oscillation_over_ball bounds the spread of log w over B(0, radius)."""
+    dim, W, V, q, pts = case
+    spec = WeightSpec(beta, q, dim, W=W, V=V)
+    pts = np.vstack([np.zeros((1, dim)), pts * (radius / 1e3)])
+    pts = pts[_norms(pts) <= radius]
+    vals = spec.exponent(pts)
+    terms = (PowerAbsTerm(beta, q),) + W.terms + V.terms
+    slack = 1e-12 * (1.0 + _abs_sum(t.value(pts) for t in terms).max())
+    assert vals.max() - vals.min() <= oscillation_over_ball(spec, radius) + slack
