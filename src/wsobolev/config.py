@@ -106,7 +106,6 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
 @dataclass(frozen=True)
 class ConstantsConfig:
     eps0: float
-    L: float
     C4: float
 
 
@@ -157,10 +156,9 @@ def parse_config(doc: dict) -> RunConfig:
     grid = _parse_grid(doc.get("grid", {}), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
 
-    cons = _section(doc.get("constants", {}), "constants", {"eps0", "L", "C4"})
+    cons = _section(doc.get("constants", {}), "constants", {"eps0", "C4"})
     constants = ConstantsConfig(
         eps0=_number(cons, "eps0", "constants", default=1.0 / p, minimum=0.0, strict=True),
-        L=_number(cons, "L", "constants", default=4.0, minimum=0.0, strict=True),
         C4=_number(cons, "C4", "constants", default=1.0, minimum=0.0, strict=True),
     )
 

@@ -4,7 +4,8 @@ The chain starts from the radial bound (|x|^(q-1) moment against the pure
 exponential weight), perturbs it by the W and V potentials, and ends in a
 certified Poincaré constant for the full catalog weight.  Every constant is
 an explicit formula in (beta, q, p, d) and the growth numbers that
-weights.check_admissibility certifies from the weight's terms; the verify_*
+weights.check_admissibility certifies from the weight's terms, at the L
+that makes the last step's constant smallest; the verify_*
 functions then test each inequality on grid functions, judging the
 margin against an a-posteriori quadrature error estimate.
 
@@ -74,7 +75,7 @@ def constants_potential(
     gamma: float,
     osc_V: float,
     d: int,
-    eps0: float | None = None,
+    eps0: float,
     eps1: float = 1.0,
 ) -> tuple[float, float, float]:
     """Minimal (C', D') for the potential-perturbed moment bound against
@@ -93,8 +94,6 @@ def constants_potential(
         raise ValueError(
             f"delta = {delta:g} must stay below beta*q = {1.0 / C:g}; the constant blows up"
         )
-    if eps0 is None:
-        eps0 = 1.0 / p
     if eps0 <= 0.0 or eps1 <= 0.0:
         raise ValueError("eps0 and eps1 must be positive")
     lead = 1.0 / (1.0 - C * delta)
@@ -205,24 +204,55 @@ class ConstantChain:
 
 
 _CHAIN_INPUTS = ("p", "q", "beta_coeff", "d", "delta", "gamma", "osc_V", "eps", "eps0", "eps1",
-                 "L", "C4")
+                 "C4")
 _CHAIN_EPS = 1.0
+_GOLDEN_STEPS = 40
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def build_constant_chain(
-    spec: WeightSpec,
-    p: float,
-    L: float,
-    C4: float,
-    eps0: float | None = None,
-) -> ConstantChain:
+def _smallest_poincare_bound(spec: WeightSpec, p: float, c_prime: float, d_prime: float,
+                             C4: float) -> tuple[float, tuple[float | None, float, float]]:
+    """(L, poincare_bound at L) for the L > D' that minimises log c.  In
+    t = log L, log c is a log-sum-exp of convex functions (a_L sums positive
+    powers of L) plus the convex barrier -log(1 - D' e^-t), so it is convex:
+    the bracket runs up from log D' in steps of 1 until log c rises, and
+    _GOLDEN_STEPS golden-section steps narrow it.  An L whose log c leaves
+    float range counts as +inf; if every L does, poincare_bound raises."""
+    if not math.isfinite(d_prime):
+        raise ValueError(f"D' leaves float range (D' = {d_prime:g})")
+
+    def log_c(t: float) -> float:
+        try:
+            return poincare_bound(spec, p, c_prime, d_prime, math.exp(t), C4)[2]
+        except (ValueError, OverflowError):
+            return math.inf
+
+    a = math.log(d_prime)
+    f = log_c(a + 1.0)
+    while (f_next := log_c(a + 2.0)) < f:
+        a, f = a + 1.0, f_next
+    b = a + 2.0
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = log_c(x1), log_c(x2)
+    for _ in range(_GOLDEN_STEPS):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            f1 = log_c(x1 := b - _INV_PHI * (b - a))
+        else:
+            a, x1, f1 = x1, x2, f2
+            f2 = log_c(x2 := a + _INV_PHI * (b - a))
+    # the better interior point, so L > D'
+    L = math.exp(x1 if f1 <= f2 else x2)
+    return L, poincare_bound(spec, p, c_prime, d_prime, L, C4)
+
+
+def build_constant_chain(spec: WeightSpec, p: float, *, C4: float, eps0: float) -> ConstantChain:
     """Evaluate the whole constant chain down to the certified Poincaré
     constant, from the growth numbers (delta, gamma, osc_V) that
     check_admissibility certifies.  A weight it does not certify raises
     ValueError naming the first hypothesis that fails.  The moment bounds
-    hold for every eps, eps1 > 0; the chain takes both as 1 (_CHAIN_EPS)."""
-    if eps0 is None:
-        eps0 = 1.0 / p
+    hold for every eps, eps1 > 0; the chain takes both as 1 (_CHAIN_EPS),
+    and poincare_bound at the L > D' that gives the smallest c."""
     C, D = constants_xq(spec.beta, spec.q, spec.dim, _CHAIN_EPS)
     hyp = check_admissibility(spec)
     if not hyp.admissible:
@@ -231,7 +261,7 @@ def build_constant_chain(
     c_prime, d_prime, d_prime_scaled = constants_potential(
         p, spec.q, spec.beta, delta, gamma, osc_v, spec.dim, eps0, _CHAIN_EPS
     )
-    c, a_L, log_c = poincare_bound(spec, p, c_prime, d_prime, L, C4)
+    L, (c, a_L, log_c) = _smallest_poincare_bound(spec, p, c_prime, d_prime, C4)
     return ConstantChain(
         p=p,
         q=spec.q,

@@ -247,13 +247,19 @@ class WeightSpec:
     def exponent(self, pts: np.ndarray) -> np.ndarray:
         """log w(x) = -beta*|x|^q - W(x) - V(x).  A term beyond float range
         gives an infinite exponent, which eval_weight clamps like any other
-        underflow; terms beyond it with opposite signs (inf - inf) raise
-        ValueError at the first such point."""
+        underflow; terms beyond it with opposite signs (inf - inf), or a
+        cosine whose phase k·x is beyond it, raise ValueError at the first
+        such point."""
         with np.errstate(over="ignore", invalid="ignore"):
             radial = PowerAbsTerm(-self.beta, self.q).value(pts)
             out = radial - self.W.value(pts) - self.V.value(pts)
         if np.isnan(out).any():
             x = tuple(float(c) for c in pts[np.isnan(out)][0])
+            phases = [sum(a * b for a, b in zip(x, t.k))
+                      for t in self.W.terms + self.V.terms if isinstance(t, CosineTerm)]
+            if not all(map(math.isfinite, phases)):
+                raise ValueError(f"log w is undefined at x = {x}: a cosine phase k·x is beyond "
+                                 "float range")
             raise ValueError(f"log w is undefined (inf - inf) at x = {x}")
         return out
 

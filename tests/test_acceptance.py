@@ -193,7 +193,7 @@ def test_criterion_04_potential_moment_inequality():
     # both circulating conventions for the gamma term are reported; for the
     # quadratic perturbation W = x^2/2 the certified gamma vanishes and they agree
     quad = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((QuadraticTerm(0.5),)))
-    chain = build_constant_chain(quad, 2.0, L=7.0, C4=1.0)
+    chain = build_constant_chain(quad, 2.0, C4=1.0, eps0=0.5)
     variant_ok = (
         chain.D_prime == pytest.approx(6.0)
         and chain.D_prime_gamma_scaled == pytest.approx(6.0)
@@ -214,7 +214,7 @@ def test_criterion_05_poincare_sandwich():
     g = build_grid(1, 6.0, 601)
     f = sample_field(g, lambda x: x)
     ratio = empirical_poincare_ratio(f, discrete_gradient(f), GAUSS, 2.0)
-    chain = build_constant_chain(GAUSS, 2.0, L=4.0, C4=1.0)
+    chain = build_constant_chain(GAUSS, 2.0, C4=1.0, eps0=0.5)
 
     g_c = build_grid(1, 6.0, 301)
     holds = []

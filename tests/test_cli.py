@@ -473,13 +473,11 @@ class TestReportsAgree:
             "weight": {"beta": 1.0, "q": 2.0, "dim": 1,
                        "W": [{"kind": "power_abs", "c": 0.3, "s": 2.0}]},
             "grid": {"nodes_per_axis": 151},
-            "constants": {"L": 8.0},
         },
         "cosine-v-2d": {
             "weight": {"beta": 1.0, "q": 2.0, "dim": 2,
                        "V": [{"kind": "cosine", "c": 0.3, "k": [0.3, 0.3]}]},
             "grid": {"half_width": 4.0, "nodes_per_axis": 41},
-            "constants": {"L": 16.0},
         },
     }
 
@@ -503,9 +501,12 @@ GROWTH_2E307 = (f"{NOT_ADMISSIBLE}the growth bound |grad W| <= delta*|x|^(q-1) +
 
 class TestCertifiedOverflow:
     HUGE_C = {"weight": {"beta": 1e3, "q": 2.0, "dim": 1}, "grid": {"nodes_per_axis": 151}}
-    # beta |x|^2 leaves float range beyond |x| = 4.24, and a_L = beta 4^2 = 1.6e308
+    # beta |x|^2 leaves float range beyond |x| = 4.24
     HUGE_BETA = {"weight": {"beta": 1e307, "q": 2.0, "dim": 1},
                  "grid": {"nodes_per_axis": 151}}
+    # a_L = beta L^2 leaves float range at every L > D' = 2
+    HUGER_BETA = {"weight": {"beta": 5e307, "q": 2.0, "dim": 1},
+                  "grid": {"nodes_per_axis": 151}}
 
     @pytest.mark.parametrize("subcommand, code, stderr", [
         ("weight-report", EXIT_OPERATIONAL, "error: weight vanishes at several nodes"),
@@ -517,6 +518,18 @@ class TestCertifiedOverflow:
         assert run_main(tmp_path, subcommand, self.HUGE_BETA)[0] == code
         err = capsys.readouterr().err
         assert err.startswith(stderr) and err.count("\n") == (1 if stderr else 0)
+
+    def test_overflowing_cosine_phase_is_named(self, tmp_path, capsys):
+        # k x = -6e308 is -inf at x = -6, and cos(-inf) is NaN: no infinity is subtracted
+        doc = {"weight": {**GAUSS_1D, "W": [{"kind": "cosine", "c": 10.0, "k": [1e308]},
+                                            {"kind": "cosine", "c": -10.0, "k": [1.1e308]}]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, "weight-report", doc)
+        assert code == EXIT_OPERATIONAL and caught == []
+        assert capsys.readouterr().err == ("error: log w is undefined at x = (-6.0,): a cosine "
+                                           "phase k·x is beyond float range\n")
+        assert not out.exists()
 
     def test_opposite_overflows_name_the_node(self, tmp_path, capsys):
         # beta |x|^2 and W = -1e307 |x|^2 both overflow beyond |x| = 4.24: inf - inf
@@ -560,9 +573,9 @@ class TestCertifiedOverflow:
 
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):
-        code, out = run_main(tmp_path, subcommand, self.HUGE_BETA)
+        code, out = run_main(tmp_path, subcommand, self.HUGER_BETA)
         assert code == EXIT_OPERATIONAL
-        assert capsys.readouterr().err == "error: log c leaves float range (a_L = 1.6e+308)\n"
+        assert capsys.readouterr().err == "error: log c leaves float range (a_L = inf)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -573,15 +586,31 @@ class TestCertifiedOverflow:
             emit_report(results, tmp_path)
         assert not any(tmp_path.iterdir())
 
-    def test_constants_report_log_c(self, tmp_path):
-        code, out = run_main(tmp_path, "constants", self.HUGE_C)
+    @staticmethod
+    def log_space_chain(doc: dict, tmp_path) -> dict:
+        """The chain of a Gaussian weight whose c leaves float range, checked
+        against the formula at the chain's own L."""
+        code, out = run_main(tmp_path, "constants", doc)
         assert code == EXIT_OK
-        doc = json.loads((out / "constant_chain.json").read_text())
-        assert doc["c"] is None
-        assert doc["a_L"] == 16000.0  # 1e3 * 4^2
+        chain = json.loads((out / "constant_chain.json").read_text())
+        assert chain["c"] is None
+        L, beta = chain["L"], chain["inputs"]["beta"]
+        assert L > chain["D_prime"]
+        assert chain["a_L"] == pytest.approx(beta * L**2, rel=1e-11)
         # c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L); C'/L is negligible
-        expected = 2 * math.log(2.0) + 32000.0 + math.log(16.0) - math.log1p(-doc["D_prime"] / 4)
-        assert doc["log_c"] == pytest.approx(expected, rel=1e-9)
+        expected = (2 * math.log(2.0) + 2.0 * beta * L**2 + math.log(L**2)
+                    - math.log1p(-chain["D_prime"] / L))
+        assert chain["log_c"] == pytest.approx(expected, rel=1e-9)
+        return chain
+
+    def test_constants_report_log_c(self, tmp_path):
+        self.log_space_chain(self.HUGE_C, tmp_path)
+
+    def test_log_c_near_float_range(self, tmp_path):
+        # a_L = beta L^2 is finite just above D' = 2, where log c is 8e307
+        chain = self.log_space_chain(self.HUGE_BETA, tmp_path)
+        assert chain["L"] == pytest.approx(2.0, rel=1e-6)
+        assert chain["log_c"] == pytest.approx(8.0e307, rel=1e-6)
 
     def test_log_c_only_when_c_overflows(self, tmp_path):
         code, out = run_main(tmp_path, "constants", {**self.HUGE_C, "weight": GAUSS_1D})
@@ -644,3 +673,24 @@ def _readme_config() -> dict:
 def test_readme_config_runs(subcommand, tmp_path):
     code, _ = run_main(tmp_path, subcommand, _readme_config())
     assert code == EXIT_OK
+
+
+class TestChosenL:
+    """Weights the old fixed L = 4 refused (D' >= 4) get a constant."""
+
+    CASES = {"gaussian-beta-0.5": {"weight": {"beta": 0.5, "q": 2.0, "dim": 1}},
+             "readme-weight": {"weight": _readme_config()["weight"]}}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constants(self, case, tmp_path):
+        code, out = run_main(tmp_path, "constants", self.CASES[case])
+        assert code == EXIT_OK
+        chain = json.loads((out / "constant_chain.json").read_text())
+        assert chain["L"] > chain["D_prime"] >= 4.0
+        assert chain["c"] > 0.0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify(self, case, tmp_path):
+        code, out = run_main(tmp_path, "verify-inequalities", self.CASES[case])
+        assert code == EXIT_OK
+        assert json.loads((out / "verify_summary.json").read_text())["all_hold"] is True

@@ -113,7 +113,7 @@ class TestConfigDefaults:
         assert cfg.grid.nodes_per_axis == 301
         assert cfg.p == 2.0
         assert cfg.constants.eps0 == 0.5  # 1/p
-        assert cfg.constants.L == 4.0
+        assert cfg.constants.C4 == 1.0
         assert len(cfg.balls) == 2
         assert cfg.balls[0].center == (0.0,)
         assert cfg.approximate.schedule == (0.2, 0.1, 0.05)
@@ -133,7 +133,7 @@ class TestConfigDefaults:
             },
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
-            "constants": {"eps0": 0.25, "L": 8.0, "C4": 2.0},
+            "constants": {"eps0": 0.25, "C4": 2.0},
             "balls": [{"center": [0.0], "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
                             "schedule": [0.1, 0.05]},
@@ -148,6 +148,7 @@ class TestConfigDefaults:
         assert cfg.grid.nodes_per_axis == 201
         assert cfg.p == 3.0
         assert cfg.constants.eps0 == 0.25
+        assert cfg.constants.C4 == 2.0
         assert cfg.balls[0].radius == 1.5
         assert cfg.approximate.schedule == (0.1, 0.05)
         assert cfg.evolution.dualization == "lebesgue"
@@ -186,6 +187,13 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, section: {key: {} if key == "solver" else 1e-6}})
         assert str(err.value).startswith(f"{section}.{key}: unknown field")
+
+    def test_L_is_chosen_not_set(self, tmp_path, capsys):
+        # the chain chooses the L of the Poincaré bound itself
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**BASE, "constants": {"L": 8}}))
+        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: constants.L: unknown field\n"
 
     def test_beta_zero(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -295,7 +303,7 @@ FULL = {
                "V": [{"kind": "cosine", "c": 0.2, "k": [1.0]}]},
     "grid": {"half_width": 6.0},
     "p": 2.0,
-    "constants": {"C4": 1.0, "eps0": 0.5, "L": 8.0},
+    "constants": {"C4": 1.0, "eps0": 0.5},
     "balls": [{"center": [0.0], "radius": 1.0}],
     "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
     "evolution": {"T": 0.5, "tau": 1e-3},
@@ -309,7 +317,8 @@ NON_FINITE = [
     (("weight", "V", 0, "k", 0), "weight.V[0].k"),
     (("grid", "half_width"), "grid.half_width"),
     (("p",), "config.p"),
-    # fields the config does not have: refused as unknown whatever the value
+    # eps, eps1 and L are fields the config does not have: refused as unknown
+    # whatever the value (the chain fixes eps and eps1 at 1 and chooses L)
     (("constants", "eps"), "constants.eps"),
     (("constants", "eps1"), "constants.eps1"),
     (("constants", "C4"), "constants.C4"),
@@ -414,7 +423,7 @@ _SHAPED = st.fixed_dictionaries(
     optional={
         "grid": _section("half_width", "nodes_per_axis"),
         "p": _NUMBER,
-        "constants": _section("eps0", "L", "C4"),
+        "constants": _section("eps0", "C4"),
         "balls": st.lists(st.fixed_dictionaries(
             {"center": _mostly([0.0, [0.0], [0.0, 0.0]], st.lists(_NUMBER, max_size=2)),
              "radius": _NUMBER}), max_size=2),

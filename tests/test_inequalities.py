@@ -54,10 +54,10 @@ class TestConstantFormulas:
             constants_xq(1.0, 2.0, 1, 0.0)
 
     def test_potential_trivial_perturbation(self):
-        # no W, no V: C' = eps0*p*C with the default eps0 = 1/p, D' as in the
+        # no W, no V: C' = eps0*p*C with eps0 = 1/p, D' as in the
         # unperturbed bound plus the Young-term
         c_prime, d_prime, _ = constants_potential(
-            2.0, 2.0, 1.0, delta=0.0, gamma=0.0, osc_V=0.0, d=1
+            2.0, 2.0, 1.0, delta=0.0, gamma=0.0, osc_V=0.0, d=1, eps0=0.5
         )
         assert c_prime == pytest.approx(0.5)
         assert d_prime == pytest.approx(3.0)
@@ -65,24 +65,25 @@ class TestConstantFormulas:
     def test_potential_quadratic_w(self):
         # W = x^2/2: delta = 1 < beta*q = 2, lead factor 2
         c_prime, d_prime, _ = constants_potential(
-            2.0, 2.0, 1.0, delta=1.0, gamma=0.0, osc_V=0.0, d=1
+            2.0, 2.0, 1.0, delta=1.0, gamma=0.0, osc_V=0.0, d=1, eps0=0.5
         )
         assert c_prime == pytest.approx(1.0)
         assert d_prime == pytest.approx(6.0)
 
     def test_gamma_conventions_differ(self):
-        kwargs = dict(p=2.0, q=2.0, beta_coeff=1.0, delta=0.0, gamma=2.0, osc_V=0.0, d=1)
+        kwargs = dict(p=2.0, q=2.0, beta_coeff=1.0, delta=0.0, gamma=2.0, osc_V=0.0, d=1,
+                      eps0=0.5)
         _, additive, scaled = constants_potential(**kwargs)
         assert additive == pytest.approx(5.0)
         assert scaled == pytest.approx(4.0)  # gamma enters as C*gamma = 1.0
 
     def test_blow_up_at_drift_budget(self):
         with pytest.raises(ValueError, match="blows up"):
-            constants_potential(2.0, 2.0, 1.0, delta=2.0, gamma=0.0, osc_V=0.0, d=1)
+            constants_potential(2.0, 2.0, 1.0, delta=2.0, gamma=0.0, osc_V=0.0, d=1, eps0=0.5)
 
     def test_oscillation_amplifies(self):
-        base = constants_potential(2.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1)
-        osc = constants_potential(2.0, 2.0, 1.0, 0.0, 0.0, 0.5, 1)
+        base = constants_potential(2.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1, eps0=0.5)
+        osc = constants_potential(2.0, 2.0, 1.0, 0.0, 0.0, 0.5, 1, eps0=0.5)
         assert osc[0] == pytest.approx(base[0] * math.e)
         assert osc[1] == pytest.approx(base[1] * math.e)
 
@@ -146,14 +147,31 @@ class TestPoincareBound:
 
 class TestConstantChain:
     def test_gaussian_chain(self):
-        chain = build_constant_chain(GAUSS, 2.0, L=4.0, C4=1.0)
+        chain = build_constant_chain(GAUSS, 2.0, C4=1.0, eps0=0.5)
         assert chain.C == pytest.approx(0.5)
         assert chain.D == pytest.approx(2.5)
         assert chain.C_prime == pytest.approx(0.5)
         assert chain.D_prime == pytest.approx(3.0)
         assert chain.D_prime_gamma_scaled == pytest.approx(3.0)  # gamma = 0
-        assert chain.a_L == pytest.approx(16.0)
-        assert chain.c == pytest.approx(2.0214517806766256e16, rel=1e-10)
+        L = chain.L
+        assert L == pytest.approx(3.0753, abs=1e-4)
+        assert chain.a_L == pytest.approx(L**2, rel=1e-12)
+        expected = 4.0 * (math.exp(2.0 * L**2) * L**2 + 0.5 / L) / (1.0 - 3.0 / L)
+        assert chain.c == pytest.approx(expected, rel=1e-10)
+        assert chain.log_c == pytest.approx(math.log(expected), rel=1e-12)
+        # smaller than at the old fixed L = 4, where log10 c was 16.31
+        assert chain.log_c < 16.31 * math.log(10.0)
+
+    def test_settings_are_keyword_only(self):
+        # a stale positional call (p, L, C4) must not read L as C4
+        with pytest.raises(TypeError):
+            build_constant_chain(GAUSS, 2.0, 4.0, 1.0)
+
+    def test_d_prime_beyond_float_range(self):
+        # osc_V = 354.8: e^(2 osc_V) = 1.5e308 stays finite, D' = 3 e^(2 osc_V) does not
+        spec = WeightSpec(1.0, 2.0, 1, V=PotentialExpr((CosineTerm(177.4, (1.0,)),)))
+        with pytest.raises(ValueError, match=r"^D' leaves float range \(D' = inf\)$"):
+            build_constant_chain(spec, 2.0, C4=1.0, eps0=0.5)
 
     @pytest.mark.parametrize("W, failure", [
         (PowerAbsTerm(0.05, 3.0), "W has no growth bound"),
@@ -163,25 +181,26 @@ class TestConstantChain:
     def test_weight_outside_the_hypotheses_has_no_chain(self, W, failure):
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((W,)))
         with pytest.raises(ValueError) as err:
-            build_constant_chain(spec, 2.0, L=8.0, C4=1.0)
+            build_constant_chain(spec, 2.0, C4=1.0, eps0=0.5)
         assert str(err.value).startswith(f"the weight is not admissible: {failure}")
 
     def test_quadratic_w_chain(self):
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((QuadraticTerm(0.5),)))
-        chain = build_constant_chain(spec, 2.0, L=7.0, C4=1.0)
+        chain = build_constant_chain(spec, 2.0, C4=1.0, eps0=0.5)
         assert chain.delta == pytest.approx(1.0)
         assert chain.C_prime == pytest.approx(1.0)
         assert chain.D_prime == pytest.approx(6.0)
 
     def test_json_layout(self):
-        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0)
+        chain = build_constant_chain(GAUSS, 2.0, C4=1.0, eps0=0.5)
         d = chain.to_json()
         assert set(d) == {
             "inputs", "C", "D", "C_prime", "D_prime",
-            "D_prime_gamma_scaled", "a_L", "c",
+            "D_prime_gamma_scaled", "a_L", "L", "c",
         }
         assert d["inputs"]["p"] == 2.0
-        assert d["inputs"]["L"] == 4.0
+        assert "L" not in d["inputs"]
+        assert d["L"] == chain.L
 
 
 class TestVerification:
@@ -292,7 +311,7 @@ class TestEmpiricalPoincare:
 
     def test_certified_constant_dominates(self):
         g = build_grid(1, 6.0, 301)
-        chain = build_constant_chain(GAUSS, 2.0, 4.0, 1.0)
+        chain = build_constant_chain(GAUSS, 2.0, C4=1.0, eps0=0.5)
         for m in corpus_members()[:5]:
             f = m.on_grid(g)
             ratio = empirical_poincare_ratio(f, discrete_gradient(f), GAUSS, 2.0)

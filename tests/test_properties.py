@@ -29,6 +29,7 @@ from wsobolev.grid import (
     segment_weights,
     trapezoid_weights,
 )
+from wsobolev.inequalities import build_constant_chain, poincare_bound
 from wsobolev.weights import (
     Ball,
     CosineTerm,
@@ -42,8 +43,8 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def catalog_weights(draw):
-    """A catalog weight with a cosine V and its field on a grid, in 1d or 2d."""
+def catalog_specs(draw):
+    """A catalog weight with a cosine V and a grid, in 1d or 2d."""
     dim = draw(st.sampled_from([1, 2]))
     R = draw(st.floats(1.0, 6.0))
     n = draw(st.sampled_from([21, 41, 61, 101] if dim == 1 else [11, 21, 31, 41]))
@@ -51,8 +52,12 @@ def catalog_weights(draw):
     beta = draw(st.floats(0.01, 1.0)) * min(3.0, 150.0 / (R * math.sqrt(dim)) ** q)
     cosine = CosineTerm(draw(st.floats(-2.0, 2.0)),
                         tuple(draw(st.floats(-5.0, 5.0)) for _ in range(dim)))
-    spec = WeightSpec(beta, q, dim, V=PotentialExpr((cosine,)))
-    return weight_on_grid(spec, Grid(dim, R, n))
+    return WeightSpec(beta, q, dim, V=PotentialExpr((cosine,))), Grid(dim, R, n)
+
+
+def catalog_weights():
+    """A catalog_specs weight's field on its grid."""
+    return catalog_specs().map(lambda spec_grid: weight_on_grid(*spec_grid))
 
 
 @PROPERTY
@@ -67,6 +72,19 @@ def test_muckenhoupt_products_are_at_least_one(w, p, data):
         balls.append(Ball.of(center, grid.spacing * data.draw(st.integers(1, (m - 1) // 2))))
     values = [e.value for e in estimate_muckenhoupt(w, p, balls).entries if e.value is not None]
     assert all(v >= 1.0 - 1e-12 for v in values)
+
+
+@PROPERTY
+@given(spec_grid=catalog_specs(), p=st.floats(1.5, 4.0))
+def test_chain_chooses_the_smallest_constant(spec_grid, p):
+    # poincare_bound holds for every L > D'; the chain's L beats a spread of them
+    spec = spec_grid[0]
+    chain = build_constant_chain(spec, p, C4=1.0, eps0=1.0 / p)
+    assert chain.L > chain.D_prime
+    for k in range(13):
+        L = chain.D_prime * (1.0 + 2.0**k / 64.0)
+        log_c = poincare_bound(spec, p, chain.C_prime, chain.D_prime, L, C4=1.0)[2]
+        assert chain.log_c <= log_c + 1e-12 * abs(log_c)
 
 
 @PROPERTY
