@@ -4,7 +4,7 @@ The package covers, on uniform 1d/2d boxes:
 
 * a closed-form weight catalog exp(-beta*|x|^q - W - V) with admissibility
   diagnostics (the hypotheses certified from the terms, doubling and
-  Muckenhoupt ball estimates, reciprocal-power integrability): `weights`;
+  Muckenhoupt ball estimates): `weights`;
 * grids, quadrature, discrete gradients, mollification and maximal
   functions: `grid`;
 * weighted Lebesgue/Sobolev norms, integration-by-parts residuals,

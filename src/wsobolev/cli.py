@@ -2,8 +2,7 @@
 
 Subcommands mirror the package's module boundaries:
 
-  weight-report        certified admissibility, doubling/Muckenhoupt ball tables,
-                       reciprocal-power integrability
+  weight-report        certified admissibility, doubling/Muckenhoupt ball tables
   constants            the certified constant chain
   verify-inequalities  quadrature checks of the moment and Poincaré bounds
                        over the bump corpus
@@ -37,8 +36,7 @@ from .inequalities import ConstantChain, build_constant_chain, verify_batch
 from .pde import EvolutionProblem, IntegrabilityGateError, ProxConvergenceError, \
     solve_evolution, solve_stationary
 from .sobolev import smooth_approximation
-from .weights import check_admissibility, check_reciprocal_integrability, estimate_doubling, \
-    estimate_muckenhoupt, weight_on_grid
+from .weights import check_admissibility, estimate_doubling, estimate_muckenhoupt, weight_on_grid
 
 __all__ = ["SUBCOMMANDS", "emit_report", "run", "main"]
 
@@ -184,7 +182,6 @@ def _cmd_weight_report(config: RunConfig) -> tuple[int, dict]:
     results: dict = {
         "admissibility": check_admissibility(spec),
         "doubling": estimate_doubling(w, config.balls),
-        "reciprocal_integrability": check_reciprocal_integrability(w, config.p),
     }
     if config.p > 1.0:
         results["muckenhoupt"] = estimate_muckenhoupt(w, config.p, config.balls)

@@ -102,11 +102,7 @@ def constants_potential(
     except OverflowError:
         raise ValueError(f"exp(2 osc_V) leaves float range (osc_V = {osc_V:g})") from None
     c_prime = lead * eps0 * p * C * amp
-    base = (
-        (1.0 + eps1) ** (q - 1.0)
-        + (1.0 / eps1 + d - 1.0) * C
-        + (eps0 * p) ** (-q / p) * C * p / q
-    )
+    base = constants_xq(beta_coeff, q, d, eps1)[1] + (eps0 * p) ** (-q / p) * C * p / q
     return c_prime, lead * amp * (base + gamma), lead * amp * (base + C * gamma)
 
 

@@ -17,14 +17,13 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights, trapezoid_weights
+from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights
 
 __all__ = [
     "ConstantTerm",
@@ -45,8 +44,6 @@ __all__ = [
     "estimate_doubling",
     "MuckenhouptReport",
     "estimate_muckenhoupt",
-    "RegReport",
-    "check_reciprocal_integrability",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -412,9 +409,14 @@ def check_admissibility(spec: WeightSpec) -> AdmissibilityReport:
 
     The dilation bounds F(2x) <= c1*F(x) + c2 for F = -W and F = -V follow
     with c1 = 1: a convex W has W(2x) >= 2W(x) - W(0), so
-    -W(2x) <= -W(x) + W(0) - inf W, and -V(2x) <= -V(x) + osc V.  The smooth
-    strictly positive catalog makes the regularity and differentiability
-    hypotheses structural.  Requires beta > 0.
+    -W(2x) <= -W(x) + W(0) - inf W, and -V(2x) <= -V(x) + osc V.
+
+    The regularity hypotheses are structural, so they are not reported.  The
+    exponent beta*|x|^q + W + V is a finite sum of continuous terms, so w is
+    continuous and strictly positive, and w^(-1/(p-1)) is continuous, hence
+    bounded on compact sets and in L^1_loc, for every p > 1; at p = 1, 1/w is
+    locally bounded.  The terms are also locally Lipschitz, so w is weakly
+    differentiable.  Requires beta > 0.
     """
     if spec.beta <= 0.0:
         raise ValueError("admissibility requires beta > 0")
@@ -552,7 +554,8 @@ def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float) 
         raise ValueError(f"negative weight at node {bad} (x={x})")
     zeros = np.argwhere(block <= _ZERO_WEIGHT)
     if len(zeros) == 0:
-        return integrate(block**s, h, segment_weights)
+        with np.errstate(over="ignore"):  # an infinite value is refused when its report is written
+            return integrate(block**s, h, segment_weights)
     # The extrapolation fits a power law along the line through the zero node,
     # which only 1d supports; in 2d a zero node inside a ball is an error.
     if field.grid.dim != 1:
@@ -606,77 +609,3 @@ def estimate_muckenhoupt(field: GridFunction, p: float,
         entries.append(BallEntry(ball.center, ball.radius, value))
     return MuckenhouptReport(p, tuple(entries), _largest_value(entries))
 
-
-# --- local integrability of the reciprocal root ----------------------------
-
-# fine/coarse quadrature ratio of a unit cell beyond which it counts as divergent
-_DIVERGENCE_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class RegReport:
-    ok: bool
-    p: float
-    worst_cell: tuple[float, ...] | None
-    fine: float | None
-    coarse: float | None
-    ratio: float | None
-
-
-def _unit_cell_bounds(grid: Grid) -> list[tuple[int, int]]:
-    """Index ranges of unit-scale subcells, aligned to even node offsets."""
-    h = grid.spacing
-    m = max(2, 2 * int(round(0.5 / h)))  # nodes per unit cell, even cell count
-    n = grid.nodes_per_axis
-    bounds = []
-    lo = 0
-    while lo < n - 1:
-        hi = min(lo + m, n - 1)
-        if n - 1 - hi < m // 2:
-            hi = n - 1
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def check_reciprocal_integrability(field: GridFunction, p: float) -> RegReport:
-    """Check local integrability of w^(-1/(p-1)) cell by cell (boundedness of
-    1/w for p = 1).
-
-    Each unit-scale subcell's quadrature at full resolution is compared with
-    the half-resolution value; growth beyond _DIVERGENCE_FACTOR, or a
-    nonpositive node, marks the cell as divergent.
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    g = field.grid
-    w = field.values
-    if np.any(w < 0.0):
-        raise ValueError("weight field must be nonnegative")
-    h = g.spacing
-    axis = g.axis()
-    half = (slice(None, None, 2),) * g.dim
-
-    # mirror-image cells tie in exact arithmetic but not in the last bits, so
-    # the worst cell has the largest ratio to 12 digits, then the smallest index
-    worst = None
-    for cell in itertools.product(_unit_cell_bounds(g), repeat=g.dim):
-        block = w[tuple(slice(lo, hi + 1) for lo, hi in cell)]
-        origin = tuple(float(axis[lo]) for lo, _ in cell)
-        if np.any(block <= 0.0):
-            return RegReport(False, p, origin, None, None, None)
-        if p == 1.0:
-            rec = 1.0 / block
-            fine, coarse = float(rec.max()), float(rec[half].max())
-        else:
-            rec = block ** (-1.0 / (p - 1.0))
-            fine = integrate(rec, h, trapezoid_weights)
-            coarse = integrate(rec[half], 2 * h, trapezoid_weights)
-        ratio = fine / coarse if coarse > 0 else math.inf
-        key = float(f"{ratio:.12g}")
-        if worst is None or key > worst[0]:
-            worst = (key, origin, ratio, fine, coarse)
-        if ratio > _DIVERGENCE_FACTOR:
-            return RegReport(False, p, origin, fine, coarse, ratio)
-    _, origin, ratio, fine, coarse = worst
-    return RegReport(True, p, origin, fine, coarse, ratio)

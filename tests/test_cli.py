@@ -95,13 +95,11 @@ class TestTwoDimensional:
         code, out = self.run_main(tmp_path, "weight-report")
         assert code == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == [
-            "admissibility.json", "doubling.json", "muckenhoupt.json",
-            "reciprocal_integrability.json"]
+            "admissibility.json", "doubling.json", "muckenhoupt.json"]
         doubling = json.loads((out / "doubling.json").read_text())
         assert [e["center"] for e in doubling["entries"]] == [[0.0, 0.0], [0.6, -0.3]]
         assert doubling["constant"] >= 1.0
         assert json.loads((out / "muckenhoupt.json").read_text())["constant"] >= 1.0
-        assert json.loads((out / "reciprocal_integrability.json").read_text())["ok"] is True
 
     def test_approximate(self, tmp_path):
         code, out = self.run_main(tmp_path, "approximate")
@@ -132,7 +130,6 @@ class TestSubcommands:
             "admissibility.json",
             "doubling.json",
             "muckenhoupt.json",
-            "reciprocal_integrability.json",
         ]
         adm = json.loads((tmp_path / "admissibility.json").read_text())
         assert adm["admissible"] is True
@@ -661,6 +658,38 @@ class TestOutsideHypotheses:
         code, out = run_main(tmp_path, "weight-report", doc)
         assert code == EXIT_OK
         assert json.loads((out / "admissibility.json").read_text())["admissible"] is False
+
+
+class TestStructuralRegularity:
+    """The reciprocal power of a catalog weight is locally bounded, so
+    weight-report writes no numeric verdict on it (on the default grid,
+    h = 0.04)."""
+
+    CASES = {
+        # k = pi/h: every other node sits in a trough of V
+        "cosine-at-the-node-frequency": {"weight": {**GAUSS_1D, "V": [
+            {"kind": "cosine", "c": -2.0, "k": [78.53981633974483]}]}},
+        # w^(-1/(p-1)) = e^(25 x^2) is beyond float range at the box's edge
+        "gaussian-p-1.2": {"weight": {"beta": 5.0, "q": 2.0, "dim": 1}, "p": 1.2},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_admissible_weight_is_reported(self, case, tmp_path, capsys):
+        code, out = run_main(tmp_path, "weight-report", self.CASES[case])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "admissibility.json", "doubling.json", "muckenhoupt.json"]
+        assert json.loads((out / "admissibility.json").read_text())["admissible"] is True
+
+    def test_muckenhoupt_overflow_is_one_error_line(self, tmp_path, capsys):
+        # the reciprocal power's ball integral is beyond float range
+        doc = {**self.CASES["gaussian-p-1.2"], "balls": [{"center": [0.0], "radius": 5.9}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, "weight-report", doc)
+        assert code == EXIT_OPERATIONAL and caught == [] and not out.exists()
+        assert capsys.readouterr().err == ("error: muckenhoupt.entries[0].value: inf is not a "
+                                           "finite number, so the report cannot be written\n")
 
 
 def _readme_config() -> dict:

@@ -22,7 +22,6 @@ from wsobolev.weights import (
     QuadraticTerm,
     WeightSpec,
     check_admissibility,
-    check_reciprocal_integrability,
     estimate_doubling,
     estimate_muckenhoupt,
     eval_log_drift,
@@ -422,50 +421,6 @@ class TestMuckenhoupt:
         one = GridFunction(g, np.ones(g.shape))
         rep = estimate_muckenhoupt(one, 2.0, [Ball.of(6.0, 1.0)])
         assert rep.constant is None
-
-
-class TestReciprocalIntegrability:
-    def test_gaussian_ok(self):
-        g = build_grid(1, 6.0, 301)
-        w = weight_on_grid(GAUSS, g)
-        rep = check_reciprocal_integrability(w, 2.0)
-        assert rep.ok
-
-    def test_p_one_boundedness(self):
-        g = build_grid(1, 6.0, 301)
-        w = weight_on_grid(GAUSS, g)
-        rep = check_reciprocal_integrability(w, 1.0)
-        assert rep.ok
-
-    def test_vanishing_node_fails(self):
-        g = build_grid(1, 6.0, 301)
-        vals = np.ones(g.shape)
-        vals[g.index_of(0.0)] = 0.0
-        rep = check_reciprocal_integrability(GridFunction(g, vals), 2.0)
-        assert not rep.ok
-        assert rep.worst_cell is not None
-
-    def test_negative_raises(self):
-        g = build_grid(1, 6.0, 301)
-        with pytest.raises(ValueError):
-            check_reciprocal_integrability(GridFunction(g, -np.ones(g.shape)), 2.0)
-
-    def test_2d_ok(self):
-        g = build_grid(2, 3.0, 61)
-        w = weight_on_grid(WeightSpec(1.0, 2.0, 2), g)
-        assert check_reciprocal_integrability(w, 2.0).ok
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_mirror_image_cells_tie_to_the_smallest_index(self, dim, p):
-        # unit cells [-2,-1], [-1,0], [0,1], [1,2] per axis; the worst ratio is
-        # on the cells at the origin, whose mirror images tie but for rounding
-        g = build_grid(dim, 2.0, 41)
-        s = np.exp(-g.axis() ** 2)
-        s = 0.5 * (s + s[::-1])
-        vals = s if dim == 1 else np.multiply.outer(s, s)
-        rep = check_reciprocal_integrability(GridFunction(g, vals), p)
-        assert rep.ok and rep.worst_cell == (-1.0,) * dim
 
 
 @settings(max_examples=300, deadline=None)
