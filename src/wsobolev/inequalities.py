@@ -106,16 +106,22 @@ def constants_potential(
     return c_prime, lead * amp * (base + gamma), lead * amp * (base + C * gamma)
 
 
-def oscillation_over_ball(spec: WeightSpec, radius: float) -> float:
+def _merged_terms(spec: WeightSpec) -> tuple[dict[float, float], list[tuple[float, float]]]:
+    """The powers of beta*|x|^q, W and V merged (PotentialExpr.merged)."""
+    return PotentialExpr((PowerAbsTerm(spec.beta, spec.q),) + spec.W.terms
+                         + spec.V.terms).merged()
+
+
+def oscillation_over_ball(spec: WeightSpec, radius: float, *,
+                          merged: tuple | None = None) -> float:
     """Upper bound on the oscillation of log(weight) over the closed ball
     B(0, radius), exact for the pure radial weight.
 
-    With the powers of beta*|x|^q, W and V merged (PotentialExpr.merged), a
-    power c*|x|^s ranges over |c|*radius^s and a cosine over 2|c|.  A bound
-    beyond float range is inf.
+    With the powers of beta*|x|^q, W and V merged (PotentialExpr.merged, or
+    merged if given), a power c*|x|^s ranges over |c|*radius^s and a cosine
+    over 2|c|.  A bound beyond float range is inf.
     """
-    terms = (PowerAbsTerm(spec.beta, spec.q),) + spec.W.terms + spec.V.terms
-    radial, cosines = PotentialExpr(terms).merged()
+    radial, cosines = _merged_terms(spec) if merged is None else merged
     total = 2.0 * sum(c for c, _ in cosines)
     for s, c in radial.items():
         try:
@@ -132,20 +138,28 @@ def poincare_bound(
     d_prime: float,
     L: float,
     C4: float,
+    *,
+    merged: tuple | None = None,
 ) -> tuple[float | None, float, float]:
     """Certified Poincaré constant: (c, a_L, log c).
 
-    a_L bounds the oscillation of log(weight) over B(0, L^(p-1)); the constant is
+    a_L bounds the oscillation of log(weight) over B(0, L^(p-1)) (see
+    oscillation_over_ball, which takes merged); the constant is
     c = 2^q (e^(2 a_L) C4 L^(p(p-1)) + C'/L) / (1 - D'/L), valid for L > D'.
     log c is computed in log space; c is None when it leaves float range,
-    and a ValueError is raised when log c leaves it too.
+    and a ValueError is raised when log c or the radius L^(p-1) leaves it too.
     """
     if L <= d_prime:
         raise ValueError(f"L = {L:g} must exceed D' = {d_prime:g}")
     if C4 <= 0.0:
         raise ValueError("C4 must be positive")
     q = spec.q
-    a_L = oscillation_over_ball(spec, L ** (p - 1.0))
+    try:
+        radius = L ** (p - 1.0)
+    except OverflowError:
+        raise ValueError(f"the ball radius L^(p-1) leaves float range (L = {L:g}, "
+                         f"p = {p:g})") from None
+    a_L = oscillation_over_ball(spec, radius, merged=merged)
     log_lead = 2.0 * a_L + math.log(C4) + p * (p - 1.0) * math.log(L)
     log_c = (q * math.log(2.0) + float(np.logaddexp(log_lead, math.log(c_prime / L)))
              - math.log1p(-d_prime / L))
@@ -213,13 +227,15 @@ def _smallest_poincare_bound(spec: WeightSpec, p: float, c_prime: float, d_prime
     powers of L) plus the convex barrier -log(1 - D' e^-t), so it is convex:
     the bracket runs up from log D' in steps of 1 until log c rises, and
     _GOLDEN_STEPS golden-section steps narrow it.  An L whose log c leaves
-    float range counts as +inf; if every L does, poincare_bound raises."""
+    float range counts as +inf; if every L does, poincare_bound raises.  The
+    weight's terms are merged once, for every L."""
     if not math.isfinite(d_prime):
         raise ValueError(f"D' leaves float range (D' = {d_prime:g})")
+    merged = _merged_terms(spec)
 
     def log_c(t: float) -> float:
         try:
-            return poincare_bound(spec, p, c_prime, d_prime, math.exp(t), C4)[2]
+            return poincare_bound(spec, p, c_prime, d_prime, math.exp(t), C4, merged=merged)[2]
         except (ValueError, OverflowError):
             return math.inf
 
@@ -239,7 +255,7 @@ def _smallest_poincare_bound(spec: WeightSpec, p: float, c_prime: float, d_prime
             f2 = log_c(x2 := a + _INV_PHI * (b - a))
     # the better interior point, so L > D'
     L = math.exp(x1 if f1 <= f2 else x2)
-    return L, poincare_bound(spec, p, c_prime, d_prime, L, C4)
+    return L, poincare_bound(spec, p, c_prime, d_prime, L, C4, merged=merged)
 
 
 def build_constant_chain(spec: WeightSpec, p: float, *, C4: float, eps0: float) -> ConstantChain:

@@ -18,17 +18,21 @@ neighbour stencil (one node array per offset o in {-1, 0, 1}^d with o >= 0
 lexicographically; -o shares it) and applied flat: on the raveled node arrays
 a forward offset is one positive shift, so a CG apply is two contiguous
 products per neighbour, one into each end, and CG is preconditioned by the
-stencil's exact diagonal.  At p = 2 the problem is linear: the stencil
-depends on the weight alone and is assembled once per solve, each
-minimization is the one system (H + M/tau) v = (M/tau) u + M f, solved by a
-single CG warm-started at the step's start, and the energy is the quadratic
-form <v, Hv>/2, formed by one value-only pass over the flat stencil.  Each
-solve works in one scratch array, so CG allocates only its solution; its rows
-start on 64-byte boundaries.  Each step of a flow starts from the quadratic
-through its last three states, extrapolated in time.  A horizon that is no
-whole number of steps ends on a shorter last step.  A flow is streamed:
-evolve yields each state, read-only, as it is reached, and keeps only the
-three its next start needs; solve_evolution keeps only the last.
+stencil's exact diagonal.  A flow's Newton system in 1d is tridiagonal (one
+forward neighbour) and, with its positive shift M/tau, positive definite, so
+it is solved directly, by one O(n) LDL^T factorization, and not by CG; a 2d
+system and a stationary one (no shift, constants in the kernel) go to CG.
+At p = 2 the problem is linear: the stencil depends on the weight alone and
+is assembled once per solve, each minimization is the one system
+(H + M/tau) v = (M/tau) u + M f, solved by a single CG warm-started at the
+step's start, and the energy is the quadratic form <v, Hv>/2, formed by one
+value-only pass over the flat stencil.  Each solve works in one scratch
+array, so CG allocates only its solution; its rows start on 64-byte
+boundaries.  Each step of a flow starts from the quadratic through its last
+three states, extrapolated in time.  A horizon that is no whole number of
+steps ends on a shorter last step.  A flow is streamed: evolve yields each
+state, read-only, as it is reached, and keeps only the three its next start
+needs; solve_evolution keeps only the last.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ __all__ = [
 
 
 # a solve stops when the gradient's metric norm (at p = 2, CG's recursive
-# residual's) is at most _TOLERANCE, and fails once _MAX_ITERATIONS CG
-# iterations are spent
+# residual's) is at most _TOLERANCE, and fails once _MAX_ITERATIONS solver
+# iterations are spent: CG iterations, and one per direct solve
 _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 10_000
 # Newton's backtracking line search (p > 2 only): step shrink factor and
@@ -108,7 +112,7 @@ class EvolutionProblem:
 
 
 class ProxConvergenceError(RuntimeError):
-    """The inner CG or Newton-CG solve failed; carries the last iterate."""
+    """The inner CG or Newton solve failed; carries the last iterate."""
 
     def __init__(self, message: str, iterate: GridFunction, residual: float):
         super().__init__(message)
@@ -127,7 +131,8 @@ class IntegrabilityGateError(RuntimeError):
 @dataclass(frozen=True)
 class Step:
     """One time of a flow: its state (read-only), energy and weighted mean, and
-    the CG iterations of the solve that reached it (0 at t = 0)."""
+    the solver iterations (CG iterations, one per direct solve) of the solve
+    that reached it (0 at t = 0)."""
 
     t: float
     state: GridFunction
@@ -138,8 +143,9 @@ class Step:
 
 @dataclass
 class Trajectory:
-    """A flow's times, energies and means at each of them, the CG iterations
-    of each step's solve (one fewer: none at t = 0), and its last state."""
+    """A flow's times, energies and means at each of them, the solver
+    iterations of each step's solve (one fewer: none at t = 0), and its last
+    state."""
 
     times: list[float]
     energies: list[float]
@@ -414,15 +420,38 @@ def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
     return x, it, rnorm
 
 
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """x with A x = rhs, for the symmetric tridiagonal A with diagonal diag and
+    off-diagonal off (A[i, i+1] = A[i+1, i] = off[i]), by its LDL^T (Thomas)
+    factorization in Python floats: O(n), and stable without pivoting when A
+    is positive definite (Golub & Van Loan, Matrix Computations, 4.3).  None
+    if a pivot is not positive: A is not definite as rounded."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(1, len(d)):
+        if not d[i - 1] > 0.0:
+            return None
+        ratio = e[i - 1] / d[i - 1]
+        d[i] -= ratio * e[i - 1]
+        x[i] -= ratio * x[i - 1]
+        e[i - 1] = ratio
+    if not d[-1] > 0.0:
+        return None
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = x[i] / d[i] - e[i] * x[i + 1]
+    return np.array(x)
+
+
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
               p: float, tau: float = math.inf,
               source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
               stencil: tuple | None = None, work: np.ndarray | None = None):
     """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
     pairing in the metric) from start (default: the anchor); returns the
-    minimizer, the CG iterations and its energy.  Without the proximal term
-    (tau = inf) constants are free, so the start, the right-hand side and the
-    minimizer are kept metric-mean-zero.  The scratch space (see _workspace)
+    minimizer, the solver iterations (CG iterations, one per direct solve)
+    and its energy.  Without the proximal term (tau = inf) constants are
+    free, so the start, the right-hand side and the minimizer are kept
+    metric-mean-zero.  The scratch space (see _workspace)
     that CG and every evaluation form their temporaries in is made once, here
     unless the caller passes it; the iterates, gradients and CG solutions are
     the only new arrays.
@@ -436,12 +465,16 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     iteration fails.  Only the energy of the minimizer is evaluated, by the
     value-only pass over the stencil.
 
-    For p > 2, damped Newton: the first Newton system is solved to a tenth of
-    the tolerance, later ones as far as the last model missed the new
-    gradient (Eisenstat-Walker); an inexact step that does not lower the
-    gradient norm is redone exactly.  Steps backtrack on the true objective
-    with a round-off allowance, since near the minimizer the decrease drops
-    below one ulp.  The solve has stalled, and raises at once, if no step is
+    For p > 2, damped Newton.  A system with one forward neighbour (1d) and a
+    positive shift (tau finite) is tridiagonal and positive definite: it is
+    solved exactly by _tridiagonal_solve, which counts as one iteration.
+    Every other system goes to CG, as does one whose factorization meets a
+    pivot that is not positive (the rounded matrix is not definite).  The
+    first CG system is solved to a tenth of the tolerance, later ones as far
+    as the last model missed the new gradient (Eisenstat-Walker); an inexact
+    step that does not lower the gradient norm is redone exactly.  Steps
+    backtrack on the true objective with a round-off allowance, since near
+    the minimizer the decrease drops below one ulp.  The solve has stalled, and raises at once, if no step is
     found or an exact one lowers neither the objective nor the gradient norm.
     """
     h, shift, pull = grid.spacing, metric / tau, metric * source
@@ -493,14 +526,21 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[0]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
-    forcing = 0.0
+    forcing, positive = 0.0, bool(np.all(shift > 0.0))
     while gnorm > _TOLERANCE:
         if spent == _MAX_ITERATIONS:
             raise exhausted(gnorm)
-        hessian = _flat(_hessian(h, cell_w, p, *terms[2]))
-        step, its, model_gnorm = _pcg(hessian, shift, np.negative(g, work[6]), metric,
-                                      max(0.1 * _TOLERANCE, forcing * gnorm),
-                                      _MAX_ITERATIONS - spent, work)
+        centre, neighbours = _flat(_hessian(h, cell_w, p, *terms[2]))
+        rhs = np.negative(g, work[6])
+        step = (_tridiagonal_solve(centre + shift, neighbours[0][2], rhs)
+                if positive and len(neighbours) == 1 else None)
+        direct = step is not None
+        if direct:
+            its = 1
+        else:
+            step, its, model_gnorm = _pcg((centre, neighbours), shift, rhs, metric,
+                                          max(0.1 * _TOLERANCE, forcing * gnorm),
+                                          _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
@@ -519,8 +559,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             continue
         if trial_gnorm >= gnorm and trial_obj >= obj:
             raise failure(f"line search stalled at iteration {spent}", gnorm)
-        model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
-        forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
+        if not direct:
+            model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
+            forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
         v, obj, g, gnorm, terms = trial, trial_obj, trial_g, trial_gnorm, trial_terms
     return v, spent, terms[0]
 
@@ -598,7 +639,7 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
     the next steps extrapolate from it.  The state at t = 0 is a copy of u0.
 
     Each step's solve starts from the quadratic extrapolation of the last
-    three states (fewer at the first steps), which cuts its CG work.  Not
+    three states (fewer at the first steps), which cuts its solver work.  Not
     a cubic: where w is too small for the stopping norm to correct an iterate
     the start's error stays, and a cubic's grows there (the corner of the 2d
     OU flow from u0 = x reached 5.8e3 at T = 0.2, where the exact value is
@@ -645,7 +686,7 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
 
 def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     """evolve, run to the horizon and folded into a Trajectory: its times,
-    energies, means and solves' CG iterations, and its last state, the only
+    energies, means and solves' solver iterations, and its last state, the only
     one kept, so a flow holds O(1) node arrays however many steps it takes.
     The gate (see evolve) raises here."""
     traj = Trajectory([], [], [], [], problem.u0)

@@ -637,6 +637,18 @@ class TestCertifiedOverflow:
         assert code == EXIT_OPERATIONAL
         assert "osc_V" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight, L", [
+        ({**GAUSS_1D, "V": [{"kind": "cosine", "c": 120.0, "k": [1.0]}]}, "9.40231e+208"),
+        ({"beta": 0.5, "q": 2.0, "dim": 2, "W": [{"kind": "power_abs", "c": 0.0133, "s": 2.0}],
+          "V": [{"kind": "cosine", "c": 111.0, "k": [0.5, 0.5]}]}, "3.79159e+193"),
+    ])
+    def test_ball_radius_overflow(self, weight, L, tmp_path, capsys):
+        # D' carries exp(2 osc_V), so every L > D' has L^(p-1) beyond float range
+        code, out = run_main(tmp_path, "constants", {"weight": weight, "p": 3.0})
+        assert code == EXIT_OPERATIONAL and not out.exists()
+        assert capsys.readouterr().err == (f"error: the ball radius L^(p-1) leaves float range "
+                                           f"(L = {L}, p = 3)\n")
+
 
 class TestOutsideHypotheses:
     """A weight outside the theorem's hypotheses gets no certified constant,

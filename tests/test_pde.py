@@ -333,6 +333,91 @@ class TestPCG:
         assert it == 0 and np.array_equal(again, x)
 
 
+class TestTridiagonal:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(3, 601), seed=st.integers(0, 2**32 - 1),
+           relative_shift=st.floats(-8.0, 4.0))
+    def test_backward_error_against_dense_solve(self, n, seed, relative_shift):
+        # a weighted Laplacian plus a positive shift, as a 1d flow's Newton
+        # system is: edge coefficients and right-hand side spanning e^+-36,
+        # each edge within e^+-1 of the last, off-diagonals of either sign
+        rng = np.random.default_rng(seed)
+        k = np.exp(np.clip(rng.uniform(-36.0, 36.0) + np.cumsum(rng.uniform(-1.0, 1.0, n - 1)),
+                           -36.0, 36.0))
+        diag = np.zeros(n)
+        diag[:-1] += k
+        diag[1:] += k
+        diag *= 1.0 + np.exp(relative_shift + rng.uniform(-1.0, 1.0, n))
+        off = k * rng.choice((-1.0, 1.0), n - 1)
+        rhs = rng.standard_normal(n) * np.exp(rng.uniform(-36.0, 36.0, n))
+        A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+        def backward_error(x):  # max_i |rhs - A x|_i / (|A| |x| + |rhs|)_i
+            return np.max(np.abs(rhs - A @ x) / (np.abs(A) @ np.abs(x) + np.abs(rhs)))
+
+        x = pde._tridiagonal_solve(diag, off, rhs)
+        assert backward_error(x) <= 1e-13
+        assert backward_error(x) <= max(backward_error(np.linalg.solve(A, rhs)), 1e-15) * 10
+
+    def test_indefinite_system_has_no_solution(self):
+        # a pivot that is not positive: the caller solves by CG instead
+        assert pde._tridiagonal_solve(np.ones(3), np.full(2, 2.0), np.ones(3)) is None
+        assert pde._tridiagonal_solve(np.array([1.0, 1.0]), np.ones(1), np.ones(2)) is None
+
+    def test_agrees_with_cg_on_a_newton_system(self):
+        # the Hessian of a 1d p = 3 iterate plus the flow's shift
+        g, u = linear_state(301)
+        h, cell_w = g.spacing, pde._cell_weights(GAUSS, g)
+        vals = u.values + 0.3 * np.sin(3.0 * g.axis())
+        _, grad, terms = _energy_terms(vals, h, cell_w, 3.0)
+        centre, neighbours = _flat(_hessian(h, cell_w, 3.0, *terms))
+        metric = _node_metric(GAUSS, g)
+        shift = metric / 1e-2
+        direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
+        cg, it, norm = _pcg((centre, neighbours), shift, -grad, metric, 1e-12, 10_000,
+                            _workspace(g.shape))
+        assert norm <= 1e-12 and it > 1
+        assert math.sqrt(np.vdot(direct - cg, metric * (direct - cg))) <= 1e-9
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Calls of _pcg, of _tridiagonal_solve and of _hessian, by name."""
+        calls = {"_pcg": 0, "_tridiagonal_solve": 0, "_hessian": 0}
+        for name in calls:
+            def wrapper(*args, fn=getattr(pde, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(pde, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("dualization, spec, half_width", [
+        ("weighted", GAUSS, 6.0), ("lebesgue", WeightSpec(-0.5, 2.0, 1), 2.0)])
+    def test_1d_flow_solves_each_newton_system_directly(self, monkeypatch, dualization, spec,
+                                                        half_width):
+        calls = self.counted(monkeypatch)
+        g = build_grid(1, half_width, 101)
+        u = sample_field(g, lambda x: np.maximum(1 - x * x, 0.0))
+        prob = EvolutionProblem(3.0, spec, u, 0.05, 0.01, dualization=dualization)
+        systems = []
+        for step in evolve(prob):
+            assert step.iterations == calls["_tridiagonal_solve"] == calls["_hessian"]
+            systems.append(step.iterations)
+            calls.update(_tridiagonal_solve=0, _hessian=0)
+        assert len(systems) == 6 and all(systems[1:])
+        assert calls["_pcg"] == 0
+
+    def test_2d_flow_and_stationary_solve_use_cg(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        g = build_grid(2, 3.0, 21)
+        u = sample_field(g, lambda x, y: np.sin(x) * np.cos(y))
+        solve_evolution(EvolutionProblem(3.0, WeightSpec(1.0, 2.0, 2), u, 0.02, 0.01))
+        assert calls["_pcg"] >= calls["_hessian"] > 0 and calls["_tridiagonal_solve"] == 0
+        calls.update(_pcg=0, _hessian=0)
+        g = build_grid(1, 6.0, 301)
+        solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, 3.0)
+        assert calls["_pcg"] >= calls["_hessian"] > 0 and calls["_tridiagonal_solve"] == 0
+
+
 class TestEvolution:
     def test_ou_decay_short(self):
         g, u = linear_state(301)
