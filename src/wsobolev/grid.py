@@ -6,19 +6,20 @@ values; convolution extends them by zero outside the box.  The node count
 per axis is kept odd so that the origin is always a node and composite
 Simpson weights apply without special cases.
 
-No code path depends on d.  Every integral in the package is a 1d rule
-(segment_weights, Simpson; or trapezoid_weights) applied along each axis:
-tensor_rule gives its weights for a block of any shape and integrate its
-integral, quadrature_rows the integrals of a batch of grid functions, one
-row each, and this module is the only one that builds them.  The other
-tensor helpers are ball_slices (the node box of a ball) and the
-summed-area table that maximal_function and maximal_at share, whose box
-sums are differences along one axis at a time.  The package's 1d-only
-steps lie outside this module: the power-law extrapolation across an
-isolated zero node in the Muckenhoupt integral
-(weights._ball_integral_power), and the bump corpus
-(corpus.CorpusMember.on_grid), so verify-inequalities (cli._cmd_verify)
-refuses dim != 1 too.
+No code path depends on d, except that maximal_function batches its radii
+in 1d only.  Every integral in the package is a 1d rule (segment_weights,
+Simpson; or trapezoid_weights) applied along each axis: tensor_rule gives
+its weights for a block of any shape and integrate its integral,
+quadrature_rows the integrals of a batch of grid functions, one row each,
+and this module is the only one that builds them.  The other tensor helpers
+are ball_slices (the node box of a ball) and the summed-area table that
+maximal_function and maximal_at share, whose box sums are differences along
+one axis at a time (maximal_function reads them as shifted views of the
+table padded with its edge slices).  The package's 1d-only steps lie
+outside this module: the power-law extrapolation across an isolated zero
+node in the Muckenhoupt integral (weights._ball_integral_power), and the
+bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
+(cli._cmd_verify) refuses dim != 1 too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Grid",
@@ -89,7 +91,8 @@ class Grid:
         return np.stack(self.mesh(), axis=-1)
 
     def node_radii(self) -> np.ndarray:
-        return np.sqrt(sum(m * m for m in self.mesh()))
+        x = self.axis()
+        return np.sqrt(reduce(np.add.outer, [x * x] * self.dim))
 
     def index_of(self, coord: float) -> int:
         """Index of the node closest to a coordinate along one axis."""
@@ -335,35 +338,57 @@ def _summed_area(f: GridFunction) -> np.ndarray:
     return np.pad(S, (1, 0))
 
 
+# radii x nodes that one pass of maximal_at, or of the 1d maximal_function,
+# takes, so its temporaries stay small next to the grid
+_MAXIMAL_AT_BLOCK = 8192
+
+
 def maximal_function(f: GridFunction) -> GridFunction:
     """Centered maximal function over the radius lattice {h, 2h, ..., R}.
 
     Ball averages are plain node means over the window clipped to the box
     (in 2d the windows are axis-aligned boxes), so constants are reproduced
     exactly and sublinearity holds node-wise.
+
+    The summed-area table P is padded with K = (n - 1) / 2 copies of its
+    edge slices on each side, which clips every window to the box: along
+    each axis the box of radius k around node i runs from P[K+i-k] to
+    P[K+i+k+1], a shifted view.  In 1d a block of radii is one difference
+    of two window views; otherwise each radius takes the differences along
+    one axis at a time, the first axis first, as maximal_at does.
     """
     d = f.grid.dim
     n = f.grid.nodes_per_axis
-    kmax = (n - 1) // 2  # radius lattice stops at the box half-width
-    idx = np.arange(n)
-    S = _summed_area(f)
+    K = (n - 1) // 2  # radius lattice stops at the box half-width
+    P = np.pad(_summed_area(f), K, mode="edge")
+    idx = np.arange(n, dtype=float)  # the node counts are exact in floats
+
+    def counts(k):
+        """Nodes in the clipped window of radius k around each node."""
+        c = np.minimum(idx, k)
+        c += np.minimum(idx[::-1], k)
+        c += 1.0
+        return c
+
     best = np.zeros(f.grid.shape)
-    for k in range(1, kmax + 1):
-        lo = np.maximum(idx - k, 0)
-        hi = np.minimum(idx + k, n - 1)
-        # box sums: along each axis in turn, the table at the box's upper
-        # end minus the table just below its lower end
-        box = S
-        for a in range(d):
-            box = box.take(hi + 1, axis=a) - box.take(lo, axis=a)
-        avg = box / reduce(np.multiply.outer, [hi - lo + 1] * d)
-        np.maximum(best, avg, out=best)
+    if d == 1:
+        # windows[j] = P[j : j + n]; reversed, row K + 1 + k is the lower end K - k
+        windows = sliding_window_view(P, n)
+        step = max(1, _MAXIMAL_AT_BLOCK // n)
+        for start in range(1, K + 1, step):
+            stop = min(start + step, K + 1)
+            rows = slice(K + 1 + start, K + 1 + stop)  # radii down, nodes across
+            means = windows[rows] - windows[::-1][rows]
+            means /= counts(np.arange(start, stop, dtype=float)[:, None])
+            np.maximum(best, np.max(means, axis=0), out=best)
+    else:
+        for k in range(1, K + 1):
+            box = P[(slice(K - k, K + k + 1 + n),) * d]
+            for a in range(d):
+                lead = (slice(None),) * a
+                box = box[lead + (slice(2 * k + 1, None),)] - box[lead + (slice(None, n),)]
+            np.maximum(best, box / reduce(np.multiply.outer, [counts(k)] * d), out=best)
     return GridFunction(f.grid, best)
-
-
-# radii x nodes that one pass of maximal_at takes, so its temporaries stay
-# small next to the grid
-_MAXIMAL_AT_BLOCK = 8192
 
 
 def maximal_at(f: GridFunction, nodes: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +57,16 @@ _LOG_TINY = math.log(_TINY)
 # ---------------------------------------------------------------------------
 
 
+def _squared_norms(pts: np.ndarray) -> np.ndarray:
+    """|x|^2 at points of shape (..., dim): the squared coordinates added in
+    axis order, bit for bit np.sum(pts * pts, axis=-1) without the cost of a
+    reduction over a short trailing axis."""
+    sq = pts * pts
+    return reduce(np.add, [sq[..., a] for a in range(sq.shape[-1])])
+
+
 def _radii(pts: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(pts * pts, axis=-1))
+    return np.sqrt(_squared_norms(pts))
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class QuadraticTerm:
     c: float
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.c * np.sum(pts * pts, axis=-1)
+        return self.c * _squared_norms(pts)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         # c * pts first: a zero coordinate then gives 0, not inf * 0 = NaN,
@@ -305,11 +315,22 @@ def eval_weight(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def eval_weight_root(spec: WeightSpec, pts: np.ndarray, p: float) -> np.ndarray:
-    """p-th root of the weight, computed as exp(log(w)/p) for accuracy."""
+    """p-th root of the weight, computed as exp(log(w)/p) for accuracy.  A
+    root beyond float range (log w / p above log(float max)) raises
+    ValueError naming the first such point."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     pts = np.asarray(pts, dtype=float)
-    return np.exp(np.maximum(spec.exponent(pts) / p, _LOG_TINY))
+    log_w = spec.exponent(pts)
+    scaled = log_w / p
+    over = scaled > _LOG_HUGE
+    if over.any():
+        node = tuple(int(i) for i in np.argwhere(over)[0])
+        x = tuple(float(c) for c in pts[node])
+        raise ValueError(f"the weight overflows at node {node}, x = {x}: log w = "
+                         f"{log_w[node]:.6g} exceeds p * log(float max) = "
+                         f"{p * _LOG_HUGE:.6g} at p = {p:g}")
+    return np.exp(np.maximum(scaled, _LOG_TINY))
 
 
 def eval_log_drift(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:

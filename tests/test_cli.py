@@ -677,6 +677,29 @@ class TestStructuralRegularity:
     weight-report writes no numeric verdict on it (on the default grid,
     h = 0.04)."""
 
+    @pytest.mark.parametrize("subcommand, weight, grid, log_w", [
+        ("weight-report", {**GAUSS_1D, "W": [{"kind": "constant", "c": -800.0}]}, {}, "764"),
+        ("solve-evolution", {"beta": 0.1, "q": 1.2, "dim": 1,
+                             "W": [{"kind": "power_abs", "c": -114.0, "s": 2.0}]}, {}, "4103.14"),
+        ("approximate", {"beta": 1.0, "q": 3.0, "dim": 1,
+                         "W": [{"kind": "quadratic_form", "c": -65.7}]},
+         {"half_width": 10.0}, "5570"),
+        ("solve-stationary", {**GAUSS_1D, "V": [{"kind": "power_abs", "c": -128.0, "s": 1.5}]},
+         {}, "1845.21"),
+    ])
+    def test_upward_overflow_is_one_error_line(self, subcommand, weight, grid, log_w, tmp_path,
+                                               capsys):
+        # log w exceeds log(float max) at the box's left edge, the first node
+        doc = {"weight": weight, "grid": grid}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL and caught == [] and not out.exists()
+        x = -grid.get("half_width", 6.0)
+        assert capsys.readouterr().err == (
+            f"error: the weight overflows at node (0,), x = ({x},): log w = {log_w} exceeds "
+            "p * log(float max) = 709.783 at p = 1\n")
+
     CASES = {
         # k = pi/h: every other node sits in a trough of V
         "cosine-at-the-node-frequency": {"weight": {**GAUSS_1D, "V": [

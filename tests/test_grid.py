@@ -1,14 +1,19 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
+from wsobolev import grid
 from wsobolev.cli import _state_csv
 
 from wsobolev.grid import (
     Grid,
     GridFunction,
     _mollifier_taps,
+    _summed_area,
     build_grid,
     discrete_gradient,
     maximal_function,
@@ -266,6 +271,65 @@ class TestMaximalFunction:
         g = Grid(2, 2.0, 41)
         f = GridFunction(g, np.ones(g.shape))
         assert_allclose(maximal_function(f).values, 1.0)
+
+
+def _take_maximal(f):
+    """The maximal function by one clipped-index gather of the unpadded
+    summed-area table per radius and axis, the box sums formed along the
+    first axis first, then divided by the integer node counts."""
+    d, n = f.grid.dim, f.grid.nodes_per_axis
+    idx = np.arange(n)
+    S = _summed_area(f)
+    best = np.zeros(f.grid.shape)
+    for k in range(1, (n - 1) // 2 + 1):
+        lo = np.maximum(idx - k, 0)
+        hi = np.minimum(idx + k, n - 1)
+        box = S
+        for a in range(d):
+            box = box.take(hi + 1, axis=a) - box.take(lo, axis=a)
+        np.maximum(best, box / reduce(np.multiply.outer, [hi - lo + 1] * d), out=best)
+    return best
+
+
+class TestPaddedMaximalFunction:
+    """The padded-table views give the gather loop's values bit for bit."""
+
+    @staticmethod
+    def field(dim, n, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes over many decades, so that the table's rounding shows
+        values = rng.standard_normal((n,) * dim) * np.exp(rng.uniform(-30.0, 30.0, (n,) * dim))
+        return GridFunction(Grid(dim, 1.0, n), values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", range(3, 42, 2))
+    def test_equals_the_gather_loop(self, dim, n):
+        f = self.field(dim, n, n)
+        assert np.array_equal(maximal_function(f).values, _take_maximal(f))
+
+    @pytest.mark.parametrize("block", ["1", "7", "7n"])
+    @pytest.mark.parametrize("n", [3, 5, 17, 29, 41])
+    def test_ragged_radius_blocks(self, block, n, monkeypatch):
+        # 7n gives 7 radii a block, so the last block is short unless 7 divides (n-1)/2
+        monkeypatch.setattr(grid, "_MAXIMAL_AT_BLOCK", 7 * n if block == "7n" else int(block))
+        for dim in (1, 2):
+            f = self.field(dim, n, 100 + n)
+            assert np.array_equal(maximal_function(f).values, _take_maximal(f))
+
+    @pytest.mark.parametrize("dim, n, arrays", [(1, 601, 200), (2, 101, 16)])
+    def test_peak_memory(self, dim, n, arrays):
+        # 1d blocks hold at most _MAXIMAL_AT_BLOCK means at a time; all K x n
+        # of them at once would take 1.4 MB at n = 601
+        f = self.field(dim, n, 0)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            maximal_function(f)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * f.values.nbytes
 
 
 class TestSampleField:

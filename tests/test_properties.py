@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wsobolev.grid import (
     Grid,
@@ -34,7 +35,10 @@ from wsobolev.weights import (
     Ball,
     CosineTerm,
     PotentialExpr,
+    QuadraticTerm,
     WeightSpec,
+    _radii,
+    _squared_norms,
     estimate_muckenhoupt,
     weight_on_grid,
 )
@@ -163,3 +167,31 @@ def test_mollifier_has_unit_mass_and_contracts(w, radius, seed):
     for f in (w, g):
         sup = np.max(np.abs(f.values))
         assert np.max(np.abs(mollify(f, eps).values)) <= sup * (1.0 + 1e-12)
+
+
+# every float64 but NaN: huge, subnormal, signed zero and infinite coordinates
+ANY_FLOAT = st.floats(allow_nan=False, allow_subnormal=True)
+
+
+@PROPERTY
+@given(data=st.data(), dim=st.sampled_from([1, 2]))
+def test_norms_are_the_trailing_axis_sum_bit_for_bit(data, dim):
+    lead = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5))
+    pts = data.draw(hnp.arrays(np.float64, lead + (dim,), elements=ANY_FLOAT))
+    c = data.draw(ANY_FLOAT)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sq = np.sum(pts * pts, axis=-1)
+        assert _squared_norms(pts).tobytes() == sq.tobytes()
+        assert _radii(pts).tobytes() == np.sqrt(sq).tobytes()
+        assert QuadraticTerm(c).value(pts).tobytes() == (c * sq).tobytes()
+
+
+@PROPERTY
+@given(dim=st.sampled_from([1, 2]), n=st.sampled_from([3, 5, 11, 41, 101]),
+       half_width=st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True))
+def test_node_radii_are_the_meshgrid_sum_bit_for_bit(dim, n, half_width):
+    grid = Grid(dim, half_width, n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.sqrt(sum(m * m for m in grid.mesh()))
+        got = grid.node_radii()
+    assert got.tobytes() == want.tobytes()

@@ -144,6 +144,17 @@ class TestWeightSpec:
         assert w[0] == 1.0
         assert w[1] == pytest.approx(np.finfo(float).tiny, rel=1e-12)
 
+    def test_upward_overflow_names_the_first_node(self):
+        # log w = 1000 - x^2: w overflows on |x| < 17.0, its square root nowhere;
+        # at p = 1 the first overflowing point is the second one
+        spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((ConstantTerm(-1000.0),)))
+        pts = pts1(20.0, 10.0, 0.0)
+        assert_allclose(eval_weight_root(spec, pts, 2.0), np.exp((1000.0 - pts[:, 0] ** 2) / 2))
+        with pytest.raises(ValueError, match=r"overflows at node \(1,\), x = \(10\.0,\): "
+                                             r"log w = 900 exceeds p \* log\(float max\) = "
+                                             r"709\.783 at p = 1$"):
+            eval_weight(spec, pts)
+
     def test_opposite_overflows_are_undefined(self):
         # beta |x|^2 = +inf and W = -inf at |x| = 5 leave inf - inf, not NaN
         spec = WeightSpec(1e307, 2.0, 1, W=PotentialExpr((PowerAbsTerm(-1e307, 2.0),)))

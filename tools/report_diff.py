@@ -1,4 +1,4 @@
-"""Byte-compare the CLI reports and library results of two source trees.
+"""Byte-compare the CLI reports, library results and arrays of two source trees.
 
     python tools/report_diff.py OLD_SRC NEW_SRC
 
@@ -9,12 +9,17 @@ repeated configs dropped) plus the README config in 1d and in 2d. Each runs
 once per tree through `wsobolev.cli.main`, in the same relative paths, so
 messages that name a path match. Every library case of the same run lists
 also runs once per tree, through the functions `bench/run.py` hands its
-library cases (`LIB_NAMES`), and its result is compared by `repr`.
+library cases (`LIB_NAMES`), and its result is compared by `repr`. For every
+catalog weight of the diagnostics run lists, the node values of the weight
+(`weight_on_grid`) and of the maximal function of its p-th root
+(`maximal_function(root_on_grid(...))`) are compared byte for byte.
 
 Every report file, exit code, stderr text and library result that differs
 between the trees is printed with its first differing line and the largest
 change among its numbers, absolute and relative to the text's largest
-number; the exit status is 1 if any differs, else 0. Only `bench/` and
+number; every array that differs, with the number of values that changed
+and the largest change relative to the value. The exit status is 1 if
+anything differs, else 0. Only `bench/` and
 `README.md` of this checkout are read; nothing is written outside a
 temporary directory.
 """
@@ -38,6 +43,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("diagnostics", "flow-1d", "flow-2d")
@@ -76,6 +83,15 @@ def library_calls() -> dict:
     cases = _bench("cases")
     return {f"{case.name}-s{seed}": case.call for workload in WORKLOADS for seed in SEEDS
             for case in cases.build(workload, seed) if case.call is not None}
+
+
+def array_probes() -> dict[str, dict]:
+    """Case name -> config of every diagnostics catalog weight: its weight,
+    p and grid, read from the weight's `weight-report` case."""
+    cases = _bench("cases")
+    return {f"{case.name.removesuffix('-weight-report')}-s{seed}": case.config
+            for seed in SEEDS for case in cases.build("diagnostics", seed)
+            if case.subcommand == "weight-report"}
 
 
 def runs() -> dict[str, tuple[str, dict]]:
@@ -126,6 +142,34 @@ def run_library(src: Path, calls: dict) -> dict[str, str]:
             except Exception as err:  # an exception is a result too
                 out[name] = f"raised {type(err).__name__}: {err}"
     return out
+
+
+def run_arrays(src: Path, probes: dict[str, dict]) -> dict[str, np.ndarray]:
+    """Probe name -> node values of each probe's weight (`<name>-weight`) and
+    of the maximal function of its p-th root (`<name>-maximal`) against the
+    package in src."""
+    pkg = _import_package(src)
+    out = {}
+    for name, config in probes.items():
+        spec = pkg.weights.WeightSpec.from_json(config["weight"])
+        g = config["grid"]
+        grid = pkg.grid.build_grid(spec.dim, g["half_width"], g["nodes_per_axis"])
+        out[f"{name}-weight"] = pkg.weights.weight_on_grid(spec, grid).values
+        root = pkg.weights.root_on_grid(spec, grid, config["p"])
+        out[f"{name}-maximal"] = pkg.grid.maximal_function(root).values
+    return out
+
+
+def _array_change(a: np.ndarray, b: np.ndarray) -> str:
+    if a.shape != b.shape:
+        return f"shape {a.shape} -> {b.shape}"
+    changed = (a != b) & ~(np.isnan(a) & np.isnan(b))
+    if not changed.any():
+        return "equal values, different bytes (signed zeros or NaN payloads)"
+    with np.errstate(all="ignore"):
+        own = np.abs(a - b)[changed] / np.maximum(np.abs(a), np.abs(b))[changed]
+    return (f"{np.count_nonzero(changed)} of {a.size} values changed, largest by "
+            f"{np.max(own):.3g} of its own")
 
 
 def run_tree(src: Path, work: Path, todo: dict[str, tuple[str, dict]]) -> None:
@@ -220,11 +264,16 @@ def main(argv=None) -> int:
     lib_problems = [f"{name}: {_first_difference(x.encode(), y.encode())}; "
                     f"{_numeric_change(x.encode(), y.encode())}"
                     for name in calls if (x := old_lib[name]) != (y := new_lib[name])]
-    for line in problems + lib_problems:
+    probes = array_probes()
+    old_arrays, new_arrays = run_arrays(old_src, probes), run_arrays(new_src, probes)
+    array_problems = [f"{name}: {_array_change(x, y)}" for name, x in old_arrays.items()
+                      if x.tobytes() != (y := new_arrays[name]).tobytes()]
+    for line in problems + lib_problems + array_problems:
         print(line)
     print(f"{len(todo)} configs, {n_files} files: {len(problems)} differ")
     print(f"{len(calls)} library results: {len(lib_problems)} differ")
-    return 1 if problems or lib_problems else 0
+    print(f"{len(old_arrays)} arrays: {len(array_problems)} differ")
+    return 1 if problems or lib_problems or array_problems else 0
 
 
 if __name__ == "__main__":
