@@ -390,9 +390,9 @@ def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
     start is formed by one apply) until the residual's metric norm
     sqrt(sum r^2/metric) is at most target or the budget is spent; returns
     the solution, the iterations and that norm, the norm of CG's recursive
-    residual.  A product d^T A d that is not positive ends it early.  Every
-    vector but the solution is a row of work (see _workspace), so rhs must not
-    be one of rows 0-5; start is copied, not overwritten."""
+    residual.  A product d^T A d that is not positive and finite ends it
+    early.  Every vector but the solution is a row of work (see _workspace),
+    so rhs must not be one of rows 0-5; start is copied, not overwritten."""
     centre, neighbours = stencil
     diag, r, z, d, ad, tmp = work.reshape(len(work), -1)[:6]
     np.add(centre.reshape(-1), shift.reshape(-1), diag)
@@ -408,7 +408,7 @@ def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
     while (rnorm := math.sqrt(np.vdot(r, np.divide(r, metric, tmp)))) > target and it < budget:
         _apply(diag, neighbours, d, ad, tmp)
         dad = np.vdot(d, ad)
-        if not dad > 0.0:
+        if not 0.0 < dad < math.inf:
             break
         alpha = rz / dad
         flat_x += np.multiply(d, alpha, tmp)
@@ -469,13 +469,13 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     positive shift (tau finite) is tridiagonal and positive definite: it is
     solved exactly by _tridiagonal_solve, which counts as one iteration.
     Every other system goes to CG, as does one whose factorization meets a
-    pivot that is not positive (the rounded matrix is not definite).  The
-    first CG system is solved to a tenth of the tolerance, later ones as far
-    as the last model missed the new gradient (Eisenstat-Walker); an inexact
-    step that does not lower the gradient norm is redone exactly.  Steps
-    backtrack on the true objective with a round-off allowance, since near
-    the minimizer the decrease drops below one ulp.  The solve has stalled, and raises at once, if no step is
-    found or an exact one lowers neither the objective nor the gradient norm.
+    pivot that is not positive (the rounded matrix is not definite), and CG
+    solves each to a tenth of the tolerance.  Steps backtrack on the true
+    objective with a round-off allowance, since near the minimizer the
+    decrease drops below one ulp.  The solve has stalled, and raises at
+    once, if no step is found or a step lowers neither the objective nor the
+    gradient norm.  A gradient norm that is not finite fails the solve: the
+    iterate has left float range.
     """
     h, shift, pull = grid.spacing, metric / tau, metric * source
     project = math.isinf(tau)
@@ -526,21 +526,21 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[0]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
-    forcing, positive = 0.0, bool(np.all(shift > 0.0))
-    while gnorm > _TOLERANCE:
+    positive = bool(np.all(shift > 0.0))
+    while not gnorm <= _TOLERANCE:  # a NaN norm enters too
+        if not math.isfinite(gnorm):
+            raise failure(f"the iterate left float range at iteration {spent}", gnorm)
         if spent == _MAX_ITERATIONS:
             raise exhausted(gnorm)
         centre, neighbours = _flat(_hessian(h, cell_w, p, *terms[2]))
         rhs = np.negative(g, work[6])
         step = (_tridiagonal_solve(centre + shift, neighbours[0][2], rhs)
                 if positive and len(neighbours) == 1 else None)
-        direct = step is not None
-        if direct:
+        if step is not None:
             its = 1
         else:
-            step, its, model_gnorm = _pcg((centre, neighbours), shift, rhs, metric,
-                                          max(0.1 * _TOLERANCE, forcing * gnorm),
-                                          _MAX_ITERATIONS - spent, work)
+            step, its, _ = _pcg((centre, neighbours), shift, rhs, metric, 0.1 * _TOLERANCE,
+                                _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
@@ -554,14 +554,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             alpha *= _SHRINK
         else:
             raise failure(f"line search stalled at iteration {spent}", gnorm)
-        if trial_gnorm >= gnorm and forcing > 0.0:
-            forcing = 0.0
-            continue
         if trial_gnorm >= gnorm and trial_obj >= obj:
             raise failure(f"line search stalled at iteration {spent}", gnorm)
-        if not direct:
-            model_gnorm = (1.0 - alpha) * gnorm + alpha * model_gnorm
-            forcing = min(0.5, abs(trial_gnorm - model_gnorm) / gnorm)
         v, obj, g, gnorm, terms = trial, trial_obj, trial_g, trial_gnorm, trial_terms
     return v, spent, terms[0]
 
@@ -684,11 +678,13 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
                    float(np.sum(metric * vals)) / metric_total, iters)
 
 
+@np.errstate(all="ignore")
 def solve_evolution(problem: EvolutionProblem) -> Trajectory:
     """evolve, run to the horizon and folded into a Trajectory: its times,
     energies, means and solves' solver iterations, and its last state, the only
     one kept, so a flow holds O(1) node arrays however many steps it takes.
-    The gate (see evolve) raises here."""
+    The gate (see evolve) raises here.  numpy's floating-point warnings are
+    off: an iterate that leaves float range fails its solve (_minimize)."""
     traj = Trajectory([], [], [], [], problem.u0)
     for k, step in enumerate(evolve(problem)):
         traj.times.append(step.t)
@@ -717,13 +713,15 @@ class StationaryResult:
                 "objective": self.objective}
 
 
+@np.errstate(all="ignore")
 def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryResult:
     """Minimize the source-perturbed energy over mean-zero grid functions.
 
     The natural (no-flux) boundary leaves constants in the operator's
     kernel, so the source must be compatible: its weighted mean has to
     vanish (within tolerance, relative to the source's size), and the
-    solution is pinned down by the mean-zero constraint.
+    solution is pinned down by the mean-zero constraint.  As in
+    solve_evolution, numpy's floating-point warnings are off for the solve.
     """
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")

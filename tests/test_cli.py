@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsobolev
 from wsobolev import cli
@@ -758,3 +763,110 @@ class TestChosenL:
         code, out = run_main(tmp_path, "verify-inequalities", self.CASES[case])
         assert code == EXIT_OK
         assert json.loads((out / "verify_summary.json").read_text())["all_hold"] is True
+
+
+class TestSolverFloatRange:
+    """A solve whose iterate leaves float range fails in one line, with no
+    numpy warning before it; a stationary solve on a coarse grid converges."""
+
+    CASES = {
+        # the energy overflows within two Newton steps
+        "stationary-energy-overflow": ("solve-stationary", {
+            "weight": {"beta": 0.121, "q": 2.01, "dim": 1, "V": [
+                {"kind": "constant", "c": 17.6}, {"kind": "quadratic_form", "c": -65.5}]},
+            "p": 4.0, "grid": {"half_width": 3.09, "nodes_per_axis": 51}}),
+        # d^T A d overflows in the first CG iteration
+        "stationary-2d-curvature-overflow": ("solve-stationary", {
+            "weight": {"beta": -3.23, "q": 2.23, "dim": 2, "W": [
+                {"kind": "quadratic_form", "c": -0.313},
+                {"kind": "power_abs", "c": -0.134, "s": 2.65}],
+                "V": [{"kind": "cosine", "c": 0.151, "k": [2.2, 0.951]}]},
+            "p": 3.0, "grid": {"half_width": 7.21, "nodes_per_axis": 21},
+            "stationary": {"source": "2*(x+y)"}}),
+        # the first step starts at an infinite gradient norm
+        "lebesgue-flow-starts-at-inf": ("solve-evolution", {
+            "weight": {"beta": -0.138, "q": 2.5, "dim": 1,
+                       "W": [{"kind": "power_abs", "c": -1.91, "s": 3.24}],
+                       "V": [{"kind": "cosine", "c": -13.0, "k": [-1.23]}]},
+            "p": 4.0, "grid": {"half_width": 5.9, "nodes_per_axis": 101},
+            "evolution": {"T": 0.02, "tau": 0.01, "dualization": "lebesgue", "u0": "x"}}),
+        "stationary-steep-weight": ("solve-stationary", {
+            "weight": {"beta": 0.839, "q": 2.98, "dim": 1, "W": [
+                {"kind": "quadratic_form", "c": 101.0}, {"kind": "constant", "c": -50.8}]},
+            "p": 4.0, "grid": {"half_width": 9.49, "nodes_per_axis": 151}}),
+        # p = 2: CG's products overflow
+        "stationary-p2-overflow": ("solve-stationary", {
+            "weight": {"beta": -0.24, "q": 2.22, "dim": 1, "W": [
+                {"kind": "quadratic_form", "c": 5.59}, {"kind": "cosine", "c": 78.6, "k": [4.8]}],
+                "V": [{"kind": "constant", "c": -1.69}]},
+            "p": 2.0, "grid": {"half_width": 7.8, "nodes_per_axis": 101}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line(self, case, tmp_path, capsys):
+        subcommand, doc = self.CASES[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_main(tmp_path, subcommand, doc)
+        err = capsys.readouterr().err
+        assert code == EXIT_OPERATIONAL and caught == []
+        assert err.startswith("error: inner solver did not converge: ") and err.count("\n") == 1
+
+    def test_coarse_stationary_converges(self, tmp_path):
+        doc = {"weight": GAUSS_1D, "p": 3.0, "grid": {"nodes_per_axis": 151}}
+        code, out = run_main(tmp_path, "solve-stationary", doc)
+        assert code == EXIT_OK
+        assert json.loads((out / "stationary.json").read_text())["residual"] <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# every parseable config exits 0, 1 or 2, with at most one error line
+# ---------------------------------------------------------------------------
+
+COEFFICIENT = st.floats(-150.0, 150.0)
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A subcommand and a config of catalog terms of every kind, on a small
+    grid of odd or even n."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def terms():
+        out = []
+        for kind in draw(st.lists(st.sampled_from(
+                ["constant", "power_abs", "quadratic_form", "cosine"]), max_size=3)):
+            term = {"kind": kind, "c": draw(COEFFICIENT)}
+            if kind == "power_abs":
+                term["s"] = draw(st.floats(1.0, 4.0))
+            if kind == "cosine":
+                term["k"] = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+            out.append(term)
+        return out
+
+    weight = {"beta": draw(st.floats(-4.0, 4.0).filter(bool)), "q": draw(st.floats(1.1, 3.0)),
+              "dim": dim, "W": terms(), "V": terms()}
+    doc = {"weight": weight, "p": draw(st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0, 4.0])),
+           "grid": {"half_width": draw(st.floats(1.0, 10.0)),
+                    "nodes_per_axis": draw(st.integers(3, 61 if dim == 1 else 21))},
+           "evolution": {"T": 0.02, "tau": 0.01}}
+    if dim == 2:
+        doc["approximate"] = {"u0": "max(1 - x*x - y*y, 0)"}
+        doc["stationary"] = {"source": "2*(x+y)"}
+    return draw(st.sampled_from(SUBCOMMANDS)), doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_runs())
+def test_fuzz_exits_in_one_line(run):
+    subcommand, doc = run
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_main(Path(tmp), subcommand, doc)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_OPERATIONAL, EXIT_VERIFICATION)
+    assert [str(w.message) for w in caught] == [] and "Traceback" not in err
+    if code == EXIT_OPERATIONAL:
+        assert err.startswith("error:") and err.count("\n") == 1

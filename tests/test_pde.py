@@ -332,6 +332,33 @@ class TestPCG:
         again, it, _ = _pcg(stencil, shift, rhs, metric, 1e-6, 10_000, work, x)
         assert it == 0 and np.array_equal(again, x)
 
+    def test_infinite_curvature_ends_cg(self):
+        # d^T A d overflows on the first direction: CG stops before a step
+        g = build_grid(1, 1.0, 11)
+        stencil = _flat(_hessian(g.spacing, np.ones(10), 2.0))
+        rhs = np.full(g.shape, 1e160)
+        x, it, norm = _pcg(stencil, np.ones(g.shape), rhs, np.ones(g.shape), 1e-9, 100,
+                           _workspace(g.shape))
+        assert it == 0 and norm == math.inf and not x.any()
+
+    def test_every_newton_system_gets_one_target(self, monkeypatch):
+        # a 2d flow's and a stationary solve's CG systems, at p = 3
+        targets = []
+
+        def recorded(*args, pcg=pde._pcg):
+            targets.append(args[4])
+            return pcg(*args)
+
+        monkeypatch.setattr(pde, "_pcg", recorded)
+        g = build_grid(2, 6.0, 41)
+        u = sample_field(g, lambda x, y: x)
+        solve_evolution(EvolutionProblem(3.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 0.1))
+        flow = len(targets)
+        g = build_grid(1, 6.0, 101)
+        solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, 3.0)
+        assert 0 < flow < len(targets)
+        assert set(targets) == {0.1 * pde._TOLERANCE}
+
 
 class TestTridiagonal:
     @settings(max_examples=25, deadline=None)
@@ -440,6 +467,14 @@ class TestEvolution:
         assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
         drift = max(abs(m - traj.means[0]) for m in traj.means)
         assert drift <= 1e-9
+
+    def test_2d_large_steps_complete(self):
+        g = build_grid(2, 6.0, 61)
+        u = sample_field(g, lambda x, y: x)
+        traj = solve_evolution(EvolutionProblem(4.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 0.1))
+        e = traj.energies
+        assert len(e) == 3 and all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
+        assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
 
     def test_horizon_between_steps_is_the_last_time(self):
         # T = 0.25 is no whole number of tau = 0.1 steps: the last step is 0.05
@@ -751,6 +786,23 @@ class TestStationary:
         assert len(solves) == 1
         assert res.iterations == solves[0] < 100
         assert res.residual <= 1e-8
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_coarse_grid_converges(self, p):
+        g = build_grid(1, 6.0, 151)
+        res = solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, p)
+        assert res.residual <= 1e-6
+
+    def test_iterate_beyond_float_range_fails(self):
+        # the energy overflows within two Newton steps, and its gradient is NaN
+        config = parse_config({
+            "weight": {"beta": 0.121, "q": 2.01, "dim": 1, "V": [
+                {"kind": "constant", "c": 17.6}, {"kind": "quadratic_form", "c": -65.5}]},
+            "p": 4.0, "grid": {"half_width": 3.09, "nodes_per_axis": 51}})
+        f = sample_field(config.grid, lambda x: 2.0 * x)
+        with pytest.raises(ProxConvergenceError,
+                           match=r"left float range at iteration \d+ \(gradient norm nan\)"):
+            solve_stationary(f, config.weight, config.p)
 
     def test_p3_solution(self):
         # w |u'| u' = e^(-x^2) for f = 2x, so u = x solves the p = 3 problem too

@@ -5,7 +5,8 @@
 OLD_SRC and NEW_SRC are directories that hold a `wsobolev` package, such as
 the `src/` of two checkouts. The configs are every CLI case of the benchmark's
 run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
-repeated configs dropped) plus the README config in 1d and in 2d. Each runs
+repeated configs dropped), the README config in 1d and in 2d, and a sweep of
+102 solves that reach the Newton-CG path (`_sweep_configs`). Each runs
 once per tree through `wsobolev.cli.main`, in the same relative paths, so
 messages that name a path match. Every library case of the same run lists
 also runs once per tree, through the functions `bench/run.py` hands its
@@ -36,6 +37,7 @@ import contextlib
 import copy
 import importlib
 import io
+import itertools
 import json
 import math
 import re
@@ -67,6 +69,29 @@ def _readme_configs() -> dict[str, dict]:
     two["approximate"]["u0"] = "max(1 - x*x - y*y, 0)"
     two["evolution"]["T"] = 0.02
     return {"readme-1d": one, "readme-2d": two}
+
+
+def _sweep_configs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (subcommand, config) of the solves that go to CG at p > 2:
+    beta = 1, q = 2, half-width 6, V = 0 or 0.5 cos(1.5 sum x), p in {2.5, 3,
+    4}; 1d stationary solves (source 2x) at n in {101, 151, 201, 301, 601},
+    and 2d stationary solves (source 2(x + y)) and 2d flows (u0 = x, T = 0.2,
+    tau in {0.01, 0.1}) at n in {41, 61, 81, 101}."""
+    out = {}
+    for dim, p, cos in itertools.product((1, 2), (2.5, 3.0, 4.0), (False, True)):
+        weight = {"beta": 1.0, "q": 2.0, "dim": dim}
+        if cos:
+            weight["V"] = [{"kind": "cosine", "c": 0.5, "k": [1.5] * dim}]
+        tag = f"sweep-{dim}d-p{p:g}{'-cos' if cos else ''}"
+        for n in (101, 151, 201, 301, 601) if dim == 1 else (41, 61, 81, 101):
+            base = {"weight": weight, "p": p, "grid": {"half_width": 6.0, "nodes_per_axis": n}}
+            out[f"{tag}-n{n}-stationary"] = ("solve-stationary", {
+                **base, "stationary": {"source": "2*x" if dim == 1 else "2*(x+y)"}})
+            if dim == 2:
+                for tau in (0.01, 0.1):
+                    out[f"{tag}-n{n}-tau{tau:g}"] = ("solve-evolution", {
+                        **base, "evolution": {"T": 0.2, "tau": tau, "u0": "x"}})
+    return out
 
 
 def _bench(module: str):
@@ -114,6 +139,8 @@ def runs() -> dict[str, tuple[str, dict]]:
     for tag, config in _readme_configs().items():
         for subcommand in SUBCOMMANDS:
             add(f"{tag}-{subcommand}", subcommand, config)
+    for name, (subcommand, config) in _sweep_configs().items():
+        add(name, subcommand, config)
     return out
 
 
