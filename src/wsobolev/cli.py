@@ -108,15 +108,17 @@ def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
 
 def _state_csv(f: GridFunction, name: str) -> str:
     """CSV text of a state, one row per node in C order: the node's
-    coordinates, then its value.  A non-finite value raises ValueError
-    naming the node."""
+    coordinates, then its value.  The rows are one template, the nodes'
+    coordinate strings each followed by a %.12g slot, filled by one % over
+    the values: the same bytes as f"{v:.12g}" per value.  A non-finite
+    value raises ValueError naming the node."""
     bad = _first_non_finite(f.grid, f.values)
     if bad is not None:
         raise ValueError(f"{name}: {bad} is not a finite number, so the report cannot be written")
     g = f.grid
     coords = map("".join, itertools.product([f"{x:.12g}," for x in g.axis()], repeat=g.dim))
-    rows = "".join(f"{c}{v:.12g}\n" for c, v in zip(coords, f.values.ravel().tolist()))
-    return ",".join("xy"[: g.dim]) + ",value\n" + rows
+    rows = "%.12g\n".join(coords) + "%.12g\n"
+    return ",".join("xy"[: g.dim]) + ",value\n" + rows % tuple(f.values.ravel().tolist())
 
 
 def emit_report(results: dict, out_dir: str | Path) -> list[Path]:

@@ -22,17 +22,21 @@ stencil's exact diagonal.  A flow's Newton system in 1d is tridiagonal (one
 forward neighbour) and, with its positive shift M/tau, positive definite, so
 it is solved directly, by one O(n) LDL^T factorization, and not by CG; a 2d
 system and a stationary one (no shift, constants in the kernel) go to CG.
-At p = 2 the problem is linear: the stencil depends on the weight alone and
-is assembled once per solve, each minimization is the one system
+At p = 2 the problem is linear: each minimization is the one system
 (H + M/tau) v = (M/tau) u + M f, solved by a single CG warm-started at the
 step's start, and the energy is the quadratic form <v, Hv>/2, formed by one
-value-only pass over the flat stencil.  Each solve works in one scratch
-array, so CG allocates only its solution; its rows start on 64-byte
-boundaries.  Each step of a flow starts from the quadratic through its last
-three states, extrapolated in time.  A horizon that is no whole number of
-steps ends on a shorter last step.  A flow is streamed: evolve yields each
-state, read-only, as it is reached, and keeps only the three its next start
-needs; solve_evolution keeps only the last.
+value-only pass over the flat stencil.  H depends on the weight alone and
+is assembled once per flow; the shift M/tau and the diagonal of H + M/tau,
+which CG preconditions by, once per flow and step length: a horizon that is
+no whole number of steps ends on a shorter last step, which gets a system
+of its own.  A stationary solve prepares its system (tau = inf, no shift)
+the same way.  Each solve works in one scratch array, whose rows start on
+64-byte boundaries and hold the prepared diagonal too; CG continues its
+start in place, so a warm-started CG allocates nothing.  Each step of a
+flow starts from the quadratic through its last three states, extrapolated
+in time.  A flow is streamed: evolve yields each state, read-only, as it is
+reached, and keeps only the three its next start needs; solve_evolution
+keeps only the last.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float):
     differences and cell values |grad u|^2 that both are formed from."""
     diffs = _edge_differences(vals, h)
     s = _cell_square(diffs)
-    value = float(np.sum(cell_w * s ** (p / 2.0))) / p
+    value = float((cell_w * s ** (p / 2.0)).sum()) / p
     coef = cell_w * s ** ((p - 2.0) / 2.0)
     grad = _edge_differences_transpose([_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
     return value, grad, (diffs, s)
@@ -276,7 +280,7 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
     dim = cell_w.ndim
     q, r = cell_w, None
     if p > 2.0:
-        eps = 1e-6 * float(np.sum(cell_w * s) / np.sum(cell_w)) or 1.0
+        eps = 1e-6 * float((cell_w * s).sum() / cell_w.sum()) or 1.0
         q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
         r = (p - 2.0) * q / (s + eps)
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
@@ -330,11 +334,13 @@ def _flat(stencil: dict) -> tuple[np.ndarray, list]:
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
-    """One solve's scratch node arrays, in rows: _pcg takes rows 0-5 (its
-    diagonal, residual, preconditioned residual, direction, product and a
-    temporary) and _minimize row 6 (the CG right-hand side); a Newton
-    evaluation and _quadratic_energy reuse rows 0 and 1 between CG calls, and
-    the flow's extrapolated start row 0 between solves.
+    """One solve's scratch node arrays, in rows: row 0 holds the diagonal of
+    the system being solved (a p = 2 flow's for as long as its step length
+    lasts, see _prepare), _pcg takes rows 1-5 (its residual, preconditioned
+    residual, direction, product and a temporary) and _minimize row 6 (the
+    CG right-hand side); a Newton evaluation, _quadratic_energy, a
+    projection and the flow's extrapolated start reuse rows 1 and 2 between
+    CG calls.
 
     Every row starts on a 64-byte boundary: a row's length is rounded up to a
     whole number of 8 doubles and the rows are cut from one flat buffer at its
@@ -371,33 +377,32 @@ def _quadratic_energy(vals: np.ndarray, stencil: tuple, work: np.ndarray | None 
     """The p = 2 energy <v, Hv>/2 from the Hessian stencil in flat form.  H
     kills the constants, so it couples each pair i, i + o by c_o[i] (v[i+o] -
     v[i]), taken once per forward neighbour: the energy is a sum of -c_o
-    (v[i+o] - v[i])^2 / 2.  The differences and products are formed in the
-    first two rows of work (two fresh ones if it is not passed)."""
+    (v[i+o] - v[i])^2 / 2.  The differences and products are formed in rows
+    1 and 2 of work (two fresh ones if it is not passed)."""
     v, value = vals.reshape(-1), 0.0
-    rows = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)
-    dbuf, ebuf = rows[0], rows[1]
+    dbuf, ebuf = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)[1:3]
     for dst, src, c in stencil[1]:
         d = np.subtract(v[src], v[dst], dbuf[dst])
         value -= float(np.vdot(np.multiply(c, d, ebuf[dst]), d))
     return value / 2.0
 
 
-def _pcg(stencil: tuple, shift: np.ndarray, rhs: np.ndarray, metric: np.ndarray,
-         target: float, budget: int, work: np.ndarray,
-         start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
-    """CG on the flat stencil plus diag(shift), preconditioned by that sum's
-    exact diagonal (Jacobi), from start (default zero; its residual rhs - A
-    start is formed by one apply) until the residual's metric norm
-    sqrt(sum r^2/metric) is at most target or the budget is spent; returns
-    the solution, the iterations and that norm, the norm of CG's recursive
-    residual.  A product d^T A d that is not positive and finite ends it
-    early.  Every vector but the solution is a row of work (see _workspace),
-    so rhs must not be one of rows 0-5; start is copied, not overwritten."""
-    centre, neighbours = stencil
-    diag, r, z, d, ad, tmp = work.reshape(len(work), -1)[:6]
-    np.add(centre.reshape(-1), shift.reshape(-1), diag)
+def _pcg(stencil: tuple, rhs: np.ndarray, metric: np.ndarray, target: float, budget: int,
+         work: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+    """CG on a flat stencil whose centre is the system's whole diagonal,
+    preconditioned by that diagonal (Jacobi), from start (default zero; its
+    residual rhs - A start is formed by one apply) until the residual's
+    metric norm sqrt(sum r^2/metric) is at most target or the budget is
+    spent; returns the solution, the iterations and that norm, the norm of
+    CG's recursive residual.  A product d^T A d that is not positive and
+    finite ends it early.  The solution is start itself, overwritten in
+    place, or one new array; every other vector is one of rows 1-5 of work
+    (see _workspace), so neither rhs nor the diagonal may be one of those."""
+    diag, neighbours = stencil
+    diag = diag.reshape(-1)
+    r, z, d, ad, tmp = work.reshape(len(work), -1)[1:6]
     metric = metric.reshape(-1)
-    x = np.zeros(rhs.shape) if start is None else start.copy()
+    x = np.zeros(rhs.shape) if start is None else start
     flat_x = x.reshape(-1)
     if start is None:
         np.copyto(r, rhs.reshape(-1))
@@ -442,28 +447,42 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
+def _prepare(stencil: tuple, metric: np.ndarray, tau: float, work: np.ndarray) -> tuple:
+    """The p = 2 system of every step of length tau, (H + M/tau) v = (M/tau)
+    anchor + M source, as _minimize takes it: the shift M/tau and the flat
+    stencil of H + M/tau, whose diagonal, H's centre plus the shift, is
+    formed in row 0 of work.  It holds there until the next system is
+    prepared in the same work, which makes this one stale."""
+    centre, neighbours = stencil
+    shift = metric / tau
+    return shift, (np.add(centre, shift, work[0]), neighbours)
+
+
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
               p: float, tau: float = math.inf,
-              source: np.ndarray | float = 0.0, start: np.ndarray | None = None,
-              stencil: tuple | None = None, work: np.ndarray | None = None):
+              source: np.ndarray | None = None, start: np.ndarray | None = None,
+              system: tuple | None = None, work: np.ndarray | None = None):
     """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
-    pairing in the metric) from start (default: the anchor); returns the
+    pairing in the metric; no pairing without a source) from start (default:
+    a copy of the anchor), which the solve may overwrite; returns the
     minimizer, the solver iterations (CG iterations, one per direct solve)
     and its energy.  Without the proximal term (tau = inf) constants are
     free, so the start, the right-hand side and the minimizer are kept
-    metric-mean-zero.  The scratch space (see _workspace)
-    that CG and every evaluation form their temporaries in is made once, here
-    unless the caller passes it; the iterates, gradients and CG solutions are
-    the only new arrays.
+    metric-mean-zero.  The scratch space (see _workspace) that CG and every
+    evaluation form their temporaries in is made once, here unless the
+    caller passes it; the iterates, gradients and CG solutions are the only
+    new arrays.
 
     At p = 2 the objective is quadratic, so the minimizer solves one linear
     system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian
-    stencil: the same at every v and for every tau, assembled and flattened
-    once, here unless the caller passes it.  One CG, warm-started at the
-    start, solves it to a tenth of the tolerance; if CG ends early above the
-    tolerance it is restarted from its iterate, and a restart that takes no
-    iteration fails.  Only the energy of the minimizer is evaluated, by the
-    value-only pass over the stencil.
+    stencil: the same at every v, so one system (see _prepare) serves every
+    solve with step tau in the same work; it is prepared here unless the
+    caller passes it.  One CG, warm-started at the start, solves it to a
+    tenth of the tolerance; if CG ends early above the tolerance it is
+    restarted from its iterate, and the solve fails once a CG call takes no
+    iteration or leaves a norm that is not below the previous call's (one
+    that is not finite included).  Only the energy of the minimizer is
+    evaluated, by the value-only pass over the stencil.
 
     For p > 2, damped Newton.  A system with one forward neighbour (1d) and a
     positive shift (tau finite) is tridiagonal and positive definite: it is
@@ -477,12 +496,11 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     gradient norm.  A gradient norm that is not finite fails the solve: the
     iterate has left float range.
     """
-    h, shift, pull = grid.spacing, metric / tau, metric * source
-    project = math.isinf(tau)
-    metric_total = float(np.sum(metric))
+    h, project = grid.spacing, math.isinf(tau)
+    metric_total = float(metric.sum()) if project else None
     if work is None:
         work = _workspace(grid.shape)
-    v = anchor if start is None else start
+    v = anchor.copy() if start is None else start
     v = v - np.vdot(metric, v) / metric_total if project else v
     spent = 0
 
@@ -495,35 +513,42 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
                        f"{_TOLERANCE:g} in {spent} iterations", gnorm)
 
     if p == 2.0:
-        stencil = stencil or _flat(_hessian(h, cell_w, p))
+        if system is None:
+            system = _prepare(_flat(_hessian(h, cell_w, p)), metric, tau, work)
+        shift, stencil = system
         rhs = np.multiply(shift, anchor, work[6])
-        rhs += pull
+        if source is not None:
+            rhs += metric * source
         if project:
-            rhs -= np.multiply(metric, np.sum(rhs) / metric_total, work[0])
+            rhs -= np.multiply(metric, rhs.sum() / metric_total, work[1])
+        previous = math.inf
         while True:
-            v, its, rnorm = _pcg(stencil, shift, rhs, metric, 0.1 * _TOLERANCE,
+            v, its, rnorm = _pcg(stencil, rhs, metric, 0.1 * _TOLERANCE,
                                  _MAX_ITERATIONS - spent, work, v)
             spent += its
             if rnorm <= _TOLERANCE:
                 break
-            if spent == _MAX_ITERATIONS or not its:
+            if spent == _MAX_ITERATIONS or not its or not rnorm < previous:
                 raise exhausted(rnorm)
+            previous = rnorm
         if project:
             v -= np.vdot(metric, v) / metric_total
         return v, spent, _quadratic_energy(v, stencil, work)
+
+    shift, pull = metric / tau, metric * (0.0 if source is None else source)
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
         terms = _energy_terms(v, h, cell_w, p)
-        d = np.subtract(v, anchor, work[0])
-        prox = np.multiply(shift, d, work[1])
+        d = np.subtract(v, anchor, work[1])
+        prox = np.multiply(shift, d, work[2])
         obj = terms[0] + 0.5 * np.vdot(prox, d) - np.vdot(pull, v)
         g = terms[1] + prox
         g -= pull
         if project:
-            g -= np.multiply(metric, np.sum(g) / metric_total, work[0])
-        return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[0]))), terms
+            g -= np.multiply(metric, g.sum() / metric_total, work[1])
+        return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[1]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
     positive = bool(np.all(shift > 0.0))
@@ -533,20 +558,21 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         if spent == _MAX_ITERATIONS:
             raise exhausted(gnorm)
         centre, neighbours = _flat(_hessian(h, cell_w, p, *terms[2]))
+        stencil = (np.add(centre, shift, work[0]), neighbours)
         rhs = np.negative(g, work[6])
-        step = (_tridiagonal_solve(centre + shift, neighbours[0][2], rhs)
+        step = (_tridiagonal_solve(stencil[0], neighbours[0][2], rhs)
                 if positive and len(neighbours) == 1 else None)
         if step is not None:
             its = 1
         else:
-            step, its, _ = _pcg((centre, neighbours), shift, rhs, metric, 0.1 * _TOLERANCE,
+            step, its, _ = _pcg(stencil, rhs, metric, 0.1 * _TOLERANCE,
                                 _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
         alpha, slope = 1.0, np.vdot(g, step)
         for _ in range(60):
-            trial = v + np.multiply(step, alpha, work[0])
+            trial = v + np.multiply(step, alpha, work[1])
             trial_obj, trial_g, trial_gnorm, trial_terms = evaluate(trial)
             allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
             if trial_obj <= obj + _SUFFICIENT_DECREASE * alpha * slope + allowance:
@@ -660,22 +686,25 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
     if p == 2.0:
         stencil = _flat(_hessian(grid.spacing, cell_w, p))
         value = _quadratic_energy(vals, stencil, work)
+        system = _prepare(stencil, metric, tau, work)
     else:
-        stencil, value = None, _energy_terms(vals, grid.spacing, cell_w, p)[0]
-    metric_total = float(np.sum(metric))
+        system, value = None, _energy_terms(vals, grid.spacing, cell_w, p)[0]
+    metric_total = float(metric.sum())
     history = collections.deque([(0.0, vals)], maxlen=3)
     t, iters = 0.0, 0
     for k in range(n_steps + 1):
         if k:  # the solve starts from the last three states extrapolated to t
             last = k == n_steps and not whole
-            t = horizon if last else k * tau
-            vals, iters, value = _minimize(
-                vals, grid, metric, cell_w, p, horizon - (k - 1) * tau if last else tau,
-                start=_extrapolate(history, t, work[0]), stencil=stencil, work=work)
+            t, step = (horizon, horizon - (k - 1) * tau) if last else (k * tau, tau)
+            if last and system:  # the shorter last step's own system
+                system = _prepare(stencil, metric, step, work)
+            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step,
+                                           start=_extrapolate(history, t, work[1]),
+                                           system=system, work=work)
             history.append((t, vals))
         vals.flags.writeable = False
         yield Step(t, GridFunction(grid, vals), value,
-                   float(np.sum(metric * vals)) / metric_total, iters)
+                   float((metric * vals).sum()) / metric_total, iters)
 
 
 @np.errstate(all="ignore")

@@ -29,6 +29,7 @@ from wsobolev.pde import (
     _neighbours,
     _node_metric,
     _pcg,
+    _prepare,
     _quadratic_energy,
     _to_cells,
     _to_edges,
@@ -251,31 +252,32 @@ class TestWorkspace:
         cell_w = pde._cell_weights(spec, g)
         stencil = _flat(_hessian(g.spacing, cell_w, 2.0))
         metric = _node_metric(spec, g)
-        shift = metric / 1e-2
         rhs = np.random.default_rng(0).standard_normal(g.shape)
         work = _workspace(g.shape)
+        system = _prepare(stencil, metric, 1e-2, work)[1]
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            x, it, _ = _pcg(stencil, shift, rhs, metric, 0.0, iterations, work)
+            x, it, _ = _pcg(system, rhs, metric, 0.0, iterations, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert it == iterations
         assert x.shape == g.shape
         assert (peak - baseline) / rhs.nbytes <= 1.5
-        # a warm start is copied into the solution, and its residual formed in work
+        # a warm start is the solution, continued in place, and its residual
+        # is formed in work: CG allocates nothing
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            warm = _pcg(stencil, shift, rhs, metric, 0.0, iterations, work, x)[0]
+            warm = _pcg(system, rhs, metric, 0.0, iterations, work, x)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert warm is not x
-        assert (peak - baseline) / rhs.nbytes <= 1.5
+        assert warm is x
+        assert (peak - baseline) / rhs.nbytes <= 0.5
 
     @pytest.mark.parametrize("shape", [(301,), (101, 101), (41, 41)])
     def test_rows_are_aligned_views(self, shape):
@@ -313,32 +315,35 @@ class TestPCG:
     @pytest.mark.parametrize("shape", [(301,), (41, 41)])
     def test_warm_start_continues_from_its_iterate(self, shape):
         # CG restarted from its own iterate reaches the target; from the
-        # solution it takes no iteration; the start is left as it was
+        # solution it takes no iteration; the start is the solution, continued
+        # in place
         g = build_grid(len(shape), 6.0, shape[0])
         spec = WeightSpec(1.0, 2.0, len(shape))
         stencil = _flat(_hessian(g.spacing, pde._cell_weights(spec, g), 2.0))
         metric = _node_metric(spec, g)
-        shift = metric / 1e-2
-        rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
         work = _workspace(g.shape)
-        partial, it, norm = _pcg(stencil, shift, rhs, metric, 1e-9, 3, work)
+        shift, system = _prepare(stencil, metric, 1e-2, work)
+        assert np.array_equal(system[0], stencil[0] + shift)
+        rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
+        partial, it, norm = _pcg(system, rhs, metric, 1e-9, 3, work)
         assert it == 3 and norm > 1e-9
-        start = partial.copy()
-        x, it, norm = _pcg(stencil, shift, rhs, metric, 1e-9, 10_000, work, partial)
+        x, it, norm = _pcg(system, rhs, metric, 1e-9, 10_000, work, partial)
         assert 0 < it < 10_000 and norm <= 1e-9
-        assert np.array_equal(partial, start) and x is not partial
+        assert x is partial
         true = rhs - _apply(stencil[0] + shift, stencil[1], x)
         assert math.sqrt(np.vdot(true, true / metric)) <= 1e-9
-        again, it, _ = _pcg(stencil, shift, rhs, metric, 1e-6, 10_000, work, x)
-        assert it == 0 and np.array_equal(again, x)
+        solution = x.copy()
+        again, it, _ = _pcg(system, rhs, metric, 1e-6, 10_000, work, x)
+        assert it == 0 and np.array_equal(again, solution)
 
     def test_infinite_curvature_ends_cg(self):
         # d^T A d overflows on the first direction: CG stops before a step
         g = build_grid(1, 1.0, 11)
         stencil = _flat(_hessian(g.spacing, np.ones(10), 2.0))
         rhs = np.full(g.shape, 1e160)
-        x, it, norm = _pcg(stencil, np.ones(g.shape), rhs, np.ones(g.shape), 1e-9, 100,
-                           _workspace(g.shape))
+        work = _workspace(g.shape)
+        x, it, norm = _pcg(_prepare(stencil, np.ones(g.shape), 1.0, work)[1], rhs,
+                           np.ones(g.shape), 1e-9, 100, work)
         assert it == 0 and norm == math.inf and not x.any()
 
     def test_every_newton_system_gets_one_target(self, monkeypatch):
@@ -346,7 +351,7 @@ class TestPCG:
         targets = []
 
         def recorded(*args, pcg=pde._pcg):
-            targets.append(args[4])
+            targets.append(args[3])
             return pcg(*args)
 
         monkeypatch.setattr(pde, "_pcg", recorded)
@@ -401,7 +406,7 @@ class TestTridiagonal:
         metric = _node_metric(GAUSS, g)
         shift = metric / 1e-2
         direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
-        cg, it, norm = _pcg((centre, neighbours), shift, -grad, metric, 1e-12, 10_000,
+        cg, it, norm = _pcg((centre + shift, neighbours), -grad, metric, 1e-12, 10_000,
                             _workspace(g.shape))
         assert norm <= 1e-12 and it > 1
         assert math.sqrt(np.vdot(direct - cg, metric * (direct - cg))) <= 1e-9
@@ -485,6 +490,22 @@ class TestEvolution:
         e = traj.energies
         assert all(b < a for a, b in zip(e, e[1:]))
         assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
+
+    @pytest.mark.parametrize("n, dim", [(151, 1), (41, 2)])
+    def test_short_last_step_solves_its_own_system(self, n, dim):
+        # T = 0.25, tau = 0.1: the last step, of 0.05, through the flow's
+        # prepared system and through a fresh _minimize with its own tau
+        g = build_grid(dim, 6.0, n)
+        spec = WeightSpec(1.0, 2.0, dim, V=PotentialExpr((CosineTerm(0.5, (1.5,) * dim),)))
+        steps = list(evolve(EvolutionProblem(2.0, spec, sample_field(g, lambda *x: x[0]),
+                                             0.25, 0.1)))
+        assert [s.t for s in steps] == [0.0, 0.1, 0.2, 0.25]
+        history = [(s.t, s.state.values) for s in steps[:3]]
+        last, iters, value = pde._minimize(
+            steps[2].state.values, g, _node_metric(spec, g), pde._cell_weights(spec, g), 2.0,
+            0.25 - 0.2, start=_extrapolate(history, 0.25))
+        assert np.array_equal(steps[3].state.values, last)
+        assert (steps[3].iterations, steps[3].energy) == (iters, value)
 
     def test_newton_starts_from_the_last_states_extrapolated(self, monkeypatch):
         # T = 0.25, tau = 0.1: the third step is the short one, to 0.25
