@@ -26,17 +26,19 @@ At p = 2 the problem is linear: each minimization is the one system
 (H + M/tau) v = (M/tau) u + M f, solved by a single CG warm-started at the
 step's start, and the energy is the quadratic form <v, Hv>/2, formed by one
 value-only pass over the flat stencil.  H depends on the weight alone and
-is assembled once per flow; the shift M/tau and the diagonal of H + M/tau,
-which CG preconditions by, once per flow and step length: a horizon that is
-no whole number of steps ends on a shorter last step, which gets a system
-of its own.  A stationary solve prepares its system (tau = inf, no shift)
-the same way.  Each solve works in one scratch array, whose rows start on
-64-byte boundaries and hold the prepared diagonal too; CG continues its
-start in place, so a warm-started CG allocates nothing.  Each step of a
-flow starts from the quadratic through its last three states, extrapolated
-in time.  A flow is streamed: evolve yields each state, read-only, as it is
-reached, and keeps only the three its next start needs; solve_evolution
-keeps only the last.
+is assembled once per flow.  At every p, what depends only on the metric
+and tau is prepared once per flow and step length: the shift M/tau, whether
+it is positive at every node (a 1d Newton system is factored only then),
+and at p = 2 the diagonal of H + M/tau, which CG preconditions by.  A
+horizon that is no whole number of steps ends on a shorter last step, which
+gets a system of its own; a flow takes at least one step.  A stationary
+solve prepares its system (tau = inf, no shift) the same way.  Each solve
+works in one scratch array, whose rows start on 64-byte boundaries and hold
+the prepared diagonal too; CG continues its start in place, so a
+warm-started CG allocates nothing.  Each step of a flow starts from the
+quadratic through its last three states, extrapolated in time.  A flow is
+streamed: evolve yields each state, read-only, as it is reached, and keeps
+only the three its next start needs; solve_evolution keeps only the last.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     h, cell_w = u.grid.spacing, _cell_weights(spec, u.grid)
     if p == 2.0:  # the quadratic form, as the p = 2 solvers evaluate it
-        return _quadratic_energy(u.values, _flat(_hessian(h, cell_w, p)))
+        return _quadratic_energy(u.values, _hessian(h, cell_w, p))
     # below p = 2 the gradient formed alongside is singular where grad u vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
         return _energy_terms(u.values, h, cell_w, p)[0]
@@ -264,19 +266,21 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 
 
 def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
-             s: np.ndarray | None = None) -> dict[tuple[int, ...], np.ndarray]:
+             s: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The energy's Hessian at the iterate with edge differences diffs and
     |grad u|^2 = s, raised by 1e-6 of its weighted mean (by 1 if u is constant)
-    to stay definite where the gradient vanishes, assembled as the centre and
-    forward half of a neighbour stencil: each offset o in {-1, 0, 1}^d with
-    o >= 0 in lexicographic order -> node array c_o, in product order, the
-    centre first.  H is symmetric, so c_o also stands for the backward offset
-    -o, whose coefficient at i + o is c_o[i]: (Hv)[i] = sum_o c_o[i] v[i + o]
-    + c_o[i - o] v[i - o], the centre once.  H is sum_a D_a^T diag(k_a) D_a
-    with edge coefficients k_a = A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for
-    p > 2, per cell r g g^T with r = (p-2) cell_w (s + eps)^((p-4)/2) and
-    g . v = sum_a of the cell's mean of diffs_a D_a v.  At p = 2 that term
-    vanishes and the rest is cell_w's alone, so diffs and s are not needed."""
+    to stay definite where the gradient vanishes, as the flat stencil that
+    _apply takes: its centre c_0 and, per offset o in {-1, 0, 1}^d with
+    o > 0 in lexicographic order (in product order), the neighbour (dst,
+    src, c_o[dst]) on the raveled node arrays, src = dst + o.  H is
+    symmetric, so c_o also stands for the backward offset -o, whose
+    coefficient at i + o is c_o[i]: (Hv)[i] = sum_o c_o[i] v[i + o] +
+    c_o[i - o] v[i - o], the centre once.  Each c_o is assembled as a node
+    array.  H is sum_a D_a^T diag(k_a) D_a with edge coefficients k_a =
+    A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for p > 2, per cell r g g^T
+    with r = (p-2) cell_w (s + eps)^((p-4)/2) and g . v = sum_a of the
+    cell's mean of diffs_a D_a v.  At p = 2 that term vanishes and the rest
+    is cell_w's alone, so diffs and s are not needed."""
     dim = cell_w.ndim
     q, r = cell_w, None
     if p > 2.0:
@@ -309,34 +313,23 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
             rg = r * gamma[c]
             for e in corners[i:]:  # r g_c g_e at node c, forward offset e - c
                 stencil[tuple(y - x for x, y in zip(c, e))][at(c)] += rg * gamma[e]
-    return stencil
-
-
-def _neighbours(stencil: dict) -> list[tuple[slice, slice, np.ndarray]]:
-    """(dst, src, c_o[dst]) per forward offset o of the stencil, on the raveled
-    node arrays: o is the positive flat shift k = sum_a o_a stride_a, so dst
-    and src = dst + k are contiguous.  c_o is zero wherever i + o leaves the
-    grid, so the rows that wrap around add nothing, in either direction."""
-    shape = next(iter(stencil.values())).shape
-    strides, size = [math.prod(shape[a + 1:]) for a in range(len(shape))], math.prod(shape)
-    out = []
+    # flat, o is the positive shift k = sum_a o_a stride_a, so dst and src are
+    # contiguous; c_o is zero wherever i + o leaves the grid, so the rows that
+    # wrap around add nothing, in either direction
+    shape = centre.shape
+    strides, size = [math.prod(shape[a + 1:]) for a in range(dim)], math.prod(shape)
+    neighbours = []
     for o, c in stencil.items():
-        k = sum(x * s for x, s in zip(o, strides))
-        if k:
-            dst = slice(0, size - k)
-            out.append((dst, slice(k, size), c.reshape(-1)[dst]))
-    return out
-
-
-def _flat(stencil: dict) -> tuple[np.ndarray, list]:
-    """The stencil as _apply takes it: its centre and its flat neighbours."""
-    return next(c for o, c in stencil.items() if not any(o)), _neighbours(stencil)
+        if k := sum(x * t for x, t in zip(o, strides)):
+            neighbours.append((slice(0, size - k), slice(k, size), c.reshape(-1)[:size - k]))
+    return centre, neighbours
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     """One solve's scratch node arrays, in rows: row 0 holds the diagonal of
-    the system being solved (a p = 2 flow's for as long as its step length
-    lasts, see _prepare), _pcg takes rows 1-5 (its residual, preconditioned
+    the system being solved (at p = 2 the prepared one's, for as long as its
+    step length lasts, see _prepare; for p > 2 each Newton system's), _pcg
+    takes rows 1-5 (its residual, preconditioned
     residual, direction, product and a temporary) and _minimize row 6 (the
     CG right-hand side); a Newton evaluation, _quadratic_energy, a
     projection and the flow's extrapolated start reuse rows 1 and 2 between
@@ -447,49 +440,50 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
-def _prepare(stencil: tuple, metric: np.ndarray, tau: float, work: np.ndarray) -> tuple:
-    """The p = 2 system of every step of length tau, (H + M/tau) v = (M/tau)
-    anchor + M source, as _minimize takes it: the shift M/tau and the flat
-    stencil of H + M/tau, whose diagonal, H's centre plus the shift, is
-    formed in row 0 of work.  It holds there until the next system is
-    prepared in the same work, which makes this one stale."""
-    centre, neighbours = stencil
+def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, work: np.ndarray) -> tuple:
+    """What every solve with step tau shares, as _minimize takes it: the
+    shift M/tau (zero at tau = inf); whether it is positive at every node,
+    which a direct solve of a 1d Newton system needs; and at p = 2, where
+    stencil is H's (None for p > 2, whose Hessian moves with the iterate),
+    the flat stencil of the one system (H + M/tau) v = (M/tau) anchor + M
+    source, whose diagonal, H's centre plus the shift, is formed in row 0 of
+    work.  It holds there until the next system is prepared in the same
+    work, which makes this one stale."""
     shift = metric / tau
-    return shift, (np.add(centre, shift, work[0]), neighbours)
+    if stencil is not None:
+        stencil = (np.add(stencil[0], shift, work[0]), stencil[1])
+    return shift, bool(np.all(shift > 0.0)), stencil
 
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
-              p: float, tau: float = math.inf,
-              source: np.ndarray | None = None, start: np.ndarray | None = None,
-              system: tuple | None = None, work: np.ndarray | None = None):
+              p: float, tau: float, system: tuple, work: np.ndarray, start: np.ndarray,
+              source: np.ndarray | None = None):
     """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
-    pairing in the metric; no pairing without a source) from start (default:
-    a copy of the anchor), which the solve may overwrite; returns the
-    minimizer, the solver iterations (CG iterations, one per direct solve)
-    and its energy.  Without the proximal term (tau = inf) constants are
-    free, so the start, the right-hand side and the minimizer are kept
-    metric-mean-zero.  The scratch space (see _workspace) that CG and every
-    evaluation form their temporaries in is made once, here unless the
-    caller passes it; the iterates, gradients and CG solutions are the only
-    new arrays.
+    pairing in the metric; no pairing without a source) from start, which
+    the solve may overwrite; returns the minimizer, the solver iterations
+    (CG iterations, one per direct solve) and its energy.  system is step
+    tau's, prepared (see _prepare) in work, the scratch space (see
+    _workspace) that CG and every evaluation form their temporaries in; the
+    iterates, gradients and CG solutions are the only new arrays.  Without
+    the proximal term (tau = inf) constants are free, so the start, the
+    right-hand side and the minimizer are kept metric-mean-zero.
 
     At p = 2 the objective is quadratic, so the minimizer solves one linear
     system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian
-    stencil: the same at every v, so one system (see _prepare) serves every
-    solve with step tau in the same work; it is prepared here unless the
-    caller passes it.  One CG, warm-started at the start, solves it to a
-    tenth of the tolerance; if CG ends early above the tolerance it is
-    restarted from its iterate, and the solve fails once a CG call takes no
-    iteration or leaves a norm that is not below the previous call's (one
-    that is not finite included).  Only the energy of the minimizer is
-    evaluated, by the value-only pass over the stencil.
+    stencil: the same at every v, so the prepared one serves every solve
+    with step tau in the same work.  One CG, warm-started at the start,
+    solves it to a tenth of the tolerance; if CG ends early above the
+    tolerance it is restarted from its iterate, and the solve fails once a
+    CG call takes no iteration or leaves a norm that is not below the
+    previous call's (one that is not finite included).  Only the energy of
+    the minimizer is evaluated, by the value-only pass over the stencil.
 
     For p > 2, damped Newton.  A system with one forward neighbour (1d) and a
-    positive shift (tau finite) is tridiagonal and positive definite: it is
-    solved exactly by _tridiagonal_solve, which counts as one iteration.
-    Every other system goes to CG, as does one whose factorization meets a
-    pivot that is not positive (the rounded matrix is not definite), and CG
-    solves each to a tenth of the tolerance.  Steps backtrack on the true
+    positive shift (tau finite; see _prepare) is tridiagonal and positive
+    definite: it is solved exactly by _tridiagonal_solve, which counts as one
+    iteration.  Every other system goes to CG, as does one whose
+    factorization meets a pivot that is not positive (the rounded matrix is
+    not definite), and CG solves each to a tenth of the tolerance.  Steps backtrack on the true
     objective with a round-off allowance, since near the minimizer the
     decrease drops below one ulp.  The solve has stalled, and raises at
     once, if no step is found or a step lowers neither the objective nor the
@@ -498,10 +492,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     """
     h, project = grid.spacing, math.isinf(tau)
     metric_total = float(metric.sum()) if project else None
-    if work is None:
-        work = _workspace(grid.shape)
-    v = anchor.copy() if start is None else start
-    v = v - np.vdot(metric, v) / metric_total if project else v
+    v = start - np.vdot(metric, start) / metric_total if project else start
+    shift, positive, stencil = system
     spent = 0
 
     def failure(what: str, gnorm: float) -> ProxConvergenceError:
@@ -513,9 +505,6 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
                        f"{_TOLERANCE:g} in {spent} iterations", gnorm)
 
     if p == 2.0:
-        if system is None:
-            system = _prepare(_flat(_hessian(h, cell_w, p)), metric, tau, work)
-        shift, stencil = system
         rhs = np.multiply(shift, anchor, work[6])
         if source is not None:
             rhs += metric * source
@@ -535,7 +524,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             v -= np.vdot(metric, v) / metric_total
         return v, spent, _quadratic_energy(v, stencil, work)
 
-    shift, pull = metric / tau, metric * (0.0 if source is None else source)
+    pull = None if source is None else metric * source
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
@@ -543,21 +532,22 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         terms = _energy_terms(v, h, cell_w, p)
         d = np.subtract(v, anchor, work[1])
         prox = np.multiply(shift, d, work[2])
-        obj = terms[0] + 0.5 * np.vdot(prox, d) - np.vdot(pull, v)
+        obj = terms[0] + 0.5 * np.vdot(prox, d)
         g = terms[1] + prox
-        g -= pull
+        if pull is not None:
+            obj -= np.vdot(pull, v)
+            g -= pull
         if project:
             g -= np.multiply(metric, g.sum() / metric_total, work[1])
         return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[1]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
-    positive = bool(np.all(shift > 0.0))
     while not gnorm <= _TOLERANCE:  # a NaN norm enters too
         if not math.isfinite(gnorm):
             raise failure(f"the iterate left float range at iteration {spent}", gnorm)
         if spent == _MAX_ITERATIONS:
             raise exhausted(gnorm)
-        centre, neighbours = _flat(_hessian(h, cell_w, p, *terms[2]))
+        centre, neighbours = _hessian(h, cell_w, p, *terms[2])
         stencil = (np.add(centre, shift, work[0]), neighbours)
         rhs = np.negative(g, work[6])
         step = (_tridiagonal_solve(stencil[0], neighbours[0][2], rhs)
@@ -613,10 +603,15 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
     """Gate for the Lebesgue-dualized flow: w^(-1/(p-2)) must be integrable.
 
     Integrates the reciprocal power over the nested boxes r in {R/4, R/2,
-    3R/4, R}; the gate passes when the shell increments strictly decay.
+    3R/4, R}, each snapped down to whole cells; the gate passes when the
+    shell increments strictly decay.  A grid of fewer than 9 nodes per axis
+    is refused: its four boxes are not distinct, or the first is one node.
     """
     if p <= 2.0:
         raise ValueError("the gate applies to p > 2 only")
+    if grid.nodes_per_axis < 9:
+        raise ValueError(f"the integrability gate needs nodes_per_axis >= 9 to nest four "
+                         f"distinct boxes, got {grid.nodes_per_axis}")
     s = -1.0 / (p - 2.0)
     logw = spec.exponent(grid.points())
     vals = np.exp(np.minimum(s * logw, 700.0))  # cap just below overflow
@@ -679,16 +674,14 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
         metric = _node_metric(problem.spec, grid)
     cell_w = _cell_weights(problem.spec, grid)
     tau, horizon = problem.step, problem.horizon
-    n_steps = int(math.ceil(horizon / tau - 1e-12))
+    n_steps = max(int(math.ceil(horizon / tau - 1e-12)), 1)  # at least one step
     whole = horizon / tau >= n_steps - 1e-12
     vals = problem.u0.values.copy()
     work = _workspace(grid.shape)
-    if p == 2.0:
-        stencil = _flat(_hessian(grid.spacing, cell_w, p))
-        value = _quadratic_energy(vals, stencil, work)
-        system = _prepare(stencil, metric, tau, work)
-    else:
-        system, value = None, _energy_terms(vals, grid.spacing, cell_w, p)[0]
+    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
+    value = (_quadratic_energy(vals, stencil, work) if p == 2.0
+             else _energy_terms(vals, grid.spacing, cell_w, p)[0])
+    system = _prepare(stencil, metric, tau, work)
     metric_total = float(metric.sum())
     history = collections.deque([(0.0, vals)], maxlen=3)
     t, iters = 0.0, 0
@@ -696,11 +689,10 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
         if k:  # the solve starts from the last three states extrapolated to t
             last = k == n_steps and not whole
             t, step = (horizon, horizon - (k - 1) * tau) if last else (k * tau, tau)
-            if last and system:  # the shorter last step's own system
+            if last:  # the shorter last step's own system
                 system = _prepare(stencil, metric, step, work)
-            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step,
-                                           start=_extrapolate(history, t, work[1]),
-                                           system=system, work=work)
+            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step, system, work,
+                                           start=_extrapolate(history, t, work[1]))
             history.append((t, vals))
         vals.flags.writeable = False
         yield Step(t, GridFunction(grid, vals), value,
@@ -768,7 +760,11 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryR
         )
     source = f.values - f_mean
     cell_w = _cell_weights(spec, grid)
-    out, iters, value = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, source=source)
+    work = _workspace(grid.shape)
+    system = _prepare(_hessian(grid.spacing, cell_w, p) if p == 2.0 else None,
+                      metric, math.inf, work)
+    out, iters, value = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, math.inf,
+                                  system, work, np.zeros(grid.shape), source)
     # the true residual, not the solver's own estimate of it
     grad = _energy_terms(out, grid.spacing, cell_w, p)[1]
     res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))

@@ -610,13 +610,15 @@ def estimate_muckenhoupt(field: GridFunction, p: float,
     Jensen's inequality forces every product to be >= 1.  Negative weight
     nodes raise; isolated zero nodes are integrated by local power-law
     extrapolation when the reciprocal stays integrable, and raise otherwise.
+    A ball whose integral of w^(-1/(p-1)) underflows to 0 raises too: its
+    product would read 0.
     """
     if p <= 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     s = -1.0 / (p - 1.0)
     entries: list[BallEntry] = []
     h = field.grid.spacing
-    for ball in balls:
+    for i, ball in enumerate(balls):
         box = ball_slices(field.grid, ball.center, ball.radius)
         if box is None:
             entries.append(BallEntry(ball.center, ball.radius, None, "ball escapes the grid box"))
@@ -626,6 +628,10 @@ def estimate_muckenhoupt(field: GridFunction, p: float,
         vol = math.prod((sl.stop - 1 - sl.start) * h for sl in box)
         avg_w = _ball_integral_power(field, box, 1.0) / vol
         avg_rec = _ball_integral_power(field, box, s) / vol
+        if avg_rec == 0.0:
+            raise ValueError(f"muckenhoupt.entries[{i}]: the integral of w^({s:g}) over the ball "
+                             f"(center {ball.center}, radius {ball.radius:g}) underflows to 0, "
+                             "so its product cannot be formed")
         value = avg_w * avg_rec ** (p - 1.0)
         entries.append(BallEntry(ball.center, ball.radius, value))
     return MuckenhouptReport(p, tuple(entries), _largest_value(entries))

@@ -285,6 +285,16 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "evolution.json").read_text())
         assert doc["dualization"] == "lebesgue"
 
+    def test_solve_evolution_gate_refuses_a_coarse_grid(self, tmp_path, capsys):
+        # the integrable reciprocal of w = e^(x^2): five nodes nest no four boxes
+        doc = {"weight": {"beta": -1.0, "q": 2.0, "dim": 1}, "p": 3.0,
+               "grid": {"half_width": 2.0, "nodes_per_axis": 5},
+               "evolution": {"u0": "x", "T": 0.01, "tau": 0.01, "dualization": "lebesgue"}}
+        code, out = run_main(tmp_path, "solve-evolution", doc)
+        assert code == EXIT_OPERATIONAL and not out.exists()
+        assert capsys.readouterr().err == ("error: the integrability gate needs nodes_per_axis "
+                                           ">= 9 to nest four distinct boxes, got 5\n")
+
     def test_solve_stationary(self, tmp_path):
         cfg = small_config(stationary={"source": "2*x"})
         code = run("solve-stationary", cfg, tmp_path)
@@ -752,6 +762,20 @@ class TestStructuralRegularity:
         assert code == EXIT_OPERATIONAL and caught == [] and not out.exists()
         assert capsys.readouterr().err == ("error: muckenhoupt.entries[0].value: inf is not a "
                                            "finite number, so the report cannot be written\n")
+
+    def test_muckenhoupt_underflow_is_one_error_line(self, tmp_path, capsys):
+        # w^(-1/(p-1)) = w^(-5) underflows to 0 on every node, so the product
+        # would read 0, where Jensen's inequality forces it to be at least 1
+        doc = {"weight": {"beta": 1.5, "q": 2.5, "dim": 1,
+                          "W": [{"kind": "constant", "c": -250.0}]},
+               "p": 1.2, "grid": {"half_width": 3.7, "nodes_per_axis": 29}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_main(tmp_path, "weight-report", doc)
+        assert code == EXIT_OPERATIONAL and caught == [] and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: muckenhoupt.entries[0]: the integral of w^(-5) over the ball (center (0.0,), "
+            "radius 1) underflows to 0, so its product cannot be formed\n")
 
 
 def _readme_config() -> dict:

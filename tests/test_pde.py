@@ -23,10 +23,8 @@ from wsobolev.pde import (
     _edge_differences_transpose,
     _energy_terms,
     _extrapolate,
-    _flat,
     _hessian,
     _mass_weights,
-    _neighbours,
     _node_metric,
     _pcg,
     _prepare,
@@ -220,9 +218,8 @@ class TestProxStep:
         # a p = 2 step is one linear solve: it forms no gradient, and each
         # state's differences are formed once, by the value-only pass over the
         # flat stencil for its energy (the initial state's too), and none
-        # through the staggered ones; a flow assembles and flattens its
-        # stencil once
-        counts = {"_quadratic_energy": 0, "_energy_terms": 0, "_hessian": 0, "_flat": 0,
+        # through the staggered ones; a flow assembles its stencil once
+        counts = {"_quadratic_energy": 0, "_energy_terms": 0, "_hessian": 0,
                   "_edge_differences": 0}
 
         def counted(name):
@@ -240,7 +237,7 @@ class TestProxStep:
         traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.3, 0.1))
         assert len(traj.times) == 4
         assert counts == {"_quadratic_energy": 4, "_energy_terms": 0, "_hessian": 1,
-                          "_flat": 1, "_edge_differences": 0}
+                          "_edge_differences": 0}
 
 
 class TestWorkspace:
@@ -250,11 +247,11 @@ class TestWorkspace:
         g = build_grid(2, 6.0, 101)
         spec = WeightSpec(1.0, 2.0, 2)
         cell_w = pde._cell_weights(spec, g)
-        stencil = _flat(_hessian(g.spacing, cell_w, 2.0))
+        stencil = _hessian(g.spacing, cell_w, 2.0)
         metric = _node_metric(spec, g)
         rhs = np.random.default_rng(0).standard_normal(g.shape)
         work = _workspace(g.shape)
-        system = _prepare(stencil, metric, 1e-2, work)[1]
+        system = _prepare(stencil, metric, 1e-2, work)[2]
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
@@ -319,10 +316,11 @@ class TestPCG:
         # in place
         g = build_grid(len(shape), 6.0, shape[0])
         spec = WeightSpec(1.0, 2.0, len(shape))
-        stencil = _flat(_hessian(g.spacing, pde._cell_weights(spec, g), 2.0))
+        stencil = _hessian(g.spacing, pde._cell_weights(spec, g), 2.0)
         metric = _node_metric(spec, g)
         work = _workspace(g.shape)
-        shift, system = _prepare(stencil, metric, 1e-2, work)
+        shift, positive, system = _prepare(stencil, metric, 1e-2, work)
+        assert positive and np.array_equal(shift, metric / 1e-2)
         assert np.array_equal(system[0], stencil[0] + shift)
         rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
         partial, it, norm = _pcg(system, rhs, metric, 1e-9, 3, work)
@@ -339,10 +337,10 @@ class TestPCG:
     def test_infinite_curvature_ends_cg(self):
         # d^T A d overflows on the first direction: CG stops before a step
         g = build_grid(1, 1.0, 11)
-        stencil = _flat(_hessian(g.spacing, np.ones(10), 2.0))
+        stencil = _hessian(g.spacing, np.ones(10), 2.0)
         rhs = np.full(g.shape, 1e160)
         work = _workspace(g.shape)
-        x, it, norm = _pcg(_prepare(stencil, np.ones(g.shape), 1.0, work)[1], rhs,
+        x, it, norm = _pcg(_prepare(stencil, np.ones(g.shape), 1.0, work)[2], rhs,
                            np.ones(g.shape), 1e-9, 100, work)
         assert it == 0 and norm == math.inf and not x.any()
 
@@ -402,7 +400,7 @@ class TestTridiagonal:
         h, cell_w = g.spacing, pde._cell_weights(GAUSS, g)
         vals = u.values + 0.3 * np.sin(3.0 * g.axis())
         _, grad, terms = _energy_terms(vals, h, cell_w, 3.0)
-        centre, neighbours = _flat(_hessian(h, cell_w, 3.0, *terms))
+        centre, neighbours = _hessian(h, cell_w, 3.0, *terms)
         metric = _node_metric(GAUSS, g)
         shift = metric / 1e-2
         direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
@@ -491,19 +489,32 @@ class TestEvolution:
         assert all(b < a for a, b in zip(e, e[1:]))
         assert max(abs(m - traj.means[0]) for m in traj.means) <= 1e-9
 
-    @pytest.mark.parametrize("n, dim", [(151, 1), (41, 2)])
-    def test_short_last_step_solves_its_own_system(self, n, dim):
+    def test_horizon_below_one_step_takes_one_step(self):
+        # T/tau = 1e-16 rounds below the 1e-12 allowance, yet the flow ends at T
+        g, u = linear_state(41)
+        traj = solve_evolution(EvolutionProblem(2.0, GAUSS, u, 1e-16, 1.0))
+        assert traj.times == [0.0, 1e-16]
+        assert len(traj.energies) == len(traj.step_iterations) + 1 == 2
+
+    @pytest.mark.parametrize("n, dim, p", [(151, 1, 2.0), (41, 2, 2.0), (151, 1, 3.0),
+                                           (41, 2, 3.0)],
+                             ids=["151-1", "41-2", "151-1-p3", "41-2-p3"])
+    def test_short_last_step_solves_its_own_system(self, n, dim, p):
         # T = 0.25, tau = 0.1: the last step, of 0.05, through the flow's
-        # prepared system and through a fresh _minimize with its own tau
+        # re-prepared system and through a _minimize with a system prepared
+        # for its own tau on a fresh workspace
         g = build_grid(dim, 6.0, n)
         spec = WeightSpec(1.0, 2.0, dim, V=PotentialExpr((CosineTerm(0.5, (1.5,) * dim),)))
-        steps = list(evolve(EvolutionProblem(2.0, spec, sample_field(g, lambda *x: x[0]),
+        steps = list(evolve(EvolutionProblem(p, spec, sample_field(g, lambda *x: x[0]),
                                              0.25, 0.1)))
         assert [s.t for s in steps] == [0.0, 0.1, 0.2, 0.25]
         history = [(s.t, s.state.values) for s in steps[:3]]
-        last, iters, value = pde._minimize(
-            steps[2].state.values, g, _node_metric(spec, g), pde._cell_weights(spec, g), 2.0,
-            0.25 - 0.2, start=_extrapolate(history, 0.25))
+        metric, cell_w = _node_metric(spec, g), pde._cell_weights(spec, g)
+        work = _workspace(g.shape)
+        stencil = _hessian(g.spacing, cell_w, p) if p == 2.0 else None
+        system = _prepare(stencil, metric, 0.25 - 0.2, work)
+        last, iters, value = pde._minimize(steps[2].state.values, g, metric, cell_w, p,
+                                           0.25 - 0.2, system, work, _extrapolate(history, 0.25))
         assert np.array_equal(steps[3].state.values, last)
         assert (steps[3].iterations, steps[3].energy) == (iters, value)
 
@@ -673,6 +684,20 @@ class TestLebesgueGate:
         g = build_grid(1, 6.0, 301)
         with pytest.raises(ValueError):
             check_lebesgue_compatibility(GAUSS, g, 2.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_grid_must_nest_four_boxes(self, n):
+        # below 9 nodes the boxes repeat (n = 3, 5), so the integrable
+        # reciprocal of w = e^(x^2) would fail on zero increments, or the
+        # first box is one node (n = 7); at 9 each is one cell wider
+        g = build_grid(1, 2.0, n)
+        spec = WeightSpec(-1.0, 2.0, 1)
+        if n < 9:
+            with pytest.raises(ValueError, match=rf"nodes_per_axis >= 9 .*, got {n}$"):
+                check_lebesgue_compatibility(spec, g, 3.0)
+        else:
+            rep = check_lebesgue_compatibility(spec, g, 3.0)
+            assert rep.radii == tuple(k * g.spacing for k in (1, 2, 3, 4)) and rep.passes
 
     def test_json_keys(self):
         g = build_grid(1, 6.0, 151)
@@ -1033,7 +1058,7 @@ class TestStaggeredProperties:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(shape)
         cell_w = np.exp(rng.uniform(-8.0, 2.0, tuple(n - 1 for n in shape)))
-        stencil = _flat(_hessian(h, cell_w, 2.0))
+        stencil = _hessian(h, cell_w, 2.0)
         value, grad, _ = _energy_terms(v, h, cell_w, 2.0)
         hv = _apply(*stencil, v)
         for e in [_quadratic_energy(v, stencil), np.vdot(v, hv) / 2.0]:
@@ -1049,8 +1074,7 @@ class TestStaggeredProperties:
         h = 0.3
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = np.exp(rng.uniform(-4.0, 2.0, tuple(n - 1 for n in shape)))
-        centre, neighbours = stencil = _flat(
-            _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2]))
+        centre, neighbours = stencil = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
         out, tmp = np.full(shape, np.nan), np.full(v.size, np.nan)
         assert _apply(centre, neighbours, v, out, tmp) is out
         assert np.array_equal(out, _apply(centre, neighbours, v))
@@ -1063,9 +1087,9 @@ class TestStaggeredProperties:
         rng = np.random.default_rng(5)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = rng.uniform(0.5, 2.0, tuple(n - 1 for n in shape))
-        stencil = _hessian(0.3, cell_w, p, *_energy_terms(u, 0.3, cell_w, p)[2])
-        diag, neighbours = stencil[(0,) * len(shape)], _neighbours(stencil)
-        assert len(stencil) == ((3 ** len(shape) + 1) // 2 if p > 2.0 else len(shape) + 1)
+        diag, neighbours = _hessian(0.3, cell_w, p, *_energy_terms(u, 0.3, cell_w, p)[2])
+        # the forward half of {-1, 0, 1}^d, or of the 2d + 1 point stencil at p = 2
+        assert len(neighbours) == ((3 ** len(shape) - 1) // 2 if p > 2.0 else len(shape))
         e = 1e-6
         fd = (_energy_terms(u + e * v, 0.3, cell_w, p)[1]
               - _energy_terms(u - e * v, 0.3, cell_w, p)[1]) / (2 * e)
@@ -1088,16 +1112,21 @@ class TestStaggeredProperties:
         h = 1.0 / (n - 1)
         u = rng.standard_normal((n,) * dim)
         cell_w = rng.uniform(0.1, 2.0, (n - 1,) * dim)
-        stencil = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
-        centre = stencil[(0,) * dim]
+        centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
         scale = np.abs(centre).max()
-        for o, c in stencil.items():
-            # only the forward half is stored, and none of it reaches past the grid
-            assert o >= (0,) * dim
-            for a, oa in enumerate(o):
-                if oa:
-                    assert not np.any(np.take(c, -1 if oa > 0 else 0, axis=a))
-        neighbours = _neighbours(stencil)
+        shifts = []
+        for dst, src, c in neighbours:
+            # only the forward half is stored, one positive flat shift each,
+            # and none of it reaches past the grid: a node is coupled only to
+            # nodes at most one apart along every axis, never around an edge
+            k = src.start
+            assert k > 0 and (dst.start, dst.stop, src.stop) == (0, n**dim - k, n**dim)
+            assert c.shape == (n**dim - k,)
+            i = np.flatnonzero(c)
+            gap = np.subtract(np.unravel_index(i + k, (n,) * dim), np.unravel_index(i, (n,) * dim))
+            assert np.all(np.abs(gap) <= 1)
+            shifts.append(k)
+        assert len(set(shifts)) == len(shifts)
         # the operator is symmetric
         x, y = rng.standard_normal((2,) + (n,) * dim)
         assert np.vdot(x, _apply(centre, neighbours, y)) == pytest.approx(

@@ -6,8 +6,9 @@ OLD_SRC and NEW_SRC are directories that hold a `wsobolev` package, such as
 the `src/` of two checkouts. The configs are every CLI case of the benchmark's
 run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
 repeated configs dropped), the README config in 1d and in 2d, and a sweep of
-102 solves that reach the Newton-CG path and 3 p = 2 solves, one per kind
-of prepared system (`_sweep_configs`). Each runs once per tree through
+102 solves that reach the Newton-CG path, 4 p = 3 flows whose last step is
+shorter and 3 p = 2 solves, one per kind of prepared system
+(`_sweep_configs`). Each runs once per tree through
 `wsobolev.cli.main`, in the same relative paths, so messages that name a
 path match. Every library case of the same run lists
 also runs once per tree, through the functions `bench/run.py` hands its
@@ -77,10 +78,13 @@ def _sweep_configs() -> dict[str, tuple[str, dict]]:
     beta = 1, q = 2, half-width 6, V = 0 or 0.5 cos(1.5 sum x), p in {2.5, 3,
     4}; 1d stationary solves (source 2x) at n in {101, 151, 201, 301, 601},
     and 2d stationary solves (source 2(x + y)) and 2d flows (u0 = x, T = 0.2,
-    tau in {0.01, 0.1}) at n in {41, 61, 81, 101}.  Then three p = 2 solves
-    with that V, one through each kind of prepared system: a 1d (n = 301) and
-    a 2d (n = 61) flow from u0 = x to T = 0.25 with tau = 0.1, whose last step
-    is shorter, and a 1d stationary solve at n = 301."""
+    tau in {0.01, 0.1}) at n in {41, 61, 81, 101}.  Then p = 3 flows from
+    u0 = x to T = 0.25 with tau = 0.1, whose last step is shorter and
+    prepared apart, with V = 0 and with that V: 1d at n = 301 (solved
+    directly) and 2d at n = 41 (by CG).  Then three p = 2 solves with that V,
+    one through each kind of prepared system: a 1d (n = 301) and a 2d
+    (n = 61) flow from u0 = x to T = 0.25 with tau = 0.1, and a 1d
+    stationary solve at n = 301."""
     out = {}
     for dim, p, cos in itertools.product((1, 2), (2.5, 3.0, 4.0), (False, True)):
         weight = {"beta": 1.0, "q": 2.0, "dim": dim}
@@ -95,6 +99,11 @@ def _sweep_configs() -> dict[str, tuple[str, dict]]:
                 for tau in (0.01, 0.1):
                     out[f"{tag}-n{n}-tau{tau:g}"] = ("solve-evolution", {
                         **base, "evolution": {"T": 0.2, "tau": tau, "u0": "x"}})
+        if p == 3.0:
+            n = 301 if dim == 1 else 41
+            out[f"{tag}-n{n}-T0.25-tau0.1"] = ("solve-evolution", {
+                "weight": weight, "p": p, "grid": {"half_width": 6.0, "nodes_per_axis": n},
+                "evolution": {"T": 0.25, "tau": 0.1, "u0": "x"}})
     for dim, n in ((1, 301), (2, 61)):
         base = {"weight": {"beta": 1.0, "q": 2.0, "dim": dim,
                            "V": [{"kind": "cosine", "c": 0.5, "k": [1.5] * dim}]},
