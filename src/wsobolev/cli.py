@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import astuple, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,11 @@ def _csv(name: str, header: str, rows) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
+def _fields(row) -> tuple:
+    """A dataclass row's field values, in order, as they are: no copies."""
+    return tuple(getattr(row, f.name) for f in fields(row))
+
+
 def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
     """The first non-finite node value and its coordinates, or None."""
     bad = np.argwhere(~np.isfinite(values))
@@ -110,14 +115,18 @@ def _state_csv(f: GridFunction, name: str) -> str:
     """CSV text of a state, one row per node in C order: the node's
     coordinates, then its value.  The rows are one template, the nodes'
     coordinate strings each followed by a %.12g slot, filled by one % over
-    the values: the same bytes as f"{v:.12g}" per value.  A non-finite
+    the values: the same bytes as f"{v:.12g}" per value.  The template is
+    joined one leading-axis row at a time: each row's nodes share the
+    coordinates of every axis but the last, so its lines are the last
+    axis's strings joined by a slot and that shared prefix.  A non-finite
     value raises ValueError naming the node."""
     bad = _first_non_finite(f.grid, f.values)
     if bad is not None:
         raise ValueError(f"{name}: {bad} is not a finite number, so the report cannot be written")
     g = f.grid
-    coords = map("".join, itertools.product([f"{x:.12g}," for x in g.axis()], repeat=g.dim))
-    rows = "%.12g\n".join(coords) + "%.12g\n"
+    axis = [f"{x:.12g}," for x in g.axis()]
+    rows = "".join(prefix + ("%.12g\n" + prefix).join(axis) + "%.12g\n"
+                   for prefix in map("".join, itertools.product(axis, repeat=g.dim - 1)))
     return ",".join("xy"[: g.dim]) + ",value\n" + rows % tuple(f.values.ravel().tolist())
 
 
@@ -227,7 +236,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     }}
     for key, rows in zip(("verify_xq", "verify_potential", "verify_poincare"), reports):
         results[key] = _csv(key, "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds",
-                            ((m.name, *astuple(r)) for m, r in zip(members, rows)))
+                            ((m.name, *_fields(r)) for m, r in zip(members, rows)))
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
@@ -236,7 +245,7 @@ def _cmd_approximate(config: RunConfig) -> tuple[int, dict]:
     f = _state_from_string(cfg.u0, config.grid, "approximate.u0", cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule)
     steps = _csv("approximation_steps", "eps,lp_error,grad_lp_error,sobolev_error",
-                 map(astuple, report.steps))
+                 map(_fields, report.steps))
     results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
 

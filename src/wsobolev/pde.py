@@ -17,11 +17,14 @@ Hessian is symmetric and is assembled as the centre and forward half of a
 neighbour stencil (one node array per offset o in {-1, 0, 1}^d with o >= 0
 lexicographically; -o shares it) and applied flat: on the raveled node arrays
 a forward offset is one positive shift, so a CG apply is two contiguous
-products per neighbour, one into each end, and CG is preconditioned by the
-stencil's exact diagonal.  A flow's Newton system in 1d is tridiagonal (one
-forward neighbour) and, with its positive shift M/tau, positive definite, so
-it is solved directly, by one O(n) LDL^T factorization, and not by CG; a 2d
-system and a stationary one (no shift, constants in the kernel) go to CG.
+products per neighbour, one into each end, each formed at the start of an
+aligned temporary.  CG is preconditioned by the stencil's exact diagonal,
+and its stopping norm is read off the preconditioned residual it forms
+anyway, through the diagonal's ratio to the metric, so each CG iteration
+divides once.  A flow's Newton system in 1d is tridiagonal (one forward
+neighbour) and, with its positive shift M/tau, positive definite, so it is
+solved directly, by one O(n) LDL^T factorization, and not by CG; a 2d system
+and a stationary one (no shift, constants in the kernel) go to CG.
 At p = 2 the problem is linear: each minimization is the one system
 (H + M/tau) v = (M/tau) u + M f, solved by a single CG warm-started at the
 step's start, and the energy is the quadratic form <v, Hv>/2, formed by one
@@ -29,14 +32,16 @@ value-only pass over the flat stencil.  H depends on the weight alone and
 is assembled once per flow.  At every p, what depends only on the metric
 and tau is prepared once per flow and step length: the shift M/tau, whether
 it is positive at every node (a 1d Newton system is factored only then),
-and at p = 2 the diagonal of H + M/tau, which CG preconditions by.  A
-horizon that is no whole number of steps ends on a shorter last step, which
-gets a system of its own; a flow takes at least one step.  A stationary
-solve prepares its system (tau = inf, no shift) the same way.  Each solve
-works in one scratch array, whose rows start on 64-byte boundaries and hold
-the prepared diagonal too; CG continues its start in place, so a
-warm-started CG allocates nothing.  Each step of a flow starts from the
-quadratic through its last three states, extrapolated in time.  A flow is
+and at p = 2 the diagonal of H + M/tau, which CG preconditions by, and its
+ratio to the metric, which CG's stopping norm reads.  A horizon that is no
+whole number of steps ends on a shorter last step, which gets a system of
+its own; a flow takes at least one step.  A stationary solve prepares its
+system (tau = inf, no shift) the same way.  Each solve works in one scratch
+array, whose rows start on 64-byte boundaries and hold the prepared
+diagonal and ratio too; CG continues its start in place, so a warm-started
+CG allocates nothing, and neither does a step's weighted mean.  Each step
+of a flow starts from the quadratic through its last three states,
+extrapolated in time.  A flow is
 streamed: evolve yields each state, read-only, as it is reached, and keeps
 only the three its next start needs; solve_evolution keeps only the last.
 """
@@ -326,14 +331,15 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
-    """One solve's scratch node arrays, in rows: row 0 holds the diagonal of
-    the system being solved (at p = 2 the prepared one's, for as long as its
-    step length lasts, see _prepare; for p > 2 each Newton system's), _pcg
-    takes rows 1-5 (its residual, preconditioned
-    residual, direction, product and a temporary) and _minimize row 6 (the
-    CG right-hand side); a Newton evaluation, _quadratic_energy, a
-    projection and the flow's extrapolated start reuse rows 1 and 2 between
-    CG calls.
+    """One solve's scratch node arrays, in rows: rows 0 and 7 hold the
+    diagonal of the system being solved and its ratio to the metric, which
+    CG's stopping norm reads (at p = 2 the prepared system's, for as long as
+    its step length lasts, see _prepare; for p > 2 each Newton system's),
+    _pcg takes rows 1-5 (its residual, preconditioned residual, direction,
+    product and a temporary) and _minimize row 6 (the CG right-hand side); a
+    Newton evaluation, _quadratic_energy, a projection, the flow's
+    extrapolated start and its weighted mean reuse rows 1 and 2 between CG
+    calls.
 
     Every row starts on a 64-byte boundary: a row's length is rounded up to a
     whole number of 8 doubles and the rows are cut from one flat buffer at its
@@ -343,24 +349,25 @@ def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     work[k] and work.reshape(len(work), -1) are views."""
     size = math.prod(shape)
     stride = -(-size // 8) * 8
-    buf = np.empty(7 * stride + 7)
+    buf = np.empty(8 * stride + 7)
     first = -(buf.ctypes.data // 8) % 8
-    rows = buf[first:first + 7 * stride].reshape(7, stride)[:, :size]
-    return rows.reshape((7,) + shape, copy=False)
+    rows = buf[first:first + 8 * stride].reshape(8, stride)[:, :size]
+    return rows.reshape((8,) + shape, copy=False)
 
 
 def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
            out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """The stencil times v: centre * v plus two contiguous products per forward
-    neighbour, one into each end of its pairs, formed in tmp (flat, as long as
-    v) and added into out.  The backward products go first, in reverse:
-    that is the full stencil's product order, so each node sums its products
-    in the order of the offsets in {-1, 0, 1}^d."""
+    neighbour, one into each end of its pairs, added into out.  Each product
+    is formed at the start of tmp (flat, as long as v), so on an aligned tmp
+    every product is written to an aligned array.  The backward products go
+    first, in reverse: that is the full stencil's product order, so each
+    node sums its products in the order of the offsets in {-1, 0, 1}^d."""
     out = np.multiply(centre, v, out)
     flat, v = (out, v) if v.ndim == 1 else (out.reshape(-1), v.reshape(-1))
     tmp = np.empty(v.shape) if tmp is None else tmp
     for dst, src, c in reversed(neighbours):
-        flat[src] += np.multiply(c, v[dst], tmp[src])
+        flat[src] += np.multiply(c, v[dst], tmp[dst])
     for dst, src, c in neighbours:
         flat[dst] += np.multiply(c, v[src], tmp[dst])
     return out
@@ -380,30 +387,34 @@ def _quadratic_energy(vals: np.ndarray, stencil: tuple, work: np.ndarray | None 
     return value / 2.0
 
 
-def _pcg(stencil: tuple, rhs: np.ndarray, metric: np.ndarray, target: float, budget: int,
+def _pcg(stencil: tuple, rhs: np.ndarray, ratio: np.ndarray, target: float, budget: int,
          work: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """CG on a flat stencil whose centre is the system's whole diagonal,
     preconditioned by that diagonal (Jacobi), from start (default zero; its
     residual rhs - A start is formed by one apply) until the residual's
     metric norm sqrt(sum r^2/metric) is at most target or the budget is
     spent; returns the solution, the iterations and that norm, the norm of
-    CG's recursive residual.  A product d^T A d that is not positive and
-    finite ends it early.  The solution is start itself, overwritten in
-    place, or one new array; every other vector is one of rows 1-5 of work
-    (see _workspace), so neither rhs nor the diagonal may be one of those."""
+    CG's recursive residual.  ratio is the diagonal over the metric (see
+    _prepare): the norm is formed as sqrt(<r, z ratio>) from the
+    preconditioned residual z = r/diag that CG forms anyway, so each
+    iteration divides once.  A residual too large for the norm makes it
+    inf, not NaN, since r and z ratio share their signs.  A product d^T A d
+    that is not positive and finite ends it early.  The solution is start
+    itself, overwritten in place, or one new array; every other vector is
+    one of rows 1-5 of work (see _workspace), so neither rhs, the diagonal
+    nor ratio may be one of those."""
     diag, neighbours = stencil
-    diag = diag.reshape(-1)
+    diag, ratio = diag.reshape(-1), ratio.reshape(-1)
     r, z, d, ad, tmp = work.reshape(len(work), -1)[1:6]
-    metric = metric.reshape(-1)
     x = np.zeros(rhs.shape) if start is None else start
     flat_x = x.reshape(-1)
     if start is None:
         np.copyto(r, rhs.reshape(-1))
     else:
         np.subtract(rhs.reshape(-1), _apply(diag, neighbours, flat_x, r, tmp), r)
-    np.divide(r, diag, d)
-    rz, it = np.vdot(r, d), 0
-    while (rnorm := math.sqrt(np.vdot(r, np.divide(r, metric, tmp)))) > target and it < budget:
+    # the first direction is the first preconditioned residual
+    rz, it, pz = np.vdot(r, np.divide(r, diag, d)), 0, d
+    while (rnorm := math.sqrt(np.vdot(r, np.multiply(pz, ratio, tmp)))) > target and it < budget:
         _apply(diag, neighbours, d, ad, tmp)
         dad = np.vdot(d, ad)
         if not 0.0 < dad < math.inf:
@@ -411,7 +422,7 @@ def _pcg(stencil: tuple, rhs: np.ndarray, metric: np.ndarray, target: float, bud
         alpha = rz / dad
         flat_x += np.multiply(d, alpha, tmp)
         r -= np.multiply(ad, alpha, tmp)
-        rz_old, it = rz, it + 1
+        rz_old, it, pz = rz, it + 1, z
         rz = np.vdot(r, np.divide(r, diag, z))
         d *= rz / rz_old
         d += z
@@ -447,12 +458,14 @@ def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, work: np.nda
     stencil is H's (None for p > 2, whose Hessian moves with the iterate),
     the flat stencil of the one system (H + M/tau) v = (M/tau) anchor + M
     source, whose diagonal, H's centre plus the shift, is formed in row 0 of
-    work.  It holds there until the next system is prepared in the same
-    work, which makes this one stale."""
-    shift = metric / tau
+    work, and that diagonal over the metric, which CG's stopping norm reads
+    (see _pcg), in row 7 (None for p > 2).  They hold there until the next
+    system is prepared in the same work, which makes this one stale."""
+    shift, ratio = metric / tau, None
     if stencil is not None:
         stencil = (np.add(stencil[0], shift, work[0]), stencil[1])
-    return shift, bool(np.all(shift > 0.0)), stencil
+        ratio = np.divide(stencil[0], metric, work[7])
+    return shift, bool(np.all(shift > 0.0)), stencil, ratio
 
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
@@ -475,25 +488,27 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     solves it to a tenth of the tolerance; if CG ends early above the
     tolerance it is restarted from its iterate, and the solve fails once a
     CG call takes no iteration or leaves a norm that is not below the
-    previous call's (one that is not finite included).  Only the energy of
-    the minimizer is evaluated, by the value-only pass over the stencil.
+    previous call's.  A CG norm that is not finite fails it at once, as at
+    p > 2: the iterate has left float range.  Only the energy of the
+    minimizer is evaluated, by the value-only pass over the stencil.
 
     For p > 2, damped Newton.  A system with one forward neighbour (1d) and a
     positive shift (tau finite; see _prepare) is tridiagonal and positive
     definite: it is solved exactly by _tridiagonal_solve, which counts as one
     iteration.  Every other system goes to CG, as does one whose
     factorization meets a pivot that is not positive (the rounded matrix is
-    not definite), and CG solves each to a tenth of the tolerance.  Steps backtrack on the true
-    objective with a round-off allowance, since near the minimizer the
-    decrease drops below one ulp.  The solve has stalled, and raises at
-    once, if no step is found or a step lowers neither the objective nor the
-    gradient norm.  A gradient norm that is not finite fails the solve: the
-    iterate has left float range.
+    not definite), and CG solves each to a tenth of the tolerance, with the
+    system's diagonal over the metric formed once, in row 7 of work, for its
+    stopping norm.  Steps backtrack on the true objective with a round-off
+    allowance, since near the minimizer the decrease drops below one ulp.
+    The solve has stalled, and raises at once, if no step is found or a step
+    lowers neither the objective nor the gradient norm.  A gradient norm
+    that is not finite fails the solve: the iterate has left float range.
     """
     h, project = grid.spacing, math.isinf(tau)
     metric_total = float(metric.sum()) if project else None
     v = start - np.vdot(metric, start) / metric_total if project else start
-    shift, positive, stencil = system
+    shift, positive, stencil, ratio = system
     spent = 0
 
     def failure(what: str, gnorm: float) -> ProxConvergenceError:
@@ -512,9 +527,11 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             rhs -= np.multiply(metric, rhs.sum() / metric_total, work[1])
         previous = math.inf
         while True:
-            v, its, rnorm = _pcg(stencil, rhs, metric, 0.1 * _TOLERANCE,
+            v, its, rnorm = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
                                  _MAX_ITERATIONS - spent, work, v)
             spent += its
+            if not math.isfinite(rnorm):
+                raise failure(f"the iterate left float range at iteration {spent}", rnorm)
             if rnorm <= _TOLERANCE:
                 break
             if spent == _MAX_ITERATIONS or not its or not rnorm < previous:
@@ -555,8 +572,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         if step is not None:
             its = 1
         else:
-            step, its, _ = _pcg(stencil, rhs, metric, 0.1 * _TOLERANCE,
-                                _MAX_ITERATIONS - spent, work)
+            step, its, _ = _pcg(stencil, rhs, np.divide(stencil[0], metric, work[7]),
+                                0.1 * _TOLERANCE, _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
@@ -696,7 +713,7 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
             history.append((t, vals))
         vals.flags.writeable = False
         yield Step(t, GridFunction(grid, vals), value,
-                   float((metric * vals).sum()) / metric_total, iters)
+                   float(np.multiply(metric, vals, work[1]).sum()) / metric_total, iters)
 
 
 @np.errstate(all="ignore")

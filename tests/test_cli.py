@@ -836,6 +836,10 @@ class TestSolverFloatRange:
                        "V": [{"kind": "cosine", "c": -13.0, "k": [-1.23]}]},
             "p": 4.0, "grid": {"half_width": 5.9, "nodes_per_axis": 101},
             "evolution": {"T": 0.02, "tau": 0.01, "dualization": "lebesgue", "u0": "x"}}),
+        # p = 2: the first CG norm is infinite
+        "p2-flow-starts-at-inf": ("solve-evolution", {
+            "weight": {"beta": 1.0, "q": 2.0, "dim": 1}, "p": 2.0,
+            "grid": {"nodes_per_axis": 301}, "evolution": {"T": 0.01, "u0": "1e200*x"}}),
         "stationary-steep-weight": ("solve-stationary", {
             "weight": {"beta": 0.839, "q": 2.98, "dim": 1, "W": [
                 {"kind": "quadratic_form", "c": 101.0}, {"kind": "constant", "c": -50.8}]},

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,12 +253,12 @@ class TestWorkspace:
         metric = _node_metric(spec, g)
         rhs = np.random.default_rng(0).standard_normal(g.shape)
         work = _workspace(g.shape)
-        system = _prepare(stencil, metric, 1e-2, work)[2]
+        system, ratio = _prepare(stencil, metric, 1e-2, work)[2:]
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            x, it, _ = _pcg(system, rhs, metric, 0.0, iterations, work)
+            x, it, _ = _pcg(system, rhs, ratio, 0.0, iterations, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,7 +271,7 @@ class TestWorkspace:
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            warm = _pcg(system, rhs, metric, 0.0, iterations, work, x)[0]
+            warm = _pcg(system, rhs, ratio, 0.0, iterations, work, x)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,7 +281,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("shape", [(301,), (101, 101), (41, 41)])
     def test_rows_are_aligned_views(self, shape):
         work = _workspace(shape)
-        assert work.shape == (7,) + shape
+        assert work.shape == (8,) + shape
         flat = work.reshape(len(work), -1)
         for k in range(len(work)):
             assert work[k].ctypes.data % 64 == 0
@@ -319,19 +321,20 @@ class TestPCG:
         stencil = _hessian(g.spacing, pde._cell_weights(spec, g), 2.0)
         metric = _node_metric(spec, g)
         work = _workspace(g.shape)
-        shift, positive, system = _prepare(stencil, metric, 1e-2, work)
+        shift, positive, system, ratio = _prepare(stencil, metric, 1e-2, work)
         assert positive and np.array_equal(shift, metric / 1e-2)
         assert np.array_equal(system[0], stencil[0] + shift)
+        assert np.array_equal(ratio, system[0] / metric)
         rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
-        partial, it, norm = _pcg(system, rhs, metric, 1e-9, 3, work)
+        partial, it, norm = _pcg(system, rhs, ratio, 1e-9, 3, work)
         assert it == 3 and norm > 1e-9
-        x, it, norm = _pcg(system, rhs, metric, 1e-9, 10_000, work, partial)
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 10_000, work, partial)
         assert 0 < it < 10_000 and norm <= 1e-9
         assert x is partial
         true = rhs - _apply(stencil[0] + shift, stencil[1], x)
         assert math.sqrt(np.vdot(true, true / metric)) <= 1e-9
         solution = x.copy()
-        again, it, _ = _pcg(system, rhs, metric, 1e-6, 10_000, work, x)
+        again, it, _ = _pcg(system, rhs, ratio, 1e-6, 10_000, work, x)
         assert it == 0 and np.array_equal(again, solution)
 
     def test_infinite_curvature_ends_cg(self):
@@ -340,9 +343,17 @@ class TestPCG:
         stencil = _hessian(g.spacing, np.ones(10), 2.0)
         rhs = np.full(g.shape, 1e160)
         work = _workspace(g.shape)
-        x, it, norm = _pcg(_prepare(stencil, np.ones(g.shape), 1.0, work)[2], rhs,
-                           np.ones(g.shape), 1e-9, 100, work)
+        system, ratio = _prepare(stencil, np.ones(g.shape), 1.0, work)[2:]
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 100, work)
         assert it == 0 and norm == math.inf and not x.any()
+
+    def test_p2_norm_beyond_float_range_fails_in_one_message(self):
+        # the first CG norm is inf: the same message as at p > 2, not a budget
+        g = build_grid(1, 6.0, 301)
+        u = sample_field(g, lambda x: 1e200 * x)
+        with pytest.raises(ProxConvergenceError, match=r"^the iterate left float range at "
+                           r"iteration 0 \(gradient norm inf\)$"):
+            solve_evolution(EvolutionProblem(2.0, GAUSS, u, 0.01, 0.01))
 
     def test_every_newton_system_gets_one_target(self, monkeypatch):
         # a 2d flow's and a stationary solve's CG systems, at p = 3
@@ -404,8 +415,8 @@ class TestTridiagonal:
         metric = _node_metric(GAUSS, g)
         shift = metric / 1e-2
         direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
-        cg, it, norm = _pcg((centre + shift, neighbours), -grad, metric, 1e-12, 10_000,
-                            _workspace(g.shape))
+        cg, it, norm = _pcg((centre + shift, neighbours), -grad, (centre + shift) / metric,
+                            1e-12, 10_000, _workspace(g.shape))
         assert norm <= 1e-12 and it > 1
         assert math.sqrt(np.vdot(direct - cg, metric * (direct - cg))) <= 1e-9
 
@@ -1136,3 +1147,86 @@ class TestStaggeredProperties:
         assert np.abs(_apply(centre, neighbours, ones)).max() <= 1e-13 * scale
         v = rng.standard_normal((n,) * dim)
         assert np.vdot(v, _apply(centre, neighbours, v)) >= -1e-13 * scale * np.vdot(v, v)
+
+
+# ---------------------------------------------------------------------------
+# the CG kernel: the stencil product's order and the stopping norm
+# ---------------------------------------------------------------------------
+
+
+def reference_apply(centre, neighbours, v):
+    """The flat stencil times v, node by node: the centre's product, then the
+    backward products in reverse offset order, then the forward ones."""
+    c0, v = centre.reshape(-1).tolist(), v.reshape(-1).tolist()
+    out = []
+    for i in range(len(v)):
+        total = c0[i] * v[i]
+        for _, src, c in reversed(neighbours):
+            if i >= src.start:
+                total += c[i - src.start] * v[i - src.start]
+        for _, src, c in neighbours:
+            if i + src.start < len(v):
+                total += c[i] * v[i + src.start]
+        out.append(total)
+    return np.array(out).reshape(centre.shape)
+
+
+class TestCGKernel:
+    @pytest.mark.parametrize("shape, p", [((31,), 2.0), ((21, 21), 2.0), ((15, 15), 3.0)],
+                             ids=["1d", "2d", "2d-p3"])
+    @pytest.mark.parametrize("buffers", ["none", "workspace", "nan"])
+    def test_apply_is_the_reference_loop_bit_for_bit(self, shape, p, buffers):
+        rng = np.random.default_rng(7)
+        h = 0.3
+        u, v = rng.standard_normal((2,) + shape)
+        cell_w = np.exp(rng.uniform(-8.0, 8.0, tuple(n - 1 for n in shape)))
+        centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
+        if buffers == "none":
+            out = _apply(centre, neighbours, v)
+        else:
+            work = _workspace(shape)
+            if buffers == "nan":
+                work[...] = np.nan
+            row = work[1]
+            out = _apply(centre, neighbours, v, row, work.reshape(len(work), -1)[5])
+            assert out is row
+        assert out.tobytes() == reference_apply(centre, neighbours, v).tobytes()
+
+    @PROPERTY
+    @given(dim=st.sampled_from([1, 2]), half_n=st.integers(2, 20), p=st.sampled_from([2.0, 3.0]),
+           tau=st.sampled_from([math.inf, 1e-3, 0.1, 10.0]), seed=st.integers(0, 2**32 - 1))
+    def test_stopping_norm_is_the_residuals_metric_norm(self, dim, half_n, p, tau, seed):
+        # cell weights spanning e^+-36; at some nodes the weight is clamped at
+        # the smallest float, so their metric is subnormal, the cells they
+        # touch sit at the bottom of the range, and the residual is exactly 0
+        rng = np.random.default_rng(seed)
+        n = 2 * half_n + 1
+        g = build_grid(dim, 6.0, n)
+        h, cells = g.spacing, (n - 1,) * dim
+        clamped = rng.random(g.shape) < 0.2
+        log_w = rng.uniform(-36.0, 36.0, cells)
+        for corner in itertools.product((0, 1), repeat=dim):
+            log_w[clamped[tuple(slice(c, c + n - 1) for c in corner)]] = -36.0
+        cell_w = h**dim * np.exp(log_w)
+        node_w = np.where(clamped, np.finfo(float).tiny, np.exp(rng.uniform(-36.0, 36.0, g.shape)))
+        metric = _mass_weights(g) * node_w
+        work = _workspace(g.shape)
+        if p == 2.0:
+            system, ratio = _prepare(_hessian(h, cell_w, p), metric, tau, work)[2:]
+        else:  # a Newton system, as _minimize forms it for CG
+            shift = _prepare(None, metric, tau, work)[0]
+            centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(
+                rng.standard_normal(g.shape), h, cell_w, p)[2])
+            system = (np.add(centre, shift, work[0]), neighbours)
+            ratio = np.divide(system[0], metric, work[7])
+        start = rng.standard_normal(g.shape)
+        product = _apply(*system, start)
+        rhs = product + np.where(clamped, 0.0, rng.standard_normal(g.shape) * np.sqrt(metric))
+        r = rhs - product
+        assert not r[clamped].any()
+        expected = math.sqrt(math.fsum((r * r / metric).ravel()))
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            x, it, norm = _pcg(system, rhs, ratio, 0.0, 0, work, start.copy())
+        assert it == 0 and np.array_equal(x, start)
+        assert math.isfinite(norm) and norm == pytest.approx(expected, rel=1e-14)

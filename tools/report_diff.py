@@ -8,7 +8,10 @@ run lists (`bench/cases.build` for the three workloads and seeds 0-4, with
 repeated configs dropped), the README config in 1d and in 2d, and a sweep of
 102 solves that reach the Newton-CG path, 4 p = 3 flows whose last step is
 shorter and 3 p = 2 solves, one per kind of prepared system
-(`_sweep_configs`). Each runs once per tree through
+(`_sweep_configs`), and 7 solves whose numbers reach the ends of float range:
+the six whose iterate leaves it, which fail in one error line, and a
+stationary solve on a weight clamped at the smallest float
+(`_float_range_configs`). Each runs once per tree through
 `wsobolev.cli.main`, in the same relative paths, so messages that name a
 path match. Every library case of the same run lists
 also runs once per tree, through the functions `bench/run.py` hands its
@@ -116,6 +119,50 @@ def _sweep_configs() -> dict[str, tuple[str, dict]]:
     return out
 
 
+def _float_range_configs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (subcommand, config) of the solves at the ends of float
+    range, where the solvers' norms overflow or their metric is subnormal:
+    the float-range cases of the CLI tests (the energy overflows at p = 4; d^T
+    A d overflows in a 2d p = 3 CG; a Lebesgue p = 4 flow and a p = 2 flow
+    from u0 = 1e200 x start at an infinite norm; a steep p = 4 weight; CG's
+    products overflow at p = 2), and a stationary solve at beta = 1e307,
+    whose weight is clamped at the smallest float at every node but the
+    origin, so its metric there is the mass times it, a subnormal."""
+    return {
+        "float-range-stationary-energy-overflow": ("solve-stationary", {
+            "weight": {"beta": 0.121, "q": 2.01, "dim": 1, "V": [
+                {"kind": "constant", "c": 17.6}, {"kind": "quadratic_form", "c": -65.5}]},
+            "p": 4.0, "grid": {"half_width": 3.09, "nodes_per_axis": 51}}),
+        "float-range-stationary-2d-curvature-overflow": ("solve-stationary", {
+            "weight": {"beta": -3.23, "q": 2.23, "dim": 2, "W": [
+                {"kind": "quadratic_form", "c": -0.313},
+                {"kind": "power_abs", "c": -0.134, "s": 2.65}],
+                "V": [{"kind": "cosine", "c": 0.151, "k": [2.2, 0.951]}]},
+            "p": 3.0, "grid": {"half_width": 7.21, "nodes_per_axis": 21},
+            "stationary": {"source": "2*(x+y)"}}),
+        "float-range-lebesgue-flow-starts-at-inf": ("solve-evolution", {
+            "weight": {"beta": -0.138, "q": 2.5, "dim": 1,
+                       "W": [{"kind": "power_abs", "c": -1.91, "s": 3.24}],
+                       "V": [{"kind": "cosine", "c": -13.0, "k": [-1.23]}]},
+            "p": 4.0, "grid": {"half_width": 5.9, "nodes_per_axis": 101},
+            "evolution": {"T": 0.02, "tau": 0.01, "dualization": "lebesgue", "u0": "x"}}),
+        "float-range-p2-flow-starts-at-inf": ("solve-evolution", {
+            "weight": {"beta": 1.0, "q": 2.0, "dim": 1}, "p": 2.0,
+            "grid": {"nodes_per_axis": 301}, "evolution": {"T": 0.01, "u0": "1e200*x"}}),
+        "float-range-stationary-steep-weight": ("solve-stationary", {
+            "weight": {"beta": 0.839, "q": 2.98, "dim": 1, "W": [
+                {"kind": "quadratic_form", "c": 101.0}, {"kind": "constant", "c": -50.8}]},
+            "p": 4.0, "grid": {"half_width": 9.49, "nodes_per_axis": 151}}),
+        "float-range-stationary-p2-overflow": ("solve-stationary", {
+            "weight": {"beta": -0.24, "q": 2.22, "dim": 1, "W": [
+                {"kind": "quadratic_form", "c": 5.59}, {"kind": "cosine", "c": 78.6, "k": [4.8]}],
+                "V": [{"kind": "constant", "c": -1.69}]},
+            "p": 2.0, "grid": {"half_width": 7.8, "nodes_per_axis": 101}}),
+        "float-range-stationary-huge-beta": ("solve-stationary", {
+            "weight": {"beta": 1e307, "q": 2.0, "dim": 1}, "grid": {"nodes_per_axis": 151}}),
+    }
+
+
 def _bench(module: str):
     """A module of this checkout's `bench/`, imported read-only."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -161,7 +208,7 @@ def runs() -> dict[str, tuple[str, dict]]:
     for tag, config in _readme_configs().items():
         for subcommand in SUBCOMMANDS:
             add(f"{tag}-{subcommand}", subcommand, config)
-    for name, (subcommand, config) in _sweep_configs().items():
+    for name, (subcommand, config) in {**_sweep_configs(), **_float_range_configs()}.items():
         add(name, subcommand, config)
     return out
 
