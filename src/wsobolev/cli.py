@@ -332,9 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: argparse looks up sys.stdout, sys.stderr and COLUMNS
+# only when it prints, so every call sees the streams and width of its time
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:  # argparse has printed the usage error or --help
         return EXIT_OPERATIONAL if err.code else EXIT_OK
     try:

@@ -15,7 +15,10 @@ and this module is the only one that builds them.  The other tensor helpers
 are ball_slices (the node box of a ball) and the summed-area table that
 maximal_function and maximal_at share, whose box sums are differences along
 one axis at a time (maximal_function reads them as shifted views of the
-table padded with its edge slices).  The package's 1d-only steps lie
+table padded with its edge slices).  mollify sums only over the node box
+that a declared support lets be nonzero, adding at each node the products
+a whole-grid sum adds, in its order, so its values do not depend on the
+box.  The package's 1d-only steps lie
 outside this module: the power-law extrapolation across an isolated zero
 node in the Muckenhoupt integral (weights._ball_integral_power), and the
 bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
@@ -24,6 +27,7 @@ bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -309,18 +313,40 @@ def mollify(f: GridFunction, eps: float) -> GridFunction:
 
     The input is extended by zero outside the box; the support radius grows
     by at most eps and the sup norm does not increase.
+
+    Only the node box that can be nonzero is summed: the nodes within
+    ceil(support / h) + K of the centre along each axis (K the taps'
+    half-width), clipped to the grid, or the whole grid when the support is
+    not declared or not finite.  Only zeros reach a node outside the box,
+    so it keeps the +0.0 it starts as, which is what a sum over the whole
+    grid leaves there.  A node inside adds the same products as that sum,
+    zeros included, one nonzero tap at a time in np.ndindex order, each
+    product formed in one scratch array, so the order of every sum is
+    unchanged and every value is the same bit for bit.
     """
     taps = _mollifier_taps(f.grid, eps)
-    n = f.grid.nodes_per_axis
-    padded = np.pad(f.values, (taps.shape[0] - 1) // 2)
+    h, d, n = f.grid.spacing, f.grid.dim, f.grid.nodes_per_axis
+    K = (taps.shape[0] - 1) // 2
+    c = (n - 1) // 2  # the centre node
+    csr = f.compact_support_radius
+    reach = c
+    if csr is not None and csr / h < c:  # inf and NaN keep the whole grid
+        reach = min(max(math.ceil(csr / h), 0) + K, c)
+    lo, m = c - reach, 2 * reach + 1  # the box: nodes lo .. lo + m - 1 per axis
+    # the box's input, nodes lo - K .. lo + m + K - 1, zero beyond the grid
+    a = max(lo - K, 0)
+    padded = np.zeros((m + 2 * K,) * d)
+    padded[(slice(K - lo + a, K + lo - a + m),) * d] = f.values[(slice(a, n - a),) * d]
     out = np.zeros_like(f.values)
+    box = out[(slice(lo, lo + m),) * d]
+    tmp = np.empty_like(box)
     for offset in np.ndindex(taps.shape):
         t = taps[offset]
         if t != 0.0:
-            out += t * padded[tuple(slice(i, i + n) for i in offset)]
-    csr = f.compact_support_radius
+            np.multiply(t, padded[tuple(slice(i, i + m) for i in offset)], out=tmp)
+            box += tmp
     if csr is not None:
-        csr = min(csr + eps, f.grid.half_width * np.sqrt(f.grid.dim))
+        csr = min(csr + eps, f.grid.half_width * np.sqrt(d))
     return GridFunction(f.grid, out, csr)
 
 

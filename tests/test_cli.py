@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -409,6 +410,44 @@ class TestMain:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "constant_chain.json").exists()
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        # the parser is built at import; each call sees the streams of its own time
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([]) == EXIT_OPERATIONAL
+        assert "subcommand" in err.getvalue()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["--help"]) == EXIT_OK
+        assert "solve-stationary" in out.getvalue()
+        cfg = self.write_config(tmp_path)
+        reports = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            assert main(["constants", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+            reports.append((out_dir / "constant_chain.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert built == []
+
+    def test_package_import_leaves_the_cli_out(self):
+        src = str(Path(wsobolev.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, wsobolev; print('wsobolev.cli' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 def run_main(tmp_path, subcommand, doc, name="run"):

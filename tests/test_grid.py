@@ -1,8 +1,11 @@
+import math
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
@@ -233,6 +236,47 @@ class TestMollifier:
         sm = mollify(f, 0.2)
         assert np.abs(sm.values).max() <= np.abs(f.values).max() * (1 + 1e-12)
         assert sm.compact_support_radius <= 1.0 + 0.2 * np.sqrt(2) + 1e-12
+
+    @staticmethod
+    def full_grid_mollify(f, eps):
+        """mollify summed over the whole grid, one product per nonzero tap."""
+        taps = _mollifier_taps(f.grid, eps)
+        n = f.grid.nodes_per_axis
+        padded = np.pad(f.values, (taps.shape[0] - 1) // 2)
+        out = np.zeros_like(f.values)
+        for offset in np.ndindex(taps.shape):
+            t = taps[offset]
+            if t != 0.0:
+                out += t * padded[tuple(slice(i, i + n) for i in offset)]
+        csr = f.compact_support_radius
+        if csr is not None:
+            csr = min(csr + eps, f.grid.half_width * np.sqrt(f.grid.dim))
+        return GridFunction(f.grid, out, csr)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_support_box_matches_the_full_grid_sum(self, data):
+        # the box summed is the one that can be nonzero, so every node,
+        # signed zeros included, is the full-grid sum bit for bit
+        dim = data.draw(st.sampled_from([1, 2]))
+        n = 2 * data.draw(st.integers(1, 150 if dim == 1 else 30)) + 1
+        g = Grid(dim, data.draw(st.sampled_from([1.0, 2.5, 6.0])), n)
+        eps = data.draw(st.floats(1.0, 8.0)) * g.spacing
+        support = data.draw(st.one_of(
+            st.none(), st.just(0.0),
+            st.floats(0.0, g.half_width),  # inside the box
+            st.sampled_from([g.half_width, g.half_width * np.sqrt(dim), 1e300]),  # at or past it
+            st.floats(g.half_width, 1e300), st.just(math.inf)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_normal(g.shape)
+        values[rng.random(g.shape) < 0.2] = -0.0
+        if support is not None:
+            outside = g.node_radii() > support
+            values[outside] = np.where(rng.random(g.shape) < 0.5, 0.0, -0.0)[outside]
+        f = GridFunction(g, values, support)
+        got, want = mollify(f, eps), self.full_grid_mollify(f, eps)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.compact_support_radius == want.compact_support_radius
 
 
 class TestMaximalFunction:

@@ -18,13 +18,16 @@ also runs once per tree, through the functions `bench/run.py` hands its
 library cases (`LIB_NAMES`), and its result is compared by `repr`. For every
 catalog weight of the diagnostics run lists, the node values of the weight
 (`weight_on_grid`) and of the maximal function of its p-th root
-(`maximal_function(root_on_grid(...))`) are compared byte for byte.
+(`maximal_function(root_on_grid(...))`) are compared byte for byte, and so
+are the node values of `mollify` at every eps of every `approximate` run
+above, of its u0 state with its declared support and with none.
 
 Every report file, exit code, stderr text and library result that differs
 between the trees is printed with its first differing line and the largest
 change among its numbers, absolute and relative to the text's largest
 number; every array that differs, with the number of values that changed
-and the largest change relative to the value. The exit status is 1 if
+and the largest change relative to the value, or that one tree alone
+gives. The exit status is 1 if
 anything differs, else 0. Only `bench/` and
 `README.md` of this checkout are read; nothing is written outside a
 temporary directory.
@@ -240,10 +243,14 @@ def run_library(src: Path, calls: dict) -> dict[str, str]:
     return out
 
 
-def run_arrays(src: Path, probes: dict[str, dict]) -> dict[str, np.ndarray]:
-    """Probe name -> node values of each probe's weight (`<name>-weight`) and
-    of the maximal function of its p-th root (`<name>-maximal`) against the
-    package in src."""
+def run_arrays(src: Path, probes: dict[str, dict],
+               approximations: dict[str, dict]) -> dict[str, np.ndarray]:
+    """Array name -> node values against the package in src: each probe's
+    weight (`<name>-weight`) and the maximal function of its p-th root
+    (`<name>-maximal`), and, for each approximate run whose u0 state builds,
+    `mollify` of that state at every eps of its schedule, with its declared
+    support (`<run>-mollify-<eps>`) and with none (`<run>-mollify-<eps>-none`).
+    A scale `mollify` refuses gives no array."""
     pkg = _import_package(src)
     out = {}
     for name, config in probes.items():
@@ -253,6 +260,19 @@ def run_arrays(src: Path, probes: dict[str, dict]) -> dict[str, np.ndarray]:
         out[f"{name}-weight"] = pkg.weights.weight_on_grid(spec, grid).values
         root = pkg.weights.root_on_grid(spec, grid, config["p"])
         out[f"{name}-maximal"] = pkg.grid.maximal_function(root).values
+    for name, config in approximations.items():
+        try:
+            run = pkg.config.parse_config(config)
+            cfg = run.approximate
+            f = pkg.cli._state_from_string(cfg.u0, run.grid, "approximate.u0",
+                                           cfg.support_radius)
+        except ValueError:  # the run's CLI report holds the error
+            continue
+        unsupported = pkg.grid.GridFunction(run.grid, f.values)
+        for eps in cfg.schedule:
+            for tag, state in (("", f), ("-none", unsupported)):
+                with contextlib.suppress(ValueError):
+                    out[f"{name}-mollify-{eps!r}{tag}"] = pkg.grid.mollify(state, eps).values
     return out
 
 
@@ -361,14 +381,19 @@ def main(argv=None) -> int:
                     f"{_numeric_change(x.encode(), y.encode())}"
                     for name in calls if (x := old_lib[name]) != (y := new_lib[name])]
     probes = array_probes()
-    old_arrays, new_arrays = run_arrays(old_src, probes), run_arrays(new_src, probes)
-    array_problems = [f"{name}: {_array_change(x, y)}" for name, x in old_arrays.items()
-                      if x.tobytes() != (y := new_arrays[name]).tobytes()]
+    approximations = {name: config for name, (subcommand, config) in todo.items()
+                       if subcommand == "approximate"}
+    old_arrays, new_arrays = (run_arrays(src, probes, approximations)
+                              for src in (old_src, new_src))
+    array_problems = [f"{name}: only in {'new' if name in new_arrays else 'old'}"
+                      for name in sorted(old_arrays.keys() ^ new_arrays.keys())]
+    array_problems += [f"{name}: {_array_change(x, y)}" for name, x in old_arrays.items()
+                       if name in new_arrays and x.tobytes() != (y := new_arrays[name]).tobytes()]
     for line in problems + lib_problems + array_problems:
         print(line)
     print(f"{len(todo)} configs, {n_files} files: {len(problems)} differ")
     print(f"{len(calls)} library results: {len(lib_problems)} differ")
-    print(f"{len(old_arrays)} arrays: {len(array_problems)} differ")
+    print(f"{len(old_arrays.keys() | new_arrays.keys())} arrays: {len(array_problems)} differ")
     return 1 if problems or lib_problems or array_problems else 0
 
 
