@@ -7,21 +7,25 @@ per axis is kept odd so that the origin is always a node and composite
 Simpson weights apply without special cases.
 
 No code path depends on d, except that maximal_function batches its radii
-in 1d only.  Every integral in the package is a 1d rule (segment_weights,
-Simpson; or trapezoid_weights) applied along each axis: tensor_rule gives
-its weights for a block of any shape and integrate its integral,
-quadrature_rows the integrals of a batch of grid functions, one row each,
-and this module is the only one that builds them.  The other tensor helpers
-are ball_slices (the node box of a ball) and the summed-area table that
-maximal_function and maximal_at share, whose box sums are differences along
-one axis at a time (maximal_function reads them as shifted views of the
-table padded with its edge slices).  mollify sums only over the node box
-that a declared support lets be nonzero, adding at each node the products
-a whole-grid sum adds, in its order, so its values do not depend on the
-box.  The package's 1d-only steps lie
-outside this module: the power-law extrapolation across an isolated zero
-node in the Muckenhoupt integral (weights._ball_integral_power), and the
-bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
+in 1d only (bit for bit its per-radius loop, 2.5-5x faster at n = 301).  It
+and maximal_at keep kernels of their own: a shared one was bit for bit the
+same but made maximal_at 10-40% and the 2d maximal_function ~10% slower,
+for 7 fewer lines.  axis_derivatives and gradient_magnitude are the
+package's only discrete gradient and magnitude.  Every integral in the
+package is a 1d rule (segment_weights, Simpson; or trapezoid_weights)
+applied along each axis: tensor_rule gives its weights for a block of any
+shape and integrate its integral, quadrature_rows the integrals of a batch
+of grid functions, one row each, and this module is the only one that
+builds them.  The other tensor helpers are ball_slices (the node box of a
+ball) and the summed-area table that maximal_function and maximal_at share,
+whose box sums are differences along one axis at a time (maximal_function
+reads them as shifted views of the table padded with its edge slices).
+mollify sums only over the node box that a declared support lets be
+nonzero, adding at each node the products a whole-grid sum adds, in its
+order, so its values do not depend on the box.  The package's 1d-only steps
+lie outside this module: the power-law extrapolation across an isolated
+zero node in the Muckenhoupt integral (weights._ball_integral_power), and
+the bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
 (cli._cmd_verify) refuses dim != 1 too.
 """
 
@@ -40,6 +44,7 @@ __all__ = [
     "GridFunction",
     "build_grid",
     "sample_field",
+    "axis_derivatives",
     "discrete_gradient",
     "quadrature",
     "quadrature_with_error",
@@ -136,16 +141,6 @@ class GridFunction:
                     f"values do not vanish outside radius {r}"
                 )
 
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        a, b = self.compact_support_radius, other.compact_support_radius
-        radius = None if a is None or b is None else max(a, b)
-        return GridFunction(self.grid, self.values - other.values, radius)
-
 
 def sample_field(
     grid: Grid,
@@ -163,19 +158,23 @@ def sample_field(
 # ---------------------------------------------------------------------------
 
 
+def axis_derivatives(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Derivatives of node values along the trailing grid.dim axes, any
+    leading axes a batch: central differences inside, 2nd-order one-sided
+    at the boundary (the np.gradient edge_order=2 stencil)."""
+    lead = values.ndim - grid.dim
+    return [np.gradient(values, grid.spacing, edge_order=2, axis=lead + a)
+            for a in range(grid.dim)]
+
+
 def discrete_gradient(f: GridFunction) -> list[GridFunction]:
-    """Axis derivatives: central differences inside, 2nd-order one-sided at
-    the boundary (the np.gradient edge_order=2 stencil)."""
-    h = f.grid.spacing
-    return [
-        GridFunction(f.grid, np.gradient(f.values, h, edge_order=2, axis=a))
-        for a in range(f.grid.dim)
-    ]
+    """The axis derivatives of a grid function, one grid function each."""
+    return [GridFunction(f.grid, d) for d in axis_derivatives(f.values, f.grid)]
 
 
-def gradient_magnitude(grads: Sequence[GridFunction]) -> np.ndarray:
-    sq = sum(g.values * g.values for g in grads)
-    return np.sqrt(sq)
+def gradient_magnitude(derivatives: Sequence[np.ndarray]) -> np.ndarray:
+    """The Euclidean norm of axis derivatives, node by node."""
+    return np.sqrt(sum(d * d for d in derivatives))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,8 @@ def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
     """Composite Simpson integral of f (optionally times a weight field)."""
     values = f.values
     if weight is not None:
-        f._check_same_grid(weight)
+        if weight.grid != f.grid:
+            raise ValueError("grid mismatch")
         values = values * weight.values
     return integrate(values, f.grid.spacing, segment_weights)
 
@@ -260,23 +260,21 @@ def quadrature_rows(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def ball_slices(grid: Grid, center: Sequence[float], radius: float) -> tuple[slice, ...] | None:
+def ball_slices(grid: Grid, center: Sequence[float], radius: float) -> tuple[slice, ...] | str:
     """Per-axis node slices of the axis-aligned box ball center +- radius,
-    snapped to the node lattice, or None if it escapes the grid box (or
-    spans fewer than two cells along an axis)."""
+    snapped to the node lattice, or the reason it has none, a message."""
     if len(center) != grid.dim:
         raise ValueError("ball center dimension mismatch")
     if radius <= 0:
         raise ValueError("ball radius must be positive")
     h = grid.spacing
-    out = []
-    for c in center:
-        lo = int(round((c - radius + grid.half_width) / h))
-        hi = int(round((c + radius + grid.half_width) / h))
-        if lo < 0 or hi > grid.nodes_per_axis - 1 or hi - lo < 2:
-            return None
-        out.append(slice(lo, hi + 1))
-    return tuple(out)
+    lo = [int(round((c - radius + grid.half_width) / h)) for c in center]
+    hi = [int(round((c + radius + grid.half_width) / h)) for c in center]
+    if min(lo) < 0 or max(hi) > grid.nodes_per_axis - 1:
+        return "escapes the grid box"
+    if any(b - a < 2 for a, b in zip(lo, hi)):
+        return "spans fewer than two grid cells"
+    return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
 # ---------------------------------------------------------------------------

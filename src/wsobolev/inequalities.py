@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, gradient_magnitude, quadrature_rows, quadrature_with_error
+from .grid import (Grid, GridFunction, axis_derivatives, gradient_magnitude, quadrature_rows,
+                   quadrature_with_error)
 from .weights import PotentialExpr, PowerAbsTerm, WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
@@ -320,7 +321,6 @@ class InequalityReport:
 def verify_batch(
     grid: Grid,
     values: np.ndarray,
-    grads: Sequence[np.ndarray],
     spec: WeightSpec,
     p: float,
     C: float,
@@ -329,13 +329,13 @@ def verify_batch(
     D_prime: float,
     c: float,
 ) -> tuple[list[InequalityReport], list[InequalityReport], list[InequalityReport]]:
-    """The three inequalities on a batch of functions: values has shape
-    (m,) + grid.shape and grads one array of that shape per axis.  Returns
+    """The three inequalities on a batch of functions, values of shape
+    (m,) + grid.shape, differentiated together by axis_derivatives.  Returns
     the radial moment, potential moment and Poincaré reports, one per row,
     each the report verify_xq, verify_potential and verify_poincare give for
-    that row alone.  The weight and the radial weight exp(-beta*|x|^q) are
-    evaluated once each."""
-    mag = np.sqrt(sum(g * g for g in grads))
+    that row and its discrete_gradient alone.  The weight and the radial
+    weight exp(-beta*|x|^q) are evaluated once each."""
+    mag = gradient_magnitude(axis_derivatives(values, grid))
     radial = weight_on_grid(WeightSpec(spec.beta, spec.q, spec.dim), grid)
     nu = weight_on_grid(spec, grid)
     return (_moment_reports(values, mag, radial, spec.q, 1.0, C, D),
@@ -409,8 +409,8 @@ def verify_potential(
     """Check the p-th power moment bound against the full catalog weight: a
     batch of one."""
     nu = weight_on_grid(spec, f.grid)
-    (rep,) = _moment_reports(f.values[None], gradient_magnitude(grads)[None], nu, spec.q, p,
-                             c_prime, d_prime)
+    mag = gradient_magnitude([g.values for g in grads])
+    (rep,) = _moment_reports(f.values[None], mag[None], nu, spec.q, p, c_prime, d_prime)
     return rep
 
 
@@ -424,7 +424,8 @@ def verify_poincare(
     """Check the Poincaré inequality (weighted mean subtracted) with a given
     constant c: a batch of one."""
     nu = weight_on_grid(spec, f.grid)
-    (rep,) = _poincare_reports(f.values[None], gradient_magnitude(grads)[None], nu, p, c)
+    mag = gradient_magnitude([g.values for g in grads])
+    (rep,) = _poincare_reports(f.values[None], mag[None], nu, p, c)
     return rep
 
 

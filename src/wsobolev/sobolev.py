@@ -21,6 +21,7 @@ import numpy as np
 
 from .grid import (
     GridFunction,
+    axis_derivatives,
     discrete_gradient,
     gradient_magnitude,
     maximal_at,
@@ -57,7 +58,8 @@ def gradient_lebesgue_norm(
     grads: Sequence[GridFunction], weight: GridFunction | None, p: float
 ) -> float:
     """L^p norm of the gradient magnitude against the weight."""
-    return lebesgue_norm(GridFunction(grads[0].grid, gradient_magnitude(grads)), weight, p)
+    mag = gradient_magnitude([g.values for g in grads])
+    return lebesgue_norm(GridFunction(grads[0].grid, mag), weight, p)
 
 
 def sobolev_norm(
@@ -177,10 +179,10 @@ def smooth_approximation(
     base = sobolev_norm(f, grads_f, w, p)
     steps = []
     for eps in schedule:
-        g = mollify(f, eps)
-        grads_g = discrete_gradient(g)
-        diff = g - f
-        grad_diff = [a - b for a, b in zip(grads_g, grads_f)]
+        g = mollify(f, eps).values  # the differences declare no support: no norm reads one
+        diff = GridFunction(f.grid, g - f.values)
+        grad_diff = [GridFunction(f.grid, a - b.values)
+                     for a, b in zip(axis_derivatives(g, f.grid), grads_f)]
         lp = lebesgue_norm(diff, w, p)
         grad_lp = gradient_lebesgue_norm(grad_diff, w, p)
         steps.append(
@@ -227,7 +229,7 @@ def hedberg_constant(u: GridFunction) -> HedbergReport:
     at the drawn nodes only.
     """
     grid = u.grid
-    mag = GridFunction(grid, gradient_magnitude(discrete_gradient(u)))
+    mag = GridFunction(grid, gradient_magnitude(axis_derivatives(u.values, grid)))
     pairs = np.random.default_rng(_HEDBERG_SEED).integers(
         0, u.values.size, size=(_HEDBERG_PAIRS, 2))
     m = maximal_at(mag, pairs)

@@ -506,18 +506,18 @@ class DoublingReport:
 def estimate_doubling(field: GridFunction, balls: Sequence[Ball]) -> DoublingReport:
     """Mass ratios of concentric doubled balls, integral(2B)/integral(B).
 
-    Balls whose doubling escapes the box are reported with a warning note
-    instead of a number; the returned constant is the max over valid balls.
+    A ball with no node box (ball_slices), or whose double has none, gets a
+    note that says why instead of a number, naming the doubled ball first;
+    the returned constant is the max over valid balls.
     """
     entries: list[BallEntry] = []
     h = field.grid.spacing
     for ball in balls:
         inner = ball_slices(field.grid, ball.center, ball.radius)
         outer = ball_slices(field.grid, ball.center, 2.0 * ball.radius)
-        if inner is None or outer is None:
-            entries.append(
-                BallEntry(ball.center, ball.radius, None, "doubled ball escapes the grid box")
-            )
+        if isinstance(outer, str) or isinstance(inner, str):
+            note = f"doubled ball {outer}" if isinstance(outer, str) else f"ball {inner}"
+            entries.append(BallEntry(ball.center, ball.radius, None, note))
             continue
         denom = integrate(field.values[inner], h, segment_weights)
         if denom <= 0.0:
@@ -620,8 +620,8 @@ def estimate_muckenhoupt(field: GridFunction, p: float,
     h = field.grid.spacing
     for i, ball in enumerate(balls):
         box = ball_slices(field.grid, ball.center, ball.radius)
-        if box is None:
-            entries.append(BallEntry(ball.center, ball.radius, None, "ball escapes the grid box"))
+        if isinstance(box, str):
+            entries.append(BallEntry(ball.center, ball.radius, None, f"ball {box}"))
             continue
         # Average over the node-snapped segment actually integrated, not the
         # nominal (2r)^dim box, so constant weights score exactly 1 for any ball.

@@ -457,6 +457,19 @@ def run_main(tmp_path, subcommand, doc, name="run"):
     return main([subcommand, "--config", str(cfg), "--out", str(out)]), out
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"grid": {"nodes_per_axis": 101.0}}, "grid.nodes_per_axis: expected an integer, got 101.0"),
+    ({"grid": {"nodes_per_axis": 1}}, "grid.nodes_per_axis: must be >= 3, got 1"),
+    ({"evolution": {"u0": 3}}, "evolution.u0: expected a string, got 3"),
+    ({"weight": {**GAUSS_1D, "W": 3}}, "weight.W: expected a list of terms"),
+])
+def test_config_field_of_the_wrong_kind_is_one_error_line(doc, message, tmp_path, capsys):
+    code, out = run_main(tmp_path, "weight-report", {"weight": GAUSS_1D, **doc})
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestStateFailures:
     """A state that cannot be evaluated or written fails with one error line
     and leaves no output directory behind."""

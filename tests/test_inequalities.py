@@ -162,6 +162,25 @@ class TestConstantChain:
         # smaller than at the old fixed L = 4, where log10 c was 16.31
         assert chain.log_c < 16.31 * math.log(10.0)
 
+    def test_smallest_bound_past_the_first_bracket(self):
+        # log c falls for 3.75 units of log L past log D', so the bracket
+        # [log D', log D' + 2] has to move up before golden section narrows it
+        spec = WeightSpec(0.05, 1.2, 1)
+        chain = build_constant_chain(spec, 1.2, C4=1.0, eps0=100.0)
+        assert chain.D_prime == pytest.approx(17.954, abs=1e-3)
+        assert chain.L == pytest.approx(762.75, abs=1e-2)
+        assert chain.L > chain.D_prime
+        assert math.log(chain.L) - math.log(chain.D_prime) > 2.0
+        assert chain.log_c == pytest.approx(3.2224537551, abs=1e-9)
+        scan = []
+        for t in np.linspace(0.0, 10.0, 20001)[1:]:
+            L = chain.D_prime * math.exp(t)
+            try:
+                scan.append(poincare_bound(spec, 1.2, chain.C_prime, chain.D_prime, L, 1.0)[2])
+            except ValueError:
+                pass
+        assert chain.log_c <= min(scan) + 1e-9
+
     def test_settings_are_keyword_only(self):
         # a stale positional call (p, L, C4) must not read L as C4
         with pytest.raises(TypeError):
@@ -278,8 +297,7 @@ class TestBatch:
         fields = [m.on_grid(g) for m in corpus_members()]
         grads = [discrete_gradient(f) for f in fields]
         values = np.stack([f.values for f in fields])
-        batch_grads = [np.stack([gr[0].values for gr in grads])]
-        xq, pot, poi = verify_batch(g, values, batch_grads, self.SPEC, 3.0, C=0.5, D=2.5,
+        xq, pot, poi = verify_batch(g, values, self.SPEC, 3.0, C=0.5, D=2.5,
                                     C_prime=0.5, D_prime=3.0, c=1e3)
         for i, (f, gr) in enumerate(zip(fields, grads)):
             assert xq[i] == verify_xq(f, gr, 0.7, 2.5, 0.5, 2.5)

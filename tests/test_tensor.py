@@ -81,7 +81,7 @@ def test_ball_quadrature_separates(data):
     center = (float(g1.axis()[cx]), float(g1.axis()[cy]))
     radius = g1.spacing * data.draw(st.integers(1, (n - 1) // 2))
     box = ball_slices(g2, center, radius)
-    if box is not None:
+    if not isinstance(box, str):
         h = g1.spacing
         assert integrate(np.multiply.outer(f, g)[box], h, segment_weights) == pytest.approx(
             integrate(f[box[0]], h, segment_weights) * integrate(g[box[1]], h, segment_weights),

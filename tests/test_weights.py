@@ -15,6 +15,7 @@ from wsobolev.inequalities import oscillation_over_ball
 from wsobolev.weights import (
     AdmissibilityReport,
     Ball,
+    BallEntry,
     ConstantTerm,
     CosineTerm,
     PotentialExpr,
@@ -375,6 +376,27 @@ class TestDoubling:
         assert rep.constant is None
         assert rep.entries[0].value is None
         assert "escapes" in rep.entries[0].note
+        assert rep.entries[0].note == "doubled ball escapes the grid box"
+
+    def test_too_small_ball_noted(self):
+        # at the origin, well inside the box, but narrower than two cells
+        g = build_grid(1, 6.0, 301)
+        one = GridFunction(g, np.ones(g.shape))
+        rep = estimate_doubling(one, [Ball.of(0.0, 0.001), Ball.of(0.0, 0.015)])
+        assert rep.constant is None
+        # both balls too small, then the ball alone (its double spans 2 cells)
+        assert [e.note for e in rep.entries] == ["doubled ball spans fewer than two grid cells",
+                                                 "ball spans fewer than two grid cells"]
+        rep = estimate_muckenhoupt(one, 2.0, [Ball.of(0.0, 0.001)])
+        assert rep.constant is None
+        assert rep.entries[0].note == "ball spans fewer than two grid cells"
+
+    def test_massless_ball_noted(self):
+        g = build_grid(1, 6.0, 301)
+        w = GridFunction(g, np.where(np.abs(g.axis()) > 1.5, 1.0, 0.0))
+        rep = estimate_doubling(w, [Ball.of(0.0, 1.0), Ball.of(1.0, 1.0)])
+        assert rep.entries[0] == BallEntry((0.0,), 1.0, None, "ball carries no mass")
+        assert rep.constant == rep.entries[1].value > 1.0
 
 
 class TestMuckenhoupt:
@@ -432,6 +454,29 @@ class TestMuckenhoupt:
         one = GridFunction(g, np.ones(g.shape))
         rep = estimate_muckenhoupt(one, 2.0, [Ball.of(6.0, 1.0)])
         assert rep.constant is None
+        assert rep.entries[0].note == "ball escapes the grid box"
+
+    @pytest.mark.parametrize("zeros, message", [
+        # node 173 lies 2 nodes inside the edge node 175 of B(0, 1)
+        ([173], "zero weight node 173 too close to the ball edge"),
+        ([140, 160], "weight vanishes at several nodes, e.g. node 160"),
+    ])
+    def test_zero_nodes_refused_1d(self, zeros, message):
+        g = build_grid(1, 6.0, 301)
+        w = np.abs(g.axis() - g.axis()[zeros[0]]) ** 0.5
+        w[zeros] = 0.0
+        with pytest.raises(ValueError) as err:
+            estimate_muckenhoupt(GridFunction(g, w), 2.0, [Ball.of(0.0, 1.0)])
+        assert str(err.value) == message
+
+    def test_zero_node_refused_2d(self):
+        # the power-law extrapolation across a zero node is 1d only
+        g = build_grid(2, 2.0, 21)
+        w = np.ones(g.shape)
+        w[10, 10] = 0.0
+        with pytest.raises(ValueError) as err:
+            estimate_muckenhoupt(GridFunction(g, w), 2.0, [Ball.of((0.0, 0.0), 1.0)])
+        assert str(err.value) == "weight vanishes at node (10, 10) inside a ball"
 
 
 @settings(max_examples=300, deadline=None)
