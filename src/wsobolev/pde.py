@@ -36,7 +36,10 @@ and at p = 2 the diagonal of H + M/tau, which CG preconditions by, and its
 ratio to the metric, which CG's stopping norm reads.  A horizon that is no
 whole number of steps ends on a shorter last step, which gets a system of
 its own; a flow takes at least one step.  A stationary solve prepares its
-system (tau = inf, no shift) the same way.  Each solve works in one scratch
+system (tau = inf, no shift) the same way.  Every system CG solves is
+formed by _shifted, and every solve stops by one rule in _minimize: the two
+places that ROADMAP items 6-8 (a V-cycle preconditioner, a norm that counts
+the far field, a round-off floor) change.  Each solve works in one scratch
 array, whose rows start on 64-byte boundaries and hold the prepared
 diagonal and ratio too; CG continues its start in place, so a warm-started
 CG allocates nothing, and neither does a step's weighted mean.  Each step
@@ -66,7 +69,6 @@ __all__ = [
     "ProxConvergenceError",
     "IntegrabilityGateError",
     "TailReport",
-    "energy",
     "apply_operator",
     "evolve",
     "solve_evolution",
@@ -241,18 +243,6 @@ def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float):
     coef = cell_w * s ** ((p - 2.0) / 2.0)
     grad = _edge_differences_transpose([_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
     return value, grad, (diffs, s)
-
-
-def energy(u: GridFunction, spec: WeightSpec, p: float) -> float:
-    """(1/p) int |grad u|^p w dx by the staggered cell sum."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    h, cell_w = u.grid.spacing, _cell_weights(spec, u.grid)
-    if p == 2.0:  # the quadratic form, as the p = 2 solvers evaluate it
-        return _quadratic_energy(u.values, _hessian(h, cell_w, p))
-    # below p = 2 the gradient formed alongside is singular where grad u vanishes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _energy_terms(u.values, h, cell_w, p)[0]
 
 
 def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
@@ -451,20 +441,27 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
+def _shifted(stencil: tuple, shift: np.ndarray, metric: np.ndarray, work: np.ndarray) -> tuple:
+    """The system CG solves, the stencil with shift added to its centre, in
+    row 0 of work, and that diagonal over the metric, which CG's stopping
+    norm reads (see _pcg), in row 7: their one former, which ROADMAP items 6
+    and 7 change."""
+    centre = np.add(stencil[0], shift, work[0])
+    return (centre, stencil[1]), np.divide(centre, metric, work[7])
+
+
 def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, work: np.ndarray) -> tuple:
     """What every solve with step tau shares, as _minimize takes it: the
     shift M/tau (zero at tau = inf); whether it is positive at every node,
     which a direct solve of a 1d Newton system needs; and at p = 2, where
     stencil is H's (None for p > 2, whose Hessian moves with the iterate),
-    the flat stencil of the one system (H + M/tau) v = (M/tau) anchor + M
-    source, whose diagonal, H's centre plus the shift, is formed in row 0 of
-    work, and that diagonal over the metric, which CG's stopping norm reads
-    (see _pcg), in row 7 (None for p > 2).  They hold there until the next
-    system is prepared in the same work, which makes this one stale."""
+    the one system (H + M/tau) v = (M/tau) anchor + M source and its ratio,
+    formed by _shifted in rows 0 and 7 of work (None for p > 2).  _shifted
+    and the stop rule in _minimize are what ROADMAP items 6-8 change.
+    Preparing the next system in the same work makes this one stale."""
     shift, ratio = metric / tau, None
     if stencil is not None:
-        stencil = (np.add(stencil[0], shift, work[0]), stencil[1])
-        ratio = np.divide(stencil[0], metric, work[7])
+        stencil, ratio = _shifted(stencil, shift, metric, work)
     return shift, bool(np.all(shift > 0.0)), stencil, ratio
 
 
@@ -479,7 +476,11 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     _workspace) that CG and every evaluation form their temporaries in; the
     iterates, gradients and CG solutions are the only new arrays.  Without
     the proximal term (tau = inf) constants are free, so the start, the
-    right-hand side and the minimizer are kept metric-mean-zero.
+    right-hand side and the minimizer are kept metric-mean-zero.  Both arms
+    stop by one rule, converged: the norm (CG's at p = 2, the gradient's
+    above) meets the tolerance, and the solve fails once the norm is not
+    finite (the iterate has left float range) or the budget is spent.
+    ROADMAP items 7 and 8 change this rule, and items 6 and 7 _shifted.
 
     At p = 2 the objective is quadratic, so the minimizer solves one linear
     system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian
@@ -488,22 +489,19 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     solves it to a tenth of the tolerance; if CG ends early above the
     tolerance it is restarted from its iterate, and the solve fails once a
     CG call takes no iteration or leaves a norm that is not below the
-    previous call's.  A CG norm that is not finite fails it at once, as at
-    p > 2: the iterate has left float range.  Only the energy of the
-    minimizer is evaluated, by the value-only pass over the stencil.
+    previous call's.  Only the energy of the minimizer is evaluated, by the
+    value-only pass over the stencil.
 
     For p > 2, damped Newton.  A system with one forward neighbour (1d) and a
     positive shift (tau finite; see _prepare) is tridiagonal and positive
     definite: it is solved exactly by _tridiagonal_solve, which counts as one
     iteration.  Every other system goes to CG, as does one whose
     factorization meets a pivot that is not positive (the rounded matrix is
-    not definite), and CG solves each to a tenth of the tolerance, with the
-    system's diagonal over the metric formed once, in row 7 of work, for its
-    stopping norm.  Steps backtrack on the true objective with a round-off
-    allowance, since near the minimizer the decrease drops below one ulp.
-    The solve has stalled, and raises at once, if no step is found or a step
-    lowers neither the objective nor the gradient norm.  A gradient norm
-    that is not finite fails the solve: the iterate has left float range.
+    not definite), and CG solves each to a tenth of the tolerance.  Steps
+    backtrack on the true objective with a round-off allowance, since near
+    the minimizer the decrease drops below one ulp.  The solve has stalled,
+    and raises at once, if no step is found or a step lowers neither the
+    objective nor the gradient norm.
     """
     h, project = grid.spacing, math.isinf(tau)
     metric_total = float(metric.sum()) if project else None
@@ -519,6 +517,15 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         return failure(f"{'CG' if p == 2.0 else 'Newton-CG'} did not reach tolerance "
                        f"{_TOLERANCE:g} in {spent} iterations", gnorm)
 
+    def converged(norm: float) -> bool:
+        if norm <= _TOLERANCE:
+            return True
+        if not math.isfinite(norm):
+            raise failure(f"the iterate left float range at iteration {spent}", norm)
+        if spent == _MAX_ITERATIONS:
+            raise exhausted(norm)
+        return False
+
     if p == 2.0:
         rhs = np.multiply(shift, anchor, work[6])
         if source is not None:
@@ -530,11 +537,9 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             v, its, rnorm = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
                                  _MAX_ITERATIONS - spent, work, v)
             spent += its
-            if not math.isfinite(rnorm):
-                raise failure(f"the iterate left float range at iteration {spent}", rnorm)
-            if rnorm <= _TOLERANCE:
+            if converged(rnorm):
                 break
-            if spent == _MAX_ITERATIONS or not its or not rnorm < previous:
+            if not its or not rnorm < previous:
                 raise exhausted(rnorm)
             previous = rnorm
         if project:
@@ -559,21 +564,16 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[1]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
-    while not gnorm <= _TOLERANCE:  # a NaN norm enters too
-        if not math.isfinite(gnorm):
-            raise failure(f"the iterate left float range at iteration {spent}", gnorm)
-        if spent == _MAX_ITERATIONS:
-            raise exhausted(gnorm)
-        centre, neighbours = _hessian(h, cell_w, p, *terms[2])
-        stencil = (np.add(centre, shift, work[0]), neighbours)
-        rhs = np.negative(g, work[6])
-        step = (_tridiagonal_solve(stencil[0], neighbours[0][2], rhs)
+    while not converged(gnorm):
+        stencil, ratio = _shifted(_hessian(h, cell_w, p, *terms[2]), shift, metric, work)
+        (centre, neighbours), rhs = stencil, np.negative(g, work[6])
+        step = (_tridiagonal_solve(centre, neighbours[0][2], rhs)
                 if positive and len(neighbours) == 1 else None)
         if step is not None:
             its = 1
         else:
-            step, its, _ = _pcg(stencil, rhs, np.divide(stencil[0], metric, work[7]),
-                                0.1 * _TOLERANCE, _MAX_ITERATIONS - spent, work)
+            step, its, _ = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
+                                _MAX_ITERATIONS - spent, work)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total

@@ -545,9 +545,7 @@ def _power_fit_integral(
         i2 = idx0 + sgn * halo
         if i2 < lo or i2 > hi:
             raise ValueError(f"zero weight node {idx0} too close to the ball edge")
-        w1, w2 = w[i1], w[i2]
-        if w1 <= 0.0 or w2 <= 0.0:
-            raise ValueError(f"weight vanishes on several nodes near node {idx0}")
+        w1, w2 = w[i1], w[i2]  # in the ball box, where idx0 is the one zero node
         alpha = math.log(w2 / w1) / math.log(2.0)
         if alpha * s <= -1.0:
             raise ValueError(

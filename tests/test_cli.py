@@ -462,11 +462,26 @@ def run_main(tmp_path, subcommand, doc, name="run"):
     ({"grid": {"nodes_per_axis": 1}}, "grid.nodes_per_axis: must be >= 3, got 1"),
     ({"evolution": {"u0": 3}}, "evolution.u0: expected a string, got 3"),
     ({"weight": {**GAUSS_1D, "W": 3}}, "weight.W: expected a list of terms"),
+    # a number out of its range
+    ({"grid": {"half_width": 0}}, "grid.half_width: must be > 0, got 0"),
+    ({"p": 0.5}, "config.p: must be >= 1, got 0.5"),
+    ({"evolution": {"tau": 0}}, "evolution.tau: must be > 0, got 0"),
+    ({"constants": {"eps0": 0}}, "constants.eps0: must be > 0, got 0"),
+    ({"balls": [{"center": [0], "radius": 0}]}, "balls[0].radius: must be > 0, got 0"),
+    ({"verify": {"c": -1}}, "verify.c: must be > 0, got -1"),
 ])
 def test_config_field_of_the_wrong_kind_is_one_error_line(doc, message, tmp_path, capsys):
     code, out = run_main(tmp_path, "weight-report", {"weight": GAUSS_1D, **doc})
     assert code == EXIT_OPERATIONAL
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_with_no_corpus_member_in_the_box_is_one_error_line(tmp_path, capsys):
+    code, out = run_main(tmp_path, "verify-inequalities",
+                         {"weight": GAUSS_1D, "grid": {"half_width": 1.0}})
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == "error: no corpus member fits inside the grid box\n"
     assert not out.exists()
 
 

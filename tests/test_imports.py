@@ -7,9 +7,12 @@ be referenced somewhere in its module or test file, or be re-exported through
 `__all__`.
 
 A function, class or module-level constant in a module's `__all__` must be
-referenced somewhere outside its own definition: in the package, or in the
-benchmark, the tools, the README or the acceptance tests.  Unit tests do not
-count, so library code that only its own tests reach is flagged.
+called somewhere outside its own definition: loaded or imported by name in
+the package, called or imported in the README, or referenced in the
+benchmark, the tools or the acceptance tests.  Unit tests do not count, so
+library code that only its own tests reach is flagged.  In the package an
+attribute of the same name (`step.energy`) is not a call, and in the README
+neither is prose that uses the word.
 
 The package `__init__` re-exports nothing, so each name has one home, its
 module: it imports package modules only (`from . import grid`) and binds no
@@ -62,19 +65,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def references(source: str, strings: bool = False) -> set[str]:
-    """Names read and attributes taken in the module, each top-level def or
-    class not counting its own name; with strings, also every string constant
-    (a name passed to getattr)."""
+def references(source: str, script: bool = False) -> set[str]:
+    """Names read and names imported (`from .x import name`) in the module,
+    each top-level def or class not counting its own name; in a script, also
+    every attribute taken and every string constant (a name passed to
+    getattr)."""
     refs = set()
     for stmt in ast.parse(source).body:
         found = set()
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 found.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.ImportFrom):
+                found |= {alias.name for alias in node.names}
+            elif script and isinstance(node, ast.Attribute):
                 found.add(node.attr)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif script and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found.add(node.value)
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             found.discard(stmt.name)
@@ -94,16 +100,26 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def text_references(text: str) -> set[str]:
+    """Names the text calls (`name(`) or imports, on an `import` or
+    `from ... import` line."""
+    refs = set(re.findall(r"\b(\w+)\(", text))
+    for line in re.findall(r"^\s*(?:from\s+\S+\s+)?import\s+(.+)$", text, re.MULTILINE):
+        refs |= set(re.findall(r"\w+", line))
+    return refs
+
+
 def uncalled_exports(package: dict[str, str], scripts: list[str], text: str) -> list[str]:
     """`module.name` for each function, class or constant in a package
-    module's `__all__` that no package module, script or the text refers to."""
+    module's `__all__` that no package module, script or the text calls."""
     called = set().union(*(references(src) for src in package.values()),
-                         *(references(src, strings=True) for src in scripts))
+                         *(references(src, script=True) for src in scripts),
+                         text_references(text))
     out = []
     for module, src in sorted(package.items()):
         tree = ast.parse(src)
         out += [f"{module}.{name}" for name in sorted(_exported(tree) & _top_level_names(tree))
-                if name not in called and not re.search(rf"\b{name}\b", text)]
+                if name not in called]
     return out
 
 
@@ -153,15 +169,23 @@ def test_detects_a_name_reexport():
 
 def test_detects_an_uncalled_export():
     package = {
-        "a": '__all__ = ["VERSION", "LIMIT", "used", "recursive", "own_tests_only", "named"]\n'
+        "a": '__all__ = ["VERSION", "LIMIT", "used", "recursive", "own_tests_only", "named",\n'
+             '           "imported", "attr_and_prose", "scripted"]\n'
              "VERSION = 1\n"
              "LIMIT: int = 2\n"
              "def used(): pass\n"
              "def recursive(n): return recursive(n - 1)\n"
              "def own_tests_only(): pass\n"
-             "def named(): pass\n",
-        "b": "from .a import LIMIT, used\nused(LIMIT)\n",
+             "def named(): pass\n"
+             "def imported(): pass\n"
+             "def attr_and_prose(): pass\n"
+             "def scripted(): pass\n",
+        # an attribute of an export's name is no call in a package module
+        "b": "from .a import LIMIT, used\nused(LIMIT)\ndef f(step): return step.attr_and_prose\n",
     }
-    scripts = ['LIB = ("own",)\n']
-    assert uncalled_exports(package, scripts, "call `named`") == [
-        "a.VERSION", "a.own_tests_only", "a.recursive"]
+    scripts = ['LIB = ("own",)\nimport a\na.scripted\n']
+    text = ("call `named(u)`, or\n"
+            "    from wsobolev.a import imported\n"
+            "the attr_and_prose is prose\n")
+    assert uncalled_exports(package, scripts, text) == [
+        "a.VERSION", "a.attr_and_prose", "a.own_tests_only", "a.recursive"]

@@ -21,6 +21,7 @@ from wsobolev.pde import (
     ProxConvergenceError,
     StationaryResult,
     _apply,
+    _cell_weights,
     _edge_differences,
     _edge_differences_transpose,
     _energy_terms,
@@ -36,7 +37,6 @@ from wsobolev.pde import (
     _workspace,
     apply_operator,
     check_lebesgue_compatibility,
-    energy,
     evolve,
     solve_evolution,
     solve_stationary,
@@ -110,30 +110,33 @@ class TestDiscretizationPieces:
 
 
 class TestEnergy:
+    """The p = 2 solvers evaluate the energy as the quadratic form <u, Hu>/2
+    (_quadratic_energy), the p > 2 ones as the staggered cell sum
+    (_energy_terms)."""
+
     def test_linear_p2(self):
         g, u = linear_state(601)
         # (1/2) int w = sqrt(pi)/2
-        assert energy(u, GAUSS, 2.0) == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
+        value = _quadratic_energy(u.values, _hessian(g.spacing, _cell_weights(GAUSS, g), 2.0))
+        assert value == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
 
     def test_linear_p4(self):
         g, u = linear_state(601)
-        assert energy(u, GAUSS, 4.0) == pytest.approx(np.sqrt(np.pi) / 4, abs=1e-6)
+        value = _energy_terms(u.values, g.spacing, _cell_weights(GAUSS, g), 4.0)[0]
+        assert value == pytest.approx(np.sqrt(np.pi) / 4, abs=1e-6)
 
     def test_constant_zero(self):
         g = build_grid(1, 6.0, 301)
-        c = GridFunction(g, np.full(g.shape, 2.0))
-        assert energy(c, GAUSS, 3.0) == 0.0
+        c = np.full(g.shape, 2.0)
+        assert _energy_terms(c, g.spacing, _cell_weights(GAUSS, g), 3.0)[0] == 0.0
 
     def test_2d_plane(self):
         g = build_grid(2, 4.0, 81)
         u = sample_field(g, lambda x, y: x + y)
+        spec = WeightSpec(1.0, 2.0, 2)
         # |grad|^2 = 2, (1/2) * 2 * int w = pi for the 2d Gaussian
-        assert energy(u, WeightSpec(1.0, 2.0, 2), 2.0) == pytest.approx(np.pi, abs=1e-5)
-
-    def test_p_validation(self):
-        g, u = linear_state(51)
-        with pytest.raises(ValueError):
-            energy(u, GAUSS, 0.5)
+        value = _quadratic_energy(u.values, _hessian(g.spacing, _cell_weights(spec, g), 2.0))
+        assert value == pytest.approx(np.pi, abs=1e-5)
 
 
 class TestOperator:
@@ -815,6 +818,11 @@ class TestStationary:
         with pytest.raises(ValueError):
             solve_stationary(f, GAUSS, 1.5)
 
+    def test_dimension_mismatch_refused(self):
+        g = build_grid(1, 6.0, 51)
+        with pytest.raises(ValueError, match="^weight and source dimensions differ$"):
+            solve_stationary(GridFunction(g, np.zeros(g.shape)), WeightSpec(1.0, 2.0, 2), 2.0)
+
     def test_runs_out_of_iterations(self, monkeypatch):
         # the budget is shared by every Newton system of the solve (p = 2, one
         # CG run: TestEvolution.test_convergence_error_carries_iterate)
@@ -960,7 +968,9 @@ class TestStaggeredProperties:
         m = node_metric(spec, grid)
         drift = abs(np.sum(m * (out.values - u.values))) / np.sum(m)
         assert drift <= 1e-9
-        assert energy(out, spec, p) <= energy(u, spec, p) * (1.0 + 1e-12)
+        h, cell_w = grid.spacing, _cell_weights(spec, grid)
+        energies = [_energy_terms(v.values, h, cell_w, p)[0] for v in (out, u)]
+        assert energies[0] <= energies[1] * (1.0 + 1e-12)
 
     @PROPERTY
     @given(wg=weighted_grid(), p=st.sampled_from([2.0, 3.0]), cosine=st.booleans(),
@@ -976,7 +986,11 @@ class TestStaggeredProperties:
         traj = solve_evolution(problem)
         states = [step.state for step in evolve(problem)]
         assert len(traj.energies) == len(states) == 3
-        assert traj.energies == [energy(s, spec, p) for s in states]
+        # to the bit, by the flow's own evaluation: the quadratic form at p = 2
+        h, cell_w = grid.spacing, _cell_weights(spec, grid)
+        values = ([_quadratic_energy(s.values, _hessian(h, cell_w, p)) for s in states] if p == 2.0
+                  else [_energy_terms(s.values, h, cell_w, p)[0] for s in states])
+        assert traj.energies == values
 
     @PROPERTY
     @given(k=st.integers(2, 1000), tau=st.floats(1e-4, 1e-1),

@@ -111,6 +111,13 @@ class TestWeightSpec:
         # beta carries no sign constraint here; solvers gate on it themselves
         assert WeightSpec(0.0, 2.0, 1).beta == 0.0
 
+    def test_grid_of_another_dimension_refused(self):
+        spec, grid = WeightSpec(1.0, 2.0, 2), build_grid(1, 6.0, 51)
+        with pytest.raises(ValueError, match="^weight and grid dimensions differ$"):
+            weight_on_grid(spec, grid)
+        with pytest.raises(ValueError, match="^weight and grid dimensions differ$"):
+            root_on_grid(spec, grid, 2.0)
+
     def test_negative_beta_allowed(self):
         # growing weights are legal inputs; downstream per-solver gates decide
         spec = WeightSpec(-1.0, 2.0, 1)
