@@ -7,9 +7,8 @@ The package covers, on uniform 1d/2d boxes:
   Muckenhoupt ball estimates): `weights`;
 * grids, quadrature, discrete gradients, mollification and maximal
   functions: `grid`;
-* weighted Lebesgue/Sobolev norms, integration-by-parts residuals,
-  mollification convergence reports and the Hedberg pointwise bound:
-  `sobolev`;
+* integration-by-parts residuals, mollification convergence reports in
+  the weighted Sobolev norm and the Hedberg pointwise bound: `sobolev`;
 * the certified constant chain down to a global Poincaré constant, plus
   quadrature verification of each inequality on a bump corpus (`corpus`):
   `inequalities`;

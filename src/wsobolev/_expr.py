@@ -47,6 +47,9 @@ class ExpressionError(ValueError):
     pass
 
 
+_TOO_DEEP = "expression nests too deeply"
+
+
 def _eval(node: ast.AST, names: dict) -> object:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
@@ -78,13 +81,21 @@ def _eval(node: ast.AST, names: dict) -> object:
 
 
 def evaluate_expression(text: str, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate an arithmetic expression of x (and y in 2d) on node arrays."""
+    """Evaluate an arithmetic expression of x (and y in 2d) on node arrays.
+
+    One that nests deeper than the parser or the evaluator's recursion can
+    go raises ExpressionError, as any malformed expression does."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as err:
         raise ExpressionError(f"cannot parse {text!r}: {err.msg}") from None
+    except (RecursionError, MemoryError):  # the parser's depth limits
+        raise ExpressionError(_TOO_DEEP) from None
     names = {"x": x}
     if y is not None:
         names["y"] = y
-    out = _eval(tree.body, names)
+    try:
+        out = _eval(tree.body, names)
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP) from None
     return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()

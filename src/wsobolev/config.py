@@ -220,4 +220,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config: not UTF-8 text (byte {err.start})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: not valid JSON ({err.msg} at line {err.lineno})") from None
+    except RecursionError:
+        raise ConfigError("config: JSON nests too deeply") from None
     return parse_config(doc)

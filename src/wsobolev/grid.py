@@ -16,7 +16,8 @@ package is a 1d rule (segment_weights, Simpson; or trapezoid_weights)
 applied along each axis: tensor_rule gives its weights for a block of any
 shape and integrate its integral, quadrature_rows the integrals of a batch
 of grid functions, one row each, and this module is the only one that
-builds them.  The other tensor helpers are ball_slices (the node box of a
+builds them.  The two rules, tensor_rule, integrate and quadrature_rows are
+the whole quadrature API; they take node arrays, not grid functions.  The other tensor helpers are ball_slices (the node box of a
 ball) and the summed-area table that maximal_function and maximal_at share,
 whose box sums are differences along one axis at a time (maximal_function
 reads them as shifted views of the table padded with its edge slices).
@@ -46,8 +47,6 @@ __all__ = [
     "sample_field",
     "axis_derivatives",
     "discrete_gradient",
-    "quadrature",
-    "quadrature_with_error",
     "quadrature_rows",
     "segment_weights",
     "trapezoid_weights",
@@ -214,23 +213,6 @@ def integrate(values: np.ndarray, h: float, rule) -> float:
     """Integral of a block of node values, spacing h, by a 1d rule applied
     along each axis."""
     return float(np.sum(tensor_rule(values.shape, h, rule) * values))
-
-
-def quadrature(f: GridFunction, weight: GridFunction | None = None) -> float:
-    """Composite Simpson integral of f (optionally times a weight field)."""
-    values = f.values
-    if weight is not None:
-        if weight.grid != f.grid:
-            raise ValueError("grid mismatch")
-        values = values * weight.values
-    return integrate(values, f.grid.spacing, segment_weights)
-
-
-def quadrature_with_error(f: GridFunction) -> tuple[float, float]:
-    """Simpson integral plus an a-posteriori error estimate: quadrature_rows
-    of a batch of one."""
-    fine, err = quadrature_rows(f.values[None], f.grid)
-    return float(fine[0]), float(err[0])
 
 
 def quadrature_rows(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, axis_derivatives, gradient_magnitude, quadrature_rows,
-                   quadrature_with_error)
+from .grid import Grid, GridFunction, axis_derivatives, gradient_magnitude, quadrature_rows
 from .weights import PotentialExpr, PowerAbsTerm, WeightSpec, check_admissibility, weight_on_grid
 
 __all__ = [
@@ -369,7 +368,7 @@ def _poincare_reports(
     """int |f - mean|^p dnu <= c int |grad f|^p dnu for each row f of values,
     the mean taken against nu."""
     grid = nu.grid
-    mass, e_mass = quadrature_with_error(nu)
+    mass, e_mass = (float(row[0]) for row in quadrature_rows(nu.values[None], grid))
     if mass <= 0.0:
         raise ValueError("weight carries no mass on the grid")
     fine, err = quadrature_rows(np.concatenate([values, mag**p]) * nu.values, grid)

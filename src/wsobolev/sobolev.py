@@ -1,4 +1,4 @@
-"""Weighted Sobolev norms, gradient identities, and smooth approximation.
+"""Gradient identities, smooth approximation, and maximal-function diagnostics.
 
 The central residuals check, by quadrature, the two identities that tie a
 discrete gradient to the weight: the integration-by-parts identity against
@@ -10,6 +10,8 @@ grid refinement is the consistency certificate for discrete_gradient.
 smooth_approximation measures how fast mollification converges in the
 weighted Sobolev norm; hedberg_constant and maximal_bound_check probe the
 two maximal-function inequalities that power the approximation argument.
+The module has no norm functions of its own: each weighted integral is one
+grid.integrate call on node arrays.
 """
 
 from __future__ import annotations
@@ -22,19 +24,16 @@ import numpy as np
 from .grid import (
     GridFunction,
     axis_derivatives,
-    discrete_gradient,
     gradient_magnitude,
+    integrate,
     maximal_at,
     maximal_function,
     mollify,
-    quadrature,
+    segment_weights,
 )
 from .weights import WeightSpec, eval_log_drift, root_on_grid, weight_on_grid
 
 __all__ = [
-    "lebesgue_norm",
-    "gradient_lebesgue_norm",
-    "sobolev_norm",
     "ibp_residual",
     "product_rule_residual",
     "ApproximationStep",
@@ -44,35 +43,6 @@ __all__ = [
     "hedberg_constant",
     "maximal_bound_check",
 ]
-
-
-def lebesgue_norm(f: GridFunction, weight: GridFunction | None, p: float) -> float:
-    """(integral of |f|^p against the weight)^(1/p)."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    val = quadrature(GridFunction(f.grid, np.abs(f.values) ** p), weight)
-    return max(val, 0.0) ** (1.0 / p)
-
-
-def gradient_lebesgue_norm(
-    grads: Sequence[GridFunction], weight: GridFunction | None, p: float
-) -> float:
-    """L^p norm of the gradient magnitude against the weight."""
-    mag = gradient_magnitude([g.values for g in grads])
-    return lebesgue_norm(GridFunction(grads[0].grid, mag), weight, p)
-
-
-def sobolev_norm(
-    f: GridFunction,
-    grads: Sequence[GridFunction],
-    weight: GridFunction | None,
-    p: float,
-) -> float:
-    """First-order weighted Sobolev norm (grad term and plain term combined
-    with exponent p)."""
-    a = lebesgue_norm(f, weight, p)
-    b = gradient_lebesgue_norm(grads, weight, p)
-    return (a**p + b**p) ** (1.0 / p)
 
 
 def ibp_residual(
@@ -111,13 +81,13 @@ def product_rule_residual(
         raise ValueError("the test function must be compactly supported inside the box")
     root = root_on_grid(spec, f.grid, p)
     drift = eval_log_drift(spec, f.grid.points())[..., axis]
-    grad_zeta = discrete_gradient(zeta)[axis]
+    grad_zeta = axis_derivatives(zeta.values, zeta.grid)[axis]
     integrand = root.values * (
         grads[axis].values * zeta.values
-        + f.values * grad_zeta.values
+        + f.values * grad_zeta
         + f.values * zeta.values * drift / p
     )
-    return quadrature(GridFunction(f.grid, integrand))
+    return integrate(integrand, f.grid.spacing, segment_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +144,22 @@ def smooth_approximation(
         raise ValueError("f must declare a compact support radius")
     if f.compact_support_radius + max(schedule) >= f.grid.half_width:
         raise ValueError("support plus largest eps reaches the box boundary")
-    w = weight_on_grid(spec, f.grid)
-    grads_f = discrete_gradient(f)
-    base = sobolev_norm(f, grads_f, w, p)
+    # the weight first: one that overflows is the error, before any mollify
+    w = weight_on_grid(spec, f.grid).values
+    h = f.grid.spacing
+
+    def norm(values: np.ndarray) -> float:
+        """(integral of |values|^p against the weight)^(1/p)."""
+        return max(integrate(np.abs(values) ** p * w, h, segment_weights), 0.0) ** (1.0 / p)
+
+    grads_f = axis_derivatives(f.values, f.grid)
+    base = (norm(f.values) ** p + norm(gradient_magnitude(grads_f)) ** p) ** (1.0 / p)
     steps = []
     for eps in schedule:
-        g = mollify(f, eps).values  # the differences declare no support: no norm reads one
-        diff = GridFunction(f.grid, g - f.values)
-        grad_diff = [GridFunction(f.grid, a - b.values)
-                     for a, b in zip(axis_derivatives(g, f.grid), grads_f)]
-        lp = lebesgue_norm(diff, w, p)
-        grad_lp = gradient_lebesgue_norm(grad_diff, w, p)
+        g = mollify(f, eps).values
+        lp = norm(g - f.values)
+        grad_lp = norm(gradient_magnitude(
+            [a - b for a, b in zip(axis_derivatives(g, f.grid), grads_f)]))
         steps.append(
             ApproximationStep(eps, lp, grad_lp, (lp**p + grad_lp**p) ** (1.0 / p))
         )
@@ -248,7 +223,9 @@ def maximal_bound_check(u: GridFunction, p: float) -> float:
     """Ratio of the maximal function's L^p norm (plain measure) to u's."""
     if p <= 1.0:
         raise ValueError(f"the maximal bound needs p > 1, got {p}")
-    denom = lebesgue_norm(u, None, p)
+    h = u.grid.spacing
+    denom = integrate(np.abs(u.values) ** p, h, segment_weights)
     if denom <= 0.0:
         raise ValueError("u has zero norm")
-    return lebesgue_norm(maximal_function(u), None, p) / denom
+    num = integrate(np.abs(maximal_function(u).values) ** p, h, segment_weights)
+    return num ** (1.0 / p) / denom ** (1.0 / p)

@@ -451,8 +451,9 @@ class TestMain:
 
 
 def run_main(tmp_path, subcommand, doc, name="run"):
+    """Run main on a config: a document, or the config file's text."""
     cfg = tmp_path / f"{name}.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / name
     return main([subcommand, "--config", str(cfg), "--out", str(out)]), out
 
@@ -485,6 +486,22 @@ def test_verify_with_no_corpus_member_in_the_box_is_one_error_line(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, doc, message", [
+    pytest.param("weight-report", '{"balls": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "config: JSON nests too deeply", id="json-nests-too-deeply"),
+    # the two refusals of smooth_approximation that a parsed config reaches
+    pytest.param("approximate", {"weight": GAUSS_1D, "approximate": {"support_radius": 5.9}},
+                 "support plus largest eps reaches the box boundary", id="support-plus-eps"),
+    pytest.param("approximate", {"weight": GAUSS_1D, "approximate": {"schedule": [0.02]}},
+                 "eps 0.02 below grid spacing 0.04: kernel not resolvable", id="eps-below-h"),
+])
+def test_refused_run_is_one_error_line(subcommand, doc, message, tmp_path, capsys):
+    code, out = run_main(tmp_path, subcommand, doc)
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestStateFailures:
     """A state that cannot be evaluated or written fails with one error line
     and leaves no output directory behind."""
@@ -496,6 +513,13 @@ class TestStateFailures:
         ("1e400*x", "stationary.source: '1e400*x' is -inf at x = (-6.0,), not a finite number"),
         ("sqrt(-1-x*x)",
          "stationary.source: 'sqrt(-1-x*x)' is nan at x = (-6.0,), not a finite number"),
+        # nesting beyond the evaluator's recursion, the parser's, and the parser's stack
+        pytest.param("+".join(["0*x"] * 990), "stationary.source: expression nests too deeply",
+                     id="990-terms"),
+        pytest.param("-" * 3_000 + "x", "stationary.source: expression nests too deeply",
+                     id="3000-unary-minuses"),
+        pytest.param("-" * 200_000 + "x", "stationary.source: expression nests too deeply",
+                     id="200000-unary-minuses"),
     ])
     def test_bad_source_is_one_error_line(self, source, message, tmp_path, capsys):
         doc = {"weight": GAUSS_1D, "stationary": {"source": source}}
