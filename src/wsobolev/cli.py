@@ -23,12 +23,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._expr import ExpressionError, evaluate_expression
+from ._record import Record
 from .config import ConfigError, RunConfig, load_config
 from .corpus import corpus_members
 from .grid import Grid, GridFunction
@@ -49,15 +49,14 @@ def _round_floats(obj, path: str = "report"):
     """JSON form of a report payload with floats rounded to 12 significant
     digits.
 
-    A payload with to_json() renders through it; any other dataclass renders
+    A payload with to_json() renders through it; any other record renders
     its fields.  Tuples become lists.  NaN and infinities have no JSON form
     and raise ValueError naming their path in the payload.
     """
     if hasattr(obj, "to_json"):
         return _round_floats(obj.to_json(), path)
-    if is_dataclass(obj):
-        return {f.name: _round_floats(getattr(obj, f.name), f"{path}.{f.name}")
-                for f in fields(obj)}
+    if isinstance(obj, Record):
+        return {f: _round_floats(getattr(obj, f), f"{path}.{f}") for f in obj._fields}
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"{path}: {obj} is not a finite number, so the report "
@@ -98,8 +97,8 @@ def _csv(name: str, header: str, rows) -> str:
 
 
 def _fields(row) -> tuple:
-    """A dataclass row's field values, in order, as they are: no copies."""
-    return tuple(getattr(row, f.name) for f in fields(row))
+    """A record row's field values, in order, as they are: no copies."""
+    return tuple(getattr(row, f) for f in row._fields)
 
 
 def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
@@ -133,7 +132,7 @@ def _state_csv(f: GridFunction, name: str) -> str:
 def emit_report(results: dict, out_dir: str | Path) -> list[Path]:
     """Write one file per report.
 
-    Dict-like payloads (dataclass reports or plain dicts) become <name>.json;
+    Dict-like payloads (record reports or plain dicts) become <name>.json;
     string payloads are pre-rendered CSV and become <name>.csv.  Every file
     is rendered before any is written.
     """

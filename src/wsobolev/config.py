@@ -13,9 +13,9 @@ Validation errors always name the offending field by its JSON path
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .grid import Grid
 from .weights import Ball, WeightSpec, is_finite_number, json_number
 
@@ -103,34 +103,29 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ConstantsConfig:
+class ConstantsConfig(Record):
     eps0: float
     C4: float
 
 
-@dataclass(frozen=True)
-class ApproximateConfig:
+class ApproximateConfig(Record):
     u0: str
     support_radius: float
     schedule: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(Record):
     u0: str
     T: float
     tau: float
     dualization: str
 
 
-@dataclass(frozen=True)
-class StationaryConfig:
+class StationaryConfig(Record):
     source: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     weight: WeightSpec
     grid: Grid
     p: float

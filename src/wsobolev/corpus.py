@@ -9,11 +9,11 @@ test suites can freeze expected values per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .grid import Grid, GridFunction, sample_field
 
 __all__ = ["CorpusMember", "corpus_members"]
@@ -38,8 +38,7 @@ def _profile(center: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-@dataclass(frozen=True)
-class CorpusMember:
+class CorpusMember(Record):
     name: str
     center: float
     width: float

@@ -33,12 +33,13 @@ the bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ._record import Record
 
 __all__ = [
     "Grid",
@@ -60,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform tensor grid on [-R, R]^dim with an odd node count per axis."""
 
     dim: int
@@ -114,8 +114,7 @@ def build_grid(dim: int, half_width: float, nodes_per_axis: int) -> Grid:
     return Grid(dim, half_width, nodes_per_axis)
 
 
-@dataclass
-class GridFunction:
+class GridFunction(Record):
     """Real node values on a grid, with an optional known support radius.
 
     When compact_support_radius is set the values must vanish at every node
@@ -127,15 +126,17 @@ class GridFunction:
     compact_support_radius: float | None = None
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        values = np.asarray(self.values, dtype=float)
+        if values is not self.values:  # a float array is kept as it is
+            object.__setattr__(self, "values", values)
+        if values.shape != self.grid.shape:
             raise ValueError(
-                f"values shape {self.values.shape} does not match grid shape {self.grid.shape}"
+                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
             )
         r = self.compact_support_radius
         if r is not None:
             outside = self.grid.node_radii() > r
-            if np.any(self.values[outside] != 0.0):
+            if np.any(values[outside] != 0.0):
                 raise ValueError(
                     f"values do not vanish outside radius {r}"
                 )

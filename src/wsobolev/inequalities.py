@@ -23,11 +23,11 @@ reported next to it wherever both make sense.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .grid import Grid, GridFunction, axis_derivatives, gradient_magnitude, quadrature_rows
 from .weights import PotentialExpr, PowerAbsTerm, WeightSpec, check_admissibility, weight_on_grid
 
@@ -177,8 +177,7 @@ def poincare_bound(
     return (c if math.isfinite(c) else None), a_L, log_c
 
 
-@dataclass(frozen=True)
-class ConstantChain:
+class ConstantChain(Record):
     """Certified constants with every input that produced them."""
 
     p: float
@@ -205,7 +204,7 @@ class ConstantChain:
     def to_json(self) -> dict:
         """The outputs, with the inputs nested under "inputs" (beta_coeff as
         "beta"); log_c only when c is None."""
-        doc = asdict(self)
+        doc = {f: getattr(self, f) for f in self._fields}
         inputs = {key: doc.pop(key) for key in _CHAIN_INPUTS}
         inputs["beta"] = inputs.pop("beta_coeff")
         if self.c is not None:
@@ -303,8 +302,7 @@ def build_constant_chain(spec: WeightSpec, p: float, *, C4: float, eps0: float) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     lhs: float
     rhs: float
     margin: float

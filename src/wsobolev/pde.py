@@ -55,10 +55,10 @@ import collections
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .grid import Grid, GridFunction, integrate, tensor_rule, trapezoid_weights
 from .weights import WeightSpec, eval_weight
 
@@ -100,8 +100,7 @@ def _node_metric(spec: WeightSpec, grid: Grid) -> np.ndarray:
     return _mass_weights(grid) * eval_weight(spec, grid.points())
 
 
-@dataclass(frozen=True)
-class EvolutionProblem:
+class EvolutionProblem(Record):
     p: float
     spec: WeightSpec
     u0: GridFunction
@@ -141,8 +140,7 @@ class IntegrabilityGateError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One time of a flow: its state (read-only), energy and weighted mean, and
     the solver iterations (CG iterations, one per direct solve) of the solve
     that reached it (0 at t = 0)."""
@@ -154,11 +152,10 @@ class Step:
     iterations: int
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """A flow's times, energies and means at each of them, the solver
     iterations of each step's solve (one fewer: none at t = 0), and its last
-    state."""
+    state; solve_evolution builds it once, when the flow has run."""
 
     times: list[float]
     energies: list[float]
@@ -598,8 +595,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(Record):
     """Nested-box masses of w^(-1/(p-2)) and their increments.
 
     Divergence on the whole space shows up as tail increments that stop
@@ -718,20 +714,22 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
 
 @np.errstate(all="ignore")
 def solve_evolution(problem: EvolutionProblem) -> Trajectory:
-    """evolve, run to the horizon and folded into a Trajectory: its times,
-    energies, means and solves' solver iterations, and its last state, the only
-    one kept, so a flow holds O(1) node arrays however many steps it takes.
+    """evolve, run to the horizon and folded into one Trajectory, built at the
+    end: its times, energies, means and solves' solver iterations, and its last
+    state, the only one kept, so a flow holds O(1) node arrays however many
+    steps it takes.
     The gate (see evolve) raises here.  numpy's floating-point warnings are
     off: an iterate that leaves float range fails its solve (_minimize)."""
-    traj = Trajectory([], [], [], [], problem.u0)
+    times, energies, means, step_iterations = [], [], [], []
+    state = problem.u0
     for k, step in enumerate(evolve(problem)):
-        traj.times.append(step.t)
-        traj.energies.append(step.energy)
-        traj.means.append(step.mean)
+        times.append(step.t)
+        energies.append(step.energy)
+        means.append(step.mean)
         if k:
-            traj.step_iterations.append(step.iterations)
-        traj.state = step.state
-    return traj
+            step_iterations.append(step.iterations)
+        state = step.state
+    return Trajectory(times, energies, means, step_iterations, state)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +737,7 @@ def solve_evolution(problem: EvolutionProblem) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationaryResult:
+class StationaryResult(Record):
     state: GridFunction
     residual: float
     iterations: int

@@ -16,11 +16,11 @@ grid.integrate call on node arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .grid import (
     GridFunction,
     axis_derivatives,
@@ -99,16 +99,14 @@ def product_rule_residual(
 _TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class ApproximationStep:
+class ApproximationStep(Record):
     eps: float
     lp_error: float
     grad_lp_error: float
     sobolev_error: float
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(Record):
     """Per-scale mollification errors in the weighted Sobolev norm."""
 
     p: float
@@ -180,8 +178,7 @@ def smooth_approximation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HedbergReport:
+class HedbergReport(Record):
     """Empirical constant in the two-point gradient bound
     |u(x) - u(y)| <= c * |x - y| * (M|grad u|(x) + M|grad u|(y))."""
 

@@ -18,12 +18,12 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights
 
 __all__ = [
@@ -69,8 +69,7 @@ def _radii(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_norms(pts))
 
 
-@dataclass(frozen=True)
-class ConstantTerm:
+class ConstantTerm(Record):
     c: float
 
     def value(self, pts: np.ndarray) -> np.ndarray:
@@ -80,8 +79,7 @@ class ConstantTerm:
         return np.zeros(pts.shape)
 
 
-@dataclass(frozen=True)
-class PowerAbsTerm:
+class PowerAbsTerm(Record):
     """c * |x|^s with s >= 1; the gradient is taken to vanish at the origin.
     A gradient beyond float range is infinite where its coordinate is not
     zero, and zero where it is."""
@@ -103,8 +101,7 @@ class PowerAbsTerm:
             return np.where(pts != 0.0, scale[..., None] * pts, 0.0)
 
 
-@dataclass(frozen=True)
-class QuadraticTerm:
+class QuadraticTerm(Record):
     c: float
 
     def value(self, pts: np.ndarray) -> np.ndarray:
@@ -116,8 +113,7 @@ class QuadraticTerm:
         return 2.0 * (self.c * pts)
 
 
-@dataclass(frozen=True)
-class CosineTerm:
+class CosineTerm(Record):
     """c * cos(<k, x>) for a wave vector k matching the dimension."""
 
     c: float
@@ -136,8 +132,7 @@ class CosineTerm:
 Term = ConstantTerm | PowerAbsTerm | QuadraticTerm | CosineTerm
 
 
-@dataclass(frozen=True)
-class PotentialExpr:
+class PotentialExpr(Record):
     """Sum of catalog terms; evaluates values and gradients in closed form."""
 
     terms: tuple[Term, ...] = ()
@@ -235,15 +230,14 @@ def _term_from_json(item, dim: int, path: str) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Record):
     """Parameters of the catalog weight exp(-beta*|x|^q - W - V)."""
 
     beta: float
     q: float
     dim: int
-    W: PotentialExpr = field(default_factory=PotentialExpr)
-    V: PotentialExpr = field(default_factory=PotentialExpr)
+    W: PotentialExpr = PotentialExpr()  # shared: a record is immutable
+    V: PotentialExpr = PotentialExpr()
 
     def __post_init__(self) -> None:
         if self.q <= 1.0:
@@ -361,8 +355,7 @@ def root_on_grid(spec: WeightSpec, grid: Grid, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """The weight's admissibility hypotheses, certified for every x.  delta
     and gamma are None when |grad W| has no bound delta*|x|^(q-1) + gamma in
     float range, osc_V is None unless V_bounded, and a false W_convex or
@@ -470,8 +463,7 @@ def check_admissibility(spec: WeightSpec) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """Axis-aligned box ball: center (grid-aligned) and radius."""
 
     center: tuple[float, ...]
@@ -485,8 +477,7 @@ class Ball:
         return Ball(tuple(float(v) for v in c), float(radius))
 
 
-@dataclass(frozen=True)
-class BallEntry:
+class BallEntry(Record):
     center: tuple[float, ...]
     radius: float
     value: float | None
@@ -497,8 +488,7 @@ def _largest_value(entries: Sequence[BallEntry]) -> float | None:
     return max((e.value for e in entries if e.value is not None), default=None)
 
 
-@dataclass(frozen=True)
-class DoublingReport:
+class DoublingReport(Record):
     entries: tuple[BallEntry, ...]
     constant: float | None  # max ratio over balls whose double fits the box
 
@@ -594,8 +584,7 @@ def _ball_integral_power(field: GridFunction, box: tuple[slice, ...], s: float) 
     return total
 
 
-@dataclass(frozen=True)
-class MuckenhouptReport:
+class MuckenhouptReport(Record):
     p: float
     entries: tuple[BallEntry, ...]
     constant: float | None

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -569,8 +568,8 @@ class TestStateFailures:
 
     def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):
         solve = cli.solve_stationary
-        monkeypatch.setattr(cli, "solve_stationary", lambda *args: dataclasses.replace(
-            solve(*args), residual=math.nan))
+        monkeypatch.setattr(cli, "solve_stationary",
+                            lambda *args: solve(*args)._replace(residual=math.nan))
         assert run("solve-stationary", small_config(), tmp_path) == EXIT_OPERATIONAL
         assert not any(tmp_path.iterdir())
 

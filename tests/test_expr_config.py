@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import re
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wsobolev._expr import ExpressionError, evaluate_expression
+from wsobolev._record import Record
 from wsobolev.cli import main
 from wsobolev.config import ConfigError, load_config, parse_config
 
@@ -372,9 +372,9 @@ def test_overflowing_beta_q_is_a_config_error(tmp_path, capsys, subcommand, beta
 
 def _numbers(obj):
     """Every number held anywhere in a parsed config."""
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _numbers(getattr(obj, f.name))
+    if isinstance(obj, Record):
+        for f in obj._fields:
+            yield from _numbers(getattr(obj, f))
     elif isinstance(obj, dict):
         for v in obj.values():
             yield from _numbers(v)
@@ -445,7 +445,10 @@ def test_parse_config_fuzz(doc):
         cfg = parse_config(doc)
     except ConfigError:
         return
-    assert all(isinstance(v, int) or math.isfinite(v) for v in _numbers(cfg))
+    numbers = list(_numbers(cfg))
+    # the walk reaches into nested records, so it has numbers to check
+    assert {cfg.weight.beta, cfg.weight.q, cfg.grid.nodes_per_axis} <= set(numbers)
+    assert all(isinstance(v, int) or math.isfinite(v) for v in numbers)
 
 
 class TestLoadConfig:

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -980,7 +979,7 @@ class TestStaggeredProperties:
         # the energy of the state, to the last bit
         spec, grid = wg
         if cosine:
-            spec = replace(spec, V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+            spec = spec._replace(V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
         u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
         problem = EvolutionProblem(p, spec, u, 0.02, 0.01)
         traj = solve_evolution(problem)
@@ -1026,7 +1025,7 @@ class TestStaggeredProperties:
         # <Au - Av, u - v> >= 0 in the node metric: E is convex
         spec, grid = wg
         if cosine:
-            spec = replace(spec, V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+            spec = spec._replace(V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, grid.shape)
         v = u + gap * rng.uniform(-1.0, 1.0, grid.shape)
