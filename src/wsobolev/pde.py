@@ -38,8 +38,8 @@ whole number of steps ends on a shorter last step, which gets a system of
 its own; a flow takes at least one step.  A stationary solve prepares its
 system (tau = inf, no shift) the same way.  Every system CG solves is
 formed by _shifted, and every solve stops by one rule in _minimize: the two
-places that ROADMAP items 6-8 (a V-cycle preconditioner, a norm that counts
-the far field, a round-off floor) change.  Each solve works in one scratch
+places that a V-cycle preconditioner, a stopping norm that counts the far
+field and a round-off floor would change.  Each solve works in one scratch
 array, whose rows start on 64-byte boundaries and hold the prepared
 diagonal and ratio too; CG continues its start in place, so a warm-started
 CG allocates nothing, and neither does a step's weighted mean.  Each step
@@ -441,8 +441,9 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 def _shifted(stencil: tuple, shift: np.ndarray, metric: np.ndarray, work: np.ndarray) -> tuple:
     """The system CG solves, the stencil with shift added to its centre, in
     row 0 of work, and that diagonal over the metric, which CG's stopping
-    norm reads (see _pcg), in row 7: their one former, which ROADMAP items 6
-    and 7 change."""
+    norm reads (see _pcg), in row 7: their one former, which a V-cycle
+    preconditioner and a stopping norm that counts the far field would
+    change."""
     centre = np.add(stencil[0], shift, work[0])
     return (centre, stencil[1]), np.divide(centre, metric, work[7])
 
@@ -454,7 +455,9 @@ def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, work: np.nda
     stencil is H's (None for p > 2, whose Hessian moves with the iterate),
     the one system (H + M/tau) v = (M/tau) anchor + M source and its ratio,
     formed by _shifted in rows 0 and 7 of work (None for p > 2).  _shifted
-    and the stop rule in _minimize are what ROADMAP items 6-8 change.
+    and the stop rule in _minimize are what a V-cycle preconditioner, a
+    stopping norm that counts the far field and a round-off floor would
+    change.
     Preparing the next system in the same work makes this one stale."""
     shift, ratio = metric / tau, None
     if stencil is not None:
@@ -477,7 +480,8 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     stop by one rule, converged: the norm (CG's at p = 2, the gradient's
     above) meets the tolerance, and the solve fails once the norm is not
     finite (the iterate has left float range) or the budget is spent.
-    ROADMAP items 7 and 8 change this rule, and items 6 and 7 _shifted.
+    A stopping norm that counts the far field and a round-off floor would
+    change this rule; a V-cycle preconditioner and that norm, _shifted.
 
     At p = 2 the objective is quadratic, so the minimizer solves one linear
     system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian

@@ -16,6 +16,7 @@ grid.integrate call on node arrays.
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
@@ -193,19 +194,34 @@ _HEDBERG_PAIRS = 200
 _HEDBERG_SEED = 42
 
 
+def _hedberg_pairs(size: int) -> np.ndarray:
+    """(_HEDBERG_PAIRS, 2) flat indices of distinct nodes among `size`, the
+    same for every call.
+
+    One vectorised draw of floats U from `random.Random(_HEDBERG_SEED)`,
+    whose `random()` sequence Python keeps across versions: i = floor(U0 size)
+    and j = (i + 1 + floor(U1 (size - 1))) mod size, so j never equals i.
+    """
+    draw = random.Random(_HEDBERG_SEED).random
+    u = np.fromiter(iter(draw, None), float, 2 * _HEDBERG_PAIRS).reshape(-1, 2)
+    i = (u[:, 0] * size).astype(np.intp)
+    j = (i + 1 + (u[:, 1] * (size - 1)).astype(np.intp)) % size
+    return np.stack([i, j], axis=1)
+
+
 def hedberg_constant(u: GridFunction) -> HedbergReport:
     """Max over node pairs of |u(x)-u(y)| / (|x-y| (M|grad u|(x)+M|grad u|(y))).
 
-    The pairs are drawn with a fixed seed, recorded in the report; pairs
-    with a zero denominator (or coincident nodes) are skipped.  M|grad u| is evaluated
-    at the drawn nodes only.
+    The pairs are distinct nodes drawn from `random.Random(seed)`, the seed
+    recorded in the report; pairs with a zero denominator are skipped.
+    M|grad u| is evaluated at the drawn nodes only.
     """
     grid = u.grid
     mag = GridFunction(grid, gradient_magnitude(axis_derivatives(u.values, grid)))
-    pairs = np.random.default_rng(_HEDBERG_SEED).integers(
-        0, u.values.size, size=(_HEDBERG_PAIRS, 2))
+    pairs = _hedberg_pairs(u.values.size)
     m = maximal_at(mag, pairs)
-    pts = grid.points().reshape(-1, grid.dim)[pairs]
+    x = grid.axis()
+    pts = np.stack([x[a] for a in np.unravel_index(pairs, grid.shape)], axis=-1)
     vals = u.values.ravel()[pairs]
     denom = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=-1) * (m[:, 0] + m[:, 1])
     used = ~(denom <= 0.0)  # a NaN denominator is not <= 0, so its pair counts as used

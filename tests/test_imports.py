@@ -20,7 +20,10 @@ other name but `__version__`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,67 @@ def test_no_module_imports_dataclasses():
 def test_detects_a_dataclasses_import():
     source = "from dataclasses import dataclass\ndef f():\n    import numpy.linalg\n"
     assert imported_modules(source) == {"dataclasses", "numpy"}
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """Lines that reach numpy.random: `np.random` or `numpy.random` as an
+    attribute, `import numpy.random`, `from numpy import random` or
+    `from numpy.random import ...`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hit = (node.module.split(".")[:2] == ["numpy", "random"]
+                   or node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_module_uses_numpy_random():
+    """The package draws from the stdlib `random`, which interpreter
+    start-up (`site`) usually loads already and which costs under 1 MB when
+    it does not.  numpy.random's first use loads its nine
+    extension modules and OpenSSL's libcrypto (through `secrets` and
+    `hashlib`), about 5.5 MB of a process's resident memory."""
+    uses = {m.name: numpy_random_uses(m.read_text(encoding="utf-8")) for m in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_detects_a_numpy_random_use():
+    source = ("import random\nimport numpy as np\nimport numpy.random\n"
+              "from numpy import random as npr, zeros\nfrom numpy.random import default_rng\n"
+              "rng = np.random.default_rng(0)\nrandom.Random(1).random()\nrng.random(3)\n"
+              "x = numpy.random\n")
+    assert numpy_random_uses(source) == [3, 4, 5, 6, 9]
+
+
+def test_maximal_diagnostics_leave_numpy_random_and_openssl_out():
+    # a fresh interpreter: this test process has loaded numpy.random already
+    src = str(Path(wsobolev.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from wsobolev.grid import build_grid\n"
+        "from wsobolev.sobolev import hedberg_constant, maximal_bound_check\n"
+        "from wsobolev.weights import WeightSpec, root_on_grid\n"
+        "for dim in (1, 2):\n"
+        "    u = root_on_grid(WeightSpec(1.0, 2.0, dim), build_grid(dim, 6.0, 41), 2.0)\n"
+        "    assert hedberg_constant(u).pairs_used == 200\n"
+        "    maximal_bound_check(u, 2.0)\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+        "             if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_init_binds_only_modules():

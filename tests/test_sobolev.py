@@ -16,6 +16,7 @@ from wsobolev.grid import (
     segment_weights,
 )
 from wsobolev.sobolev import (
+    _hedberg_pairs,
     hedberg_constant,
     ibp_residual,
     maximal_bound_check,
@@ -210,6 +211,27 @@ class TestHedberg:
         assert rep.pairs_used == 200
         assert rep.pairs_skipped == 0
         assert rep.seed == 42
+
+    @pytest.mark.parametrize("size", [3, 101, 301, 10_201])
+    def test_pairs_are_distinct_nodes_in_range(self, size):
+        pairs = _hedberg_pairs(size)
+        assert pairs.shape == (200, 2)
+        assert pairs.min() >= 0 and pairs.max() < size
+        assert not np.any(pairs[:, 0] == pairs[:, 1])
+        assert np.array_equal(pairs, _hedberg_pairs(size))
+
+    @pytest.mark.parametrize("n", [101, 301, 601])
+    def test_linear_function_uses_every_pair_1d(self, n):
+        rep = hedberg_constant(sample_field(build_grid(1, 6.0, n), lambda x: x))
+        assert rep.pairs_used == 200
+        assert rep.pairs_skipped == 0
+        assert rep.constant == pytest.approx(0.5, abs=1e-6)
+
+    def test_linear_function_uses_every_pair_2d(self):
+        # u = x has M|grad u| = 1 and |u(x) - u(y)| <= |x - y|, so no ratio tops 1/2
+        rep = hedberg_constant(sample_field(build_grid(2, 6.0, 101), lambda x, y: x))
+        assert rep.pairs_used == 200
+        assert rep.constant <= 0.5 + 1e-12
 
     def test_corpus_members_bounded(self):
         g, _ = grid_and_weight()
