@@ -177,8 +177,7 @@ def _state_from_string(
 
 
 def _constant_chain(config: RunConfig) -> ConstantChain:
-    return build_constant_chain(config.weight, config.p, C4=config.constants.C4,
-                                eps0=config.constants.eps0)
+    return build_constant_chain(config.weight, config.p, eps0=config.constants.eps0)
 
 
 # ---------------------------------------------------------------------------

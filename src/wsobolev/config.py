@@ -105,7 +105,6 @@ def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
 
 class ConstantsConfig(Record):
     eps0: float
-    C4: float
 
 
 class ApproximateConfig(Record):
@@ -151,11 +150,9 @@ def parse_config(doc: dict) -> RunConfig:
     grid = _parse_grid(doc.get("grid", {}), weight.dim)
     p = _number(doc, "p", "config", default=2.0, minimum=1.0)
 
-    cons = _section(doc.get("constants", {}), "constants", {"eps0", "C4"})
+    cons = _section(doc.get("constants", {}), "constants", {"eps0"})
     constants = ConstantsConfig(
-        eps0=_number(cons, "eps0", "constants", default=1.0 / p, minimum=0.0, strict=True),
-        C4=_number(cons, "C4", "constants", default=1.0, minimum=0.0, strict=True),
-    )
+        eps0=_number(cons, "eps0", "constants", default=1.0 / p, minimum=0.0, strict=True))
 
     if "balls" in doc:
         balls = _parse_balls(doc["balls"], weight.dim)

@@ -4,7 +4,9 @@ Everything downstream works on uniform tensor grids over a symmetric box
 [-R, R]^d with d in {1, 2}.  Functions are represented by their node
 values; convolution extends them by zero outside the box.  The node count
 per axis is kept odd so that the origin is always a node and composite
-Simpson weights apply without special cases.
+Simpson weights apply without special cases.  A field is a function of
+per-axis coordinate arrays that broadcast together (Grid.coordinates, open;
+Grid.mesh, dense), and squared_norm is the package's one |x|^2.
 
 No code path depends on d, except that maximal_function batches its radii
 in 1d only (bit for bit its per-radius loop, 2.5-5x faster at n = 301).  It
@@ -17,8 +19,9 @@ applied along each axis: tensor_rule gives its weights for a block of any
 shape and integrate its integral, quadrature_rows the integrals of a batch
 of grid functions, one row each, and this module is the only one that
 builds them.  The two rules, tensor_rule, integrate and quadrature_rows are
-the whole quadrature API; they take node arrays, not grid functions.  The other tensor helpers are ball_slices (the node box of a
-ball) and the summed-area table that maximal_function and maximal_at share,
+the whole quadrature API; they take node arrays, not grid functions.  The
+other tensor helpers are ball_slices (the node box of a ball) and the
+summed-area table that maximal_function and maximal_at share,
 whose box sums are differences along one axis at a time (maximal_function
 reads them as shifted views of the table padded with its edge slices).
 mollify sums only over the node box that a declared support lets be
@@ -46,6 +49,7 @@ __all__ = [
     "GridFunction",
     "build_grid",
     "sample_field",
+    "squared_norm",
     "axis_derivatives",
     "discrete_gradient",
     "quadrature_rows",
@@ -94,13 +98,12 @@ class Grid(Record):
     def mesh(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
-    def points(self) -> np.ndarray:
-        """All nodes as an array of shape grid.shape + (dim,)."""
-        return np.stack(self.mesh(), axis=-1)
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """The node coordinates, one open array per axis: (n, 1) and (1, n) in 2d."""
+        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij", sparse=True))
 
     def node_radii(self) -> np.ndarray:
-        x = self.axis()
-        return np.sqrt(reduce(np.add.outer, [x * x] * self.dim))
+        return np.sqrt(squared_norm(self.coordinates()))
 
     def index_of(self, coord: float) -> int:
         """Index of the node closest to a coordinate along one axis."""
@@ -140,6 +143,11 @@ class GridFunction(Record):
                 raise ValueError(
                     f"values do not vanish outside radius {r}"
                 )
+
+
+def squared_norm(x: Sequence[np.ndarray]) -> np.ndarray:
+    """|x|^2 of per-axis coordinate arrays, the squares added in axis order."""
+    return reduce(np.add, [a * a for a in x])
 
 
 def sample_field(
@@ -284,8 +292,8 @@ def _mollifier_taps(grid: Grid, eps: float) -> np.ndarray:
     if eps < h:
         raise ValueError(f"eps {eps} below grid spacing {h}: kernel not resolvable")
     K = int(np.floor(eps / h + 1e-12))
-    offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * grid.dim, indexing="ij")
-    raw = bump_profile(np.sqrt(sum(o * o for o in offsets)) / eps)
+    offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * grid.dim, indexing="ij", sparse=True)
+    raw = bump_profile(np.sqrt(squared_norm(offsets)) / eps)
     return raw / raw.sum()
 
 

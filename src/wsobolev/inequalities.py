@@ -257,7 +257,8 @@ def _smallest_poincare_bound(spec: WeightSpec, p: float, c_prime: float, d_prime
     return L, poincare_bound(spec, p, c_prime, d_prime, L, C4, merged=merged)
 
 
-def build_constant_chain(spec: WeightSpec, p: float, *, C4: float, eps0: float) -> ConstantChain:
+def build_constant_chain(spec: WeightSpec, p: float, *, C4: float = 1.0,
+                         eps0: float) -> ConstantChain:
     """Evaluate the whole constant chain down to the certified Poincaré
     constant, from the growth numbers (delta, gamma, osc_V) that
     check_admissibility certifies.  A weight it does not certify raises

@@ -97,7 +97,7 @@ def _mass_weights(grid: Grid) -> np.ndarray:
 
 def _node_metric(spec: WeightSpec, grid: Grid) -> np.ndarray:
     """Trapezoid mass times the weight at the nodes."""
-    return _mass_weights(grid) * eval_weight(spec, grid.points())
+    return _mass_weights(grid) * eval_weight(spec, grid.coordinates())
 
 
 class EvolutionProblem(Record):
@@ -173,8 +173,8 @@ def _cell_weights(spec: WeightSpec, grid: Grid) -> np.ndarray:
     """h^d times the weight at the cell centres."""
     x = grid.axis()
     mid = 0.5 * (x[:-1] + x[1:])
-    pts = np.stack(np.meshgrid(*[mid] * grid.dim, indexing="ij"), axis=-1)
-    return grid.spacing**grid.dim * eval_weight(spec, pts)
+    centres = np.meshgrid(*[mid] * grid.dim, indexing="ij", sparse=True)
+    return grid.spacing**grid.dim * eval_weight(spec, centres)
 
 
 def _ends(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -630,7 +630,7 @@ def check_lebesgue_compatibility(spec: WeightSpec, grid: Grid, p: float) -> Tail
         raise ValueError(f"the integrability gate needs nodes_per_axis >= 9 to nest four "
                          f"distinct boxes, got {grid.nodes_per_axis}")
     s = -1.0 / (p - 2.0)
-    logw = spec.exponent(grid.points())
+    logw = spec.exponent(grid.coordinates())
     vals = np.exp(np.minimum(s * logw, 700.0))  # cap just below overflow
     c = (grid.nodes_per_axis - 1) // 2
     masses = []

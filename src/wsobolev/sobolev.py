@@ -31,6 +31,7 @@ from .grid import (
     maximal_function,
     mollify,
     segment_weights,
+    squared_norm,
 )
 from .weights import WeightSpec, eval_log_drift, root_on_grid, weight_on_grid
 
@@ -81,7 +82,7 @@ def product_rule_residual(
     if r is None or r >= zeta.grid.half_width:
         raise ValueError("the test function must be compactly supported inside the box")
     root = root_on_grid(spec, f.grid, p)
-    drift = eval_log_drift(spec, f.grid.points())[..., axis]
+    drift = eval_log_drift(spec, f.grid.coordinates())[axis]
     grad_zeta = axis_derivatives(zeta.values, zeta.grid)[axis]
     integrand = root.values * (
         grads[axis].values * zeta.values
@@ -221,9 +222,9 @@ def hedberg_constant(u: GridFunction) -> HedbergReport:
     pairs = _hedberg_pairs(u.values.size)
     m = maximal_at(mag, pairs)
     x = grid.axis()
-    pts = np.stack([x[a] for a in np.unravel_index(pairs, grid.shape)], axis=-1)
+    steps = [x[i[:, 0]] - x[i[:, 1]] for i in np.unravel_index(pairs, grid.shape)]
     vals = u.values.ravel()[pairs]
-    denom = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=-1) * (m[:, 0] + m[:, 1])
+    denom = np.sqrt(squared_norm(steps)) * (m[:, 0] + m[:, 1])
     used = ~(denom <= 0.0)  # a NaN denominator is not <= 0, so its pair counts as used
     ratios = np.abs(vals[used, 0] - vals[used, 1]) / denom[used]
     # fmax skips NaN ratios: they never raise the maximum

@@ -3,11 +3,12 @@
 The catalog weight is w(x) = exp(-beta*|x|^q - W(x) - V(x)) with q > 1 and
 W, V built from a small term algebra (constants, powers of |x|, quadratic
 forms, cosines).  The module evaluates w, its p-th root, and the logarithmic
-drift grad(w)/w in closed form, certifies the weight's admissibility
-hypotheses for every x from the terms themselves (growth constants of
-grad W, convexity of W, boundedness of V), and estimates doubling and
-Muckenhoupt characteristics of arbitrary positive grid weights by ball
-quadrature.
+drift grad(w)/w in closed form at x given as coordinate arrays, one per axis,
+that broadcast together (a gradient is one array per axis too).  It certifies
+the weight's admissibility hypotheses for every x from the terms themselves
+(growth constants of grad W, convexity of W, boundedness of V), and
+estimates doubling and Muckenhoupt characteristics of arbitrary positive
+grid weights by ball quadrature.
 
 Balls are axis-aligned boxes: in one dimension these are the usual
 intervals, and in two dimensions the box shape keeps doubled-ball ratios
@@ -18,13 +19,12 @@ node quadrature).  Ball centers and radii snap to the node lattice.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from ._record import Record
-from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights
+from .grid import Grid, GridFunction, ball_slices, integrate, segment_weights, squared_norm
 
 __all__ = [
     "ConstantTerm",
@@ -57,26 +57,27 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 # ---------------------------------------------------------------------------
 
 
-def _squared_norms(pts: np.ndarray) -> np.ndarray:
-    """|x|^2 at points of shape (..., dim): the squared coordinates added in
-    axis order, bit for bit np.sum(pts * pts, axis=-1) without the cost of a
-    reduction over a short trailing axis."""
-    sq = pts * pts
-    return reduce(np.add, [sq[..., a] for a in range(sq.shape[-1])])
+def _shape(x: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """The shape that per-axis coordinate arrays broadcast to."""
+    return np.broadcast_shapes(*(np.shape(a) for a in x))
 
 
-def _radii(pts: np.ndarray) -> np.ndarray:
-    return np.sqrt(_squared_norms(pts))
+def _axes(x: Sequence, dim: int) -> list[np.ndarray]:
+    """x as float arrays, one per axis of a weight of dimension dim."""
+    x = [np.asarray(a, dtype=float) for a in x]
+    if len(x) != dim:
+        raise ValueError("weight and grid dimensions differ")
+    return x
 
 
 class ConstantTerm(Record):
     c: float
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(pts.shape[:-1], float(self.c))
+    def value(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return np.full(_shape(x), float(self.c))
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return np.zeros(pts.shape)
+    def grad(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [np.zeros(_shape(x)) for _ in x]
 
 
 class PowerAbsTerm(Record):
@@ -91,42 +92,43 @@ class PowerAbsTerm(Record):
         if self.s < 1.0:
             raise ValueError(f"power term needs s >= 1, got {self.s}")
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.c * _radii(pts) ** self.s
+    def value(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return self.c * np.sqrt(squared_norm(x)) ** self.s
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        r = _radii(pts)
+    def grad(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        r = np.sqrt(squared_norm(x))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             scale = np.where(r > 0.0, self.c * self.s * r ** (self.s - 2.0), 0.0)
-            return np.where(pts != 0.0, scale[..., None] * pts, 0.0)
+            return [np.where(a != 0.0, scale * a, 0.0) for a in x]
 
 
 class QuadraticTerm(Record):
     c: float
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.c * _squared_norms(pts)
+    def value(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return self.c * squared_norm(x)
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        # c * pts first: a zero coordinate then gives 0, not inf * 0 = NaN,
+    def grad(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        # c * x first: a zero coordinate then gives 0, not inf * 0 = NaN,
         # and doubling is exact, so finite values round as 2c * x would
-        return 2.0 * (self.c * pts)
+        return [2.0 * (self.c * a) for a in x]
 
 
 class CosineTerm(Record):
-    """c * cos(<k, x>) for a wave vector k matching the dimension."""
+    """c * cos(<k, x>), the products k_a * x_a added in axis order."""
 
     c: float
     k: tuple[float, ...]
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        kv = np.asarray(self.k, dtype=float)
-        return self.c * np.cos(np.tensordot(pts, kv, axes=([-1], [0])))
+    def _phase(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return sum(k * a for k, a in zip(self.k, x, strict=True))
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        kv = np.asarray(self.k, dtype=float)
-        phase = np.tensordot(pts, kv, axes=([-1], [0]))
-        return (-self.c * np.sin(phase))[..., None] * kv
+    def value(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return self.c * np.cos(self._phase(x))
+
+    def grad(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        amplitude = -self.c * np.sin(self._phase(x))
+        return [amplitude * k for k in self.k]
 
 
 Term = ConstantTerm | PowerAbsTerm | QuadraticTerm | CosineTerm
@@ -137,17 +139,12 @@ class PotentialExpr(Record):
 
     terms: tuple[Term, ...] = ()
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1])
-        for t in self.terms:
-            out = out + t.value(pts)
-        return out
+    def value(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        return sum((t.value(x) for t in self.terms), np.zeros(_shape(x)))
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape)
-        for t in self.terms:
-            out = out + t.grad(pts)
-        return out
+    def grad(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        grads = [t.grad(x) for t in self.terms]
+        return [sum((g[a] for g in grads), np.zeros(_shape(x))) for a in range(len(x))]
 
     def merged(self) -> tuple[dict[float, float], list[tuple[float, float]]]:
         """Like terms summed: the nonzero coefficient of each power of |x|
@@ -245,23 +242,23 @@ class WeightSpec(Record):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
-    def exponent(self, pts: np.ndarray) -> np.ndarray:
+    def exponent(self, x: Sequence) -> np.ndarray:
         """log w(x) = -beta*|x|^q - W(x) - V(x).  A term beyond float range
         gives an infinite exponent, which eval_weight clamps like any other
         underflow; terms beyond it with opposite signs (inf - inf), or a
         cosine whose phase k·x is beyond it, raise ValueError at the first
         such point."""
+        x = _axes(x, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            radial = PowerAbsTerm(-self.beta, self.q).value(pts)
-            out = radial - self.W.value(pts) - self.V.value(pts)
+            radial = PowerAbsTerm(-self.beta, self.q).value(x)
+            out = radial - self.W.value(x) - self.V.value(x)
         if np.isnan(out).any():
-            x = tuple(float(c) for c in pts[np.isnan(out)][0])
-            phases = [sum(a * b for a, b in zip(x, t.k))
-                      for t in self.W.terms + self.V.terms if isinstance(t, CosineTerm)]
-            if not all(map(math.isfinite, phases)):
-                raise ValueError(f"log w is undefined at x = {x}: a cosine phase k·x is beyond "
+            at = tuple(float(a[np.isnan(out)][0]) for a in np.broadcast_arrays(*x))
+            cosines = [t for t in self.W.terms + self.V.terms if isinstance(t, CosineTerm)]
+            if not all(math.isfinite(t._phase(at)) for t in cosines):
+                raise ValueError(f"log w is undefined at x = {at}: a cosine phase k·x is beyond "
                                  "float range")
-            raise ValueError(f"log w is undefined (inf - inf) at x = {x}")
+            raise ValueError(f"log w is undefined (inf - inf) at x = {at}")
         return out
 
     @staticmethod
@@ -302,52 +299,48 @@ class WeightSpec(Record):
         return WeightSpec(beta=beta, q=q, dim=dim, W=potential("W"), V=potential("V"))
 
 
-def eval_weight(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
-    """Weight values at points of shape (..., dim).  Exponents below the
+def eval_weight(spec: WeightSpec, x: Sequence) -> np.ndarray:
+    """Weight values at per-axis coordinates x.  Exponents below the
     representable range clamp to the smallest positive float."""
-    return eval_weight_root(spec, pts, 1.0)
+    return eval_weight_root(spec, x, 1.0)
 
 
-def eval_weight_root(spec: WeightSpec, pts: np.ndarray, p: float) -> np.ndarray:
+def eval_weight_root(spec: WeightSpec, x: Sequence, p: float) -> np.ndarray:
     """p-th root of the weight, computed as exp(log(w)/p) for accuracy.  A
     root beyond float range (log w / p above log(float max)) raises
     ValueError naming the first such point."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    pts = np.asarray(pts, dtype=float)
-    log_w = spec.exponent(pts)
+    log_w = spec.exponent(x)
     scaled = log_w / p
     over = scaled > _LOG_HUGE
     if over.any():
         node = tuple(int(i) for i in np.argwhere(over)[0])
-        x = tuple(float(c) for c in pts[node])
-        raise ValueError(f"the weight overflows at node {node}, x = {x}: log w = "
+        at = tuple(float(a[node]) for a in np.broadcast_arrays(*x))
+        raise ValueError(f"the weight overflows at node {node}, x = {at}: log w = "
                          f"{log_w[node]:.6g} exceeds p * log(float max) = "
                          f"{p * _LOG_HUGE:.6g} at p = {p:g}")
     return np.exp(np.maximum(scaled, _LOG_TINY))
 
 
-def eval_log_drift(spec: WeightSpec, pts: np.ndarray) -> np.ndarray:
-    """Closed-form grad(w)/w = -beta*q*|x|^(q-1)*x/|x| - grad W - grad V.
+def eval_log_drift(spec: WeightSpec, x: Sequence) -> list[np.ndarray]:
+    """Closed-form grad(w)/w = -beta*q*|x|^(q-1)*x/|x| - grad W - grad V, per axis.
 
     The radial factor is taken to vanish at the origin (the sign convention
     sign(0) = 0); for q > 1 this is also the continuous extension.  A radial
     factor beyond float range is infinite, and its zero coordinates stay zero.
     """
-    pts = np.asarray(pts, dtype=float)
-    return PowerAbsTerm(-spec.beta, spec.q).grad(pts) - spec.W.grad(pts) - spec.V.grad(pts)
+    x = _axes(x, spec.dim)
+    radial = PowerAbsTerm(-spec.beta, spec.q).grad(x)
+    return [r - w - v for r, w, v in zip(radial, spec.W.grad(x), spec.V.grad(x))]
 
 
 def weight_on_grid(spec: WeightSpec, grid: Grid) -> GridFunction:
-    if spec.dim != grid.dim:
-        raise ValueError("weight and grid dimensions differ")
-    return GridFunction(grid, eval_weight(spec, grid.points()))
+    return GridFunction(grid, eval_weight(spec, grid.coordinates()))
 
 
 def root_on_grid(spec: WeightSpec, grid: Grid, p: float) -> GridFunction:
-    if spec.dim != grid.dim:
-        raise ValueError("weight and grid dimensions differ")
-    return GridFunction(grid, eval_weight_root(spec, grid.points(), p))
+    return GridFunction(grid, eval_weight_root(spec, grid.coordinates(), p))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ class TestConfigDefaults:
         assert cfg.grid.nodes_per_axis == 301
         assert cfg.p == 2.0
         assert cfg.constants.eps0 == 0.5  # 1/p
-        assert cfg.constants.C4 == 1.0
         assert len(cfg.balls) == 2
         assert cfg.balls[0].center == (0.0,)
         assert cfg.approximate.schedule == (0.2, 0.1, 0.05)
@@ -133,7 +132,7 @@ class TestConfigDefaults:
             },
             "grid": {"half_width": 4.0, "nodes_per_axis": 201},
             "p": 3.0,
-            "constants": {"eps0": 0.25, "C4": 2.0},
+            "constants": {"eps0": 0.25},
             "balls": [{"center": [0.0], "radius": 1.5}],
             "approximate": {"u0": "max(1 - abs(x), 0)", "support_radius": 1.0,
                             "schedule": [0.1, 0.05]},
@@ -148,7 +147,6 @@ class TestConfigDefaults:
         assert cfg.grid.nodes_per_axis == 201
         assert cfg.p == 3.0
         assert cfg.constants.eps0 == 0.25
-        assert cfg.constants.C4 == 2.0
         assert cfg.balls[0].radius == 1.5
         assert cfg.approximate.schedule == (0.1, 0.05)
         assert cfg.evolution.dualization == "lebesgue"
@@ -180,10 +178,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("section, key", [
         ("evolution", "solver"), ("stationary", "solver"),
         ("stationary", "compatibility_tol"), ("approximate", "tol"),
-        ("constants", "eps"), ("constants", "eps1")])
+        ("constants", "eps"), ("constants", "eps1"), ("constants", "C4")])
     def test_fixed_solver_values_are_unknown(self, section, key):
-        # solver tolerances, budgets, the approximation target and the moment
-        # bounds' eps and eps1 (valid at any value > 0, fixed at 1) are constants
+        # solver tolerances, budgets, the approximation target, the moment
+        # bounds' eps and eps1 (valid at any value > 0, fixed at 1) and the
+        # Poincaré bound's C4 (fixed at 1) are constants
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, section: {key: {} if key == "solver" else 1e-6}})
         assert str(err.value).startswith(f"{section}.{key}: unknown field")
@@ -303,7 +302,7 @@ FULL = {
                "V": [{"kind": "cosine", "c": 0.2, "k": [1.0]}]},
     "grid": {"half_width": 6.0},
     "p": 2.0,
-    "constants": {"C4": 1.0, "eps0": 0.5},
+    "constants": {"eps0": 0.5},
     "balls": [{"center": [0.0], "radius": 1.0}],
     "approximate": {"support_radius": 1.0, "schedule": [0.2, 0.1]},
     "evolution": {"T": 0.5, "tau": 1e-3},
@@ -317,8 +316,9 @@ NON_FINITE = [
     (("weight", "V", 0, "k", 0), "weight.V[0].k"),
     (("grid", "half_width"), "grid.half_width"),
     (("p",), "config.p"),
-    # eps, eps1 and L are fields the config does not have: refused as unknown
-    # whatever the value (the chain fixes eps and eps1 at 1 and chooses L)
+    # eps, eps1, C4 and L are fields the config does not have: refused as
+    # unknown whatever the value (the chain fixes eps, eps1 and C4 at 1 and
+    # chooses L)
     (("constants", "eps"), "constants.eps"),
     (("constants", "eps1"), "constants.eps1"),
     (("constants", "C4"), "constants.C4"),

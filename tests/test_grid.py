@@ -64,9 +64,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.index_of(7.5)
 
-    def test_points_shape(self):
+    def test_coordinates_shape(self):
         g2 = Grid(2, 1.0, 5)
-        assert g2.points().shape == (5, 5, 2)
+        assert [x.shape for x in g2.coordinates()] == [(5, 1), (1, 5)]
         assert g2.shape == (5, 5)
 
 

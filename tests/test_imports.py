@@ -183,6 +183,46 @@ def test_detects_a_dataclasses_import():
     assert imported_modules(source) == {"dataclasses", "numpy"}
 
 
+# numpy calls that may hand their sums to the BLAS
+_BLAS_CALLS = {"dot", "tensordot", "vdot", "inner", "matmul", "einsum"}
+
+
+def blas_uses(source: str) -> list[int]:
+    """Lines that call a BLAS-backed numpy routine (dot, tensordot, vdot,
+    inner, matmul, einsum, or anything under linalg, as a name or an
+    attribute) or use the `@` operator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            hit = name in _BLAS_CALLS or any(
+                isinstance(n, ast.Attribute) and n.attr == "linalg"
+                or isinstance(n, ast.Name) and n.id == "linalg" for n in ast.walk(f))
+        else:
+            hit = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_weight_and_grid_evaluation_call_no_blas():
+    """The rounding of a BLAS product depends on the kernel the machine
+    picks (its blocking, its use of FMA), so a weight or a grid value
+    computed through one could differ between machines."""
+    uses = {name: blas_uses((Path(wsobolev.__file__).parent / name).read_text(encoding="utf-8"))
+            for name in ("weights.py", "grid.py")}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_detects_a_blas_use():
+    source = ("import numpy as np\nfrom numpy import linalg\nnp.sum(x)\n"
+              "np.dot(a, b)\na.dot(b)\nnp.linalg.norm(a)\nlinalg.solve(a, b)\n"
+              "c = a @ b\nc @= b\nnp.tensordot(a, b, 1)\nnp.einsum('i,i', a, b)\n"
+              "np.inner(a, b) + np.vdot(a, b)\nnp.matmul(a, b)\nnp.add(a, b)\n")
+    assert blas_uses(source) == [4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+
+
 def numpy_random_uses(source: str) -> list[int]:
     """Lines that reach numpy.random: `np.random` or `numpy.random` as an
     attribute, `import numpy.random`, `from numpy import random` or

@@ -55,10 +55,10 @@ def stationary_error(spec, n, p):
     """Relative L^2(w) error of the stationary solve with source -d_1 log w
     against x_1 minus its metric mean."""
     grid = build_grid(spec.dim, HALF_WIDTH, n)
-    pts = grid.points()
-    state = solve_stationary(GridFunction(grid, -eval_log_drift(spec, pts)[..., 0]), spec, p).state
+    x = grid.mesh()
+    state = solve_stationary(GridFunction(grid, -eval_log_drift(spec, x)[0]), spec, p).state
     metric = _node_metric(spec, grid)
-    exact = pts[..., 0] - np.sum(metric * pts[..., 0]) / np.sum(metric)
+    exact = x[0] - np.sum(metric * x[0]) / np.sum(metric)
     return math.sqrt(np.sum(metric * (state.values - exact) ** 2) / np.sum(metric * exact**2))
 
 

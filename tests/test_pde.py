@@ -188,6 +188,11 @@ class TestOperator:
         with pytest.raises(ValueError):
             apply_operator(u, GAUSS, 1.5)
 
+    def test_weight_of_another_dimension_refused(self):
+        g, u = linear_state(51)
+        with pytest.raises(ValueError, match="^weight and grid dimensions differ$"):
+            apply_operator(u, WeightSpec(1.0, 2.0, 2), 2.0)
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_assembles_no_stencil(self, monkeypatch, p):
         # the operator is the staggered gradient at every p
@@ -917,7 +922,7 @@ def small_weight_grid(draw):
 
 
 def node_metric(spec, grid):
-    return _mass_weights(grid) * np.exp(spec.exponent(grid.points()))
+    return _mass_weights(grid) * np.exp(spec.exponent(grid.coordinates()))
 
 
 class TestStaggeredProperties:

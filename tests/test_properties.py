@@ -21,12 +21,14 @@ from wsobolev.grid import (
     Grid,
     GridFunction,
     _mollifier_taps,
+    bump_profile,
     integrate,
     maximal_at,
     maximal_function,
     mollify,
     quadrature_rows,
     segment_weights,
+    squared_norm,
     trapezoid_weights,
 )
 from wsobolev.inequalities import build_constant_chain, poincare_bound
@@ -34,11 +36,13 @@ from wsobolev.weights import (
     Ball,
     CosineTerm,
     PotentialExpr,
+    PowerAbsTerm,
     QuadraticTerm,
     WeightSpec,
-    _radii,
-    _squared_norms,
     estimate_muckenhoupt,
+    eval_log_drift,
+    eval_weight,
+    eval_weight_root,
     weight_on_grid,
 )
 
@@ -178,19 +182,49 @@ def test_norms_are_the_trailing_axis_sum_bit_for_bit(data, dim):
     lead = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5))
     pts = data.draw(hnp.arrays(np.float64, lead + (dim,), elements=ANY_FLOAT))
     c = data.draw(ANY_FLOAT)
+    x = np.moveaxis(pts, -1, 0)  # one array per axis
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sq = np.sum(pts * pts, axis=-1)
-        assert _squared_norms(pts).tobytes() == sq.tobytes()
-        assert _radii(pts).tobytes() == np.sqrt(sq).tobytes()
-        assert QuadraticTerm(c).value(pts).tobytes() == (c * sq).tobytes()
+        assert squared_norm(x).tobytes() == sq.tobytes()
+        assert PowerAbsTerm(1.0, 1.0).value(x).tobytes() == np.sqrt(sq).tobytes()
+        assert QuadraticTerm(c).value(x).tobytes() == (c * sq).tobytes()
 
 
 @PROPERTY
 @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([3, 5, 11, 41, 101]),
-       half_width=st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True))
-def test_node_radii_are_the_meshgrid_sum_bit_for_bit(dim, n, half_width):
+       half_width=st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True),
+       radius=st.floats(1.0, 6.0))
+def test_node_radii_are_the_meshgrid_sum_bit_for_bit(dim, n, half_width, radius):
     grid = Grid(dim, half_width, n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         want = np.sqrt(sum(m * m for m in grid.mesh()))
         got = grid.node_radii()
     assert got.tobytes() == want.tobytes()
+    # the mollifier's taps against their dense formula, on grids that have
+    # taps: a spacing that underflows to 0 or an eps beyond float range has none
+    h = grid.spacing
+    eps = radius * h
+    if not 0.0 < eps < math.inf:
+        return
+    K = int(np.floor(eps / h + 1e-12))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        offsets = np.meshgrid(*[np.arange(-K, K + 1) * h] * dim, indexing="ij")
+        raw = bump_profile(np.sqrt(sum(o * o for o in offsets)) / eps)
+        got = _mollifier_taps(grid, eps)
+    assert got.tobytes() == (raw / raw.sum()).tobytes()
+
+
+@PROPERTY
+@given(spec_grid=catalog_specs())
+def test_weights_do_not_depend_on_the_coordinate_layout(spec_grid):
+    """Open coordinates, the dense mesh and a flat node list give the same
+    bytes: every operation is elementwise, in the same order."""
+    spec, grid = spec_grid
+    mesh = grid.mesh()
+    layouts = [grid.coordinates(), mesh, [m.ravel() for m in mesh]]
+    for evaluate in (spec.exponent, lambda x: eval_weight(spec, x),
+                     lambda x: eval_weight_root(spec, x, 3.0),
+                     lambda x: eval_log_drift(spec, x)):
+        results = [np.reshape(evaluate(x), (-1,) + grid.shape) for x in layouts]
+        assert results[0].shape[1:] == grid.shape
+        assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()

@@ -51,7 +51,7 @@ OUTSIDE_HYPOTHESES = {
 
 
 def pts1(*xs):
-    return np.array(xs, dtype=float)[:, None]
+    return np.array(xs, dtype=float)[None, :]
 
 
 class TestTerms:
@@ -65,9 +65,9 @@ class TestTerms:
         t = PowerAbsTerm(0.5, 3.0)
         p = pts1(2.0)
         assert t.value(p)[0] == pytest.approx(4.0)
-        assert t.grad(p)[0, 0] == pytest.approx(6.0)
+        assert t.grad(p)[0][0] == pytest.approx(6.0)
         # gradient of |x|^s is taken as zero at the origin
-        assert t.grad(pts1(0.0))[0, 0] == 0.0
+        assert t.grad(pts1(0.0))[0][0] == 0.0
 
     def test_power_abs_needs_exponent_at_least_one(self):
         with pytest.raises(ValueError):
@@ -75,18 +75,24 @@ class TestTerms:
 
     def test_quadratic(self):
         t = QuadraticTerm(0.5)
-        p = np.array([[1.0, 2.0]])
+        p = np.array([[1.0], [2.0]])
         assert t.value(p)[0] == pytest.approx(2.5)
-        assert_allclose(t.grad(p)[0], [1.0, 2.0])
+        assert_allclose([g[0] for g in t.grad(p)], [1.0, 2.0])
 
     def test_cosine(self):
         t = CosineTerm(2.0, (3.0,))
         p = pts1(0.0)
         assert t.value(p)[0] == pytest.approx(2.0)
-        assert t.grad(p)[0, 0] == pytest.approx(0.0)
+        assert t.grad(p)[0][0] == pytest.approx(0.0)
         p = pts1(np.pi / 6.0)
         assert t.value(p)[0] == pytest.approx(0.0, abs=1e-15)
-        assert t.grad(p)[0, 0] == pytest.approx(-6.0)
+        assert t.grad(p)[0][0] == pytest.approx(-6.0)
+
+    def test_cosine_2d_phase_adds_in_axis_order(self):
+        # the phase is k0*x + k1*y, not a BLAS dot product, bit for bit
+        t = CosineTerm(0.7, (2.3, -1.7))
+        x, y = build_grid(2, 6.0, 41).mesh()
+        assert t.value([x, y]).tobytes() == (0.7 * np.cos(2.3 * x + -1.7 * y)).tobytes()
 
     def test_term_json_round_trip(self):
         expr = PotentialExpr(
@@ -117,6 +123,14 @@ class TestWeightSpec:
             weight_on_grid(spec, grid)
         with pytest.raises(ValueError, match="^weight and grid dimensions differ$"):
             root_on_grid(spec, grid, 2.0)
+
+    @pytest.mark.parametrize("dim, x", [(1, [[1.0], [2.0]]), (2, [[1.0, 2.0]])])
+    def test_coordinates_of_another_dimension_refused(self, dim, x):
+        # the point (1, 2) for a 1d weight, and the points 1 and 2 for a 2d one
+        spec = WeightSpec(1.0, 2.0, dim, V=PotentialExpr((CosineTerm(1.0, (1.0,) * dim),)))
+        for evaluate in (eval_weight, eval_log_drift, WeightSpec.exponent):
+            with pytest.raises(ValueError, match="^weight and grid dimensions differ$"):
+                evaluate(spec, x)
 
     def test_negative_beta_allowed(self):
         # growing weights are legal inputs; downstream per-solver gates decide
@@ -157,7 +171,7 @@ class TestWeightSpec:
         # at p = 1 the first overflowing point is the second one
         spec = WeightSpec(1.0, 2.0, 1, W=PotentialExpr((ConstantTerm(-1000.0),)))
         pts = pts1(20.0, 10.0, 0.0)
-        assert_allclose(eval_weight_root(spec, pts, 2.0), np.exp((1000.0 - pts[:, 0] ** 2) / 2))
+        assert_allclose(eval_weight_root(spec, pts, 2.0), np.exp((1000.0 - pts[0] ** 2) / 2))
         with pytest.raises(ValueError, match=r"overflows at node \(1,\), x = \(10\.0,\): "
                                              r"log w = 900 exceeds p \* log\(float max\) = "
                                              r"709\.783 at p = 1$"):
@@ -201,7 +215,7 @@ class TestWeightSpec:
     def test_drift_closed_form(self):
         # for w = exp(-x^2), grad(w)/w = -2x
         p = pts1(-1.0, 0.5, 2.0)
-        assert_allclose(eval_log_drift(GAUSS, p)[:, 0], -2.0 * p[:, 0])
+        assert_allclose(eval_log_drift(GAUSS, p)[0], -2.0 * p[0])
 
     def test_drift_with_potentials(self):
         spec = WeightSpec(
@@ -211,11 +225,11 @@ class TestWeightSpec:
         )
         x = 0.7
         expected = -2.0 * x - x + math.sin(x)
-        assert eval_log_drift(spec, pts1(x))[0, 0] == pytest.approx(expected)
+        assert eval_log_drift(spec, pts1(x))[0][0] == pytest.approx(expected)
 
     def test_overflowing_drift_keeps_zero_components(self):
-        drift = eval_log_drift(WeightSpec(1e307, 3.0, 2), np.array([[6.0, 0.0]]))
-        assert drift.tolist() == [[-math.inf, 0.0]]
+        drift = eval_log_drift(WeightSpec(1e307, 3.0, 2), np.array([[6.0], [0.0]]))
+        assert [d.tolist() for d in drift] == [[-math.inf], [0.0]]
 
     def test_self_drift_coef(self):
         assert check_admissibility(WeightSpec(2.0, 3.0, 1)).drift_budget == pytest.approx(6.0)
@@ -225,7 +239,7 @@ class TestWeightSpec:
         w = weight_on_grid(GAUSS, g)
         r = root_on_grid(GAUSS, g, 2.0)
         assert_allclose(r.values**2, w.values, atol=1e-300)
-        assert_allclose(eval_log_drift(GAUSS, g.points())[..., 0], -2.0 * g.axis())
+        assert_allclose(eval_log_drift(GAUSS, g.coordinates())[0], -2.0 * g.axis())
 
 
 class TestGrowthFits:
@@ -526,8 +540,9 @@ def _abs_sum(parts) -> np.ndarray:
     return sum((np.abs(v) for v in parts), np.zeros(()))
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _norms(v) -> np.ndarray:
+    """|v| of one array per axis."""
+    return np.sqrt(sum(a * a for a in v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -535,6 +550,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def test_growth_bound_holds_far_out(case):
     """The certified (delta, gamma) bound |grad W| far outside any grid box."""
     dim, W, _, q, pts = case
+    pts = pts.T
     rep = check_admissibility(WeightSpec(1.0, q, dim, W=W))
     if rep.delta is None:
         assert any(s > q for s in W.merged()[0])
@@ -549,6 +565,7 @@ def test_growth_bound_holds_far_out(case):
 def test_osc_V_bounds_samples(case):
     """The certified osc_V bounds the spread of V's samples far out."""
     dim, _, V, q, pts = case
+    pts = pts.T
     rep = check_admissibility(WeightSpec(1.0, q, dim, V=V))
     if not rep.V_bounded:
         assert V.merged()[0]
@@ -564,8 +581,8 @@ def test_log_oscillation_bounds_samples(case, beta, radius):
     """oscillation_over_ball bounds the spread of log w over B(0, radius)."""
     dim, W, V, q, pts = case
     spec = WeightSpec(beta, q, dim, W=W, V=V)
-    pts = np.vstack([np.zeros((1, dim)), pts * (radius / 1e3)])
-    pts = pts[_norms(pts) <= radius]
+    pts = np.vstack([np.zeros((1, dim)), pts * (radius / 1e3)]).T
+    pts = pts[:, _norms(pts) <= radius]
     vals = spec.exponent(pts)
     terms = (PowerAbsTerm(beta, q),) + W.terms + V.terms
     slack = 1e-12 * (1.0 + _abs_sum(t.value(pts) for t in terms).max())
