@@ -80,7 +80,10 @@ def _parse_grid(obj, dim: int) -> Grid:
     n = _integer(obj, "nodes_per_axis", "grid", default=301, minimum=3)
     if n % 2 == 0:
         raise ConfigError(f"grid.nodes_per_axis: must be odd, got {n}")
-    return Grid(dim=dim, half_width=half_width, nodes_per_axis=n)
+    try:
+        return Grid(dim=dim, half_width=half_width, nodes_per_axis=n)
+    except ValueError as err:  # the spacing is all that is left to refuse
+        raise ConfigError(f"grid.{err}") from None
 
 
 def _parse_balls(items, dim: int) -> tuple[Ball, ...]:
@@ -184,6 +187,9 @@ def parse_config(doc: dict) -> RunConfig:
         dualization=_string(evo, "dualization", "evolution", default="weighted",
                             choices={"weighted", "lebesgue"}),
     )
+    if not is_finite_number(evolution.T / evolution.tau):
+        raise ConfigError(f"evolution.tau: T/tau = {evolution.T:g}/{evolution.tau:g} steps "
+                          f"is beyond float range")
 
     stat = _section(doc.get("stationary", {}), "stationary", {"source"})
     stationary = StationaryConfig(source=_string(stat, "source", "stationary", default="2*x"))

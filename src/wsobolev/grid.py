@@ -82,6 +82,9 @@ class Grid(Record):
             raise ValueError(f"nodes_per_axis must be >= 3, got {n}")
         if n % 2 == 0:
             raise ValueError(f"nodes_per_axis must be odd, got {n}")
+        h = self.spacing  # below the normal range, 1/h and h^d leave float range
+        if not np.finfo(float).smallest_normal <= h < math.inf:
+            raise ValueError(f"half_width: the node spacing {h!r} is not a positive normal float")
 
     @property
     def spacing(self) -> float:

@@ -42,11 +42,15 @@ places that a V-cycle preconditioner, a stopping norm that counts the far
 field and a round-off floor would change.  Each solve works in one scratch
 array, whose rows start on 64-byte boundaries and hold the prepared
 diagonal and ratio too; CG continues its start in place, so a warm-started
-CG allocates nothing, and neither does a step's weighted mean.  Each step
+CG allocates nothing, and neither does a step's weighted mean.  What
+depends only on the grid's shape and whether p > 2 is built once per solve,
+with that array, as its _layout: the staggered passes' index tuples, the
+stencil's offsets, flat slices and p > 2 corner gathers, and the array's
+rows; each CG call forms the row views its products read once.  Each step
 of a flow starts from the quadratic through its last three states,
-extrapolated in time.  A flow is
-streamed: evolve yields each state, read-only, as it is reached, and keeps
-only the three its next start needs; solve_evolution keeps only the last.
+extrapolated in time.  A flow is streamed: evolve yields each state,
+read-only, as it is reached, and keeps only the three its next start
+needs; solve_evolution keeps only the last.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import collections
 import itertools
 import math
 from collections.abc import Iterator
+from functools import reduce
 
 import numpy as np
 
@@ -83,10 +88,12 @@ __all__ = [
 # iterations are spent: CG iterations, and one per direct solve
 _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 10_000
-# Newton's backtracking line search (p > 2 only): step shrink factor and
-# Armijo sufficient-decrease constant
+# Newton's backtracking line search (p > 2 only): step shrink factor,
+# Armijo sufficient-decrease constant, and the round-off allowance, this
+# times |objective| + |trial objective|
 _SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 # a stationary source's weighted mean may be at most this times max|f|
 _COMPATIBILITY_TOL = 1e-6
 
@@ -115,6 +122,9 @@ class EvolutionProblem(Record):
             raise ValueError("weight and initial state dimensions differ")
         if self.horizon <= 0.0 or self.step <= 0.0:
             raise ValueError("horizon and step must be positive")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(f"horizon/step = {self.horizon:g}/{self.step:g} steps is beyond "
+                             f"float range")
         if self.dualization not in ("weighted", "lebesgue"):
             raise ValueError(f"unknown dualization {self.dualization!r}")
         if self.dualization == "weighted" and self.spec.beta <= 0.0:
@@ -177,68 +187,67 @@ def _cell_weights(spec: WeightSpec, grid: Grid) -> np.ndarray:
     return grid.spacing**grid.dim * eval_weight(spec, centres)
 
 
-def _ends(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """x without its last, and x without its first slice along `axis`."""
-    pre = (slice(None),) * axis
-    return x[pre + (slice(None, -1),)], x[pre + (slice(1, None),)]
+def _axis_ends(dim: int) -> tuple:
+    """Per axis a, the index of an array without its last and the index of
+    it without its first slice along a (of any array with more than a axes)."""
+    return tuple(((slice(None),) * a + (slice(None, -1),), (slice(None),) * a + (slice(1, None),))
+                 for a in range(dim))
 
 
-def _pair_mean(x: np.ndarray, axis: int) -> np.ndarray:
-    lo, hi = _ends(x, axis)
-    return 0.5 * (lo + hi)
-
-
-def _edge_differences(vals: np.ndarray, h: float) -> list[np.ndarray]:
+def _edge_differences(vals: np.ndarray, h: float, ends: tuple | None = None) -> list[np.ndarray]:
     """(u[i+1] - u[i])/h along each axis, on that axis's edges."""
-    return [np.subtract(*_ends(vals, a)[::-1]) / h for a in range(vals.ndim)]
+    return [np.subtract(vals[hi], vals[lo]) / h for lo, hi in ends or _axis_ends(vals.ndim)]
 
 
-def _spread(x: np.ndarray, axis: int, op=np.add) -> np.ndarray:
+def _spread(x: np.ndarray, axis: int, ends: tuple, op=np.add) -> np.ndarray:
     """y[i] = op(x[i - 1], x[i]) along `axis`, x being zero beyond its ends:
     one slot longer than x, without a padded copy."""
     y = np.zeros(x.shape[:axis] + (x.shape[axis] + 1,) + x.shape[axis + 1:])
-    lo, hi = _ends(y, axis)
+    lo, hi = ends[axis]
+    lo, hi = y[lo], y[hi]
     op(lo, x, out=lo)
     hi += x
     return y
 
 
-def _edge_differences_transpose(edges: list[np.ndarray], h: float) -> np.ndarray:
+def _edge_differences_transpose(edges: list[np.ndarray], h: float,
+                                ends: tuple | None = None) -> np.ndarray:
     """Exact adjoint of _edge_differences: minus the difference of the edge
     values, zero beyond the ends."""
-    return sum(_spread(e, a, np.subtract) for a, e in enumerate(edges)) / h
+    ends = ends or _axis_ends(len(edges))
+    return reduce(np.add, [_spread(e, a, ends, np.subtract) for a, e in enumerate(edges)]) / h
 
 
-def _to_cells(edge: np.ndarray, axis: int) -> np.ndarray:
+def _to_cells(edge: np.ndarray, axis: int, ends: tuple | None = None) -> np.ndarray:
     """Mean over a cell's edges along `axis`: pairs along every other axis."""
-    for b in range(edge.ndim):
+    for b, (lo, hi) in enumerate(ends or _axis_ends(edge.ndim)):
         if b != axis:
-            edge = _pair_mean(edge, b)
+            edge = 0.5 * (edge[lo] + edge[hi])
     return edge
 
 
-def _to_edges(cell: np.ndarray, axis: int) -> np.ndarray:
+def _to_edges(cell: np.ndarray, axis: int, ends: tuple | None = None) -> np.ndarray:
     """Exact adjoint of _to_cells."""
+    ends = ends or _axis_ends(cell.ndim)
     for b in range(cell.ndim):
         if b != axis:
-            cell = 0.5 * _spread(cell, b)
+            cell = 0.5 * _spread(cell, b, ends)
     return cell
 
 
-def _cell_square(diffs: list[np.ndarray]) -> np.ndarray:
-    """|grad u|^2 on each cell."""
-    return sum(_to_cells(d * d, a) for a, d in enumerate(diffs))
-
-
-def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float):
+def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float,
+                  ends: tuple | None = None):
     """The discrete energy, its Euclidean gradient sum_a D_a^T(k_a D_a u) with
     edge coefficients k_a = A_a^T(cell_w |grad u|^(p-2)), and the edge
-    differences and cell values |grad u|^2 that both are formed from."""
-    diffs = _edge_differences(vals, h)
-    s = _cell_square(diffs)
+    differences and cell values |grad u|^2 that both are formed from; ends
+    are the solve's (see _layout), or formed here."""
+    ends = ends or _axis_ends(vals.ndim)
+    diffs = _edge_differences(vals, h, ends)
+    s = reduce(np.add, [_to_cells(d * d, a, ends) for a, d in enumerate(diffs)])  # |grad u|^2
     value = float((cell_w * s ** (p / 2.0)).sum()) / p
     coef = cell_w * s ** ((p - 2.0) / 2.0)
-    grad = _edge_differences_transpose([_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
+    grad = _edge_differences_transpose([_to_edges(coef, a, ends) * d for a, d in enumerate(diffs)],
+                                       h, ends)
     return value, grad, (diffs, s)
 
 
@@ -257,8 +266,51 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+class _Layout(Record):
+    """What a solve's Newton-CG core reads that depends only on the grid's
+    shape and whether p > 2, built once per solve by _layout, so that a
+    Newton system, a CG call, an evaluation and a step pay only for their
+    arithmetic."""
+
+    ends: tuple  # per axis, the indices that drop an array's last and first slice
+    arrays: int  # the stencil's node arrays, one per offset (see _hessian), centre first
+    axes: tuple  # per axis, the index of its forward offset
+    neighbours: tuple  # per forward neighbour: its flat (dst, src) slices and its index
+    gather: tuple  # p > 2, per cell corner c: g's entry at c, as (axis, edges, sign) terms
+    couplings: tuple  # p > 2, per corner c: its nodes, and (e, index of e - c) per e >= c
+    work: np.ndarray  # the solve's workspace (see _workspace)
+    rows: tuple  # its rows, in the node shape
+    flat: tuple  # its rows, raveled
+
+
+def _layout(shape: tuple[int, ...], nonlinear: bool) -> _Layout:
+    """The layout of a solve on nodes of this shape, whose Hessian moves with
+    the iterate (p > 2: nonlinear) or not, with its workspace."""
+    dim = len(shape)
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
+               if o >= (0,) * dim and (nonlinear or sum(map(abs, o)) <= 1)]
+    axes = tuple(offsets.index(tuple(int(b == a) for b in range(dim))) for a in range(dim))
+    # flat, o is the positive shift k = sum_a o_a stride_a
+    strides, size = [math.prod(shape[a + 1:]) for a in range(dim)], math.prod(shape)
+    neighbours = tuple((slice(0, size - k), slice(k, size), i) for i, o in enumerate(offsets)
+                       if (k := sum(x * t for x, t in zip(o, strides))))
+    corners = list(itertools.product((0, 1), repeat=dim)) if nonlinear else []
+
+    def at(corner):  # the cells' corner nodes, or edges, at `corner`
+        return tuple(slice(c, c + m - 1) for c, m in zip(corner, shape))
+
+    gather = tuple(tuple((a, at(c[:a] + (0,) + c[a + 1:]), 2 * c[a] - 1) for a in range(dim))
+                   for c in corners)
+    couplings = tuple((at(c), tuple((j, offsets.index(tuple(y - x for x, y in zip(c, e))))
+                                    for j, e in enumerate(corners) if j >= i))
+                      for i, c in enumerate(corners))
+    work = _workspace(shape)
+    return _Layout(_axis_ends(dim), len(offsets), axes, neighbours, gather, couplings, work,
+                   tuple(work), tuple(work.reshape(len(work), -1)))
+
+
 def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
-             s: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+             s: np.ndarray | None = None, layout: _Layout | None = None) -> tuple[np.ndarray, list]:
     """The energy's Hessian at the iterate with edge differences diffs and
     |grad u|^2 = s, raised by 1e-6 of its weighted mean (by 1 if u is constant)
     to stay definite where the gradient vanishes, as the flat stencil that
@@ -272,49 +324,37 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
     A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for p > 2, per cell r g g^T
     with r = (p-2) cell_w (s + eps)^((p-4)/2) and g . v = sum_a of the
     cell's mean of diffs_a D_a v.  At p = 2 that term vanishes and the rest
-    is cell_w's alone, so diffs and s are not needed."""
-    dim = cell_w.ndim
+    is cell_w's alone, so diffs and s are not needed.  The offsets, slices
+    and gathers are read from layout, the solve's, built for p > 2 exactly
+    when p > 2 (one is built without it)."""
+    if layout is None:
+        layout = _layout(tuple(m + 1 for m in cell_w.shape), p > 2.0)
     q, r = cell_w, None
     if p > 2.0:
         eps = 1e-6 * float((cell_w * s).sum() / cell_w.sum()) or 1.0
         q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
         r = (p - 2.0) * q / (s + eps)
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
-               if o >= (0,) * dim and (r is not None or sum(map(abs, o)) <= 1)]
-    stencil = {o: np.zeros(tuple(m + 1 for m in cell_w.shape)) for o in offsets}
-    centre = stencil[(0,) * dim]
-    for a in range(dim):
-        k = _to_edges(q, a) / h**2
-        lo, hi = _ends(centre, a)
-        lo += k
-        hi += k
-        forward = _ends(stencil[tuple(int(b == a) for b in range(dim))], a)[0]
+    stencil = [np.zeros(layout.work.shape[1:]) for _ in range(layout.arrays)]
+    centre = stencil[0]
+    for a, ((lo, hi), o) in enumerate(zip(layout.ends, layout.axes)):
+        k = _to_edges(q, a, layout.ends) / h**2
+        below, above, forward = centre[lo], centre[hi], stencil[o][lo]
+        below += k
+        above += k
         forward -= k
     if r is not None:
-        corners = list(itertools.product((0, 1), repeat=dim))
-        r = r / (h * 2 ** (dim - 1)) ** 2
-
-        def at(corner):  # the cells' corner nodes, or edges, at `corner`
-            return tuple(slice(c, c + m) for c, m in zip(corner, cell_w.shape))
-
+        r = r / (h * 2 ** (cell_w.ndim - 1)) ** 2
         # g's entry at corner c of each cell, times h 2^(d-1): the differences
         # on the cell's edges through c, signed by whether c is the edge's far end
-        gamma = {c: sum(d[at(c[:a] + (0,) + c[a + 1:])] * (2 * c[a] - 1)
-                        for a, d in enumerate(diffs)) for c in corners}
-        for i, c in enumerate(corners):
-            rg = r * gamma[c]
-            for e in corners[i:]:  # r g_c g_e at node c, forward offset e - c
-                stencil[tuple(y - x for x, y in zip(c, e))][at(c)] += rg * gamma[e]
-    # flat, o is the positive shift k = sum_a o_a stride_a, so dst and src are
-    # contiguous; c_o is zero wherever i + o leaves the grid, so the rows that
-    # wrap around add nothing, in either direction
-    shape = centre.shape
-    strides, size = [math.prod(shape[a + 1:]) for a in range(dim)], math.prod(shape)
-    neighbours = []
-    for o, c in stencil.items():
-        if k := sum(x * t for x, t in zip(o, strides)):
-            neighbours.append((slice(0, size - k), slice(k, size), c.reshape(-1)[:size - k]))
-    return centre, neighbours
+        gamma = [reduce(np.add, [diffs[a][edges] * sign for a, edges, sign in corner])
+                 for corner in layout.gather]
+        for (nodes, targets), g in zip(layout.couplings, gamma):
+            rg = r * g
+            for e, o in targets:  # r g_c g_e at node c, forward offset e - c
+                stencil[o][nodes] += rg * gamma[e]
+    # c_o is zero wherever i + o leaves the grid, so the rows that wrap
+    # around add nothing, in either direction
+    return centre, [(dst, src, stencil[i].reshape(-1)[dst]) for dst, src, i in layout.neighbours]
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
@@ -342,6 +382,19 @@ def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     return rows.reshape((8,) + shape, copy=False)
 
 
+def _product(centre: np.ndarray, v: np.ndarray, out: np.ndarray, pairs: list) -> np.ndarray:
+    """centre * v into out, plus each forward neighbour's two products, added
+    in: the backward ones first, in reverse, then the forward ones.  pairs
+    holds, per forward neighbour (dst, src, c), c and the views v[dst],
+    v[src], out[dst], out[src] and tmp[dst] of flat v, out and tmp."""
+    np.multiply(centre, v, out)
+    for c, v_dst, _, _, out_src, t in reversed(pairs):
+        out_src += np.multiply(c, v_dst, t)
+    for c, _, v_src, out_dst, _, t in pairs:
+        out_dst += np.multiply(c, v_src, t)
+    return out
+
+
 def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
            out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """The stencil times v: centre * v plus two contiguous products per forward
@@ -350,24 +403,21 @@ def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
     every product is written to an aligned array.  The backward products go
     first, in reverse: that is the full stencil's product order, so each
     node sums its products in the order of the offsets in {-1, 0, 1}^d."""
-    out = np.multiply(centre, v, out)
-    flat, v = (out, v) if v.ndim == 1 else (out.reshape(-1), v.reshape(-1))
-    tmp = np.empty(v.shape) if tmp is None else tmp
-    for dst, src, c in reversed(neighbours):
-        flat[src] += np.multiply(c, v[dst], tmp[dst])
-    for dst, src, c in neighbours:
-        flat[dst] += np.multiply(c, v[src], tmp[dst])
-    return out
+    out = np.empty(v.shape) if out is None else out
+    tmp = np.empty(v.size) if tmp is None else tmp
+    v_flat, out_flat = v.reshape(-1), out.reshape(-1)
+    return _product(centre, v, out, [(c, v_flat[dst], v_flat[src], out_flat[dst], out_flat[src],
+                                      tmp[dst]) for dst, src, c in neighbours])
 
 
-def _quadratic_energy(vals: np.ndarray, stencil: tuple, work: np.ndarray | None = None) -> float:
+def _quadratic_energy(vals: np.ndarray, stencil: tuple, layout: _Layout | None = None) -> float:
     """The p = 2 energy <v, Hv>/2 from the Hessian stencil in flat form.  H
     kills the constants, so it couples each pair i, i + o by c_o[i] (v[i+o] -
     v[i]), taken once per forward neighbour: the energy is a sum of -c_o
     (v[i+o] - v[i])^2 / 2.  The differences and products are formed in rows
-    1 and 2 of work (two fresh ones if it is not passed)."""
+    1 and 2 of the layout's workspace (two fresh ones without a layout)."""
     v, value = vals.reshape(-1), 0.0
-    dbuf, ebuf = np.empty((2, v.size)) if work is None else work.reshape(len(work), -1)[1:3]
+    dbuf, ebuf = np.empty((2, v.size)) if layout is None else layout.flat[1:3]
     for dst, src, c in stencil[1]:
         d = np.subtract(v[src], v[dst], dbuf[dst])
         value -= float(np.vdot(np.multiply(c, d, ebuf[dst]), d))
@@ -375,7 +425,7 @@ def _quadratic_energy(vals: np.ndarray, stencil: tuple, work: np.ndarray | None 
 
 
 def _pcg(stencil: tuple, rhs: np.ndarray, ratio: np.ndarray, target: float, budget: int,
-         work: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+         layout: _Layout, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """CG on a flat stencil whose centre is the system's whole diagonal,
     preconditioned by that diagonal (Jacobi), from start (default zero; its
     residual rhs - A start is formed by one apply) until the residual's
@@ -388,21 +438,23 @@ def _pcg(stencil: tuple, rhs: np.ndarray, ratio: np.ndarray, target: float, budg
     inf, not NaN, since r and z ratio share their signs.  A product d^T A d
     that is not positive and finite ends it early.  The solution is start
     itself, overwritten in place, or one new array; every other vector is
-    one of rows 1-5 of work (see _workspace), so neither rhs, the diagonal
-    nor ratio may be one of those."""
+    one of rows 1-5 of the layout's workspace (see _workspace), so neither
+    rhs, the diagonal nor ratio may be one of those.  Each iteration's
+    product reads views of those rows formed once per call (see _product)."""
     diag, neighbours = stencil
     diag, ratio = diag.reshape(-1), ratio.reshape(-1)
-    r, z, d, ad, tmp = work.reshape(len(work), -1)[1:6]
+    r, z, d, ad, tmp = layout.flat[1:6]
     x = np.zeros(rhs.shape) if start is None else start
     flat_x = x.reshape(-1)
     if start is None:
         np.copyto(r, rhs.reshape(-1))
     else:
         np.subtract(rhs.reshape(-1), _apply(diag, neighbours, flat_x, r, tmp), r)
+    pairs = [(c, d[dst], d[src], ad[dst], ad[src], tmp[dst]) for dst, src, c in neighbours]
     # the first direction is the first preconditioned residual
     rz, it, pz = np.vdot(r, np.divide(r, diag, d)), 0, d
     while (rnorm := math.sqrt(np.vdot(r, np.multiply(pz, ratio, tmp)))) > target and it < budget:
-        _apply(diag, neighbours, d, ad, tmp)
+        _product(diag, d, ad, pairs)
         dad = np.vdot(d, ad)
         if not 0.0 < dad < math.inf:
             break
@@ -438,43 +490,43 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
-def _shifted(stencil: tuple, shift: np.ndarray, metric: np.ndarray, work: np.ndarray) -> tuple:
+def _shifted(stencil: tuple, shift: np.ndarray, metric: np.ndarray, layout: _Layout) -> tuple:
     """The system CG solves, the stencil with shift added to its centre, in
-    row 0 of work, and that diagonal over the metric, which CG's stopping
-    norm reads (see _pcg), in row 7: their one former, which a V-cycle
-    preconditioner and a stopping norm that counts the far field would
-    change."""
-    centre = np.add(stencil[0], shift, work[0])
-    return (centre, stencil[1]), np.divide(centre, metric, work[7])
+    row 0 of the layout's workspace, and that diagonal over the metric, which
+    CG's stopping norm reads (see _pcg), in row 7: their one former, which a
+    V-cycle preconditioner and a stopping norm that counts the far field
+    would change."""
+    centre = np.add(stencil[0], shift, layout.rows[0])
+    return (centre, stencil[1]), np.divide(centre, metric, layout.rows[7])
 
 
-def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, work: np.ndarray) -> tuple:
+def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, layout: _Layout) -> tuple:
     """What every solve with step tau shares, as _minimize takes it: the
     shift M/tau (zero at tau = inf); whether it is positive at every node,
     which a direct solve of a 1d Newton system needs; and at p = 2, where
     stencil is H's (None for p > 2, whose Hessian moves with the iterate),
     the one system (H + M/tau) v = (M/tau) anchor + M source and its ratio,
-    formed by _shifted in rows 0 and 7 of work (None for p > 2).  _shifted
-    and the stop rule in _minimize are what a V-cycle preconditioner, a
-    stopping norm that counts the far field and a round-off floor would
-    change.
-    Preparing the next system in the same work makes this one stale."""
+    formed by _shifted in rows 0 and 7 of the layout's workspace (None for
+    p > 2).  _shifted and the stop rule in _minimize are what a V-cycle
+    preconditioner, a stopping norm that counts the far field and a
+    round-off floor would change.
+    Preparing the next system in the same workspace makes this one stale."""
     shift, ratio = metric / tau, None
     if stencil is not None:
-        stencil, ratio = _shifted(stencil, shift, metric, work)
+        stencil, ratio = _shifted(stencil, shift, metric, layout)
     return shift, bool(np.all(shift > 0.0)), stencil, ratio
 
 
 def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
-              p: float, tau: float, system: tuple, work: np.ndarray, start: np.ndarray,
+              p: float, tau: float, system: tuple, layout: _Layout, start: np.ndarray,
               source: np.ndarray | None = None):
     """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
     pairing in the metric; no pairing without a source) from start, which
     the solve may overwrite; returns the minimizer, the solver iterations
     (CG iterations, one per direct solve) and its energy.  system is step
-    tau's, prepared (see _prepare) in work, the scratch space (see
-    _workspace) that CG and every evaluation form their temporaries in; the
-    iterates, gradients and CG solutions are the only new arrays.  Without
+    tau's, prepared (see _prepare) in the workspace of layout, the solve's
+    (see _layout), which CG and every evaluation form their temporaries in;
+    the iterates, gradients and CG solutions are the only new arrays.  Without
     the proximal term (tau = inf) constants are free, so the start, the
     right-hand side and the minimizer are kept metric-mean-zero.  Both arms
     stop by one rule, converged: the norm (CG's at p = 2, the gradient's
@@ -486,7 +538,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     At p = 2 the objective is quadratic, so the minimizer solves one linear
     system, (H + M/tau) v = (M/tau) anchor + M source, with H the Hessian
     stencil: the same at every v, so the prepared one serves every solve
-    with step tau in the same work.  One CG, warm-started at the start,
+    with step tau in the same workspace.  One CG, warm-started at the start,
     solves it to a tenth of the tolerance; if CG ends early above the
     tolerance it is restarted from its iterate, and the solve fails once a
     CG call takes no iteration or leaves a norm that is not below the
@@ -508,7 +560,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     metric_total = float(metric.sum()) if project else None
     v = start - np.vdot(metric, start) / metric_total if project else start
     shift, positive, stencil, ratio = system
-    spent = 0
+    rows, spent = layout.rows, 0
 
     def failure(what: str, gnorm: float) -> ProxConvergenceError:
         return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
@@ -528,15 +580,15 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         return False
 
     if p == 2.0:
-        rhs = np.multiply(shift, anchor, work[6])
+        rhs = np.multiply(shift, anchor, rows[6])
         if source is not None:
             rhs += metric * source
         if project:
-            rhs -= np.multiply(metric, rhs.sum() / metric_total, work[1])
+            rhs -= np.multiply(metric, rhs.sum() / metric_total, rows[1])
         previous = math.inf
         while True:
             v, its, rnorm = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
-                                 _MAX_ITERATIONS - spent, work, v)
+                                 _MAX_ITERATIONS - spent, layout, v)
             spent += its
             if converged(rnorm):
                 break
@@ -545,44 +597,45 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             previous = rnorm
         if project:
             v -= np.vdot(metric, v) / metric_total
-        return v, spent, _quadratic_energy(v, stencil, work)
+        return v, spent, _quadratic_energy(v, stencil, layout)
 
     pull = None if source is None else metric * source
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
-        terms = _energy_terms(v, h, cell_w, p)
-        d = np.subtract(v, anchor, work[1])
-        prox = np.multiply(shift, d, work[2])
+        terms = _energy_terms(v, h, cell_w, p, layout.ends)
+        d = np.subtract(v, anchor, rows[1])
+        prox = np.multiply(shift, d, rows[2])
         obj = terms[0] + 0.5 * np.vdot(prox, d)
         g = terms[1] + prox
         if pull is not None:
             obj -= np.vdot(pull, v)
             g -= pull
         if project:
-            g -= np.multiply(metric, g.sum() / metric_total, work[1])
-        return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, work[1]))), terms
+            g -= np.multiply(metric, g.sum() / metric_total, rows[1])
+        return obj, g, math.sqrt(np.vdot(g, np.divide(g, metric, rows[1]))), terms
 
     obj, g, gnorm, terms = evaluate(v)
     while not converged(gnorm):
-        stencil, ratio = _shifted(_hessian(h, cell_w, p, *terms[2]), shift, metric, work)
-        (centre, neighbours), rhs = stencil, np.negative(g, work[6])
+        stencil, ratio = _shifted(_hessian(h, cell_w, p, *terms[2], layout), shift, metric,
+                                  layout)
+        (centre, neighbours), rhs = stencil, np.negative(g, rows[6])
         step = (_tridiagonal_solve(centre, neighbours[0][2], rhs)
                 if positive and len(neighbours) == 1 else None)
         if step is not None:
             its = 1
         else:
             step, its, _ = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
-                                _MAX_ITERATIONS - spent, work)
+                                _MAX_ITERATIONS - spent, layout)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
         alpha, slope = 1.0, np.vdot(g, step)
         for _ in range(60):
-            trial = v + np.multiply(step, alpha, work[1])
+            trial = v + np.multiply(step, alpha, rows[1])
             trial_obj, trial_g, trial_gnorm, trial_terms = evaluate(trial)
-            allowance = 4.0 * np.finfo(float).eps * (abs(obj) + abs(trial_obj))
+            allowance = _ROUNDOFF * (abs(obj) + abs(trial_obj))
             if trial_obj <= obj + _SUFFICIENT_DECREASE * alpha * slope + allowance:
                 break
             alpha *= _SHRINK
@@ -651,13 +704,16 @@ def _extrapolate(history, t: float, tmp: np.ndarray | None = None) -> np.ndarray
     one new array with each weighted state in tmp.  One pair gives its state,
     two the linear and three the quadratic extrapolation; on uniform steps
     that is 2 v_k - v_(k-1) and 3 v_k - 3 v_(k-1) + v_(k-2)."""
-    times = [ti for ti, _ in history]
-    weights = [math.prod((t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i)
-               for i, ti in enumerate(times)]
-    (_, first), *rest = history
-    out = np.multiply(first, weights[0])
-    for (_, v), weight in zip(rest, weights[1:]):
-        out += np.multiply(v, weight, tmp)
+    times, out = [ti for ti, _ in history], None
+    for i, (ti, v) in enumerate(history):
+        weight = 1.0  # L_i(t), its factors multiplied in order
+        for j, tj in enumerate(times):
+            if j != i:
+                weight *= (t - tj) / (ti - tj)
+        if out is None:
+            out = np.multiply(v, weight)
+        else:
+            out += np.multiply(v, weight, tmp)
     return out
 
 
@@ -694,11 +750,11 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
     n_steps = max(int(math.ceil(horizon / tau - 1e-12)), 1)  # at least one step
     whole = horizon / tau >= n_steps - 1e-12
     vals = problem.u0.values.copy()
-    work = _workspace(grid.shape)
-    stencil = _hessian(grid.spacing, cell_w, p) if p == 2.0 else None
-    value = (_quadratic_energy(vals, stencil, work) if p == 2.0
-             else _energy_terms(vals, grid.spacing, cell_w, p)[0])
-    system = _prepare(stencil, metric, tau, work)
+    layout = _layout(grid.shape, p > 2.0)
+    stencil = _hessian(grid.spacing, cell_w, p, None, None, layout) if p == 2.0 else None
+    value = (_quadratic_energy(vals, stencil, layout) if p == 2.0
+             else _energy_terms(vals, grid.spacing, cell_w, p, layout.ends)[0])
+    system = _prepare(stencil, metric, tau, layout)
     metric_total = float(metric.sum())
     history = collections.deque([(0.0, vals)], maxlen=3)
     t, iters = 0.0, 0
@@ -707,13 +763,13 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
             last = k == n_steps and not whole
             t, step = (horizon, horizon - (k - 1) * tau) if last else (k * tau, tau)
             if last:  # the shorter last step's own system
-                system = _prepare(stencil, metric, step, work)
-            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step, system, work,
-                                           start=_extrapolate(history, t, work[1]))
+                system = _prepare(stencil, metric, step, layout)
+            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step, system, layout,
+                                           start=_extrapolate(history, t, layout.rows[1]))
             history.append((t, vals))
         vals.flags.writeable = False
         yield Step(t, GridFunction(grid, vals), value,
-                   float(np.multiply(metric, vals, work[1]).sum()) / metric_total, iters)
+                   float(np.multiply(metric, vals, layout.rows[1]).sum()) / metric_total, iters)
 
 
 @np.errstate(all="ignore")
@@ -778,13 +834,13 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryR
         )
     source = f.values - f_mean
     cell_w = _cell_weights(spec, grid)
-    work = _workspace(grid.shape)
-    system = _prepare(_hessian(grid.spacing, cell_w, p) if p == 2.0 else None,
-                      metric, math.inf, work)
+    layout = _layout(grid.shape, p > 2.0)
+    system = _prepare(_hessian(grid.spacing, cell_w, p, None, None, layout) if p == 2.0 else None,
+                      metric, math.inf, layout)
     out, iters, value = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, math.inf,
-                                  system, work, np.zeros(grid.shape), source)
+                                  system, layout, np.zeros(grid.shape), source)
     # the true residual, not the solver's own estimate of it
-    grad = _energy_terms(out, grid.spacing, cell_w, p)[1]
+    grad = _energy_terms(out, grid.spacing, cell_w, p, layout.ends)[1]
     res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))
     obj = value - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

@@ -477,6 +477,31 @@ def test_config_field_of_the_wrong_kind_is_one_error_line(doc, message, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["weight-report", "solve-stationary"])
+@pytest.mark.parametrize("half_width, spacing", [(5e-324, "0.0"), (1e-310, "5e-311")])
+def test_grid_spacing_below_the_normal_floats_is_one_error_line(subcommand, half_width, spacing,
+                                                               tmp_path, capsys):
+    # 5e-324 over 4 cells underflows to 0 (a ZeroDivisionError in ball_slices
+    # once); 1e-310 gives a subnormal spacing (an OverflowError in weight-report)
+    doc = {"weight": GAUSS_1D, "grid": {"half_width": half_width, "nodes_per_axis": 5}}
+    code, out = run_main(tmp_path, subcommand, doc)
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == (f"error: grid.half_width: the node spacing {spacing} is "
+                                       f"not a positive normal float\n")
+    assert not out.exists()
+
+
+def test_step_count_beyond_float_range_is_one_error_line(tmp_path, capsys):
+    # T/tau = 1e600 steps: an OverflowError in evolve's step count once
+    doc = {"weight": GAUSS_1D, "grid": {"nodes_per_axis": 11},
+           "evolution": {"u0": "x", "T": 1e300, "tau": 1e-300}}
+    code, out = run_main(tmp_path, "solve-evolution", doc)
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == ("error: evolution.tau: T/tau = 1e+300/1e-300 steps is "
+                                       "beyond float range\n")
+    assert not out.exists()
+
+
 def test_verify_with_no_corpus_member_in_the_box_is_one_error_line(tmp_path, capsys):
     code, out = run_main(tmp_path, "verify-inequalities",
                          {"weight": GAUSS_1D, "grid": {"half_width": 1.0}})

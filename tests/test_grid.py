@@ -44,6 +44,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 1.0, 1)
 
+    @pytest.mark.parametrize("half_width, spacing", [
+        (5e-324, "0.0"), (1e-310, "5e-311"), (1.7e308, "inf"), (math.nan, "nan")])
+    def test_spacing_must_be_a_positive_normal_float(self, half_width, spacing):
+        with pytest.raises(ValueError, match=rf"^half_width: the node spacing {spacing} is not "
+                                             r"a positive normal float$"):
+            Grid(1, half_width, 5)
+        # the smallest normal spacing is a grid
+        assert Grid(1, 2.0 * np.finfo(float).smallest_normal, 5).spacing > 0.0
+
     def test_spacing_and_axis(self):
         g = Grid(1, 6.0, 301)
         assert g.spacing == pytest.approx(0.04)

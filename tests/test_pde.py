@@ -26,6 +26,7 @@ from wsobolev.pde import (
     _energy_terms,
     _extrapolate,
     _hessian,
+    _layout,
     _mass_weights,
     _node_metric,
     _pcg,
@@ -72,6 +73,13 @@ class TestEvolutionProblem:
         with pytest.raises(ValueError):
             # the Lebesgue-dualized flow degenerates at p = 2
             EvolutionProblem(2.0, GAUSS, u0, 1.0, 0.1, dualization="lebesgue")
+
+    @pytest.mark.parametrize("horizon, step", [(1e300, 1e-300), (math.inf, 0.1), (math.nan, 0.1)])
+    def test_step_count_beyond_float_range_refused(self, horizon, step):
+        # evolve's step count ceil(T/tau) once raised OverflowError at T/tau = inf
+        g, u0 = linear_state(11)
+        with pytest.raises(ValueError, match=r"^horizon/step = .* steps is beyond float range$"):
+            EvolutionProblem(2.0, GAUSS, u0, horizon, step)
 
 
 class TestDiscretizationPieces:
@@ -259,13 +267,13 @@ class TestWorkspace:
         stencil = _hessian(g.spacing, cell_w, 2.0)
         metric = _node_metric(spec, g)
         rhs = np.random.default_rng(0).standard_normal(g.shape)
-        work = _workspace(g.shape)
-        system, ratio = _prepare(stencil, metric, 1e-2, work)[2:]
+        layout = _layout(g.shape, False)
+        system, ratio = _prepare(stencil, metric, 1e-2, layout)[2:]
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            x, it, _ = _pcg(system, rhs, ratio, 0.0, iterations, work)
+            x, it, _ = _pcg(system, rhs, ratio, 0.0, iterations, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,7 +286,7 @@ class TestWorkspace:
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            warm = _pcg(system, rhs, ratio, 0.0, iterations, work, x)[0]
+            warm = _pcg(system, rhs, ratio, 0.0, iterations, layout, x)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,21 +335,21 @@ class TestPCG:
         spec = WeightSpec(1.0, 2.0, len(shape))
         stencil = _hessian(g.spacing, pde._cell_weights(spec, g), 2.0)
         metric = _node_metric(spec, g)
-        work = _workspace(g.shape)
-        shift, positive, system, ratio = _prepare(stencil, metric, 1e-2, work)
+        layout = _layout(g.shape, False)
+        shift, positive, system, ratio = _prepare(stencil, metric, 1e-2, layout)
         assert positive and np.array_equal(shift, metric / 1e-2)
         assert np.array_equal(system[0], stencil[0] + shift)
         assert np.array_equal(ratio, system[0] / metric)
         rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
-        partial, it, norm = _pcg(system, rhs, ratio, 1e-9, 3, work)
+        partial, it, norm = _pcg(system, rhs, ratio, 1e-9, 3, layout)
         assert it == 3 and norm > 1e-9
-        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 10_000, work, partial)
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 10_000, layout, partial)
         assert 0 < it < 10_000 and norm <= 1e-9
         assert x is partial
         true = rhs - _apply(stencil[0] + shift, stencil[1], x)
         assert math.sqrt(np.vdot(true, true / metric)) <= 1e-9
         solution = x.copy()
-        again, it, _ = _pcg(system, rhs, ratio, 1e-6, 10_000, work, x)
+        again, it, _ = _pcg(system, rhs, ratio, 1e-6, 10_000, layout, x)
         assert it == 0 and np.array_equal(again, solution)
 
     def test_infinite_curvature_ends_cg(self):
@@ -349,9 +357,9 @@ class TestPCG:
         g = build_grid(1, 1.0, 11)
         stencil = _hessian(g.spacing, np.ones(10), 2.0)
         rhs = np.full(g.shape, 1e160)
-        work = _workspace(g.shape)
-        system, ratio = _prepare(stencil, np.ones(g.shape), 1.0, work)[2:]
-        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 100, work)
+        layout = _layout(g.shape, False)
+        system, ratio = _prepare(stencil, np.ones(g.shape), 1.0, layout)[2:]
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 100, layout)
         assert it == 0 and norm == math.inf and not x.any()
 
     def test_p2_norm_beyond_float_range_fails_in_one_message(self):
@@ -423,7 +431,7 @@ class TestTridiagonal:
         shift = metric / 1e-2
         direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
         cg, it, norm = _pcg((centre + shift, neighbours), -grad, (centre + shift) / metric,
-                            1e-12, 10_000, _workspace(g.shape))
+                            1e-12, 10_000, _layout(g.shape, True))
         assert norm <= 1e-12 and it > 1
         assert math.sqrt(np.vdot(direct - cg, metric * (direct - cg))) <= 1e-9
 
@@ -464,6 +472,38 @@ class TestTridiagonal:
         g = build_grid(1, 6.0, 301)
         solve_stationary(sample_field(g, lambda x: 2.0 * x), GAUSS, 3.0)
         assert calls["_pcg"] >= calls["_hessian"] > 0 and calls["_tridiagonal_solve"] == 0
+
+
+class TestLayout:
+    def test_stencil_layout_is_planned_once_per_solve(self, monkeypatch):
+        # _layout plans the stencil's offsets and corners by itertools.product
+        # once per solve; every Newton system reads that plan, so the calls
+        # do not grow with the systems or the steps
+        calls = {"product": 0, "_hessian": 0}
+        product, hessian = pde.itertools.product, pde._hessian
+
+        def counted_product(*args, **kwargs):
+            calls["product"] += 1
+            return product(*args, **kwargs)
+
+        def counted_hessian(*args):
+            calls["_hessian"] += 1
+            return hessian(*args)
+
+        monkeypatch.setattr(pde.itertools, "product", counted_product)
+        monkeypatch.setattr(pde, "_hessian", counted_hessian)
+        g, u = linear_state(101)
+        made = []
+        for steps in (10, 20):  # a 1d p = 3 flow, its systems solved directly
+            solve_evolution(EvolutionProblem(3.0, GAUSS, u, steps * 0.01, 0.01))
+            made.append(dict(calls))
+            calls.update(product=0, _hessian=0)
+        g = build_grid(2, 3.0, 21)  # a 2d p = 3 stationary solve, by CG
+        solve_stationary(sample_field(g, lambda x, y: 2.0 * (x + y)), WeightSpec(1.0, 2.0, 2), 3.0)
+        made.append(dict(calls))
+        assert made[0]["_hessian"] >= 10 and made[1]["_hessian"] > made[0]["_hessian"]
+        assert made[2]["_hessian"] > 1
+        assert [m["product"] for m in made] == [2, 2, 2]
 
 
 class TestEvolution:
@@ -528,11 +568,12 @@ class TestEvolution:
         assert [s.t for s in steps] == [0.0, 0.1, 0.2, 0.25]
         history = [(s.t, s.state.values) for s in steps[:3]]
         metric, cell_w = _node_metric(spec, g), pde._cell_weights(spec, g)
-        work = _workspace(g.shape)
+        layout = _layout(g.shape, p > 2.0)
         stencil = _hessian(g.spacing, cell_w, p) if p == 2.0 else None
-        system = _prepare(stencil, metric, 0.25 - 0.2, work)
+        system = _prepare(stencil, metric, 0.25 - 0.2, layout)
         last, iters, value = pde._minimize(steps[2].state.values, g, metric, cell_w, p,
-                                           0.25 - 0.2, system, work, _extrapolate(history, 0.25))
+                                           0.25 - 0.2, system, layout,
+                                           _extrapolate(history, 0.25))
         assert np.array_equal(steps[3].state.values, last)
         assert (steps[3].iterations, steps[3].energy) == (iters, value)
 
@@ -1107,8 +1148,9 @@ class TestStaggeredProperties:
         out, tmp = np.full(shape, np.nan), np.full(v.size, np.nan)
         assert _apply(centre, neighbours, v, out, tmp) is out
         assert np.array_equal(out, _apply(centre, neighbours, v))
-        work = np.full((7,) + shape, np.nan)
-        assert _quadratic_energy(v, stencil, work) == _quadratic_energy(v, stencil)
+        layout = _layout(shape, p > 2.0)
+        layout.work[...] = np.nan
+        assert _quadratic_energy(v, stencil, layout) == _quadratic_energy(v, stencil)
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -1228,15 +1270,15 @@ class TestCGKernel:
         cell_w = h**dim * np.exp(log_w)
         node_w = np.where(clamped, np.finfo(float).tiny, np.exp(rng.uniform(-36.0, 36.0, g.shape)))
         metric = _mass_weights(g) * node_w
-        work = _workspace(g.shape)
+        layout = _layout(g.shape, p > 2.0)
         if p == 2.0:
-            system, ratio = _prepare(_hessian(h, cell_w, p), metric, tau, work)[2:]
+            system, ratio = _prepare(_hessian(h, cell_w, p), metric, tau, layout)[2:]
         else:  # a Newton system, as _minimize forms it for CG
-            shift = _prepare(None, metric, tau, work)[0]
+            shift = _prepare(None, metric, tau, layout)[0]
             centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(
                 rng.standard_normal(g.shape), h, cell_w, p)[2])
-            system = (np.add(centre, shift, work[0]), neighbours)
-            ratio = np.divide(system[0], metric, work[7])
+            system = (np.add(centre, shift, layout.rows[0]), neighbours)
+            ratio = np.divide(system[0], metric, layout.rows[7])
         start = rng.standard_normal(g.shape)
         product = _apply(*system, start)
         rhs = product + np.where(clamped, 0.0, rng.standard_normal(g.shape) * np.sqrt(metric))
@@ -1245,6 +1287,6 @@ class TestCGKernel:
         expected = math.sqrt(math.fsum((r * r / metric).ravel()))
         with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
-            x, it, norm = _pcg(system, rhs, ratio, 0.0, 0, work, start.copy())
+            x, it, norm = _pcg(system, rhs, ratio, 0.0, 0, layout, start.copy())
         assert it == 0 and np.array_equal(x, start)
         assert math.isfinite(norm) and norm == pytest.approx(expected, rel=1e-14)

@@ -195,13 +195,19 @@ def test_norms_are_the_trailing_axis_sum_bit_for_bit(data, dim):
        half_width=st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True),
        radius=st.floats(1.0, 6.0))
 def test_node_radii_are_the_meshgrid_sum_bit_for_bit(dim, n, half_width, radius):
+    # a half-width whose spacing is subnormal, zero or infinite makes no grid
+    if not np.finfo(float).smallest_normal <= 2.0 * half_width / (n - 1) < math.inf:
+        with pytest.raises(ValueError, match="^half_width: the node spacing .* is not a "
+                                             "positive normal float$"):
+            Grid(dim, half_width, n)
+        return
     grid = Grid(dim, half_width, n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         want = np.sqrt(sum(m * m for m in grid.mesh()))
         got = grid.node_radii()
     assert got.tobytes() == want.tobytes()
     # the mollifier's taps against their dense formula, on grids that have
-    # taps: a spacing that underflows to 0 or an eps beyond float range has none
+    # taps: an eps beyond float range has none
     h = grid.spacing
     eps = radius * h
     if not 0.0 < eps < math.inf:

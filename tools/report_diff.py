@@ -192,7 +192,8 @@ def array_probes() -> dict[str, dict]:
 
 
 def runs() -> dict[str, tuple[str, dict]]:
-    """Run name -> (subcommand, config), one entry per distinct pair."""
+    """Run name -> (subcommand, config), one entry per distinct pair;
+    ValueError if two distinct pairs share a name."""
     cases = _bench("cases")
     out: dict[str, tuple[str, dict]] = {}
     seen = set()
@@ -200,6 +201,8 @@ def runs() -> dict[str, tuple[str, dict]]:
     def add(name: str, subcommand: str, config: dict) -> None:
         key = (subcommand, json.dumps(config, sort_keys=True))
         if key not in seen:
+            if name in out:  # a second config would replace the first unseen
+                raise ValueError(f"two runs are named {name!r}")
             seen.add(key)
             out[name] = (subcommand, config)
 
