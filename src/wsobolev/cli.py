@@ -96,11 +96,6 @@ def _csv(name: str, header: str, rows) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _fields(row) -> tuple:
-    """A record row's field values, in order, as they are: no copies."""
-    return tuple(getattr(row, f) for f in row._fields)
-
-
 def _first_non_finite(grid: Grid, values: np.ndarray) -> str | None:
     """The first non-finite node value and its coordinates, or None."""
     bad = np.argwhere(~np.isfinite(values))
@@ -233,7 +228,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     }}
     for key, rows in zip(("verify_xq", "verify_potential", "verify_poincare"), reports):
         results[key] = _csv(key, "corpus_id,lhs,rhs,margin,quadrature_error_estimate,holds",
-                            ((m.name, *_fields(r)) for m, r in zip(members, rows)))
+                            ((m.name, *r._values()) for m, r in zip(members, rows)))
     return (EXIT_OK if all_hold else EXIT_VERIFICATION), results
 
 
@@ -242,7 +237,7 @@ def _cmd_approximate(config: RunConfig) -> tuple[int, dict]:
     f = _state_from_string(cfg.u0, config.grid, "approximate.u0", cfg.support_radius)
     report = smooth_approximation(f, config.weight, config.p, cfg.schedule)
     steps = _csv("approximation_steps", "eps,lp_error,grad_lp_error,sobolev_error",
-                 map(_fields, report.steps))
+                 (step._values() for step in report.steps))
     results = {"approximation": report, "approximation_steps": steps}
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), results
 

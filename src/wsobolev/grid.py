@@ -262,13 +262,14 @@ def ball_slices(grid: Grid, center: Sequence[float], radius: float) -> tuple[sli
     if radius <= 0:
         raise ValueError("ball radius must be positive")
     h = grid.spacing
-    lo = [int(round((c - radius + grid.half_width) / h)) for c in center]
-    hi = [int(round((c + radius + grid.half_width) / h)) for c in center]
+    # rounded as floats, so that an index beyond float range stays infinite
+    lo = [round((c - radius + grid.half_width) / h, 0) for c in center]
+    hi = [round((c + radius + grid.half_width) / h, 0) for c in center]
     if min(lo) < 0 or max(hi) > grid.nodes_per_axis - 1:
         return "escapes the grid box"
     if any(b - a < 2 for a, b in zip(lo, hi)):
         return "spans fewer than two grid cells"
-    return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
 
 
 # ---------------------------------------------------------------------------

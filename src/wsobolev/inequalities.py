@@ -63,8 +63,12 @@ def constants_xq(beta_coeff: float, q: float, d: int, eps: float) -> tuple[float
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     C = 1.0 / (beta_coeff * q)
-    D = (1.0 + eps) ** (q - 1.0) + (1.0 / eps + d - 1.0) * C
-    return C, D
+    try:
+        growth = (1.0 + eps) ** (q - 1.0)
+    except OverflowError:
+        raise ValueError(f"(1 + eps)^(q - 1) leaves float range (eps = {eps:g}, "
+                         f"q = {q:g})") from None
+    return C, growth + (1.0 / eps + d - 1.0) * C
 
 
 def constants_potential(
@@ -101,8 +105,13 @@ def constants_potential(
         amp = math.exp(2.0 * osc_V)
     except OverflowError:
         raise ValueError(f"exp(2 osc_V) leaves float range (osc_V = {osc_V:g})") from None
+    try:
+        tail = (eps0 * p) ** (-q / p)
+    except OverflowError:
+        raise ValueError(f"(eps0 p)^(-q/p) leaves float range (eps0 = {eps0:g}, p = {p:g}, "
+                         f"q = {q:g})") from None
     c_prime = lead * eps0 * p * C * amp
-    base = constants_xq(beta_coeff, q, d, eps1)[1] + (eps0 * p) ** (-q / p) * C * p / q
+    base = constants_xq(beta_coeff, q, d, eps1)[1] + tail * C * p / q
     return c_prime, lead * amp * (base + gamma), lead * amp * (base + C * gamma)
 
 

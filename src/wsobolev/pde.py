@@ -42,15 +42,16 @@ places that a V-cycle preconditioner, a stopping norm that counts the far
 field and a round-off floor would change.  Each solve works in one scratch
 array, whose rows start on 64-byte boundaries and hold the prepared
 diagonal and ratio too; CG continues its start in place, so a warm-started
-CG allocates nothing, and neither does a step's weighted mean.  What
-depends only on the grid's shape and whether p > 2 is built once per solve,
-with that array, as its _layout: the staggered passes' index tuples, the
-stencil's offsets, flat slices and p > 2 corner gathers, and the array's
-rows; each CG call forms the row views its products read once.  Each step
-of a flow starts from the quadratic through its last three states,
-extrapolated in time.  A flow is streamed: evolve yields each state,
-read-only, as it is reached, and keeps only the three its next start
-needs; solve_evolution keeps only the last.
+CG allocates nothing, and neither does a step's weighted mean.  What a
+solve holds fixed is one record, its _Solve, built once per solve: h, p,
+the metric, its sum and the cell weights; the stencil's plan (its offsets,
+flat slices and p > 2 corner gathers); and that array's rows.  Each CG
+call forms the row views its products read once.  The staggered passes'
+index tuples depend on the dimension alone and are built once per
+dimension.  Each step of a flow starts from the quadratic through its last
+three states, extrapolated in time.  A flow is streamed: evolve yields
+each state, read-only, as it is reached, and keeps only the three its next
+start needs; solve_evolution keeps only the last.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import collections
 import itertools
 import math
 from collections.abc import Iterator
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -187,6 +188,7 @@ def _cell_weights(spec: WeightSpec, grid: Grid) -> np.ndarray:
     return grid.spacing**grid.dim * eval_weight(spec, centres)
 
 
+@cache
 def _axis_ends(dim: int) -> tuple:
     """Per axis a, the index of an array without its last and the index of
     it without its first slice along a (of any array with more than a axes)."""
@@ -194,60 +196,53 @@ def _axis_ends(dim: int) -> tuple:
                  for a in range(dim))
 
 
-def _edge_differences(vals: np.ndarray, h: float, ends: tuple | None = None) -> list[np.ndarray]:
+def _edge_differences(vals: np.ndarray, h: float) -> list[np.ndarray]:
     """(u[i+1] - u[i])/h along each axis, on that axis's edges."""
-    return [np.subtract(vals[hi], vals[lo]) / h for lo, hi in ends or _axis_ends(vals.ndim)]
+    return [np.subtract(vals[hi], vals[lo]) / h for lo, hi in _axis_ends(vals.ndim)]
 
 
-def _spread(x: np.ndarray, axis: int, ends: tuple, op=np.add) -> np.ndarray:
+def _spread(x: np.ndarray, axis: int, op=np.add) -> np.ndarray:
     """y[i] = op(x[i - 1], x[i]) along `axis`, x being zero beyond its ends:
     one slot longer than x, without a padded copy."""
     y = np.zeros(x.shape[:axis] + (x.shape[axis] + 1,) + x.shape[axis + 1:])
-    lo, hi = ends[axis]
+    lo, hi = _axis_ends(x.ndim)[axis]
     lo, hi = y[lo], y[hi]
     op(lo, x, out=lo)
     hi += x
     return y
 
 
-def _edge_differences_transpose(edges: list[np.ndarray], h: float,
-                                ends: tuple | None = None) -> np.ndarray:
+def _edge_differences_transpose(edges: list[np.ndarray], h: float) -> np.ndarray:
     """Exact adjoint of _edge_differences: minus the difference of the edge
     values, zero beyond the ends."""
-    ends = ends or _axis_ends(len(edges))
-    return reduce(np.add, [_spread(e, a, ends, np.subtract) for a, e in enumerate(edges)]) / h
+    return reduce(np.add, [_spread(e, a, np.subtract) for a, e in enumerate(edges)]) / h
 
 
-def _to_cells(edge: np.ndarray, axis: int, ends: tuple | None = None) -> np.ndarray:
+def _to_cells(edge: np.ndarray, axis: int) -> np.ndarray:
     """Mean over a cell's edges along `axis`: pairs along every other axis."""
-    for b, (lo, hi) in enumerate(ends or _axis_ends(edge.ndim)):
+    for b, (lo, hi) in enumerate(_axis_ends(edge.ndim)):
         if b != axis:
             edge = 0.5 * (edge[lo] + edge[hi])
     return edge
 
 
-def _to_edges(cell: np.ndarray, axis: int, ends: tuple | None = None) -> np.ndarray:
+def _to_edges(cell: np.ndarray, axis: int) -> np.ndarray:
     """Exact adjoint of _to_cells."""
-    ends = ends or _axis_ends(cell.ndim)
     for b in range(cell.ndim):
         if b != axis:
-            cell = 0.5 * _spread(cell, b, ends)
+            cell = 0.5 * _spread(cell, b)
     return cell
 
 
-def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float,
-                  ends: tuple | None = None):
+def _energy_terms(vals: np.ndarray, h: float, cell_w: np.ndarray, p: float):
     """The discrete energy, its Euclidean gradient sum_a D_a^T(k_a D_a u) with
     edge coefficients k_a = A_a^T(cell_w |grad u|^(p-2)), and the edge
-    differences and cell values |grad u|^2 that both are formed from; ends
-    are the solve's (see _layout), or formed here."""
-    ends = ends or _axis_ends(vals.ndim)
-    diffs = _edge_differences(vals, h, ends)
-    s = reduce(np.add, [_to_cells(d * d, a, ends) for a, d in enumerate(diffs)])  # |grad u|^2
+    differences and cell values |grad u|^2 that both are formed from."""
+    diffs = _edge_differences(vals, h)
+    s = reduce(np.add, [_to_cells(d * d, a) for a, d in enumerate(diffs)])  # |grad u|^2
     value = float((cell_w * s ** (p / 2.0)).sum()) / p
     coef = cell_w * s ** ((p - 2.0) / 2.0)
-    grad = _edge_differences_transpose([_to_edges(coef, a, ends) * d for a, d in enumerate(diffs)],
-                                       h, ends)
+    grad = _edge_differences_transpose([_to_edges(coef, a) * d for a, d in enumerate(diffs)], h)
     return value, grad, (diffs, s)
 
 
@@ -266,27 +261,30 @@ def apply_operator(u: GridFunction, spec: WeightSpec, p: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-class _Layout(Record):
-    """What a solve's Newton-CG core reads that depends only on the grid's
-    shape and whether p > 2, built once per solve by _layout, so that a
-    Newton system, a CG call, an evaluation and a step pay only for their
-    arithmetic."""
+class _Solve(Record):
+    """What a solve's Newton-CG core holds fixed, built once per solve by
+    _solve, so that a Newton system, a CG call, an evaluation and a step pay
+    only for their arithmetic."""
 
-    ends: tuple  # per axis, the indices that drop an array's last and first slice
+    h: float  # the grid spacing
+    p: float
+    metric: np.ndarray  # node mass times the weight (trapezoid mass alone: Lebesgue)
+    metric_total: float  # its sum
+    cell_w: np.ndarray  # h^d times the weight at the cell centres
     arrays: int  # the stencil's node arrays, one per offset (see _hessian), centre first
     axes: tuple  # per axis, the index of its forward offset
     neighbours: tuple  # per forward neighbour: its flat (dst, src) slices and its index
     gather: tuple  # p > 2, per cell corner c: g's entry at c, as (axis, edges, sign) terms
     couplings: tuple  # p > 2, per corner c: its nodes, and (e, index of e - c) per e >= c
-    work: np.ndarray  # the solve's workspace (see _workspace)
-    rows: tuple  # its rows, in the node shape
+    rows: tuple  # the solve's workspace (see _workspace), in rows of the node shape
     flat: tuple  # its rows, raveled
 
 
-def _layout(shape: tuple[int, ...], nonlinear: bool) -> _Layout:
-    """The layout of a solve on nodes of this shape, whose Hessian moves with
-    the iterate (p > 2: nonlinear) or not, with its workspace."""
-    dim = len(shape)
+def _solve(h: float, p: float, metric: np.ndarray, cell_w: np.ndarray) -> _Solve:
+    """The record of a solve with spacing h and exponent p on nodes of the
+    metric's shape, with its stencil's plan (the Hessian moves with the
+    iterate exactly when p > 2: nonlinear) and its workspace."""
+    shape, dim, nonlinear = metric.shape, metric.ndim, p > 2.0
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=dim)
                if o >= (0,) * dim and (nonlinear or sum(map(abs, o)) <= 1)]
     axes = tuple(offsets.index(tuple(int(b == a) for b in range(dim))) for a in range(dim))
@@ -305,16 +303,16 @@ def _layout(shape: tuple[int, ...], nonlinear: bool) -> _Layout:
                                     for j, e in enumerate(corners) if j >= i))
                       for i, c in enumerate(corners))
     work = _workspace(shape)
-    return _Layout(_axis_ends(dim), len(offsets), axes, neighbours, gather, couplings, work,
-                   tuple(work), tuple(work.reshape(len(work), -1)))
+    return _Solve(h, p, metric, float(metric.sum()), cell_w, len(offsets), axes, neighbours,
+                  gather, couplings, tuple(work), tuple(work.reshape(len(work), -1)))
 
 
-def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
-             s: np.ndarray | None = None, layout: _Layout | None = None) -> tuple[np.ndarray, list]:
+def _hessian(solve: _Solve, diffs: list | None = None,
+             s: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The energy's Hessian at the iterate with edge differences diffs and
     |grad u|^2 = s, raised by 1e-6 of its weighted mean (by 1 if u is constant)
     to stay definite where the gradient vanishes, as the flat stencil that
-    _apply takes: its centre c_0 and, per offset o in {-1, 0, 1}^d with
+    _product takes: its centre c_0 and, per offset o in {-1, 0, 1}^d with
     o > 0 in lexicographic order (in product order), the neighbour (dst,
     src, c_o[dst]) on the raveled node arrays, src = dst + o.  H is
     symmetric, so c_o also stands for the backward offset -o, whose
@@ -324,20 +322,18 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
     A_a^T(cell_w (s + eps)^((p-2)/2)), plus, for p > 2, per cell r g g^T
     with r = (p-2) cell_w (s + eps)^((p-4)/2) and g . v = sum_a of the
     cell's mean of diffs_a D_a v.  At p = 2 that term vanishes and the rest
-    is cell_w's alone, so diffs and s are not needed.  The offsets, slices
-    and gathers are read from layout, the solve's, built for p > 2 exactly
-    when p > 2 (one is built without it)."""
-    if layout is None:
-        layout = _layout(tuple(m + 1 for m in cell_w.shape), p > 2.0)
+    is cell_w's alone, so diffs and s are not needed.  h, p, cell_w and the
+    offsets, slices and gathers are the solve's."""
+    h, p, cell_w = solve.h, solve.p, solve.cell_w
     q, r = cell_w, None
     if p > 2.0:
         eps = 1e-6 * float((cell_w * s).sum() / cell_w.sum()) or 1.0
         q = cell_w * (s + eps) ** ((p - 2.0) / 2.0)
         r = (p - 2.0) * q / (s + eps)
-    stencil = [np.zeros(layout.work.shape[1:]) for _ in range(layout.arrays)]
+    stencil = [np.zeros(solve.metric.shape) for _ in range(solve.arrays)]
     centre = stencil[0]
-    for a, ((lo, hi), o) in enumerate(zip(layout.ends, layout.axes)):
-        k = _to_edges(q, a, layout.ends) / h**2
+    for a, ((lo, hi), o) in enumerate(zip(_axis_ends(cell_w.ndim), solve.axes)):
+        k = _to_edges(q, a) / h**2
         below, above, forward = centre[lo], centre[hi], stencil[o][lo]
         below += k
         above += k
@@ -347,14 +343,14 @@ def _hessian(h: float, cell_w: np.ndarray, p: float, diffs: list | None = None,
         # g's entry at corner c of each cell, times h 2^(d-1): the differences
         # on the cell's edges through c, signed by whether c is the edge's far end
         gamma = [reduce(np.add, [diffs[a][edges] * sign for a, edges, sign in corner])
-                 for corner in layout.gather]
-        for (nodes, targets), g in zip(layout.couplings, gamma):
+                 for corner in solve.gather]
+        for (nodes, targets), g in zip(solve.couplings, gamma):
             rg = r * g
             for e, o in targets:  # r g_c g_e at node c, forward offset e - c
                 stencil[o][nodes] += rg * gamma[e]
     # c_o is zero wherever i + o leaves the grid, so the rows that wrap
     # around add nothing, in either direction
-    return centre, [(dst, src, stencil[i].reshape(-1)[dst]) for dst, src, i in layout.neighbours]
+    return centre, [(dst, src, stencil[i].reshape(-1)[dst]) for dst, src, i in solve.neighbours]
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
@@ -383,10 +379,14 @@ def _workspace(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _product(centre: np.ndarray, v: np.ndarray, out: np.ndarray, pairs: list) -> np.ndarray:
-    """centre * v into out, plus each forward neighbour's two products, added
-    in: the backward ones first, in reverse, then the forward ones.  pairs
+    """The stencil times v, into out: centre * v plus two contiguous products
+    per forward neighbour, one into each end of its pairs, added in.  pairs
     holds, per forward neighbour (dst, src, c), c and the views v[dst],
-    v[src], out[dst], out[src] and tmp[dst] of flat v, out and tmp."""
+    v[src], out[dst], out[src] and tmp[dst] of flat v, out and tmp: each
+    product is formed at the start of tmp, so on an aligned tmp every
+    product is written to an aligned array.  The backward products go
+    first, in reverse: that is the full stencil's product order, so each
+    node sums its products in the order of the offsets in {-1, 0, 1}^d."""
     np.multiply(centre, v, out)
     for c, v_dst, _, _, out_src, t in reversed(pairs):
         out_src += np.multiply(c, v_dst, t)
@@ -395,29 +395,14 @@ def _product(centre: np.ndarray, v: np.ndarray, out: np.ndarray, pairs: list) ->
     return out
 
 
-def _apply(centre: np.ndarray, neighbours: list, v: np.ndarray,
-           out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """The stencil times v: centre * v plus two contiguous products per forward
-    neighbour, one into each end of its pairs, added into out.  Each product
-    is formed at the start of tmp (flat, as long as v), so on an aligned tmp
-    every product is written to an aligned array.  The backward products go
-    first, in reverse: that is the full stencil's product order, so each
-    node sums its products in the order of the offsets in {-1, 0, 1}^d."""
-    out = np.empty(v.shape) if out is None else out
-    tmp = np.empty(v.size) if tmp is None else tmp
-    v_flat, out_flat = v.reshape(-1), out.reshape(-1)
-    return _product(centre, v, out, [(c, v_flat[dst], v_flat[src], out_flat[dst], out_flat[src],
-                                      tmp[dst]) for dst, src, c in neighbours])
-
-
-def _quadratic_energy(vals: np.ndarray, stencil: tuple, layout: _Layout | None = None) -> float:
+def _quadratic_energy(vals: np.ndarray, stencil: tuple, solve: _Solve) -> float:
     """The p = 2 energy <v, Hv>/2 from the Hessian stencil in flat form.  H
     kills the constants, so it couples each pair i, i + o by c_o[i] (v[i+o] -
     v[i]), taken once per forward neighbour: the energy is a sum of -c_o
     (v[i+o] - v[i])^2 / 2.  The differences and products are formed in rows
-    1 and 2 of the layout's workspace (two fresh ones without a layout)."""
+    1 and 2 of the solve's workspace."""
     v, value = vals.reshape(-1), 0.0
-    dbuf, ebuf = np.empty((2, v.size)) if layout is None else layout.flat[1:3]
+    dbuf, ebuf = solve.flat[1:3]
     for dst, src, c in stencil[1]:
         d = np.subtract(v[src], v[dst], dbuf[dst])
         value -= float(np.vdot(np.multiply(c, d, ebuf[dst]), d))
@@ -425,10 +410,10 @@ def _quadratic_energy(vals: np.ndarray, stencil: tuple, layout: _Layout | None =
 
 
 def _pcg(stencil: tuple, rhs: np.ndarray, ratio: np.ndarray, target: float, budget: int,
-         layout: _Layout, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+         solve: _Solve, start: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """CG on a flat stencil whose centre is the system's whole diagonal,
     preconditioned by that diagonal (Jacobi), from start (default zero; its
-    residual rhs - A start is formed by one apply) until the residual's
+    residual rhs - A start is formed by one product) until the residual's
     metric norm sqrt(sum r^2/metric) is at most target or the budget is
     spent; returns the solution, the iterations and that norm, the norm of
     CG's recursive residual.  ratio is the diagonal over the metric (see
@@ -438,19 +423,22 @@ def _pcg(stencil: tuple, rhs: np.ndarray, ratio: np.ndarray, target: float, budg
     inf, not NaN, since r and z ratio share their signs.  A product d^T A d
     that is not positive and finite ends it early.  The solution is start
     itself, overwritten in place, or one new array; every other vector is
-    one of rows 1-5 of the layout's workspace (see _workspace), so neither
-    rhs, the diagonal nor ratio may be one of those.  Each iteration's
-    product reads views of those rows formed once per call (see _product)."""
+    one of rows 1-5 of the solve's workspace (see _workspace), so neither
+    rhs, the diagonal nor ratio may be one of those.  Each product reads
+    views of those rows formed once per call (see _product): the start's is
+    taken of its copy in the direction's row, which the first direction
+    then overwrites."""
     diag, neighbours = stencil
     diag, ratio = diag.reshape(-1), ratio.reshape(-1)
-    r, z, d, ad, tmp = layout.flat[1:6]
+    r, z, d, ad, tmp = solve.flat[1:6]
     x = np.zeros(rhs.shape) if start is None else start
     flat_x = x.reshape(-1)
+    pairs = [(c, d[dst], d[src], ad[dst], ad[src], tmp[dst]) for dst, src, c in neighbours]
     if start is None:
         np.copyto(r, rhs.reshape(-1))
     else:
-        np.subtract(rhs.reshape(-1), _apply(diag, neighbours, flat_x, r, tmp), r)
-    pairs = [(c, d[dst], d[src], ad[dst], ad[src], tmp[dst]) for dst, src, c in neighbours]
+        np.copyto(d, flat_x)
+        np.subtract(rhs.reshape(-1), _product(diag, d, ad, pairs), r)
     # the first direction is the first preconditioned residual
     rz, it, pz = np.vdot(r, np.divide(r, diag, d)), 0, d
     while (rnorm := math.sqrt(np.vdot(r, np.multiply(pz, ratio, tmp)))) > target and it < budget:
@@ -490,45 +478,45 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
-def _shifted(stencil: tuple, shift: np.ndarray, metric: np.ndarray, layout: _Layout) -> tuple:
+def _shifted(stencil: tuple, shift: np.ndarray, solve: _Solve) -> tuple:
     """The system CG solves, the stencil with shift added to its centre, in
-    row 0 of the layout's workspace, and that diagonal over the metric, which
+    row 0 of the solve's workspace, and that diagonal over the metric, which
     CG's stopping norm reads (see _pcg), in row 7: their one former, which a
     V-cycle preconditioner and a stopping norm that counts the far field
     would change."""
-    centre = np.add(stencil[0], shift, layout.rows[0])
-    return (centre, stencil[1]), np.divide(centre, metric, layout.rows[7])
+    centre = np.add(stencil[0], shift, solve.rows[0])
+    return (centre, stencil[1]), np.divide(centre, solve.metric, solve.rows[7])
 
 
-def _prepare(stencil: tuple | None, metric: np.ndarray, tau: float, layout: _Layout) -> tuple:
+def _prepare(stencil: tuple | None, tau: float, solve: _Solve) -> tuple:
     """What every solve with step tau shares, as _minimize takes it: the
     shift M/tau (zero at tau = inf); whether it is positive at every node,
     which a direct solve of a 1d Newton system needs; and at p = 2, where
     stencil is H's (None for p > 2, whose Hessian moves with the iterate),
     the one system (H + M/tau) v = (M/tau) anchor + M source and its ratio,
-    formed by _shifted in rows 0 and 7 of the layout's workspace (None for
+    formed by _shifted in rows 0 and 7 of the solve's workspace (None for
     p > 2).  _shifted and the stop rule in _minimize are what a V-cycle
     preconditioner, a stopping norm that counts the far field and a
     round-off floor would change.
     Preparing the next system in the same workspace makes this one stale."""
-    shift, ratio = metric / tau, None
+    shift, ratio = solve.metric / tau, None
     if stencil is not None:
-        stencil, ratio = _shifted(stencil, shift, metric, layout)
+        stencil, ratio = _shifted(stencil, shift, solve)
     return shift, bool(np.all(shift > 0.0)), stencil, ratio
 
 
-def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.ndarray,
-              p: float, tau: float, system: tuple, layout: _Layout, start: np.ndarray,
-              source: np.ndarray | None = None):
+def _minimize(solve: _Solve, grid: Grid, anchor: np.ndarray, tau: float, system: tuple,
+              start: np.ndarray, source: np.ndarray | None = None):
     """Minimize (1/(2 tau)) ||v - anchor||^2 + E(v) - <source, v> (norm and
     pairing in the metric; no pairing without a source) from start, which
     the solve may overwrite; returns the minimizer, the solver iterations
-    (CG iterations, one per direct solve) and its energy.  system is step
-    tau's, prepared (see _prepare) in the workspace of layout, the solve's
-    (see _layout), which CG and every evaluation form their temporaries in;
-    the iterates, gradients and CG solutions are the only new arrays.  Without
-    the proximal term (tau = inf) constants are free, so the start, the
-    right-hand side and the minimizer are kept metric-mean-zero.  Both arms
+    (CG iterations, one per direct solve) and its energy.  E, the metric and
+    the workspace are the solve's (see _solve); system is step tau's,
+    prepared (see _prepare) in that workspace, which CG and every evaluation
+    form their temporaries in; the iterates, gradients and CG solutions are
+    the only new arrays.  grid is only for the iterate a failure carries.
+    Without the proximal term (tau = inf) constants are free, so the start,
+    the right-hand side and the minimizer are kept metric-mean-zero.  Both arms
     stop by one rule, converged: the norm (CG's at p = 2, the gradient's
     above) meets the tolerance, and the solve fails once the norm is not
     finite (the iterate has left float range) or the budget is spent.
@@ -556,11 +544,10 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
     and raises at once, if no step is found or a step lowers neither the
     objective nor the gradient norm.
     """
-    h, project = grid.spacing, math.isinf(tau)
-    metric_total = float(metric.sum()) if project else None
+    p, metric, metric_total, project = solve.p, solve.metric, solve.metric_total, math.isinf(tau)
     v = start - np.vdot(metric, start) / metric_total if project else start
     shift, positive, stencil, ratio = system
-    rows, spent = layout.rows, 0
+    rows, spent = solve.rows, 0
 
     def failure(what: str, gnorm: float) -> ProxConvergenceError:
         return ProxConvergenceError(f"{what} (gradient norm {gnorm:.3e})",
@@ -588,7 +575,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
         previous = math.inf
         while True:
             v, its, rnorm = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
-                                 _MAX_ITERATIONS - spent, layout, v)
+                                 _MAX_ITERATIONS - spent, solve, v)
             spent += its
             if converged(rnorm):
                 break
@@ -597,14 +584,14 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             previous = rnorm
         if project:
             v -= np.vdot(metric, v) / metric_total
-        return v, spent, _quadratic_energy(v, stencil, layout)
+        return v, spent, _quadratic_energy(v, stencil, solve)
 
     pull = None if source is None else metric * source
 
     def evaluate(v: np.ndarray):
         """Objective, Euclidean gradient, the gradient's metric norm, and the
         energy terms of v (see _energy_terms)."""
-        terms = _energy_terms(v, h, cell_w, p, layout.ends)
+        terms = _energy_terms(v, solve.h, solve.cell_w, p)
         d = np.subtract(v, anchor, rows[1])
         prox = np.multiply(shift, d, rows[2])
         obj = terms[0] + 0.5 * np.vdot(prox, d)
@@ -618,8 +605,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
 
     obj, g, gnorm, terms = evaluate(v)
     while not converged(gnorm):
-        stencil, ratio = _shifted(_hessian(h, cell_w, p, *terms[2], layout), shift, metric,
-                                  layout)
+        stencil, ratio = _shifted(_hessian(solve, *terms[2]), shift, solve)
         (centre, neighbours), rhs = stencil, np.negative(g, rows[6])
         step = (_tridiagonal_solve(centre, neighbours[0][2], rhs)
                 if positive and len(neighbours) == 1 else None)
@@ -627,7 +613,7 @@ def _minimize(anchor: np.ndarray, grid: Grid, metric: np.ndarray, cell_w: np.nda
             its = 1
         else:
             step, its, _ = _pcg(stencil, rhs, ratio, 0.1 * _TOLERANCE,
-                                _MAX_ITERATIONS - spent, layout)
+                                _MAX_ITERATIONS - spent, solve)
         spent += its
         if project:
             step -= np.vdot(metric, step) / metric_total
@@ -745,17 +731,15 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
         metric = _mass_weights(grid)
     else:
         metric = _node_metric(problem.spec, grid)
-    cell_w = _cell_weights(problem.spec, grid)
+    solve = _solve(grid.spacing, p, metric, _cell_weights(problem.spec, grid))
     tau, horizon = problem.step, problem.horizon
     n_steps = max(int(math.ceil(horizon / tau - 1e-12)), 1)  # at least one step
     whole = horizon / tau >= n_steps - 1e-12
     vals = problem.u0.values.copy()
-    layout = _layout(grid.shape, p > 2.0)
-    stencil = _hessian(grid.spacing, cell_w, p, None, None, layout) if p == 2.0 else None
-    value = (_quadratic_energy(vals, stencil, layout) if p == 2.0
-             else _energy_terms(vals, grid.spacing, cell_w, p, layout.ends)[0])
-    system = _prepare(stencil, metric, tau, layout)
-    metric_total = float(metric.sum())
+    stencil = _hessian(solve) if p == 2.0 else None
+    value = (_quadratic_energy(vals, stencil, solve) if p == 2.0
+             else _energy_terms(vals, solve.h, solve.cell_w, p)[0])
+    system = _prepare(stencil, tau, solve)
     history = collections.deque([(0.0, vals)], maxlen=3)
     t, iters = 0.0, 0
     for k in range(n_steps + 1):
@@ -763,13 +747,13 @@ def evolve(problem: EvolutionProblem) -> Iterator[Step]:
             last = k == n_steps and not whole
             t, step = (horizon, horizon - (k - 1) * tau) if last else (k * tau, tau)
             if last:  # the shorter last step's own system
-                system = _prepare(stencil, metric, step, layout)
-            vals, iters, value = _minimize(vals, grid, metric, cell_w, p, step, system, layout,
-                                           start=_extrapolate(history, t, layout.rows[1]))
+                system = _prepare(stencil, step, solve)
+            vals, iters, value = _minimize(solve, grid, vals, step, system,
+                                           start=_extrapolate(history, t, solve.rows[1]))
             history.append((t, vals))
         vals.flags.writeable = False
-        yield Step(t, GridFunction(grid, vals), value,
-                   float(np.multiply(metric, vals, layout.rows[1]).sum()) / metric_total, iters)
+        mean = float(np.multiply(metric, vals, solve.rows[1]).sum()) / solve.metric_total
+        yield Step(t, GridFunction(grid, vals), value, mean, iters)
 
 
 @np.errstate(all="ignore")
@@ -824,8 +808,7 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryR
     if spec.dim != grid.dim:
         raise ValueError("weight and source dimensions differ")
     metric = _node_metric(spec, grid)
-    metric_total = float(np.sum(metric))
-    f_mean = float(np.sum(metric * f.values)) / metric_total
+    f_mean = float(np.sum(metric * f.values)) / float(np.sum(metric))
     scale = max(float(np.max(np.abs(f.values))), 1.0)
     if abs(f_mean) > _COMPATIBILITY_TOL * scale:
         raise ValueError(
@@ -833,14 +816,12 @@ def solve_stationary(f: GridFunction, spec: WeightSpec, p: float) -> StationaryR
             f"{_COMPATIBILITY_TOL:g} * max|f|"
         )
     source = f.values - f_mean
-    cell_w = _cell_weights(spec, grid)
-    layout = _layout(grid.shape, p > 2.0)
-    system = _prepare(_hessian(grid.spacing, cell_w, p, None, None, layout) if p == 2.0 else None,
-                      metric, math.inf, layout)
-    out, iters, value = _minimize(np.zeros(grid.shape), grid, metric, cell_w, p, math.inf,
-                                  system, layout, np.zeros(grid.shape), source)
+    solve = _solve(grid.spacing, p, metric, _cell_weights(spec, grid))
+    system = _prepare(_hessian(solve) if p == 2.0 else None, math.inf, solve)
+    out, iters, value = _minimize(solve, grid, np.zeros(grid.shape), math.inf, system,
+                                  np.zeros(grid.shape), source)
     # the true residual, not the solver's own estimate of it
-    grad = _energy_terms(out, grid.spacing, cell_w, p, layout.ends)[1]
+    grad = _energy_terms(out, solve.h, solve.cell_w, p)[1]
     res = math.sqrt(float(np.sum(metric * (grad / metric - source) ** 2)))
     obj = value - float(np.sum(metric * source * out))
     return StationaryResult(GridFunction(grid, out), res, iters, obj)

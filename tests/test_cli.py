@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wsobolev
@@ -502,6 +502,20 @@ def test_step_count_beyond_float_range_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight, ball", [
+    (GAUSS_1D, {"center": [0.0], "radius": 1e308}),
+    (GAUSS_1D, {"center": [1e308], "radius": 1.0}),
+    ({**GAUSS_1D, "dim": 2}, {"center": [0.0, 0.0], "radius": 1.7e308}),
+], ids=["radius", "center", "2d-radius"])
+def test_ball_beyond_float_range_escapes_the_grid_box(weight, ball, tmp_path):
+    # its node index is not finite (an OverflowError in ball_slices once)
+    code, out = run_main(tmp_path, "weight-report", {"weight": weight, "balls": [ball]})
+    assert code == EXIT_OK
+    notes = [json.loads((out / f"{name}.json").read_text())["entries"][0]["note"]
+             for name in ("doubling", "muckenhoupt")]
+    assert notes == ["doubled ball escapes the grid box", "ball escapes the grid box"]
+
+
 def test_verify_with_no_corpus_member_in_the_box_is_one_error_line(tmp_path, capsys):
     code, out = run_main(tmp_path, "verify-inequalities",
                          {"weight": GAUSS_1D, "grid": {"half_width": 1.0}})
@@ -719,6 +733,19 @@ class TestCertifiedOverflow:
         assert capsys.readouterr().err == f"error: {NOT_ADMISSIBLE}W has no growth bound " \
                                           "|grad W| <= delta*|x|^(q-1) + gamma\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"weight": GAUSS_1D, "constants": {"eps0": 5e-324}},
+         "(eps0 p)^(-q/p) leaves float range (eps0 = 4.94066e-324, p = 2, q = 2)"),
+        ({"weight": {**GAUSS_1D, "q": 1e300}},
+         "(1 + eps)^(q - 1) leaves float range (eps = 1, q = 1e+300)"),
+    ], ids=["eps0", "q"])
+    def test_moment_bound_term_overflow(self, doc, message, subcommand, tmp_path, capsys):
+        # an OverflowError in constants_potential and constants_xq once
+        code, out = run_main(tmp_path, subcommand, doc)
+        assert code == EXIT_OPERATIONAL and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("subcommand", ["constants", "verify-inequalities"])
     def test_log_c_overflow(self, subcommand, tmp_path, capsys):
@@ -992,12 +1019,16 @@ class TestSolverFloatRange:
 # ---------------------------------------------------------------------------
 
 COEFFICIENT = st.floats(-150.0, 150.0)
+# log-uniform over the positive floats, and often one of their ends
+POSITIVE = st.one_of(st.sampled_from([5e-324, sys.float_info.max]),
+                     st.floats(0.0, 1.0, exclude_max=True).map(lambda u: 2.0 ** (2098 * u - 1074)))
 
 
 @st.composite
 def fuzz_runs(draw):
     """A subcommand and a config of catalog terms of every kind, on a small
-    grid of odd or even n."""
+    grid of odd or even n, with balls and eps0 from the grid's scale to the
+    ends of float range."""
     dim = draw(st.sampled_from([1, 2]))
 
     def terms():
@@ -1018,6 +1049,13 @@ def fuzz_runs(draw):
            "grid": {"half_width": draw(st.floats(1.0, 10.0)),
                     "nodes_per_axis": draw(st.integers(3, 61 if dim == 1 else 21))},
            "evolution": {"T": 0.02, "tau": 0.01}}
+    if draw(st.booleans()):
+        doc["constants"] = {"eps0": draw(POSITIVE)}
+    if draw(st.booleans()):
+        coordinate = st.one_of(st.floats(-12.0, 12.0), POSITIVE, POSITIVE.map(lambda x: -x))
+        doc["balls"] = [{"center": draw(st.lists(coordinate, min_size=dim, max_size=dim)),
+                         "radius": draw(st.one_of(st.floats(0.01, 12.0), POSITIVE))}
+                        for _ in range(draw(st.integers(1, 3)))]
     if dim == 2:
         doc["approximate"] = {"u0": "max(1 - x*x - y*y, 0)"}
         doc["stationary"] = {"source": "2*(x+y)"}
@@ -1026,6 +1064,11 @@ def fuzz_runs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(fuzz_runs())
+# the two configs that once raised OverflowError, run every time: the draws
+# reach the ball's in most runs, the chain's (one of two subcommands and an
+# admissible weight) in few
+@example(("weight-report", {"weight": GAUSS_1D, "balls": [{"center": [0.0], "radius": 1e308}]}))
+@example(("constants", {"weight": GAUSS_1D, "constants": {"eps0": 5e-324}}))
 def test_fuzz_exits_in_one_line(run):
     subcommand, doc = run
     stderr = io.StringIO()

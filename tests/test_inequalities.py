@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ class TestConstantFormulas:
         _, additive, scaled = constants_potential(**kwargs)
         assert additive == pytest.approx(5.0)
         assert scaled == pytest.approx(4.0)  # gamma enters as C*gamma = 1.0
+
+    def test_terms_beyond_float_range_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "(1 + eps)^(q - 1) leaves float range (eps = 1, q = 1e+300)")):
+            constants_xq(1.0, 1e300, 1, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "(eps0 p)^(-q/p) leaves float range (eps0 = 4.94066e-324, p = 2, q = 2)")):
+            constants_potential(2.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1, eps0=5e-324)
 
     def test_blow_up_at_drift_budget(self):
         with pytest.raises(ValueError, match="blows up"):

@@ -19,19 +19,18 @@ from wsobolev.pde import (
     IntegrabilityGateError,
     ProxConvergenceError,
     StationaryResult,
-    _apply,
     _cell_weights,
     _edge_differences,
     _edge_differences_transpose,
     _energy_terms,
     _extrapolate,
     _hessian,
-    _layout,
     _mass_weights,
     _node_metric,
     _pcg,
     _prepare,
     _quadratic_energy,
+    _solve,
     _to_cells,
     _to_edges,
     _workspace,
@@ -124,7 +123,8 @@ class TestEnergy:
     def test_linear_p2(self):
         g, u = linear_state(601)
         # (1/2) int w = sqrt(pi)/2
-        value = _quadratic_energy(u.values, _hessian(g.spacing, _cell_weights(GAUSS, g), 2.0))
+        solve = _solve(g.spacing, 2.0, _node_metric(GAUSS, g), _cell_weights(GAUSS, g))
+        value = _quadratic_energy(u.values, _hessian(solve), solve)
         assert value == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
 
     def test_linear_p4(self):
@@ -142,7 +142,8 @@ class TestEnergy:
         u = sample_field(g, lambda x, y: x + y)
         spec = WeightSpec(1.0, 2.0, 2)
         # |grad|^2 = 2, (1/2) * 2 * int w = pi for the 2d Gaussian
-        value = _quadratic_energy(u.values, _hessian(g.spacing, _cell_weights(spec, g), 2.0))
+        solve = _solve(g.spacing, 2.0, _node_metric(spec, g), _cell_weights(spec, g))
+        value = _quadratic_energy(u.values, _hessian(solve), solve)
         assert value == pytest.approx(np.pi, abs=1e-5)
 
 
@@ -263,17 +264,14 @@ class TestWorkspace:
         # every CG vector but the solution is a row of the solve's workspace
         g = build_grid(2, 6.0, 101)
         spec = WeightSpec(1.0, 2.0, 2)
-        cell_w = pde._cell_weights(spec, g)
-        stencil = _hessian(g.spacing, cell_w, 2.0)
-        metric = _node_metric(spec, g)
+        solve = _solve(g.spacing, 2.0, _node_metric(spec, g), pde._cell_weights(spec, g))
         rhs = np.random.default_rng(0).standard_normal(g.shape)
-        layout = _layout(g.shape, False)
-        system, ratio = _prepare(stencil, metric, 1e-2, layout)[2:]
+        system, ratio = _prepare(_hessian(solve), 1e-2, solve)[2:]
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            x, it, _ = _pcg(system, rhs, ratio, 0.0, iterations, layout)
+            x, it, _ = _pcg(system, rhs, ratio, 0.0, iterations, solve)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +284,7 @@ class TestWorkspace:
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            warm = _pcg(system, rhs, ratio, 0.0, iterations, layout, x)[0]
+            warm = _pcg(system, rhs, ratio, 0.0, iterations, solve, x)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,33 +331,32 @@ class TestPCG:
         # in place
         g = build_grid(len(shape), 6.0, shape[0])
         spec = WeightSpec(1.0, 2.0, len(shape))
-        stencil = _hessian(g.spacing, pde._cell_weights(spec, g), 2.0)
         metric = _node_metric(spec, g)
-        layout = _layout(g.shape, False)
-        shift, positive, system, ratio = _prepare(stencil, metric, 1e-2, layout)
+        solve = _solve(g.spacing, 2.0, metric, pde._cell_weights(spec, g))
+        stencil = _hessian(solve)
+        shift, positive, system, ratio = _prepare(stencil, 1e-2, solve)
         assert positive and np.array_equal(shift, metric / 1e-2)
         assert np.array_equal(system[0], stencil[0] + shift)
         assert np.array_equal(ratio, system[0] / metric)
         rhs = shift * np.random.default_rng(1).standard_normal(g.shape)
-        partial, it, norm = _pcg(system, rhs, ratio, 1e-9, 3, layout)
+        partial, it, norm = _pcg(system, rhs, ratio, 1e-9, 3, solve)
         assert it == 3 and norm > 1e-9
-        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 10_000, layout, partial)
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 10_000, solve, partial)
         assert 0 < it < 10_000 and norm <= 1e-9
         assert x is partial
-        true = rhs - _apply(stencil[0] + shift, stencil[1], x)
+        true = rhs - reference_apply(stencil[0] + shift, stencil[1], x)
         assert math.sqrt(np.vdot(true, true / metric)) <= 1e-9
         solution = x.copy()
-        again, it, _ = _pcg(system, rhs, ratio, 1e-6, 10_000, layout, x)
+        again, it, _ = _pcg(system, rhs, ratio, 1e-6, 10_000, solve, x)
         assert it == 0 and np.array_equal(again, solution)
 
     def test_infinite_curvature_ends_cg(self):
         # d^T A d overflows on the first direction: CG stops before a step
         g = build_grid(1, 1.0, 11)
-        stencil = _hessian(g.spacing, np.ones(10), 2.0)
+        solve = _solve(g.spacing, 2.0, np.ones(g.shape), np.ones(10))
         rhs = np.full(g.shape, 1e160)
-        layout = _layout(g.shape, False)
-        system, ratio = _prepare(stencil, np.ones(g.shape), 1.0, layout)[2:]
-        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 100, layout)
+        system, ratio = _prepare(_hessian(solve), 1.0, solve)[2:]
+        x, it, norm = _pcg(system, rhs, ratio, 1e-9, 100, solve)
         assert it == 0 and norm == math.inf and not x.any()
 
     def test_p2_norm_beyond_float_range_fails_in_one_message(self):
@@ -426,12 +423,13 @@ class TestTridiagonal:
         h, cell_w = g.spacing, pde._cell_weights(GAUSS, g)
         vals = u.values + 0.3 * np.sin(3.0 * g.axis())
         _, grad, terms = _energy_terms(vals, h, cell_w, 3.0)
-        centre, neighbours = _hessian(h, cell_w, 3.0, *terms)
         metric = _node_metric(GAUSS, g)
+        solve = _solve(h, 3.0, metric, cell_w)
+        centre, neighbours = _hessian(solve, *terms)
         shift = metric / 1e-2
         direct = pde._tridiagonal_solve(centre + shift, neighbours[0][2], -grad)
         cg, it, norm = _pcg((centre + shift, neighbours), -grad, (centre + shift) / metric,
-                            1e-12, 10_000, _layout(g.shape, True))
+                            1e-12, 10_000, solve)
         assert norm <= 1e-12 and it > 1
         assert math.sqrt(np.vdot(direct - cg, metric * (direct - cg))) <= 1e-9
 
@@ -476,7 +474,7 @@ class TestTridiagonal:
 
 class TestLayout:
     def test_stencil_layout_is_planned_once_per_solve(self, monkeypatch):
-        # _layout plans the stencil's offsets and corners by itertools.product
+        # _solve plans the stencil's offsets and corners by itertools.product
         # once per solve; every Newton system reads that plan, so the calls
         # do not grow with the systems or the steps
         calls = {"product": 0, "_hessian": 0}
@@ -567,12 +565,9 @@ class TestEvolution:
                                              0.25, 0.1)))
         assert [s.t for s in steps] == [0.0, 0.1, 0.2, 0.25]
         history = [(s.t, s.state.values) for s in steps[:3]]
-        metric, cell_w = _node_metric(spec, g), pde._cell_weights(spec, g)
-        layout = _layout(g.shape, p > 2.0)
-        stencil = _hessian(g.spacing, cell_w, p) if p == 2.0 else None
-        system = _prepare(stencil, metric, 0.25 - 0.2, layout)
-        last, iters, value = pde._minimize(steps[2].state.values, g, metric, cell_w, p,
-                                           0.25 - 0.2, system, layout,
+        solve = _solve(g.spacing, p, _node_metric(spec, g), pde._cell_weights(spec, g))
+        system = _prepare(_hessian(solve) if p == 2.0 else None, 0.25 - 0.2, solve)
+        last, iters, value = pde._minimize(solve, g, steps[2].state.values, 0.25 - 0.2, system,
                                            _extrapolate(history, 0.25))
         assert np.array_equal(steps[3].state.values, last)
         assert (steps[3].iterations, steps[3].energy) == (iters, value)
@@ -1033,7 +1028,8 @@ class TestStaggeredProperties:
         assert len(traj.energies) == len(states) == 3
         # to the bit, by the flow's own evaluation: the quadratic form at p = 2
         h, cell_w = grid.spacing, _cell_weights(spec, grid)
-        values = ([_quadratic_energy(s.values, _hessian(h, cell_w, p)) for s in states] if p == 2.0
+        solve = _solve(h, p, node_metric(spec, grid), cell_w)
+        values = ([_quadratic_energy(s.values, _hessian(solve), solve) for s in states] if p == 2.0
                   else [_energy_terms(s.values, h, cell_w, p)[0] for s in states])
         assert traj.energies == values
 
@@ -1128,10 +1124,11 @@ class TestStaggeredProperties:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(shape)
         cell_w = np.exp(rng.uniform(-8.0, 2.0, tuple(n - 1 for n in shape)))
-        stencil = _hessian(h, cell_w, 2.0)
+        solve = _solve(h, 2.0, np.ones(shape), cell_w)
+        stencil = _hessian(solve)
         value, grad, _ = _energy_terms(v, h, cell_w, 2.0)
-        hv = _apply(*stencil, v)
-        for e in [_quadratic_energy(v, stencil), np.vdot(v, hv) / 2.0]:
+        hv = reference_apply(*stencil, v)
+        for e in [_quadratic_energy(v, stencil, solve), np.vdot(v, hv) / 2.0]:
             assert e == pytest.approx(value, rel=1e-12)
         assert_allclose(hv, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
@@ -1144,13 +1141,15 @@ class TestStaggeredProperties:
         h = 0.3
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = np.exp(rng.uniform(-4.0, 2.0, tuple(n - 1 for n in shape)))
-        centre, neighbours = stencil = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
-        out, tmp = np.full(shape, np.nan), np.full(v.size, np.nan)
-        assert _apply(centre, neighbours, v, out, tmp) is out
-        assert np.array_equal(out, _apply(centre, neighbours, v))
-        layout = _layout(shape, p > 2.0)
-        layout.work[...] = np.nan
-        assert _quadratic_energy(v, stencil, layout) == _quadratic_energy(v, stencil)
+        solve = _solve(h, p, np.ones(shape), cell_w)
+        stencil = _hessian(solve, *_energy_terms(u, h, cell_w, p)[2])
+        for row in solve.rows:
+            row[...] = np.nan
+        flat, expected = v.reshape(-1), 0.0
+        for dst, src, c in stencil[1]:  # the value-only pass, on fresh arrays
+            d = flat[src] - flat[dst]
+            expected -= float(np.vdot(c * d, d))
+        assert _quadratic_energy(v, stencil, solve) == expected / 2.0
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6)])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -1158,13 +1157,15 @@ class TestStaggeredProperties:
         rng = np.random.default_rng(5)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cell_w = rng.uniform(0.5, 2.0, tuple(n - 1 for n in shape))
-        diag, neighbours = _hessian(0.3, cell_w, p, *_energy_terms(u, 0.3, cell_w, p)[2])
+        diag, neighbours = _hessian(_solve(0.3, p, np.ones(shape), cell_w),
+                                    *_energy_terms(u, 0.3, cell_w, p)[2])
         # the forward half of {-1, 0, 1}^d, or of the 2d + 1 point stencil at p = 2
         assert len(neighbours) == ((3 ** len(shape) - 1) // 2 if p > 2.0 else len(shape))
         e = 1e-6
         fd = (_energy_terms(u + e * v, 0.3, cell_w, p)[1]
               - _energy_terms(u - e * v, 0.3, cell_w, p)[1]) / (2 * e)
-        assert_allclose(_apply(diag, neighbours, v), fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+        assert_allclose(reference_apply(diag, neighbours, v), fd, rtol=0,
+                        atol=1e-5 * np.abs(fd).max())
         assert np.all(diag > 0.0)
         # the Jacobi preconditioner is the true diagonal (H e_i)_i
         exact = np.zeros(shape)
@@ -1183,7 +1184,8 @@ class TestStaggeredProperties:
         h = 1.0 / (n - 1)
         u = rng.standard_normal((n,) * dim)
         cell_w = rng.uniform(0.1, 2.0, (n - 1,) * dim)
-        centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
+        centre, neighbours = _hessian(_solve(h, p, np.ones(u.shape), cell_w),
+                                      *_energy_terms(u, h, cell_w, p)[2])
         scale = np.abs(centre).max()
         shifts = []
         for dst, src, c in neighbours:
@@ -1200,13 +1202,13 @@ class TestStaggeredProperties:
         assert len(set(shifts)) == len(shifts)
         # the operator is symmetric
         x, y = rng.standard_normal((2,) + (n,) * dim)
-        assert np.vdot(x, _apply(centre, neighbours, y)) == pytest.approx(
-            np.vdot(_apply(centre, neighbours, x), y), rel=1e-12,
+        assert np.vdot(x, reference_apply(centre, neighbours, y)) == pytest.approx(
+            np.vdot(reference_apply(centre, neighbours, x), y), rel=1e-12,
             abs=1e-13 * scale * np.linalg.norm(x) * np.linalg.norm(y))
         ones = np.ones((n,) * dim)
-        assert np.abs(_apply(centre, neighbours, ones)).max() <= 1e-13 * scale
+        assert np.abs(reference_apply(centre, neighbours, ones)).max() <= 1e-13 * scale
         v = rng.standard_normal((n,) * dim)
-        assert np.vdot(v, _apply(centre, neighbours, v)) >= -1e-13 * scale * np.vdot(v, v)
+        assert np.vdot(v, reference_apply(centre, neighbours, v)) >= -1e-13 * scale * np.vdot(v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1236,20 +1238,25 @@ class TestCGKernel:
                              ids=["1d", "2d", "2d-p3"])
     @pytest.mark.parametrize("buffers", ["none", "workspace", "nan"])
     def test_apply_is_the_reference_loop_bit_for_bit(self, shape, p, buffers):
+        # _product into fresh arrays, into a workspace's rows, and into rows
+        # of NaN, which a slot read before it is written shows
         rng = np.random.default_rng(7)
         h = 0.3
         u, v = rng.standard_normal((2,) + shape)
         cell_w = np.exp(rng.uniform(-8.0, 8.0, tuple(n - 1 for n in shape)))
-        centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(u, h, cell_w, p)[2])
+        centre, neighbours = _hessian(_solve(h, p, np.ones(shape), cell_w),
+                                      *_energy_terms(u, h, cell_w, p)[2])
         if buffers == "none":
-            out = _apply(centre, neighbours, v)
+            out, tmp = np.empty(shape), np.empty(v.size)
         else:
             work = _workspace(shape)
             if buffers == "nan":
                 work[...] = np.nan
-            row = work[1]
-            out = _apply(centre, neighbours, v, row, work.reshape(len(work), -1)[5])
-            assert out is row
+            out, tmp = work[1], work.reshape(len(work), -1)[5]
+        flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+        pairs = [(c, flat_v[dst], flat_v[src], flat_out[dst], flat_out[src], tmp[dst])
+                 for dst, src, c in neighbours]
+        assert pde._product(centre, v, out, pairs) is out
         assert out.tobytes() == reference_apply(centre, neighbours, v).tobytes()
 
     @PROPERTY
@@ -1270,23 +1277,23 @@ class TestCGKernel:
         cell_w = h**dim * np.exp(log_w)
         node_w = np.where(clamped, np.finfo(float).tiny, np.exp(rng.uniform(-36.0, 36.0, g.shape)))
         metric = _mass_weights(g) * node_w
-        layout = _layout(g.shape, p > 2.0)
+        solve = _solve(h, p, metric, cell_w)
         if p == 2.0:
-            system, ratio = _prepare(_hessian(h, cell_w, p), metric, tau, layout)[2:]
+            system, ratio = _prepare(_hessian(solve), tau, solve)[2:]
         else:  # a Newton system, as _minimize forms it for CG
-            shift = _prepare(None, metric, tau, layout)[0]
-            centre, neighbours = _hessian(h, cell_w, p, *_energy_terms(
+            shift = _prepare(None, tau, solve)[0]
+            centre, neighbours = _hessian(solve, *_energy_terms(
                 rng.standard_normal(g.shape), h, cell_w, p)[2])
-            system = (np.add(centre, shift, layout.rows[0]), neighbours)
-            ratio = np.divide(system[0], metric, layout.rows[7])
+            system = (np.add(centre, shift, solve.rows[0]), neighbours)
+            ratio = np.divide(system[0], metric, solve.rows[7])
         start = rng.standard_normal(g.shape)
-        product = _apply(*system, start)
+        product = reference_apply(*system, start)
         rhs = product + np.where(clamped, 0.0, rng.standard_normal(g.shape) * np.sqrt(metric))
         r = rhs - product
         assert not r[clamped].any()
         expected = math.sqrt(math.fsum((r * r / metric).ravel()))
         with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
-            x, it, norm = _pcg(system, rhs, ratio, 0.0, 0, layout, start.copy())
+            x, it, norm = _pcg(system, rhs, ratio, 0.0, 0, solve, start.copy())
         assert it == 0 and np.array_equal(x, start)
         assert math.isfinite(norm) and norm == pytest.approx(expected, rel=1e-14)

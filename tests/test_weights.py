@@ -10,7 +10,7 @@ from scipy.special import erf, erfi
 from test_expr_config import _JSON, _SHAPED
 from wsobolev.cli import _round_floats
 from wsobolev.config import ConfigError, parse_config
-from wsobolev.grid import GridFunction, build_grid
+from wsobolev.grid import GridFunction, ball_slices, build_grid
 from wsobolev.inequalities import oscillation_over_ball
 from wsobolev.weights import (
     AdmissibilityReport,
@@ -398,6 +398,18 @@ class TestDoubling:
         assert rep.entries[0].value is None
         assert "escapes" in rep.entries[0].note
         assert rep.entries[0].note == "doubled ball escapes the grid box"
+
+    @pytest.mark.parametrize("dim, center, radius", [
+        (1, 0.0, 1e308), (1, 1e308, 1.0), (2, (0.0, 0.0), 1.7e308)])
+    def test_ball_beyond_float_range_escapes(self, dim, center, radius):
+        # its node index, and its double's, is not finite
+        g = build_grid(dim, 6.0, 301 if dim == 1 else 21)
+        one = GridFunction(g, np.ones(g.shape))
+        ball = Ball.of(center, radius)
+        assert ball_slices(g, ball.center, ball.radius) == "escapes the grid box"
+        notes = [estimate_doubling(one, [ball]).entries[0].note,
+                 estimate_muckenhoupt(one, 2.0, [ball]).entries[0].note]
+        assert notes == ["doubled ball escapes the grid box", "ball escapes the grid box"]
 
     def test_too_small_ball_noted(self):
         # at the origin, well inside the box, but narrower than two cells

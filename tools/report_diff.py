@@ -19,8 +19,10 @@ library cases (`LIB_NAMES`), and its result is compared by `repr`. For every
 catalog weight of the diagnostics run lists, the node values of the weight
 (`weight_on_grid`) and of the maximal function of its p-th root
 (`maximal_function(root_on_grid(...))`) are compared byte for byte, and so
-are the node values of `mollify` at every eps of every `approximate` run
-above, of its u0 state with its declared support and with none.
+are the node values of the p-Laplacian (`pde.apply_operator`) at p = 2 and
+3 against that weight, on the sum of the coordinates' sines, and those of
+`mollify` at every eps of every `approximate` run above, of its u0 state
+with its declared support and with none.
 
 Every report file, exit code, stderr text and library result that differs
 between the trees is printed with its first differing line and the largest
@@ -249,8 +251,10 @@ def run_library(src: Path, calls: dict) -> dict[str, str]:
 def run_arrays(src: Path, probes: dict[str, dict],
                approximations: dict[str, dict]) -> dict[str, np.ndarray]:
     """Array name -> node values against the package in src: each probe's
-    weight (`<name>-weight`) and the maximal function of its p-th root
-    (`<name>-maximal`), and, for each approximate run whose u0 state builds,
+    weight (`<name>-weight`), the maximal function of its p-th root
+    (`<name>-maximal`) and the p-Laplacian against it of the sum of the
+    coordinates' sines at p = 2 and 3 (`<name>-operator-p<p>`), and, for
+    each approximate run whose u0 state builds,
     `mollify` of that state at every eps of its schedule, with its declared
     support (`<run>-mollify-<eps>`) and with none (`<run>-mollify-<eps>-none`).
     A scale `mollify` refuses gives no array."""
@@ -263,6 +267,10 @@ def run_arrays(src: Path, probes: dict[str, dict],
         out[f"{name}-weight"] = pkg.weights.weight_on_grid(spec, grid).values
         root = pkg.weights.root_on_grid(spec, grid, config["p"])
         out[f"{name}-maximal"] = pkg.grid.maximal_function(root).values
+        smooth = pkg.grid.sample_field(grid, lambda *x: sum(np.sin(c) for c in x))
+        with np.errstate(all="ignore"):
+            for p in (2, 3):
+                out[f"{name}-operator-p{p}"] = pkg.pde.apply_operator(smooth, spec, p).values
     for name, config in approximations.items():
         try:
             run = pkg.config.parse_config(config)
