@@ -9,6 +9,7 @@ the node coordinates, and a short list of numpy functions.
 from __future__ import annotations
 
 import ast
+import math
 
 import numpy as np
 
@@ -53,7 +54,10 @@ _TOO_DEEP = "expression nests too deeply"
 def _eval(node: ast.AST, names: dict) -> object:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
-            return np.float64(node.value)  # numpy float: overflow is inf, not exact ints
+            try:
+                return np.float64(node.value)  # numpy float: overflow is inf, not exact ints
+            except OverflowError:  # an integer beyond float range, as 1e400 is
+                return np.float64(math.inf)
         raise ExpressionError(f"literal {node.value!r} is not a number")
     if isinstance(node, ast.Name):
         if node.id in names:
@@ -80,8 +84,10 @@ def _eval(node: ast.AST, names: dict) -> object:
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
 
 
-def evaluate_expression(text: str, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate an arithmetic expression of x (and y in 2d) on node arrays.
+def evaluate_expression(text: str, *axes: np.ndarray) -> np.ndarray:
+    """Evaluate an arithmetic expression of the node coordinates, x the first
+    axis' array and y the second's, arrays that broadcast together
+    (Grid.coordinates); the values have their broadcast shape.
 
     One that nests deeper than the parser or the evaluator's recursion can
     go raises ExpressionError, as any malformed expression does."""
@@ -91,11 +97,9 @@ def evaluate_expression(text: str, x: np.ndarray, y: np.ndarray | None = None) -
         raise ExpressionError(f"cannot parse {text!r}: {err.msg}") from None
     except (RecursionError, MemoryError):  # the parser's depth limits
         raise ExpressionError(_TOO_DEEP) from None
-    names = {"x": x}
-    if y is not None:
-        names["y"] = y
     try:
-        out = _eval(tree.body, names)
+        out = _eval(tree.body, dict(zip("xy", axes)))
     except RecursionError:
         raise ExpressionError(_TOO_DEEP) from None
-    return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+    shape = np.broadcast_shapes(*(a.shape for a in axes))
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()

@@ -10,8 +10,7 @@ It is built from its fields by position or keyword, with a class attribute
 as a field's default; it runs its `__post_init__`, if it has one, after the
 fields are set.  It cannot be assigned to, equals a record of the same class
 whose fields are equal, hashes by its fields, and prints as
-`Ball(center=(0.0,), radius=1.0)`.  `record._fields` names the fields and
-`record._replace(radius=2.0)` is a copy with some changed.
+`Ball(center=(0.0,), radius=1.0)`.  `record._fields` names the fields.
 
 The fields live in an instance `__dict__` built whole and then installed, so
 attribute reads take CPython's fast path for a plain dict; a dict filled in
@@ -77,10 +76,6 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
-
-    def _replace(self, **changes) -> Record:
-        """A copy with the given fields changed, built and checked anew."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -159,7 +159,7 @@ def _state_from_string(
     value outside that support raises ValueError naming the config path."""
     try:
         with np.errstate(all="ignore"):
-            vals = evaluate_expression(text, *grid.mesh())
+            vals = evaluate_expression(text, *grid.coordinates())
     except ExpressionError as err:
         raise ExpressionError(f"{path}: {err}") from None
     bad = _first_non_finite(grid, vals)
@@ -307,6 +307,9 @@ def run(subcommand: str, config: RunConfig, out_dir: str | Path) -> int:
         return EXIT_OPERATIONAL
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_OPERATIONAL
+    except MemoryError as err:  # such as a grid too large to allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_OPERATIONAL
 
 

@@ -5,8 +5,8 @@ Everything downstream works on uniform tensor grids over a symmetric box
 values; convolution extends them by zero outside the box.  The node count
 per axis is kept odd so that the origin is always a node and composite
 Simpson weights apply without special cases.  A field is a function of
-per-axis coordinate arrays that broadcast together (Grid.coordinates, open;
-Grid.mesh, dense), and squared_norm is the package's one |x|^2.
+the per-axis coordinate arrays of Grid.coordinates, which broadcast
+together, and squared_norm is the package's one |x|^2.
 
 No code path depends on d, except that maximal_function batches its radii
 in 1d only (bit for bit its per-radius loop, 2.5-5x faster at n = 301).  It
@@ -36,6 +36,7 @@ the bump corpus (corpus.CorpusMember.on_grid), so verify-inequalities
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 from typing import Sequence
 
@@ -74,14 +75,16 @@ class Grid(Record):
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+            raise ValueError(f"dim: must be 1 or 2, got {self.dim}")
         if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+            raise ValueError(f"half_width: must be > 0, got {self.half_width:g}")
         n = self.nodes_per_axis
         if n < 3:
-            raise ValueError(f"nodes_per_axis must be >= 3, got {n}")
+            raise ValueError(f"nodes_per_axis: must be >= 3, got {n}")
         if n % 2 == 0:
-            raise ValueError(f"nodes_per_axis must be odd, got {n}")
+            raise ValueError(f"nodes_per_axis: must be odd, got {n}")
+        if n > sys.float_info.max:  # the spacing divides by it as a float
+            raise ValueError(f"nodes_per_axis: must be within float range, got {n}")
         h = self.spacing  # below the normal range, 1/h and h^d leave float range
         if not np.finfo(float).smallest_normal <= h < math.inf:
             raise ValueError(f"half_width: the node spacing {h!r} is not a positive normal float")
@@ -97,9 +100,6 @@ class Grid(Record):
     def axis(self) -> np.ndarray:
         """Node coordinates along one axis; symmetric, with 0.0 an exact node."""
         return np.linspace(-self.half_width, self.half_width, self.nodes_per_axis)
-
-    def mesh(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """The node coordinates, one open array per axis: (n, 1) and (1, n) in 2d."""
@@ -160,7 +160,7 @@ def sample_field(
 ) -> GridFunction:
     """Evaluate a field, a callable taking the coordinate arrays (one per
     axis), at the grid nodes."""
-    vals = np.broadcast_to(np.asarray(f(*grid.mesh()), dtype=float), grid.shape).copy()
+    vals = np.broadcast_to(np.asarray(f(*grid.coordinates()), dtype=float), grid.shape).copy()
     return GridFunction(grid, vals, compact_support_radius)
 
 

@@ -238,9 +238,9 @@ class WeightSpec(Record):
 
     def __post_init__(self) -> None:
         if self.q <= 1.0:
-            raise ValueError(f"q must exceed 1, got {self.q}")
+            raise ValueError(f"q: must be > 1, got {self.q:g}")
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+            raise ValueError(f"dim: must be 1 or 2, got {self.dim}")
 
     def exponent(self, x: Sequence) -> np.ndarray:
         """log w(x) = -beta*|x|^q - W(x) - V(x).  A term beyond float range
@@ -275,8 +275,6 @@ class WeightSpec(Record):
         if beta == 0.0:
             raise ValueError("beta: must be nonzero")
         q = json_number(d, "q", "q")
-        if q <= 1.0:
-            raise ValueError(f"q: must be > 1, got {q:g}")
         if not math.isfinite(beta * q):
             raise ValueError(f"beta: beta * q must be finite, got {beta:g} * {q:g}")
         if "dim" not in d:
@@ -284,7 +282,7 @@ class WeightSpec(Record):
         dim = d["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValueError(f"dim: expected an integer, got {dim!r}")
-        if dim not in (1, 2):
+        if dim not in (1, 2):  # before the terms, whose cosine k is read against dim
             raise ValueError(f"dim: must be 1 or 2, got {dim}")
 
         def potential(key: str) -> PotentialExpr:

@@ -34,6 +34,7 @@ from wsobolev.cli import (
 )
 from wsobolev.config import parse_config
 from wsobolev.grid import Grid, GridFunction, build_grid
+from wsobolev.pde import StationaryResult
 from wsobolev.weights import BallEntry, DoublingReport
 
 from test_weights import OUTSIDE_HYPOTHESES
@@ -502,6 +503,72 @@ def test_step_count_beyond_float_range_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+# "1" and 400 zeros, an integer literal beyond float range in an expression
+BIG_LITERAL = str(10**400)
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("solve-stationary", {"stationary": {"source": BIG_LITERAL}},
+     f"stationary.source: '{BIG_LITERAL}' is inf at x = (-6.0,), not a finite number"),
+    ("solve-evolution", {"evolution": {"u0": BIG_LITERAL}},
+     f"evolution.u0: '{BIG_LITERAL}' is inf at x = (-6.0,), not a finite number"),
+    ("approximate", {"approximate": {"u0": BIG_LITERAL}},
+     f"approximate.u0: '{BIG_LITERAL}' is inf at x = (-6.0,), not a finite number"),
+    ("weight-report", {"grid": {"nodes_per_axis": 10**400 + 1}},
+     f"grid.nodes_per_axis: must be within float range, got {10**400 + 1}"),
+], ids=["source", "evolution-u0", "approximate-u0", "nodes-per-axis"])
+def test_integer_beyond_float_range_is_one_error_line(subcommand, doc, message, tmp_path,
+                                                      capsys):
+    # an OverflowError in the expression's literal or in Grid.spacing once
+    code, out = run_main(tmp_path, subcommand, {"weight": GAUSS_1D, **doc})
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("err, message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000001,) and "
+                 "data type float64"),
+     "Unable to allocate 7.45 GiB for an array with shape (1000000001,) and data type float64"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(err, message, tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate; raised, not allocated, since whether a
+    # large request fails depends on the kernel's overcommit setting
+    def allocate(config):
+        raise err
+
+    monkeypatch.setitem(cli._COMMANDS, "weight-report", allocate)
+    code, out = run_main(tmp_path, "weight-report", {"weight": GAUSS_1D})
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# one fault each, refused by the parser (a JSON type) or by Grid and
+# WeightSpec (a value rule), in the same words
+@pytest.mark.parametrize("doc, message", [
+    ({"grid": {"nodes_per_axis": 1}}, "grid.nodes_per_axis: must be >= 3, got 1"),
+    ({"grid": {"nodes_per_axis": 4}}, "grid.nodes_per_axis: must be odd, got 4"),
+    ({"grid": {"nodes_per_axis": 2.0}}, "grid.nodes_per_axis: expected an integer, got 2.0"),
+    ({"grid": {"half_width": 0}}, "grid.half_width: must be > 0, got 0"),
+    ({"grid": {"half_width": -1.5}}, "grid.half_width: must be > 0, got -1.5"),
+    ({"grid": {"half_width": 1e-320}},
+     "grid.half_width: the node spacing 6.4e-323 is not a positive normal float"),
+    ({"weight": {**GAUSS_1D, "q": 1}}, "weight.q: must be > 1, got 1"),
+    ({"weight": {**GAUSS_1D, "q": 0.5}}, "weight.q: must be > 1, got 0.5"),
+    ({"weight": {**GAUSS_1D, "q": -3}}, "weight.q: must be > 1, got -3"),
+    ({"weight": {**GAUSS_1D, "dim": 0}}, "weight.dim: must be 1 or 2, got 0"),
+    ({"weight": {**GAUSS_1D, "dim": 3}}, "weight.dim: must be 1 or 2, got 3"),
+    ({"weight": {**GAUSS_1D, "dim": True}}, "weight.dim: expected an integer, got True"),
+])
+def test_single_fault_refusal_line(doc, message, tmp_path, capsys):
+    code, out = run_main(tmp_path, "constants", {"weight": GAUSS_1D, **doc})
+    assert code == EXIT_OPERATIONAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight, ball", [
     (GAUSS_1D, {"center": [0.0], "radius": 1e308}),
     (GAUSS_1D, {"center": [1e308], "radius": 1.0}),
@@ -607,8 +674,12 @@ class TestStateFailures:
 
     def test_non_finite_report_writes_no_state(self, tmp_path, monkeypatch):
         solve = cli.solve_stationary
-        monkeypatch.setattr(cli, "solve_stationary",
-                            lambda *args: solve(*args)._replace(residual=math.nan))
+
+        def solve_nan(*args):
+            result = solve(*args)
+            return StationaryResult(result.state, math.nan, result.iterations, result.objective)
+
+        monkeypatch.setattr(cli, "solve_stationary", solve_nan)
         assert run("solve-stationary", small_config(), tmp_path) == EXIT_OPERATIONAL
         assert not any(tmp_path.iterdir())
 
@@ -1024,11 +1095,20 @@ POSITIVE = st.one_of(st.sampled_from([5e-324, sys.float_info.max]),
                      st.floats(0.0, 1.0, exclude_max=True).map(lambda u: 2.0 ** (2098 * u - 1074)))
 
 
+def one_in(draw, k: int) -> bool:
+    """True about one draw in k: at the largest of k integers, since
+    Hypothesis draws the smallest far more often than the others."""
+    return draw(st.integers(1, k)) == k
+
+
 @st.composite
 def fuzz_runs(draw):
     """A subcommand and a config of catalog terms of every kind, on a small
-    grid of odd or even n, with balls and eps0 from the grid's scale to the
-    ends of float range."""
+    grid of odd n three times in four, else even, with balls and eps0 from
+    the grid's scale to the ends of float range.  About one draw in twenty
+    has q <= 1 and one a half-width <= 0, one in ten an integer literal
+    beyond float range in its u0 and source, and one in thirty
+    n = 10**400 + 1."""
     dim = draw(st.sampled_from([1, 2]))
 
     def terms():
@@ -1043,11 +1123,17 @@ def fuzz_runs(draw):
             out.append(term)
         return out
 
-    weight = {"beta": draw(st.floats(-4.0, 4.0).filter(bool)), "q": draw(st.floats(1.1, 3.0)),
+    weight = {"beta": draw(st.floats(-4.0, 4.0).filter(bool)),
+              "q": draw(st.floats(-3.0, 1.0) if one_in(draw, 20) else st.floats(1.1, 3.0)),
               "dim": dim, "W": terms(), "V": terms()}
+    half_width = draw(st.floats(-10.0, 0.0) if one_in(draw, 20) else st.floats(1.0, 10.0))
+    n = draw(st.integers(3, 61 if dim == 1 else 21))
+    if n % 2 == 0 and draw(st.booleans()):  # odd three times in four
+        n += 1
+    if one_in(draw, 30):
+        n = 10**400 + 1
     doc = {"weight": weight, "p": draw(st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0, 4.0])),
-           "grid": {"half_width": draw(st.floats(1.0, 10.0)),
-                    "nodes_per_axis": draw(st.integers(3, 61 if dim == 1 else 21))},
+           "grid": {"half_width": half_width, "nodes_per_axis": n},
            "evolution": {"T": 0.02, "tau": 0.01}}
     if draw(st.booleans()):
         doc["constants"] = {"eps0": draw(POSITIVE)}
@@ -1059,6 +1145,10 @@ def fuzz_runs(draw):
     if dim == 2:
         doc["approximate"] = {"u0": "max(1 - x*x - y*y, 0)"}
         doc["stationary"] = {"source": "2*(x+y)"}
+    if one_in(draw, 10):
+        doc["approximate"] = {"u0": BIG_LITERAL}
+        doc["evolution"]["u0"] = BIG_LITERAL
+        doc["stationary"] = {"source": BIG_LITERAL}
     return draw(st.sampled_from(SUBCOMMANDS)), doc
 
 
@@ -1069,6 +1159,11 @@ def fuzz_runs(draw):
 # admissible weight) in few
 @example(("weight-report", {"weight": GAUSS_1D, "balls": [{"center": [0.0], "radius": 1e308}]}))
 @example(("constants", {"weight": GAUSS_1D, "constants": {"eps0": 5e-324}}))
+# the integers beyond float range that once raised OverflowError
+@example(("solve-stationary", {"weight": GAUSS_1D, "stationary": {"source": BIG_LITERAL}}))
+@example(("solve-evolution", {"weight": GAUSS_1D, "evolution": {"u0": BIG_LITERAL}}))
+@example(("approximate", {"weight": GAUSS_1D, "approximate": {"u0": BIG_LITERAL}}))
+@example(("weight-report", {"weight": GAUSS_1D, "grid": {"nodes_per_axis": 10**400 + 1}}))
 def test_fuzz_exits_in_one_line(run):
     subcommand, doc = run
     stderr = io.StringIO()

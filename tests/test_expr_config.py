@@ -104,6 +104,19 @@ class TestExpressionEvaluator:
                 assert evaluate_expression(text, x).tolist() == [math.inf] * 3
         assert evaluate_expression("7 % 2 + 1/4", x).tolist() == [1.25] * 3
 
+    def test_integer_literal_beyond_float_range_is_inf(self):
+        # as the float literal 1e400 is; np.float64 of the int raised OverflowError
+        x = np.zeros(3)
+        for text in (str(10**400), "1e400"):
+            assert evaluate_expression(text, x).tolist() == [math.inf] * 3
+        assert evaluate_expression(f"-{10**400}", x).tolist() == [-math.inf] * 3
+
+    def test_values_take_the_broadcast_shape_of_the_axes(self):
+        x, y = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(2.0, 3.0, 4)[None, :]
+        assert evaluate_expression("x * y", x, y).tobytes() == (x * y).tobytes()
+        assert evaluate_expression("x", x, y).tobytes() == np.broadcast_to(x, (5, 4)).tobytes()
+        assert evaluate_expression("2.5", x, y).tolist() == np.full((5, 4), 2.5).tolist()
+
 
 class TestConfigDefaults:
     def test_minimal_config(self):

@@ -395,7 +395,7 @@ class TestSampleField:
     def test_2d_callable(self):
         g = Grid(2, 1.0, 11)
         f = sample_field(g, lambda x, y: x + 2 * y)
-        X, Y = g.mesh()
+        X, Y = np.broadcast_arrays(*g.coordinates())
         assert_allclose(f.values, X + 2 * Y)
 
 

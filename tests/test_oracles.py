@@ -55,7 +55,7 @@ def stationary_error(spec, n, p):
     """Relative L^2(w) error of the stationary solve with source -d_1 log w
     against x_1 minus its metric mean."""
     grid = build_grid(spec.dim, HALF_WIDTH, n)
-    x = grid.mesh()
+    x = np.broadcast_arrays(*grid.coordinates())
     state = solve_stationary(GridFunction(grid, -eval_log_drift(spec, x)[0]), spec, p).state
     metric = _node_metric(spec, grid)
     exact = x[0] - np.sum(metric * x[0]) / np.sum(metric)

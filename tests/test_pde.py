@@ -597,7 +597,7 @@ class TestEvolution:
         g = build_grid(2, 6.0, 101)
         u = sample_field(g, lambda x, y: x)
         traj = solve_evolution(EvolutionProblem(2.0, WeightSpec(1.0, 2.0, 2), u, 0.2, 1e-3))
-        exact = math.exp(-0.4) * g.mesh()[0]
+        exact = math.exp(-0.4) * np.broadcast_arrays(*g.coordinates())[0]
         assert np.abs(traj.state.values - exact).max() <= 0.5
 
     def test_steady_state(self):
@@ -924,7 +924,7 @@ class TestStationary:
         spec = WeightSpec(1.0, 2.0, 2)
         f = sample_field(g, lambda x, y: 2.0 * (x + y))
         res = solve_stationary(f, spec, 2.0)
-        X, Y = g.mesh()
+        X, Y = np.broadcast_arrays(*g.coordinates())
         inner = np.maximum(np.abs(X), np.abs(Y)) <= 1.5
         assert np.max(np.abs(res.state.values - (X + Y))[inner]) <= 0.05
 
@@ -1020,7 +1020,8 @@ class TestStaggeredProperties:
         # the energy of the state, to the last bit
         spec, grid = wg
         if cosine:
-            spec = spec._replace(V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+            spec = WeightSpec(spec.beta, spec.q, spec.dim, spec.W,
+                              PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
         u = GridFunction(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
         problem = EvolutionProblem(p, spec, u, 0.02, 0.01)
         traj = solve_evolution(problem)
@@ -1067,7 +1068,8 @@ class TestStaggeredProperties:
         # <Au - Av, u - v> >= 0 in the node metric: E is convex
         spec, grid = wg
         if cosine:
-            spec = spec._replace(V=PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
+            spec = WeightSpec(spec.beta, spec.q, spec.dim, spec.W,
+                              PotentialExpr((CosineTerm(0.5, (1.5,) * grid.dim),)))
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, grid.shape)
         v = u + gap * rng.uniform(-1.0, 1.0, grid.shape)

@@ -203,7 +203,7 @@ def test_node_radii_are_the_meshgrid_sum_bit_for_bit(dim, n, half_width, radius)
         return
     grid = Grid(dim, half_width, n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        want = np.sqrt(sum(m * m for m in grid.mesh()))
+        want = np.sqrt(sum(m * m for m in np.broadcast_arrays(*grid.coordinates())))
         got = grid.node_radii()
     assert got.tobytes() == want.tobytes()
     # the mollifier's taps against their dense formula, on grids that have
@@ -226,7 +226,7 @@ def test_weights_do_not_depend_on_the_coordinate_layout(spec_grid):
     """Open coordinates, the dense mesh and a flat node list give the same
     bytes: every operation is elementwise, in the same order."""
     spec, grid = spec_grid
-    mesh = grid.mesh()
+    mesh = np.broadcast_arrays(*grid.coordinates())
     layouts = [grid.coordinates(), mesh, [m.ravel() for m in mesh]]
     for evaluate in (spec.exponent, lambda x: eval_weight(spec, x),
                      lambda x: eval_weight_root(spec, x, 3.0),

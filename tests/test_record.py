@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from wsobolev.grid import Grid, GridFunction
-from wsobolev.weights import BallEntry, ConstantTerm, PotentialExpr, PowerAbsTerm, \
-    QuadraticTerm, WeightSpec
+from wsobolev.weights import BallEntry, ConstantTerm, PotentialExpr, QuadraticTerm, WeightSpec
 
 
 def test_equal_only_to_the_same_class():
@@ -63,14 +62,3 @@ def test_post_init_converts_and_validates():
 def test_bad_arguments_raise_type_error(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
         Grid(*args, **kwargs)
-
-
-def test_replace_builds_and_checks_a_new_record():
-    term = PowerAbsTerm(1.0, 2.0)
-    assert term._replace(c=3.0) == PowerAbsTerm(3.0, 2.0)
-    assert term == PowerAbsTerm(1.0, 2.0)
-    with pytest.raises(ValueError, match="s >= 1"):
-        term._replace(s=0.5)
-    with pytest.raises(TypeError):
-        term._replace(r=1.0)
-    assert PowerAbsTerm._fields == ("c", "s")

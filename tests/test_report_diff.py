@@ -1,7 +1,8 @@
 """tools/report_diff.py compares two trees' reports config by config; a
-config that both trees refuse compares equal, so every config it runs must
-be one the package accepts, or the comparison is hollow.  Nothing here runs
-the trees."""
+config that both trees refuse compares only the refusal line, so every
+config of its run lists must be one the package accepts, or the comparison
+is hollow; its refusal configs, kept apart, are there for that line.
+Nothing here runs the trees."""
 
 import importlib.util
 import os
@@ -35,6 +36,21 @@ def test_every_run_config_is_accepted(report_diff):
             refused[name] = str(err)
     assert refused and all(name.startswith("pinned-term-missing-s-") for name in refused)
     assert all(message.startswith("weight.W[0]") for message in refused.values())
+
+
+def test_refusal_configs_are_refused(report_diff):
+    # each has one fault, which the parser or Grid or WeightSpec refuses, but
+    # a source beyond float range, which solve-stationary refuses
+    refusals = report_diff._refusal_configs()
+    assert not refusals.keys() & report_diff.runs().keys()
+    accepted = []
+    for name, (_, config) in refusals.items():
+        try:
+            parse_config(config)
+        except ConfigError:
+            continue
+        accepted.append(name)
+    assert accepted == ["refusal-13-source-constants", "refusal-13-source-solve-stationary"]
 
 
 def test_run_names_are_distinct(report_diff, monkeypatch):

@@ -91,7 +91,7 @@ class TestTerms:
     def test_cosine_2d_phase_adds_in_axis_order(self):
         # the phase is k0*x + k1*y, not a BLAS dot product, bit for bit
         t = CosineTerm(0.7, (2.3, -1.7))
-        x, y = build_grid(2, 6.0, 41).mesh()
+        x, y = np.broadcast_arrays(*build_grid(2, 6.0, 41).coordinates())
         assert t.value([x, y]).tobytes() == (0.7 * np.cos(2.3 * x + -1.7 * y)).tobytes()
 
     def test_term_json_round_trip(self):

@@ -11,7 +11,9 @@ shorter and 3 p = 2 solves, one per kind of prepared system
 (`_sweep_configs`), and 7 solves whose numbers reach the ends of float range:
 the six whose iterate leaves it, which fail in one error line, and a
 stationary solve on a weight clamped at the smallest float
-(`_float_range_configs`). Each runs once per tree through
+(`_float_range_configs`), and 14 configs with one fault each, each run
+under `constants` and `solve-stationary`, which refuse it in one error
+line (`_refusal_configs`). Each runs once per tree through
 `wsobolev.cli.main`, in the same relative paths, so messages that name a
 path match. Every library case of the same run lists
 also runs once per tree, through the functions `bench/run.py` hands its
@@ -166,6 +168,28 @@ def _float_range_configs() -> dict[str, tuple[str, dict]]:
         "float-range-stationary-huge-beta": ("solve-stationary", {
             "weight": {"beta": 1e307, "q": 2.0, "dim": 1}, "grid": {"nodes_per_axis": 151}}),
     }
+
+
+def _refusal_configs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (subcommand, config) of the Gaussian 1d config with one
+    fault, under `constants` and `solve-stationary`: a grid or weight value
+    that `Grid` or `WeightSpec` refuses, a JSON type that the parser
+    refuses, and an integer beyond float range as the node count or as a
+    literal in `stationary.source` (refused by `solve-stationary` only).
+    No grid here needs more than the default's memory."""
+    gauss = {"beta": 1.0, "q": 2.0, "dim": 1}
+    faults = [("grid", "nodes_per_axis", n) for n in (1, 4, 2.0, 10**400 + 1)]
+    faults += [("grid", "half_width", r) for r in (0, -1.5, 1e-320)]
+    faults += [("weight", "q", q) for q in (1, 0.5, -3)]
+    faults += [("weight", "dim", d) for d in (0, 3, True)]
+    faults.append(("stationary", "source", str(10**400)))
+    out = {}
+    for i, (section, key, value) in enumerate(faults):
+        base = gauss if section == "weight" else {}
+        config = {"weight": gauss, section: {**base, key: value}}
+        for subcommand in ("constants", "solve-stationary"):
+            out[f"refusal-{i:02d}-{key}-{subcommand}"] = (subcommand, config)
+    return out
 
 
 def _bench(module: str):
@@ -381,7 +405,8 @@ def main(argv=None) -> int:
         if not (src / "wsobolev" / "__init__.py").is_file():
             print(f"error: no wsobolev package under {src}", file=sys.stderr)
             return 2
-    todo, calls = runs(), library_calls()
+    refusals = _refusal_configs()
+    todo, calls = {**runs(), **refusals}, library_calls()
     with tempfile.TemporaryDirectory() as tmp:
         old, new = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old_src, old, todo)
@@ -403,6 +428,8 @@ def main(argv=None) -> int:
     for line in problems + lib_problems + array_problems:
         print(line)
     print(f"{len(todo)} configs, {n_files} files: {len(problems)} differ")
+    print(f"of them {len(refusals)} refusal configs: "
+          f"{sum(any(p.startswith(f'{name}/') for p in problems) for name in refusals)} differ")
     print(f"{len(calls)} library results: {len(lib_problems)} differ")
     print(f"{len(old_arrays.keys() | new_arrays.keys())} arrays: {len(array_problems)} differ")
     return 1 if problems or lib_problems or array_problems else 0
